@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 
 use blockdev::{
     crash_point, write_chunk_retrying, BlockDevice, DeviceError, FileDevice, FlushPolicy, Journal,
-    MemDevice, MemberWrite, RetryCounters, RetryPolicy, RetryReader, RetryStats,
+    MemDevice, RetryCounters, RetryPolicy, RetryReader, RetryStats,
 };
 use ecc::{ErasureCode, Raid6, XorParity};
 use gf::Gf256;
@@ -1174,15 +1174,10 @@ impl<B: BlockDevice> OiRaidStore<B> {
     fn commit_members(&self, news: &[MemberNew]) -> Result<(), StoreError> {
         let seq = match &self.durable {
             Some(d) => {
-                let writes: Vec<MemberWrite> = news
+                let members = news
                     .iter()
-                    .map(|(a, bytes, _)| MemberWrite {
-                        disk: a.disk as u32,
-                        chunk: a.offset as u32,
-                        data: bytes.clone(),
-                    })
-                    .collect();
-                let seq = d.journal.append_intent(&writes).map_err(journal_err)?;
+                    .map(|(a, bytes, _)| (a.disk as u32, a.offset as u32, bytes.as_slice()));
+                let seq = d.journal.append_members(members).map_err(journal_err)?;
                 d.journal.commit(seq).map_err(journal_err)?;
                 Some(seq)
             }
@@ -2015,13 +2010,16 @@ impl<B: BlockDevice> OiRaidStore<B> {
             let idx = (pos / cs) as usize;
             let within = (pos % cs) as usize;
             let take = (self.chunk_size - within).min(data.len() - done);
-            let mut chunk = if within == 0 && take == self.chunk_size {
-                vec![0u8; self.chunk_size]
+            let piece = &data[done..done + take];
+            if take == self.chunk_size {
+                self.write_data(idx, piece)?;
             } else {
-                self.read_data(idx)? // read-modify-write
-            };
-            chunk[within..within + take].copy_from_slice(&data[done..done + take]);
-            self.write_data(idx, &chunk)?;
+                // Partial chunk: the old value must be read and patched
+                // under the chunk's region locks, or two writers to
+                // different bytes of one chunk lose an update.
+                self.qos.note_foreground();
+                self.write_group(&[(idx, vec![(within, piece)])])?;
+            }
             done += take;
         }
         Ok(())
