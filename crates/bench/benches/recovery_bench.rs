@@ -4,7 +4,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use disksim::DiskSpec;
 use layout::{Layout, SparePolicy};
-use oi_raid::{OiRaid, OiRaidConfig, OiRaidStore, RecoveryStrategy};
+use oi_raid::{OiRaid, OiRaidConfig, OiRaidStore, RebuildMode, RecoveryStrategy};
 
 fn bench_simulated_rebuild(c: &mut Criterion) {
     let mut group = c.benchmark_group("simulate_rebuild");
@@ -34,7 +34,8 @@ fn bench_store_reconstruction(c: &mut Criterion) {
         b.iter(|| {
             let s = store.clone();
             s.fail_disk(4).unwrap();
-            s.rebuild_disk(4).unwrap();
+            s.rebuild(RebuildMode::Dag, RecoveryStrategy::Hybrid)
+                .unwrap();
             s
         })
     });

@@ -621,13 +621,13 @@ pub fn e12_dual_parity() -> Vec<(String, Table)> {
     )]
 }
 
-/// E13 — measured parallel vs serial rebuild on the byte-level store.
+/// E13 — measured concurrent (DAG) vs serial rebuild on the byte-level store.
 ///
 /// Unlike E1 (discrete-event simulation), this runs the plan-driven rebuild
 /// engine against real bytes on latency-injected block devices: each chunk
 /// read sleeps for a disk-like service time, so the wall-clock ratio shows
 /// the genuine payoff of draining every surviving disk concurrently. Also
-/// reports the per-device I/O counters of a parallel single-failure run —
+/// reports the per-device I/O counters of a DAG single-failure run —
 /// the measured counterpart of the paper's balanced-rebuild-load claim.
 pub fn e13_parallel_rebuild() -> Vec<(String, Table)> {
     use blockdev::{BlockDevice, FaultConfig, FaultInjectingDevice, MemDevice};
@@ -662,13 +662,13 @@ pub fn e13_parallel_rebuild() -> Vec<(String, Table)> {
     // A rebuilt store is bit-identical to its pre-failure self, so the same
     // two stores serve every failure pattern in sequence.
     let serial = make_store();
-    let parallel = make_store();
+    let dag = make_store();
     let mut timing = Table::new(&[
         "failed disks",
         "chunks",
         "reads",
         "serial (ms)",
-        "parallel (ms)",
+        "dag (ms)",
         "workers",
         "speedup",
     ]);
@@ -676,13 +676,13 @@ pub fn e13_parallel_rebuild() -> Vec<(String, Table)> {
     for pattern in [vec![4usize], vec![2, 9], vec![2, 9, 17]] {
         for &d in &pattern {
             serial.fail_disk(d).expect("valid disk");
-            parallel.fail_disk(d).expect("valid disk");
+            dag.fail_disk(d).expect("valid disk");
         }
         let rs = serial
             .rebuild(RebuildMode::Serial, RecoveryStrategy::Hybrid)
             .expect("recoverable pattern");
-        let rp = parallel
-            .rebuild(RebuildMode::Parallel, RecoveryStrategy::Hybrid)
+        let rp = dag
+            .rebuild(RebuildMode::Dag, RecoveryStrategy::Hybrid)
             .expect("recoverable pattern");
         assert_eq!(rs.total_reads(), rp.total_reads(), "same read schedule");
         let (s_ms, p_ms) = (rs.wall.as_secs_f64() * 1e3, rp.wall.as_secs_f64() * 1e3);
@@ -712,11 +712,11 @@ pub fn e13_parallel_rebuild() -> Vec<(String, Table)> {
     }
     vec![
         (
-            "E13: measured parallel vs serial rebuild (21 disks, 300us/read devices)".into(),
+            "E13: measured dag vs serial rebuild (21 disks, 300us/read devices)".into(),
             timing,
         ),
         (
-            "E13: per-device I/O of the parallel single-failure rebuild (disk 4)".into(),
+            "E13: per-device I/O of the dag single-failure rebuild (disk 4)".into(),
             per_device,
         ),
     ]
@@ -828,7 +828,7 @@ pub fn e14_kernel_throughput() -> Vec<(String, Table)> {
         "chunks",
         "serial (ms)",
         "serial (MiB/s)",
-        "parallel (ms)",
+        "dag (ms)",
         "speedup vs scalar",
     ]);
     let forced = [
@@ -851,7 +851,7 @@ pub fn e14_kernel_throughput() -> Vec<(String, Table)> {
             .expect("recoverable");
         store.fail_disk(4).expect("valid disk");
         let rp = store
-            .rebuild(RebuildMode::Parallel, RecoveryStrategy::Hybrid)
+            .rebuild(RebuildMode::Dag, RecoveryStrategy::Hybrid)
             .expect("recoverable");
         let s_ms = rs.wall.as_secs_f64() * 1e3;
         let p_ms = rp.wall.as_secs_f64() * 1e3;
@@ -1118,7 +1118,7 @@ pub fn e16_self_healing() -> Vec<(String, Table)> {
             }
             store.fail_disk(4).expect("valid disk");
             let report = store
-                .rebuild(RebuildMode::Parallel, RecoveryStrategy::Hybrid)
+                .rebuild(RebuildMode::Dag, RecoveryStrategy::Hybrid)
                 .expect("self-healing rebuild never errors on faults");
             // Disarm (keeping the latency model) before verifying bytes.
             for dev in store.devices() {
@@ -1187,7 +1187,7 @@ pub fn e16_self_healing() -> Vec<(String, Table)> {
 
     vec![
         (
-            "E16a: parallel rebuild of disk 4 under injected faults (100us/read devices)".into(),
+            "E16a: dag rebuild of disk 4 under injected faults (100us/read devices)".into(),
             rebuild,
         ),
         (
@@ -1290,7 +1290,7 @@ pub fn e17_online_qos() -> Vec<(String, Table)> {
                 while began.elapsed() < STORM || cycles == 0 {
                     store.fail_disk(4).expect("valid disk");
                     let r = store
-                        .rebuild(RebuildMode::Parallel, RecoveryStrategy::Hybrid)
+                        .rebuild(RebuildMode::Dag, RecoveryStrategy::Hybrid)
                         .expect("rebuild");
                     assert_eq!(r.outcome, RebuildOutcome::Complete);
                     cycles += 1;
@@ -1348,19 +1348,19 @@ pub fn e17_online_qos() -> Vec<(String, Table)> {
     )]
 }
 
-/// E18 — DAG-scheduled rebuild vs the barrier-round engine.
+/// E18 — DAG-scheduled rebuild vs the serial oracle.
 ///
 /// Two tables. **E18a** rebuilds the same 2-disk failure (disks 4 and 9)
-/// on 300 µs spindles with the parallel barrier engine and with the DAG
-/// executor at several pool sizes: the barrier engine serializes every
-/// writeback into the driver thread after each read phase, while the DAG
-/// overlaps writebacks with reads on other disks, so the speedup column
-/// isolates exactly the barrier cost. **E18b** runs a rebuild storm on one
-/// thread while the main thread issues foreground RMW `write_data` calls
-/// to chunks off the failed disks, and reports the foreground write
-/// percentiles per engine — degraded RMW now enters through striped
-/// per-region locks rather than a store-wide update lock, so foreground
-/// writes keep flowing under either engine. The `degraded` column counts
+/// on 300 µs spindles with the serial executor and with the DAG executor
+/// at several pool sizes: the serial loop pays every device read and
+/// writeback one after another, while the DAG keeps every surviving disk's
+/// queue deep and overlaps writebacks with reads on other disks. The
+/// one-worker DAG row against the serial row is the scheduler's own
+/// overhead. **E18b** runs a DAG rebuild storm on one thread while the
+/// main thread issues foreground RMW `write_data` calls to chunks off the
+/// failed disks, and reports the foreground write percentiles — degraded
+/// RMW enters through striped per-region locks rather than a store-wide
+/// update lock, so foreground writes keep flowing. The `degraded` column counts
 /// writes whose update set had unavailable members mid-rebuild: those skip
 /// the missing devices (the implied value already reflects the write) and
 /// finish in microseconds, which pulls the p50 down while a storm runs.
@@ -1376,7 +1376,7 @@ pub fn e18_dag_scheduler() -> Vec<(String, Table)> {
 
     telemetry::set_enabled(true);
     const CHUNK: usize = 4096;
-    /// Each engine's rebuild storm in E18b runs at least this long.
+    /// The rebuild storm in E18b runs at least this long.
     const STORM: Duration = Duration::from_millis(250);
     let latency = Duration::from_micros(300);
     let failed = [4usize, 9];
@@ -1435,11 +1435,11 @@ pub fn e18_dag_scheduler() -> Vec<(String, Table)> {
         "peak ready",
         "peak disk queue",
     ]);
-    let base = run_engine(RebuildMode::Parallel, None);
+    let base = run_engine(RebuildMode::Serial, None);
     let base_ms = base.wall.as_secs_f64() * 1e3;
     let mut auto_speedup = 0.0;
     let runs = [
-        ("parallel (barrier)", None, base),
+        ("serial", None, base),
         ("dag", Some(1), run_engine(RebuildMode::Dag, Some(1))),
         ("dag", Some(4), run_engine(RebuildMode::Dag, Some(4))),
         ("dag (auto)", None, run_engine(RebuildMode::Dag, None)),
@@ -1468,13 +1468,14 @@ pub fn e18_dag_scheduler() -> Vec<(String, Table)> {
         ]);
     }
     // The headline acceptance bound: the DAG engine at its default pool
-    // size beats the barrier engine by >= 1.5x on this workload.
+    // size beats the serial executor by >= 2.0x on this workload (measured
+    // 2.8-4.0x over three runs on a 2-core box; the margin absorbs CI noise).
     assert!(
-        auto_speedup >= 1.5,
-        "dag speedup {auto_speedup:.3} below the 1.5x bound"
+        auto_speedup >= 2.0,
+        "dag speedup {auto_speedup:.3} over serial below the 2.0x bound"
     );
 
-    // E18b: foreground RMW latency while each engine's rebuild storm runs.
+    // E18b: foreground RMW latency while the rebuild storm runs.
     let fg_set = |store: &OiRaidStore<FaultInjectingDevice<MemDevice>>| -> Vec<usize> {
         (0..store.data_chunks())
             .filter(|&i| !failed.contains(&store.locate(i).disk))
@@ -1511,51 +1512,46 @@ pub fn e18_dag_scheduler() -> Vec<(String, Table)> {
         f3(healthy_p99 as f64 / 1e6),
         "1.000".into(),
     ]);
-    for (name, mode) in [
-        ("parallel (barrier)", RebuildMode::Parallel),
-        ("dag (auto)", RebuildMode::Dag),
-    ] {
-        let store = make_store();
-        let set = fg_set(&store);
-        let done = AtomicBool::new(false);
-        let (cycles, writes) = std::thread::scope(|s| {
-            let storm = s.spawn(|| {
-                let began = Instant::now();
-                let mut cycles = 0u32;
-                while began.elapsed() < STORM || cycles == 0 {
-                    for &d in &failed {
-                        store.fail_disk(d).expect("valid disk");
-                    }
-                    let r = store
-                        .rebuild(mode, RecoveryStrategy::Hybrid)
-                        .expect("rebuild");
-                    assert_eq!(r.outcome, RebuildOutcome::Complete);
-                    cycles += 1;
+    let store = make_store();
+    let set = fg_set(&store);
+    let done = AtomicBool::new(false);
+    let (cycles, writes) = std::thread::scope(|s| {
+        let storm = s.spawn(|| {
+            let began = Instant::now();
+            let mut cycles = 0u32;
+            while began.elapsed() < STORM || cycles == 0 {
+                for &d in &failed {
+                    store.fail_disk(d).expect("valid disk");
                 }
-                done.store(true, Ordering::Relaxed);
-                cycles
-            });
-            let mut i = 0usize;
-            while !done.load(Ordering::Relaxed) && i < 2_000_000 {
-                store
-                    .write_data(set[i % set.len()], &payload(i))
-                    .expect("online write");
-                i += 1;
+                let r = store
+                    .rebuild(RebuildMode::Dag, RecoveryStrategy::Hybrid)
+                    .expect("rebuild");
+                assert_eq!(r.outcome, RebuildOutcome::Complete);
+                cycles += 1;
             }
-            (storm.join().expect("rebuild storm"), i)
+            done.store(true, Ordering::Relaxed);
+            cycles
         });
-        let snap = store.telemetry().foreground_write_latency().snapshot();
-        assert!(writes > 0, "foreground made no progress under {name}");
-        t2.row_owned(vec![
-            name.into(),
-            cycles.to_string(),
-            snap.count.to_string(),
-            store.telemetry().degraded_writes().to_string(),
-            f3(snap.p50() as f64 / 1e6),
-            f3(snap.p99() as f64 / 1e6),
-            f3(snap.p99() as f64 / healthy_p99 as f64),
-        ]);
-    }
+        let mut i = 0usize;
+        while !done.load(Ordering::Relaxed) && i < 2_000_000 {
+            store
+                .write_data(set[i % set.len()], &payload(i))
+                .expect("online write");
+            i += 1;
+        }
+        (storm.join().expect("rebuild storm"), i)
+    });
+    let snap = store.telemetry().foreground_write_latency().snapshot();
+    assert!(writes > 0, "foreground made no progress under the storm");
+    t2.row_owned(vec![
+        "dag (auto)".into(),
+        cycles.to_string(),
+        snap.count.to_string(),
+        store.telemetry().degraded_writes().to_string(),
+        f3(snap.p50() as f64 / 1e6),
+        f3(snap.p99() as f64 / 1e6),
+        f3(snap.p99() as f64 / healthy_p99 as f64),
+    ]);
 
     vec![
         (

@@ -157,7 +157,7 @@ impl RecoveryPlan {
     }
 
     /// Groups the plan's reads by source disk: the per-disk work queues a
-    /// parallel executor drains with one worker thread per surviving disk.
+    /// concurrent executor drains, one ready queue per surviving disk.
     ///
     /// Returns `(disk, queue)` pairs for every disk the plan reads from,
     /// ascending by disk id; each queue lists `(item_index, addr)` in plan

@@ -42,9 +42,9 @@
 //!   backends that actually encodes, loses, and reconstructs real data
 //!   through both layers — and keeps serving (degraded) reads *and writes*
 //!   while disks are down or a rebuild is in flight; [`RebuildMode`] /
-//!   [`RebuildReport`] — the plan-driven (optionally parallel) instrumented
-//!   rebuild engine; [`QosConfig`] — the foreground/rebuild bandwidth
-//!   throttle (`OI_RAID_REBUILD_THROTTLE`).
+//!   [`RebuildReport`] — the plan-driven instrumented rebuild engine (a
+//!   serial oracle and one concurrent DAG executor); [`QosConfig`] — the
+//!   foreground/rebuild bandwidth throttle (`OI_RAID_REBUILD_THROTTLE`).
 //!
 //! # Example
 //!

@@ -30,8 +30,8 @@ pub struct StageTimings {
     pub combine: Arc<Histogram>,
     /// Write-back time per rebuilt chunk.
     pub writeback: Arc<Histogram>,
-    /// Combiner input-queue depth, sampled at every receive (parallel
-    /// mode): how far the readers run ahead of the combiner.
+    /// The DAG scheduler's peak ready-queue depth, one sample per round
+    /// (empty for serial mode).
     pub queue_depth: Arc<Histogram>,
 }
 

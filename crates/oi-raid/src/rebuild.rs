@@ -1,7 +1,8 @@
 //! Self-healing, plan-driven rebuild engine: executes a
-//! [`layout::RecoveryPlan`] against the store's block devices, serially or
-//! with one reader thread per surviving disk, and *absorbs* device faults
-//! instead of dying on them.
+//! [`layout::RecoveryPlan`] against the store's block devices — serially
+//! (the oracle, and the scrub engine) or as an op DAG on a work-stealing
+//! pool that drains every surviving disk at once — and *absorbs* device
+//! faults instead of dying on them.
 //!
 //! The engine runs in rounds. Every read goes through a
 //! [`RetryReader`](blockdev::RetryReader): transient faults are retried
@@ -19,13 +20,13 @@
 //! disks re-failed — a half-written disk never masquerades as healthy.
 //!
 //! Both modes share one pure combine function per plan item, so serial and
-//! parallel rebuilds are bit-identical by construction — including under
+//! DAG rebuilds are bit-identical by construction — including under
 //! injected faults, because re-routed chunks are fixed by the same parity
 //! relations (property-tested in `tests/rebuild_engine.rs` and
 //! `tests/self_healing.rs`).
 //!
 //! The data path avoids per-chunk allocation: a [`BufPool`] recycles chunk
-//! buffers between readers and the combiner, and adjacent same-disk reads in
+//! buffers between reads and combines, and adjacent same-disk reads in
 //! each per-disk queue are coalesced into single [`BlockDevice::read_chunks`]
 //! calls. Both modes coalesce from the same [`RecoveryPlan::reads_by_disk`]
 //! queues, so their device read counters stay equal.
@@ -44,8 +45,6 @@
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::mpsc;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -73,9 +72,6 @@ use crate::RecoveryStrategy;
 pub enum RebuildMode {
     /// One item at a time, reads issued inline in plan order.
     Serial,
-    /// One reader thread per surviving disk with scheduled reads; a combiner
-    /// on the calling thread decodes as inputs arrive.
-    Parallel,
     /// The plan lowered into an explicit op DAG (read → combine → writeback
     /// nodes with atomic indegrees) executed by a work-stealing pool over
     /// per-device ready queues — no round barrier between read, decode, and
@@ -87,7 +83,6 @@ impl fmt::Display for RebuildMode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Self::Serial => write!(f, "serial"),
-            Self::Parallel => write!(f, "parallel"),
             Self::Dag => write!(f, "dag"),
         }
     }
@@ -144,8 +139,7 @@ pub struct RebuildReport {
     pub outcome: RebuildOutcome,
     /// Execution rounds: 1 for a fault-free run, +1 per re-plan.
     pub rounds: u32,
-    /// Workers used in the first round: reader threads in parallel mode,
-    /// pool threads in DAG mode (0 for serial mode).
+    /// Pool threads used in the first round (0 for serial mode).
     pub workers: usize,
     /// Wall-clock time of plan execution (excludes planning and healing).
     pub wall: Duration,
@@ -179,17 +173,15 @@ pub struct RebuildReport {
     /// Per-stage latency summaries (`read`/`coalesce`/`combine`/
     /// `writeback`), in pipeline order.
     pub stages: Vec<StageSummary>,
-    /// Busy time per worker, in worker order: time inside device reads for
-    /// parallel readers, time inside any op (read/combine/writeback) for
-    /// DAG pool workers — compare against [`RebuildReport::wall`] for
-    /// utilization.
+    /// Busy time per DAG pool worker, in worker order: time inside any op
+    /// (read/combine/writeback) — compare against [`RebuildReport::wall`]
+    /// for utilization. Empty for serial mode.
     pub worker_busy: Vec<Duration>,
-    /// Combiner input-queue depth distribution (parallel mode), or the
-    /// scheduler's peak ready-queue depth per round (DAG mode); empty for
-    /// serial mode.
+    /// The scheduler's peak ready-queue depth per round (DAG mode); empty
+    /// for serial mode.
     pub queue_depth: HistogramSnapshot,
-    /// DAG-scheduler statistics summed over all rounds (all-zero for the
-    /// serial and parallel modes).
+    /// DAG-scheduler statistics summed over all rounds (all-zero for
+    /// serial mode).
     pub sched: sched::SchedStats,
 }
 
@@ -200,7 +192,7 @@ impl RebuildReport {
     }
 
     /// Largest per-device read count — the rebuild bottleneck under
-    /// parallel execution.
+    /// concurrent execution.
     pub fn max_device_reads(&self) -> u64 {
         self.device_io.iter().map(|c| c.reads).max().unwrap_or(0)
     }
@@ -212,9 +204,6 @@ impl RebuildReport {
 
     /// Mean worker utilization over the whole pool: total busy time
     /// divided by `wall × workers`, in `0.0..=1.0` (0.0 for serial mode).
-    /// Workers are parallel-mode reader threads or DAG-mode pool threads;
-    /// either way each entry of [`RebuildReport::worker_busy`] is one
-    /// worker's time spent inside ops.
     pub fn worker_utilization(&self) -> f64 {
         if self.worker_busy.is_empty() || self.wall.is_zero() {
             return 0.0;
@@ -367,7 +356,7 @@ impl fmt::Display for RebuildReport {
 /// caller recycles whatever remains. `decoded` caches whole-row decodes so
 /// that co-decoded siblings (multi-failure items with no sources of their
 /// own) can pick up their value. Pure in its inputs — this is what makes
-/// serial and parallel execution bit-identical.
+/// serial and DAG execution bit-identical.
 fn combine(
     geo: &Geometry,
     code: &dyn ErasureCode,
@@ -631,8 +620,8 @@ fn sibling_provider(geo: &Geometry, items: &[layout::ChunkRecovery], idx: usize)
 }
 
 /// The plan's per-disk read queues, pre-coalesced into runs, with the QoS
-/// charge applied at dequeue. Every executor — the serial loop, the
-/// parallel per-disk readers, and the DAG read ops — takes runs through
+/// charge applied at dequeue. Both executors — the serial loop and the DAG
+/// read ops — take runs through
 /// [`RunQueues::dequeue`], so rebuild I/O pays the store's token bucket in
 /// exactly one place: concurrent executors (a rebuild and a repairing
 /// scrub, say) draw from the same bucket instead of each charging its own
@@ -771,7 +760,7 @@ pub(crate) struct RoundOutput {
 
 /// Writeback results of one DAG round: the pool wrote each reconstructed
 /// chunk back as soon as its combine op finished (under that item's region
-/// locks, with the same dirty check the barrier modes apply).
+/// locks, with the same dirty check the serial writeback pass applies).
 struct DagWrites {
     /// Chunks written back and marked valid.
     written: Vec<ChunkAddr>,
@@ -810,7 +799,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
     ///
     /// Single failures use the strategy-specific planner (`strategy` picks
     /// local-row / outer-stripe / declustered / hybrid reads); larger
-    /// patterns use the multi-failure cascade planner. Serial and parallel
+    /// patterns use the multi-failure cascade planner. Serial and DAG
     /// modes produce bit-identical disks, with or without faults.
     ///
     /// Fault handling (see the module docs): transient faults are retried
@@ -843,7 +832,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
     /// [`OiRaidStore::rebuild`] with caller-provided telemetry sinks: the
     /// observer's [`Progress`](telemetry::Progress) can be polled from
     /// another thread while this runs, its tracer captures per-stage and
-    /// per-reader spans, its stage histograms accumulate latencies, and its
+    /// per-pool spans, its stage histograms accumulate latencies, and its
     /// [`HealCounters`](crate::HealCounters) tick live as faults are
     /// absorbed (none are reset per call — hand in a fresh observer to
     /// scope them to one run).
@@ -1125,7 +1114,6 @@ impl<B: BlockDevice> OiRaidStore<B> {
                 let exec = root.child("execute");
                 match mode {
                     RebuildMode::Serial => self.execute_serial_round(&plan, obs),
-                    RebuildMode::Parallel => self.execute_parallel_round(&plan, obs, &exec),
                     RebuildMode::Dag => self.execute_dag_round(&plan, &regions, obs, &exec),
                 }
             };
@@ -1142,7 +1130,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
                 let _s = root.child("writeback");
                 // Credits one successfully-written chunk in the heal loop's
                 // books (used by both the in-round DAG writebacks and the
-                // barrier modes' writeback pass below).
+                // serial mode's writeback pass below).
                 let mut credit = |addr: ChunkAddr| {
                     let mut fresh = false;
                     if lost.contains(&addr) {
@@ -1521,124 +1509,6 @@ impl<B: BlockDevice> OiRaidStore<B> {
         }
     }
 
-    /// One parallel round: one retrying reader thread per surviving disk, a
-    /// combiner on the calling thread. Never fails — a reader that hits an
-    /// unreadable chunk reports it and keeps going; a dead disk stops only
-    /// its own thread, the other disks keep draining.
-    fn execute_parallel_round(
-        &self,
-        plan: &RecoveryPlan,
-        obs: &RebuildObserver,
-        exec_span: &Span<'_>,
-    ) -> RoundOutput {
-        let geo = self.array().geometry().clone();
-        let code = self.inner_code();
-        let chunk_size = self.chunk_size();
-        let queues = RunQueues::build(plan, obs);
-        let workers = queues.len();
-        let pool = BufPool::new(chunk_size);
-        let mut combiner = Combiner::new(&geo, code.as_ref(), plan, &pool, obs);
-        combiner.drain();
-
-        enum ReadMsg {
-            Read(usize, ChunkAddr, Vec<u8>),
-            Unreadable(ChunkAddr, DeviceError),
-            Died(usize),
-        }
-        // Readers only need `&B` (read_chunk takes `&self`), so lend each
-        // surviving device to its reader thread via a shared retry wrapper.
-        let devices: &[B] = self.devices();
-        let readers: Vec<RetryReader<'_, B>> = (0..workers)
-            .map(|qi| RetryReader::new(&devices[queues.disk(qi)], self.retry_policy()))
-            .collect();
-        let pool_ref = &pool;
-        let qos = self.qos();
-        // In-flight messages: incremented before send, decremented at
-        // receive — the receive-side sample is the combiner's queue depth.
-        let depth = AtomicI64::new(0);
-        let busy: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
-        let mut unreadable = Vec::new();
-        let mut dead_disks = BTreeSet::new();
-        std::thread::scope(|s| {
-            let (tx, rx) = mpsc::channel::<ReadMsg>();
-            for w in 0..workers {
-                let reader = &readers[w];
-                let tx = tx.clone();
-                let disk = queues.disk(w);
-                let queues = &queues;
-                let (depth, busy) = (&depth, &busy[w]);
-                s.spawn(move || {
-                    let _reader_span = exec_span.child(format!("reader-disk-{disk}"));
-                    for ri in 0..queues.runs_in(w) {
-                        let run = queues.dequeue(qos, w, ri);
-                        let began = Instant::now();
-                        let (batch, failed, died) =
-                            read_run_healing(reader, run, chunk_size, pool_ref);
-                        let took = began.elapsed();
-                        obs.stages.read.record_duration(took);
-                        busy.fetch_add(
-                            took.as_nanos().min(u64::MAX as u128) as u64,
-                            Ordering::Relaxed,
-                        );
-                        obs.progress
-                            .add_bytes_read((batch.len() * chunk_size) as u64);
-                        for (idx, addr, buf) in batch {
-                            depth.fetch_add(1, Ordering::Relaxed);
-                            if tx.send(ReadMsg::Read(idx, addr, buf)).is_err() {
-                                return; // combiner gone
-                            }
-                        }
-                        for (addr, e) in failed {
-                            if tx.send(ReadMsg::Unreadable(addr, e)).is_err() {
-                                return;
-                            }
-                        }
-                        if died {
-                            let _ = tx.send(ReadMsg::Died(disk));
-                            return; // the rest of this queue is moot
-                        }
-                    }
-                });
-            }
-            drop(tx);
-            for msg in rx {
-                match msg {
-                    ReadMsg::Read(idx, addr, bytes) => {
-                        let d = depth.fetch_sub(1, Ordering::Relaxed);
-                        obs.stages.queue_depth.record(d.max(0) as u64);
-                        combiner.deliver_read(idx, addr, bytes);
-                        combiner.drain();
-                    }
-                    ReadMsg::Unreadable(addr, e) => unreadable.push((addr, e)),
-                    ReadMsg::Died(disk) => {
-                        dead_disks.insert(disk);
-                    }
-                }
-            }
-        });
-        debug_assert!(
-            combiner.remaining == 0 || !unreadable.is_empty() || !dead_disks.is_empty(),
-            "a fault-free round completes every item"
-        );
-        let retry = readers
-            .iter()
-            .fold(RetryCounters::default(), |acc, r| acc.merged(&r.counters()));
-        let worker_busy = busy
-            .iter()
-            .map(|b| Duration::from_nanos(b.load(Ordering::Relaxed)))
-            .collect();
-        RoundOutput {
-            finished: combiner.finished,
-            unreadable,
-            dead_disks,
-            retry,
-            workers,
-            worker_busy,
-            writes: None,
-            sched: sched::SchedStats::default(),
-        }
-    }
-
     /// One DAG round: the plan lowered into read → combine → writeback ops
     /// with explicit dependency edges, executed by a work-stealing pool
     /// over per-device ready queues (see [`sched`]). Nothing here waits
@@ -1646,7 +1516,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
     /// finishes, while other chunks are still being read — so every
     /// surviving disk's queue stays deep for the whole round.
     ///
-    /// Faults follow the same healing contract as the barrier modes: an
+    /// Faults follow the same healing contract as the serial round: an
     /// unreadable source poisons exactly the items that needed it (their
     /// combine ops fail and the scheduler cancels their dependents), a
     /// dead disk stops only its own remaining reads, and writebacks apply
@@ -1667,7 +1537,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
         let items = plan.items();
         let n = items.len();
 
-        // Dependency shape, identical to the barrier modes' combiner: plan
+        // Dependency shape, identical to the serial round's combiner: plan
         // edges plus sibling links, and per-item output use counts (+1 for
         // the write op, which consumes the value like any dependent).
         let mut depends: Vec<Vec<(usize, bool)>> = items
@@ -1717,7 +1587,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
 
         // Shared executor state. Items poisoned by an unreadable source
         // fail their combine op; the scheduler cancels everything
-        // downstream, which matches the barrier modes (those items simply
+        // downstream, which matches the serial round (those items simply
         // never finish the round and the driver re-plans them).
         let readers: Vec<RetryReader<'_, B>> = (0..queues.len())
             .map(|qi| RetryReader::new(&self.devices()[queues.disk(qi)], self.retry_policy()))
@@ -1842,7 +1712,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
                         let began = Instant::now();
                         // Dirty check, write, and validity mark form one
                         // atom under the item's region locks — same
-                        // protocol as the barrier modes' writeback, but
+                        // protocol as the serial mode's writeback, but
                         // only intersecting relations contend.
                         let guard = self.online().lock_regions(&regions[idx]);
                         if self.online().any_dirty(&regions[idx]) {
@@ -1977,27 +1847,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_rebuild_bit_identical_to_serial_single_failure() {
-        for strategy in RecoveryStrategy::ALL {
-            let serial = filled(16);
-            let parallel = filled(16);
-            serial.fail_disk(7).unwrap();
-            parallel.fail_disk(7).unwrap();
-            let rs = serial.rebuild(RebuildMode::Serial, strategy).unwrap();
-            let rp = parallel.rebuild(RebuildMode::Parallel, strategy).unwrap();
-            assert_eq!(
-                disk_image(&serial, 7),
-                disk_image(&parallel, 7),
-                "{strategy:?}"
-            );
-            assert!(rp.workers > 0);
-            assert_eq!(rs.workers, 0);
-            assert_eq!(rs.total_reads(), rp.total_reads(), "same read schedule");
-            assert_eq!(rs.chunks_rebuilt, rp.chunks_rebuilt);
-        }
-    }
-
-    #[test]
     fn dag_rebuild_bit_identical_to_serial_single_failure() {
         for strategy in RecoveryStrategy::ALL {
             let serial = filled(16);
@@ -2016,6 +1865,7 @@ mod tests {
             // The scheduler actually ran: one executed op per read run,
             // combine, and writeback, none cancelled on a clean rebuild.
             assert!(rd.workers > 0);
+            assert_eq!(rs.workers, 0);
             assert!(rd.sched.executed >= 2 * rd.chunks_rebuilt);
             assert_eq!(rd.sched.cancelled, 0);
             assert!(rd.sched.max_inflight >= 1);
@@ -2039,14 +1889,14 @@ mod tests {
     }
 
     #[test]
-    fn parallel_rebuild_triple_failure() {
+    fn dag_rebuild_triple_failure() {
         let reference = filled(8);
         let store = filled(8);
         for d in [2, 9, 17] {
             store.fail_disk(d).unwrap();
         }
         let report = store
-            .rebuild(RebuildMode::Parallel, RecoveryStrategy::Hybrid)
+            .rebuild(RebuildMode::Dag, RecoveryStrategy::Hybrid)
             .unwrap();
         assert_eq!(report.rebuilt_disks, vec![2, 9, 17]);
         assert!(store.failed_disks().is_empty());
@@ -2057,8 +1907,8 @@ mod tests {
     }
 
     #[test]
-    fn whole_group_rebuild_all_modes() {
-        for mode in [RebuildMode::Serial, RebuildMode::Parallel, RebuildMode::Dag] {
+    fn whole_group_rebuild_both_modes() {
+        for mode in [RebuildMode::Serial, RebuildMode::Dag] {
             let reference = filled(8);
             let store = filled(8);
             for d in [6, 7, 8] {
@@ -2081,7 +1931,7 @@ mod tests {
             .unwrap()
             .with_inner_parities(2)
             .unwrap();
-        for mode in [RebuildMode::Serial, RebuildMode::Parallel, RebuildMode::Dag] {
+        for mode in [RebuildMode::Serial, RebuildMode::Dag] {
             let store = OiRaidStore::new(cfg.clone(), 8).unwrap();
             for idx in 0..store.data_chunks() {
                 let chunk: Vec<u8> = (0..8).map(|j| (idx * 61 + j * 19 + 7) as u8).collect();
@@ -2111,7 +1961,7 @@ mod tests {
             store.fail_disk(d).unwrap();
         }
         let err = store
-            .rebuild(RebuildMode::Parallel, RecoveryStrategy::Hybrid)
+            .rebuild(RebuildMode::Dag, RecoveryStrategy::Hybrid)
             .unwrap_err();
         assert_eq!(err, StoreError::DataLoss);
         assert_eq!(store.failed_disks(), vec![0, 1, 3, 4]);
@@ -2121,7 +1971,7 @@ mod tests {
     fn rebuild_with_nothing_failed_is_a_no_op() {
         let store = filled(8);
         let report = store
-            .rebuild(RebuildMode::Parallel, RecoveryStrategy::Hybrid)
+            .rebuild(RebuildMode::Dag, RecoveryStrategy::Hybrid)
             .unwrap();
         assert_eq!(report.chunks_rebuilt, 0);
         assert_eq!(report.total_reads(), 0);
@@ -2134,7 +1984,7 @@ mod tests {
         let store = filled(16);
         store.fail_disk(4).unwrap();
         let report = store
-            .rebuild(RebuildMode::Parallel, RecoveryStrategy::Hybrid)
+            .rebuild(RebuildMode::Dag, RecoveryStrategy::Hybrid)
             .unwrap();
         // The failed disk serves no reads; every read lands elsewhere.
         assert_eq!(report.device_io[4].reads, 0);
@@ -2148,14 +1998,14 @@ mod tests {
         );
         assert_eq!(report.retries, 0);
         assert_eq!(report.reroutes, 0);
-        assert!(report.to_string().contains("parallel"));
+        assert!(report.to_string().contains("dag"));
     }
 
     #[test]
     fn report_display_format_is_stable() {
         // Pinned: downstream log scrapers parse this line.
         let report = RebuildReport {
-            mode: RebuildMode::Parallel,
+            mode: RebuildMode::Dag,
             rebuilt_disks: vec![4],
             outcome: RebuildOutcome::CompletedWithReroutes,
             rounds: 2,
@@ -2189,7 +2039,7 @@ mod tests {
         };
         assert_eq!(
             report.to_string(),
-            "parallel rebuild of [4]: 30 chunks (480 bytes) in 12ms, \
+            "dag rebuild of [4]: 30 chunks (480 bytes) in 12ms, \
              12 reads (max 7/disk), 20 workers, 2 injected faults; \
              complete-with-reroutes after 2 round(s), 5 retries \
              (1 exhausted), 1 reroutes, 0 escalations, 1 latent repairs"
@@ -2203,7 +2053,7 @@ mod tests {
         store.fail_disk(4).unwrap();
         let obs = crate::RebuildObserver::default();
         let report = store
-            .rebuild_observed(RebuildMode::Parallel, RecoveryStrategy::Hybrid, &obs)
+            .rebuild_observed(RebuildMode::Dag, RecoveryStrategy::Hybrid, &obs)
             .unwrap();
 
         // Stages: every pipeline stage saw work (coalesce runs once per
@@ -2223,7 +2073,7 @@ mod tests {
         );
         assert_eq!(report.worker_busy.len(), report.workers);
         assert!(report.worker_utilization() > 0.0);
-        assert!(report.queue_depth.count > 0, "depth sampled at each recv");
+        assert!(report.queue_depth.count > 0, "peak ready depth per round");
 
         // Progress: complete and internally consistent.
         let p = obs.progress.snapshot();
@@ -2242,11 +2092,12 @@ mod tests {
             );
         }
         let exec = recs.iter().find(|r| r.label == "execute").unwrap();
-        let readers = recs
+        let pools: Vec<_> = recs
             .iter()
-            .filter(|r| r.parent == exec.id && r.label.starts_with("reader-disk-"))
-            .count();
-        assert_eq!(readers, report.workers, "one reader span per worker");
+            .filter(|r| r.parent == exec.id && r.label.starts_with("dag-pool-"))
+            .collect();
+        assert_eq!(pools.len(), 1, "one pool span per round");
+        assert_eq!(pools[0].label, format!("dag-pool-{}", report.workers));
         let cov = telemetry::child_coverage(&recs, root.id);
         assert!(cov >= 0.95, "stage spans cover the rebuild: {cov}");
     }
@@ -2273,7 +2124,7 @@ mod tests {
         // transient): retry cannot save it, so the engine must re-route
         // every scheduled disk-3 read through alternate read sets — and
         // still finish bit-identical.
-        for mode in [RebuildMode::Serial, RebuildMode::Parallel, RebuildMode::Dag] {
+        for mode in [RebuildMode::Serial, RebuildMode::Dag] {
             let reference = filled(8);
             let store = filled_faulty(8);
             store.set_retry_policy(blockdev::RetryPolicy::immediate(3));
@@ -2309,7 +2160,7 @@ mod tests {
 
     #[test]
     fn latent_sources_are_rerouted_and_repaired_in_place() {
-        for mode in [RebuildMode::Serial, RebuildMode::Parallel, RebuildMode::Dag] {
+        for mode in [RebuildMode::Serial, RebuildMode::Dag] {
             let reference = filled(8);
             let store = filled_faulty(8);
             // Deterministic latent sector errors on disk 5, a row sibling
@@ -2350,7 +2201,7 @@ mod tests {
 
     #[test]
     fn mid_rebuild_disk_death_escalates_and_recovers() {
-        for mode in [RebuildMode::Serial, RebuildMode::Parallel, RebuildMode::Dag] {
+        for mode in [RebuildMode::Serial, RebuildMode::Dag] {
             let reference = filled(8);
             let store = filled_faulty(8);
             // Disk 3 (a row sibling the Inner strategy reads 9 times) dies
@@ -2389,7 +2240,7 @@ mod tests {
         // Five candidate failures exceed the array's tolerance of three:
         // the engine must abort (not panic, not error) and re-fail every
         // rebuild target so no half-written disk looks healthy.
-        for mode in [RebuildMode::Serial, RebuildMode::Parallel, RebuildMode::Dag] {
+        for mode in [RebuildMode::Serial, RebuildMode::Dag] {
             let store = filled_faulty(8);
             for d in [1, 2, 3, 4] {
                 store.devices()[d].set_config(FaultConfig {

@@ -7,10 +7,8 @@
 //! (RAM, the default), [`FileDevice`] (one file per disk, for arrays larger
 //! than RAM), or [`FaultInjectingDevice`](blockdev::FaultInjectingDevice)
 //! (seeded fault/latency injection for robustness tests and rebuild
-//! experiments). Recovery runs either through the legacy whole-array decode
-//! fixpoint ([`OiRaidStore::rebuild_disk`]) or through the plan-driven
-//! executor in [`crate::rebuild`], which drains all surviving disks in
-//! parallel.
+//! experiments). Recovery runs through the plan-driven executor in
+//! [`crate::rebuild`], which drains all surviving disks concurrently.
 //!
 //! The store is **online**: every I/O entry point takes `&self` (devices
 //! are interior-mutable), reads *and writes* keep working while disks are
@@ -23,6 +21,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
+use std::ops::Range;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -321,6 +320,19 @@ fn journal_err(e: std::io::Error) -> StoreError {
     }
 }
 
+/// Rejects `chunk_size == 0` before any device is built or opened
+/// ([`MemDevice::new`] panics on it; the file backends would report a
+/// device error instead of [`StoreError::WrongChunkSize`]).
+fn nonzero_chunk_size(chunk_size: usize) -> Result<(), StoreError> {
+    if chunk_size == 0 {
+        return Err(StoreError::WrongChunkSize {
+            found: 0,
+            expected: 1,
+        });
+    }
+    Ok(())
+}
+
 /// Chunk credits between mid-round rebuild checkpoints
 /// (`OI_RAID_CKPT_INTERVAL`, default 128).
 fn ckpt_interval_from_env() -> u64 {
@@ -335,6 +347,29 @@ fn ckpt_interval_from_env() -> u64 {
 /// `(offset-within-chunk, bytes)` patches targeting it, in submission order.
 type ChunkPatches<'a> = (usize, Vec<(usize, &'a [u8])>);
 
+/// Splits the byte range `offset..offset + len` of the logical data address
+/// space at chunk boundaries: one `(data chunk index, offset within that
+/// chunk, range of the caller's buffer)` per touched chunk, ascending.
+fn chunk_pieces(
+    chunk_size: usize,
+    offset: u64,
+    len: usize,
+) -> impl Iterator<Item = (usize, usize, Range<usize>)> {
+    let cs = chunk_size as u64;
+    let mut done = 0usize;
+    std::iter::from_fn(move || {
+        if done == len {
+            return None;
+        }
+        let pos = offset + done as u64;
+        let within = (pos % cs) as usize;
+        let take = (chunk_size - within).min(len - done);
+        let piece = ((pos / cs) as usize, within, done..done + take);
+        done += take;
+        Some(piece)
+    })
+}
+
 /// One member's computed new value awaiting commit: `(address, absolute
 /// new bytes, is-data-chunk)` — data chunks become window-valid at commit,
 /// parity chunks do not.
@@ -346,9 +381,9 @@ type MemberNew = (ChunkAddr, Vec<u8>, bool);
 /// writes — the update-optimal path); reads reconstruct transparently while
 /// disks are failed; writes against failed disks take the degraded path
 /// (reconstruct old value, patch the surviving members);
-/// [`OiRaidStore::rebuild_disk`] performs actual recovery. All I/O entry
-/// points take `&self` and are safe to call concurrently — including while
-/// [`OiRaidStore::rebuild`] runs on another thread.
+/// [`OiRaidStore::rebuild`] performs actual recovery. All I/O entry points
+/// take `&self` and are safe to call concurrently — including while a
+/// rebuild runs on another thread.
 ///
 /// # Example
 ///
@@ -536,27 +571,9 @@ impl OiRaidStore<MemDevice> {
     /// Propagates construction errors from [`OiRaid::new`]; fails on
     /// `chunk_size == 0` via [`StoreError::WrongChunkSize`].
     pub fn new(cfg: OiRaidConfig, chunk_size: usize) -> Result<Self, StoreError> {
-        if chunk_size == 0 {
-            return Err(StoreError::WrongChunkSize {
-                found: 0,
-                expected: 1,
-            });
-        }
-        let array = OiRaid::new(cfg).expect("validated config constructs");
-        let devices = MemDevice::array(chunk_size, array.chunks_per_disk(), array.disks());
-        Ok(Self {
-            array,
-            chunk_size,
-            devices,
-            telem: StoreTelemetry::default(),
-            retry: Mutex::new(RetryPolicy::default()),
-            online: OnlineState::default(),
-            qos: QosState::new(QosConfig::from_env()),
-            dag_workers: AtomicUsize::new(usize::MAX),
-            pool: BufPool::new(chunk_size),
-            durable: None,
-            ckpt: Mutex::new(None),
-        })
+        nonzero_chunk_size(chunk_size)?;
+        let devices = MemDevice::array(chunk_size, cfg.chunks_per_disk(), cfg.disks());
+        Self::with_devices(cfg, chunk_size, devices)
     }
 }
 
@@ -574,13 +591,7 @@ impl OiRaidStore<FileDevice> {
         chunk_size: usize,
         dir: impl AsRef<Path>,
     ) -> Result<Self, StoreError> {
-        if chunk_size == 0 {
-            return Err(StoreError::WrongChunkSize {
-                found: 0,
-                expected: 1,
-            });
-        }
-        let array = OiRaid::new(cfg).expect("validated config constructs");
+        nonzero_chunk_size(chunk_size)?;
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir).map_err(|e| StoreError::Device {
             disk: 0,
@@ -589,29 +600,17 @@ impl OiRaidStore<FileDevice> {
                 message: e.to_string(),
             },
         })?;
-        let devices = (0..array.disks())
+        let devices = (0..cfg.disks())
             .map(|d| {
                 FileDevice::create(
                     dir.join(format!("disk-{d:03}.img")),
                     chunk_size,
-                    array.chunks_per_disk(),
+                    cfg.chunks_per_disk(),
                 )
                 .map_err(|error| StoreError::Device { disk: d, error })
             })
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(Self {
-            array,
-            chunk_size,
-            devices,
-            telem: StoreTelemetry::default(),
-            retry: Mutex::new(RetryPolicy::default()),
-            online: OnlineState::default(),
-            qos: QosState::new(QosConfig::from_env()),
-            dag_workers: AtomicUsize::new(usize::MAX),
-            pool: BufPool::new(chunk_size),
-            durable: None,
-            ckpt: Mutex::new(None),
-        })
+        Self::with_devices(cfg, chunk_size, devices)
     }
 
     /// Creates a *crash-consistent* file-backed store under `dir`: device
@@ -693,20 +692,14 @@ impl OiRaidStore<FileDevice> {
         dir: impl AsRef<Path>,
         policy: FlushPolicy,
     ) -> Result<Self, StoreError> {
-        if chunk_size == 0 {
-            return Err(StoreError::WrongChunkSize {
-                found: 0,
-                expected: 1,
-            });
-        }
+        nonzero_chunk_size(chunk_size)?;
         let dir = dir.as_ref();
-        let array = OiRaid::new(cfg.clone()).expect("validated config constructs");
-        let devices = (0..array.disks())
+        let devices = (0..cfg.disks())
             .map(|d| {
                 FileDevice::open(
                     dir.join(format!("disk-{d:03}.img")),
                     chunk_size,
-                    array.chunks_per_disk(),
+                    cfg.chunks_per_disk(),
                 )
                 .map_err(|error| StoreError::Device { disk: d, error })
             })
@@ -731,12 +724,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
         chunk_size: usize,
         devices: Vec<B>,
     ) -> Result<Self, StoreError> {
-        if chunk_size == 0 {
-            return Err(StoreError::WrongChunkSize {
-                found: 0,
-                expected: 1,
-            });
-        }
+        nonzero_chunk_size(chunk_size)?;
         let array = OiRaid::new(cfg).expect("validated config constructs");
         if devices.len() != array.disks() {
             return Err(StoreError::DiskOutOfRange {
@@ -1043,103 +1031,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
                 expected: self.chunk_size,
             });
         }
-        self.qos.note_foreground();
-        let began = Instant::now();
-        let addr = self.array.locate_data(idx);
-        let targets = self
-            .array
-            .update_set(addr)
-            .map_err(|error| StoreError::Layout { error })?;
-        let outer = targets[1 + self.array.geometry().p_in];
-        debug_assert_eq!(self.array.chunk_role(outer), layout::Role::Parity);
-        // The whole read-modify-write runs under the relations it touches:
-        // parity deltas from concurrent writers to *intersecting* relation
-        // sets must not interleave, and the rebuilder's writebacks must not
-        // race the patches — but writers to disjoint relations proceed in
-        // parallel on their own lock stripes.
-        let mut regions = self.regions_for(addr);
-        regions.extend(self.regions_for(outer));
-        {
-            let guard = self.online.lock_regions(&regions);
-            let degraded = targets.iter().any(|t| !self.chunk_available(*t));
-            let old = match self.chunk(addr)? {
-                Some(bytes) => Some(bytes),
-                None => self.reconstruct_chunk_local(addr),
-            };
-            if let Some(old) = old {
-                self.apply_write(addr, outer, data, &old)?;
-                drop(guard);
-                if degraded {
-                    self.telem.record_degraded_write(began.elapsed());
-                }
-                self.telem.record_foreground_write(began.elapsed());
-                return Ok(());
-            }
-        }
-        // The failure pattern is too dense for the local decode: the old
-        // value needs the whole-array fixpoint, whose read set no bounded
-        // region footprint covers. Re-run under the exclusive lock, which
-        // excludes every region holder and gives the decode a stable view.
-        let _guard = self.online.lock_updates();
-        let old = match self.chunk(addr)? {
-            Some(bytes) => bytes,
-            None => self.reconstruct_chunk(addr)?,
-        };
-        self.apply_write(addr, outer, data, &old)?;
-        drop(_guard);
-        self.telem.record_degraded_write(began.elapsed());
-        self.telem.record_foreground_write(began.elapsed());
-        Ok(())
-    }
-
-    /// The locked body of [`Self::write_data`]: applies `data` over the
-    /// already-read `old` value at `addr`. Callers hold either the region
-    /// guards covering `addr` and `outer` or the exclusive update lock.
-    ///
-    /// Compute-then-commit: every member's absolute new value is derived
-    /// *before* any device is touched (outer parity absorbs Δ directly,
-    /// each affected row's inner parities the code-weighted Δ; unavailable
-    /// members are skipped — their implied values track the update through
-    /// the surviving relations), then the whole set commits through
-    /// [`Self::commit_members`] — journaled as one intent record when a
-    /// journal is attached. Same reads and writes per device as patching
-    /// members one at a time; only the ordering moves.
-    fn apply_write(
-        &self,
-        addr: ChunkAddr,
-        outer: ChunkAddr,
-        data: &[u8],
-        old: &[u8],
-    ) -> Result<(), StoreError> {
-        let mut delta = self.pool.take_dirty();
-        for ((d, o), n) in delta.iter_mut().zip(old).zip(data) {
-            *d = o ^ n;
-        }
-        let mut parity: BTreeMap<ChunkAddr, Vec<u8>> = BTreeMap::new();
-        Self::acc_parity(&mut parity, &self.pool, outer, &delta, 1);
-        self.acc_row_parities(&mut parity, addr, &delta);
-        self.acc_row_parities(&mut parity, outer, &delta);
-        self.pool.put(delta);
-        let mut news: Vec<MemberNew> = Vec::with_capacity(1 + parity.len());
-        // Data chunk: we hold the full new value, so any writable device
-        // takes it — including a mid-rebuild disk, whose chunk becomes
-        // valid at commit.
-        if !self.disk_down(addr.disk) {
-            let mut buf = self.pool.take_dirty();
-            buf.copy_from_slice(data);
-            news.push((addr, buf, true));
-        }
-        self.resolve_parity_news(parity, &mut news)?;
-        self.commit_members(&news)?;
-        for (_, buf, _) in news {
-            self.pool.put(buf);
-        }
-        // Tell an in-flight rebuild that these relations changed under it:
-        // reconstructions read from them this round are stale.
-        let mut regions = self.regions_for(addr);
-        regions.extend(self.regions_for(outer));
-        self.online.mark_dirty(regions);
-        Ok(())
+        self.write_group(&[(idx, vec![(0, data)])])
     }
 
     /// Converts accumulated parity deltas into absolute member new values:
@@ -1398,7 +1290,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
             }
         }
         // Local relations cannot decode it: fall back to the whole-array
-        // fixpoint under the exclusive lock (see `write_data`).
+        // fixpoint under the exclusive lock (see `write_group`).
         let _guard = self.online.lock_updates();
         if let Some(bytes) = self.chunk(addr)? {
             self.telem.record_foreground_read(began.elapsed());
@@ -1539,16 +1431,27 @@ impl<B: BlockDevice> OiRaidStore<B> {
 
         let (journal, summary) = Journal::open(dir.join("journal.log")).map_err(journal_err)?;
         let replayed = summary.redo.len() as u64;
+        let (disks, chunks_per_disk) = (store.array.disks(), store.array.chunks_per_disk());
+        let invalid = |message: String| StoreError::Journal {
+            kind: std::io::ErrorKind::InvalidData,
+            message,
+        };
         for (_seq, writes) in &summary.redo {
             for w in writes {
                 if w.data.len() != chunk_size {
-                    return Err(StoreError::Journal {
-                        kind: std::io::ErrorKind::InvalidData,
-                        message: format!(
-                            "intent member has {} bytes, store uses {chunk_size}",
-                            w.data.len()
-                        ),
-                    });
+                    return Err(invalid(format!(
+                        "intent member has {} bytes, store uses {chunk_size}",
+                        w.data.len()
+                    )));
+                }
+                // The log is outside input: a CRC-valid record written for
+                // another geometry must fail the open, not index past the
+                // device vector.
+                if w.disk as usize >= disks || w.chunk as usize >= chunks_per_disk {
+                    return Err(invalid(format!(
+                        "intent member addresses disk {} chunk {}, array is {disks} x {chunks_per_disk}",
+                        w.disk, w.chunk
+                    )));
                 }
                 store.write_chunk(ChunkAddr::new(w.disk as usize, w.chunk as usize), &w.data)?;
             }
@@ -1864,37 +1767,6 @@ impl<B: BlockDevice> OiRaidStore<B> {
         Ok(())
     }
 
-    /// Rebuilds a failed disk's full contents from the redundancy and
-    /// brings it back online, using the legacy whole-array decode fixpoint
-    /// (see [`OiRaidStore::rebuild`] for the plan-driven, instrumented,
-    /// parallel-capable engine).
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::DataLoss`] if the overall failure pattern is
-    /// unrecoverable, [`StoreError::DiskOutOfRange`] on bad input. Rebuilding
-    /// a healthy disk is a no-op. Holds the update lock for the whole
-    /// operation, so concurrent foreground writes serialize behind it (the
-    /// windowed engine in [`OiRaidStore::rebuild`] is the online path).
-    pub fn rebuild_disk(&self, disk: usize) -> Result<(), StoreError> {
-        if disk >= self.devices.len() {
-            return Err(StoreError::DiskOutOfRange { disk });
-        }
-        if !self.disk_down(disk) {
-            return Ok(());
-        }
-        let _guard = self.online.lock_updates();
-        let recovered = self.reconstruct_missing()?;
-        self.devices[disk]
-            .heal()
-            .map_err(|error| StoreError::Device { disk, error })?;
-        for o in 0..self.array.chunks_per_disk() {
-            let addr = ChunkAddr::new(disk, o);
-            self.write_chunk(addr, &recovered[&addr])?;
-        }
-        Ok(())
-    }
-
     /// Verifies every parity relation in both layers; returns the addresses
     /// of violated parity chunks (empty = consistent). Relations touching a
     /// failed disk — or a chunk the backend cannot read — are skipped.
@@ -1971,16 +1843,10 @@ impl<B: BlockDevice> OiRaidStore<B> {
                 capacity: self.capacity_bytes() as usize,
             });
         }
-        let cs = self.chunk_size as u64;
-        let mut done = 0usize;
-        while done < buf.len() {
-            let pos = offset + done as u64;
-            let idx = (pos / cs) as usize;
-            let within = (pos % cs) as usize;
-            let take = (self.chunk_size - within).min(buf.len() - done);
+        for (idx, within, range) in chunk_pieces(self.chunk_size, offset, buf.len()) {
             let chunk = self.read_data(idx)?;
-            buf[done..done + take].copy_from_slice(&chunk[within..within + take]);
-            done += take;
+            let take = range.len();
+            buf[range].copy_from_slice(&chunk[within..within + take]);
         }
         Ok(())
     }
@@ -2003,24 +1869,11 @@ impl<B: BlockDevice> OiRaidStore<B> {
                 capacity: self.capacity_bytes() as usize,
             });
         }
-        let cs = self.chunk_size as u64;
-        let mut done = 0usize;
-        while done < data.len() {
-            let pos = offset + done as u64;
-            let idx = (pos / cs) as usize;
-            let within = (pos % cs) as usize;
-            let take = (self.chunk_size - within).min(data.len() - done);
-            let piece = &data[done..done + take];
-            if take == self.chunk_size {
-                self.write_data(idx, piece)?;
-            } else {
-                // Partial chunk: the old value must be read and patched
-                // under the chunk's region locks, or two writers to
-                // different bytes of one chunk lose an update.
-                self.qos.note_foreground();
-                self.write_group(&[(idx, vec![(within, piece)])])?;
-            }
-            done += take;
+        for (idx, within, range) in chunk_pieces(self.chunk_size, offset, data.len()) {
+            // Whole or partial chunk alike: the old value is read and
+            // patched under the chunk's region locks, or two writers to
+            // different bytes of one chunk lose an update.
+            self.write_group(&[(idx, vec![(within, &data[range])])])?;
         }
         Ok(())
     }
@@ -2172,25 +2025,14 @@ impl<B: BlockDevice> OiRaidStore<B> {
         if writes.is_empty() {
             return Ok(BatchStats::default());
         }
-        self.qos.note_foreground();
         let _trace =
             telemetry::trace_scope(telemetry::EventKind::BatchWrite, writes.len() as u64, 0);
-        let cs = self.chunk_size as u64;
         // Split every request into per-chunk patch lists, preserving
         // submission order within each chunk (later writes win on overlap).
         let mut patches: BTreeMap<usize, Vec<(usize, &[u8])>> = BTreeMap::new();
         for &(off, data) in writes {
-            let mut done = 0usize;
-            while done < data.len() {
-                let pos = off + done as u64;
-                let idx = (pos / cs) as usize;
-                let within = (pos % cs) as usize;
-                let take = (self.chunk_size - within).min(data.len() - done);
-                patches
-                    .entry(idx)
-                    .or_default()
-                    .push((within, &data[done..done + take]));
-                done += take;
+            for (idx, within, range) in chunk_pieces(self.chunk_size, off, data.len()) {
+                patches.entry(idx).or_default().push((within, &data[range]));
             }
         }
         let stats = BatchStats {
@@ -2215,13 +2057,20 @@ impl<B: BlockDevice> OiRaidStore<B> {
         Ok(stats)
     }
 
-    /// Commits one bounded group of per-chunk patch lists: snapshot all old
-    /// values under the union of the group's region locks, then apply data
-    /// writes and accumulated parity deltas (see
-    /// [`Self::apply_write_group`]). Escalates the whole group to the
-    /// exclusive update lock when any old value needs the whole-array
-    /// decode fixpoint — same two-tier locking as [`Self::write_data`].
+    /// The one foreground write path — single chunks, byte ranges and
+    /// batches all land here. Commits one bounded group of per-chunk patch
+    /// lists: snapshot all old values under the union of the group's region
+    /// locks, then apply data writes and accumulated parity deltas (see
+    /// [`Self::apply_write_group`]). The whole read-modify-write runs under
+    /// the relations it touches: parity deltas from concurrent writers to
+    /// *intersecting* relation sets must not interleave, and the
+    /// rebuilder's writebacks must not race the patches — but writers to
+    /// disjoint relations proceed in parallel on their own lock stripes.
+    /// Escalates the whole group to the exclusive update lock when any old
+    /// value needs the whole-array decode fixpoint, whose read set no
+    /// bounded region footprint covers.
     fn write_group(&self, group: &[ChunkPatches<'_>]) -> Result<(), StoreError> {
+        self.qos.note_foreground();
         let _trace =
             telemetry::trace_scope(telemetry::EventKind::WriteGroup, group.len() as u64, 0);
         let began = Instant::now();
@@ -2275,8 +2124,9 @@ impl<B: BlockDevice> OiRaidStore<B> {
             }
         }
         // The failure pattern is too dense for a local decode somewhere in
-        // the group: re-run the whole group under the exclusive lock, whose
-        // stable view the whole-array fixpoint needs (see `write_data`).
+        // the group: re-run the whole group under the exclusive lock, which
+        // excludes every region holder and gives the whole-array fixpoint
+        // the stable view it needs.
         let _guard = self.online.lock_updates();
         olds.clear();
         for (addr, _, _) in &items {
@@ -2303,6 +2153,13 @@ impl<B: BlockDevice> OiRaidStore<B> {
     /// touched parity chunk is read-modify-written **once**, not once per
     /// member. Callers hold either the region guards covering `regions` or
     /// the exclusive update lock, and have already snapshotted `olds`.
+    ///
+    /// Compute-then-commit: every member's absolute new value is derived
+    /// *before* any device is touched (unavailable members are skipped —
+    /// their implied values track the update through the surviving
+    /// relations), then the whole set commits through
+    /// [`Self::commit_members`] — journaled as one intent record when a
+    /// journal is attached.
     fn apply_write_group(
         &self,
         group: &[ChunkPatches<'_>],
@@ -2349,6 +2206,8 @@ impl<B: BlockDevice> OiRaidStore<B> {
         for (_, buf, _) in news {
             self.pool.put(buf);
         }
+        // Tell an in-flight rebuild that these relations changed under it:
+        // reconstructions read from them this round are stale.
         self.online.mark_dirty(regions.to_vec());
         Ok(())
     }
@@ -2772,6 +2631,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{RebuildMode, RecoveryStrategy};
 
     fn filled_store() -> (OiRaidStore, Vec<Vec<u8>>) {
         let store = OiRaidStore::new(OiRaidConfig::reference(), 16).unwrap();
@@ -2871,9 +2731,9 @@ mod tests {
         for d in [2, 9, 17] {
             store.fail_disk(d).unwrap();
         }
-        for d in [2, 9, 17] {
-            store.rebuild_disk(d).unwrap();
-        }
+        store
+            .rebuild(RebuildMode::Dag, RecoveryStrategy::Hybrid)
+            .unwrap();
         assert!(store.failed_disks().is_empty());
         assert!(store.check_parity().is_empty());
         for (idx, e) in expect.iter().enumerate() {
@@ -2887,21 +2747,12 @@ mod tests {
         for d in [6, 7, 8] {
             store.fail_disk(d).unwrap();
         }
-        for d in [6, 7, 8] {
-            store.rebuild_disk(d).unwrap();
-        }
+        store
+            .rebuild(RebuildMode::Dag, RecoveryStrategy::Hybrid)
+            .unwrap();
         for (idx, e) in expect.iter().enumerate() {
             assert_eq!(store.read_data(idx).unwrap(), *e, "idx {idx}");
         }
-    }
-
-    #[test]
-    fn unrecoverable_pattern_reports_data_loss() {
-        let (store, _) = filled_store();
-        for d in [0, 1, 3, 4] {
-            store.fail_disk(d).unwrap();
-        }
-        assert_eq!(store.rebuild_disk(0), Err(StoreError::DataLoss));
     }
 
     #[test]
@@ -2916,7 +2767,9 @@ mod tests {
         assert_eq!(store.telemetry().degraded_writes(), 1);
         assert_eq!(store.telemetry().degraded_write_latency().count(), 1);
         // After rebuild, the write has materialised and parity is clean.
-        store.rebuild_disk(addr.disk).unwrap();
+        store
+            .rebuild(RebuildMode::Dag, RecoveryStrategy::Hybrid)
+            .unwrap();
         assert!(store.check_parity().is_empty());
         assert_eq!(store.read_data(0).unwrap(), vec![0xA5u8; 16]);
     }
@@ -2936,9 +2789,9 @@ mod tests {
         for (idx, e) in expect.iter().enumerate() {
             assert_eq!(store.read_data(idx).unwrap(), *e, "degraded idx {idx}");
         }
-        for d in [2, 9, 17] {
-            store.rebuild_disk(d).unwrap();
-        }
+        store
+            .rebuild(RebuildMode::Dag, RecoveryStrategy::Hybrid)
+            .unwrap();
         assert!(store.check_parity().is_empty());
         for (idx, e) in expect.iter().enumerate() {
             assert_eq!(store.read_data(idx).unwrap(), *e, "rebuilt idx {idx}");
@@ -3045,7 +2898,9 @@ mod tests {
         store.read_bytes(mid, &mut span).unwrap();
         assert_eq!(span, vec![0x99u8; 14]);
         // Rebuild materialises everything bit-identically.
-        store.rebuild_disk(store.locate(last).disk).unwrap();
+        store
+            .rebuild(RebuildMode::Dag, RecoveryStrategy::Hybrid)
+            .unwrap();
         assert!(store.check_parity().is_empty());
         let mut final_back = vec![0u8; 16];
         store.read_bytes(cap - 16, &mut final_back).unwrap();
@@ -3316,9 +3171,9 @@ mod tests {
         for d in [5, 6, 7, 8, 9] {
             store.fail_disk(d).unwrap();
         }
-        for d in [5, 6, 7, 8, 9] {
-            store.rebuild_disk(d).unwrap();
-        }
+        store
+            .rebuild(RebuildMode::Dag, RecoveryStrategy::Hybrid)
+            .unwrap();
         assert!(store.check_parity().is_empty());
         for (idx, e) in expect.iter().enumerate() {
             assert_eq!(&store.read_data(idx).unwrap(), e, "idx {idx}");
@@ -3437,9 +3292,8 @@ mod tests {
             assert_eq!(seq.read_data(idx).unwrap(), bat.read_data(idx).unwrap());
         }
         for s in [&seq, &bat] {
-            for d in s.failed_disks() {
-                s.rebuild_disk(d).unwrap();
-            }
+            s.rebuild(RebuildMode::Dag, RecoveryStrategy::Hybrid)
+                .unwrap();
             assert!(s.check_parity().is_empty());
         }
         for idx in 0..seq.data_chunks() {

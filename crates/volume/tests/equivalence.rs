@@ -158,7 +158,7 @@ proptest! {
         }
         let report = m
             .store()
-            .rebuild(RebuildMode::Parallel, RecoveryStrategy::Hybrid)
+            .rebuild(RebuildMode::Dag, RecoveryStrategy::Hybrid)
             .expect("rebuild");
         prop_assert_eq!(report.outcome, oi_raid::RebuildOutcome::Complete);
         prop_assert!(m.store().check_parity().is_empty());
@@ -198,7 +198,7 @@ fn batches_during_live_rebuild_window() {
             let m = Arc::clone(&m);
             std::thread::spawn(move || {
                 m.store()
-                    .rebuild(RebuildMode::Parallel, RecoveryStrategy::Hybrid)
+                    .rebuild(RebuildMode::Dag, RecoveryStrategy::Hybrid)
                     .expect("rebuild")
             })
         };

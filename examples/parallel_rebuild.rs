@@ -1,9 +1,9 @@
-//! File-backed store + parallel rebuild engine, end to end.
+//! File-backed store + concurrent (DAG) rebuild engine, end to end.
 //!
 //! Creates a real on-disk array (one image file per disk), writes data,
-//! fails three disks, rebuilds them with one reader thread per surviving
-//! disk, and verifies the data survived — the runnable version of the
-//! README's storage-backend example.
+//! fails three disks, rebuilds them on the work-stealing pool that drains
+//! every surviving disk at once, and verifies the data survived — the
+//! runnable version of the README's storage-backend example.
 
 use oi_raid_repro::prelude::*;
 
@@ -27,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!("failed disks: {:?}", store.failed_disks());
 
-    let report = store.rebuild(RebuildMode::Parallel, RecoveryStrategy::Hybrid)?;
+    let report = store.rebuild(RebuildMode::Dag, RecoveryStrategy::Hybrid)?;
     println!("{report}");
 
     for s in 0..slots {

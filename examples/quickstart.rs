@@ -61,9 +61,9 @@ fn main() {
     println!("degraded read: chunk 42 reconstructed correctly");
 
     // ...and the disks rebuild completely.
-    for d in [2, 9, 17] {
-        store.rebuild_disk(d).expect("recoverable pattern");
-    }
+    store
+        .rebuild(RebuildMode::Dag, RecoveryStrategy::Hybrid)
+        .expect("recoverable pattern");
     for (i, chunk) in payload.iter().enumerate() {
         assert_eq!(&store.read_data(i).expect("read"), chunk, "chunk {i}");
     }

@@ -861,3 +861,41 @@ fn stale_checkpoint_is_discarded_when_new_disks_fail() {
     drop(store);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The journal is outside input: a CRC-valid intent whose member addresses
+/// a disk (or chunk) the array does not have — a log from another geometry,
+/// or a foreign `journal.log` — must fail the open, not index past the
+/// device vector.
+#[test]
+fn replayed_intent_outside_the_array_geometry_fails_the_open() {
+    let cfg = OiRaidConfig::reference();
+    for (disk, chunk) in [(cfg.disks() as u32, 0), (0, cfg.chunks_per_disk() as u32)] {
+        let dir = unique_dir("foreign-journal");
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let journal = Journal::create(dir.join("journal.log")).expect("create journal");
+        let seq = journal
+            .append_intent(&[blockdev::MemberWrite {
+                disk,
+                chunk,
+                data: vec![0xEE; CHUNK],
+            }])
+            .expect("append");
+        journal.commit(seq).expect("commit");
+        drop(journal);
+
+        let devices = MemDevice::array(CHUNK, cfg.chunks_per_disk(), cfg.disks());
+        let opened =
+            OiRaidStore::open_durable_on(cfg.clone(), CHUNK, devices, &dir, FlushPolicy::Never);
+        match opened {
+            Err(StoreError::Journal { kind, .. }) => {
+                assert_eq!(
+                    kind,
+                    std::io::ErrorKind::InvalidData,
+                    "disk {disk} chunk {chunk}"
+                )
+            }
+            other => panic!("disk {disk} chunk {chunk}: expected a journal error, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}

@@ -34,9 +34,9 @@ fn reference_array_full_lifecycle() {
         assert_eq!(&store.read_data(i).unwrap(), e, "chunk {i}");
     }
     // Rebuild and verify parity is restored too.
-    for d in [0, 1, 10] {
-        store.rebuild_disk(d).unwrap();
-    }
+    store
+        .rebuild(RebuildMode::Dag, RecoveryStrategy::Hybrid)
+        .unwrap();
     assert!(store.check_parity().is_empty());
 }
 
@@ -48,7 +48,9 @@ fn larger_design_lifecycle() {
     let (store, expect) = filled(cfg, 16, 2);
     for d in [4, 31, 64] {
         store.fail_disk(d).unwrap();
-        store.rebuild_disk(d).unwrap();
+        store
+            .rebuild(RebuildMode::Dag, RecoveryStrategy::Hybrid)
+            .unwrap();
     }
     for (i, e) in expect.iter().enumerate().step_by(13) {
         assert_eq!(&store.read_data(i).unwrap(), e, "chunk {i}");
@@ -74,9 +76,9 @@ fn every_triple_failure_recovers_bytes_for_small_sample() {
         for d in pattern {
             store.fail_disk(d).unwrap();
         }
-        for d in pattern {
-            store.rebuild_disk(d).unwrap();
-        }
+        store
+            .rebuild(RebuildMode::Dag, RecoveryStrategy::Hybrid)
+            .unwrap();
         for (i, e) in expect.iter().enumerate() {
             assert_eq!(&store.read_data(i).unwrap(), e, "{pattern:?} chunk {i}");
         }
@@ -103,7 +105,9 @@ fn recovery_plan_matches_store_reality() {
         }
     }
     store.fail_disk(6).unwrap();
-    store.rebuild_disk(6).unwrap();
+    store
+        .rebuild(RebuildMode::Dag, RecoveryStrategy::Hybrid)
+        .unwrap();
     assert!(store.check_parity().is_empty());
 }
 
@@ -117,7 +121,9 @@ fn degraded_writes_accepted_and_materialized_by_rebuild() {
     store.write_data(3, &[1u8; 8]).expect("degraded write");
     assert_eq!(store.read_data(3).unwrap(), vec![1u8; 8]);
     // Rebuild materializes it onto the recovered disk.
-    store.rebuild_disk(addr.disk).unwrap();
+    store
+        .rebuild(RebuildMode::Dag, RecoveryStrategy::Hybrid)
+        .unwrap();
     assert_eq!(store.read_data(3).unwrap(), vec![1u8; 8]);
     assert!(store.check_parity().is_empty());
 }

@@ -34,9 +34,9 @@ fn dual_parity_store_full_lifecycle_with_degraded_reads() {
     for (i, e) in expect.iter().enumerate().step_by(5) {
         assert_eq!(&store.read_data(i).unwrap(), e, "chunk {i}");
     }
-    for d in [10, 11, 12, 13, 14] {
-        store.rebuild_disk(d).unwrap();
-    }
+    store
+        .rebuild(RebuildMode::Dag, RecoveryStrategy::Hybrid)
+        .unwrap();
     assert!(store.check_parity().is_empty());
 }
 

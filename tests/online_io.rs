@@ -81,7 +81,7 @@ fn rebuild_with_foreground_writes(
     let report = std::thread::scope(|s| {
         let rebuild = s.spawn(|| {
             let r = store
-                .rebuild(RebuildMode::Parallel, RecoveryStrategy::Hybrid)
+                .rebuild(RebuildMode::Dag, RecoveryStrategy::Hybrid)
                 .unwrap();
             done.store(true, Ordering::Relaxed);
             r
@@ -191,7 +191,7 @@ fn partial_byte_io_rmw_roundtrips_healthy_and_degraded() {
     assert_eq!(got, want, "degraded byte readback");
 
     let report = store
-        .rebuild(RebuildMode::Parallel, RecoveryStrategy::Hybrid)
+        .rebuild(RebuildMode::Dag, RecoveryStrategy::Hybrid)
         .unwrap();
     assert!(report.outcome.is_recovered());
     assert_eq!(store.read_data(last).unwrap(), want);
@@ -272,7 +272,7 @@ fn rebuild_throttle_yields_to_foreground_traffic() {
     store.fail_disk(4).unwrap();
     store.read_data(0).unwrap(); // stamp foreground activity
     let report = store
-        .rebuild(RebuildMode::Parallel, RecoveryStrategy::Hybrid)
+        .rebuild(RebuildMode::Dag, RecoveryStrategy::Hybrid)
         .unwrap();
     assert!(report.outcome.is_recovered(), "{report}");
     assert!(report.throttle_waits > 0, "throttle engaged: {report}");
@@ -285,7 +285,7 @@ fn rebuild_throttle_yields_to_foreground_traffic() {
     store.set_qos(QosConfig::unlimited());
     store.fail_disk(9).unwrap();
     let free = store
-        .rebuild(RebuildMode::Parallel, RecoveryStrategy::Hybrid)
+        .rebuild(RebuildMode::Dag, RecoveryStrategy::Hybrid)
         .unwrap();
     assert_eq!(free.throttle_waits, 0);
 }

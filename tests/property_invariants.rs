@@ -116,9 +116,7 @@ proptest! {
         for &d in &pattern {
             store.fail_disk(d).unwrap();
         }
-        for &d in &pattern {
-            store.rebuild_disk(d).unwrap();
-        }
+        store.rebuild(RebuildMode::Dag, RecoveryStrategy::Hybrid).unwrap();
         prop_assert!(store.check_parity().is_empty());
         for (idx, byte) in written {
             prop_assert_eq!(store.read_data(idx).unwrap(), vec![byte; 8]);

@@ -1,11 +1,10 @@
 //! Property tests for the plan-driven rebuild engine: for random data and
-//! random single/double/triple failure patterns, the parallel and the
-//! DAG-scheduled rebuilds must be *bit-identical* to a serial one — and
-//! all three must reproduce exactly what the disks held before they
-//! failed. Exercised over both the in-memory and the file-backed block
-//! devices.
+//! random single/double/triple failure patterns, the DAG-scheduled rebuild
+//! must be *bit-identical* to a serial one — and both must reproduce
+//! exactly what the disks held before they failed. Exercised over both the
+//! in-memory and the file-backed block devices.
 //!
-//! All modes share a pooled-buffer data path and coalesce adjacent
+//! Both modes share a pooled-buffer data path and coalesce adjacent
 //! same-disk reads into single device operations, so the comparison also
 //! pins their per-device read counters to each other exactly — the serial
 //! executor is the oracle the work-stealing pool must never drift from.
@@ -61,55 +60,34 @@ fn pick_failures(n: usize, count: usize, seed: u64) -> Vec<usize> {
     picked
 }
 
-/// Rebuilds identically-filled stores — one per concurrent mode — against
-/// the serial oracle and checks bit-identity, parity, and per-device read
-/// counters across all of them.
-fn assert_modes_match_serial<B: BlockDevice>(
+/// Rebuilds two identically-filled stores — the serial oracle and the DAG
+/// executor — and checks bit-identity against the pristine image, parity,
+/// and per-device read counters.
+fn assert_dag_matches_serial<B: BlockDevice>(
     serial: OiRaidStore<B>,
-    others: Vec<(RebuildMode, OiRaidStore<B>)>,
+    dag: OiRaidStore<B>,
     failures: &[usize],
     strategy: RecoveryStrategy,
 ) -> Result<(), TestCaseError> {
     let pristine: Vec<Vec<u8>> = failures.iter().map(|&d| disk_image(&serial, d)).collect();
     for &d in failures {
         serial.fail_disk(d).unwrap();
-        for (_, store) in &others {
-            store.fail_disk(d).unwrap();
-        }
+        dag.fail_disk(d).unwrap();
     }
     let rs = serial.rebuild(RebuildMode::Serial, strategy).unwrap();
-    let serial_io: Vec<(u64, u64)> = rs
-        .device_io
-        .iter()
-        .map(|c| (c.reads, c.bytes_read))
-        .collect();
-    for (&d, want) in failures.iter().zip(&pristine) {
-        let s = disk_image(&serial, d);
-        prop_assert_eq!(&s, want, "serial rebuild of disk {} lost bits", d);
-    }
-    prop_assert!(serial.check_parity().is_empty());
-    for (mode, store) in others {
-        let r = store.rebuild(mode, strategy).unwrap();
-        prop_assert_eq!(rs.chunks_rebuilt, r.chunks_rebuilt, "{} chunk count", mode);
-        prop_assert_eq!(
-            rs.total_reads(),
-            r.total_reads(),
-            "{} total read schedule",
-            mode
-        );
-        let io: Vec<(u64, u64)> = r
-            .device_io
+    let rd = dag.rebuild(RebuildMode::Dag, strategy).unwrap();
+    prop_assert_eq!(rs.chunks_rebuilt, rd.chunks_rebuilt, "chunk count");
+    prop_assert_eq!(rs.total_reads(), rd.total_reads(), "total read schedule");
+    let io = |r: &RebuildReport| -> Vec<(u64, u64)> {
+        r.device_io
             .iter()
             .map(|c| (c.reads, c.bytes_read))
-            .collect();
-        prop_assert_eq!(
-            serial_io.clone(),
-            io,
-            "{} coalesced runs must match per disk",
-            mode
-        );
+            .collect()
+    };
+    prop_assert_eq!(io(&rs), io(&rd), "coalesced runs must match per disk");
+    for (mode, store) in [(rs.mode, &serial), (rd.mode, &dag)] {
         for (&d, want) in failures.iter().zip(&pristine) {
-            let got = disk_image(&store, d);
+            let got = disk_image(store, d);
             prop_assert_eq!(&got, want, "{} rebuild of disk {} lost bits", mode, d);
         }
         prop_assert!(store.check_parity().is_empty(), "{} parity", mode);
@@ -133,14 +111,11 @@ proptest! {
         let cfg = OiRaidConfig::reference();
         let mut serial = OiRaidStore::new(cfg.clone(), 32).unwrap();
         fill(&mut serial, seed);
-        let others = vec![
-            (RebuildMode::Parallel, serial.clone()),
-            (RebuildMode::Dag, serial.clone()),
-        ];
+        let dag = serial.clone();
         let failures = pick_failures(serial.array().disks(), nfail, seed ^ 0xD1CE);
         // Strategy only applies to single failures; vary it anyway.
         let strategy = strategy_from(spick);
-        assert_modes_match_serial(serial, others, &failures, strategy)?;
+        assert_dag_matches_serial(serial, dag, &failures, strategy)?;
     }
 
     #[test]
@@ -156,20 +131,12 @@ proptest! {
         ));
         let mut serial =
             OiRaidStore::create_in_dir(cfg.clone(), 32, base.join("serial")).unwrap();
-        let mut parallel =
-            OiRaidStore::create_in_dir(cfg.clone(), 32, base.join("parallel")).unwrap();
         let mut dag = OiRaidStore::create_in_dir(cfg.clone(), 32, base.join("dag")).unwrap();
         fill(&mut serial, seed);
-        fill(&mut parallel, seed);
         fill(&mut dag, seed);
         let failures = pick_failures(serial.array().disks(), nfail, seed ^ 0xF11E);
         let strategy = strategy_from(spick);
-        let outcome = assert_modes_match_serial(
-            serial,
-            vec![(RebuildMode::Parallel, parallel), (RebuildMode::Dag, dag)],
-            &failures,
-            strategy,
-        );
+        let outcome = assert_dag_matches_serial(serial, dag, &failures, strategy);
         let _ = std::fs::remove_dir_all(&base);
         outcome?;
     }

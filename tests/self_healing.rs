@@ -143,11 +143,10 @@ proptest! {
             RecoveryStrategy::ALL[spick as usize % RecoveryStrategy::ALL.len()];
         let serial =
             rebuild_under_faults(seed, transient, latent, RebuildMode::Serial, strategy)?;
-        let parallel =
-            rebuild_under_faults(seed, transient, latent, RebuildMode::Parallel, strategy)?;
+        let dag = rebuild_under_faults(seed, transient, latent, RebuildMode::Dag, strategy)?;
         // Same store, same faults: both modes rebuild the same chunk set
         // (each equals the pristine image, checked above).
-        prop_assert_eq!(serial.chunks_rebuilt, parallel.chunks_rebuilt);
+        prop_assert_eq!(serial.chunks_rebuilt, dag.chunks_rebuilt);
     }
 
     // The repairing scrub converges: after one pass over a store with
@@ -185,7 +184,7 @@ proptest! {
 /// every byte of both disks back.
 #[test]
 fn second_disk_death_mid_rebuild_escalates_and_recovers() {
-    for mode in [RebuildMode::Serial, RebuildMode::Parallel] {
+    for mode in [RebuildMode::Serial, RebuildMode::Dag] {
         let mut store = faulty_mem_store(16);
         fill(&mut store, 0xE5CA);
         let n = store.array().disks();
@@ -218,7 +217,7 @@ fn second_disk_death_mid_rebuild_escalates_and_recovers() {
 #[test]
 fn file_backed_rebuild_absorbs_faults() {
     let base = std::env::temp_dir().join(format!("oi-raid-selfheal-{}", std::process::id()));
-    for (run, mode) in [RebuildMode::Serial, RebuildMode::Parallel]
+    for (run, mode) in [RebuildMode::Serial, RebuildMode::Dag]
         .into_iter()
         .enumerate()
     {
@@ -276,7 +275,7 @@ fn fault_matrix_sweep() {
     }
     for transient in [10u16, 25, 50] {
         for latent in [0u16, 2] {
-            for mode in [RebuildMode::Serial, RebuildMode::Parallel] {
+            for mode in [RebuildMode::Serial, RebuildMode::Dag] {
                 for seed in [1u64, 0xABCD, 0xDEAD_BEEF] {
                     rebuild_under_faults(seed, transient, latent, mode, RecoveryStrategy::Hybrid)
                         .unwrap_or_else(|e| {

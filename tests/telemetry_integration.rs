@@ -61,7 +61,7 @@ fn progress_polled_mid_rebuild_is_monotone_and_reaches_one() {
             seen
         });
         let report = store
-            .rebuild_observed(RebuildMode::Parallel, RecoveryStrategy::Hybrid, &obs)
+            .rebuild_observed(RebuildMode::Dag, RecoveryStrategy::Hybrid, &obs)
             .unwrap();
         stop.store(true, Ordering::Relaxed);
         (report, poller.join().unwrap())
@@ -89,7 +89,7 @@ fn stage_spans_cover_the_rebuild_wall_time() {
     store.fail_disk(7).unwrap();
     let obs = RebuildObserver::default();
     let report = store
-        .rebuild_observed(RebuildMode::Parallel, RecoveryStrategy::Hybrid, &obs)
+        .rebuild_observed(RebuildMode::Dag, RecoveryStrategy::Hybrid, &obs)
         .unwrap();
     let recs = obs.tracer.records();
     let root = recs.iter().find(|r| r.label == "rebuild").expect("root");
@@ -99,17 +99,17 @@ fn stage_spans_cover_the_rebuild_wall_time() {
         "plan/heal/execute/writeback cover >=95% of the rebuild: {cov}"
     );
     let exec = recs.iter().find(|r| r.label == "execute").expect("execute");
-    let reader_cov = child_coverage(&recs, exec.id);
+    let pool_cov = child_coverage(&recs, exec.id);
     assert!(
-        reader_cov > 0.5,
-        "reader spans cover most of execute: {reader_cov}"
+        pool_cov > 0.5,
+        "the pool span covers most of execute: {pool_cov}"
     );
-    assert_eq!(
-        recs.iter()
-            .filter(|r| r.label.starts_with("reader-disk-"))
-            .count(),
-        report.workers
-    );
+    let pools: Vec<_> = recs
+        .iter()
+        .filter(|r| r.label.starts_with("dag-pool-"))
+        .collect();
+    assert_eq!(pools.len(), 1, "one pool span for the single round");
+    assert_eq!(pools[0].label, format!("dag-pool-{}", report.workers));
 }
 
 #[test]
@@ -119,7 +119,7 @@ fn full_run_exports_lint_clean() {
     store.fail_disk(2).unwrap();
     let obs = RebuildObserver::default();
     let report = store
-        .rebuild_observed(RebuildMode::Parallel, RecoveryStrategy::Hybrid, &obs)
+        .rebuild_observed(RebuildMode::Dag, RecoveryStrategy::Hybrid, &obs)
         .unwrap();
 
     let reg = Registry::new();
