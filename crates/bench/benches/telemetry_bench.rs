@@ -1,13 +1,13 @@
 //! Telemetry hot-path microbenchmarks: the cost of one histogram record
 //! (the operation instrumented I/O pays per call), a snapshot+quantile,
-//! a span open/drop cycle, and a full registry export. E15 in
+//! the trace-ring hooks, and a full registry export. E15 in
 //! `EXPERIMENTS.md` records the measured per-call costs and the end-to-end
 //! rebuild overhead they imply.
 
 use std::sync::Arc;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use telemetry::{Histogram, Registry, Tracer};
+use telemetry::{Histogram, Registry};
 
 fn bench_histogram(c: &mut Criterion) {
     telemetry::set_enabled(true);
@@ -46,25 +46,6 @@ fn rand_like(h: &Histogram) -> u64 {
     x ^= x >> 7;
     x ^= x << 17;
     x >> (x % 48)
-}
-
-fn bench_spans(c: &mut Criterion) {
-    telemetry::set_enabled(true);
-    let t = Tracer::new(4096);
-    let mut group = c.benchmark_group("trace");
-    group.sample_size(50);
-    group.bench_function("span_open_drop", |b| {
-        b.iter(|| {
-            let _s = t.span(black_box("stage"));
-        })
-    });
-    let root = t.span("root");
-    group.bench_function("child_open_drop", |b| {
-        b.iter(|| {
-            let _s = root.child(black_box("item"));
-        })
-    });
-    group.finish();
 }
 
 fn bench_export(c: &mut Criterion) {
@@ -148,11 +129,5 @@ fn bench_trace_hooks(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_histogram,
-    bench_spans,
-    bench_export,
-    bench_trace_hooks
-);
+criterion_group!(benches, bench_histogram, bench_export, bench_trace_hooks);
 criterion_main!(benches);

@@ -917,14 +917,14 @@ pub fn a2_strategy_ablation() -> Vec<(String, Table)> {
 
 /// E15 — telemetry overhead: per-call cost of every hot-path telemetry
 /// primitive, and the end-to-end wall-time cost of running a rebuild fully
-/// observed (stage histograms + spans + progress) versus with telemetry
+/// observed (stage histograms + progress) versus with telemetry
 /// globally disabled. The observed/off ratio is the number the "always-on"
 /// claim rests on; the target is < 2 % on a compute-bound rebuild (no
 /// injected device latency, so instrumentation has nowhere to hide).
 pub fn e15_telemetry_overhead() -> Vec<(String, Table)> {
     use oi_raid::{OiRaidStore, RebuildMode, RebuildObserver};
     use std::time::Instant;
-    use telemetry::{Histogram, Registry, Tracer};
+    use telemetry::{Histogram, Registry};
 
     /// Mean ns per call of `f` over `iters` iterations (one warm-up call).
     fn ns_per(iters: u64, mut f: impl FnMut()) -> f64 {
@@ -952,10 +952,6 @@ pub fn e15_telemetry_overhead() -> Vec<(String, Table)> {
     let snapshot_p99 = ns_per(20_000, || {
         std::hint::black_box(h.snapshot().p99());
     });
-    let tracer = Tracer::new(4096);
-    let span = ns_per(200_000, || {
-        let _s = tracer.span("stage");
-    });
     let reg = Registry::new();
     reg.register_histogram(
         "lat_ns",
@@ -972,7 +968,6 @@ pub fn e15_telemetry_overhead() -> Vec<(String, Table)> {
     for (op, ns) in [
         ("histogram record (enabled)", record_on),
         ("histogram record (disabled)", record_off),
-        ("span open + drop", span),
         ("snapshot + p99", snapshot_p99),
         ("prometheus export (2 series)", export),
     ] {
@@ -1018,7 +1013,7 @@ pub fn e15_telemetry_overhead() -> Vec<(String, Table)> {
     let mut e2e = Table::new(&["configuration", "median wall (ms)", "overhead (%)"]);
     e2e.row_owned(vec!["telemetry disabled".into(), f3(off_ms), f3(0.0)]);
     e2e.row_owned(vec![
-        "fully observed (histograms+spans+progress)".into(),
+        "fully observed (histograms+progress)".into(),
         f3(on_ms),
         f3(overhead),
     ]);

@@ -1,27 +1,36 @@
-//! Rebuild observability: stage timings, tracing spans, and live progress.
+//! Rebuild observability: stage timings, heal counters, and live progress.
 //!
-//! A [`RebuildObserver`] bundles the three telemetry primitives a rebuild
-//! feeds: per-stage latency histograms ([`StageTimings`]), a span
-//! [`Tracer`] whose ring captures the rebuild's structure (root span,
-//! sequential `plan`/`heal`/`execute`/`writeback` stages, one child per
-//! reader thread), and a [`Progress`] handle another thread can poll while
+//! A [`RebuildObserver`] bundles the telemetry a rebuild feeds: latency
+//! histograms ([`StageTimings`]) for its three sequential phases
+//! (`plan`/`heal`/`execute`, one sample per occurrence — their sums cover
+//! the rebuild's wall time) and for the per-chunk pipeline stages inside
+//! `execute` (`read`/`coalesce`/`combine`/`writeback`), the self-healing
+//! counters, and a [`Progress`] handle another thread can poll while
 //! [`OiRaidStore::rebuild_observed`](crate::OiRaidStore::rebuild_observed)
-//! runs.
+//! runs. The rebuild's causal structure (rounds, scheduled ops, device
+//! I/O) is in the global trace-event ring — see [`telemetry::traces`].
 //!
 //! Everything here is cheap enough to leave on: `rebuild()` itself
-//! allocates a fresh default observer per run, so every rebuild is traced
+//! allocates a fresh default observer per run, so every rebuild is timed
 //! whether or not the caller asked.
 
 use std::fmt;
 use std::sync::Arc;
 
-use telemetry::{Counter, Histogram, HistogramSnapshot, Progress, Registry, Tracer};
+use telemetry::{Counter, Histogram, HistogramSnapshot, Progress, Registry};
 
 /// Per-stage service-time histograms for one (or more) rebuild runs, in
 /// nanoseconds. Shared `Arc`s: clone the struct to keep handles across a
 /// rebuild.
 #[derive(Debug, Clone, Default)]
 pub struct StageTimings {
+    /// Planning time: the initial recovery plan, each round's dirty-epoch
+    /// reset and footprint computation, and each re-plan.
+    pub plan: Arc<Histogram>,
+    /// Time to open the rebuild window and heal the target devices.
+    pub heal: Arc<Histogram>,
+    /// Wall time of one round's execution (reads, decodes and writebacks).
+    pub execute: Arc<Histogram>,
     /// Coalesced read-run service time, per run (device time included).
     pub read: Arc<Histogram>,
     /// Time to split one per-disk queue into coalesced runs.
@@ -36,21 +45,29 @@ pub struct StageTimings {
 }
 
 impl StageTimings {
-    /// Snapshot of every stage as `(name, snapshot)` pairs, in pipeline
-    /// order.
-    pub fn summaries(&self) -> Vec<StageSummary> {
+    /// Every stage histogram by name, in [`StageTimings::summaries`] order.
+    fn named(&self) -> [(&'static str, &Arc<Histogram>); 7] {
         [
+            ("plan", &self.plan),
+            ("heal", &self.heal),
+            ("execute", &self.execute),
             ("read", &self.read),
             ("coalesce", &self.coalesce),
             ("combine", &self.combine),
             ("writeback", &self.writeback),
         ]
-        .into_iter()
-        .map(|(stage, h)| StageSummary {
-            stage,
-            latency: h.snapshot(),
-        })
-        .collect()
+    }
+
+    /// Snapshot of every stage: the three phases, then the pipeline stages
+    /// in pipeline order.
+    pub fn summaries(&self) -> Vec<StageSummary> {
+        self.named()
+            .into_iter()
+            .map(|(stage, h)| StageSummary {
+                stage,
+                latency: h.snapshot(),
+            })
+            .collect()
     }
 }
 
@@ -81,7 +98,8 @@ pub struct HealCounters {
 /// One stage's latency distribution from a rebuild run.
 #[derive(Debug, Clone)]
 pub struct StageSummary {
-    /// Stage name (`read`, `coalesce`, `combine`, `writeback`).
+    /// Stage name (`plan`, `heal`, `execute`, `read`, `coalesce`,
+    /// `combine`, `writeback`).
     pub stage: &'static str,
     /// The stage's service-time distribution, in nanoseconds.
     pub latency: HistogramSnapshot,
@@ -94,12 +112,9 @@ impl fmt::Display for StageSummary {
 }
 
 /// Telemetry sinks for one rebuild run (or several, if reused — the
-/// histograms and the ring accumulate).
-#[derive(Debug)]
+/// histograms and counters accumulate).
+#[derive(Debug, Default)]
 pub struct RebuildObserver {
-    /// Span ring; the rebuild records a root `rebuild` span with
-    /// sequential stage children and one child per reader thread.
-    pub tracer: Arc<Tracer>,
     /// Live progress, pollable from other threads mid-rebuild.
     pub progress: Arc<Progress>,
     /// Per-stage latency histograms.
@@ -113,39 +128,17 @@ pub struct RebuildObserver {
     pub sched: sched::SchedMetrics,
 }
 
-impl Default for RebuildObserver {
-    fn default() -> Self {
-        Self::new(4096)
-    }
-}
-
 impl RebuildObserver {
-    /// An observer whose span ring holds `span_capacity` records.
-    pub fn new(span_capacity: usize) -> Self {
-        Self {
-            tracer: Arc::new(Tracer::new(span_capacity)),
-            progress: Arc::new(Progress::new()),
-            stages: StageTimings::default(),
-            heal: HealCounters::default(),
-            sched: sched::SchedMetrics::default(),
-        }
-    }
-
     /// Registers the observer's stage and queue-depth histograms with a
     /// metric registry (live handles — exports track later rebuilds too).
     pub fn export_metrics(&self, reg: &Registry) {
         const HELP: &str = "Rebuild stage service time in nanoseconds";
-        for s in [
-            ("read", &self.stages.read),
-            ("coalesce", &self.stages.coalesce),
-            ("combine", &self.stages.combine),
-            ("writeback", &self.stages.writeback),
-        ] {
+        for (stage, h) in self.stages.named() {
             reg.register_histogram(
                 "oi_rebuild_stage_latency_ns",
                 HELP,
-                &[("stage", s.0)],
-                Arc::clone(s.1),
+                &[("stage", stage)],
+                Arc::clone(h),
             );
         }
         reg.register_histogram(
@@ -188,15 +181,9 @@ impl RebuildObserver {
         ] {
             reg.register_counter(name, help, &[], c.clone());
         }
-        // Lossy-ring accounting: events silently dropped from the span
-        // ring and the global trace/flight rings, so dashboards can tell
-        // "quiet" from "overflowed".
-        reg.register_counter(
-            "oi_trace_dropped_total",
-            "Events dropped from a lossy telemetry ring",
-            &[("ring", "span")],
-            self.tracer.drop_counter(),
-        );
+        // Lossy-ring accounting: events silently dropped from the global
+        // trace/flight rings, so dashboards can tell "quiet" from
+        // "overflowed".
         telemetry::export_trace_metrics(reg);
         self.sched.export(reg);
     }
@@ -214,10 +201,21 @@ mod tests {
         t.writeback.record(200);
         let s = t.summaries();
         let names: Vec<&str> = s.iter().map(|x| x.stage).collect();
-        assert_eq!(names, ["read", "coalesce", "combine", "writeback"]);
-        assert_eq!(s[0].latency.count, 1);
-        assert_eq!(s[1].latency.count, 0);
-        assert!(s[0].to_string().contains("read"));
+        assert_eq!(
+            names,
+            [
+                "plan",
+                "heal",
+                "execute",
+                "read",
+                "coalesce",
+                "combine",
+                "writeback"
+            ]
+        );
+        assert_eq!(s[3].latency.count, 1);
+        assert_eq!(s[4].latency.count, 0);
+        assert!(s[3].to_string().contains("read"));
     }
 
     #[test]
@@ -228,8 +226,8 @@ mod tests {
         obs.export_metrics(&reg);
         assert_eq!(
             reg.len(),
-            17,
-            "4 stages + queue depth + 6 heal counters + 3 ring-drop \
+            19,
+            "7 stages + queue depth + 6 heal counters + 2 ring-drop \
              counters + 3 scheduler series"
         );
         // Live: recording after registration shows up in the export.

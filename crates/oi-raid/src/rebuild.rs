@@ -4,7 +4,15 @@
 //! pool that drains every surviving disk at once — and *absorbs* device
 //! faults instead of dying on them.
 //!
-//! The engine runs in rounds. Every read goes through a
+//! The engine runs in rounds, and a round has one contract on every
+//! executor: it reads, decodes *and writes back*, then hands the driver a
+//! `RoundOutput` to keep books on. Every reconstructed chunk becomes live
+//! in exactly one place, `OiRaidStore::writeback_chunk` — region locks,
+//! dirty check, write, validity mark, crash point, checkpoint tick — called
+//! by the serial round as each combine finishes, by the DAG's write ops,
+//! and (through a serial round) by the repairing scrub.
+//!
+//! Every read goes through a
 //! [`RetryReader`](blockdev::RetryReader): transient faults are retried
 //! with bounded deterministic backoff; coalesced runs degrade to per-chunk
 //! reads so one bad sector costs one chunk, not the batch. A chunk that
@@ -45,6 +53,7 @@
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -52,11 +61,11 @@ use gf::kernels::xor_acc;
 
 use blockdev::{
     crash_point, write_chunk_retrying, BlockDevice, CounterSnapshot, DeviceError, RetryCounters,
-    RetryReader, RetryStats,
+    RetryPolicy, RetryReader, RetryStats,
 };
 use ecc::ErasureCode;
 use layout::{ChunkAddr, Layout, RecoveryPlan, SparePolicy};
-use telemetry::{HistogramSnapshot, Span};
+use telemetry::HistogramSnapshot;
 
 use crate::bufpool::BufPool;
 use crate::checkpoint::RebuildCheckpoint;
@@ -170,8 +179,10 @@ pub struct RebuildReport {
     pub device_io: Vec<CounterSnapshot>,
     /// Injected faults observed across all devices during the run.
     pub injected_faults: u64,
-    /// Per-stage latency summaries (`read`/`coalesce`/`combine`/
-    /// `writeback`), in pipeline order.
+    /// Latency summaries of the three sequential phases
+    /// (`plan`/`heal`/`execute`, one sample per occurrence — their sums
+    /// cover [`RebuildReport::wall`]) and then of the per-chunk pipeline
+    /// stages (`read`/`coalesce`/`combine`/`writeback`), in pipeline order.
     pub stages: Vec<StageSummary>,
     /// Busy time per DAG pool worker, in worker order: time inside any op
     /// (read/combine/writeback) — compare against [`RebuildReport::wall`]
@@ -423,13 +434,39 @@ fn combine(
     parities[role].clone()
 }
 
-/// Reconstructed chunks in completion order, buffered for write-back.
-type Finished = Vec<(ChunkAddr, Vec<u8>)>;
+/// The dependency shape of a plan, identical for both executors: per item
+/// its forward edges — the plan's `depends` plus the sibling link, marked
+/// `true` because a sibling reads the decode cache instead of folding the
+/// provider's output into its inputs — and how many (non-sibling)
+/// dependents consume each item's output.
+#[allow(clippy::type_complexity)]
+fn dependency_shape(
+    geo: &Geometry,
+    items: &[layout::ChunkRecovery],
+) -> (Vec<Vec<(usize, bool)>>, Vec<usize>) {
+    let mut depends: Vec<Vec<(usize, bool)>> = items
+        .iter()
+        .map(|it| it.depends.iter().map(|&d| (d, false)).collect())
+        .collect();
+    for (idx, deps) in depends.iter_mut().enumerate() {
+        if let Some(provider) = sibling_provider(geo, items, idx) {
+            deps.push((provider, true));
+        }
+    }
+    let mut uses = vec![0usize; items.len()];
+    for &(d, sibling) in depends.iter().flatten() {
+        if !sibling {
+            uses[d] += 1;
+        }
+    }
+    (depends, uses)
+}
 
 /// Dataflow state for one plan execution: tracks, per item, how many inputs
-/// are still outstanding, and cascades computation as they arrive. Finished
-/// chunks are buffered (in completion order) and written back by the caller
-/// — values are fixed by [`combine`], so write timing cannot change bits.
+/// are still outstanding, and cascades computation as they arrive. Each
+/// finished chunk is handed to [`Combiner::drain`]'s callback the moment
+/// its combine completes — values are fixed by [`combine`], so write timing
+/// cannot change bits.
 struct Combiner<'p> {
     geo: &'p Geometry,
     code: &'p dyn ErasureCode,
@@ -443,9 +480,8 @@ struct Combiner<'p> {
     /// Reverse dependency edges (plan `depends` plus sibling links); taken
     /// (consumed) when the item completes.
     dependents: Vec<Vec<usize>>,
-    /// Forward dependency edges; sibling links are marked so their output
-    /// is not folded into `inputs` (siblings read the decode cache). Taken
-    /// when the item starts computing.
+    /// Forward dependency edges (see [`dependency_shape`]). Taken when the
+    /// item starts computing.
     depends: Vec<Vec<(usize, bool)>>,
     /// Reconstructed chunk per completed item, kept only while dependents
     /// still consume it (see `output_uses`).
@@ -457,8 +493,6 @@ struct Combiner<'p> {
     decoded: HashMap<ChunkAddr, Vec<u8>>,
     /// Items whose inputs are all present, not yet computed.
     ready: Vec<usize>,
-    /// Reconstructed chunks in completion order.
-    finished: Finished,
     remaining: usize,
 }
 
@@ -472,28 +506,13 @@ impl<'p> Combiner<'p> {
     ) -> Self {
         let items = plan.items();
         let n = items.len();
-        let mut depends: Vec<Vec<(usize, bool)>> = items
-            .iter()
-            .map(|it| it.depends.iter().map(|&d| (d, false)).collect())
-            .collect();
-        // Read-less, dependency-less items are co-decoded siblings: link
-        // them to the nearest earlier item of the same inner row that has
-        // sources, so they wait for that row decode.
-        for (idx, deps) in depends.iter_mut().enumerate() {
-            if let Some(provider) = sibling_provider(geo, items, idx) {
-                deps.push((provider, true));
-            }
-        }
+        let (depends, output_uses) = dependency_shape(geo, items);
         let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut output_uses = vec![0usize; n];
         let mut pending = Vec::with_capacity(n);
         let mut ready = Vec::new();
         for (idx, it) in items.iter().enumerate() {
-            for &(d, sibling) in &depends[idx] {
+            for &(d, _) in &depends[idx] {
                 dependents[d].push(idx);
-                if !sibling {
-                    output_uses[d] += 1;
-                }
             }
             pending.push((it.reads.len(), depends[idx].len()));
             if pending[idx] == (0, 0) {
@@ -514,7 +533,6 @@ impl<'p> Combiner<'p> {
             output_uses,
             decoded: HashMap::new(),
             ready,
-            finished: Vec::new(),
             remaining: n,
         }
     }
@@ -528,8 +546,9 @@ impl<'p> Combiner<'p> {
     }
 
     /// Computes every ready item, cascading through items that become ready
-    /// in turn.
-    fn drain(&mut self) {
+    /// in turn; `done` receives each `(item index, reconstructed chunk)` as
+    /// it completes.
+    fn drain(&mut self, mut done: impl FnMut(usize, Vec<u8>)) {
         while let Some(idx) = self.ready.pop() {
             let began = Instant::now();
             // Fold (non-sibling) dependency outputs into the input map,
@@ -570,10 +589,10 @@ impl<'p> Combiner<'p> {
             if self.output_uses[idx] > 0 {
                 self.outputs[idx] = Some(value.clone());
             }
-            self.finished.push((lost, value));
             self.remaining -= 1;
             self.obs.stages.combine.record_duration(began.elapsed());
             self.obs.progress.chunk_combined();
+            done(idx, value);
         }
     }
 }
@@ -594,8 +613,8 @@ fn coalesce_bounds(queue: &[(usize, ChunkAddr)]) -> Vec<(usize, usize)> {
     runs
 }
 
-/// The sibling linkage rule shared by the combiner, the dirty footprints,
-/// and the DAG builder: a read-less, dependency-less plan item is a
+/// The sibling linkage rule shared by [`dependency_shape`] and the dirty
+/// footprints: a read-less, dependency-less plan item is a
 /// co-decoded *sibling* whose value comes from the nearest **earlier**
 /// same-inner-row item that has sources of its own (multi-failure plans
 /// emit one item carrying a row's shared reads, then read-less items for
@@ -734,39 +753,91 @@ fn read_run_healing<B: BlockDevice>(
     (delivered, unreadable, died)
 }
 
-/// What one round of plan execution produced. Rounds are infallible: faults
-/// become entries in `unreadable`/`dead_disks` for the driver loop to heal
-/// around instead of errors that abort the rebuild. Shared with the
+/// What one round of plan execution produced. A round reads, decodes
+/// *and writes back* (through [`OiRaidStore::writeback_chunk`]); the
+/// driver loop only keeps books on what it reports. Rounds are infallible:
+/// faults become entries in `unreadable`/`dead_disks` for the driver to
+/// heal around instead of errors that abort the rebuild. Shared with the
 /// repairing scrub in [`crate::store`].
 pub(crate) struct RoundOutput {
-    /// Reconstructed chunks, in completion order. Empty in DAG mode, whose
-    /// pool writes chunks back itself — see `writes`.
-    pub(crate) finished: Finished,
+    /// Chunks written back and marked valid, in completion order.
+    pub(crate) written: Vec<ChunkAddr>,
+    /// Writebacks discarded because a foreground write dirtied an input
+    /// relation since the round began.
+    pub(crate) dirty_skips: u32,
     /// Source chunks that stayed unreadable after their retry budget.
     pub(crate) unreadable: Vec<(ChunkAddr, DeviceError)>,
-    /// Disks that reported [`DeviceError::Failed`] while serving reads.
+    /// Disks that reported [`DeviceError::Failed`] while serving reads or
+    /// taking writebacks (plus any already failed when the round began).
     pub(crate) dead_disks: BTreeSet<usize>,
-    /// Retry activity summed over all of this round's readers.
+    /// Retry activity summed over this round's readers and writebacks.
     pub(crate) retry: RetryCounters,
     workers: usize,
     worker_busy: Vec<Duration>,
-    /// `Some` when writebacks already happened inside the executor (DAG
-    /// mode): the driver folds them into its bookkeeping instead of
-    /// issuing its own writes.
-    writes: Option<DagWrites>,
     /// Scheduler statistics (all-zero outside DAG mode).
     sched: sched::SchedStats,
 }
 
-/// Writeback results of one DAG round: the pool wrote each reconstructed
-/// chunk back as soon as its combine op finished (under that item's region
-/// locks, with the same dirty check the serial writeback pass applies).
-struct DagWrites {
-    /// Chunks written back and marked valid.
-    written: Vec<ChunkAddr>,
-    /// Writebacks discarded because a foreground write dirtied an input
-    /// relation since the round began.
-    dirty_skips: u32,
+/// The checkpoint cadence of one rebuild (all its rounds): every
+/// `policy.interval` landed chunks the window's valid set is persisted, so
+/// a process killed mid-round resumes instead of restarting.
+pub(crate) struct CheckpointTick {
+    policy: CheckpointPolicy,
+    /// Chunks landed since the rebuild began.
+    landed: AtomicU64,
+    /// Held while a save runs. A tick that finds it taken is covered by
+    /// that save (the next tick picks up what it missed), so two workers
+    /// never race on the checkpoint's temp file.
+    saving: Mutex<()>,
+}
+
+impl CheckpointTick {
+    fn new(policy: CheckpointPolicy) -> Self {
+        Self {
+            policy,
+            landed: AtomicU64::new(0),
+            saving: Mutex::new(()),
+        }
+    }
+}
+
+/// What [`OiRaidStore::writeback_chunk`] needs besides the chunk, and the
+/// books it keeps: one per round, shared by every worker of the round.
+struct Writeback<'a> {
+    plan: &'a RecoveryPlan,
+    /// Per-item dirty footprint from [`OiRaidStore::plan_regions`].
+    regions: &'a [Vec<Region>],
+    obs: &'a RebuildObserver,
+    tick: Option<&'a CheckpointTick>,
+    policy: RetryPolicy,
+    write_stats: RetryStats,
+    written: Mutex<Vec<ChunkAddr>>,
+    dirty_skips: AtomicU32,
+    /// Disks that take no (further) I/O this round.
+    dead: Mutex<BTreeSet<usize>>,
+}
+
+impl Writeback<'_> {
+    /// Closes the round's books.
+    fn into_output(
+        self,
+        unreadable: Vec<(ChunkAddr, DeviceError)>,
+        read_retry: RetryCounters,
+        workers: usize,
+        worker_busy: Vec<Duration>,
+        sched: sched::SchedStats,
+    ) -> RoundOutput {
+        RoundOutput {
+            written: self.written.into_inner().unwrap_or_else(|p| p.into_inner()),
+            dirty_skips: self.dirty_skips.into_inner(),
+            unreadable,
+            dead_disks: self.dead.into_inner().unwrap_or_else(|p| p.into_inner()),
+            retry: read_retry.merged(&self.write_stats.snapshot()),
+            workers,
+            worker_busy,
+            sched,
+        }
+    }
 }
 
 /// One node of the lowered rebuild DAG (see
@@ -780,8 +851,8 @@ enum DagOp {
     /// Reconstruct plan item `idx` from its delivered reads and dependency
     /// outputs.
     Combine { idx: usize },
-    /// Write item `idx`'s reconstructed value back to the rebuilt disk,
-    /// dirty-checked under the item's region locks.
+    /// Hand item `idx`'s reconstructed value to
+    /// [`OiRaidStore::writeback_chunk`].
     Write { idx: usize },
 }
 
@@ -831,8 +902,8 @@ impl<B: BlockDevice> OiRaidStore<B> {
 
     /// [`OiRaidStore::rebuild`] with caller-provided telemetry sinks: the
     /// observer's [`Progress`](telemetry::Progress) can be polled from
-    /// another thread while this runs, its tracer captures per-stage and
-    /// per-pool spans, its stage histograms accumulate latencies, and its
+    /// another thread while this runs, its phase and stage histograms
+    /// accumulate latencies, and its
     /// [`HealCounters`](crate::HealCounters) tick live as faults are
     /// absorbed (none are reset per call — hand in a fresh observer to
     /// scope them to one run).
@@ -953,7 +1024,6 @@ impl<B: BlockDevice> OiRaidStore<B> {
                 sched: sched::SchedStats::default(),
             });
         }
-        let root = obs.tracer.span("rebuild");
         // Rebuilds bypass request sampling (`trace_always`): there is at
         // most one in flight and its causal tree — rounds, scheduled ops,
         // device I/O — is the primary diagnostic for a slow recovery.
@@ -981,28 +1051,24 @@ impl<B: BlockDevice> OiRaidStore<B> {
                 .collect(),
             None => BTreeSet::new(),
         };
-        let mut plan = {
-            let _s = root.child("plan");
-            if resume.is_some() {
-                // Resume: only what the checkpoint does not cover needs
-                // recovery — chunk-granular, same planner reroutes use.
-                let missing: BTreeSet<ChunkAddr> = lost.difference(&rebuilt).copied().collect();
-                self.array()
-                    .chunk_recovery_plan(&missing)
-                    .map_err(|_| StoreError::DataLoss)?
-            } else if initially_failed.len() == 1 {
-                single_failure_plan(
-                    self.array(),
-                    initially_failed[0],
-                    SparePolicy::Distributed,
-                    strategy,
-                )
-                .map_err(|_| StoreError::DataLoss)?
-            } else {
-                Layout::recovery_plan(self.array(), &initially_failed, SparePolicy::Distributed)
-                    .map_err(|_| StoreError::DataLoss)?
-            }
+        let began = Instant::now();
+        let planned = if resume.is_some() {
+            // Resume: only what the checkpoint does not cover needs
+            // recovery — chunk-granular, same planner reroutes use.
+            let missing: BTreeSet<ChunkAddr> = lost.difference(&rebuilt).copied().collect();
+            self.array().chunk_recovery_plan(&missing)
+        } else if initially_failed.len() == 1 {
+            single_failure_plan(
+                self.array(),
+                initially_failed[0],
+                SparePolicy::Distributed,
+                strategy,
+            )
+        } else {
+            Layout::recovery_plan(self.array(), &initially_failed, SparePolicy::Distributed)
         };
+        obs.stages.plan.record_duration(began.elapsed());
+        let mut plan = planned.map_err(|_| StoreError::DataLoss)?;
         match &resume {
             Some(_) => {
                 obs.progress
@@ -1016,32 +1082,30 @@ impl<B: BlockDevice> OiRaidStore<B> {
             None => obs.progress.begin(plan.items().len() as u64),
         }
 
-        {
-            let _s = root.child("heal");
-            // Open the rebuild window *before* healing: the instant a device
-            // answers reads again, its not-yet-rebuilt chunks must already
-            // read as missing to concurrent foreground I/O.
-            self.online().begin(initially_failed.iter().copied());
-            if let Some(ckpt) = &resume {
-                // Checkpointed chunks hold trustworthy bytes: readable the
-                // moment the devices heal, and excluded from re-recovery.
-                self.online().restore_valid(ckpt.valid.iter().copied());
-            }
-            for &d in &initially_failed {
-                if let Err(error) = self.devices()[d].heal() {
-                    for &t in &initially_failed {
-                        self.devices()[t].fail();
-                    }
-                    self.online().end();
-                    return Err(StoreError::Device { disk: d, error });
+        let began = Instant::now();
+        // Open the rebuild window *before* healing: the instant a device
+        // answers reads again, its not-yet-rebuilt chunks must already
+        // read as missing to concurrent foreground I/O.
+        self.online().begin(initially_failed.iter().copied());
+        if let Some(ckpt) = &resume {
+            // Checkpointed chunks hold trustworthy bytes: readable the
+            // moment the devices heal, and excluded from re-recovery.
+            self.online().restore_valid(ckpt.valid.iter().copied());
+        }
+        for &d in &initially_failed {
+            if let Err(error) = self.devices()[d].heal() {
+                for &t in &initially_failed {
+                    self.devices()[t].fail();
                 }
+                self.online().end();
+                return Err(StoreError::Device { disk: d, error });
             }
         }
+        obs.stages.heal.record_duration(began.elapsed());
         let qos_before = self.qos().counters();
         let start = Instant::now();
         let chunk_size = self.chunk_size();
         let tolerance = self.array().fault_tolerance() as u64;
-        let policy = self.retry_policy();
         // A generous hard ceiling on rounds: each round must either rebuild
         // a chunk or grow the avoid set, both bounded by the array size, so
         // hitting this means the loop is broken, not the disks.
@@ -1060,23 +1124,19 @@ impl<B: BlockDevice> OiRaidStore<B> {
         let mut escalations = 0u64;
         let mut reroutes = 0u64;
         let mut retry = RetryCounters::default();
-        let write_stats = RetryStats::default();
         let mut workers = 0usize;
         let mut worker_busy: Vec<Duration> = Vec::new();
         let mut sched_stats = sched::SchedStats::default();
         let mut stall = 0u32;
         let mut aborted: Option<Vec<usize>> = None;
-        // Checkpoint cadence: every `interval` credited chunks (and at each
-        // round boundary) the window's valid set is persisted so a crashed
-        // process resumes instead of restarting.
-        let ckpt_policy = self.checkpoint_policy();
-        let ckpt_interval = ckpt_policy.as_ref().map_or(u64::MAX, |p| p.interval.max(1));
-        let mut credits_since_ckpt = 0u64;
+        // Checkpoints are cut inside the rounds, at the writeback atom (see
+        // [`Self::writeback_chunk`]), and at each round boundary below.
+        let tick = self.checkpoint_policy().map(CheckpointTick::new);
 
         loop {
             rounds += 1;
             // Each round is a child node; the whole round body (planning,
-            // execution, writeback) runs under it, so DAG nodes built this
+            // execution, bookkeeping) runs under it, so DAG nodes built this
             // round link back through it to the rebuild root.
             let round_trace = if rebuild_trace != 0 {
                 let t = telemetry::alloc_trace_id();
@@ -1092,132 +1152,53 @@ impl<B: BlockDevice> OiRaidStore<B> {
                 0
             };
             let _round_guard = (round_trace != 0).then(|| telemetry::enter_trace(round_trace));
-            let (regions, item_of) = {
-                let _s = root.child("plan");
-                {
-                    // New dirty epoch: writes completed before this point
-                    // are visible to every read this round issues; writes
-                    // that land later re-mark their relations and are
-                    // caught at writeback.
-                    let _g = self.online().lock_updates();
-                    self.online().clear_dirty();
+            let began = Instant::now();
+            {
+                // New dirty epoch: writes completed before this point are
+                // visible to every read this round issues; writes that land
+                // later re-mark their relations and are caught at writeback.
+                let _g = self.online().lock_updates();
+                self.online().clear_dirty();
+            }
+            let regions = self.plan_regions(&plan);
+            obs.stages.plan.record_duration(began.elapsed());
+            let began = Instant::now();
+            let out = match mode {
+                RebuildMode::Serial => {
+                    self.execute_serial_round(&plan, &regions, obs, tick.as_ref())
                 }
-                let item_of: HashMap<ChunkAddr, usize> = plan
-                    .items()
-                    .iter()
-                    .enumerate()
-                    .map(|(i, it)| (it.lost, i))
-                    .collect();
-                (self.plan_regions(&plan), item_of)
+                RebuildMode::Dag => self.execute_dag_round(&plan, &regions, obs, tick.as_ref()),
             };
-            let out = {
-                let exec = root.child("execute");
-                match mode {
-                    RebuildMode::Serial => self.execute_serial_round(&plan, obs),
-                    RebuildMode::Dag => self.execute_dag_round(&plan, &regions, obs, &exec),
-                }
-            };
+            obs.stages.execute.record_duration(began.elapsed());
             if rounds == 1 {
                 workers = out.workers;
                 worker_busy = out.worker_busy;
             }
             retry = retry.merged(&out.retry);
             sched_stats.absorb(&out.sched);
-            let mut died = out.dead_disks;
+            let died = out.dead_disks;
+            let dirty_skips = out.dirty_skips;
             let mut progressed = false;
-            let mut dirty_skips = 0u32;
-            {
-                let _s = root.child("writeback");
-                // Credits one successfully-written chunk in the heal loop's
-                // books (used by both the in-round DAG writebacks and the
-                // serial mode's writeback pass below).
-                let mut credit = |addr: ChunkAddr| {
-                    let mut fresh = false;
-                    if lost.contains(&addr) {
-                        fresh |= rebuilt.insert(addr);
-                    }
-                    if avoid.contains(&addr) && repaired.insert(addr) {
-                        obs.heal.latent_repairs.inc();
-                        telemetry::flight_event(
-                            telemetry::EventKind::LatentRepair,
-                            addr.disk as u64,
-                            addr.offset as u64,
-                        );
-                        fresh = true;
-                    }
-                    if fresh {
-                        obs.progress.chunk_written(chunk_size as u64);
-                        progressed = true;
-                        credits_since_ckpt += 1;
-                        if credits_since_ckpt >= ckpt_interval {
-                            credits_since_ckpt = 0;
-                            if let Some(p) = ckpt_policy.as_ref() {
-                                self.save_checkpoint_now(p);
-                            }
-                        }
-                    }
-                };
-                if let Some(w) = out.writes {
-                    // DAG rounds write back inside the round, each chunk
-                    // under its own region locks the moment its combine
-                    // finishes; only the bookkeeping is left to do here.
-                    dirty_skips = w.dirty_skips;
-                    for addr in w.written {
-                        credit(addr);
-                    }
-                } else {
-                    for (addr, value) in out.finished {
-                        if died.contains(&addr.disk) {
-                            continue;
-                        }
-                        let began = Instant::now();
-                        // The dirty check, the write, and the validity mark
-                        // form one atom under the item's region locks: no
-                        // foreground write can slip between "inputs were
-                        // clean" and "chunk is live" and then be clobbered,
-                        // yet writes to unrelated relations proceed freely.
-                        let footprint = item_of
-                            .get(&addr)
-                            .map(|&i| regions[i].as_slice())
-                            .unwrap_or_default();
-                        let guard = self.online().lock_regions(footprint);
-                        if self.online().any_dirty(footprint) {
-                            // A foreground write touched a relation this
-                            // value was derived from: the reconstruction may
-                            // be stale or torn. Drop it; next round
-                            // recomputes it from the updated parity.
-                            drop(guard);
-                            dirty_skips += 1;
-                            continue;
-                        }
-                        let wrote = write_chunk_retrying(
-                            &self.devices()[addr.disk],
-                            &policy,
-                            &write_stats,
-                            addr.offset,
-                            &value,
-                        );
-                        if wrote.is_ok() {
-                            self.online().mark_valid(addr);
-                        }
-                        drop(guard);
-                        match wrote {
-                            Ok(()) => {
-                                obs.stages.writeback.record_duration(began.elapsed());
-                                crash_point("rebuild_writeback");
-                                credit(addr);
-                            }
-                            Err(e) if e.is_transient() => {
-                                // Write retry budget exhausted: the chunk
-                                // stays un-rebuilt, the next round retries.
-                            }
-                            Err(_) => {
-                                // The disk died (or broke permanently) under
-                                // write: escalate it.
-                                died.insert(addr.disk);
-                            }
-                        }
-                    }
+            // The round wrote each chunk back itself, under its own region
+            // locks, the moment its combine finished; only the heal loop's
+            // books are left to keep here.
+            for addr in out.written {
+                let mut fresh = false;
+                if lost.contains(&addr) {
+                    fresh |= rebuilt.insert(addr);
+                }
+                if avoid.contains(&addr) && repaired.insert(addr) {
+                    obs.heal.latent_repairs.inc();
+                    telemetry::flight_event(
+                        telemetry::EventKind::LatentRepair,
+                        addr.disk as u64,
+                        addr.offset as u64,
+                    );
+                    fresh = true;
+                }
+                if fresh {
+                    obs.progress.chunk_written(chunk_size as u64);
+                    progressed = true;
                 }
             }
             for (addr, _e) in out.unreadable {
@@ -1309,25 +1290,23 @@ impl<B: BlockDevice> OiRaidStore<B> {
                 aborted = Some(target_disks.clone());
                 break;
             }
-            if let Some(p) = ckpt_policy.as_ref() {
+            if let Some(t) = &tick {
                 // Round boundary: persist the position before re-planning,
                 // so a crash anywhere in the next round resumes from here.
-                credits_since_ckpt = 0;
-                self.save_checkpoint_now(p);
+                self.save_checkpoint_now(t);
             }
-            plan = {
-                let _s = root.child("plan");
-                match self.array().chunk_recovery_plan(&missing) {
-                    Ok(p) => p,
-                    Err(_) => {
-                        aborted = Some(target_disks.clone());
-                        break;
-                    }
+            let began = Instant::now();
+            let replanned = self.array().chunk_recovery_plan(&missing);
+            obs.stages.plan.record_duration(began.elapsed());
+            plan = match replanned {
+                Ok(p) => p,
+                Err(_) => {
+                    aborted = Some(target_disks.clone());
+                    break;
                 }
             };
         }
         let wall = start.elapsed();
-        retry = retry.merged(&write_stats.snapshot());
         obs.heal.retries.inc_by(retry.retries);
         obs.heal.retries_exhausted.inc_by(retry.exhausted);
         obs.heal.backoff_ns.inc_by(retry.backoff_ns);
@@ -1359,15 +1338,14 @@ impl<B: BlockDevice> OiRaidStore<B> {
                 }
             }
         };
-        if let Some(p) = ckpt_policy.as_ref() {
+        if let Some(t) = &tick {
             // Complete or aborted, the recorded position is obsolete — a
             // leftover checkpoint must not hijack the next rebuild.
-            RebuildCheckpoint::remove(&p.path);
+            RebuildCheckpoint::remove(&t.policy.path);
         }
         // Close the window only after an abort has re-failed the targets:
         // their half-written contents must never become readable.
         self.online().end();
-        drop(root);
         target_disks.sort_unstable();
         let qos = self.qos().counters();
         let chunks_rebuilt = (rebuilt.len() + repaired.len()) as u64;
@@ -1407,10 +1385,13 @@ impl<B: BlockDevice> OiRaidStore<B> {
     }
 
     /// Best-effort snapshot of the rebuild position (window targets + valid
-    /// chunks) to the policy's checkpoint path. Failures are swallowed: a
-    /// checkpoint is an optimization; the journal and the parity math own
-    /// correctness.
-    fn save_checkpoint_now(&self, policy: &CheckpointPolicy) {
+    /// chunks) to the policy's checkpoint path, unless a save is already in
+    /// flight. Failures are swallowed: a checkpoint is an optimization; the
+    /// journal and the parity math own correctness.
+    fn save_checkpoint_now(&self, tick: &CheckpointTick) {
+        let Ok(_saving) = tick.saving.try_lock() else {
+            return;
+        };
         if let Some((targets, valid)) = self.online().valid_snapshot() {
             // The checkpoint file is fsynced, so under a power-loss flush
             // policy it must not vouch for writeback chunks still in a
@@ -1420,7 +1401,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
             if self.flush_for_checkpoint(&target_disks).is_err() {
                 return;
             }
-            let _ = RebuildCheckpoint { targets, valid }.save(&policy.path);
+            let _ = RebuildCheckpoint { targets, valid }.save(&tick.policy.path);
         }
     }
 
@@ -1428,7 +1409,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
     /// parity relations of the lost chunk itself plus those of every chunk
     /// its reconstruction (transitively) reads. A writeback is discarded
     /// when a foreground write dirtied any of these since the round began.
-    fn plan_regions(&self, plan: &RecoveryPlan) -> Vec<Vec<Region>> {
+    pub(crate) fn plan_regions(&self, plan: &RecoveryPlan) -> Vec<Vec<Region>> {
         let geo = self.array().geometry();
         let items = plan.items();
         let mut out: Vec<Vec<Region>> = Vec::with_capacity(items.len());
@@ -1451,29 +1432,119 @@ impl<B: BlockDevice> OiRaidStore<B> {
         out
     }
 
+    /// Opens one round's writeback books. Disks already failed when the
+    /// round begins take no I/O and are reported dead like a disk that dies
+    /// mid-round: a rebuild escalates them, the scrub (which plans around
+    /// failed disks it does not rebuild) leaves them alone.
+    fn begin_writeback<'a>(
+        &self,
+        plan: &'a RecoveryPlan,
+        regions: &'a [Vec<Region>],
+        obs: &'a RebuildObserver,
+        tick: Option<&'a CheckpointTick>,
+    ) -> Writeback<'a> {
+        Writeback {
+            plan,
+            regions,
+            obs,
+            tick,
+            policy: self.retry_policy(),
+            write_stats: RetryStats::default(),
+            written: Mutex::new(Vec::new()),
+            dirty_skips: AtomicU32::new(0),
+            dead: Mutex::new(self.failed_disks().into_iter().collect()),
+        }
+    }
+
+    /// The one place a reconstructed chunk becomes live — every executor
+    /// (serial round, DAG write op, and through the serial round the
+    /// repairing scrub) lands plan item `idx`'s `value` here.
+    ///
+    /// The dirty check, the write, and the validity mark form one atom
+    /// under the item's region locks: no foreground write can slip between
+    /// "inputs were clean" and "chunk is live" and then be clobbered, yet
+    /// writes to unrelated relations proceed freely. A landed chunk then
+    /// ticks the checkpoint cadence, so the recorded position advances
+    /// mid-round on every executor.
+    fn writeback_chunk(&self, wb: &Writeback<'_>, idx: usize, value: &[u8]) {
+        let addr = wb.plan.items()[idx].lost;
+        if lock(&wb.dead).contains(&addr.disk) {
+            return;
+        }
+        let began = Instant::now();
+        let footprint = wb.regions[idx].as_slice();
+        let guard = self.online().lock_regions(footprint);
+        if self.online().any_dirty(footprint) {
+            // A foreground write touched a relation this value was derived
+            // from: the reconstruction may be stale or torn. Drop it; the
+            // next round recomputes it from the updated parity.
+            drop(guard);
+            wb.dirty_skips.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        let wrote = write_chunk_retrying(
+            &self.devices()[addr.disk],
+            &wb.policy,
+            &wb.write_stats,
+            addr.offset,
+            value,
+        );
+        if wrote.is_ok() {
+            self.online().mark_valid(addr);
+        }
+        drop(guard);
+        match wrote {
+            Ok(()) => {
+                wb.obs.stages.writeback.record_duration(began.elapsed());
+                crash_point("rebuild_writeback");
+                lock(&wb.written).push(addr);
+                if let Some(tick) = wb.tick {
+                    let landed = tick.landed.fetch_add(1, Ordering::Relaxed) + 1;
+                    if landed % tick.policy.interval.max(1) == 0 {
+                        self.save_checkpoint_now(tick);
+                    }
+                }
+            }
+            Err(e) if e.is_transient() => {
+                // Write retry budget exhausted: the chunk stays un-rebuilt,
+                // the next round retries.
+            }
+            Err(_) => {
+                // The disk died (or broke permanently) under write:
+                // escalate it.
+                lock(&wb.dead).insert(addr.disk);
+            }
+        }
+    }
+
     /// One serial round: drains every per-disk read queue inline, healing
-    /// around faults (never fails — faults land in the [`RoundOutput`]).
-    /// Also the execution engine behind the repairing scrub.
+    /// around faults (never fails — faults land in the [`RoundOutput`]),
+    /// and writes each chunk back as its combine finishes. Also the
+    /// execution engine behind the repairing scrub. `regions` is the
+    /// per-item dirty footprint from [`Self::plan_regions`].
     pub(crate) fn execute_serial_round(
         &self,
         plan: &RecoveryPlan,
+        regions: &[Vec<Region>],
         obs: &RebuildObserver,
+        tick: Option<&CheckpointTick>,
     ) -> RoundOutput {
         let geo = self.array().geometry().clone();
         let code = self.inner_code();
         let chunk_size = self.chunk_size();
         let pool = BufPool::new(chunk_size);
+        let wb = self.begin_writeback(plan, regions, obs, tick);
+        let land = |idx: usize, value: Vec<u8>| self.writeback_chunk(&wb, idx, &value);
         let mut combiner = Combiner::new(&geo, code.as_ref(), plan, &pool, obs);
-        combiner.drain();
+        combiner.drain(land);
         let mut unreadable = Vec::new();
-        let mut dead_disks = BTreeSet::new();
         let mut retry = RetryCounters::default();
         let queues = RunQueues::build(plan, obs);
         for qi in 0..queues.len() {
             let disk = queues.disk(qi);
             let reader = RetryReader::new(&self.devices()[disk], self.retry_policy());
             for ri in 0..queues.runs_in(qi) {
-                if dead_disks.contains(&disk) {
+                if lock(&wb.dead).contains(&disk) {
                     break; // the disk died mid-queue; the rest is moot
                 }
                 let run = queues.dequeue(self.qos(), qi, ri);
@@ -1485,28 +1556,25 @@ impl<B: BlockDevice> OiRaidStore<B> {
                 for (idx, addr, bytes) in batch {
                     combiner.deliver_read(idx, addr, bytes);
                 }
-                combiner.drain();
+                combiner.drain(land);
                 unreadable.extend(failed);
                 if died {
-                    dead_disks.insert(disk);
+                    lock(&wb.dead).insert(disk);
                 }
             }
             retry = retry.merged(&reader.counters());
         }
         debug_assert!(
-            combiner.remaining == 0 || !unreadable.is_empty() || !dead_disks.is_empty(),
+            combiner.remaining == 0 || !unreadable.is_empty() || !lock(&wb.dead).is_empty(),
             "a fault-free round completes every item"
         );
-        RoundOutput {
-            finished: combiner.finished,
+        wb.into_output(
             unreadable,
-            dead_disks,
             retry,
-            workers: 0,
-            worker_busy: Vec::new(),
-            writes: None,
-            sched: sched::SchedStats::default(),
-        }
+            0,
+            Vec::new(),
+            sched::SchedStats::default(),
+        )
     }
 
     /// One DAG round: the plan lowered into read → combine → writeback ops
@@ -1519,15 +1587,15 @@ impl<B: BlockDevice> OiRaidStore<B> {
     /// Faults follow the same healing contract as the serial round: an
     /// unreadable source poisons exactly the items that needed it (their
     /// combine ops fail and the scheduler cancels their dependents), a
-    /// dead disk stops only its own remaining reads, and writebacks apply
-    /// the dirty-window check under the item's region locks. `regions` is
-    /// the per-item dirty footprint from [`Self::plan_regions`].
+    /// dead disk stops only its own remaining reads, and writebacks go
+    /// through [`Self::writeback_chunk`]. `regions` is the per-item dirty
+    /// footprint from [`Self::plan_regions`].
     fn execute_dag_round(
         &self,
         plan: &RecoveryPlan,
         regions: &[Vec<Region>],
         obs: &RebuildObserver,
-        exec_span: &Span<'_>,
+        tick: Option<&CheckpointTick>,
     ) -> RoundOutput {
         let geo = self.array().geometry().clone();
         let code = self.inner_code();
@@ -1536,27 +1604,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
         let pool = BufPool::new(chunk_size);
         let items = plan.items();
         let n = items.len();
-
-        // Dependency shape, identical to the serial round's combiner: plan
-        // edges plus sibling links, and per-item output use counts (+1 for
-        // the write op, which consumes the value like any dependent).
-        let mut depends: Vec<Vec<(usize, bool)>> = items
-            .iter()
-            .map(|it| it.depends.iter().map(|&d| (d, false)).collect())
-            .collect();
-        for (idx, deps) in depends.iter_mut().enumerate() {
-            if let Some(provider) = sibling_provider(&geo, items, idx) {
-                deps.push((provider, true));
-            }
-        }
-        let mut uses = vec![1usize; n];
-        for deps in &depends {
-            for &(d, sibling) in deps {
-                if !sibling {
-                    uses[d] += 1;
-                }
-            }
-        }
+        let (depends, uses) = dependency_shape(&geo, items);
 
         // Lower the plan into the op graph: one read op per coalesced run
         // (bound to its disk's ready queue), one combine op per item (any
@@ -1592,25 +1640,20 @@ impl<B: BlockDevice> OiRaidStore<B> {
         let readers: Vec<RetryReader<'_, B>> = (0..queues.len())
             .map(|qi| RetryReader::new(&self.devices()[queues.disk(qi)], self.retry_policy()))
             .collect();
-        let poisoned: Vec<std::sync::atomic::AtomicBool> = (0..n)
-            .map(|_| std::sync::atomic::AtomicBool::new(false))
-            .collect();
+        let poisoned: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
         let inputs: Vec<Mutex<HashMap<ChunkAddr, Vec<u8>>>> =
             (0..n).map(|_| Mutex::new(HashMap::new())).collect();
+        // Output slot per item: the value and its remaining consumers (its
+        // dependents, +1 for the write op, which consumes it like any other).
         let outputs: Vec<Mutex<(Option<Vec<u8>>, usize)>> =
-            uses.iter().map(|&u| Mutex::new((None, u))).collect();
+            uses.iter().map(|&u| Mutex::new((None, u + 1))).collect();
         let decoded: Mutex<HashMap<ChunkAddr, Vec<u8>>> = Mutex::new(HashMap::new());
-        let dead: Mutex<BTreeSet<usize>> = Mutex::new(BTreeSet::new());
         let unreadable: Mutex<Vec<(ChunkAddr, DeviceError)>> = Mutex::new(Vec::new());
-        let written: Mutex<Vec<ChunkAddr>> = Mutex::new(Vec::new());
-        let dirty_skips = std::sync::atomic::AtomicU32::new(0);
-        let write_stats = RetryStats::default();
-        let policy = self.retry_policy();
+        let wb = self.begin_writeback(plan, regions, obs, tick);
         let qos = self.qos();
         let workers = self
             .dag_workers()
             .unwrap_or_else(|| (2 * queues.len()).max(1));
-        let _pool_span = exec_span.child(format!("dag-pool-{workers}"));
 
         let report = sched::run(
             workers,
@@ -1618,11 +1661,10 @@ impl<B: BlockDevice> OiRaidStore<B> {
             &obs.sched,
             &graph,
             |_w, _op, payload| {
-                use std::sync::atomic::Ordering;
                 match *payload {
                     DagOp::Read { qi, ri } => {
                         let disk = queues.disk(qi);
-                        if lock(&dead).contains(&disk) {
+                        if lock(&wb.dead).contains(&disk) {
                             // The disk died under an earlier run: deliver
                             // nothing, poison the expecting items.
                             for &(idx, _) in queues.peek(qi, ri) {
@@ -1652,7 +1694,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
                             }
                         }
                         if died {
-                            lock(&dead).insert(disk);
+                            lock(&wb.dead).insert(disk);
                         }
                         sched::OpStatus::Done
                     }
@@ -1695,7 +1737,6 @@ impl<B: BlockDevice> OiRaidStore<B> {
                         sched::OpStatus::Done
                     }
                     DagOp::Write { idx } => {
-                        let addr = items[idx].lost;
                         let value = {
                             let mut slot = lock(&outputs[idx]);
                             slot.1 -= 1;
@@ -1706,46 +1747,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
                             }
                         }
                         .expect("combine completed before write");
-                        if lock(&dead).contains(&addr.disk) {
-                            return sched::OpStatus::Done;
-                        }
-                        let began = Instant::now();
-                        // Dirty check, write, and validity mark form one
-                        // atom under the item's region locks — same
-                        // protocol as the serial mode's writeback, but
-                        // only intersecting relations contend.
-                        let guard = self.online().lock_regions(&regions[idx]);
-                        if self.online().any_dirty(&regions[idx]) {
-                            drop(guard);
-                            dirty_skips.fetch_add(1, Ordering::Relaxed);
-                            return sched::OpStatus::Done;
-                        }
-                        let wrote = write_chunk_retrying(
-                            &self.devices()[addr.disk],
-                            &policy,
-                            &write_stats,
-                            addr.offset,
-                            &value,
-                        );
-                        if wrote.is_ok() {
-                            self.online().mark_valid(addr);
-                        }
-                        drop(guard);
-                        match wrote {
-                            Ok(()) => {
-                                obs.stages.writeback.record_duration(began.elapsed());
-                                crash_point("rebuild_writeback");
-                                lock(&written).push(addr);
-                            }
-                            Err(e) if e.is_transient() => {
-                                // Retry budget exhausted while transient:
-                                // the chunk stays un-rebuilt, next round
-                                // retries it.
-                            }
-                            Err(_) => {
-                                lock(&dead).insert(addr.disk);
-                            }
-                        }
+                        self.writeback_chunk(&wb, idx, &value);
                         sched::OpStatus::Done
                     }
                 }
@@ -1757,23 +1759,16 @@ impl<B: BlockDevice> OiRaidStore<B> {
             "every op finalized exactly once"
         );
         obs.stages.queue_depth.record(report.stats.max_ready_depth);
-        let mut retry = readers
+        let retry = readers
             .iter()
             .fold(RetryCounters::default(), |acc, r| acc.merged(&r.counters()));
-        retry = retry.merged(&write_stats.snapshot());
-        RoundOutput {
-            finished: Vec::new(),
-            unreadable: unreadable.into_inner().unwrap_or_else(|p| p.into_inner()),
-            dead_disks: dead.into_inner().unwrap_or_else(|p| p.into_inner()),
+        wb.into_output(
+            unreadable.into_inner().unwrap_or_else(|p| p.into_inner()),
             retry,
             workers,
-            worker_busy: report.worker_busy,
-            writes: Some(DagWrites {
-                written: written.into_inner().unwrap_or_else(|p| p.into_inner()),
-                dirty_skips: dirty_skips.into_inner(),
-            }),
-            sched: report.stats,
-        }
+            report.worker_busy,
+            report.stats,
+        )
     }
 }
 
@@ -2056,9 +2051,18 @@ mod tests {
             .rebuild_observed(RebuildMode::Dag, RecoveryStrategy::Hybrid, &obs)
             .unwrap();
 
-        // Stages: every pipeline stage saw work (coalesce runs once per
-        // queue, the others once per chunk/run).
-        for stage in ["read", "coalesce", "combine", "writeback"] {
+        // Stages: every phase and pipeline stage saw work (heal runs once,
+        // plan twice — the initial plan and the round's footprints —
+        // coalesce once per queue, the others once per round/chunk/run).
+        for stage in [
+            "plan",
+            "heal",
+            "execute",
+            "read",
+            "coalesce",
+            "combine",
+            "writeback",
+        ] {
             let s = report.stage(stage).unwrap_or_else(|| panic!("{stage}"));
             assert!(s.latency.count > 0, "{stage} recorded");
             assert!(
@@ -2082,24 +2086,92 @@ mod tests {
         assert_eq!(p.chunks_written, report.chunks_rebuilt);
         assert_eq!(p.bytes_written, report.bytes_rebuilt);
 
-        // Spans: the stage children cover (almost) all of the root span.
-        let recs = obs.tracer.records();
-        let root = recs.iter().find(|r| r.label == "rebuild").expect("root");
-        for label in ["plan", "heal", "execute", "writeback"] {
-            assert!(
-                recs.iter().any(|r| r.label == label && r.parent == root.id),
-                "{label} span under root"
-            );
-        }
-        let exec = recs.iter().find(|r| r.label == "execute").unwrap();
-        let pools: Vec<_> = recs
+        // The three phases cover (almost) all of the rebuild's wall time,
+        // and the pool is the size the store asked for.
+        assert_eq!(report.stage("execute").unwrap().latency.count, 1);
+        let phases: u64 = ["plan", "heal", "execute"]
             .iter()
-            .filter(|r| r.parent == exec.id && r.label.starts_with("dag-pool-"))
-            .collect();
-        assert_eq!(pools.len(), 1, "one pool span per round");
-        assert_eq!(pools[0].label, format!("dag-pool-{}", report.workers));
-        let cov = telemetry::child_coverage(&recs, root.id);
-        assert!(cov >= 0.95, "stage spans cover the rebuild: {cov}");
+            .map(|p| report.stage(p).unwrap().latency.sum)
+            .sum();
+        let cov = phases as f64 / report.wall.as_nanos() as f64;
+        assert!(cov >= 0.95, "phases cover the rebuild: {cov}");
+        let queues = report.device_io.iter().filter(|c| c.reads > 0).count();
+        assert_eq!(report.workers, 2 * queues, "two workers per read queue");
+    }
+
+    #[test]
+    fn concurrent_writebacks_tick_checkpoints_that_always_load() {
+        // Interval 1: every landed chunk ticks the cadence, from four
+        // threads at once. A tick that finds a save in flight must skip it,
+        // never share its temp file — so whatever checkpoint is on disk at
+        // any instant loads, and vouches only for chunks already valid.
+        const THREADS: usize = 4;
+        const PASSES: usize = 20;
+        let store = filled(16);
+        let target = 4usize;
+        let plan = single_failure_plan(
+            store.array(),
+            target,
+            SparePolicy::Distributed,
+            RecoveryStrategy::Hybrid,
+        )
+        .unwrap();
+        let regions = store.plan_regions(&plan);
+        let path = std::env::temp_dir().join(format!("oi-tick-{}.ckpt", std::process::id()));
+        RebuildCheckpoint::remove(&path);
+        let tick = CheckpointTick::new(CheckpointPolicy {
+            path: path.clone(),
+            interval: 1,
+        });
+        let obs = crate::RebuildObserver::default();
+        store.fail_disk(target).unwrap();
+        store.online().begin([target]);
+        store.devices()[target].heal().unwrap();
+        let wb = store.begin_writeback(&plan, &regions, &obs, Some(&tick));
+        let n = plan.items().len();
+        let valid_now = || -> BTreeSet<ChunkAddr> {
+            let (_, valid) = store.online().valid_snapshot().expect("window open");
+            valid.into_iter().collect()
+        };
+        let check = |ckpt: RebuildCheckpoint| {
+            assert_eq!(ckpt.targets, BTreeSet::from([target]));
+            // The valid set only grows, so "valid by now" bounds "valid
+            // when the checkpoint was cut".
+            let now = valid_now();
+            assert!(ckpt.valid.iter().all(|a| now.contains(a)), "{ckpt:?}");
+        };
+
+        let start = std::sync::Barrier::new(THREADS + 1);
+        let mut loaded = 0usize;
+        std::thread::scope(|s| {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (store, wb, start) = (&store, &wb, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        for idx in (0..PASSES).flat_map(|_| (t..n).step_by(THREADS)) {
+                            store.writeback_chunk(wb, idx, &[idx as u8; 16]);
+                        }
+                    })
+                })
+                .collect();
+            start.wait();
+            while !workers.iter().all(|w| w.is_finished()) {
+                match RebuildCheckpoint::load(&path) {
+                    Some(ckpt) => {
+                        loaded += 1;
+                        check(ckpt);
+                    }
+                    // Renamed into place atomically and never removed: once
+                    // a checkpoint has loaded, every later load succeeds.
+                    None => assert_eq!(loaded, 0, "a saved checkpoint stopped loading"),
+                }
+            }
+        });
+        assert_eq!(lock(&wb.written).len(), n * PASSES, "every write landed");
+        assert_eq!(valid_now().len(), n);
+        check(RebuildCheckpoint::load(&path).expect("the first tick always saves"));
+        RebuildCheckpoint::remove(&path);
     }
 
     #[test]

@@ -885,23 +885,15 @@ impl<B: BlockDevice> OiRaidStore<B> {
         regions
     }
 
-    /// Reads one chunk. `Ok(None)` when the disk is failed or the chunk is
-    /// inside an open rebuild window and not yet restored. Transient
-    /// device faults are retried under the store policy; errors that
-    /// outlast it (latent sectors, exhausted retries) surface as
-    /// [`StoreError::Device`].
-    pub(crate) fn chunk(&self, addr: ChunkAddr) -> Result<Option<Vec<u8>>, StoreError> {
-        if self.online.chunk_invalid(addr) {
-            return Ok(None);
-        }
+    /// Reads `addr` into `buf` through the retry layer. `Ok(false)` when
+    /// the disk turns out failed; transient device faults are retried under
+    /// the store policy, errors that outlast it (latent sectors, exhausted
+    /// retries) surface as [`StoreError::Device`].
+    fn read_into(&self, addr: ChunkAddr, buf: &mut [u8]) -> Result<bool, StoreError> {
         let dev = &self.devices[addr.disk];
-        if dev.is_failed() {
-            return Ok(None);
-        }
-        let mut buf = vec![0u8; self.chunk_size];
-        match RetryReader::new(dev, self.retry_policy()).read_chunk(addr.offset, &mut buf) {
-            Ok(()) => Ok(Some(buf)),
-            Err(DeviceError::Failed) => Ok(None),
+        match RetryReader::new(dev, self.retry_policy()).read_chunk(addr.offset, buf) {
+            Ok(()) => Ok(true),
+            Err(DeviceError::Failed) => Ok(false),
             Err(error) => Err(StoreError::Device {
                 disk: addr.disk,
                 error,
@@ -909,24 +901,23 @@ impl<B: BlockDevice> OiRaidStore<B> {
         }
     }
 
-    /// Reads one chunk, mapping *any* persistent unavailability (failed
-    /// disk, un-rebuilt window chunk, latent sector, exhausted retries) to
-    /// `None`. Transient errors are retried under the store policy first,
-    /// so scrubbing/verification — which skip relations they cannot fully
-    /// read — see a stable view of flaky media.
-    fn readable_chunk(&self, addr: ChunkAddr) -> Option<Vec<u8>> {
-        if self.online.chunk_invalid(addr) {
-            return None;
-        }
-        let dev = &self.devices[addr.disk];
-        if dev.is_failed() {
-            return None;
+    /// Reads one chunk. `Ok(None)` when the disk is failed or the chunk is
+    /// inside an open rebuild window and not yet restored; errors as for
+    /// [`Self::read_into`].
+    pub(crate) fn chunk(&self, addr: ChunkAddr) -> Result<Option<Vec<u8>>, StoreError> {
+        if !self.chunk_available(addr) {
+            return Ok(None);
         }
         let mut buf = vec![0u8; self.chunk_size];
-        RetryReader::new(dev, self.retry_policy())
-            .read_chunk(addr.offset, &mut buf)
-            .ok()
-            .map(|()| buf)
+        Ok(self.read_into(addr, &mut buf)?.then_some(buf))
+    }
+
+    /// Reads one chunk, mapping *any* persistent unavailability (failed
+    /// disk, un-rebuilt window chunk, latent sector, exhausted retries) to
+    /// `None`, so scrubbing/verification — which skip relations they cannot
+    /// fully read — see a stable view of flaky media.
+    fn readable_chunk(&self, addr: ChunkAddr) -> Option<Vec<u8>> {
+        self.chunk(addr).ok().flatten()
     }
 
     /// The inner-layer row code: RAID5 for `p_in = 1`, RAID6 for `p_in = 2`
@@ -972,32 +963,20 @@ impl<B: BlockDevice> OiRaidStore<B> {
     }
 
     /// Like [`Self::chunk`] but reads into a recycled scratch buffer from
-    /// the store's pool. Callers hand the buffer back with
+    /// the store's pool (`read_chunk` overwrites every byte on success, so
+    /// it needs no zeroing). Callers hand the buffer back with
     /// `self.pool.put` once the bytes are dead (dropping it is safe, just
     /// unpooled).
     fn chunk_pooled(&self, addr: ChunkAddr) -> Result<Option<Vec<u8>>, StoreError> {
-        if self.online.chunk_invalid(addr) {
+        if !self.chunk_available(addr) {
             return Ok(None);
         }
-        let dev = &self.devices[addr.disk];
-        if dev.is_failed() {
-            return Ok(None);
-        }
-        // `read_chunk` overwrites every byte on success, so the buffer
-        // needs no zeroing.
         let mut buf = self.pool.take_dirty();
-        match RetryReader::new(dev, self.retry_policy()).read_chunk(addr.offset, &mut buf) {
-            Ok(()) => Ok(Some(buf)),
-            Err(DeviceError::Failed) => {
+        match self.read_into(addr, &mut buf) {
+            Ok(true) => Ok(Some(buf)),
+            unread => {
                 self.pool.put(buf);
-                Ok(None)
-            }
-            Err(error) => {
-                self.pool.put(buf);
-                Err(StoreError::Device {
-                    disk: addr.disk,
-                    error,
-                })
+                unread.map(|_| None)
             }
         }
     }
@@ -1805,9 +1784,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
             }
             let mut acc = vec![0u8; cs];
             for v in values.iter().flatten() {
-                for (x, b) in acc.iter_mut().zip(v) {
-                    *x ^= b;
-                }
+                gf::kernels::xor_acc(&mut acc, v);
             }
             if acc.iter().any(|&x| x != 0) {
                 bad.push(geo.stripe_chunk(PayloadPos {
@@ -2335,7 +2312,9 @@ impl<B: BlockDevice> OiRaidStore<B> {
         }
         // Latent pass, repair: plan alternate read sets for everything
         // unreadable (treating failed disks' chunks as missing too, so no
-        // read set touches them), decode, and rewrite in place.
+        // read set touches them), and run the plan as one rebuild round —
+        // it decodes and rewrites in place through the same writeback atom
+        // (region locks, dirty check) a rebuild uses.
         let mut repaired_latent: Vec<ChunkAddr> = Vec::new();
         let mut unrecoverable: Vec<ChunkAddr> = Vec::new();
         if !bad.is_empty() {
@@ -2346,30 +2325,18 @@ impl<B: BlockDevice> OiRaidStore<B> {
             }
             match self.array.chunk_recovery_plan(&missing) {
                 Ok(plan) => {
-                    let out = self.execute_serial_round(&plan, obs);
+                    let regions = self.plan_regions(&plan);
+                    let out = self.execute_serial_round(&plan, &regions, obs, None);
                     retry = retry.merged(&out.retry);
-                    let write_stats = RetryStats::default();
-                    let mut values: HashMap<ChunkAddr, Vec<u8>> =
-                        out.finished.into_iter().collect();
+                    let written: BTreeSet<ChunkAddr> = out.written.into_iter().collect();
                     for addr in &bad {
-                        let repaired = values.remove(addr).is_some_and(|v| {
-                            write_chunk_retrying(
-                                &self.devices[addr.disk],
-                                &policy,
-                                &write_stats,
-                                addr.offset,
-                                &v,
-                            )
-                            .is_ok()
-                        });
-                        if repaired {
+                        if written.contains(addr) {
                             repaired_latent.push(*addr);
                             obs.heal.latent_repairs.inc();
                         } else {
                             unrecoverable.push(*addr);
                         }
                     }
-                    retry = retry.merged(&write_stats.snapshot());
                 }
                 // The unreadable set is not decodable: nothing to repair.
                 Err(_) => unrecoverable.extend(bad.iter().copied()),
@@ -2406,9 +2373,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
             }
             let mut acc = vec![0u8; cs];
             for v in values.iter().flatten() {
-                for (x, b) in acc.iter_mut().zip(v) {
-                    *x ^= b;
-                }
+                gf::kernels::xor_acc(&mut acc, v);
             }
             if acc.iter().any(|&x| x != 0) {
                 bad_stripes.push(chunks);
@@ -2474,14 +2439,12 @@ impl<B: BlockDevice> OiRaidStore<B> {
                 let mut val = vec![0u8; cs];
                 for a in geo.stripe_chunks(p.block, p.stripe) {
                     if a != *bad_payload {
-                        for (x, b) in val.iter_mut().zip(&self.readable_chunk(a)?) {
-                            *x ^= b;
-                        }
+                        gf::kernels::xor_acc(&mut val, &self.readable_chunk(a)?);
                     }
                 }
-                let old = self.readable_chunk(*bad_payload)?;
-                let delta: Vec<u8> = old.iter().zip(&val).map(|(o, n)| o ^ n).collect();
-                self.xor_into_retrying(*bad_payload, &delta)?;
+                let mut delta = self.readable_chunk(*bad_payload)?;
+                gf::kernels::xor_acc(&mut delta, &val);
+                self.xor_into(*bad_payload, &delta).ok()?;
                 repaired.push(*bad_payload);
                 // Recompute the row parities from the repaired payload
                 // (they may have been consistent with the corrupted value
@@ -2493,10 +2456,10 @@ impl<B: BlockDevice> OiRaidStore<B> {
                     .collect::<Option<_>>()?;
                 let want = code.encode(&fresh).expect("row encodes");
                 for (a, w) in parities.iter().zip(want) {
-                    let old = self.readable_chunk(*a)?;
-                    if old != w {
-                        let delta: Vec<u8> = old.iter().zip(&w).map(|(o, n)| o ^ n).collect();
-                        self.xor_into_retrying(*a, &delta)?;
+                    let mut delta = self.readable_chunk(*a)?;
+                    if delta != w {
+                        gf::kernels::xor_acc(&mut delta, &w);
+                        self.xor_into(*a, &delta).ok()?;
                     }
                 }
             }
@@ -2504,10 +2467,10 @@ impl<B: BlockDevice> OiRaidStore<B> {
                 // No payload suspect: the inner parity itself is
                 // corrupted — recompute it.
                 for (a, w) in parities.iter().zip(&expect) {
-                    let old = self.readable_chunk(*a)?;
-                    if old != w[..] {
-                        let delta: Vec<u8> = old.iter().zip(w).map(|(o, n)| o ^ n).collect();
-                        self.xor_into_retrying(*a, &delta)?;
+                    let mut delta = self.readable_chunk(*a)?;
+                    if delta != w[..] {
+                        gf::kernels::xor_acc(&mut delta, w);
+                        self.xor_into(*a, &delta).ok()?;
                         repaired.push(*a);
                     }
                 }
@@ -2518,23 +2481,6 @@ impl<B: BlockDevice> OiRaidStore<B> {
             }
         }
         Some(())
-    }
-
-    /// [`OiRaidStore::xor_into`] through the retry layer: scrub repairs
-    /// must survive transient write faults. `None` on persistent failure.
-    fn xor_into_retrying(&self, addr: ChunkAddr, delta: &[u8]) -> Option<()> {
-        let mut bytes = self.readable_chunk(addr)?;
-        gf::kernels::xor_acc(&mut bytes, delta);
-        let policy = self.retry_policy();
-        let stats = RetryStats::default();
-        write_chunk_retrying(
-            &self.devices[addr.disk],
-            &policy,
-            &stats,
-            addr.offset,
-            &bytes,
-        )
-        .ok()
     }
 
     /// Value fixpoint: reconstructs every chunk of every failed disk.
@@ -2576,10 +2522,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
                     let lost = *unknown[0];
                     let mut acc = vec![0u8; cs];
                     for a in chunks.iter().filter(|a| **a != lost) {
-                        let v = &known[a];
-                        for (x, b) in acc.iter_mut().zip(v) {
-                            *x ^= b;
-                        }
+                        gf::kernels::xor_acc(&mut acc, &known[a]);
                     }
                     known.insert(lost, acc);
                     true

@@ -1,5 +1,5 @@
 //! In-tree telemetry for the OI-RAID reproduction: latency histograms,
-//! tracing spans, live progress, and Prometheus/JSON export — with zero
+//! trace events, live progress, and Prometheus/JSON export — with zero
 //! external dependencies, cheap enough to leave always-on.
 //!
 //! Declustered-RAID evaluation lives and dies on *tail* behaviour: the
@@ -16,15 +16,13 @@
 //!   Prometheus text exposition ([`Registry::prometheus`]) or JSON
 //!   ([`Registry::json`]); [`lint_prometheus`] validates the exposition
 //!   format in-tree (used by CI).
-//! * [`Tracer`] / [`Span`] — lightweight spans and events recorded into a
-//!   fixed-size ring buffer (span id, parent, label, start/duration,
-//!   thread), for per-stage rebuild timing.
 //! * [`Progress`] — an atomic chunks-done / bytes-done handle pollable
 //!   from another thread while a rebuild runs (fraction, MiB/s, ETA).
 //! * Trace context ([`sample_trace`], [`enter_trace`]) and the global
 //!   event rings ([`traces`], [`flight`]) — cross-layer request tracing
 //!   and an always-on flight recorder; see the `context` and `events`
-//!   module docs.
+//!   module docs. The event ring is the one trace mechanism: requests,
+//!   rebuilds, rounds, scheduled ops and device I/O all link through it.
 //! * [`ScrapeServer`] — a `std::net` HTTP endpoint serving `/metrics`,
 //!   `/traces`, `/events`, `/progress`, and `/health` for `curl` and
 //!   Prometheus.
@@ -43,7 +41,6 @@ mod histogram;
 mod progress;
 mod registry;
 mod serve;
-mod trace;
 
 pub use context::{
     alloc_trace_id, current_trace, enter_trace, sample_trace, set_trace_sample, trace_always,
@@ -58,7 +55,6 @@ pub use histogram::{exact_percentile_sorted, Histogram, HistogramSnapshot, BUCKE
 pub use progress::{Progress, ProgressSnapshot};
 pub use registry::{Counter, Gauge, Registry, RegistryError};
 pub use serve::ScrapeServer;
-pub use trace::{child_coverage, Span, SpanRecord, Tracer};
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -69,8 +65,7 @@ static ENABLED: AtomicU8 = AtomicU8::new(0);
 ///
 /// Defaults to **on**; the first call consults `OI_RAID_TELEMETRY`
 /// (`off`/`0` disables) and latches the answer. [`set_enabled`] overrides
-/// at any time. Disabled telemetry skips histogram recording and span
-/// capture; counters and progress stay live (they are functional state,
+/// at any time. Disabled telemetry skips histogram recording; counters and progress stay live (they are functional state,
 /// not instrumentation).
 #[inline]
 pub fn enabled() -> bool {

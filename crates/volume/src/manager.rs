@@ -321,12 +321,20 @@ impl<B: BlockDevice> VolumeManager<B> {
         if tenant.0 >= self.tenants.read().expect("tenants lock").len() {
             return Err(VolumeError::UnknownTenant { tenant: tenant.0 });
         }
-        let needed = record_size as u64 * records;
         let mut alloc = self.alloc.lock().expect("alloc lock");
         let available = self.store.capacity_bytes().saturating_sub(*alloc);
-        if needed > available {
-            return Err(VolumeError::CapacityExhausted { needed, available });
-        }
+        // `records` is caller input: a product that wrapped would pass the
+        // capacity check and alias the next volume's bytes.
+        let product = (record_size as u64).checked_mul(records);
+        let needed = match product {
+            Some(n) if n <= available => n,
+            _ => {
+                return Err(VolumeError::CapacityExhausted {
+                    needed: product.unwrap_or(u64::MAX),
+                    available,
+                })
+            }
+        };
         let base = *alloc;
         *alloc += needed;
         drop(alloc);
@@ -956,6 +964,25 @@ mod tests {
             m.create_volume(t, "overflow", 8, 1),
             Err(VolumeError::CapacityExhausted { .. })
         ));
+    }
+
+    #[test]
+    fn create_volume_size_overflow_is_rejected_not_wrapped() {
+        let m = manager(2);
+        let t = m.add_tenant("a", TenantClass::default());
+        // 16 * (2^60 + 1) wraps to 16 bytes in 64-bit arithmetic.
+        let huge = m.create_volume(t, "huge", 16, (1 << 60) + 1);
+        let neighbour = m.create_volume(t, "neighbour", 16, 1).unwrap();
+        m.write_record(neighbour, 0, &[0xAA; 16]).unwrap();
+        if let Ok(huge) = huge {
+            // A wrapped volume's record 1 lands on the neighbour's record 0.
+            m.write_record(huge, 1, &[0x55; 16]).unwrap();
+        }
+        assert!(
+            matches!(huge, Err(VolumeError::CapacityExhausted { .. })),
+            "{huge:?}"
+        );
+        assert_eq!(m.read_record(neighbour, 0).unwrap(), vec![0xAA; 16]);
     }
 
     #[test]

@@ -38,8 +38,8 @@ pub mod prelude {
     pub use reliability::montecarlo::{simulate_lifetime, Lifetime, LifetimeConfig};
     pub use reliability::patterns::{survivable_fraction, survival_profile};
     pub use telemetry::{
-        child_coverage, exact_percentile_sorted, lint_prometheus, Event, EventKind, Histogram,
-        HistogramSnapshot, Progress, ProgressSnapshot, Registry, ScrapeServer, SpanRecord, Tracer,
+        exact_percentile_sorted, lint_prometheus, Event, EventKind, Histogram, HistogramSnapshot,
+        Progress, ProgressSnapshot, Registry, ScrapeServer,
     };
     pub use volume::{
         Op, OpResult, SloPolicy, TenantClass, TenantId, VolumeError, VolumeId, VolumeManager, Zipf,

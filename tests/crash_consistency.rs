@@ -170,7 +170,7 @@ fn verify_converged(dir: &Path, cfg: &OiRaidConfig, what: &str) -> u64 {
         }
         let report = store
             .resume_rebuild(
-                RebuildMode::Serial,
+                RebuildMode::Dag,
                 RecoveryStrategy::Hybrid,
                 &RebuildObserver::default(),
             )
@@ -314,7 +314,7 @@ fn crash_child() {
 
 /// The shared rebuild-child body, generic over the device stack for the
 /// same reason as [`child_workload`].
-fn rebuild_body<B: BlockDevice>(store: &OiRaidStore<B>, dir: &Path) {
+fn rebuild_body<B: BlockDevice>(store: &OiRaidStore<B>, dir: &Path, mode: RebuildMode) {
     // Fail the persisted disks only when no checkpoint exists yet (the
     // first attempt: a real disk replacement). On a resume attempt the
     // device file holds the partial rebuild — re-failing would blank it.
@@ -331,12 +331,11 @@ fn rebuild_body<B: BlockDevice>(store: &OiRaidStore<B>, dir: &Path) {
             store.fail_disk(d).expect("rebuild child re-fail");
         }
     }
+    // One DAG worker: the armed crash point's hit count then names the same
+    // writeback on every run (the parents use the default pool).
+    store.set_dag_workers(Some(1));
     let report = store
-        .resume_rebuild(
-            RebuildMode::Serial,
-            RecoveryStrategy::Hybrid,
-            &RebuildObserver::default(),
-        )
+        .resume_rebuild(mode, RecoveryStrategy::Hybrid, &RebuildObserver::default())
         .expect("rebuild child rebuild");
     assert!(report.outcome.is_recovered(), "{report}");
 }
@@ -344,20 +343,32 @@ fn rebuild_body<B: BlockDevice>(store: &OiRaidStore<B>, dir: &Path) {
 /// Subprocess body for rebuild crash cycles: reopens, re-fails the
 /// persisted disks, and runs a checkpointing rebuild until an armed point
 /// (typically `rebuild_writeback` or `checkpoint_write`) kills it.
-#[test]
-#[ignore = "subprocess body for the crash harness; spawned by the tests below"]
-fn rebuild_child() {
+fn rebuild_child_in(mode: RebuildMode) {
     let Ok(dir) = std::env::var("OI_CRASH_DIR") else {
         return;
     };
     let dir = PathBuf::from(dir);
     let cfg = OiRaidConfig::reference();
     if blockdev::crash::power_loss_armed() {
-        rebuild_body(&open_power(&cfg, &dir), &dir);
+        rebuild_body(&open_power(&cfg, &dir), &dir, mode);
     } else {
         let store = OiRaidStore::open_durable(cfg, CHUNK, &dir).expect("rebuild child open");
-        rebuild_body(&store, &dir);
+        rebuild_body(&store, &dir, mode);
     }
+}
+
+/// The rebuild child on the executor that ships.
+#[test]
+#[ignore = "subprocess body for the crash harness; spawned by the tests below"]
+fn rebuild_child() {
+    rebuild_child_in(RebuildMode::Dag);
+}
+
+/// The rebuild child on the serial oracle.
+#[test]
+#[ignore = "subprocess body for the crash harness; spawned by the tests below"]
+fn rebuild_child_serial() {
+    rebuild_child_in(RebuildMode::Serial);
 }
 
 /// The tentpole acceptance test: ≥100 randomized kill-anywhere
@@ -587,7 +598,7 @@ fn power_loss_rebuild_checkpoint_stays_honest() {
     let store = OiRaidStore::open_durable(cfg.clone(), CHUNK, &dir).expect("reopen");
     let report = store
         .resume_rebuild(
-            RebuildMode::Serial,
+            RebuildMode::Dag,
             RecoveryStrategy::Hybrid,
             &RebuildObserver::default(),
         )
@@ -684,6 +695,17 @@ fn targeted_crash_matrix_converges() {
 /// its progress gauge starts pre-credited instead of from zero.
 #[test]
 fn resumed_rebuild_reads_strictly_fewer_source_chunks() {
+    resume_reads_fewer("rebuild_child", RebuildMode::Dag);
+}
+
+/// The same acceptance on the serial oracle, so its mid-round checkpoint
+/// path stays covered now that every other rebuild here runs the DAG.
+#[test]
+fn serial_resumed_rebuild_reads_strictly_fewer_source_chunks() {
+    resume_reads_fewer("rebuild_child_serial", RebuildMode::Serial);
+}
+
+fn resume_reads_fewer(child: &str, mode: RebuildMode) {
     let cfg = OiRaidConfig::reference();
     let dir_a = unique_dir("resume-a");
     let dir_b = unique_dir("resume-b");
@@ -711,7 +733,7 @@ fn resumed_rebuild_reads_strictly_fewer_source_chunks() {
     let target = 4usize;
     std::fs::write(failed_path(&dir_a), format!("{target}")).expect("persist failure a");
     let status = spawn_child(
-        "rebuild_child",
+        child,
         &dir_a,
         &[
             ("OI_CRASH_POINT", "rebuild_writeback".to_string()),
@@ -732,7 +754,7 @@ fn resumed_rebuild_reads_strictly_fewer_source_chunks() {
         let before: Vec<CounterSnapshot> = store.devices().iter().map(|d| d.counters()).collect();
         let obs = RebuildObserver::default();
         let report = store
-            .resume_rebuild(RebuildMode::Serial, RecoveryStrategy::Hybrid, &obs)
+            .resume_rebuild(mode, RecoveryStrategy::Hybrid, &obs)
             .expect("rebuild");
         assert!(report.outcome.is_recovered(), "{report}");
         let snap = obs.progress.snapshot();
@@ -804,7 +826,7 @@ fn corrupt_checkpoint_falls_back_to_full_rebuild() {
     store.fail_disk(2).expect("fail");
     let obs = RebuildObserver::default();
     let report = store
-        .resume_rebuild(RebuildMode::Serial, RecoveryStrategy::Hybrid, &obs)
+        .resume_rebuild(RebuildMode::Dag, RecoveryStrategy::Hybrid, &obs)
         .expect("resume with corrupt checkpoint");
     assert!(report.outcome.is_recovered(), "{report}");
     assert_eq!(
@@ -848,7 +870,7 @@ fn stale_checkpoint_is_discarded_when_new_disks_fail() {
     store.fail_disk(8).expect("fail 8");
     let obs = RebuildObserver::default();
     let report = store
-        .resume_rebuild(RebuildMode::Serial, RecoveryStrategy::Hybrid, &obs)
+        .resume_rebuild(RebuildMode::Dag, RecoveryStrategy::Hybrid, &obs)
         .expect("resume with stale checkpoint");
     assert!(report.outcome.is_recovered(), "{report}");
     assert_eq!(

@@ -98,13 +98,13 @@ fn union_of_all_exporters_lints_clean_and_covers_every_family() {
         // per-tenant SLO burn rate
         "oi_slo_good_total",
         "oi_slo_burn_rate_milli",
-        // lossy-ring drop accounting (span, trace, and flight rings)
+        // lossy-ring drop accounting (trace and flight rings)
         "oi_trace_dropped_total",
     ] {
         assert!(text.contains(series), "union export carries {series}");
     }
     // The drop counter is labelled per ring.
-    for ring in ["span", "trace", "flight"] {
+    for ring in ["trace", "flight"] {
         assert!(
             text.contains(&format!("oi_trace_dropped_total{{ring=\"{ring}\"}}")),
             "ring=\"{ring}\" drop counter present"
