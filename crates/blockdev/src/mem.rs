@@ -1,21 +1,26 @@
 //! RAM-backed device: the original store behavior, now behind the trait.
 
-use std::sync::RwLock;
+use std::sync::{Mutex, RwLock};
 use std::time::Instant;
 
 use crate::{
     check_io, check_io_run, BlockDevice, CounterSnapshot, Counters, DeviceError, DeviceLatency,
 };
 
-/// An in-memory block device. Failing it drops the backing allocation;
-/// healing reallocates zero-filled. Contents sit behind an `RwLock`, so
-/// concurrent readers proceed in parallel and writers take `&self`.
+/// An in-memory block device. Failing it makes the contents unreachable;
+/// healing zero-fills them in place, so a blank replacement disk reuses
+/// memory that is already mapped instead of first-touching a fresh
+/// allocation, page fault by page fault, under its own write lock.
+/// Contents sit behind an `RwLock`, so concurrent readers proceed in
+/// parallel and writers take `&self`.
 #[derive(Debug)]
 pub struct MemDevice {
     chunk_size: usize,
     chunks: usize,
     /// `None` while failed.
     data: RwLock<Option<Vec<u8>>>,
+    /// What `fail` took out of `data`; only `heal` touches it, to zero it.
+    dead: Mutex<Option<Vec<u8>>>,
     counters: Counters,
 }
 
@@ -32,6 +37,7 @@ impl MemDevice {
             chunk_size,
             chunks,
             data: RwLock::new(Some(vec![0u8; chunk_size * chunks])),
+            dead: Mutex::default(),
             counters: Counters::default(),
         }
     }
@@ -43,12 +49,14 @@ impl MemDevice {
 }
 
 impl Clone for MemDevice {
-    /// Clones contents and failure state; counters start fresh.
+    /// Clones contents and failure state (never a failed device's dead
+    /// bytes); counters start fresh.
     fn clone(&self) -> Self {
         Self {
             chunk_size: self.chunk_size,
             chunks: self.chunks,
             data: RwLock::new(self.data.read().expect("mem lock").clone()),
+            dead: Mutex::default(),
             counters: Counters::default(),
         }
     }
@@ -108,13 +116,21 @@ impl BlockDevice for MemDevice {
     }
 
     fn fail(&self) {
-        *self.data.write().expect("mem lock") = None;
+        if let Some(bytes) = self.data.write().expect("mem lock").take() {
+            *self.dead.lock().expect("mem lock") = Some(bytes);
+        }
     }
 
     fn heal(&self) -> Result<(), DeviceError> {
         let mut guard = self.data.write().expect("mem lock");
         if guard.is_none() {
-            *guard = Some(vec![0u8; self.chunk_size * self.chunks]);
+            *guard = Some(match self.dead.lock().expect("mem lock").take() {
+                Some(mut bytes) => {
+                    bytes.fill(0);
+                    bytes
+                }
+                None => vec![0u8; self.chunk_size * self.chunks],
+            });
         }
         Ok(())
     }
@@ -160,6 +176,55 @@ mod tests {
         d.heal().unwrap();
         d.read_chunk(0, &mut buf).unwrap();
         assert_eq!(buf, [0u8; 4]);
+    }
+
+    #[test]
+    fn healed_device_reads_all_zeroes_every_time() {
+        let d = MemDevice::new(4, 3);
+        let mut buf = [0u8; 4];
+        for round in 1..=2u8 {
+            for c in 0..3 {
+                d.write_chunk(c, &[round * 16 + c as u8; 4]).unwrap();
+            }
+            d.fail();
+            assert!(d.is_failed());
+            assert_eq!(d.read_chunk(1, &mut buf), Err(DeviceError::Failed));
+            assert_eq!(d.read_chunks(0, 1, &mut buf), Err(DeviceError::Failed));
+            assert_eq!(d.write_chunk(1, &[9u8; 4]), Err(DeviceError::Failed));
+            d.heal().unwrap();
+            assert!(!d.is_failed());
+            let mut all = [0xFFu8; 12];
+            d.read_chunks(0, 3, &mut all).unwrap();
+            assert_eq!(all, [0u8; 12], "round {round}: old bytes never observable");
+        }
+    }
+
+    #[test]
+    fn clone_of_a_failed_device_is_failed_and_heals_to_zeroes() {
+        let d = MemDevice::new(4, 2);
+        d.write_chunk(1, &[5u8; 4]).unwrap();
+        d.fail();
+        let c = d.clone();
+        assert!(c.is_failed());
+        let mut buf = [1u8; 4];
+        assert_eq!(c.read_chunk(1, &mut buf), Err(DeviceError::Failed));
+        c.heal().unwrap();
+        c.read_chunk(1, &mut buf).unwrap();
+        assert_eq!(buf, [0u8; 4]);
+        assert!(
+            d.is_failed(),
+            "healing the clone leaves the original failed"
+        );
+    }
+
+    #[test]
+    fn heal_on_a_healthy_device_is_a_no_op() {
+        let d = MemDevice::new(4, 2);
+        d.write_chunk(0, &[3u8; 4]).unwrap();
+        d.heal().unwrap();
+        let mut buf = [0u8; 4];
+        d.read_chunk(0, &mut buf).unwrap();
+        assert_eq!(buf, [3u8; 4]);
     }
 
     #[test]

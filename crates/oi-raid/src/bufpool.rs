@@ -17,6 +17,11 @@ use std::sync::Mutex;
 pub(crate) struct BufPool {
     chunk: usize,
     free: Mutex<Vec<Vec<u8>>>,
+    /// Test builds only: buffers out of the pool now, and the most there
+    /// ever were. A buffer dropped instead of returned stays counted; one
+    /// allocated elsewhere and donated does not count below zero.
+    #[cfg(test)]
+    out: Mutex<(usize, usize)>,
 }
 
 impl BufPool {
@@ -24,11 +29,15 @@ impl BufPool {
         Self {
             chunk,
             free: Mutex::new(Vec::new()),
+            #[cfg(test)]
+            out: Mutex::default(),
         }
     }
 
     /// A zeroed chunk-sized buffer, recycled when one is available.
     pub(crate) fn take(&self) -> Vec<u8> {
+        #[cfg(test)]
+        self.note_out(true);
         match self.free.lock().expect("pool lock").pop() {
             Some(mut b) => {
                 b.fill(0);
@@ -41,6 +50,8 @@ impl BufPool {
     /// A chunk-sized buffer with *arbitrary* contents — for callers that
     /// overwrite every byte (device read targets, full-slice products).
     pub(crate) fn take_dirty(&self) -> Vec<u8> {
+        #[cfg(test)]
+        self.note_out(true);
         match self.free.lock().expect("pool lock").pop() {
             Some(b) => b,
             None => vec![0u8; self.chunk],
@@ -49,8 +60,27 @@ impl BufPool {
 
     pub(crate) fn put(&self, b: Vec<u8>) {
         if b.len() == self.chunk {
+            #[cfg(test)]
+            self.note_out(false);
             self.free.lock().expect("pool lock").push(b);
         }
+    }
+
+    #[cfg(test)]
+    fn note_out(&self, taken: bool) {
+        let mut out = self.out.lock().expect("pool lock");
+        out.0 = if taken {
+            out.0 + 1
+        } else {
+            out.0.saturating_sub(1)
+        };
+        out.1 = out.1.max(out.0);
+    }
+
+    /// The most buffers that were out of the pool at once.
+    #[cfg(test)]
+    pub(crate) fn peak(&self) -> usize {
+        self.out.lock().expect("pool lock").1
     }
 }
 
@@ -75,6 +105,21 @@ mod tests {
         b.fill(7);
         pool.put(b);
         assert_eq!(pool.take_dirty(), vec![7u8; 4]);
+    }
+
+    #[test]
+    fn peak_is_the_high_water_mark_of_buffers_out() {
+        let pool = BufPool::new(4);
+        let (a, b) = (pool.take(), pool.take_dirty());
+        pool.put(a);
+        let c = pool.take();
+        assert_eq!(pool.peak(), 2);
+        pool.put(b);
+        pool.put(c);
+        pool.put(vec![0u8; 4]); // donated: not counted below zero
+        let held: Vec<_> = (0..3).map(|_| pool.take_dirty()).collect();
+        assert_eq!(pool.peak(), 3);
+        drop(held);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Self-healing, plan-driven rebuild engine: executes a
 //! [`layout::RecoveryPlan`] against the store's block devices — serially
-//! (the oracle, and the scrub engine) or as an op DAG on a work-stealing
-//! pool that drains every surviving disk at once — and *absorbs* device
-//! faults instead of dying on them.
+//! (the oracle, and the scrub engine) or as an op DAG on a worker pool
+//! that carries each chunk from read to writeback while its bytes are in
+//! cache — and *absorbs* device faults instead of dying on them.
 //!
 //! The engine runs in rounds, and a round has one contract on every
 //! executor: it reads, decodes *and writes back*, then hands the driver a
@@ -33,11 +33,13 @@
 //! relations (property-tested in `tests/rebuild_engine.rs` and
 //! `tests/self_healing.rs`).
 //!
-//! The data path avoids per-chunk allocation: a [`BufPool`] recycles chunk
-//! buffers between reads and combines, and adjacent same-disk reads in
-//! each per-disk queue are coalesced into single [`BlockDevice::read_chunks`]
-//! calls. Both modes coalesce from the same [`RecoveryPlan::reads_by_disk`]
-//! queues, so their device read counters stay equal.
+//! The data path avoids per-chunk allocation and zero-filling: a
+//! [`BufPool`] recycles chunk buffers from writeback back to the next read,
+//! and adjacent same-disk reads in each per-disk queue are coalesced into
+//! single [`BlockDevice::read_chunks`] calls. Both modes coalesce from the
+//! same [`RecoveryPlan::reads_by_disk`] queues and issue the runs in the
+//! same item-major order, so their device read counters stay equal and a
+//! round holds a few buffers per worker, not the plan's.
 //!
 //! While a rebuild is in flight the store stays **online**: the engine opens
 //! a rebuild window (see `crate::online`) before healing the target devices,
@@ -82,9 +84,9 @@ pub enum RebuildMode {
     /// One item at a time, reads issued inline in plan order.
     Serial,
     /// The plan lowered into an explicit op DAG (read → combine → writeback
-    /// nodes with atomic indegrees) executed by a work-stealing pool over
-    /// per-device ready queues — no round barrier between read, decode, and
-    /// writeback; see [`crates/sched`](sched).
+    /// nodes with atomic indegrees) executed by a worker pool in plan
+    /// order, downstream-first — no round barrier between read, decode,
+    /// and writeback; see [`crates/sched`](sched).
     Dag,
 }
 
@@ -366,21 +368,22 @@ impl fmt::Display for RebuildReport {
 /// dependency items) to its bytes; entries may be consumed (moved out), the
 /// caller recycles whatever remains. `decoded` caches whole-row decodes so
 /// that co-decoded siblings (multi-failure items with no sources of their
-/// own) can pick up their value. Pure in its inputs — this is what makes
-/// serial and DAG execution bit-identical.
+/// own) can pick up their value; it is locked on those two paths only, so
+/// concurrent stripe XORs never meet there. Pure in its inputs — this is
+/// what makes serial and DAG execution bit-identical.
 fn combine(
     geo: &Geometry,
     code: &dyn ErasureCode,
     lost: ChunkAddr,
     inputs: &mut HashMap<ChunkAddr, Vec<u8>>,
-    decoded: &mut HashMap<ChunkAddr, Vec<u8>>,
+    decoded: &Mutex<HashMap<ChunkAddr, Vec<u8>>>,
     pool: &BufPool,
 ) -> Vec<u8> {
     if inputs.is_empty() {
         // Sibling of an earlier whole-row decode (multi-failure plans emit
         // one item carrying the row's shared reads, then read-less items
         // for the other chunks co-decoded from them).
-        return decoded
+        return lock(decoded)
             .remove(&lost)
             .expect("sibling item follows its row decode");
     }
@@ -395,20 +398,39 @@ fn combine(
             .chain(geo.inner_parities_of_row(grp, row))
             .collect();
         let mut units: Vec<Option<Vec<u8>>> = ordered.iter().map(|a| inputs.remove(a)).collect();
+        let erased: Vec<bool> = units.iter().map(Option::is_none).collect();
         code.reconstruct(&mut units).expect("within row tolerance");
-        for (a, u) in ordered.iter().zip(units) {
-            decoded.insert(*a, u.expect("reconstructed"));
-        }
-        return decoded.remove(&lost).expect("lost chunk is in its row");
-    }
-    let stripe_xor = |payload: ChunkAddr| -> Vec<u8> {
-        let p = geo.payload_pos(payload);
-        let mut acc = pool.take();
-        for a in geo.stripe_chunks(p.block, p.stripe) {
-            if a != payload {
-                let v = inputs.get(&a).expect("stripe source gathered");
-                xor_acc(&mut acc, v);
+        // Keep what a co-decoded sibling will ask for — the other erased
+        // units — and recycle the sources at once: a single-erasure row
+        // never touches the cache.
+        let mut value = None;
+        for ((a, unit), erased) in ordered.iter().zip(units).zip(erased) {
+            let unit = unit.expect("reconstructed");
+            if *a == lost {
+                value = Some(unit);
+            } else if erased {
+                lock(decoded).insert(*a, unit);
+            } else {
+                pool.put(unit);
             }
+        }
+        return value.expect("lost chunk is in its row");
+    }
+    let mut stripe_xor = |payload: ChunkAddr| -> Vec<u8> {
+        let p = geo.payload_pos(payload);
+        let mut sources = geo
+            .stripe_chunks(p.block, p.stripe)
+            .into_iter()
+            .filter(|a| *a != payload);
+        // The first source's buffer *is* the accumulator (every source
+        // belongs to one stripe only): nothing is zero-filled and the
+        // stripe costs one XOR pass fewer.
+        let Some(first) = sources.next() else {
+            return pool.take();
+        };
+        let mut acc = inputs.remove(&first).expect("stripe source gathered");
+        for a in sources {
+            xor_acc(&mut acc, inputs.get(&a).expect("stripe source gathered"));
         }
         acc
     };
@@ -423,7 +445,7 @@ fn combine(
     let payloads: Vec<Vec<u8>> = geo
         .row_payload(grp, row)
         .into_iter()
-        .map(stripe_xor)
+        .map(&mut stripe_xor)
         .collect();
     let parities = code.encode(&payloads).expect("row encodes");
     let role = geo
@@ -490,7 +512,7 @@ struct Combiner<'p> {
     /// the output out instead of cloning.
     output_uses: Vec<usize>,
     /// Whole-row decode cache for sibling items.
-    decoded: HashMap<ChunkAddr, Vec<u8>>,
+    decoded: Mutex<HashMap<ChunkAddr, Vec<u8>>>,
     /// Items whose inputs are all present, not yet computed.
     ready: Vec<usize>,
     remaining: usize,
@@ -531,7 +553,7 @@ impl<'p> Combiner<'p> {
             depends,
             outputs: vec![None; n],
             output_uses,
-            decoded: HashMap::new(),
+            decoded: Mutex::default(),
             ready,
             remaining: n,
         }
@@ -573,7 +595,7 @@ impl<'p> Combiner<'p> {
                 self.code,
                 lost,
                 &mut self.inputs[idx],
-                &mut self.decoded,
+                &self.decoded,
                 self.pool,
             );
             // Consumed inputs are gone; recycle what combine left behind.
@@ -680,9 +702,17 @@ impl RunQueues {
         self.queues[qi].0
     }
 
-    /// Number of coalesced runs in queue `qi`.
-    fn runs_in(&self, qi: usize) -> usize {
-        self.runs[qi].len()
+    /// Every run as `(qi, ri)` in the order both executors issue them:
+    /// item-major — a run goes where the first plan item it feeds is (ties
+    /// by disk), so an item's sources are read back to back and the item
+    /// can be combined and landed before the next one's bytes arrive.
+    /// Queues list reads in plan order, so each disk's runs keep theirs.
+    fn item_major(&self) -> Vec<(usize, usize)> {
+        let mut order: Vec<(usize, usize)> = (0..self.len())
+            .flat_map(|qi| (0..self.runs[qi].len()).map(move |ri| (qi, ri)))
+            .collect();
+        order.sort_by_key(|&(qi, ri)| self.peek(qi, ri)[0].0);
+        order
     }
 
     /// Run `ri` of queue `qi` without dequeuing it — no QoS charge. For
@@ -709,6 +739,11 @@ type Run<'a> = &'a [(usize, ChunkAddr)];
 /// failing: transient faults are retried, a chunk that stays unreadable is
 /// reported (for re-routing) without poisoning the rest of the run.
 ///
+/// Every delivered chunk lands in a [`BufPool::take_dirty`] buffer. A
+/// multi-chunk run is read into `staging` first — the reader's own reused
+/// buffer, grown (never re-zeroed) to the longest run seen — so a source
+/// byte is written twice at most and nothing is memset per run.
+///
 /// Returns `(delivered reads, unreadable chunks, device died)`.
 #[allow(clippy::type_complexity)]
 fn read_run_healing<B: BlockDevice>(
@@ -716,13 +751,14 @@ fn read_run_healing<B: BlockDevice>(
     run: &[(usize, ChunkAddr)],
     chunk_size: usize,
     pool: &BufPool,
+    staging: &mut Vec<u8>,
 ) -> (
     Vec<(usize, ChunkAddr, Vec<u8>)>,
     Vec<(ChunkAddr, DeviceError)>,
     bool,
 ) {
     if let [(idx, addr)] = run {
-        let mut buf = pool.take();
+        let mut buf = pool.take_dirty();
         return match reader.read_chunk(addr.offset, &mut buf) {
             Ok(()) => (vec![(*idx, *addr, buf)], Vec::new(), false),
             Err(e) => {
@@ -732,8 +768,12 @@ fn read_run_healing<B: BlockDevice>(
             }
         };
     }
-    let mut batch = vec![0u8; run.len() * chunk_size];
-    let failures = reader.read_chunks_degrading(run[0].1.offset, run.len(), &mut batch);
+    let len = run.len() * chunk_size;
+    if staging.len() < len {
+        staging.resize(len, 0);
+    }
+    let batch = &mut staging[..len];
+    let failures = reader.read_chunks_degrading(run[0].1.offset, run.len(), batch);
     let died = failures
         .iter()
         .any(|(_, e)| matches!(e, DeviceError::Failed));
@@ -744,7 +784,7 @@ fn read_run_healing<B: BlockDevice>(
         match bad.get(&addr.offset) {
             Some(e) => unreadable.push((addr, e.clone())),
             None => {
-                let mut buf = pool.take();
+                let mut buf = pool.take_dirty();
                 buf.copy_from_slice(bytes);
                 delivered.push((idx, addr, buf));
             }
@@ -776,6 +816,9 @@ pub(crate) struct RoundOutput {
     worker_busy: Vec<Duration>,
     /// Scheduler statistics (all-zero outside DAG mode).
     sched: sched::SchedStats,
+    /// Most chunk buffers the round had out of its pool at once.
+    #[cfg(test)]
+    peak_buffers: usize,
 }
 
 /// The checkpoint cadence of one rebuild (all its rounds): every
@@ -804,6 +847,8 @@ impl CheckpointTick {
 /// What [`OiRaidStore::writeback_chunk`] needs besides the chunk, and the
 /// books it keeps: one per round, shared by every worker of the round.
 struct Writeback<'a> {
+    /// The round's chunk buffers: read targets, accumulators, outputs.
+    pool: BufPool,
     plan: &'a RecoveryPlan,
     /// Per-item dirty footprint from [`OiRaidStore::plan_regions`].
     regions: &'a [Vec<Region>],
@@ -819,15 +864,20 @@ struct Writeback<'a> {
 
 impl Writeback<'_> {
     /// Closes the round's books.
-    fn into_output(
+    fn into_output<B: BlockDevice>(
         self,
         unreadable: Vec<(ChunkAddr, DeviceError)>,
-        read_retry: RetryCounters,
+        readers: &[RetryReader<'_, B>],
         workers: usize,
         worker_busy: Vec<Duration>,
         sched: sched::SchedStats,
     ) -> RoundOutput {
+        let read_retry = readers
+            .iter()
+            .fold(RetryCounters::default(), |acc, r| acc.merged(&r.counters()));
         RoundOutput {
+            #[cfg(test)]
+            peak_buffers: self.pool.peak(),
             written: self.written.into_inner().unwrap_or_else(|p| p.into_inner()),
             dirty_skips: self.dirty_skips.into_inner(),
             unreadable,
@@ -1444,6 +1494,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
         tick: Option<&'a CheckpointTick>,
     ) -> Writeback<'a> {
         Writeback {
+            pool: BufPool::new(self.chunk_size()),
             plan,
             regions,
             obs,
@@ -1532,37 +1583,38 @@ impl<B: BlockDevice> OiRaidStore<B> {
         let geo = self.array().geometry().clone();
         let code = self.inner_code();
         let chunk_size = self.chunk_size();
-        let pool = BufPool::new(chunk_size);
         let wb = self.begin_writeback(plan, regions, obs, tick);
-        let land = |idx: usize, value: Vec<u8>| self.writeback_chunk(&wb, idx, &value);
-        let mut combiner = Combiner::new(&geo, code.as_ref(), plan, &pool, obs);
+        let pool = &wb.pool;
+        let land = |idx: usize, value: Vec<u8>| {
+            self.writeback_chunk(&wb, idx, &value);
+            pool.put(value);
+        };
+        let mut combiner = Combiner::new(&geo, code.as_ref(), plan, pool, obs);
         combiner.drain(land);
         let mut unreadable = Vec::new();
-        let mut retry = RetryCounters::default();
         let queues = RunQueues::build(plan, obs);
-        for qi in 0..queues.len() {
+        let readers = self.run_readers(&queues);
+        let mut staging = Vec::new();
+        for (qi, ri) in queues.item_major() {
             let disk = queues.disk(qi);
-            let reader = RetryReader::new(&self.devices()[disk], self.retry_policy());
-            for ri in 0..queues.runs_in(qi) {
-                if lock(&wb.dead).contains(&disk) {
-                    break; // the disk died mid-queue; the rest is moot
-                }
-                let run = queues.dequeue(self.qos(), qi, ri);
-                let began = Instant::now();
-                let (batch, failed, died) = read_run_healing(&reader, run, chunk_size, &pool);
-                obs.stages.read.record_duration(began.elapsed());
-                obs.progress
-                    .add_bytes_read((batch.len() * chunk_size) as u64);
-                for (idx, addr, bytes) in batch {
-                    combiner.deliver_read(idx, addr, bytes);
-                }
-                combiner.drain(land);
-                unreadable.extend(failed);
-                if died {
-                    lock(&wb.dead).insert(disk);
-                }
+            if lock(&wb.dead).contains(&disk) {
+                continue; // the disk died under an earlier run
             }
-            retry = retry.merged(&reader.counters());
+            let run = queues.dequeue(self.qos(), qi, ri);
+            let began = Instant::now();
+            let (batch, failed, died) =
+                read_run_healing(&readers[qi], run, chunk_size, pool, &mut staging);
+            obs.stages.read.record_duration(began.elapsed());
+            obs.progress
+                .add_bytes_read((batch.len() * chunk_size) as u64);
+            for (idx, addr, bytes) in batch {
+                combiner.deliver_read(idx, addr, bytes);
+            }
+            combiner.drain(land);
+            unreadable.extend(failed);
+            if died {
+                lock(&wb.dead).insert(disk);
+            }
         }
         debug_assert!(
             combiner.remaining == 0 || !unreadable.is_empty() || !lock(&wb.dead).is_empty(),
@@ -1570,26 +1622,34 @@ impl<B: BlockDevice> OiRaidStore<B> {
         );
         wb.into_output(
             unreadable,
-            retry,
+            &readers,
             0,
             Vec::new(),
             sched::SchedStats::default(),
         )
     }
 
+    /// One retrying reader per read queue of `queues`, in queue order.
+    fn run_readers(&self, queues: &RunQueues) -> Vec<RetryReader<'_, B>> {
+        (0..queues.len())
+            .map(|qi| RetryReader::new(&self.devices()[queues.disk(qi)], self.retry_policy()))
+            .collect()
+    }
+
     /// One DAG round: the plan lowered into read → combine → writeback ops
-    /// with explicit dependency edges, executed by a work-stealing pool
-    /// over per-device ready queues (see [`sched`]). Nothing here waits
-    /// for a phase: a chunk's writeback runs the moment its combine
-    /// finishes, while other chunks are still being read — so every
-    /// surviving disk's queue stays deep for the whole round.
+    /// with explicit dependency edges, executed by the [`sched`] pool. Reads
+    /// are added item-major ([`RunQueues::item_major`]) and the scheduler
+    /// takes ready reads in that order, everything else first and
+    /// downstream-first: the worker whose read completes an item combines
+    /// it and lands it through [`Self::writeback_chunk`] at once, while the
+    /// bytes are in its cache. Nothing waits for a phase, and the buffers
+    /// alive at any moment are a few per worker, not the plan's.
     ///
     /// Faults follow the same healing contract as the serial round: an
     /// unreadable source poisons exactly the items that needed it (their
-    /// combine ops fail and the scheduler cancels their dependents), a
-    /// dead disk stops only its own remaining reads, and writebacks go
-    /// through [`Self::writeback_chunk`]. `regions` is the per-item dirty
-    /// footprint from [`Self::plan_regions`].
+    /// combine ops fail and the scheduler cancels their dependents), and a
+    /// dead disk stops only its own remaining reads. `regions` is the
+    /// per-item dirty footprint from [`Self::plan_regions`].
     fn execute_dag_round(
         &self,
         plan: &RecoveryPlan,
@@ -1601,22 +1661,21 @@ impl<B: BlockDevice> OiRaidStore<B> {
         let code = self.inner_code();
         let chunk_size = self.chunk_size();
         let queues = RunQueues::build(plan, obs);
-        let pool = BufPool::new(chunk_size);
         let items = plan.items();
         let n = items.len();
         let (depends, uses) = dependency_shape(&geo, items);
 
         // Lower the plan into the op graph: one read op per coalesced run
-        // (bound to its disk's ready queue), one combine op per item (any
-        // worker), one writeback op per item (bound to the rebuilt disk).
+        // (bound to its disk), then one combine and one writeback op per
+        // item. Writebacks are left device-less like combines, so a chunk
+        // whose value exists lands ahead of any further read — its buffers
+        // stay live until it does.
         let mut graph: sched::OpGraph<DagOp> = sched::OpGraph::new();
         let mut feeds: Vec<Vec<sched::OpId>> = vec![Vec::new(); n];
-        for qi in 0..queues.len() {
-            for ri in 0..queues.runs_in(qi) {
-                let op = graph.add_node(DagOp::Read { qi, ri }, Some(queues.disk(qi)));
-                for &(idx, _) in queues.peek(qi, ri) {
-                    feeds[idx].push(op);
-                }
+        for (qi, ri) in queues.item_major() {
+            let op = graph.add_node(DagOp::Read { qi, ri }, Some(queues.disk(qi)));
+            for &(idx, _) in queues.peek(qi, ri) {
+                feeds[idx].push(op);
             }
         }
         let combine_ops: Vec<sched::OpId> = (0..n)
@@ -1629,7 +1688,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
             for &(d, _) in &depends[idx] {
                 graph.add_edge(combine_ops[d], combine_ops[idx]);
             }
-            let write = graph.add_node(DagOp::Write { idx }, Some(items[idx].lost.disk));
+            let write = graph.add_node(DagOp::Write { idx }, None);
             graph.add_edge(combine_ops[idx], write);
         }
 
@@ -1637,9 +1696,8 @@ impl<B: BlockDevice> OiRaidStore<B> {
         // fail their combine op; the scheduler cancels everything
         // downstream, which matches the serial round (those items simply
         // never finish the round and the driver re-plans them).
-        let readers: Vec<RetryReader<'_, B>> = (0..queues.len())
-            .map(|qi| RetryReader::new(&self.devices()[queues.disk(qi)], self.retry_policy()))
-            .collect();
+        let readers = self.run_readers(&queues);
+        let staging: Vec<Mutex<Vec<u8>>> = (0..queues.len()).map(|_| Mutex::default()).collect();
         let poisoned: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
         let inputs: Vec<Mutex<HashMap<ChunkAddr, Vec<u8>>>> =
             (0..n).map(|_| Mutex::new(HashMap::new())).collect();
@@ -1647,9 +1705,10 @@ impl<B: BlockDevice> OiRaidStore<B> {
         // dependents, +1 for the write op, which consumes it like any other).
         let outputs: Vec<Mutex<(Option<Vec<u8>>, usize)>> =
             uses.iter().map(|&u| Mutex::new((None, u + 1))).collect();
-        let decoded: Mutex<HashMap<ChunkAddr, Vec<u8>>> = Mutex::new(HashMap::new());
+        let decoded: Mutex<HashMap<ChunkAddr, Vec<u8>>> = Mutex::default();
         let unreadable: Mutex<Vec<(ChunkAddr, DeviceError)>> = Mutex::new(Vec::new());
         let wb = self.begin_writeback(plan, regions, obs, tick);
+        let pool = &wb.pool;
         let qos = self.qos();
         let workers = self
             .dag_workers()
@@ -1674,8 +1733,13 @@ impl<B: BlockDevice> OiRaidStore<B> {
                         }
                         let run = queues.dequeue(qos, qi, ri);
                         let began = Instant::now();
-                        let (batch, failed, died) =
-                            read_run_healing(&readers[qi], run, chunk_size, &pool);
+                        let (batch, failed, died) = read_run_healing(
+                            &readers[qi],
+                            run,
+                            chunk_size,
+                            pool,
+                            &mut lock(&staging[qi]),
+                        );
                         obs.stages.read.record_duration(began.elapsed());
                         obs.progress
                             .add_bytes_read((batch.len() * chunk_size) as u64);
@@ -1721,13 +1785,8 @@ impl<B: BlockDevice> OiRaidStore<B> {
                         }
                         let began = Instant::now();
                         let lost = items[idx].lost;
-                        let value = {
-                            // The decode cache is shared: holding it across
-                            // the combine serializes only the (tiny) compute,
-                            // never device I/O.
-                            let mut dec = lock(&decoded);
-                            combine(&geo, code.as_ref(), lost, &mut my_inputs, &mut dec, &pool)
-                        };
+                        let value =
+                            combine(&geo, code.as_ref(), lost, &mut my_inputs, &decoded, pool);
                         for (_, b) in my_inputs.drain() {
                             pool.put(b);
                         }
@@ -1748,6 +1807,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
                         }
                         .expect("combine completed before write");
                         self.writeback_chunk(&wb, idx, &value);
+                        pool.put(value);
                         sched::OpStatus::Done
                     }
                 }
@@ -1759,12 +1819,9 @@ impl<B: BlockDevice> OiRaidStore<B> {
             "every op finalized exactly once"
         );
         obs.stages.queue_depth.record(report.stats.max_ready_depth);
-        let retry = readers
-            .iter()
-            .fold(RetryCounters::default(), |acc, r| acc.merged(&r.counters()));
         wb.into_output(
             unreadable.into_inner().unwrap_or_else(|p| p.into_inner()),
-            retry,
+            &readers,
             workers,
             report.worker_busy,
             report.stats,
@@ -2172,6 +2229,59 @@ mod tests {
         assert_eq!(valid_now().len(), n);
         check(RebuildCheckpoint::load(&path).expect("the first tick always saves"));
         RebuildCheckpoint::remove(&path);
+    }
+
+    /// Buffer lifetime: both executors issue reads item-major and land a
+    /// chunk as soon as its sources are in, so a round holds a few buffers
+    /// per worker — not two per lost chunk, as it did when every read ran
+    /// before the first combine. (A coalesced run still delivers its whole
+    /// length at once; the Outer strategy, one chunk per run, is the one
+    /// the bound is about.)
+    #[test]
+    fn a_round_keeps_a_few_buffers_live_not_the_plan() {
+        const CHUNK: usize = 64 * 1024;
+        let cfg = OiRaidConfig::new(bibd::fano(), 3, 4).unwrap();
+        let reference = OiRaidStore::new(cfg, CHUNK).unwrap();
+        for idx in 0..reference.data_chunks() {
+            reference
+                .write_data(idx, &vec![(idx % 251) as u8 + 1; CHUNK])
+                .unwrap();
+        }
+        let target = 4usize;
+        for mode in [RebuildMode::Serial, RebuildMode::Dag] {
+            let store = reference.clone();
+            store.set_dag_workers(Some(2));
+            let plan = single_failure_plan(
+                store.array(),
+                target,
+                SparePolicy::Distributed,
+                RecoveryStrategy::Outer,
+            )
+            .unwrap();
+            let lost = plan.items().len();
+            assert!(2 * lost > 64, "the plan dwarfs the bound: {lost} items");
+            let regions = store.plan_regions(&plan);
+            let obs = crate::RebuildObserver::default();
+            store.fail_disk(target).unwrap();
+            store.online().begin([target]);
+            store.devices()[target].heal().unwrap();
+            let out = match mode {
+                RebuildMode::Serial => store.execute_serial_round(&plan, &regions, &obs, None),
+                RebuildMode::Dag => store.execute_dag_round(&plan, &regions, &obs, None),
+            };
+            store.online().end();
+            assert_eq!(out.written.len(), lost, "{mode}");
+            assert!(
+                out.peak_buffers <= 16,
+                "{mode}: {} buffers live at once",
+                out.peak_buffers
+            );
+            assert_eq!(
+                disk_image(&store, target),
+                disk_image(&reference, target),
+                "{mode}"
+            );
+        }
     }
 
     #[test]

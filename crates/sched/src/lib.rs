@@ -1,19 +1,27 @@
-//! Work-stealing DAG executor for device-bound pipelines.
+//! DAG executor for device-bound pipelines.
 //!
 //! An [`OpGraph`] holds a set of opaque operations plus their dependency
 //! edges; [`run`] executes it on a pool of worker threads. Readiness is
 //! tracked with one atomic indegree per op: when an op finishes, it
 //! decrements each dependent's indegree, and the decrement that reaches
-//! zero — and only that one, by the atomicity of `fetch_sub` — pushes the
-//! dependent onto a ready queue. There are no phase barriers anywhere:
-//! every op runs the instant its inputs exist and a worker is free, so
-//! thousands of ops stay in flight across all devices at once.
+//! zero — and only that one, by the atomicity of `fetch_sub` — makes the
+//! dependent ready. There are no phase barriers anywhere: every op runs
+//! the instant its inputs exist and a worker is free.
 //!
-//! Ops may carry a *device affinity*. Each device gets its own ready
-//! queue; a worker prefers its home queue and **steals** from the others
-//! when it runs dry, which keeps every device's queue deep (the property
-//! declustered RAID layouts exist to exploit) while still draining hot
-//! spots with idle workers.
+//! **Ready order is downstream-first, then plan order.** An op made ready
+//! by the op a worker just finished is what that worker runs next — it
+//! never enters a queue and wakes nobody, so a pipeline's stages follow
+//! each other on one thread while their bytes are still in its cache.
+//! Everything else waits in one ordered ready set: device-less ops before
+//! device-bound ones (reads), and within each class the smallest [`OpId`]
+//! first. A caller that adds its reads in the order it wants them consumed
+//! gets them read in that order, and the finished-but-unconsumed set stays
+//! proportional to the pool, not to the graph.
+//!
+//! **Parking.** A worker that finds the ready set empty parks on a condvar
+//! that shares the set's lock, so a wake-up cannot be lost; a push signals
+//! only when a parked worker has no wake-up already on its way, so a busy
+//! pool makes no wake-up syscalls at all.
 //!
 //! Failure is a first-class edge of the graph, not an exception: an op
 //! whose callback returns [`OpStatus::Failed`] *poisons* its dependents,
@@ -22,16 +30,17 @@
 //! — re-plan just the affected items — instead of re-running everything.
 //!
 //! Scheduler observability is built in: [`SchedMetrics`] carries live
-//! [`Gauge`]/[`Counter`] handles (ready-queue depth, in-flight ops,
-//! steals) that can be attached to a [`telemetry::Registry`], and every
-//! run returns a [`SchedStats`] snapshot with the peaks.
+//! [`Gauge`]/[`Counter`] handles (ready-set depth, in-flight ops, steals)
+//! that can be attached to a [`telemetry::Registry`], and every run returns
+//! a [`SchedStats`] snapshot, kept per worker and folded when the run ends.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use telemetry::{Counter, Gauge, Registry};
@@ -79,8 +88,10 @@ impl<T> OpGraph<T> {
         }
     }
 
-    /// Adds an op with no edges yet. `device` is the ready-queue affinity
-    /// (ops bound to a device land on its queue; `None` = shared queue).
+    /// Adds an op with no edges yet. `device` says which device's queue
+    /// the op would wait in (`Some`: a read; the id goes into its trace
+    /// event) or that it waits for none (`None`); ready ops of the second
+    /// kind run before the first, each kind in the order it was added.
     ///
     /// The builder thread's ambient trace id is captured into the node, so
     /// when a worker later executes it (on a different thread) the op runs
@@ -130,12 +141,11 @@ impl<T> OpGraph<T> {
 /// [`SchedMetrics::export`]. The gauges read 0 when no run is active.
 #[derive(Debug, Clone, Default)]
 pub struct SchedMetrics {
-    /// Ops currently sitting in ready queues (pushed, not yet popped).
+    /// Ops currently sitting in the ready set (pushed, not yet popped).
     pub ready_queue_depth: Gauge,
     /// Ops currently executing their callback.
     pub inflight_ops: Gauge,
-    /// Ready-queue pops served from a queue other than the worker's home
-    /// queue.
+    /// Ready-set pops of an op that a *different* worker made ready.
     pub steals: Counter,
 }
 
@@ -145,7 +155,7 @@ impl SchedMetrics {
     pub fn export(&self, reg: &Registry) {
         reg.register_gauge(
             "oi_sched_ready_queue_depth",
-            "Ops sitting in scheduler ready queues right now",
+            "Ops sitting in the scheduler's ready set right now",
             &[],
             self.ready_queue_depth.clone(),
         );
@@ -157,7 +167,7 @@ impl SchedMetrics {
         );
         reg.register_counter(
             "oi_sched_steals_total",
-            "Ready-queue pops served from a non-home queue",
+            "Ready-set pops of an op another worker made ready",
             &[],
             self.steals.clone(),
         );
@@ -172,12 +182,19 @@ pub struct SchedStats {
     /// Ops finalized as cancelled without running (poisoned by a failed
     /// ancestor).
     pub cancelled: u64,
-    /// Pops served from a non-home queue.
+    /// Ready-set pops of an op that a *different* worker made ready. An
+    /// op its own producer runs next (downstream-first) is never popped,
+    /// and the graph's roots are made ready by no worker, so neither
+    /// counts.
     pub steals: u64,
-    /// Peak number of ops sitting in ready queues at once.
+    /// Peak number of ops sitting in the ready set at once.
     pub max_ready_depth: u64,
     /// Peak number of callbacks executing concurrently.
     pub max_inflight: u64,
+    /// Parked workers that the wait timeout woke to find ops queued and no
+    /// wake-up on its way to them — a lost wake-up. 0 unless the parking
+    /// protocol is broken.
+    pub timeout_rescues: u64,
 }
 
 impl SchedStats {
@@ -189,6 +206,7 @@ impl SchedStats {
         self.steals += other.steals;
         self.max_ready_depth = self.max_ready_depth.max(other.max_ready_depth);
         self.max_inflight = self.max_inflight.max(other.max_inflight);
+        self.timeout_rescues += other.timeout_rescues;
     }
 }
 
@@ -197,104 +215,195 @@ impl SchedStats {
 pub struct ExecReport {
     /// Aggregate counters and peaks.
     pub stats: SchedStats,
-    /// Time each worker spent inside op callbacks, in worker order.
+    /// Time each worker spent inside op callbacks, in worker order (zero
+    /// for workers a graph smaller than the pool never needed).
     pub worker_busy: Vec<Duration>,
     /// Ops that never ran because an ancestor failed, in finalization
     /// order. Empty for a fault-free run.
     pub cancelled: Vec<OpId>,
 }
 
+/// Who made a root op ready: no worker.
+const ROOT: usize = usize::MAX;
+
+/// How long a parked worker waits before re-checking on its own.
+const PARK: Duration = Duration::from_millis(1);
+
+/// The ready set and the parking books, under one lock.
+struct Ready {
+    /// `(device-bound, op, worker that made it ready)`, smallest first:
+    /// device-less ops before device-bound ones, then smallest op id.
+    heap: BinaryHeap<Reverse<(bool, OpId, usize)>>,
+    /// Workers parked on (or about to re-check after) [`Shared::wake`].
+    sleepers: usize,
+    /// Wake-ups sent to parked workers and not yet received.
+    signals: usize,
+    max_depth: usize,
+}
+
 struct Shared<'g, T> {
     graph: &'g OpGraph<T>,
     indeg: Vec<AtomicU32>,
     poisoned: Vec<AtomicBool>,
-    /// One ready queue per device plus a trailing shared queue for
-    /// device-less ops.
-    queues: Vec<Mutex<VecDeque<OpId>>>,
+    ready: Mutex<Ready>,
+    wake: Condvar,
     /// Ops not yet finalized (executed or cancelled). The run is over when
     /// this reaches zero.
     remaining: AtomicUsize,
-    idle: Mutex<()>,
-    wake: Condvar,
     metrics: SchedMetrics,
-    depth: AtomicI64,
-    max_depth: AtomicI64,
-    max_inflight: AtomicI64,
     inflight: AtomicI64,
-    executed: AtomicU64,
-    cancelled_count: AtomicU64,
-    steals: AtomicU64,
     cancelled: Mutex<Vec<OpId>>,
 }
 
-impl<'g, T> Shared<'g, T> {
-    fn queue_of(&self, op: OpId) -> usize {
-        match self.graph.device[op] {
-            Some(d) => d % (self.queues.len() - 1).max(1),
-            None => self.queues.len() - 1,
+impl<T> Shared<'_, T> {
+    fn key(&self, op: OpId) -> (bool, OpId) {
+        (self.graph.device[op].is_some(), op)
+    }
+
+    fn lock_ready(&self) -> MutexGuard<'_, Ready> {
+        self.ready.lock().expect("ready lock")
+    }
+
+    /// Queues an op worker `by` made ready, and signals a parked worker
+    /// unless every parked worker already has a wake-up on its way.
+    fn push(&self, ready: &mut Ready, (bound, op): (bool, OpId), by: usize) {
+        ready.heap.push(Reverse((bound, op, by)));
+        ready.max_depth = ready.max_depth.max(ready.heap.len());
+        self.metrics.ready_queue_depth.add(1);
+        if ready.sleepers > ready.signals {
+            ready.signals += 1;
+            self.wake.notify_one();
         }
     }
 
-    fn push(&self, op: OpId) {
-        self.queues[self.queue_of(op)]
-            .lock()
-            .expect("queue lock")
-            .push_back(op);
-        let d = self.depth.fetch_add(1, Ordering::Relaxed) + 1;
-        self.max_depth.fetch_max(d, Ordering::Relaxed);
-        self.metrics.ready_queue_depth.add(1);
-        self.wake.notify_one();
-    }
-
-    /// Pops from the home queue, else steals round-robin from the others.
-    fn pop(&self, home: usize) -> Option<OpId> {
-        let nq = self.queues.len();
-        for i in 0..nq {
-            let q = (home + i) % nq;
-            if let Some(op) = self.queues[q].lock().expect("queue lock").pop_front() {
-                self.depth.fetch_sub(1, Ordering::Relaxed);
+    /// Takes the first ready op, parking while there is none; `None` once
+    /// every op is finalized.
+    fn pop(&self, w: usize, stats: &mut SchedStats) -> Option<OpId> {
+        let mut ready = self.lock_ready();
+        loop {
+            if let Some(Reverse((_, op, by))) = ready.heap.pop() {
+                drop(ready);
                 self.metrics.ready_queue_depth.add(-1);
-                if i != 0 {
-                    self.steals.fetch_add(1, Ordering::Relaxed);
+                if by != w && by != ROOT {
+                    stats.steals += 1;
                     self.metrics.steals.inc();
                 }
                 return Some(op);
             }
+            if self.remaining.load(Ordering::Acquire) == 0 {
+                return None;
+            }
+            // Pushes and the final wake-all take this lock, so nothing can
+            // slip between the emptiness check above and the wait.
+            ready.sleepers += 1;
+            let (guard, timeout) = self.wake.wait_timeout(ready, PARK).expect("ready lock");
+            ready = guard;
+            ready.sleepers -= 1;
+            if ready.signals > 0 {
+                ready.signals -= 1;
+            } else if timeout.timed_out() && !ready.heap.is_empty() {
+                stats.timeout_rescues += 1;
+            }
         }
-        None
     }
 
     /// Decrements every dependent's indegree; the decrement that lands on
-    /// zero — exactly one, by `fetch_sub` atomicity — enqueues it. A
+    /// zero — exactly one, by `fetch_sub` atomicity — makes it ready. A
     /// failed/cancelled op poisons the dependent first, so the poison is
-    /// visible before the dependent can possibly run.
-    fn finish(&self, op: OpId, ok: bool) {
+    /// visible before the dependent can possibly run. Returns the first
+    /// (in ready order) of the ops this made ready, for worker `w` to run
+    /// next; the others are queued.
+    fn finish(&self, w: usize, op: OpId, ok: bool) -> Option<OpId> {
+        let mut next: Option<(bool, OpId)> = None;
+        let mut ready: Option<MutexGuard<'_, Ready>> = None;
         for &dep in &self.graph.dependents[op] {
             if !ok {
                 self.poisoned[dep].store(true, Ordering::Release);
             }
             if self.indeg[dep].fetch_sub(1, Ordering::AcqRel) == 1 {
-                self.push(dep);
+                let key = self.key(dep);
+                let Some(kept) = next else {
+                    next = Some(key);
+                    continue;
+                };
+                let spill = if key < kept {
+                    next = Some(key);
+                    kept
+                } else {
+                    key
+                };
+                self.push(ready.get_or_insert_with(|| self.lock_ready()), spill, w);
             }
         }
+        drop(ready);
         if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            // Last op: wake everyone so idle workers can exit.
-            let _g = self.idle.lock().expect("idle lock");
+            // Last op: wake everyone so parked workers can exit.
+            let _ready = self.lock_ready();
             self.wake.notify_all();
         }
+        next.map(|(_, op)| op)
+    }
+
+    /// One worker's life: run what the last op made ready, else the first
+    /// op of the ready set, until the graph is finalized. Returns its
+    /// share of the statistics and its time inside callbacks.
+    fn work<F>(&self, w: usize, f: &F) -> (SchedStats, Duration)
+    where
+        F: Fn(usize, OpId, &T) -> OpStatus,
+    {
+        let mut stats = SchedStats::default();
+        let mut busy = Duration::ZERO;
+        let mut next = None;
+        while let Some(op) = next.take().or_else(|| self.pop(w, &mut stats)) {
+            if self.poisoned[op].load(Ordering::Acquire) {
+                stats.cancelled += 1;
+                self.cancelled.lock().expect("cancel lock").push(op);
+                next = self.finish(w, op, false);
+                continue;
+            }
+            let d = self.inflight.fetch_add(1, Ordering::Relaxed) + 1;
+            stats.max_inflight = stats.max_inflight.max(d.max(0) as u64);
+            self.metrics.inflight_ops.add(1);
+            // Re-enter the planning request's trace on this worker thread,
+            // with a SchedOp node so device I/O inside the callback hangs
+            // under this specific DAG node.
+            let parent = self.graph.trace[op];
+            let trace_guard = (parent != 0).then(|| {
+                let node = telemetry::alloc_trace_id();
+                telemetry::trace_event(
+                    telemetry::EventKind::SchedOp,
+                    node,
+                    parent,
+                    op as u64,
+                    self.graph.device[op].map_or(u64::MAX, |d| d as u64),
+                );
+                telemetry::enter_trace(node)
+            });
+            let began = Instant::now();
+            let status = f(w, op, self.graph.payload(op));
+            drop(trace_guard);
+            busy += began.elapsed();
+            self.metrics.inflight_ops.add(-1);
+            self.inflight.fetch_sub(1, Ordering::Relaxed);
+            stats.executed += 1;
+            next = self.finish(w, op, status == OpStatus::Done);
+        }
+        (stats, busy)
     }
 }
 
-/// Executes `graph` on `workers` threads over `devices` per-device ready
-/// queues, calling `f(worker, op, payload)` for each runnable op. Returns
-/// once every op is executed or cancelled.
+/// Executes `graph` on up to `workers` threads (never more than it has
+/// ops), calling `f(worker, op, payload)` for each runnable op in the
+/// ready order the module docs describe. Returns once every op is executed
+/// or cancelled. `_devices` is the size of the device-id space; the ready
+/// order does not depend on it.
 ///
 /// The callback decides success: [`OpStatus::Failed`] cancels the op's
 /// transitive dependents (they are reported, not run). `metrics` gauges
 /// tick live while the run is in flight.
 pub fn run<T, F>(
     workers: usize,
-    devices: usize,
+    _devices: usize,
     metrics: &SchedMetrics,
     graph: &OpGraph<T>,
     f: F,
@@ -304,117 +413,55 @@ where
     F: Fn(usize, OpId, &T) -> OpStatus + Sync,
 {
     let workers = workers.max(1);
+    let mut worker_busy = vec![Duration::ZERO; workers];
     if graph.is_empty() {
         return ExecReport {
             stats: SchedStats::default(),
-            worker_busy: vec![Duration::ZERO; workers],
+            worker_busy,
             cancelled: Vec::new(),
         };
     }
-    let shared = Shared {
+    let mut shared = Shared {
         indeg: graph.indeg.iter().map(|&d| AtomicU32::new(d)).collect(),
         poisoned: (0..graph.len()).map(|_| AtomicBool::new(false)).collect(),
-        queues: (0..devices + 1)
-            .map(|_| Mutex::new(VecDeque::new()))
-            .collect(),
-        remaining: AtomicUsize::new(graph.len()),
-        idle: Mutex::new(()),
+        ready: Mutex::new(Ready {
+            heap: BinaryHeap::new(),
+            sleepers: 0,
+            signals: 0,
+            max_depth: 0,
+        }),
         wake: Condvar::new(),
+        remaining: AtomicUsize::new(graph.len()),
         metrics: metrics.clone(),
-        depth: AtomicI64::new(0),
-        max_depth: AtomicI64::new(0),
-        max_inflight: AtomicI64::new(0),
         inflight: AtomicI64::new(0),
-        executed: AtomicU64::new(0),
-        cancelled_count: AtomicU64::new(0),
-        steals: AtomicU64::new(0),
         cancelled: Mutex::new(Vec::new()),
         graph,
     };
-    for op in 0..graph.len() {
-        if graph.indeg[op] == 0 {
-            shared.push(op);
+    {
+        let mut ready = shared.lock_ready();
+        for op in (0..graph.len()).filter(|&op| graph.indeg[op] == 0) {
+            shared.push(&mut ready, shared.key(op), ROOT);
         }
     }
-    let busy: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
-    let shared = &shared;
-    let busy_ref = &busy;
-    let f = &f;
+    let mut stats = SchedStats::default();
     std::thread::scope(|s| {
-        for (w, busy) in busy_ref.iter().enumerate() {
-            s.spawn(move || {
-                let home = w % shared.queues.len();
-                loop {
-                    let Some(op) = shared.pop(home) else {
-                        if shared.remaining.load(Ordering::Acquire) == 0 {
-                            return;
-                        }
-                        // Nothing ready yet: park until a push or the final
-                        // finalization wakes us (timeout guards the race
-                        // between the emptiness check and the wait).
-                        let g = shared.idle.lock().expect("idle lock");
-                        let _ = shared
-                            .wake
-                            .wait_timeout(g, Duration::from_millis(1))
-                            .expect("idle wait");
-                        continue;
-                    };
-                    if shared.poisoned[op].load(Ordering::Acquire) {
-                        shared.cancelled_count.fetch_add(1, Ordering::Relaxed);
-                        shared.cancelled.lock().expect("cancel lock").push(op);
-                        shared.finish(op, false);
-                        continue;
-                    }
-                    let d = shared.inflight.fetch_add(1, Ordering::Relaxed) + 1;
-                    shared.max_inflight.fetch_max(d, Ordering::Relaxed);
-                    shared.metrics.inflight_ops.add(1);
-                    // Re-enter the planning request's trace on this worker
-                    // thread, with a SchedOp node so device I/O inside the
-                    // callback hangs under this specific DAG node.
-                    let parent = shared.graph.trace[op];
-                    let _trace_guard = if parent != 0 {
-                        let node = telemetry::alloc_trace_id();
-                        telemetry::trace_event(
-                            telemetry::EventKind::SchedOp,
-                            node,
-                            parent,
-                            op as u64,
-                            shared.graph.device[op].map_or(u64::MAX, |d| d as u64),
-                        );
-                        Some(telemetry::enter_trace(node))
-                    } else {
-                        None
-                    };
-                    let began = Instant::now();
-                    let status = f(w, op, shared.graph.payload(op));
-                    drop(_trace_guard);
-                    busy.fetch_add(
-                        began.elapsed().as_nanos().min(u64::MAX as u128) as u64,
-                        Ordering::Relaxed,
-                    );
-                    shared.metrics.inflight_ops.add(-1);
-                    shared.inflight.fetch_sub(1, Ordering::Relaxed);
-                    shared.executed.fetch_add(1, Ordering::Relaxed);
-                    shared.finish(op, status == OpStatus::Done);
-                }
-            });
+        let (shared, f) = (&shared, &f);
+        let pool: Vec<_> = (0..workers.min(graph.len()))
+            .map(|w| s.spawn(move || shared.work(w, f)))
+            .collect();
+        for (worker, busy) in pool.into_iter().zip(&mut worker_busy) {
+            let (local, spent) = worker.join().expect("scheduler worker panicked");
+            stats.absorb(&local);
+            *busy = spent;
         }
     });
-    debug_assert_eq!(shared.depth.load(Ordering::Relaxed), 0, "queues drained");
-    let cancelled = std::mem::take(&mut *shared.cancelled.lock().expect("cancel lock"));
+    let ready = shared.ready.get_mut().expect("ready lock");
+    debug_assert!(ready.heap.is_empty(), "ready set drained");
+    stats.max_ready_depth = ready.max_depth as u64;
     ExecReport {
-        stats: SchedStats {
-            executed: shared.executed.load(Ordering::Relaxed),
-            cancelled: shared.cancelled_count.load(Ordering::Relaxed),
-            steals: shared.steals.load(Ordering::Relaxed),
-            max_ready_depth: shared.max_depth.load(Ordering::Relaxed).max(0) as u64,
-            max_inflight: shared.max_inflight.load(Ordering::Relaxed).max(0) as u64,
-        },
-        worker_busy: busy
-            .iter()
-            .map(|b| Duration::from_nanos(b.load(Ordering::Relaxed)))
-            .collect(),
-        cancelled,
+        stats,
+        worker_busy,
+        cancelled: shared.cancelled.into_inner().expect("cancel lock"),
     }
 }
 
@@ -583,6 +630,139 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Ready order: on independent `read, read -> combine -> write`
+    /// diamonds added item by item, reads are taken in plan order and a
+    /// diamond is carried through by the worker that completed it, so the
+    /// reads that have finished but not yet been combined stay bounded by
+    /// the pool — not by the graph, as they would if all reads ran first.
+    #[test]
+    fn ready_order_bounds_finished_but_unconsumed_reads() {
+        const FAN_IN: i64 = 2;
+        let diamonds = if std::env::var("OI_SCHED_STRESS").is_ok() {
+            4000
+        } else {
+            400
+        };
+        enum Node {
+            Read,
+            Combine,
+            Write,
+        }
+        let mut g = OpGraph::new();
+        for i in 0..diamonds {
+            let reads = [0, 1].map(|r| g.add_node(Node::Read, Some(1 + (2 * i + r) % 6)));
+            let combine = g.add_node(Node::Combine, None);
+            let write = g.add_node(Node::Write, Some(0));
+            for read in reads {
+                g.add_edge(read, combine);
+            }
+            g.add_edge(combine, write);
+        }
+        for workers in [1, 2, 8] {
+            let unconsumed = AtomicI64::new(0);
+            let peak = AtomicI64::new(0);
+            let r = run(workers, 7, &SchedMetrics::default(), &g, |_, _, node| {
+                match node {
+                    Node::Read => {
+                        let now = unconsumed.fetch_add(1, Ordering::AcqRel) + 1;
+                        peak.fetch_max(now, Ordering::AcqRel);
+                    }
+                    Node::Combine => {
+                        unconsumed.fetch_sub(FAN_IN, Ordering::AcqRel);
+                    }
+                    Node::Write => {}
+                }
+                OpStatus::Done
+            });
+            assert_eq!(r.stats.executed, g.len() as u64);
+            assert_eq!(unconsumed.load(Ordering::Acquire), 0);
+            let bound = if workers == 1 {
+                FAN_IN
+            } else {
+                workers as i64 * (FAN_IN + 1)
+            };
+            let peak = peak.load(Ordering::Acquire);
+            assert!(peak <= bound, "{workers} workers: {peak} > {bound}");
+            if workers == 1 {
+                // One worker hands nothing over: every op after a root is
+                // run downstream-first, and roots are nobody's to steal.
+                assert_eq!(r.stats.steals, 0);
+                assert_eq!(r.worker_busy.len(), 1);
+            }
+        }
+    }
+
+    /// Parking: random narrow DAGs on a pool wider than they are, with
+    /// callbacks that sleep so workers must park and be woken again. Every
+    /// op runs exactly once, and no parked worker had to be rescued by the
+    /// wait timeout while ops sat in the ready set.
+    #[test]
+    fn stress_parked_workers_are_woken_by_pushes_not_by_the_timeout() {
+        let iters = if std::env::var("OI_SCHED_STRESS").is_ok() {
+            1000
+        } else {
+            60
+        };
+        let mut seed = 0xD1B54A32D192ED03u64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        for iter in 0..iters {
+            let mut g = OpGraph::new();
+            let mut prev: Vec<OpId> = Vec::new();
+            for _ in 0..(3 + next() % 4) {
+                let width = 1 + (next() % 12) as usize;
+                let cur: Vec<OpId> = (0..width)
+                    .map(|i| {
+                        let device = (next() % 2 == 0).then_some(i % 5);
+                        let op = g.add_node(20 + next() % 60, device);
+                        if !prev.is_empty() {
+                            for _ in 0..(1 + next() % 3) {
+                                g.add_edge(prev[(next() as usize) % prev.len()], op);
+                            }
+                        }
+                        op
+                    })
+                    .collect();
+                prev = cur;
+            }
+            let fired: Vec<Count> = (0..g.len()).map(|_| Count::new(0)).collect();
+            let r = run(8, 5, &SchedMetrics::default(), &g, |_, op, micros| {
+                fired[op].fetch_add(1, Ordering::AcqRel);
+                std::thread::sleep(Duration::from_micros(*micros));
+                OpStatus::Done
+            });
+            assert_eq!(r.stats.executed, g.len() as u64, "iter {iter}");
+            assert!(
+                fired.iter().all(|c| c.load(Ordering::Acquire) == 1),
+                "iter {iter}: an op fired other than once"
+            );
+            assert_eq!(r.stats.timeout_rescues, 0, "iter {iter}: lost wake-up");
+            assert_eq!(r.worker_busy.len(), 8, "iter {iter}");
+        }
+    }
+
+    /// A graph smaller than the pool spawns one thread per op at most; the
+    /// report still has one busy slot per requested worker.
+    #[test]
+    fn tiny_graph_does_not_spawn_the_whole_pool() {
+        let mut g = OpGraph::new();
+        for i in 0..3 {
+            g.add_node(i, Some(i));
+        }
+        let seen = Mutex::new(std::collections::BTreeSet::new());
+        let r = run(32, 3, &SchedMetrics::default(), &g, |w, _, _| {
+            seen.lock().unwrap().insert(w);
+            OpStatus::Done
+        });
+        assert_eq!(r.stats.executed, 3);
+        assert_eq!(r.worker_busy.len(), 32);
+        assert!(seen.lock().unwrap().iter().all(|&w| w < 3));
     }
 
     /// Same stress shape but with random failures: executed + cancelled

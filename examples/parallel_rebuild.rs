@@ -1,8 +1,8 @@
 //! File-backed store + concurrent (DAG) rebuild engine, end to end.
 //!
 //! Creates a real on-disk array (one image file per disk), writes data,
-//! fails three disks, rebuilds them on the work-stealing pool that drains
-//! every surviving disk at once, and verifies the data survived — the
+//! fails three disks, rebuilds them on the DAG executor's worker pool,
+//! and verifies the data survived — the
 //! runnable version of the README's storage-backend example.
 
 use oi_raid_repro::prelude::*;

@@ -7,7 +7,7 @@
 //! Both modes share a pooled-buffer data path and coalesce adjacent
 //! same-disk reads into single device operations, so the comparison also
 //! pins their per-device read counters to each other exactly — the serial
-//! executor is the oracle the work-stealing pool must never drift from.
+//! executor is the oracle the DAG worker pool must never drift from.
 
 use proptest::prelude::*;
 
