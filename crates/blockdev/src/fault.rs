@@ -235,7 +235,8 @@ impl<B: BlockDevice> BlockDevice for FaultInjectingDevice<B> {
     }
 
     fn is_failed(&self) -> bool {
-        self.died.load(Ordering::Relaxed) || self.inner.is_failed()
+        // Acquire, pairing with `heal`'s Release: see `BlockDevice::heal`.
+        self.died.load(Ordering::Acquire) || self.inner.is_failed()
     }
 
     fn read_chunk(&self, chunk: usize, buf: &mut [u8]) -> Result<(), DeviceError> {
@@ -317,8 +318,8 @@ impl<B: BlockDevice> BlockDevice for FaultInjectingDevice<B> {
         // A mid-rebuild death is one-shot: bringing the device back
         // disarms the trigger so the healed replacement doesn't die at
         // the same read count.
-        self.died.store(false, Ordering::Relaxed);
         self.cfg.lock().expect("cfg lock").fail_after_reads = 0;
+        self.died.store(false, Ordering::Release);
         Ok(())
     }
 

@@ -17,6 +17,14 @@ use crate::{
 /// Concurrent readers serialize on an internal lock — the parallelism a
 /// rebuild engine exploits is *across* devices, mirroring real spindles,
 /// not within one.
+///
+/// Which call takes which lock: `read_chunk`, `read_chunks`, `write_chunk`
+/// and `flush` each hold the one file mutex for their seek + transfer (or
+/// `fdatasync`); `heal` holds it while it truncates and re-extends the
+/// file. `is_failed` and `fail` take no lock: the failure state is an
+/// atomic flag, stored with `Release` and loaded with `Acquire` so that
+/// whoever sees the device healthy again also sees what its healer did
+/// before healing it.
 #[derive(Debug)]
 pub struct FileDevice {
     path: PathBuf,
@@ -138,7 +146,7 @@ impl BlockDevice for FileDevice {
     }
 
     fn is_failed(&self) -> bool {
-        self.failed.load(Ordering::Relaxed)
+        self.failed.load(Ordering::Acquire)
     }
 
     fn read_chunk(&self, chunk: usize, buf: &mut [u8]) -> Result<(), DeviceError> {
@@ -202,7 +210,7 @@ impl BlockDevice for FileDevice {
     }
 
     fn fail(&self) {
-        self.failed.store(true, Ordering::Relaxed);
+        self.failed.store(true, Ordering::Release);
     }
 
     fn heal(&self) -> Result<(), DeviceError> {
@@ -215,7 +223,7 @@ impl BlockDevice for FileDevice {
         file.set_len((self.chunk_size * self.chunks) as u64)
             .map_err(io_err)?;
         drop(file);
-        self.failed.store(false, Ordering::Relaxed);
+        self.failed.store(false, Ordering::Release);
         Ok(())
     }
 

@@ -170,7 +170,10 @@ pub trait BlockDevice: Send + Sync {
     /// Capacity in chunks.
     fn chunks(&self) -> usize;
 
-    /// Whether the device is currently failed.
+    /// Whether the device is currently failed. Callers ask this several
+    /// times per chunk, so implementations answer from an atomic flag
+    /// without taking a lock, loading it with `Acquire` (see
+    /// [`BlockDevice::heal`]).
     fn is_failed(&self) -> bool;
 
     /// Reads chunk `chunk` into `buf` (`buf.len()` must equal
@@ -217,6 +220,12 @@ pub trait BlockDevice: Send + Sync {
 
     /// Brings a failed device back online, zero-filled (a healed device has
     /// lost its pre-failure contents — the RAID layer rebuilds them).
+    ///
+    /// The store that flips the failure state back must be a `Release`
+    /// store, paired with the `Acquire` load in [`BlockDevice::is_failed`]:
+    /// a thread that sees the device healthy again must also see what the
+    /// healer published before healing it (the RAID layer opens its rebuild
+    /// window first, so the blank chunks read as missing, not as zeroes).
     fn heal(&self) -> Result<(), DeviceError>;
 
     /// A snapshot of the device's I/O counters.

@@ -1,5 +1,6 @@
 //! RAM-backed device: the original store behavior, now behind the trait.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, RwLock};
 use std::time::Instant;
 
@@ -11,18 +12,32 @@ use crate::{
 /// healing zero-fills them in place, so a blank replacement disk reuses
 /// memory that is already mapped instead of first-touching a fresh
 /// allocation, page fault by page fault, under its own write lock.
-/// Contents sit behind an `RwLock`, so concurrent readers proceed in
-/// parallel and writers take `&self`.
+///
+/// Which call takes which lock: `read_chunk` / `read_chunks` hold the
+/// contents `RwLock` shared (concurrent readers proceed in parallel);
+/// `write_chunk`, `fail` and `heal` hold it exclusive (`heal` for its whole
+/// zero-fill, plus the `dead` mutex); `clone` holds it shared for the copy.
+/// `is_failed`, the geometry getters and the counters take no lock at all:
+/// the store asks `is_failed` several times per chunk, so it is one atomic
+/// load of a flag that `fail`/`heal` flip while they hold the write lock.
 #[derive(Debug)]
 pub struct MemDevice {
     chunk_size: usize,
     chunks: usize,
     /// `None` while failed.
     data: RwLock<Option<Vec<u8>>>,
+    /// Mirrors `data.is_none()`; written only under `data`'s write lock.
+    /// `heal` stores with `Release` and `is_failed` loads with `Acquire`, so
+    /// whoever sees the device healthy again also sees everything the healer
+    /// did first (the store opens its rebuild window before it heals).
+    failed: AtomicBool,
     /// What `fail` took out of `data`; only `heal` touches it, to zero it.
     dead: Mutex<Option<Vec<u8>>>,
     counters: Counters,
 }
+
+/// Granularity of the construction-time page touch.
+const PAGE: usize = 4096;
 
 impl MemDevice {
     /// A healthy zero-filled device of `chunks` chunks of `chunk_size`
@@ -33,10 +48,21 @@ impl MemDevice {
     /// Panics if `chunk_size == 0`.
     pub fn new(chunk_size: usize, chunks: usize) -> Self {
         assert!(chunk_size > 0, "chunk_size must be positive");
+        let mut bytes = vec![0u8; chunk_size * chunks];
+        // Fault every page in now, on the constructing thread. A zeroed
+        // allocation this large is untouched copy-on-write memory; left to
+        // the first writers, two client threads filling the array fault it
+        // in concurrently, which costs several times the system time of
+        // doing it once here. The store is the zero the page already holds,
+        // so a new device still reads all zeroes.
+        for page in bytes.chunks_mut(PAGE) {
+            page[0] = std::hint::black_box(0);
+        }
         Self {
             chunk_size,
             chunks,
-            data: RwLock::new(Some(vec![0u8; chunk_size * chunks])),
+            data: RwLock::new(Some(bytes)),
+            failed: AtomicBool::new(false),
             dead: Mutex::default(),
             counters: Counters::default(),
         }
@@ -52,10 +78,12 @@ impl Clone for MemDevice {
     /// Clones contents and failure state (never a failed device's dead
     /// bytes); counters start fresh.
     fn clone(&self) -> Self {
+        let data = self.data.read().expect("mem lock").clone();
         Self {
             chunk_size: self.chunk_size,
             chunks: self.chunks,
-            data: RwLock::new(self.data.read().expect("mem lock").clone()),
+            failed: AtomicBool::new(data.is_none()),
+            data: RwLock::new(data),
             dead: Mutex::default(),
             counters: Counters::default(),
         }
@@ -72,7 +100,7 @@ impl BlockDevice for MemDevice {
     }
 
     fn is_failed(&self) -> bool {
-        self.data.read().expect("mem lock").is_none()
+        self.failed.load(Ordering::Acquire)
     }
 
     fn read_chunk(&self, chunk: usize, buf: &mut [u8]) -> Result<(), DeviceError> {
@@ -116,7 +144,9 @@ impl BlockDevice for MemDevice {
     }
 
     fn fail(&self) {
-        if let Some(bytes) = self.data.write().expect("mem lock").take() {
+        let mut guard = self.data.write().expect("mem lock");
+        if let Some(bytes) = guard.take() {
+            self.failed.store(true, Ordering::Release);
             *self.dead.lock().expect("mem lock") = Some(bytes);
         }
     }
@@ -131,6 +161,7 @@ impl BlockDevice for MemDevice {
                 }
                 None => vec![0u8; self.chunk_size * self.chunks],
             });
+            self.failed.store(false, Ordering::Release);
         }
         Ok(())
     }
@@ -275,5 +306,56 @@ mod tests {
                 expected: 4
             })
         ));
+    }
+    #[test]
+    fn a_fresh_device_reads_all_zeroes_across_page_boundaries() {
+        // 3 pages and a bit: the construction-time page touch must not
+        // leave a mark anywhere.
+        let d = MemDevice::new(1000, 13);
+        let mut all = vec![0xFFu8; 13_000];
+        d.read_chunks(0, 13, &mut all).unwrap();
+        assert!(all.iter().all(|&b| b == 0));
+        assert!(!d.is_failed());
+    }
+
+    /// `is_failed` is a flag beside the contents, not the contents: after
+    /// any interleaving of `fail` and `heal` from 4 threads the two must
+    /// agree, and a read that succeeds in the middle of one sees zeroes.
+    #[test]
+    fn is_failed_agrees_with_reads_under_a_fail_heal_hammer() {
+        let d = MemDevice::new(64, 4);
+        let phase = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for t in 0..4usize {
+                let (d, phase) = (&d, &phase);
+                s.spawn(move || {
+                    let mut buf = [0xFFu8; 64];
+                    for round in 0..2_000 {
+                        // Racing phase: everyone flips or reads at once.
+                        phase.wait();
+                        match (t + round) % 3 {
+                            0 => d.fail(),
+                            1 => d.heal().unwrap(),
+                            _ => {}
+                        }
+                        match d.read_chunk(t, &mut buf) {
+                            Ok(()) => assert_eq!(buf, [0u8; 64], "healed = zeroes"),
+                            Err(e) => assert_eq!(e, DeviceError::Failed),
+                        }
+                        // Quiet phase: nobody flips, all four must agree.
+                        phase.wait();
+                        assert_eq!(d.is_failed(), d.read_chunk(t, &mut buf).is_err());
+                    }
+                });
+            }
+        });
+        let mut buf = [0xFFu8; 64];
+        d.fail();
+        assert!(d.is_failed());
+        assert_eq!(d.read_chunk(0, &mut buf), Err(DeviceError::Failed));
+        d.heal().unwrap();
+        assert!(!d.is_failed());
+        d.read_chunk(0, &mut buf).unwrap();
+        assert_eq!(buf, [0u8; 64]);
     }
 }

@@ -82,6 +82,7 @@ mod online;
 mod qos;
 mod rebuild;
 mod recovery;
+mod retry_cell;
 mod store;
 
 pub use array::{ChunkInfo, OiRaid};

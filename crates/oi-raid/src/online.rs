@@ -17,14 +17,21 @@
 //! round recomputes them from the updated parity.
 
 use std::collections::{BTreeSet, HashSet};
-use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use layout::ChunkAddr;
 
-/// Number of lock stripes parity relations hash onto. More stripes mean
-/// less false sharing between unrelated writers; the cost is only memory.
-const LOCK_STRIPES: usize = 64;
+/// Number of lock stripes parity relations hash onto (a power of two; 32 KiB
+/// of `Mutex<()>` per store). One chunk write holds the stripes of its 3
+/// relations (its inner row, its outer stripe, the outer parity's row), so
+/// two writes that share no relation still share a stripe in about
+/// 3 · 3 / 4096 ≈ 0.2 % of pairs (measured 0.2 % over the 21-disk serving
+/// array; at the former 64 stripes it was about 13 %). A full write group of
+/// `MAX_WRITE_GROUP` = 32 chunks holds up to 96 stripes, so two full groups
+/// still collide nine times in ten (1 − e^(−96·96/4096)): a group is
+/// region-scoped as a whole, not per member.
+const LOCK_STRIPES: usize = 4096;
 
 /// One parity relation of the two-layer code, used as the granularity of
 /// dirty tracking: a foreground write invalidates reconstructions that
@@ -74,6 +81,31 @@ pub(crate) struct OnlineState {
     all: RwLock<()>,
     stripes: Vec<Mutex<()>>,
     window: Mutex<Option<RebuildWindow>>,
+    /// Counts the window's edges — `begin`, `escalate`, `end` — so it is odd
+    /// exactly while `window` holds `Some`, and is readable without the
+    /// mutex. Written only under the `window` mutex. It serves two purposes.
+    ///
+    /// *Flag.* The per-chunk queries load it first and return when it is
+    /// even: no rebuild in flight, no mutex. The one ordering rule:
+    /// [`OnlineState::begin`] and [`OnlineState::escalate`] bump it
+    /// (`SeqCst`) *before* any device of the window is healed, and a
+    /// device's heal is a `Release` store that `is_failed` loads with
+    /// `Acquire` (see `BlockDevice::heal`). So a thread that finds a window
+    /// disk healthy again and then loads this counter reads an odd value,
+    /// takes the mutex and sees the window — a healed-but-unrebuilt chunk
+    /// never reads as valid. A stale odd value only costs one trip through
+    /// the mutex.
+    ///
+    /// *Ticket.* Availability is checked before the device read, without a
+    /// lock held across the two, and a whole fail → `begin` → heal fits in
+    /// between: the read would return the blank disk's zeroes for a chunk
+    /// that was valid when asked. Readers therefore take [`Self::epoch`]
+    /// before they ask and accept the bytes only if it is unchanged after
+    /// the read; otherwise they ask again.
+    epoch: AtomicU64,
+    /// Test builds only: acquisitions of the `window` mutex.
+    #[cfg(test)]
+    window_locks: std::sync::atomic::AtomicUsize,
 }
 
 impl Default for OnlineState {
@@ -82,6 +114,9 @@ impl Default for OnlineState {
             all: RwLock::new(()),
             stripes: (0..LOCK_STRIPES).map(|_| Mutex::new(())).collect(),
             window: Mutex::new(None),
+            epoch: AtomicU64::new(0),
+            #[cfg(test)]
+            window_locks: Default::default(),
         }
     }
 }
@@ -100,10 +135,27 @@ impl Clone for OnlineState {
     }
 }
 
-fn stripe_of(region: &Region) -> usize {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    region.hash(&mut h);
-    (h.finish() % LOCK_STRIPES as u64) as usize
+/// The lock stripe of a relation: a multiplicative mix of its tag and two
+/// integers, keeping the product's top bits (the well-mixed ones). The keys
+/// are small dense integers the layout generates, not outside input, so no
+/// keyed hash is needed — this runs 4 to 128 times per write group.
+pub(crate) fn stripe_of(region: &Region) -> usize {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15; // 2^64 / golden ratio, odd
+    let (tag, a, b) = match *region {
+        Region::Stripe(block, stripe) => (0, block, stripe),
+        Region::Row(group, row) => (1, group, row),
+    };
+    let key = (a as u64).wrapping_mul(K) ^ ((b as u64) << 1 | tag);
+    (key.wrapping_mul(K) >> (u64::BITS - LOCK_STRIPES.trailing_zeros())) as usize
+}
+
+/// The stripes [`OnlineState::lock_regions`] takes for `regions`, in the
+/// order it takes them: deduplicated and strictly ascending.
+pub(crate) fn stripe_order(regions: &[Region]) -> Vec<usize> {
+    let mut idx: Vec<usize> = regions.iter().map(stripe_of).collect();
+    idx.sort_unstable();
+    idx.dedup();
+    idx
 }
 
 impl OnlineState {
@@ -130,10 +182,7 @@ impl OnlineState {
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),
         };
-        let mut idx: Vec<usize> = regions.iter().map(stripe_of).collect();
-        idx.sort_unstable();
-        idx.dedup();
-        let stripes = idx
+        let stripes = stripe_order(regions)
             .into_iter()
             .map(|i| match self.stripes[i].lock() {
                 Ok(g) => g,
@@ -147,6 +196,8 @@ impl OnlineState {
     }
 
     fn window(&self) -> MutexGuard<'_, Option<RebuildWindow>> {
+        #[cfg(test)]
+        self.window_locks.fetch_add(1, Ordering::Relaxed);
         match self.window.lock() {
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),
@@ -154,18 +205,49 @@ impl OnlineState {
     }
 
     /// Opens a rebuild window over `disks`: their chunks read as missing
-    /// until marked valid. Call *before* healing the devices.
+    /// until marked valid. Call *before* healing the devices — the odd
+    /// `epoch` is published here, and the heal that follows is what makes
+    /// it visible to everyone who sees the device answer again.
     pub fn begin(&self, disks: impl IntoIterator<Item = usize>) {
         let mut w = self.window();
         *w = Some(RebuildWindow {
             disks: disks.into_iter().collect(),
             ..RebuildWindow::default()
         });
+        self.advance_epoch(true);
     }
 
     /// Closes the window (rebuild finished or aborted).
     pub fn end(&self) {
-        *self.window() = None;
+        let mut w = self.window();
+        *w = None;
+        self.advance_epoch(false);
+    }
+
+    /// Moves `epoch` to its next value of the wanted parity (odd = open).
+    /// Callers hold the `window` mutex, which serialises the writers.
+    fn advance_epoch(&self, open: bool) {
+        let next = self.epoch() + 1;
+        let next = next + u64::from(next % 2 != u64::from(open));
+        self.epoch.store(next, Ordering::SeqCst);
+    }
+
+    /// The window-edge count (see the `epoch` field): take it before asking
+    /// whether a chunk is available, compare after reading the device.
+    pub fn epoch(&self) -> u64 {
+        self.epoch.load(Ordering::SeqCst)
+    }
+
+    /// Whether a window may be open; `false` means the mutex need not be
+    /// taken (see the `epoch` field for why that is safe).
+    fn maybe_open(&self) -> bool {
+        self.epoch() % 2 == 1
+    }
+
+    /// How often the `window` mutex has been taken.
+    #[cfg(test)]
+    pub fn window_locks(&self) -> usize {
+        self.window_locks.load(Ordering::Relaxed)
     }
 
     /// Whether a rebuild window is currently open.
@@ -178,6 +260,9 @@ impl OnlineState {
     /// answers reads: it sits on a mid-rebuild disk and has not been
     /// written back yet.
     pub fn chunk_invalid(&self, addr: ChunkAddr) -> bool {
+        if !self.maybe_open() {
+            return false;
+        }
         match self.window().as_ref() {
             Some(w) => w.disks.contains(&addr.disk) && !w.valid.contains(&addr),
             None => false,
@@ -186,6 +271,9 @@ impl OnlineState {
 
     /// Records that `addr` now holds trustworthy data.
     pub fn mark_valid(&self, addr: ChunkAddr) {
+        if !self.maybe_open() {
+            return;
+        }
         if let Some(w) = self.window().as_mut() {
             if w.disks.contains(&addr.disk) {
                 w.valid.insert(addr);
@@ -224,12 +312,16 @@ impl OnlineState {
         if let Some(w) = self.window().as_mut() {
             w.disks.insert(disk);
             w.valid.retain(|a| a.disk != disk);
+            self.advance_epoch(true);
         }
     }
 
     /// Marks relations touched by a foreground write. A no-op without an
     /// open window.
     pub fn mark_dirty(&self, regions: impl IntoIterator<Item = Region>) {
+        if !self.maybe_open() {
+            return;
+        }
         if let Some(w) = self.window().as_mut() {
             w.dirty.extend(regions);
         }
@@ -245,6 +337,9 @@ impl OnlineState {
 
     /// Whether any of `regions` was dirtied since the round began.
     pub fn any_dirty(&self, regions: &[Region]) -> bool {
+        if !self.maybe_open() {
+            return false;
+        }
         match self.window().as_ref() {
             Some(w) => !w.dirty.is_empty() && regions.iter().any(|r| w.dirty.contains(r)),
             None => false,
@@ -270,6 +365,35 @@ mod tests {
         s.end();
         assert!(!s.active());
         assert!(!s.chunk_invalid(ChunkAddr::new(4, 7)));
+    }
+
+    #[test]
+    fn per_chunk_queries_take_the_window_mutex_only_while_a_window_is_open() {
+        let s = OnlineState::default();
+        let (a, r) = (ChunkAddr::new(4, 2), [Region::Row(1, 2)]);
+        let per_chunk = |s: &OnlineState| {
+            s.mark_valid(a);
+            s.mark_dirty(r);
+            (s.chunk_invalid(a), s.any_dirty(&r))
+        };
+        assert_eq!(per_chunk(&s), (false, false));
+        assert_eq!(s.window_locks(), 0, "closed: the flag answers");
+        s.begin([4]);
+        // The epoch is odd by the time `begin` returns, i.e. before any
+        // caller can heal a device of the window.
+        assert_eq!(s.epoch(), 1);
+        let opened = s.window_locks();
+        assert!(s.chunk_invalid(a));
+        assert_eq!(per_chunk(&s), (false, true));
+        assert_eq!(s.window_locks(), opened + 5, "open: every query asks");
+        // Every edge moves the epoch, so a reader that straddles one knows.
+        s.escalate(5);
+        assert_eq!(s.epoch(), 3);
+        s.end();
+        assert_eq!(s.epoch(), 4);
+        let closed = s.window_locks();
+        assert_eq!(per_chunk(&s), (false, false));
+        assert_eq!(s.window_locks(), closed);
     }
 
     #[test]

@@ -43,6 +43,7 @@ use crate::geometry::{Geometry, PayloadPos};
 use crate::observe::RebuildObserver;
 use crate::online::{OnlineState, Region};
 use crate::qos::{QosConfig, QosCounters, QosState};
+use crate::retry_cell::RetryCell;
 
 /// Errors from the byte-level store.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -407,9 +408,12 @@ pub struct OiRaidStore<B: BlockDevice = MemDevice> {
     /// One device per disk; failed disks are failed *devices*.
     devices: Vec<B>,
     telem: StoreTelemetry,
-    /// Retry policy for rebuild/scrub device I/O. Behind a lock so it can
-    /// be swapped through `&self` during a live benchmark or rebuild.
-    retry: Mutex<RetryPolicy>,
+    /// Retry policy for *every* device read and write the store issues:
+    /// each foreground chunk read and write copies it out, as do rebuild
+    /// and scrub. Swappable through `&self` during live I/O, and read
+    /// without a lock (see [`RetryCell`]) because the per-chunk path must
+    /// not share a mutex between client threads.
+    retry: RetryCell,
     /// Rebuild-window availability + dirty tracking for online rebuilds.
     online: OnlineState,
     /// Foreground/rebuild bandwidth arbitration.
@@ -551,7 +555,7 @@ impl<B: BlockDevice + Clone> Clone for OiRaidStore<B> {
             chunk_size: self.chunk_size,
             devices: self.devices.clone(),
             telem: self.telem.clone(),
-            retry: Mutex::new(self.retry_policy()),
+            retry: RetryCell::new(self.retry_policy()),
             online: self.online.clone(),
             qos: self.qos.clone(),
             dag_workers: AtomicUsize::new(self.dag_workers.load(Ordering::Relaxed)),
@@ -756,7 +760,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
             chunk_size,
             devices,
             telem: StoreTelemetry::default(),
-            retry: Mutex::new(RetryPolicy::default()),
+            retry: RetryCell::new(RetryPolicy::default()),
             online: OnlineState::default(),
             qos: QosState::new(QosConfig::from_env()),
             dag_workers: AtomicUsize::new(usize::MAX),
@@ -806,17 +810,20 @@ impl<B: BlockDevice> OiRaidStore<B> {
         self.chunk_size
     }
 
-    /// The retry policy rebuild and scrub use for device I/O.
+    /// The retry policy for device I/O: it governs every foreground chunk
+    /// read and write as well as rebuild and scrub. A lock-free read; never
+    /// a mix of two policies, even while [`Self::set_retry_policy`] runs.
     pub fn retry_policy(&self) -> RetryPolicy {
-        *self.retry.lock().expect("retry policy lock")
+        self.retry.get()
     }
 
-    /// Replaces the retry policy for subsequent rebuilds and scrubs (e.g.
+    /// Replaces the retry policy for all subsequent device I/O —
+    /// foreground reads and writes, rebuilds and scrubs (e.g.
     /// `RetryPolicy::none()` to fail fast, or a wider budget for flaky
     /// media). Takes `&self` — safe to call while I/O or a rebuild is in
     /// flight; operations pick up the new policy on their next device op.
     pub fn set_retry_policy(&self, policy: RetryPolicy) {
-        *self.retry.lock().expect("retry policy lock") = policy;
+        self.retry.set(policy);
     }
 
     /// Pool-size override for [`RebuildMode::Dag`](crate::RebuildMode::Dag)
@@ -905,11 +912,35 @@ impl<B: BlockDevice> OiRaidStore<B> {
     /// inside an open rebuild window and not yet restored; errors as for
     /// [`Self::read_into`].
     pub(crate) fn chunk(&self, addr: ChunkAddr) -> Result<Option<Vec<u8>>, StoreError> {
-        if !self.chunk_available(addr) {
-            return Ok(None);
+        self.at_one_epoch(|| {
+            if !self.chunk_available(addr) {
+                return Ok(None);
+            }
+            let mut buf = vec![0u8; self.chunk_size];
+            Ok(self.read_into(addr, &mut buf)?.then_some(buf))
+        })
+    }
+
+    /// Runs `read` — an availability check followed by a device read —
+    /// again until no rebuild-window edge went by while it ran.
+    ///
+    /// No lock spans the check and the read, and a whole fail → window open
+    /// → heal fits between them, after which the device answers with a
+    /// blank disk's zeroes for a chunk that was valid when asked. The window
+    /// epoch moves on every such edge, so an unchanged epoch vouches for the
+    /// bytes; a changed one means ask again, not give up (a parity member
+    /// may only be skipped when it really is unavailable).
+    fn at_one_epoch<T>(
+        &self,
+        mut read: impl FnMut() -> Result<T, StoreError>,
+    ) -> Result<T, StoreError> {
+        loop {
+            let epoch = self.online.epoch();
+            let out = read()?;
+            if self.online.epoch() == epoch {
+                return Ok(out);
+            }
         }
-        let mut buf = vec![0u8; self.chunk_size];
-        Ok(self.read_into(addr, &mut buf)?.then_some(buf))
     }
 
     /// Reads one chunk, mapping *any* persistent unavailability (failed
@@ -968,17 +999,19 @@ impl<B: BlockDevice> OiRaidStore<B> {
     /// `self.pool.put` once the bytes are dead (dropping it is safe, just
     /// unpooled).
     fn chunk_pooled(&self, addr: ChunkAddr) -> Result<Option<Vec<u8>>, StoreError> {
-        if !self.chunk_available(addr) {
-            return Ok(None);
-        }
-        let mut buf = self.pool.take_dirty();
-        match self.read_into(addr, &mut buf) {
-            Ok(true) => Ok(Some(buf)),
-            unread => {
-                self.pool.put(buf);
-                unread.map(|_| None)
+        self.at_one_epoch(|| {
+            if !self.chunk_available(addr) {
+                return Ok(None);
             }
-        }
+            let mut buf = self.pool.take_dirty();
+            match self.read_into(addr, &mut buf) {
+                Ok(true) => Ok(Some(buf)),
+                unread => {
+                    self.pool.put(buf);
+                    unread.map(|_| None)
+                }
+            }
+        })
     }
 
     /// Writes logical data chunk `idx`, updating both parity layers
@@ -1893,6 +1926,9 @@ impl<B: BlockDevice> OiRaidStore<B> {
         let mut direct: Vec<(usize, ChunkAddr)> = Vec::new();
         let mut fallback: Vec<usize> = Vec::new();
         let mut remaining: BTreeMap<usize, usize> = BTreeMap::new();
+        // Taken before any availability check, compared after each device
+        // run (see `at_one_epoch`).
+        let epoch = self.online.epoch();
         for &idx in idxs {
             let n = remaining.entry(idx).or_insert(0);
             *n += 1;
@@ -1931,11 +1967,13 @@ impl<B: BlockDevice> OiRaidStore<B> {
             let failures = reader.read_chunks_degrading(first, run.len(), &mut buf);
             drop(run_trace);
             let failed: BTreeSet<usize> = failures.into_iter().map(|(c, _)| c).collect();
+            let stale = self.online.epoch() != epoch;
             for (slot, (idx, addr)) in run.iter().enumerate() {
-                if failed.contains(&addr.offset) {
+                if stale || failed.contains(&addr.offset) {
                     // Went unreadable since the availability check (disk
-                    // died, latent sector): the degraded single-chunk path
-                    // sorts it out below.
+                    // died, latent sector), or a rebuild window opened or
+                    // closed meanwhile and the bytes cannot be vouched
+                    // for: the single-chunk path sorts it out below.
                     fallback.push(*idx);
                 } else {
                     fetched.insert(*idx, buf[slot * cs..(slot + 1) * cs].to_vec());
@@ -2041,8 +2079,15 @@ impl<B: BlockDevice> OiRaidStore<B> {
     /// [`Self::apply_write_group`]). The whole read-modify-write runs under
     /// the relations it touches: parity deltas from concurrent writers to
     /// *intersecting* relation sets must not interleave, and the
-    /// rebuilder's writebacks must not race the patches — but writers to
-    /// disjoint relations proceed in parallel on their own lock stripes.
+    /// rebuilder's writebacks must not race the patches. How parallel that
+    /// leaves writers depends on the group: a lone chunk write holds the
+    /// stripes of its 3 relations (the chunk's inner row, its outer stripe,
+    /// the outer parity's inner row), and two such writes to disjoint
+    /// relations meet on a stripe in about 0.2 % of pairs (3 · 3 / 4096), so
+    /// they do proceed in parallel. A full group of `MAX_WRITE_GROUP` chunks
+    /// holds up to 96 of the 4096 stripes, and two full groups collide nine
+    /// times in ten (1 − e^(−96·96/4096)): a group locks the union of its
+    /// members' relations, so full groups mostly take turns.
     /// Escalates the whole group to the exclusive update lock when any old
     /// value needs the whole-array decode fixpoint, whose read set no
     /// bounded region footprint covers.
@@ -3273,5 +3318,143 @@ mod tests {
         assert_eq!(store.dag_workers(), Some(5));
         store.set_dag_workers(None);
         assert_eq!(store.dag_workers(), None);
+    }
+    /// `(window-mutex acquisitions, retry-policy exclusions, shared-pool
+    /// lock acquisitions)` so far: the three store-wide locks that used to
+    /// sit on the per-chunk path.
+    fn shared_lock_counts<B: BlockDevice>(store: &OiRaidStore<B>) -> (usize, u64, usize) {
+        (
+            store.online.window_locks(),
+            store.retry.exclusions(),
+            store.pool.shared_locks(),
+        )
+    }
+
+    /// The benchmark's serving array at 4 KiB chunks, every chunk written.
+    fn serving_store() -> OiRaidStore {
+        let cfg = OiRaidConfig::new(bibd::fano(), 3, 2).unwrap();
+        let store = OiRaidStore::new(cfg, 4096).unwrap();
+        for idx in 0..store.data_chunks() {
+            store.write_data(idx, &vec![idx as u8 + 1; 4096]).unwrap();
+        }
+        store
+    }
+
+    #[test]
+    fn healthy_foreground_ops_take_no_store_wide_lock() {
+        let store = serving_store();
+        // One warm-up call each: the thread's pool cache fills.
+        store.write_data(5, &vec![6u8; 4096]).unwrap();
+        store.read_data(5).unwrap();
+        let before = shared_lock_counts(&store);
+        assert_eq!(store.read_data(7).unwrap(), vec![8u8; 4096]);
+        store.write_data(7, &vec![0x77u8; 4096]).unwrap();
+        assert_eq!(store.read_data(7).unwrap(), vec![0x77u8; 4096]);
+        assert_eq!(
+            shared_lock_counts(&store),
+            before,
+            "a single healthy read or write takes none of the three"
+        );
+
+        let idxs: Vec<usize> = (0..45).map(|k| (k * 3) % store.data_chunks()).collect();
+        let payload = vec![0x5Au8; 512];
+        let writes: Vec<(u64, &[u8])> = (0..19u64)
+            .map(|k| (k * 4096 * 2 + 512, payload.as_slice()))
+            .collect();
+        // Warm-up of the batch too, so the pool owns every buffer it needs.
+        store.write_bytes_batch(&writes).unwrap();
+        let before = shared_lock_counts(&store);
+        let got = store.read_data_batch(&idxs).unwrap();
+        assert_eq!(got.len(), 45);
+        assert_eq!(store.write_bytes_batch(&writes).unwrap().chunks, 19);
+        let after = shared_lock_counts(&store);
+        assert_eq!((after.0, after.1), (before.0, before.1));
+        // A 19-chunk group has more buffers live than one thread caches:
+        // what overflows goes through the shared list, once out, once back.
+        let overflow = store.pool.peak().saturating_sub(store.pool.local_room());
+        assert!(overflow > 0, "peak {}", store.pool.peak());
+        assert!(
+            after.2 - before.2 <= 2 * overflow,
+            "{} shared-pool acquisitions for an overflow of {overflow}",
+            after.2 - before.2
+        );
+        assert!(store.check_parity().is_empty());
+    }
+
+    #[test]
+    fn an_open_window_is_still_consulted_and_answers_as_before() {
+        let store = serving_store();
+        let victim = store.locate(9).disk;
+        store.fail_disk(victim).unwrap();
+        store.online.begin([victim]);
+        store.devices[victim].heal().unwrap();
+        let before = shared_lock_counts(&store);
+        // The healed chunk is blank but reads through the redundancy.
+        assert_eq!(store.read_data(9).unwrap(), vec![10u8; 4096]);
+        // A write validates it; a batch sees the same state.
+        store.write_data(9, &vec![0x99u8; 4096]).unwrap();
+        assert!(!store.online.chunk_invalid(store.locate(9)));
+        let other = (0..store.data_chunks())
+            .find(|&i| i != 9 && store.locate(i).disk == victim)
+            .unwrap();
+        let got = store.read_data_batch(&[9, other]).unwrap();
+        assert_eq!(got[0], vec![0x99u8; 4096]);
+        assert_eq!(got[1], vec![other as u8 + 1; 4096]);
+        let after = shared_lock_counts(&store);
+        assert!(after.0 > before.0, "window mutex consulted while open");
+        assert_eq!(after.1, before.1, "the policy is never locked to read");
+        store.online.end();
+        let closed = shared_lock_counts(&store).0;
+        store.read_data(3).unwrap();
+        assert_eq!(shared_lock_counts(&store).0, closed, "and not after");
+    }
+
+    #[test]
+    fn unrelated_writes_rarely_share_a_lock_stripe_related_ones_always_do() {
+        use crate::online::{stripe_of, stripe_order};
+        let cfg = OiRaidConfig::new(bibd::fano(), 3, 256).unwrap();
+        let store = OiRaidStore::new(cfg, 1).unwrap();
+        let footprint = |idx: usize| -> Vec<Region> {
+            let addr = store.locate(idx);
+            let outer = store.array.update_set(addr).unwrap()[1 + store.array.geometry().p_in];
+            let mut r = store.regions_for(addr);
+            r.extend(store.regions_for(outer));
+            r
+        };
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let prints: Vec<Vec<Region>> = (0..2000)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                footprint((x % store.data_chunks() as u64) as usize)
+            })
+            .collect();
+        let stripes: Vec<Vec<usize>> = prints.iter().map(|p| stripe_order(p)).collect();
+        let (mut unrelated, mut false_shared) = (0u64, 0u64);
+        for i in 0..prints.len() {
+            for j in 0..i {
+                let related = prints[i].iter().any(|r| prints[j].contains(r));
+                let shared = stripes[i].iter().any(|s| stripes[j].contains(s));
+                if related {
+                    assert!(shared, "writes {i} and {j} share a relation, no stripe");
+                } else {
+                    unrelated += 1;
+                    false_shared += u64::from(shared);
+                }
+            }
+        }
+        assert!(unrelated > 1_000_000);
+        assert!(
+            false_shared * 100 <= unrelated,
+            "{false_shared} of {unrelated} unrelated pairs share a stripe"
+        );
+        // A full write group takes its stripes strictly ascending.
+        let group: Vec<Region> = (0..MAX_WRITE_GROUP)
+            .flat_map(|i| footprint(i * 11))
+            .collect();
+        let order = stripe_order(&group);
+        assert!(order.windows(2).all(|w| w[0] < w[1]), "{order:?}");
+        assert!(group.iter().all(|r| order.contains(&stripe_of(r))));
     }
 }

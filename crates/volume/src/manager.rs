@@ -30,8 +30,8 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock, TryLockError};
 use std::time::Instant;
 
 use blockdev::{BlockDevice, MemDevice};
@@ -172,53 +172,71 @@ struct Pending {
     trace: u64,
 }
 
-/// Shared completion state of one `submit` call.
+/// Shared completion state of one `submit` call. Whoever drains an op
+/// fills its slot; the slots are independent (one uncontended lock each)
+/// and the count of unfilled ones is an atomic, so a drainer completing the
+/// ops of one submitter and that submitter polling [`Self::is_complete`]
+/// between waves share no lock. `sleep` + `done` exist only to park the
+/// submitter in [`Self::wait`].
 struct BatchState {
-    inner: Mutex<BatchInner>,
+    results: Vec<Mutex<Option<OpResult>>>,
+    /// Slots not yet filled. The `AcqRel` decrement in `fill` and the
+    /// `Acquire` loads pair up: whoever reads 0 sees every slot's value.
+    remaining: AtomicUsize,
+    sleep: Mutex<()>,
     done: Condvar,
     began: Instant,
 }
 
-struct BatchInner {
-    results: Vec<Option<OpResult>>,
-    remaining: usize,
-}
-
 impl BatchState {
-    fn new(slots: usize, pending: usize) -> Arc<Self> {
+    /// `early` are the slots that failed validation: filled here, never
+    /// queued, so they do not count as remaining.
+    fn new(slots: usize, early: Vec<(usize, VolumeError)>) -> Arc<Self> {
+        let remaining = slots - early.len();
+        let results: Vec<_> = (0..slots).map(|_| Mutex::new(None)).collect();
+        for (slot, e) in early {
+            *results[slot].lock().expect("batch slot lock") = Some(Err(e));
+        }
         Arc::new(Self {
-            inner: Mutex::new(BatchInner {
-                results: (0..slots).map(|_| None).collect(),
-                remaining: pending,
-            }),
+            results,
+            remaining: AtomicUsize::new(remaining),
+            sleep: Mutex::new(()),
             done: Condvar::new(),
             began: Instant::now(),
         })
     }
 
     fn fill(&self, slot: usize, result: OpResult) {
-        let mut inner = self.inner.lock().expect("batch state lock");
-        debug_assert!(inner.results[slot].is_none(), "slot filled twice");
-        inner.results[slot] = Some(result);
-        inner.remaining -= 1;
-        if inner.remaining == 0 {
+        let previous = self.results[slot]
+            .lock()
+            .expect("batch slot lock")
+            .replace(result);
+        debug_assert!(previous.is_none(), "slot filled twice");
+        if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+            // Taking `sleep` orders this wake-up after the waiter's check:
+            // it either saw 0 or is already parked on `done`.
+            let _parked = self.sleep.lock().expect("batch sleep lock");
             self.done.notify_all();
         }
     }
 
     fn is_complete(&self) -> bool {
-        self.inner.lock().expect("batch state lock").remaining == 0
+        self.remaining.load(Ordering::Acquire) == 0
     }
 
     fn wait(&self) -> Vec<OpResult> {
-        let mut inner = self.inner.lock().expect("batch state lock");
-        while inner.remaining > 0 {
-            inner = self.done.wait(inner).expect("batch state wait");
+        if !self.is_complete() {
+            let mut parked = self.sleep.lock().expect("batch sleep lock");
+            while !self.is_complete() {
+                parked = self.done.wait(parked).expect("batch state wait");
+            }
         }
-        inner
-            .results
-            .iter_mut()
-            .map(|r| r.take().expect("all slots filled"))
+        self.results
+            .iter()
+            .map(|r| {
+                let mut slot = r.lock().expect("batch slot lock");
+                slot.take().expect("all slots filled")
+            })
             .collect()
     }
 }
@@ -227,7 +245,23 @@ impl BatchState {
 struct Shard {
     queues: Mutex<Vec<VecDeque<Pending>>>,
     drain: Mutex<()>,
+    /// Running mean of this shard's wave wall time in microseconds (0 until
+    /// the first wave). Written by the drainer alone, under `drain`; read
+    /// by submitters deciding whether a busy shard is worth waiting for.
+    wave_us: AtomicU64,
 }
+
+/// A busy shard whose waves last longer than this is waited for in pass 1
+/// of `submit` instead of being put off. Skipping a busy shard buys
+/// parallelism (two drainers on two shards) at the price of combining (the
+/// skipper goes on to drain other shards early, in smaller waves). Where a
+/// wave takes a fraction of a millisecond — memory devices, the journaled
+/// file store — sleeping on the lock costs as much as the wave and skipping
+/// wins (E24). Where a wave takes tens of milliseconds it is the devices
+/// that are slow: waiting is free by comparison, big waves are what pays,
+/// and parallel drainers make tail latency a lottery (E19c's isolation
+/// bound failed one run in three with unconditional skipping).
+const PATIENT_ABOVE_US: u64 = 10_000;
 
 /// Maps many virtual volumes onto one [`OiRaidStore`] with per-tenant QoS
 /// and a batch-first foreground path (see the module docs for the model).
@@ -259,6 +293,7 @@ impl<B: BlockDevice> VolumeManager<B> {
                 .map(|_| Shard {
                     queues: Mutex::new(Vec::new()),
                     drain: Mutex::new(()),
+                    wave_us: AtomicU64::new(0),
                 })
                 .collect(),
             max_wave: 2048,
@@ -453,14 +488,7 @@ impl<B: BlockDevice> VolumeManager<B> {
                 Err(e) => early.push((slot, e)),
             }
         }
-        let slots = planned.len() + early.len();
-        let batch = BatchState::new(slots, planned.len());
-        {
-            let mut inner = batch.inner.lock().expect("batch state lock");
-            for (slot, e) in early {
-                inner.results[slot] = Some(Err(e));
-            }
-        }
+        let batch = BatchState::new(planned.len() + early.len(), early);
         // Rate caps: each capped tenant pays for its ops *before* they
         // enter the shard queues — a throttled tenant paces itself without
         // holding any shared resource.
@@ -470,15 +498,16 @@ impl<B: BlockDevice> VolumeManager<B> {
                 tenants[t].pay(n);
             }
         }
-        // Enqueue, then drain every touched shard. The drain lock makes one
-        // thread the combiner for everyone's pending ops, so our ops are
-        // served even if another submitter drains them first.
-        let mut touched: BTreeSet<usize> = BTreeSet::new();
+        // Enqueue (one `queues` lock per touched shard), then drain every
+        // touched shard. The drain lock makes one thread the combiner for
+        // everyone's pending ops, so our ops are served even if another
+        // submitter drains them first.
+        let mut by_shard: BTreeMap<usize, Vec<Pending>> = BTreeMap::new();
         for (slot, spec) in planned {
-            let shard = self.shard_of(spec.offset);
-            touched.insert(shard);
-            self.shards[shard].queues.lock().expect("shard queues lock")[spec.tenant].push_back(
-                Pending {
+            by_shard
+                .entry(self.shard_of(spec.offset))
+                .or_default()
+                .push(Pending {
                     tenant: spec.tenant,
                     slot,
                     batch: Arc::clone(&batch),
@@ -487,60 +516,106 @@ impl<B: BlockDevice> VolumeManager<B> {
                     len: spec.len,
                     data: spec.data,
                     trace: spec.trace,
-                },
-            );
+                });
+        }
+        let touched: Vec<usize> = by_shard.keys().copied().collect();
+        for (shard, ops) in by_shard {
+            let mut queues = self.shards[shard].queues.lock().expect("shard queues lock");
+            for p in ops {
+                queues[p.tenant].push_back(p);
+            }
         }
         self.batches.fetch_add(1, Ordering::Relaxed);
+        // Pass 1 puts off a shard someone else is draining (unless its
+        // waves are long, see `PATIENT_ABOVE_US`), so two submitters that
+        // touch the same shards work on different ones instead of queueing
+        // behind each other shard by shard. Pass 2 is the blocking visit
+        // that liveness rests on (see `drain_shard`).
+        let mut busy: Vec<usize> = Vec::new();
         for shard in touched {
-            self.drain_shard(shard, &batch);
             if batch.is_complete() {
                 break;
             }
+            let s = &self.shards[shard];
+            let drain = match s.drain.try_lock() {
+                Ok(drain) => drain,
+                Err(TryLockError::WouldBlock)
+                    if s.wave_us.load(Ordering::Relaxed) < PATIENT_ABOVE_US =>
+                {
+                    busy.push(shard);
+                    continue;
+                }
+                Err(TryLockError::WouldBlock) => s.drain.lock().expect("shard drain lock"),
+                Err(TryLockError::Poisoned(_)) => panic!("shard drain lock poisoned"),
+            };
+            self.drain_shard(shard, drain, &batch);
+        }
+        for shard in busy {
+            if batch.is_complete() {
+                break;
+            }
+            let drain = self.shards[shard].drain.lock().expect("shard drain lock");
+            self.drain_shard(shard, drain, &batch);
         }
         (batch.wait(), trace_ids)
     }
 
-    /// Becomes the draining combiner for one shard: pulls weighted waves
-    /// and issues each as one coalesced store batch, stopping when the
-    /// shard is empty or the caller's own batch has completed.
+    /// Drains one shard as its combiner (the caller passes the shard's
+    /// drain lock, held): pulls weighted waves and issues each as one
+    /// coalesced store batch, stopping when the shard is empty or the
+    /// caller's own batch has completed.
+    ///
+    /// What a drainer may assume in each of `submit`'s two passes. In pass 1
+    /// it got the lock without waiting, or waited because this shard's waves
+    /// are long (`PATIENT_ABOVE_US`); shards it found busy otherwise are
+    /// merely put off, nothing is given up. In pass 2 it waits for the
+    /// lock, exactly as the single pass used to. In both, its own ops are
+    /// already queued, so "shard empty" implies they were served.
     ///
     /// The early exit bounds servitude — under sustained load a drainer is
     /// never stuck serving other submitters' streams forever — without
     /// stranding anything: when we release the lock, either this shard is
     /// empty or every remaining op's own submitter is still on its way
-    /// here (each submitter visits every shard it touched, and only skips
-    /// the visit once all its ops are done).
-    fn drain_shard(&self, shard: usize, own: &BatchState) {
+    /// here. Each submitter comes to every shard it touched with a
+    /// *blocking* lock — in pass 2, if pass 1 found the shard busy — and
+    /// only skips a visit once all its ops are done; a pass-1 visit that
+    /// did get the lock ran until the shard was empty or its batch done.
+    fn drain_shard(&self, shard: usize, _drain: MutexGuard<'_, ()>, own: &BatchState) {
         let s = &self.shards[shard];
-        let _drain = s.drain.lock().expect("shard drain lock");
         while !own.is_complete() {
-            let wave = self.take_wave(s);
+            // One guard per wave serves the weights and the per-tenant
+            // latency records; the `Arc`s are not cloned.
+            let tenants = self.tenants.read().expect("tenants lock");
+            let wave = self.take_wave(s, &tenants);
             if wave.is_empty() {
                 return;
             }
             self.waves.fetch_add(1, Ordering::Relaxed);
             self.batch_ops
                 .fetch_add(wave.len() as u64, Ordering::Relaxed);
-            self.execute_wave(wave);
+            let began = Instant::now();
+            self.execute_wave(wave, &tenants);
+            let took = began.elapsed().as_micros() as u64;
+            let mean = match s.wave_us.load(Ordering::Relaxed) {
+                0 => took,
+                mean => (3 * mean + took) / 4,
+            };
+            s.wave_us.store(mean, Ordering::Relaxed);
         }
     }
 
     /// Pops up to `max_wave` ops from a shard's tenant queues, interleaved
     /// by QoS weight (a weight-w tenant contributes up to w ops per
     /// round-robin cycle while its queue lasts).
-    fn take_wave(&self, s: &Shard) -> Vec<Pending> {
-        let weights: Vec<u32> = {
-            let tenants = self.tenants.read().expect("tenants lock");
-            tenants.iter().map(|t| t.class.weight.max(1)).collect()
-        };
+    fn take_wave(&self, s: &Shard, tenants: &[Arc<Tenant>]) -> Vec<Pending> {
         let mut queues = s.queues.lock().expect("shard queues lock");
         let mut wave = Vec::new();
         let mut any = true;
         while any && wave.len() < self.max_wave {
             any = false;
             for (t, q) in queues.iter_mut().enumerate() {
-                let take =
-                    (weights.get(t).copied().unwrap_or(1) as usize).min(self.max_wave - wave.len());
+                let weight = tenants.get(t).map_or(1, |t| t.class.weight.max(1));
+                let take = (weight as usize).min(self.max_wave - wave.len());
                 for _ in 0..take {
                     match q.pop_front() {
                         Some(p) => {
@@ -560,11 +635,7 @@ impl<B: BlockDevice> VolumeManager<B> {
 
     /// Executes one wave: absorb reads-after-writes, batch the remaining
     /// reads, batch all writes, complete every slot.
-    fn execute_wave(&self, wave: Vec<Pending>) {
-        let tenants: Vec<Arc<Tenant>> = {
-            let guard = self.tenants.read().expect("tenants lock");
-            guard.clone()
-        };
+    fn execute_wave(&self, wave: Vec<Pending>, tenants: &[Arc<Tenant>]) {
         // Fan-in: every sampled request in the wave gets an edge to one
         // shared wave node, and the store batches below execute under that
         // node's context — so a request's tree shows exactly which
@@ -592,7 +663,9 @@ impl<B: BlockDevice> VolumeManager<B> {
         // same record is absorbed from the pending write's bytes; earlier
         // reads must see the pre-wave store state.
         let mut last_write: BTreeMap<(usize, u64), usize> = BTreeMap::new();
-        let mut absorbed: Vec<(usize, Vec<u8>)> = Vec::new(); // wave idx -> bytes
+        // Wave position of an absorbed read -> position of the write it
+        // is answered from.
+        let mut absorbed: Vec<Option<usize>> = vec![None; wave.len()];
         let mut pre_reads: Vec<usize> = Vec::new();
         let mut write_order: Vec<usize> = Vec::new();
         for (i, p) in wave.iter().enumerate() {
@@ -600,7 +673,7 @@ impl<B: BlockDevice> VolumeManager<B> {
                 last_write.insert(p.key, i);
                 write_order.push(i);
             } else if let Some(&w) = last_write.get(&p.key) {
-                absorbed.push((i, wave[w].data.clone().expect("write has data")));
+                absorbed[i] = Some(w);
             } else {
                 pre_reads.push(i);
             }
@@ -677,12 +750,8 @@ impl<B: BlockDevice> VolumeManager<B> {
                 // Absorbed read.
                 tenant.record_read(took(p));
                 tenant.absorbed_reads.fetch_add(1, Ordering::Relaxed);
-                let bytes = absorbed
-                    .iter()
-                    .find(|(j, _)| *j == i)
-                    .map(|(_, b)| b.clone())
-                    .expect("read is pre-read, absorbed, or batched");
-                Ok(Some(bytes))
+                let w = absorbed[i].expect("read is pre-read, absorbed, or batched");
+                Ok(Some(wave[w].data.clone().expect("write has data")))
             };
             p.batch.fill(p.slot, result);
         }
@@ -1206,6 +1275,48 @@ mod tests {
         }
         assert!(m.store().check_parity().is_empty());
         assert_eq!(m.batch_ops(), 64);
+    }
+
+    /// The one measurement `submit` steers by: a shard's mean wave time
+    /// puts memory devices far below `PATIENT_ABOVE_US` and devices with
+    /// real latency far above it.
+    #[test]
+    fn wave_time_separates_fast_devices_from_slow_ones() {
+        use blockdev::{FaultConfig, FaultInjectingDevice};
+        use std::time::Duration;
+        fn write<B: BlockDevice>(m: &VolumeManager<B>, v: VolumeId) {
+            for res in m.submit(vec![Op::Write {
+                volume: v,
+                record: 0,
+                data: vec![1u8; 16],
+            }]) {
+                res.unwrap();
+            }
+        }
+        let fast = manager(1);
+        let t = fast.add_tenant("a", TenantClass::default());
+        let v = fast.create_volume(t, "v", 16, 4).unwrap();
+        assert_eq!(fast.shards[0].wave_us.load(Ordering::Relaxed), 0);
+        write(&fast, v);
+        assert!(fast.shards[0].wave_us.load(Ordering::Relaxed) < PATIENT_ABOVE_US / 4);
+
+        let cfg = OiRaidConfig::reference();
+        let spindle = Duration::from_millis(5);
+        let devices = (0..cfg.disks())
+            .map(|_| {
+                FaultInjectingDevice::new(
+                    MemDevice::new(16, cfg.chunks_per_disk()),
+                    FaultConfig::latency(spindle, spindle),
+                )
+            })
+            .collect();
+        let store = Arc::new(OiRaidStore::with_devices(cfg, 16, devices).unwrap());
+        let slow = VolumeManager::new(store, 1);
+        let t = slow.add_tenant("a", TenantClass::default());
+        let v = slow.create_volume(t, "v", 16, 4).unwrap();
+        // One chunk write is 4 reads and 4 writes of 5 ms each.
+        write(&slow, v);
+        assert!(slow.shards[0].wave_us.load(Ordering::Relaxed) > 2 * PATIENT_ABOVE_US);
     }
 
     #[test]

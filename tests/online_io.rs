@@ -316,6 +316,95 @@ fn foreground_latency_metrics_are_exported() {
     }
 }
 
+/// The window edge: readers check the known bytes of every data chunk while
+/// another thread fails and DAG-rebuilds each disk in turn. A healed disk
+/// answers reads with zeroes until its chunks are rebuilt; the store's
+/// window flag is published before the heal, so no read may ever return
+/// those zeroes (every expected chunk is non-zero) — through the single
+/// read, the batch read and the byte read alike.
+fn window_edge_hammer<B: BlockDevice>(store: &OiRaidStore<B>, laps: usize, readers: usize) {
+    let expect = fill(store, 77);
+    assert!(expect.iter().all(|c| c.iter().any(|&b| b != 0)));
+    let done = AtomicBool::new(false);
+    let start = std::sync::Barrier::new(readers + 1);
+    std::thread::scope(|s| {
+        let (expect, done, start) = (&expect, &done, &start);
+        for r in 0..readers {
+            s.spawn(move || {
+                start.wait();
+                let (mut pass, n) = (0usize, expect.len());
+                while !done.load(Ordering::Relaxed) {
+                    for k in 0..n {
+                        let idx = (k * 5 + r + pass) % n;
+                        match (k + r) % 3 {
+                            0 => assert_eq!(store.read_data(idx).unwrap(), expect[idx], "{idx}"),
+                            1 => {
+                                let pair = [idx, (idx + 1) % n];
+                                let got = store.read_data_batch(&pair).unwrap();
+                                assert_eq!(got[0], expect[pair[0]], "batch {idx}");
+                                assert_eq!(got[1], expect[pair[1]], "batch {idx} + 1");
+                            }
+                            _ => {
+                                let cs = store.chunk_size();
+                                let mut buf = vec![0u8; cs / 2];
+                                let off = (idx * cs + cs / 4) as u64;
+                                store.read_bytes(off, &mut buf).unwrap();
+                                assert_eq!(
+                                    buf,
+                                    expect[idx][cs / 4..cs / 4 + cs / 2],
+                                    "bytes {idx}"
+                                );
+                            }
+                        }
+                    }
+                    pass += 1;
+                }
+            });
+        }
+        start.wait();
+        for _ in 0..laps {
+            for disk in 0..store.array().disks() {
+                store.fail_disk(disk).unwrap();
+                let report = store
+                    .rebuild(RebuildMode::Dag, RecoveryStrategy::Hybrid)
+                    .unwrap();
+                assert_eq!(report.outcome, RebuildOutcome::Complete, "disk {disk}");
+            }
+        }
+        done.store(true, Ordering::Relaxed);
+    });
+    assert!(store.check_parity().is_empty());
+    for (idx, want) in expect.iter().enumerate() {
+        assert_eq!(&store.read_data(idx).unwrap(), want, "chunk {idx} at rest");
+    }
+}
+
+/// More laps and more readers than cores under `OI_DEGRADED_IO=1`.
+fn window_edge_load() -> (usize, usize) {
+    if std::env::var("OI_DEGRADED_IO").is_ok() {
+        (12, 6)
+    } else {
+        (2, 3)
+    }
+}
+
+#[test]
+fn reads_never_see_a_healed_but_unrebuilt_chunk_mem() {
+    let (laps, readers) = window_edge_load();
+    let store = OiRaidStore::new(OiRaidConfig::reference(), 16).unwrap();
+    window_edge_hammer(&store, laps, readers);
+}
+
+#[test]
+fn reads_never_see_a_healed_but_unrebuilt_chunk_file() {
+    let (laps, readers) = window_edge_load();
+    let dir = std::env::temp_dir().join(format!("oi-raid-window-edge-{}", std::process::id()));
+    let store = OiRaidStore::create_in_dir(OiRaidConfig::reference(), 16, &dir).unwrap();
+    window_edge_hammer(&store, laps.div_ceil(2), readers);
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The heavy sweep: concurrent foreground writes during rebuild *with*
 /// transient faults armed on the surviving disks. Gated behind
 /// `OI_DEGRADED_IO=1` (the CI degraded-io job sets it).
