@@ -1,10 +1,10 @@
 //! File-backed device: one file per disk, so arrays larger than RAM work.
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::RwLock;
 use std::time::Instant;
 
 use crate::{
@@ -13,25 +13,26 @@ use crate::{
 
 /// A block device backed by a single file via `std::fs`.
 ///
-/// The file is created (or truncated) zero-filled at construction.
-/// Concurrent readers serialize on an internal lock — the parallelism a
-/// rebuild engine exploits is *across* devices, mirroring real spindles,
-/// not within one.
+/// The file is created (or truncated) zero-filled at construction. Every
+/// transfer is one positioned call (`read_exact_at` / `write_all_at`): the
+/// file has no cursor to share, so two clients on one disk do not wait for
+/// each other here.
 ///
 /// Which call takes which lock: `read_chunk`, `read_chunks`, `write_chunk`
-/// and `flush` each hold the one file mutex for their seek + transfer (or
-/// `fdatasync`); `heal` holds it while it truncates and re-extends the
-/// file. `is_failed` and `fail` take no lock: the failure state is an
-/// atomic flag, stored with `Release` and loaded with `Acquire` so that
-/// whoever sees the device healthy again also sees what its healer did
-/// before healing it.
+/// and `flush` hold the *read* side of the file lock for their transfer
+/// (or `fdatasync`), so they run side by side; only `heal` takes the write
+/// side, while it truncates and re-extends the file, so that no transfer
+/// lands in a half-rebuilt one. `is_failed` and `fail` take no lock: the
+/// failure state is an atomic flag, stored with `Release` and loaded with
+/// `Acquire` so that whoever sees the device healthy again also sees what
+/// its healer did before healing it.
 #[derive(Debug)]
 pub struct FileDevice {
     path: PathBuf,
     chunk_size: usize,
     chunks: usize,
     failed: AtomicBool,
-    file: Mutex<File>,
+    file: RwLock<File>,
     counters: Counters,
 }
 
@@ -77,7 +78,7 @@ impl FileDevice {
             chunk_size,
             chunks,
             failed: AtomicBool::new(false),
-            file: Mutex::new(file),
+            file: RwLock::new(file),
             counters: Counters::default(),
         })
     }
@@ -125,7 +126,7 @@ impl FileDevice {
             chunk_size,
             chunks,
             failed: AtomicBool::new(false),
-            file: Mutex::new(file),
+            file: RwLock::new(file),
             counters: Counters::default(),
         })
     }
@@ -156,16 +157,17 @@ impl BlockDevice for FileDevice {
             return Err(DeviceError::Failed);
         }
         let began = Instant::now();
-        let mut file = self.file.lock().expect("file lock");
-        file.seek(SeekFrom::Start((chunk * self.chunk_size) as u64))
+        self.file
+            .read()
+            .expect("file lock")
+            .read_exact_at(buf, (chunk * self.chunk_size) as u64)
             .map_err(io_err)?;
-        file.read_exact(buf).map_err(io_err)?;
         self.counters
             .record_read(chunk, self.chunk_size as u64, began.elapsed());
         Ok(())
     }
 
-    /// One seek + one `read_exact` for the whole run: a single I/O op.
+    /// One `read_exact_at` for the whole run: a single I/O op.
     fn read_chunks(&self, first: usize, count: usize, buf: &mut [u8]) -> Result<(), DeviceError> {
         check_io_run(first, count, self.chunks, buf.len(), self.chunk_size)?;
         let _io = self.counters.begin_io();
@@ -173,10 +175,11 @@ impl BlockDevice for FileDevice {
             return Err(DeviceError::Failed);
         }
         let began = Instant::now();
-        let mut file = self.file.lock().expect("file lock");
-        file.seek(SeekFrom::Start((first * self.chunk_size) as u64))
+        self.file
+            .read()
+            .expect("file lock")
+            .read_exact_at(buf, (first * self.chunk_size) as u64)
             .map_err(io_err)?;
-        file.read_exact(buf).map_err(io_err)?;
         self.counters
             .record_read(first, buf.len() as u64, began.elapsed());
         Ok(())
@@ -189,10 +192,11 @@ impl BlockDevice for FileDevice {
             return Err(DeviceError::Failed);
         }
         let began = Instant::now();
-        let mut file = self.file.lock().expect("file lock");
-        file.seek(SeekFrom::Start((chunk * self.chunk_size) as u64))
+        self.file
+            .read()
+            .expect("file lock")
+            .write_all_at(data, (chunk * self.chunk_size) as u64)
             .map_err(io_err)?;
-        file.write_all(data).map_err(io_err)?;
         self.counters
             .record_write(chunk, self.chunk_size as u64, began.elapsed());
         Ok(())
@@ -205,7 +209,7 @@ impl BlockDevice for FileDevice {
         if self.is_failed() {
             return Err(DeviceError::Failed);
         }
-        let file = self.file.lock().expect("file lock");
+        let file = self.file.read().expect("file lock");
         file.sync_data().map_err(io_err)
     }
 
@@ -218,7 +222,7 @@ impl BlockDevice for FileDevice {
             return Ok(());
         }
         // Re-zero by truncating then extending (sparse on most filesystems).
-        let file = self.file.lock().expect("file lock");
+        let file = self.file.write().expect("file lock");
         file.set_len(0).map_err(io_err)?;
         file.set_len((self.chunk_size * self.chunks) as u64)
             .map_err(io_err)?;

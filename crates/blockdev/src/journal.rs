@@ -4,34 +4,77 @@
 //! parities); a process crash between those writes tears the relation —
 //! the classic write hole. The journal closes it with physical redo
 //! logging: before any member is touched, the *absolute new bytes* of
-//! every member in the update are appended as one checksummed, sequence-
+//! every member in the update are logged as one checksummed, sequence-
 //! numbered **intent** record and made durable. The intent's durability is
 //! the commit point:
 //!
 //! 1. `append_intent(writes)` — serialize all member new-values into one
-//!    checksummed record and `write` it (page cache only, but not free: a
-//!    coalesced wave's record is 100 KiB–1 MiB, so the encoder makes one
-//!    pass over borrowed member bytes into a reused buffer and the CRC is
-//!    table-driven).
+//!    checksummed record and write it at the log's tail with one positioned
+//!    `write_all_at` (page cache only, but not free: a coalesced wave's
+//!    record is 100 KiB–1 MiB, so the encoder makes one pass over borrowed
+//!    member bytes into a reused buffer and the CRC is table-driven).
 //! 2. `commit(seq)` — group-commit flush: one `fdatasync` covers every
-//!    intent appended since the last flush, so coalesced volume waves
-//!    amortize a single sync per wave. Concurrent committers piggyback.
+//!    intent written before it started, so coalesced volume waves amortize
+//!    a single sync per wave and concurrent committers piggyback. The sync
+//!    holds the flush lock only, *not* the log lock: another client's
+//!    append and applied marker proceed while it runs and ride the next
+//!    one. Because the log is a fixed extent written in place (below), the
+//!    sync flushes data pages only — the file's size and block map do not
+//!    change, so there is no metadata for it to commit.
 //! 3. caller writes the members (any order, crash-anywhere safe).
-//! 4. `mark_applied(seq)` — append an **applied** marker so recovery can
-//!    skip redo; when no intents are outstanding the journal truncates
-//!    itself back to empty.
+//! 4. `mark_applied(seq)` — write an **applied** marker at the tail so
+//!    recovery can skip redo; when no intents are outstanding and the tail
+//!    has passed a threshold the log **rewinds** to its first record
+//!    offset.
 //!
-//! Recovery ([`Journal::open`]) scans the log: intents without applied
-//! markers are returned for **redo** (absolute values, so replay is
-//! idempotent — unlike XOR deltas, applying twice is harmless); a torn or
-//! checksum-failed *tail* is **rolled back** by truncation at the last
-//! valid record boundary — those updates never reported commit, and no
-//! member was written, so dropping them is correct. A checksum failure in
-//! the *middle* of the log is different: records after it may be committed
-//! intents, so the scan resynchronizes at the next valid record boundary
-//! instead of treating everything after the bad record as a torn tail.
-//! Skipped garbage is counted in [`ReplaySummary`] and reported to the
-//! flight recorder.
+//! # File layout
+//!
+//! ```text
+//! 0      slot A: "OIJ2" | floor u64 LE | crc32     (16 bytes)
+//! 4096   slot B: same
+//! 8192   records of the current lap, back to back, then whatever earlier
+//!        laps left behind (or the zeros `create` wrote)
+//! 4 MiB  end of the extent
+//! ```
+//!
+//! `create` *writes* the whole extent as zeros once (it does not
+//! `fallocate` it: unwritten blocks would turn every first touch into a
+//! metadata change) and syncs it. A record is
+//! `"OIJL" | kind | seq | payload_len | payload | crc32`, and its CRC is
+//! seeded with the **floor** of the lap it was written in: the sequence
+//! number the lap started at, published in whichever slot is current. A
+//! rewind writes the next lap's floor into the *other* slot, `fdatasync`s
+//! it, and only then moves the tail back to 8192; nothing is truncated and
+//! nothing is zeroed. The scan accepts a record only if it checks out
+//! under the current floor's seed *and* its `seq >= floor`, which is what
+//! keeps an earlier lap's bytes — or a member payload that merely looks
+//! like a record — from replaying. A record larger than what is left of
+//! the extent simply extends the file; the next rewind gives the growth
+//! back.
+//!
+//! Logs written before the fixed extent existed (v1: records from offset
+//! 0, unseeded CRC — recognisable because the file starts with the record
+//! magic) open through the same scan with start 0, floor 0, seed 0; the
+//! first rewind ([`Journal::reset`] after recovery) reformats them.
+//!
+//! # Recovery
+//!
+//! [`Journal::open`] picks the valid slot with the higher floor (a torn
+//! rewrite of one slot leaves the other, older one: that lap's records
+//! are still intact because the new lap's first record is only written
+//! after its floor is durable) and scans records from 8192 one at a time
+//! through a reused buffer: intents without applied markers are returned
+//! for **redo** (absolute values, so replay is idempotent — unlike XOR
+//! deltas, applying twice is harmless). Where a record fails to verify
+//! the scan looks for a later one that does: if there is none, the lap
+//! ends here — a record of this lap that was being written when the crash
+//! hit is **rolled back** (it never reported commit, and no member was
+//! written, so dropping it is correct; the next append overwrites it),
+//! and stale bytes of earlier laps are simply not part of the log. If
+//! there is one, the damage was in the *middle* of the lap and the records
+//! after it may be committed intents, so the scan resynchronizes at the
+//! next valid record boundary. Skipped garbage is counted in
+//! [`ReplaySummary`] and reported to the flight recorder.
 //!
 //! Whether an applied marker is *trustworthy* depends on the caller's
 //! [`FlushPolicy`]. Under `Never` the model covers *process* crashes only
@@ -39,22 +82,23 @@
 //! markers need no sync of their own, but a power loss can drop member
 //! writes whose applied markers survive — recovery then skips their redo
 //! and the update is lost. `PerWave` pushes every touched member through
-//! [`BlockDevice::flush`] *before* its applied marker is appended, and
+//! [`BlockDevice::flush`] *before* its applied marker is written, and
 //! `Timed` batches that barrier behind a deadline with an applied-marker
 //! high-water mark, so markers never claim more durability than the
-//! devices have. The same rule governs truncation: the log may only be
-//! discarded ([`Journal::try_truncate`], [`Journal::reset`]) once the
-//! member writes it covers have been flushed, because truncation destroys
-//! the redo records that would otherwise re-create them.
+//! devices have. The same rule governs the rewind: a lap may only be
+//! abandoned (inside an append or [`Journal::try_truncate`] once every
+//! intent has its marker, or by [`Journal::reset`]) once the member writes
+//! it covers have been flushed, because the next lap overwrites the redo
+//! records that would otherwise re-create them.
 //!
 //! [`BlockDevice::flush`]: crate::BlockDevice::flush
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use telemetry::Histogram;
@@ -120,9 +164,23 @@ const KIND_INTENT: u8 = 1;
 const KIND_APPLIED: u8 = 2;
 /// Fixed header: magic(4) + kind(1) + seq(8) + payload_len(4).
 const HEADER: usize = 17;
-/// Truncate the log back to empty once it grows past this with no
-/// outstanding intents.
+/// Rewind the log once its tail is past this with no outstanding intents.
 const RESET_BYTES: u64 = 1 << 20;
+/// Magic of a header slot; also what tells a v2 file from a v1 log, whose
+/// first bytes are a record's [`MAGIC`].
+const SLOT_MAGIC: [u8; 4] = *b"OIJ2";
+/// A slot: magic(4) + floor(8) + crc32 of those twelve bytes(4).
+const SLOT_LEN: usize = 16;
+/// The two slots sit in different 4 KiB blocks so one torn write cannot
+/// damage both.
+const SLOT_OFFSETS: [u64; 2] = [0, 4096];
+/// Where a lap's first record goes.
+const DATA_START: u64 = 8192;
+/// Size the file is created at and returned to by every rewind.
+const EXTENT: u64 = 4 << 20;
+/// `create` zero-fills the extent, and the recovery scan looks for record
+/// magics, in pieces of this size.
+const PIECE: usize = 64 << 10;
 
 /// Slice-by-16 lookup tables for the reflected IEEE polynomial:
 /// `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes.
@@ -154,8 +212,19 @@ const fn crc_tables() -> [[u32; 256]; 16] {
 /// checksummed on the commit path, so 16 bytes per step matter. Public
 /// because the rebuild checkpoint format reuses it.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    !crc32_update(!0, bytes)
+}
+
+/// A record's checksum: [`crc32`] started from a state that folds in the
+/// floor of the lap the record belongs to. Seed 0 is plain `crc32` — the
+/// v1 format.
+fn crc32_seeded(seed: u64, bytes: &[u8]) -> u32 {
+    !crc32_update(!((seed as u32) ^ ((seed >> 32) as u32)), bytes)
+}
+
+/// Runs the raw (un-inverted) CRC state `crc` over `bytes`.
+fn crc32_update(mut crc: u32, bytes: &[u8]) -> u32 {
     let t = &CRC_TABLES;
-    let mut crc = !0u32;
     let mut blocks = bytes.chunks_exact(16);
     for block in &mut blocks {
         let block: &[u8; 16] = block.try_into().expect("chunks_exact(16)");
@@ -169,7 +238,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     for &b in blocks.remainder() {
         crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
-    !crc
+    crc
 }
 
 /// One member's new contents inside an intent record: the absolute bytes
@@ -191,7 +260,8 @@ pub struct ReplaySummary {
     pub redo: Vec<(u64, Vec<MemberWrite>)>,
     /// Intents confirmed applied (skipped).
     pub applied: u64,
-    /// 1 if a torn/corrupt tail was truncated away, else 0.
+    /// 1 if the lap ended in a torn/corrupt record of its own (the next
+    /// append overwrites it), else 0.
     pub rolled_back: u64,
     /// Corrupt mid-log regions skipped by resynchronizing to the next
     /// valid record boundary (each region is one or more unreadable
@@ -208,8 +278,13 @@ pub struct JournalStats {
     pub appends: AtomicU64,
     /// `fdatasync` calls on the journal file.
     pub flushes: AtomicU64,
-    /// Times the log was truncated back to empty.
+    /// Times the log rewound to its first record offset.
     pub resets: AtomicU64,
+    /// Bytes handed to `write_all_at`: intent records and applied markers
+    /// (not the slot a rewind rewrites).
+    pub bytes: AtomicU64,
+    /// Offset the next record will be written at.
+    pub tail: AtomicU64,
     /// Intents covered per flush (the group-commit batch size).
     pub batch: Arc<Histogram>,
 }
@@ -220,18 +295,29 @@ impl Default for JournalStats {
             appends: AtomicU64::new(0),
             flushes: AtomicU64::new(0),
             resets: AtomicU64::new(0),
+            bytes: AtomicU64::new(0),
+            tail: AtomicU64::new(0),
             batch: Arc::new(Histogram::new()),
         }
     }
 }
 
-/// The log file and the state that changes only with it, under one lock.
+/// Where the next record goes and which lap it belongs to: everything that
+/// changes with an append or a rewind, under one lock. The file itself is
+/// not in here — positioned I/O needs no cursor, so [`Journal::commit`] can
+/// sync it without this lock.
 #[derive(Debug)]
 struct Log {
-    /// Opened in append mode: every write lands at the end, no seek.
-    file: File,
-    /// Bytes in the file, so the reset threshold needs no `fstat`. A lower
-    /// bound after a failed write (it gates only the truncation heuristic).
+    /// Offset the next record is written at.
+    tail: u64,
+    /// Sequence number the current lap started at, and the seed of its
+    /// records' CRCs. 0 for a v1 log that has not been reformatted yet
+    /// (its records start at offset 0, not [`DATA_START`]).
+    floor: u64,
+    /// The slot `floor` was read from or last written to.
+    slot: usize,
+    /// File length, so a rewind knows whether it has to put it back to the
+    /// extent (an oversize record grew the file).
     len: u64,
     /// Record under construction, reused across appends (so it keeps the
     /// capacity of the largest record written, at most one wave).
@@ -242,13 +328,17 @@ impl Log {
     /// Encodes one record — header, then for an intent every member
     /// straight from the caller's borrowed bytes (an applied marker has no
     /// payload and passes none), then the CRC — into the reused buffer and
-    /// appends it with a single `write_all`.
+    /// writes it at the tail with a single `write_all_at`. Returns the
+    /// record's size. A failed write leaves the tail where it was: whatever
+    /// part of the record landed is overwritten by the next append, and
+    /// does not verify until then.
     fn append<'a>(
         &mut self,
+        file: &File,
         kind: u8,
         seq: u64,
         members: impl IntoIterator<Item = (u32, u32, &'a [u8])>,
-    ) -> std::io::Result<()> {
+    ) -> std::io::Result<u64> {
         let rec = &mut self.rec;
         rec.clear();
         rec.extend_from_slice(&MAGIC);
@@ -269,23 +359,88 @@ impl Log {
         }
         let payload_len = (rec.len() - HEADER) as u32;
         rec[HEADER - 4..HEADER].copy_from_slice(&payload_len.to_le_bytes());
-        let crc = crc32(&rec[4..]);
+        let crc = crc32_seeded(self.floor, &rec[4..]);
         rec.extend_from_slice(&crc.to_le_bytes());
-        self.file.write_all(rec)?;
-        self.len += rec.len() as u64;
-        Ok(())
+        file.write_all_at(rec, self.tail)?;
+        self.tail += rec.len() as u64;
+        self.len = self.len.max(self.tail);
+        Ok(rec.len() as u64)
     }
 }
 
+fn encode_slot(floor: u64) -> [u8; SLOT_LEN] {
+    let mut slot = [0u8; SLOT_LEN];
+    slot[..4].copy_from_slice(&SLOT_MAGIC);
+    slot[4..12].copy_from_slice(&floor.to_le_bytes());
+    let crc = crc32(&slot[..12]);
+    slot[12..].copy_from_slice(&crc.to_le_bytes());
+    slot
+}
+
+/// The floor a slot publishes, if the slot is whole.
+fn decode_slot(slot: &[u8; SLOT_LEN]) -> Option<u64> {
+    let stored = u32::from_le_bytes(slot[12..].try_into().expect("4 bytes"));
+    (slot[..4] == SLOT_MAGIC && crc32(&slot[..12]) == stored)
+        .then(|| u64::from_le_bytes(slot[4..12].try_into().expect("8 bytes")))
+}
+
+/// Writes `floor` into slot `slot` and makes it durable. Once this returns,
+/// every record written under an earlier floor is dead — which is why the
+/// caller may only then start writing over them.
+fn publish_floor(file: &File, slot: usize, floor: u64) -> std::io::Result<()> {
+    file.write_all_at(&encode_slot(floor), SLOT_OFFSETS[slot])?;
+    crash_point("journal_rewind");
+    file.sync_data()?;
+    crash_point("journal_rewind_synced");
+    Ok(())
+}
+
+/// Lays the v2 image over `file`, whatever it held (nothing, or a v1 log
+/// whose intents are all applied): slot A first — its sync is the moment
+/// the old contents stop being a log — then zeros *written* over the rest
+/// of the extent, so that no later record write allocates or converts a
+/// block, then the length.
+fn format(file: &File, floor: u64) -> std::io::Result<()> {
+    publish_floor(file, 0, floor)?;
+    let zeros = vec![0u8; PIECE];
+    let mut offset = SLOT_LEN as u64;
+    while offset < EXTENT {
+        let n = (EXTENT - offset).min(PIECE as u64) as usize;
+        file.write_all_at(&zeros[..n], offset)?;
+        offset += n as u64;
+    }
+    file.set_len(EXTENT)?;
+    file.sync_all()
+}
+
+/// Fills `buf` from `offset`, stopping early at end of file; returns how
+/// many bytes it got.
+fn read_up_to(file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<usize> {
+    let mut got = 0;
+    while got < buf.len() {
+        match file.read_at(&mut buf[got..], offset + got as u64) {
+            Ok(0) => break,
+            Ok(n) => got += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(got)
+}
+
 /// The write-ahead intent log. All methods take `&self`; appends serialize
-/// on an internal file lock, flushes group-commit behind a flush lock.
+/// on an internal log lock, flushes group-commit behind a flush lock.
 #[derive(Debug)]
 pub struct Journal {
     path: PathBuf,
+    /// Every access is positioned (`write_all_at`, `read_exact_at`) or a
+    /// sync, so appenders (under `log`) and the committer (under
+    /// `flush_lock`) share the handle without a lock of its own.
+    file: File,
     log: Mutex<Log>,
-    /// Next sequence number to hand out (monotonic across resets).
+    /// Next sequence number to hand out (monotonic across rewinds).
     next_seq: AtomicU64,
-    /// Highest seq fully appended to the file (record write completed).
+    /// Highest seq fully written to the file (record write completed).
     last_appended: AtomicU64,
     /// Highest seq known durable (covered by a completed flush).
     flushed_seq: AtomicU64,
@@ -294,47 +449,98 @@ pub struct Journal {
     /// Serializes `fdatasync`; waiters piggyback on the in-flight sync.
     flush_lock: Mutex<()>,
     stats: JournalStats,
+    /// Test builds only: acquisitions of the `log` lock.
+    #[cfg(test)]
+    log_locks: std::sync::atomic::AtomicUsize,
 }
 
 impl Journal {
-    /// Creates (or truncates) a fresh journal at `path`.
+    /// Creates (or truncates) a fresh journal at `path`: the whole extent
+    /// written as zeros and synced, floor 1 in slot A.
     pub fn create(path: impl AsRef<Path>) -> std::io::Result<Self> {
         let path = path.as_ref().to_path_buf();
         let file = OpenOptions::new()
             .read(true)
-            .append(true)
+            .write(true)
             .create(true)
+            .truncate(true)
             .open(&path)?;
-        file.set_len(0)?;
-        Ok(Self::from_file(path, file, 0, 1))
+        format(&file, 1)?;
+        let log = Log {
+            tail: DATA_START,
+            floor: 1,
+            slot: 0,
+            len: EXTENT,
+            rec: Vec::new(),
+        };
+        Ok(Self::from_file(path, file, log, 1))
     }
 
-    /// Opens an existing journal (creating an empty one if absent), scans
-    /// it, and returns the recovery work: intents to redo and how much was
-    /// rolled back. The log is truncated at the last valid record
-    /// boundary, discarding any torn tail. The caller must apply every
-    /// redo write to the devices and then call [`Journal::reset`] — if it
-    /// crashes in between, the next open simply replays again (redo is
-    /// idempotent).
+    /// Opens an existing journal (creating a fresh one if absent), scans
+    /// the current lap, and returns the recovery work: intents to redo and
+    /// whether a torn record was rolled back. The tail is set to the last
+    /// valid record boundary, so the next append overwrites any torn
+    /// record. The caller must apply every redo write to the devices and
+    /// then call [`Journal::reset`] — if it crashes in between, the next
+    /// open simply replays again (redo is idempotent).
+    ///
+    /// # Errors
+    ///
+    /// `InvalidData` if the file is neither a v1 log nor has a readable
+    /// slot: its floor, and with it which records are live, is unknown.
     pub fn open(path: impl AsRef<Path>) -> std::io::Result<(Self, ReplaySummary)> {
         let path = path.as_ref().to_path_buf();
-        let mut file = OpenOptions::new()
+        let file = OpenOptions::new()
             .read(true)
-            .append(true)
+            .write(true)
             .create(true)
+            .truncate(false)
             .open(&path)?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)?;
+        let mut slots = [[0u8; SLOT_LEN]; 2];
+        for (slot, offset) in slots.iter_mut().zip(SLOT_OFFSETS) {
+            read_up_to(&file, slot, offset)?;
+        }
+        let (start, floor, slot) = if slots[0][..4] == MAGIC {
+            (0, 0, 0) // v1: records from offset 0, unseeded
+        } else {
+            let floors = [decode_slot(&slots[0]), decode_slot(&slots[1])];
+            match floors {
+                [Some(a), Some(b)] if b > a => (DATA_START, b, 1),
+                [Some(a), _] => (DATA_START, a, 0),
+                [None, Some(b)] => (DATA_START, b, 1),
+                // Never written (absent, a create that died before its
+                // first slot, or a v1 log truncated to empty): a fresh log.
+                [None, None] if file.metadata()?.len() == 0 => {
+                    format(&file, 1)?;
+                    (DATA_START, 1, 0)
+                }
+                [None, None] => {
+                    return Err(std::io::Error::new(
+                        std::io::ErrorKind::InvalidData,
+                        format!(
+                            "journal {}: neither header slot is readable",
+                            path.display()
+                        ),
+                    ))
+                }
+            }
+        };
+        let len = file.metadata()?.len();
 
+        let mut scan = Scan {
+            file: &file,
+            end: len,
+            floor,
+            buf: Vec::new(),
+        };
         let mut intents: BTreeMap<u64, Vec<MemberWrite>> = BTreeMap::new();
         let mut applied = 0u64;
         let mut max_seq = 0u64;
         let mut skipped = 0u64;
         let mut skipped_bytes = 0u64;
-        let mut offset = 0usize;
-        let mut valid_end = 0usize;
-        while offset < bytes.len() {
-            match parse_record(&bytes[offset..]) {
+        let mut offset = start;
+        loop {
+            match scan.record_at(offset)? {
                 Some((consumed, seq, record)) => {
                     max_seq = max_seq.max(seq);
                     match record {
@@ -348,31 +554,28 @@ impl Journal {
                         }
                     }
                     offset += consumed;
-                    valid_end = offset;
                 }
-                // A bad record here is either a torn tail (nothing valid
-                // follows — roll it back) or mid-log corruption (committed
-                // records follow — resynchronize past the garbage rather
-                // than silently dropping them as if they were torn).
-                None => match find_next_valid(&bytes, offset + 1) {
+                // No record here: either the lap ends (nothing valid
+                // follows) or this is mid-log corruption (committed records
+                // follow — resynchronize past the garbage rather than
+                // silently dropping them as if they were torn).
+                None => match scan.next_valid(offset + 1)? {
                     Some(next) => {
                         skipped += 1;
-                        skipped_bytes += (next - offset) as u64;
+                        skipped_bytes += next - offset;
                         offset = next;
                     }
                     None => break,
                 },
             }
         }
-        let rolled_back = u64::from(valid_end < bytes.len());
-        if rolled_back == 1 {
-            // Drop the torn tail so later appends start at a clean record
-            // boundary. (Mid-log garbage before `valid_end` is kept as-is:
-            // reopening simply re-skips it, and recovery normally resets
-            // the whole log right after redo anyway.)
-            file.set_len(valid_end as u64)?;
-        }
-        // Surviving records may include appended-but-never-synced tails
+        // What follows the lap is zeros or an earlier lap's bytes — unless
+        // it starts like a record of *this* lap, which is then one that was
+        // being written when the crash hit. (Mid-log garbage before
+        // `offset` is kept as-is: reopening simply re-skips it, and
+        // recovery normally rewinds right after redo anyway.)
+        let rolled_back = u64::from(scan.record_begun_at(offset)?.is_some());
+        // Surviving records may include written-but-never-synced tails
         // (the crash hit between append and group commit); sync now so the
         // recovered journal's flushed_seq == max_seq claim below is true.
         file.sync_data()?;
@@ -391,26 +594,42 @@ impl Journal {
             skipped,
             skipped_bytes,
         };
-        let mut journal = Self::from_file(path, file, valid_end as u64, max_seq + 1);
+        let log = Log {
+            tail: offset,
+            floor,
+            slot,
+            len: len.max(offset),
+            rec: Vec::new(),
+        };
+        // An empty lap has no record to take the next seq from, but its
+        // floor says where the numbering had got to.
+        let mut journal = Self::from_file(path, file, log, (max_seq + 1).max(floor));
         *journal.outstanding.get_mut() = summary.redo.len() as u64;
         Ok((journal, summary))
     }
 
-    fn from_file(path: PathBuf, file: File, len: u64, next_seq: u64) -> Self {
+    fn from_file(path: PathBuf, file: File, log: Log, next_seq: u64) -> Self {
+        let stats = JournalStats::default();
+        stats.tail.store(log.tail, Ordering::Relaxed);
         Self {
             path,
-            log: Mutex::new(Log {
-                file,
-                len,
-                rec: Vec::new(),
-            }),
+            file,
+            log: Mutex::new(log),
             next_seq: AtomicU64::new(next_seq),
             last_appended: AtomicU64::new(next_seq - 1),
             flushed_seq: AtomicU64::new(next_seq - 1),
             outstanding: AtomicU64::new(0),
             flush_lock: Mutex::new(()),
-            stats: JournalStats::default(),
+            stats,
+            #[cfg(test)]
+            log_locks: Default::default(),
         }
+    }
+
+    fn log(&self) -> MutexGuard<'_, Log> {
+        #[cfg(test)]
+        self.log_locks.fetch_add(1, Ordering::Relaxed);
+        self.log.lock().expect("journal log lock")
     }
 
     /// The journal file's path.
@@ -433,13 +652,23 @@ impl Journal {
     /// [`Journal::append_intent`] over borrowed `(disk, chunk, new bytes)`
     /// members: the record is encoded straight from the caller's buffers,
     /// so the commit path never clones a member to log it.
+    ///
+    /// Rewinds first when the log has drained and its tail is past the
+    /// threshold: with appends overlapping syncs, "nothing outstanding" is
+    /// rarely true at the moment an applied marker looks, but it is true
+    /// here whenever this is the only update in flight. Safe for the same
+    /// reason a drained [`Journal::try_truncate`] is — every intent has its
+    /// marker, and under a flush policy a marker is only written once its
+    /// members are flushed.
     pub fn append_members<'a>(
         &self,
         members: impl IntoIterator<Item = (u32, u32, &'a [u8])>,
     ) -> std::io::Result<u64> {
-        let mut log = self.log.lock().expect("journal file lock");
+        let mut log = self.log();
+        self.rewind_if_due(&mut log)?;
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        log.append(KIND_INTENT, seq, members)?;
+        let written = log.append(&self.file, KIND_INTENT, seq, members)?;
+        self.note_written(&log, written);
         self.outstanding.fetch_add(1, Ordering::Relaxed);
         self.last_appended.store(seq, Ordering::Release);
         drop(log);
@@ -448,13 +677,20 @@ impl Journal {
         Ok(seq)
     }
 
+    fn note_written(&self, log: &Log, bytes: u64) {
+        self.stats.bytes.fetch_add(bytes, Ordering::Relaxed);
+        self.stats.tail.store(log.tail, Ordering::Relaxed);
+    }
+
     /// Makes every intent up to and including `seq` durable. This is the
     /// commit point: returning `Ok` means the update will survive a crash.
     ///
-    /// Group commit: one `fdatasync` covers all records appended before
-    /// it, so concurrent committers (a coalesced volume wave) share a
+    /// Group commit: one `fdatasync` covers all records written before it
+    /// started, so concurrent committers (a coalesced volume wave) share a
     /// single sync — callers whose seq is already covered return without
-    /// touching the file.
+    /// touching the file. The log lock is not taken: appends and applied
+    /// markers of other updates land while the sync runs, and are claimed
+    /// by the next one.
     pub fn commit(&self, seq: u64) -> std::io::Result<()> {
         if self.flushed_seq.load(Ordering::Acquire) >= seq {
             return Ok(());
@@ -466,15 +702,14 @@ impl Journal {
             return Ok(());
         }
         // Every record with seq <= last_appended is fully written (the
-        // counter is only advanced after write_all completes), so one sync
-        // commits the whole batch.
+        // counter is only advanced after write_all_at completes), so one
+        // sync commits the whole batch. Loaded *before* the sync: a record
+        // that lands while it runs may or may not be covered, so it must
+        // not be claimed.
         let target = self.last_appended.load(Ordering::Acquire);
-        {
-            let log = self.log.lock().expect("journal file lock");
-            log.file.sync_data()?;
-        }
-        // fetch_max, not store: a concurrent truncation (which holds only
-        // the file lock, not this flush lock) may already have advanced
+        self.file.sync_data()?;
+        // fetch_max, not store: a concurrent rewind (which holds only the
+        // log lock, not this flush lock) may already have advanced
         // flushed_seq past our target; writing an older value back would
         // let a later committer skip a sync it still needs.
         self.flushed_seq.fetch_max(target, Ordering::AcqRel);
@@ -485,12 +720,12 @@ impl Journal {
     }
 
     /// Records that the members of intent `seq` have been written. Once no
-    /// intents are outstanding and the log has grown past a threshold, it
-    /// truncates back to empty (sequence numbers stay monotonic).
+    /// intents are outstanding and the tail is past a threshold, the log
+    /// rewinds (sequence numbers stay monotonic).
     ///
     /// Only valid under [`FlushPolicy::Never`]-style callers: the embedded
-    /// truncation does not flush member devices first. Flush-policy
-    /// callers use [`Journal::mark_applied_no_truncate`] and decide when
+    /// rewind does not flush member devices first. Flush-policy callers
+    /// use [`Journal::mark_applied_no_truncate`] and decide when
     /// [`Journal::try_truncate`] is safe.
     pub fn mark_applied(&self, seq: u64) -> std::io::Result<()> {
         if self.mark_applied_no_truncate(seq)? {
@@ -499,19 +734,20 @@ impl Journal {
         Ok(())
     }
 
-    /// Appends the applied marker for `seq` and decrements the outstanding
-    /// count, but never truncates. Returns `true` when the log has drained
-    /// (no intents outstanding) and grown past the reset threshold — i.e.
+    /// Writes the applied marker for `seq` and decrements the outstanding
+    /// count, but never rewinds. Returns `true` when the log has drained
+    /// (no intents outstanding) and its tail is past the threshold — i.e.
     /// a [`Journal::try_truncate`] is due once the caller has flushed the
     /// member devices the log covers.
     pub fn mark_applied_no_truncate(&self, seq: u64) -> std::io::Result<bool> {
         let prev;
         let due;
         {
-            let mut log = self.log.lock().expect("journal file lock");
-            log.append(KIND_APPLIED, seq, [])?;
+            let mut log = self.log();
+            let written = log.append(&self.file, KIND_APPLIED, seq, [])?;
+            self.note_written(&log, written);
             // Saturating: a double apply (or an apply racing reset) must
-            // not wrap outstanding to u64::MAX and wedge truncation
+            // not wrap outstanding to u64::MAX and wedge the rewind
             // forever. The closure always returns Some, so fetch_update
             // cannot fail.
             prev = self
@@ -520,9 +756,9 @@ impl Journal {
                     Some(n.saturating_sub(1))
                 })
                 .unwrap_or_else(|n| n);
-            due = prev == 1 && log.len > RESET_BYTES;
+            due = prev == 1 && log.tail > RESET_BYTES;
         }
-        // Outside the file lock, so a debug-build panic cannot poison it.
+        // Outside the log lock, so a debug-build panic cannot poison it.
         debug_assert!(
             prev > 0,
             "mark_applied(seq={seq}) with no outstanding intents (double apply or apply after reset)"
@@ -530,31 +766,54 @@ impl Journal {
         Ok(due)
     }
 
-    /// Truncates the log back to empty if nothing is outstanding and it
-    /// has grown past the reset threshold. Callers operating under a flush
-    /// policy must flush the member devices covered by the log *before*
-    /// calling — truncation destroys the redo records.
+    /// Rewinds the log if nothing is outstanding and its tail is past the
+    /// threshold. Callers operating under a flush policy must flush the
+    /// member devices covered by the log *before* calling — the next lap
+    /// overwrites the redo records.
     pub fn try_truncate(&self) -> std::io::Result<()> {
-        let mut log = self.log.lock().expect("journal file lock");
-        if self.outstanding.load(Ordering::Relaxed) == 0 && log.len > RESET_BYTES {
-            self.truncate_locked(&mut log)?;
+        let mut log = self.log();
+        self.rewind_if_due(&mut log)
+    }
+
+    /// Abandons the current lap unconditionally. Call after every redo
+    /// write from [`Journal::open`] has been applied to the devices; a v1
+    /// log is reformatted here.
+    pub fn reset(&self) -> std::io::Result<()> {
+        let mut log = self.log();
+        self.outstanding.store(0, Ordering::Relaxed);
+        self.rewind_locked(&mut log)
+    }
+
+    fn rewind_if_due(&self, log: &mut Log) -> std::io::Result<()> {
+        if self.outstanding.load(Ordering::Relaxed) == 0 && log.tail > RESET_BYTES {
+            self.rewind_locked(log)?;
         }
         Ok(())
     }
 
-    /// Truncates the log to empty. Call after every redo write from
-    /// [`Journal::open`] has been applied to the devices.
-    pub fn reset(&self) -> std::io::Result<()> {
-        let mut log = self.log.lock().expect("journal file lock");
-        self.outstanding.store(0, Ordering::Relaxed);
-        self.truncate_locked(&mut log)
-    }
-
-    fn truncate_locked(&self, log: &mut Log) -> std::io::Result<()> {
-        log.file.set_len(0)?;
-        log.len = 0;
-        log.file.sync_data()?;
-        // An empty log trivially covers every appended record; fetch_max
+    /// Starts a new lap: its floor — the next sequence number, which only
+    /// moves under the log lock held here — goes into the slot that is not
+    /// current and is synced *before* the tail moves, because the first
+    /// record written at the old lap's start is only readable under the
+    /// new floor. An oversize record's growth is given back afterwards:
+    /// cutting the file while the old floor could still come back would cut
+    /// applied markers off intents that stay.
+    fn rewind_locked(&self, log: &mut Log) -> std::io::Result<()> {
+        let floor = self.next_seq.load(Ordering::Relaxed);
+        if log.floor == 0 {
+            format(&self.file, floor)?; // a v1 log
+            log.slot = 0;
+        } else {
+            let other = 1 - log.slot;
+            publish_floor(&self.file, other, floor)?;
+            log.slot = other;
+            if log.len != EXTENT {
+                self.file.set_len(EXTENT)?;
+            }
+        }
+        (log.floor, log.tail, log.len) = (floor, DATA_START, EXTENT);
+        self.stats.tail.store(DATA_START, Ordering::Relaxed);
+        // An empty lap trivially covers every appended record; fetch_max
         // (not store) so we never move flushed_seq backwards under a
         // racing group commit.
         self.flushed_seq
@@ -569,29 +828,89 @@ impl Journal {
     }
 
     /// Highest sequence number known durable (covered by a completed
-    /// flush). Monotonic: never regresses, even across truncations.
+    /// flush). Monotonic: never regresses, even across rewinds.
     pub fn flushed_seq(&self) -> u64 {
         self.flushed_seq.load(Ordering::Acquire)
     }
 
-    /// Highest sequence number fully appended to the file.
+    /// Highest sequence number fully written to the file.
     pub fn last_appended(&self) -> u64 {
         self.last_appended.load(Ordering::Acquire)
     }
 }
 
-/// Scans forward from `from` for the next offset where a complete record
-/// parses (magic, header, payload, CRC all good) — the resync point after
-/// mid-log corruption. `None` means the rest of the file is a torn tail.
-fn find_next_valid(bytes: &[u8], from: usize) -> Option<usize> {
-    let mut i = from;
-    while i + HEADER + 4 <= bytes.len() {
-        if bytes[i..i + 4] == MAGIC && parse_record(&bytes[i..]).is_some() {
-            return Some(i);
-        }
-        i += 1;
+/// The recovery scan's view of the file: one record at a time through a
+/// reused buffer, so opening costs the largest record in memory, not the
+/// file.
+struct Scan<'a> {
+    file: &'a File,
+    /// File length: no record extends past it.
+    end: u64,
+    /// Records must carry this seed and a `seq` at or above it.
+    floor: u64,
+    buf: Vec<u8>,
+}
+
+impl Scan<'_> {
+    /// The size of the record whose header is at `offset`, if the bytes
+    /// there start like a record of this lap (magic, `seq >= floor`) — as
+    /// opposed to zeros or an earlier lap's leftovers, which are not part
+    /// of the log at all.
+    fn record_begun_at(&self, offset: u64) -> std::io::Result<Option<u64>> {
+        let mut header = [0u8; HEADER];
+        let got = read_up_to(self.file, &mut header, offset)?;
+        let seq = u64::from_le_bytes(header[5..13].try_into().expect("8 bytes"));
+        let len = u32::from_le_bytes(header[13..].try_into().expect("4 bytes"));
+        let begun = got == HEADER && header[..4] == MAGIC && seq >= self.floor;
+        Ok(begun.then_some(HEADER as u64 + len as u64 + 4))
     }
-    None
+
+    /// Reads and verifies the record at `offset`: `(size, seq, record)`,
+    /// or `None` for anything that is not a whole record of this lap.
+    fn record_at(&mut self, offset: u64) -> std::io::Result<Option<(u64, u64, Record)>> {
+        let total = match self.record_begun_at(offset)? {
+            // Bounded by the file's length before anything is allocated.
+            Some(total) if offset + total <= self.end => total as usize,
+            _ => return Ok(None),
+        };
+        self.buf.resize(total, 0);
+        self.file.read_exact_at(&mut self.buf, offset)?;
+        Ok(parse_record(&self.buf, self.floor)
+            .map(|(consumed, seq, record)| (consumed as u64, seq, record)))
+    }
+
+    /// Scans forward from `from` for the next offset where a complete
+    /// record verifies (magic, header, payload, CRC all good) — the resync
+    /// point after mid-log corruption. `None` means the lap ends before
+    /// `from`.
+    fn next_valid(&mut self, from: u64) -> std::io::Result<Option<u64>> {
+        const ONES: u64 = 0x0101_0101_0101_0101;
+        const O: u64 = MAGIC[0] as u64;
+        let mut piece = vec![0u8; PIECE];
+        let mut base = from;
+        while base + (HEADER + 4) as u64 <= self.end {
+            let n = (self.end - base).min(PIECE as u64) as usize;
+            self.file.read_exact_at(&mut piece[..n], base)?;
+            // Eight bytes at a step: a word none of whose bytes is the
+            // magic's first (x has no zero byte) starts no record. Bytes of
+            // the buffer past `n` are an earlier piece's; they can only add
+            // words to look into, and the look stops at `n - 3`.
+            for (w, word) in piece[..n.next_multiple_of(8)].chunks_exact(8).enumerate() {
+                let x = u64::from_ne_bytes(word.try_into().expect("8 bytes")) ^ (ONES * O);
+                if x.wrapping_sub(ONES) & !x & (ONES << 7) == 0 {
+                    continue;
+                }
+                for i in w * 8..(w * 8 + 8).min(n - 3) {
+                    if piece[i..i + 4] == MAGIC && self.record_at(base + i as u64)?.is_some() {
+                        return Ok(Some(base + i as u64));
+                    }
+                }
+            }
+            // Overlap by three bytes: a magic may straddle two pieces.
+            base += (n - 3) as u64;
+        }
+        Ok(None)
+    }
 }
 
 enum Record {
@@ -599,9 +918,10 @@ enum Record {
     Applied,
 }
 
-/// Parses one record from the front of `bytes`. Returns `None` on a torn,
-/// corrupt, or absent record — the scan's stop condition.
-fn parse_record(bytes: &[u8]) -> Option<(usize, u64, Record)> {
+/// Parses one record of the lap with floor `floor` from the front of
+/// `bytes`. Returns `None` on a torn, corrupt, stale or absent record — the
+/// scan's stop condition.
+fn parse_record(bytes: &[u8], floor: u64) -> Option<(usize, u64, Record)> {
     if bytes.len() < HEADER + 4 || bytes[..4] != MAGIC {
         return None;
     }
@@ -609,11 +929,11 @@ fn parse_record(bytes: &[u8]) -> Option<(usize, u64, Record)> {
     let seq = u64::from_le_bytes(bytes[5..13].try_into().ok()?);
     let len = u32::from_le_bytes(bytes[13..17].try_into().ok()?) as usize;
     let total = HEADER + len + 4;
-    if bytes.len() < total {
+    if bytes.len() < total || seq < floor {
         return None;
     }
     let stored = u32::from_le_bytes(bytes[HEADER + len..total].try_into().ok()?);
-    if crc32(&bytes[4..HEADER + len]) != stored {
+    if crc32_seeded(floor, &bytes[4..HEADER + len]) != stored {
         return None;
     }
     let payload = &bytes[HEADER..HEADER + len];
@@ -660,6 +980,17 @@ mod tests {
         }
     }
 
+    fn tail_of(j: &Journal) -> u64 {
+        j.stats().tail.load(Ordering::Relaxed)
+    }
+
+    /// Tears a write: `len` bytes at `offset` hold what was there before
+    /// it (zeros, on a fresh journal's first lap) instead.
+    fn tear(path: &Path, offset: u64, len: usize) {
+        let f = OpenOptions::new().write(true).open(path).unwrap();
+        f.write_all_at(&vec![0; len], offset).unwrap();
+    }
+
     #[test]
     fn crc32_matches_known_vector() {
         // IEEE CRC-32 of "123456789" is the classic check value.
@@ -702,13 +1033,11 @@ mod tests {
         j.commit(s1).unwrap();
         let s2 = j.append_intent(&[write(2, 2, 0x22)]).unwrap();
         j.commit(s2).unwrap();
+        let tail = tail_of(&j);
         drop(j);
 
-        // Tear the second record mid-payload.
-        let len = std::fs::metadata(&path).unwrap().len();
-        let f = OpenOptions::new().write(true).open(&path).unwrap();
-        f.set_len(len - 7).unwrap();
-        drop(f);
+        // Tear the second record: its last 7 bytes never landed.
+        tear(&path, tail - 7, 7);
 
         let (j2, summary) = Journal::open(&path).unwrap();
         assert_eq!(summary.rolled_back, 1);
@@ -733,7 +1062,7 @@ mod tests {
         drop(j);
         // Flip one payload byte.
         let mut bytes = std::fs::read(&path).unwrap();
-        let mid = HEADER + 5;
+        let mid = DATA_START as usize + HEADER + 5;
         bytes[mid] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
         let (_, summary) = Journal::open(&path).unwrap();
@@ -769,7 +1098,12 @@ mod tests {
         j.commit(s).unwrap();
         j.mark_applied(s).unwrap();
         j.reset().unwrap();
-        assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), EXTENT);
+        assert_eq!(
+            tail_of(&j),
+            DATA_START,
+            "the next record overwrites the old lap"
+        );
         let s2 = j.append_intent(&[write(0, 1, 2)]).unwrap();
         assert!(s2 > s, "sequence numbers stay monotonic across resets");
         j.commit(s2).unwrap();
@@ -841,12 +1175,13 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// Flips one payload byte of the `n`-th record in the file (0-based).
+    /// Flips one payload byte of the `n`-th record (0-based) of a fresh
+    /// journal's first lap.
     fn corrupt_record(path: &Path, n: usize) {
         let mut bytes = std::fs::read(path).unwrap();
-        let mut offset = 0usize;
+        let mut offset = DATA_START as usize;
         for _ in 0..n {
-            let (consumed, _, _) = parse_record(&bytes[offset..]).unwrap();
+            let (consumed, _, _) = parse_record(&bytes[offset..], 1).unwrap();
             offset += consumed;
         }
         bytes[offset + HEADER + 2] ^= 0xFF;
@@ -892,13 +1227,11 @@ mod tests {
         let _s2 = j.append_intent(&[write(2, 2, 0x22)]).unwrap();
         let s3 = j.append_intent(&[write(3, 3, 0x33)]).unwrap();
         j.commit(s3).unwrap();
+        let tail = tail_of(&j);
         drop(j);
         corrupt_record(&path, 1);
-        // Tear the last record mid-payload as well.
-        let len = std::fs::metadata(&path).unwrap().len();
-        let f = OpenOptions::new().write(true).open(&path).unwrap();
-        f.set_len(len - 5).unwrap();
-        drop(f);
+        // Tear the last record as well.
+        tear(&path, tail - 5, 5);
 
         let (_, summary) = Journal::open(&path).unwrap();
         assert_eq!(summary.skipped, 0, "nothing valid after the corruption");
@@ -957,6 +1290,248 @@ mod tests {
         assert_eq!(sum3.redo[0].0, s4);
         let s5 = j3.append_intent(&[write(4, 0, 0xEE)]).unwrap();
         assert!(s5 > s4);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn bytes_and_tail_count_what_is_written() {
+        let path = temp_path("bytes");
+        let j = Journal::create(&path).unwrap();
+        assert_eq!(tail_of(&j), DATA_START);
+        let s = j.append_intent(&[write(0, 0, 1)]).unwrap();
+        // header 17 + member count 4 + (disk, chunk, len) 12 + data 16 + crc 4
+        assert_eq!(j.stats().bytes.load(Ordering::Relaxed), 53);
+        j.commit(s).unwrap();
+        j.mark_applied(s).unwrap();
+        assert_eq!(j.stats().bytes.load(Ordering::Relaxed), 53 + 21);
+        assert_eq!(tail_of(&j), DATA_START + 53 + 21);
+        j.reset().unwrap();
+        assert_eq!(j.stats().bytes.load(Ordering::Relaxed), 53 + 21);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn commit_never_takes_the_log_lock() {
+        let path = temp_path("commit-lock");
+        let j = Journal::create(&path).unwrap();
+        let s = j.append_intent(&[write(0, 0, 1)]).unwrap();
+        let before = j.log_locks.load(Ordering::Relaxed);
+        j.commit(s).unwrap(); // syncs
+        j.commit(s).unwrap(); // already covered
+        assert_eq!(j.stats().flushes.load(Ordering::Relaxed), 1);
+        assert_eq!(j.log_locks.load(Ordering::Relaxed), before);
+        j.mark_applied(s).unwrap();
+        assert!(
+            j.log_locks.load(Ordering::Relaxed) > before,
+            "the counter counts"
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// The encoder alone, writing from offset 0 of whatever file it is
+    /// given under `floor`'s seed.
+    fn raw_log(floor: u64) -> Log {
+        Log {
+            tail: 0,
+            floor,
+            slot: 0,
+            len: 0,
+            rec: Vec::new(),
+        }
+    }
+
+    fn redo_seqs(path: &Path) -> Vec<u64> {
+        let (_, summary) = Journal::open(path).unwrap();
+        summary.redo.iter().map(|(s, _)| *s).collect()
+    }
+
+    #[test]
+    fn torn_rewrite_of_either_slot_opens_on_the_other() {
+        let path = temp_path("slots");
+        let j = Journal::create(&path).unwrap();
+        let s1 = j.append_intent(&[write(1, 1, 0x11)]).unwrap();
+        j.commit(s1).unwrap();
+        let f = OpenOptions::new().write(true).open(&path).unwrap();
+        // The first rewind would write slot B. Half of it landed: slot A
+        // still names the lap s1 is in.
+        f.write_all_at(&encode_slot(s1 + 1)[..9], SLOT_OFFSETS[1])
+            .unwrap();
+        assert_eq!(redo_seqs(&path), vec![s1]);
+
+        // A real rewind makes slot B current; the one after it would
+        // rewrite slot A.
+        j.mark_applied(s1).unwrap();
+        j.reset().unwrap();
+        let s2 = j.append_intent(&[write(2, 2, 0x22)]).unwrap();
+        j.commit(s2).unwrap();
+        assert_eq!(redo_seqs(&path), vec![s2]);
+        f.write_all_at(&encode_slot(s2 + 1)[..9], SLOT_OFFSETS[0])
+            .unwrap();
+        assert_eq!(redo_seqs(&path), vec![s2]);
+        // And a whole slot A with a higher floor ends s2's lap.
+        f.write_all_at(&encode_slot(s2 + 1), SLOT_OFFSETS[0])
+            .unwrap();
+        assert_eq!(redo_seqs(&path), Vec::<u64>::new());
+
+        // With neither slot readable there is no telling which records are
+        // live: the open fails instead of guessing.
+        f.write_all_at(&[0xFF; SLOT_LEN], SLOT_OFFSETS[0]).unwrap();
+        f.write_all_at(&[0xFF; SLOT_LEN], SLOT_OFFSETS[1]).unwrap();
+        let err = Journal::open(&path).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_lapped_log_never_replays_an_earlier_lap() {
+        let path = temp_path("lapped");
+        let j = Journal::create(&path).unwrap();
+        // Lap 1: three committed intents, the last two never marked applied
+        // — then abandoned by reset(), as after a recovery that redid them.
+        let s1 = j.append_intent(&[write(1, 1, 0x11)]).unwrap();
+        j.mark_applied(s1).unwrap();
+        let big = MemberWrite {
+            disk: 2,
+            chunk: 2,
+            data: vec![0x22; 5000],
+        };
+        j.append_intent(std::slice::from_ref(&big)).unwrap();
+        let s3 = j.append_intent(&[write(3, 3, 0x33)]).unwrap();
+        j.commit(s3).unwrap();
+        let lap1 = std::fs::read(&path).unwrap();
+        j.reset().unwrap();
+        assert_eq!(redo_seqs(&path), Vec::<u64>::new(), "an empty lap 2");
+
+        // Lap 2 overwrites the start of lap 1; the rest of it is still there.
+        let s4 = j.append_intent(&[write(4, 4, 0x44)]).unwrap();
+        j.commit(s4).unwrap();
+        let tail = tail_of(&j);
+        let (_, summary) = Journal::open(&path).unwrap();
+        assert_eq!(summary.redo, vec![(s4, vec![write(4, 4, 0x44)])]);
+        assert_eq!((summary.rolled_back, summary.skipped), (0, 0));
+
+        // Lap 2's first record torn: its end still holds lap 1's bytes.
+        let f = OpenOptions::new().write(true).open(&path).unwrap();
+        let torn = (tail - 9) as usize..tail as usize;
+        f.write_all_at(&lap1[torn.clone()], torn.start as u64)
+            .unwrap();
+        let (j2, summary) = Journal::open(&path).unwrap();
+        assert!(summary.redo.is_empty(), "{:?}", summary.redo);
+        assert_eq!((summary.rolled_back, summary.skipped), (1, 0));
+        // The next append takes the torn record's place and its number.
+        let s5 = j2.append_intent(&[write(5, 5, 0x55)]).unwrap();
+        assert_eq!((s5, tail_of(&j2)), (s4, tail));
+        assert_eq!(redo_seqs(&path), vec![s5]);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_payload_that_is_itself_a_record_is_not_redone_from_the_stale_region() {
+        let path = temp_path("nested");
+        // A well-formed intent record as another fresh journal (floor 1,
+        // like this one's first lap) would write it, with a sequence number
+        // no floor will ever pass.
+        let mut other = raw_log(1);
+        let scratch = temp_path("nested-scratch");
+        let f = File::create(&scratch).unwrap();
+        other
+            .append(&f, KIND_INTENT, u64::MAX / 2, [(9, 9, &[0x99u8; 64][..])])
+            .unwrap();
+        let nested = std::fs::read(&scratch).unwrap();
+        assert!(
+            parse_record(&nested, 1).is_some(),
+            "well-formed under its own floor"
+        );
+        std::fs::remove_file(&scratch).ok();
+
+        let j = Journal::create(&path).unwrap();
+        let carrier = MemberWrite {
+            disk: 0,
+            chunk: 0,
+            data: nested,
+        };
+        let s1 = j.append_intent(&[write(1, 1, 0x11)]).unwrap();
+        let s2 = j.append_intent(std::slice::from_ref(&carrier)).unwrap();
+        j.commit(s2).unwrap();
+        j.mark_applied(s1).unwrap();
+        j.mark_applied(s2).unwrap();
+        j.reset().unwrap();
+        // Lap 2 ends inside what was s1: the carrier, nested record and
+        // all, lies in the stale region the resync scan walks through.
+        let s3 = j.append_intent(&[]).unwrap();
+        j.commit(s3).unwrap();
+        assert!(tail_of(&j) < DATA_START + 53);
+        let (_, summary) = Journal::open(&path).unwrap();
+        assert_eq!(summary.redo, vec![(s3, vec![])]);
+        assert_eq!((summary.rolled_back, summary.skipped), (0, 0));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_v1_log_opens_redoes_and_is_v2_after_reset() {
+        let path = temp_path("v1");
+        // v1: records from offset 0, CRC unseeded, no slots.
+        let mut v1 = raw_log(0);
+        let f = File::create(&path).unwrap();
+        v1.append(&f, KIND_INTENT, 1, [(1, 1, &[0x11u8; 16][..])])
+            .unwrap();
+        v1.append(&f, KIND_APPLIED, 1, []).unwrap();
+        v1.append(&f, KIND_INTENT, 2, [(2, 2, &[0x22u8; 16][..])])
+            .unwrap();
+        drop(f);
+
+        let (j, summary) = Journal::open(&path).unwrap();
+        assert_eq!(summary.redo, vec![(2, vec![write(2, 2, 0x22)])]);
+        assert_eq!((summary.applied, summary.rolled_back), (1, 0));
+        assert_eq!(tail_of(&j), v1.tail, "still a v1 log until it is reset");
+        j.reset().unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(bytes.len() as u64, EXTENT);
+        assert_eq!(decode_slot(bytes[..SLOT_LEN].try_into().unwrap()), Some(3));
+        assert!(bytes[SLOT_LEN..].iter().all(|&b| b == 0));
+        let s3 = j.append_intent(&[write(3, 3, 0x33)]).unwrap();
+        assert_eq!((s3, tail_of(&j)), (3, DATA_START + 53));
+        j.commit(s3).unwrap();
+        assert_eq!(redo_seqs(&path), vec![3]);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// The log stays bounded under overlapping clients: an intent far
+    /// larger than what is left of the extent grows the file, and the next
+    /// rewind — from `mark_applied`, or from an append that finds the log
+    /// drained — gives the growth back.
+    #[test]
+    fn ten_thousand_mixed_rounds_leave_the_file_at_its_extent() {
+        let path = temp_path("bounded");
+        let j = Journal::create(&path).unwrap();
+        const THREADS: usize = 4;
+        const ROUNDS: usize = 2500;
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let j = &j;
+                s.spawn(move || {
+                    for i in 0..ROUNDS {
+                        let len = match i % 64 {
+                            0 => 1 << 20,
+                            n if n % 8 == 0 => 64 << 10,
+                            n => 16 << (n % 8),
+                        };
+                        let w = MemberWrite {
+                            disk: t as u32,
+                            chunk: i as u32,
+                            data: vec![(t + i) as u8; len],
+                        };
+                        let seq = j.append_intent(std::slice::from_ref(&w)).unwrap();
+                        j.commit(seq).unwrap();
+                        j.mark_applied(seq).unwrap();
+                    }
+                });
+            }
+        });
+        assert_eq!(j.outstanding(), 0);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), EXTENT);
+        assert!(j.stats().resets.load(Ordering::Relaxed) > 0);
+        assert_eq!(redo_seqs(&path), Vec::<u64>::new());
         std::fs::remove_file(&path).ok();
     }
 

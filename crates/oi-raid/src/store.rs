@@ -88,7 +88,7 @@ pub enum StoreError {
         /// The underlying layout error.
         error: LayoutError,
     },
-    /// The write-ahead journal failed (append, flush, or truncate) — the
+    /// The write-ahead journal failed (append, flush, or rewind) — the
     /// update was not made durable and no member was written.
     Journal {
         /// The underlying I/O error kind.
@@ -443,7 +443,7 @@ struct DurableState {
     policy: FlushPolicy,
     /// Intents redone at `open_durable` (0 for a fresh store).
     replayed: AtomicU64,
-    /// Torn journal tails truncated at `open_durable`.
+    /// Torn journal tails rolled back at `open_durable`.
     rolled_back: AtomicU64,
     /// Corrupt mid-log regions skipped during recovery.
     skipped: AtomicU64,
@@ -1101,9 +1101,10 @@ impl<B: BlockDevice> OiRaidStore<B> {
                 // alive through the abort, so the marker needs no barrier.
                 FlushPolicy::Never => d.journal.mark_applied(seq).map_err(journal_err)?,
                 // Power-loss model: the applied marker may only be
-                // appended once the member flush completed, and truncation
-                // is safe because every earlier marker obeyed the same
-                // rule — the whole log's member writes are on stable
+                // written once the member flush completed, and the rewind
+                // (here, or inside a later append that finds the log
+                // drained) is safe because every earlier marker obeyed the
+                // same rule — the whole lap's member writes are on stable
                 // storage by the time it drains.
                 FlushPolicy::PerWave => {
                     let disks = news.iter().map(|(a, _, _)| a.disk).collect::<BTreeSet<_>>();
@@ -1138,7 +1139,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
 
     /// Runs one `FlushPolicy::Timed` flush cycle now: flushes every disk
     /// dirtied since the last cycle, then appends the deferred applied
-    /// markers those flushes cover (and truncates the drained log).
+    /// markers those flushes cover (and rewinds the drained log).
     /// Returns how many intents were marked applied. A no-op `Ok(0)` for
     /// non-durable stores, other policies, and empty cycles. Call before
     /// dropping a `Timed` store for a clean shutdown — skipping it is
@@ -1429,8 +1430,8 @@ impl<B: BlockDevice> OiRaidStore<B> {
     /// committed-but-unapplied intents onto them, and resets the log.
     /// Under a power-loss policy ([`FlushPolicy::PerWave`] or
     /// [`FlushPolicy::Timed`]) every device is flushed *before* the reset:
-    /// truncation destroys the redo records, so the member writes they
-    /// re-created must be on stable storage first.
+    /// the log's next lap overwrites the redo records, so the member writes
+    /// they re-created must be on stable storage first.
     pub fn open_durable_on(
         cfg: OiRaidConfig,
         chunk_size: usize,
@@ -1448,41 +1449,40 @@ impl<B: BlockDevice> OiRaidStore<B> {
             kind: std::io::ErrorKind::InvalidData,
             message,
         };
-        for (_seq, writes) in &summary.redo {
-            for w in writes {
-                if w.data.len() != chunk_size {
-                    return Err(invalid(format!(
-                        "intent member has {} bytes, store uses {chunk_size}",
-                        w.data.len()
-                    )));
-                }
-                // The log is outside input: a CRC-valid record written for
-                // another geometry must fail the open, not index past the
-                // device vector.
-                if w.disk as usize >= disks || w.chunk as usize >= chunks_per_disk {
-                    return Err(invalid(format!(
-                        "intent member addresses disk {} chunk {}, array is {disks} x {chunks_per_disk}",
-                        w.disk, w.chunk
-                    )));
-                }
-                store.write_chunk(ChunkAddr::new(w.disk as usize, w.chunk as usize), &w.data)?;
+        let members = || summary.redo.iter().flat_map(|(_seq, writes)| writes);
+        // Every intent is checked before any is written: a log that fails
+        // the open must not have been half replayed onto the devices.
+        for w in members() {
+            if w.data.len() != chunk_size {
+                return Err(invalid(format!(
+                    "intent member has {} bytes, store uses {chunk_size}",
+                    w.data.len()
+                )));
             }
+            // The log is outside input: a CRC-valid record written for
+            // another geometry must fail the open, not index past the
+            // device vector.
+            if w.disk as usize >= disks || w.chunk as usize >= chunks_per_disk {
+                return Err(invalid(format!(
+                    "intent member addresses disk {} chunk {}, array is {disks} x {chunks_per_disk}",
+                    w.disk, w.chunk
+                )));
+            }
+        }
+        for w in members() {
+            store.write_chunk(ChunkAddr::new(w.disk as usize, w.chunk as usize), &w.data)?;
         }
         let durable = DurableState::new(journal, policy);
         if policy != FlushPolicy::Never && replayed > 0 {
             // Push the redo writes through the devices' volatile caches
             // before the journal forgets them. A crash mid-flush is fine:
             // the log is still intact, so the next open replays again.
-            let disks: BTreeSet<usize> = summary
-                .redo
-                .iter()
-                .flat_map(|(_, ws)| ws.iter().map(|w| w.disk as usize))
-                .collect();
+            let disks: BTreeSet<usize> = members().map(|w| w.disk as usize).collect();
             store.flush_disks_inner(&durable.flush_stats, disks)?;
         }
         // Only after every redo write landed (and, under a power-loss
-        // policy, was flushed) may the log be dropped — a crash before
-        // this point simply replays again on the next open.
+        // policy, was flushed) may the log start a new lap — a crash
+        // before this point simply replays again on the next open.
         durable.journal.reset().map_err(journal_err)?;
         if replayed > 0 || summary.rolled_back > 0 || summary.skipped > 0 {
             telemetry::flight_event(
@@ -1665,20 +1665,23 @@ impl<B: BlockDevice> OiRaidStore<B> {
         // Journal series export even without a journal attached (as zeros
         // / an empty histogram), so dashboards and the metrics lint see a
         // stable universe across durable and in-memory stores.
-        let (appends, flushes, resets, replayed, rolled_back, skipped) = match &self.durable {
-            Some(d) => {
-                let s = d.journal.stats();
-                (
-                    s.appends.load(Ordering::Relaxed),
-                    s.flushes.load(Ordering::Relaxed),
-                    s.resets.load(Ordering::Relaxed),
-                    d.replayed.load(Ordering::Relaxed),
-                    d.rolled_back.load(Ordering::Relaxed),
-                    d.skipped.load(Ordering::Relaxed),
-                )
-            }
-            None => (0, 0, 0, 0, 0, 0),
-        };
+        let (appends, flushes, resets, bytes, tail, replayed, rolled_back, skipped) =
+            match &self.durable {
+                Some(d) => {
+                    let s = d.journal.stats();
+                    (
+                        s.appends.load(Ordering::Relaxed),
+                        s.flushes.load(Ordering::Relaxed),
+                        s.resets.load(Ordering::Relaxed),
+                        s.bytes.load(Ordering::Relaxed),
+                        s.tail.load(Ordering::Relaxed),
+                        d.replayed.load(Ordering::Relaxed),
+                        d.rolled_back.load(Ordering::Relaxed),
+                        d.skipped.load(Ordering::Relaxed),
+                    )
+                }
+                None => (0, 0, 0, 0, 0, 0, 0, 0),
+            };
         for (name, help, value) in [
             (
                 "oi_journal_appends_total",
@@ -1692,8 +1695,13 @@ impl<B: BlockDevice> OiRaidStore<B> {
             ),
             (
                 "oi_journal_resets_total",
-                "Times the journal truncated back to empty (no outstanding intents)",
+                "Times the journal rewound to its first record (no outstanding intents)",
                 resets,
+            ),
+            (
+                "oi_journal_bytes_total",
+                "Bytes written to the journal: intent records and applied markers",
+                bytes,
             ),
             (
                 "oi_journal_replayed_total",
@@ -1713,6 +1721,12 @@ impl<B: BlockDevice> OiRaidStore<B> {
         ] {
             reg.counter(name, help, &[]).set(value);
         }
+        reg.gauge(
+            "oi_journal_tail_bytes",
+            "Offset in the journal file the next record is written at",
+            &[],
+        )
+        .set(tail as i64);
         reg.register_histogram(
             "oi_journal_batch_records",
             "Intent records covered per journal group-commit flush",

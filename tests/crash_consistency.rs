@@ -623,7 +623,8 @@ fn power_loss_rebuild_checkpoint_stays_honest() {
 
 /// Targeted point × hit grid (gated on `OI_CRASH_MATRIX=1`): kills the
 /// child at the 1st / 2nd / 5th hit of each named crash point — write-path
-/// points through the write workload, rebuild points through a
+/// points through the write workload, the journal's rewind through the
+/// recovery of a child killed mid-update, rebuild points through a
 /// checkpointing rebuild — and verifies convergence after each.
 #[test]
 fn targeted_crash_matrix_converges() {
@@ -661,6 +662,33 @@ fn targeted_crash_matrix_converges() {
                 "{point} hit {hits}: child must crash, got {status:?}"
             );
             verify_converged(&dir, &cfg, &format!("{point} hit {hits}"));
+            cycle += 1;
+        }
+        // The rewind — a child's first is the reset that ends its open —
+        // killed between the slot write and its sync, and right after it,
+        // with committed intents in the lap being abandoned: the child
+        // before it dies mid-update and nobody reopens in between.
+        for point in ["journal_rewind", "journal_rewind_synced"] {
+            let envs = |point: &str, hits: u64| {
+                [
+                    ("OI_CRASH_POINT", point.to_string()),
+                    ("OI_CRASH_HITS", hits.to_string()),
+                    ("OI_CRASH_CYCLE", (0x4000 + cycle).to_string()),
+                ]
+            };
+            let status = spawn_child("crash_child", &dir, &envs("member_write", hits));
+            assert_eq!(status.signal(), Some(SIGABRT), "member_write hit {hits}");
+            let status = spawn_child("crash_child", &dir, &envs(point, 1));
+            assert_eq!(
+                status.signal(),
+                Some(SIGABRT),
+                "{point} after member_write hit {hits}: child must crash, got {status:?}"
+            );
+            verify_converged(
+                &dir,
+                &cfg,
+                &format!("{point} after member_write hit {hits}"),
+            );
             cycle += 1;
         }
         for point in rebuild_points {
@@ -920,4 +948,47 @@ fn replayed_intent_outside_the_array_geometry_fails_the_open() {
         }
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// Replay validates before it writes: a log whose first intent is fine and
+/// whose second is foreign fails the open with the devices exactly as they
+/// were — not with the first intent already written over them.
+#[test]
+fn a_foreign_intent_fails_the_open_before_any_intent_is_replayed() {
+    let cfg = OiRaidConfig::reference();
+    let dir = unique_dir("half-replayed");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let journal = Journal::create(dir.join("journal.log")).expect("create journal");
+    let member = |disk: usize, chunk: usize| blockdev::MemberWrite {
+        disk: disk as u32,
+        chunk: chunk as u32,
+        data: vec![0xEE; CHUNK],
+    };
+    journal.append_intent(&[member(0, 0)]).expect("append");
+    let seq = journal
+        .append_intent(&[member(1, 1), member(cfg.disks(), 0)])
+        .expect("append");
+    journal.commit(seq).expect("commit");
+    drop(journal);
+
+    // File devices, so what the failed open did to them can be read back
+    // (the open consumes its devices).
+    let image = |disk: usize| dir.join(format!("disk-{disk:03}.img"));
+    let devices: Vec<FileDevice> = (0..cfg.disks())
+        .map(|d| FileDevice::create(image(d), CHUNK, cfg.chunks_per_disk()).expect("disk file"))
+        .collect();
+    let opened =
+        OiRaidStore::open_durable_on(cfg.clone(), CHUNK, devices, &dir, FlushPolicy::Never);
+    match opened {
+        Err(StoreError::Journal { kind, .. }) => {
+            assert_eq!(kind, std::io::ErrorKind::InvalidData)
+        }
+        other => panic!("expected a journal error, got {other:?}"),
+    }
+    for disk in 0..cfg.disks() {
+        let bytes = std::fs::read(image(disk)).expect("read disk file back");
+        assert_eq!(bytes.len(), CHUNK * cfg.chunks_per_disk());
+        assert!(bytes.iter().all(|&b| b == 0), "disk {disk} was written");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

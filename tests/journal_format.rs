@@ -1,8 +1,12 @@
 //! Format freeze for the write-ahead journal and its checksum: the
-//! table-driven `crc32` and the one-pass intent encoder must produce exactly
-//! the bytes the original bitwise/copying implementation produced, because
-//! journals and rebuild checkpoints already on disk must keep opening.
+//! table-driven `crc32` must produce exactly the values the original
+//! bitwise implementation produced, a v1 log (records from offset 0,
+//! unseeded CRC) must keep opening, and the fixed-extent v2 file — two
+//! header slots, the same records at 8192 with their lap's floor folded
+//! into the CRC — is pinned byte for byte, because journals and rebuild
+//! checkpoints already on disk must keep opening.
 
+use std::os::unix::fs::FileExt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -75,11 +79,30 @@ const GOLDEN_LOG_HEX: &str = "\
 4f494a4c0102000000000000002400000001000000000000000100000014000000\
 000102030405060708090a0b0c0d0e0f10111213ff1830f2";
 
-fn golden_log() -> Vec<u8> {
-    (0..GOLDEN_LOG_HEX.len())
+/// The same three records as the fixed-extent encoder writes them in a
+/// fresh journal's first lap (floor 1): every byte as in
+/// [`GOLDEN_LOG_HEX`] except each record's trailing CRC, which is seeded.
+const GOLDEN_V2_RECORDS_HEX: &str = "\
+4f494a4c010100000000000000240000000200000003000000070000000500000068656c6c6f\
+140000000403020103000000a55affd591a3e0\
+4f494a4c0201000000000000000000000023661b29\
+4f494a4c0102000000000000002400000001000000000000000100000014000000\
+000102030405060708090a0b0c0d0e0f10111213ec37687d";
+/// Slot A of a fresh journal: magic, floor 1, CRC of those twelve bytes.
+const GOLDEN_V2_SLOT_HEX: &str = "4f494a32010000000000000027b6d2d1";
+const SLOT_B: usize = 4096;
+const DATA_START: usize = 8192;
+const EXTENT: usize = 4 << 20;
+
+fn unhex(hex: &str) -> Vec<u8> {
+    (0..hex.len())
         .step_by(2)
-        .map(|i| u8::from_str_radix(&GOLDEN_LOG_HEX[i..i + 2], 16).unwrap())
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
         .collect()
+}
+
+fn golden_log() -> Vec<u8> {
+    unhex(GOLDEN_LOG_HEX)
 }
 
 fn golden_members() -> (Vec<MemberWrite>, Vec<MemberWrite>) {
@@ -117,7 +140,37 @@ fn encoder_reproduces_the_golden_log_byte_for_byte() {
         .unwrap();
     j.commit(s2).unwrap();
     assert_eq!((s1, s2), (1, 2));
-    assert_eq!(std::fs::read(&path).unwrap(), golden_log());
+    let file = std::fs::read(&path).unwrap();
+    assert_eq!(file.len(), EXTENT);
+    let (slot, records) = (unhex(GOLDEN_V2_SLOT_HEX), unhex(GOLDEN_V2_RECORDS_HEX));
+    let end = DATA_START + records.len();
+    assert_eq!(file[..slot.len()], slot[..]);
+    assert_eq!(file[DATA_START..end], records[..]);
+    // Everything else is as `create` wrote it: zeros, slot B included.
+    assert!(file[slot.len()..DATA_START].iter().all(|&b| b == 0));
+    assert!(file[end..].iter().all(|&b| b == 0));
+    // Record for record the v1 bytes, but for the four CRC bytes.
+    let v1 = golden_log();
+    assert_eq!(v1.len(), records.len());
+    let crc_bytes = [53..57, 74..78, 131..135];
+    for (i, (a, b)) in v1.iter().zip(&records).enumerate() {
+        assert_eq!(
+            a == b,
+            !crc_bytes.iter().any(|r| r.contains(&i)),
+            "byte {i}"
+        );
+    }
+
+    // The first rewind publishes the next lap's floor in slot B and leaves
+    // the rest of the file as it is.
+    j.mark_applied(s2).unwrap();
+    j.reset().unwrap();
+    let rewound = std::fs::read(&path).unwrap();
+    assert_eq!(rewound.len(), EXTENT);
+    assert_eq!(&rewound[SLOT_B..SLOT_B + 4], b"OIJ2");
+    assert_eq!(rewound[SLOT_B + 4..SLOT_B + 12], 3u64.to_le_bytes());
+    assert_eq!(rewound[..SLOT_B], file[..SLOT_B]);
+    assert_eq!(rewound[SLOT_B + 16..end], file[SLOT_B + 16..end]);
     std::fs::remove_file(&path).ok();
 }
 
@@ -156,29 +209,52 @@ fn tearing_a_large_intent_at_any_4k_boundary_rolls_back_only_that_record() {
     }];
     let path = temp_path("tear");
     let j = Journal::create(&path).unwrap();
+    // The lap before: records at other boundaries, all applied, left behind
+    // by the rewind — what a write that never reached the disk leaves in
+    // its place.
+    for seed in 0..3u64 {
+        let s = j
+            .append_intent(&[MemberWrite {
+                disk: 0,
+                chunk: seed as u32,
+                data: random_bytes(400_000, seed),
+            }])
+            .unwrap();
+        j.commit(s).unwrap();
+        j.mark_applied(s).unwrap();
+    }
+    j.reset().unwrap();
+    let before = std::fs::read(&path).unwrap();
+
     let s1 = j.append_intent(&small).unwrap();
     let s2 = j.append_intent(&large).unwrap();
     j.commit(s2).unwrap();
+    let end = j.stats().tail.load(Ordering::Relaxed) as usize;
     drop(j);
     let full = std::fs::read(&path).unwrap();
+    assert_eq!(full.len(), before.len());
     let (_, summary) = Journal::open(&path).unwrap();
     assert_eq!(summary.redo, vec![(s1, small.clone()), (s2, large)]);
 
-    let large_start = full.len() - ((1 << 20) + 37);
-    let cuts = (0..full.len())
+    let large_start = end - ((1 << 20) + 37);
+    let cuts = (0..end)
         .step_by(4096)
         .filter(|&cut| cut > large_start)
-        .chain([full.len() - 1]);
+        .chain([end - 1]);
+    let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
     for cut in cuts {
-        std::fs::write(&path, &full[..cut]).unwrap();
-        let (_, summary) = Journal::open(&path).unwrap();
+        // The record's bytes up to `cut` landed; past it the previous lap.
+        file.write_all_at(&full[large_start..cut], large_start as u64)
+            .unwrap();
+        file.write_all_at(&before[cut..end], cut as u64).unwrap();
+        let (j, summary) = Journal::open(&path).unwrap();
         assert_eq!(summary.rolled_back, 1, "cut at {cut}");
         assert_eq!(summary.skipped, 0, "cut at {cut}");
         assert_eq!(summary.redo, vec![(s1, small.clone())], "cut at {cut}");
         assert_eq!(
-            std::fs::metadata(&path).unwrap().len(),
+            j.stats().tail.load(Ordering::Relaxed),
             large_start as u64,
-            "cut at {cut}: the torn record is truncated away"
+            "cut at {cut}: the next append overwrites the torn record"
         );
     }
     std::fs::remove_file(&path).ok();

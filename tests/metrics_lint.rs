@@ -81,6 +81,8 @@ fn union_of_all_exporters_lints_clean_and_covers_every_family() {
         "oi_journal_appends_total",
         "oi_journal_flushes_total",
         "oi_journal_resets_total",
+        "oi_journal_bytes_total",
+        "oi_journal_tail_bytes",
         "oi_journal_replayed_total",
         "oi_journal_rolled_back_total",
         "oi_journal_batch_records",
