@@ -3,8 +3,10 @@
 //! A [`RebuildObserver`] bundles the telemetry a rebuild feeds: latency
 //! histograms ([`StageTimings`]) for its three sequential phases
 //! (`plan`/`heal`/`execute`, one sample per occurrence — their sums cover
-//! the rebuild's wall time) and for the per-chunk pipeline stages inside
-//! `execute` (`read`/`coalesce`/`combine`/`writeback`), the self-healing
+//! the rebuild's wall time), for the per-chunk pipeline stages inside
+//! `execute` (`read`/`coalesce`/`combine`/`writeback`) and for the two
+//! per-round sub-phases that are serial work (`regions`, `lower`), the
+//! self-healing
 //! counters, and a [`Progress`] handle another thread can poll while
 //! [`OiRaidStore::rebuild_observed`](crate::OiRaidStore::rebuild_observed)
 //! runs. The rebuild's causal structure (rounds, scheduled ops, device
@@ -37,8 +39,15 @@ pub struct StageTimings {
     pub coalesce: Arc<Histogram>,
     /// Reconstruction compute time per plan item.
     pub combine: Arc<Histogram>,
-    /// Write-back time per rebuilt chunk.
+    /// Write-back time per rebuilt chunk: its share of the batch it landed
+    /// in (locks, dirty check, device writes, validity marks).
     pub writeback: Arc<Histogram>,
+    /// One round's dirty-epoch reset and footprint computation — the part
+    /// of `plan` that every round repeats.
+    pub regions: Arc<Histogram>,
+    /// One round's lowering — read queues, batches, op graph and the state
+    /// the ops share — the part of `execute` before the first op runs.
+    pub lower: Arc<Histogram>,
     /// The DAG scheduler's peak ready-queue depth, one sample per round
     /// (empty for serial mode).
     pub queue_depth: Arc<Histogram>,
@@ -46,7 +55,7 @@ pub struct StageTimings {
 
 impl StageTimings {
     /// Every stage histogram by name, in [`StageTimings::summaries`] order.
-    fn named(&self) -> [(&'static str, &Arc<Histogram>); 7] {
+    fn named(&self) -> [(&'static str, &Arc<Histogram>); 9] {
         [
             ("plan", &self.plan),
             ("heal", &self.heal),
@@ -55,11 +64,13 @@ impl StageTimings {
             ("coalesce", &self.coalesce),
             ("combine", &self.combine),
             ("writeback", &self.writeback),
+            ("regions", &self.regions),
+            ("lower", &self.lower),
         ]
     }
 
-    /// Snapshot of every stage: the three phases, then the pipeline stages
-    /// in pipeline order.
+    /// Snapshot of every stage: the three phases, the pipeline stages in
+    /// pipeline order, then the two per-round sub-phases.
     pub fn summaries(&self) -> Vec<StageSummary> {
         self.named()
             .into_iter()
@@ -99,7 +110,7 @@ pub struct HealCounters {
 #[derive(Debug, Clone)]
 pub struct StageSummary {
     /// Stage name (`plan`, `heal`, `execute`, `read`, `coalesce`,
-    /// `combine`, `writeback`).
+    /// `combine`, `writeback`, `regions`, `lower`).
     pub stage: &'static str,
     /// The stage's service-time distribution, in nanoseconds.
     pub latency: HistogramSnapshot,
@@ -210,7 +221,9 @@ mod tests {
                 "read",
                 "coalesce",
                 "combine",
-                "writeback"
+                "writeback",
+                "regions",
+                "lower"
             ]
         );
         assert_eq!(s[3].latency.count, 1);
@@ -226,8 +239,8 @@ mod tests {
         obs.export_metrics(&reg);
         assert_eq!(
             reg.len(),
-            19,
-            "7 stages + queue depth + 6 heal counters + 2 ring-drop \
+            21,
+            "9 stages + queue depth + 6 heal counters + 2 ring-drop \
              counters + 3 scheduler series"
         );
         // Live: recording after registration shows up in the export.

@@ -271,14 +271,7 @@ impl OnlineState {
 
     /// Records that `addr` now holds trustworthy data.
     pub fn mark_valid(&self, addr: ChunkAddr) {
-        if !self.maybe_open() {
-            return;
-        }
-        if let Some(w) = self.window().as_mut() {
-            if w.disks.contains(&addr.disk) {
-                w.valid.insert(addr);
-            }
-        }
+        self.mark_valid_all([addr]);
     }
 
     /// A point-in-time copy of the window's state: `(target disks,
@@ -293,10 +286,14 @@ impl OnlineState {
         })
     }
 
-    /// Pre-marks `valid` chunks of an open window as already trustworthy —
-    /// the checkpoint-resume path. Chunks outside the window's disks are
-    /// ignored.
-    pub fn restore_valid(&self, valid: impl IntoIterator<Item = ChunkAddr>) {
+    /// Records that `valid` now hold trustworthy data, under one trip
+    /// through the window mutex: a batch of rebuild writebacks, or the
+    /// chunks a checkpoint vouches for on resume. Chunks outside the
+    /// window's disks are ignored.
+    pub fn mark_valid_all(&self, valid: impl IntoIterator<Item = ChunkAddr>) {
+        if !self.maybe_open() {
+            return;
+        }
         if let Some(w) = self.window().as_mut() {
             for addr in valid {
                 if w.disks.contains(&addr.disk) {
@@ -335,21 +332,26 @@ impl OnlineState {
         }
     }
 
-    /// Whether any of `regions` was dirtied since the round began.
-    pub fn any_dirty(&self, regions: &[Region]) -> bool {
-        if !self.maybe_open() {
-            return false;
-        }
-        match self.window().as_ref() {
-            Some(w) => !w.dirty.is_empty() && regions.iter().any(|r| w.dirty.contains(r)),
-            None => false,
-        }
+    /// Per footprint, whether any of its relations was dirtied since the
+    /// round began — every answer from one trip through the window mutex,
+    /// so a batch of writebacks asks once.
+    pub fn dirty_among<'a>(&self, footprints: impl Iterator<Item = &'a [Region]>) -> Vec<bool> {
+        let window = self.maybe_open().then(|| self.window());
+        let dirty = window.as_ref().and_then(|w| w.as_ref()).map(|w| &w.dirty);
+        let dirty = dirty.filter(|d| !d.is_empty());
+        footprints
+            .map(|regions| dirty.is_some_and(|d| regions.iter().any(|r| d.contains(r))))
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn any_dirty(s: &OnlineState, regions: &[Region]) -> bool {
+        s.dirty_among(std::iter::once(regions))[0]
+    }
 
     #[test]
     fn window_lifecycle_gates_availability() {
@@ -374,7 +376,7 @@ mod tests {
         let per_chunk = |s: &OnlineState| {
             s.mark_valid(a);
             s.mark_dirty(r);
-            (s.chunk_invalid(a), s.any_dirty(&r))
+            (s.chunk_invalid(a), any_dirty(s, &r))
         };
         assert_eq!(per_chunk(&s), (false, false));
         assert_eq!(s.window_locks(), 0, "closed: the flag answers");
@@ -418,14 +420,14 @@ mod tests {
         s.mark_dirty([Region::Row(0, 3)]);
         s.begin([0]);
         assert!(
-            !s.any_dirty(&[Region::Row(0, 3)]),
+            !any_dirty(&s, &[Region::Row(0, 3)]),
             "pre-window marks dropped"
         );
         s.mark_dirty([Region::Row(0, 3), Region::Stripe(2, 5)]);
-        assert!(s.any_dirty(&[Region::Stripe(2, 5)]));
-        assert!(!s.any_dirty(&[Region::Stripe(2, 4)]));
+        assert!(any_dirty(&s, &[Region::Stripe(2, 5)]));
+        assert!(!any_dirty(&s, &[Region::Stripe(2, 4)]));
         s.clear_dirty();
-        assert!(!s.any_dirty(&[Region::Row(0, 3)]));
+        assert!(!any_dirty(&s, &[Region::Row(0, 3)]));
     }
 
     /// A second region whose stripe differs from `a`'s (the hash may

@@ -1,16 +1,19 @@
 //! Self-healing, plan-driven rebuild engine: executes a
 //! [`layout::RecoveryPlan`] against the store's block devices — serially
 //! (the oracle, and the scrub engine) or as an op DAG on a worker pool
-//! that carries each chunk from read to writeback while its bytes are in
-//! cache — and *absorbs* device faults instead of dying on them.
+//! that carries each batch of chunks from read to writeback while its
+//! bytes are in cache — and *absorbs* device faults instead of dying on
+//! them.
 //!
-//! The engine runs in rounds, and a round has one contract on every
-//! executor: it reads, decodes *and writes back*, then hands the driver a
-//! `RoundOutput` to keep books on. Every reconstructed chunk becomes live
-//! in exactly one place, `OiRaidStore::writeback_chunk` — region locks,
-//! dirty check, write, validity mark, crash point, checkpoint tick — called
-//! by the serial round as each combine finishes, by the DAG's write ops,
-//! and (through a serial round) by the repairing scrub.
+//! The engine runs in rounds, and a round has one contract and one body on
+//! every executor (`OiRaidStore::execute_round`): the plan is cut into
+//! byte-sized batches of consecutive items, each batch is read, decoded
+//! *and written back*, and the driver gets a `RoundOutput` to keep books
+//! on. Every reconstructed chunk becomes live in exactly one place,
+//! `OiRaidStore::writeback_chunks` — region locks, dirty check, writes,
+//! validity marks, then per chunk crash point and checkpoint tick — called
+//! once per batch by the serial walk, by the DAG's batch ops, and (through
+//! a serial round) by the repairing scrub.
 //!
 //! Every read goes through a
 //! [`RetryReader`](blockdev::RetryReader): transient faults are retried
@@ -38,8 +41,8 @@
 //! and adjacent same-disk reads in each per-disk queue are coalesced into
 //! single [`BlockDevice::read_chunks`] calls. Both modes coalesce from the
 //! same [`RecoveryPlan::reads_by_disk`] queues and issue the runs in the
-//! same item-major order, so their device read counters stay equal and a
-//! round holds a few buffers per worker, not the plan's.
+//! same batch-major order, so their device read counters stay equal and a
+//! round holds a batch or two of buffers per worker, not the plan's.
 //!
 //! While a rebuild is in flight the store stays **online**: the engine opens
 //! a rebuild window (see `crate::online`) before healing the target devices,
@@ -53,8 +56,9 @@
 //! [`QosConfig`](crate::QosConfig) token bucket whenever foreground traffic
 //! is active.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::BTreeSet;
 use std::fmt;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -81,12 +85,14 @@ use crate::RecoveryStrategy;
 /// How the rebuild engine executes a recovery plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RebuildMode {
-    /// One item at a time, reads issued inline in plan order.
+    /// One batch of items at a time on the calling thread, reads issued
+    /// inline in plan order.
     Serial,
-    /// The plan lowered into an explicit op DAG (read → combine → writeback
-    /// nodes with atomic indegrees) executed by a worker pool in plan
-    /// order, downstream-first — no round barrier between read, decode,
-    /// and writeback; see [`crates/sched`](sched).
+    /// The same batches lowered into an explicit op DAG (a read op per
+    /// batch and source disk, a combine-and-writeback op per batch, atomic
+    /// indegrees) executed by a worker pool in plan order,
+    /// downstream-first — no round barrier between read, decode, and
+    /// writeback; see [`crates/sched`](sched).
     Dag,
 }
 
@@ -150,7 +156,7 @@ pub struct RebuildReport {
     pub outcome: RebuildOutcome,
     /// Execution rounds: 1 for a fault-free run, +1 per re-plan.
     pub rounds: u32,
-    /// Pool threads used in the first round (0 for serial mode).
+    /// Pool threads of the widest round (0 for serial mode).
     pub workers: usize,
     /// Wall-clock time of plan execution (excludes planning and healing).
     pub wall: Duration,
@@ -183,12 +189,14 @@ pub struct RebuildReport {
     pub injected_faults: u64,
     /// Latency summaries of the three sequential phases
     /// (`plan`/`heal`/`execute`, one sample per occurrence — their sums
-    /// cover [`RebuildReport::wall`]) and then of the per-chunk pipeline
-    /// stages (`read`/`coalesce`/`combine`/`writeback`), in pipeline order.
+    /// cover [`RebuildReport::wall`]), then of the per-chunk pipeline
+    /// stages (`read`/`coalesce`/`combine`/`writeback`) in pipeline order,
+    /// then of the per-round sub-phases `regions` (inside `plan`) and
+    /// `lower` (inside `execute`).
     pub stages: Vec<StageSummary>,
-    /// Busy time per DAG pool worker, in worker order: time inside any op
-    /// (read/combine/writeback) — compare against [`RebuildReport::wall`]
-    /// for utilization. Empty for serial mode.
+    /// Busy time per DAG pool worker, in worker order, summed over every
+    /// round: time inside any op (read/combine/writeback) — compare against
+    /// [`RebuildReport::wall`] for utilization. Empty for serial mode.
     pub worker_busy: Vec<Duration>,
     /// The scheduler's peak ready-queue depth per round (DAG mode); empty
     /// for serial mode.
@@ -362,42 +370,54 @@ impl fmt::Display for RebuildReport {
     }
 }
 
+/// The sources gathered for one plan item — scheduled reads *and* outputs
+/// of dependency items — by address. An item has a handful, so a scan
+/// beats hashing, and one list serves a whole batch without reallocating.
+type Inputs = Vec<(ChunkAddr, Vec<u8>)>;
+
+/// Moves `addr`'s bytes out of `inputs`.
+fn take_input(inputs: &mut Inputs, addr: ChunkAddr) -> Option<Vec<u8>> {
+    let at = inputs.iter().position(|(a, _)| *a == addr)?;
+    Some(inputs.swap_remove(at).1)
+}
+
 /// Reconstructs one lost chunk from gathered inputs.
 ///
-/// `inputs` maps every source address (scheduled reads *and* outputs of
-/// dependency items) to its bytes; entries may be consumed (moved out), the
-/// caller recycles whatever remains. `decoded` caches whole-row decodes so
-/// that co-decoded siblings (multi-failure items with no sources of their
-/// own) can pick up their value; it is locked on those two paths only, so
-/// concurrent stripe XORs never meet there. Pure in its inputs — this is
-/// what makes serial and DAG execution bit-identical.
+/// Entries of `inputs` may be consumed (moved out), the caller recycles
+/// whatever remains. `decoded` caches whole-row decodes so that co-decoded
+/// siblings (multi-failure items with no sources of their own) can pick up
+/// their value — a sibling directly follows its provider in the plan, so
+/// the cache holds a few entries at most; it is locked on those two paths
+/// only, so concurrent stripe XORs never meet there. Pure in its inputs —
+/// this is what makes serial and DAG execution bit-identical.
 fn combine(
     geo: &Geometry,
     code: &dyn ErasureCode,
     lost: ChunkAddr,
-    inputs: &mut HashMap<ChunkAddr, Vec<u8>>,
-    decoded: &Mutex<HashMap<ChunkAddr, Vec<u8>>>,
+    inputs: &mut Inputs,
+    decoded: &Mutex<Inputs>,
     pool: &BufPool,
 ) -> Vec<u8> {
     if inputs.is_empty() {
         // Sibling of an earlier whole-row decode (multi-failure plans emit
         // one item carrying the row's shared reads, then read-less items
         // for the other chunks co-decoded from them).
-        return lock(decoded)
-            .remove(&lost)
-            .expect("sibling item follows its row decode");
+        return take_input(&mut lock(decoded), lost).expect("sibling item follows its row decode");
     }
     let grp = geo.group_of(lost.disk);
     let row = lost.offset;
-    let row_set = geo.row_chunks(grp, row);
-    if inputs.keys().all(|a| row_set.contains(a)) {
+    if inputs
+        .iter()
+        .all(|(a, _)| geo.group_of(a.disk) == grp && a.offset == row)
+    {
         // Inner-row decode (handles >1 erasure when p_in = 2).
         let ordered: Vec<ChunkAddr> = geo
             .row_payload(grp, row)
             .into_iter()
             .chain(geo.inner_parities_of_row(grp, row))
             .collect();
-        let mut units: Vec<Option<Vec<u8>>> = ordered.iter().map(|a| inputs.remove(a)).collect();
+        let mut units: Vec<Option<Vec<u8>>> =
+            ordered.iter().map(|a| take_input(inputs, *a)).collect();
         let erased: Vec<bool> = units.iter().map(Option::is_none).collect();
         code.reconstruct(&mut units).expect("within row tolerance");
         // Keep what a co-decoded sibling will ask for — the other erased
@@ -409,7 +429,7 @@ fn combine(
             if *a == lost {
                 value = Some(unit);
             } else if erased {
-                lock(decoded).insert(*a, unit);
+                lock(decoded).push((*a, unit));
             } else {
                 pool.put(unit);
             }
@@ -428,9 +448,13 @@ fn combine(
         let Some(first) = sources.next() else {
             return pool.take();
         };
-        let mut acc = inputs.remove(&first).expect("stripe source gathered");
+        let mut acc = take_input(inputs, first).expect("stripe source gathered");
         for a in sources {
-            xor_acc(&mut acc, inputs.get(&a).expect("stripe source gathered"));
+            let (_, bytes) = inputs
+                .iter()
+                .find(|(x, _)| *x == a)
+                .expect("stripe source gathered");
+            xor_acc(&mut acc, bytes);
         }
         acc
     };
@@ -457,7 +481,7 @@ fn combine(
 }
 
 /// The dependency shape of a plan, identical for both executors: per item
-/// its forward edges — the plan's `depends` plus the sibling link, marked
+/// its backward edges — the plan's `depends` plus the sibling link, marked
 /// `true` because a sibling reads the decode cache instead of folding the
 /// provider's output into its inputs — and how many (non-sibling)
 /// dependents consume each item's output.
@@ -484,139 +508,25 @@ fn dependency_shape(
     (depends, uses)
 }
 
-/// Dataflow state for one plan execution: tracks, per item, how many inputs
-/// are still outstanding, and cascades computation as they arrive. Each
-/// finished chunk is handed to [`Combiner::drain`]'s callback the moment
-/// its combine completes — values are fixed by [`combine`], so write timing
-/// cannot change bits.
-struct Combiner<'p> {
-    geo: &'p Geometry,
-    code: &'p dyn ErasureCode,
-    plan: &'p RecoveryPlan,
-    pool: &'p BufPool,
-    obs: &'p RebuildObserver,
-    /// Gathered read bytes per item.
-    inputs: Vec<HashMap<ChunkAddr, Vec<u8>>>,
-    /// Outstanding (reads, dependencies) per item.
-    pending: Vec<(usize, usize)>,
-    /// Reverse dependency edges (plan `depends` plus sibling links); taken
-    /// (consumed) when the item completes.
-    dependents: Vec<Vec<usize>>,
-    /// Forward dependency edges (see [`dependency_shape`]). Taken when the
-    /// item starts computing.
-    depends: Vec<Vec<(usize, bool)>>,
-    /// Reconstructed chunk per completed item, kept only while dependents
-    /// still consume it (see `output_uses`).
-    outputs: Vec<Option<Vec<u8>>>,
-    /// Remaining non-sibling dependents per item: the last consumer moves
-    /// the output out instead of cloning.
-    output_uses: Vec<usize>,
-    /// Whole-row decode cache for sibling items.
-    decoded: Mutex<HashMap<ChunkAddr, Vec<u8>>>,
-    /// Items whose inputs are all present, not yet computed.
-    ready: Vec<usize>,
-    remaining: usize,
-}
+/// Bytes of reconstruction one batch op carries: what a round hands a
+/// worker is sized so the scheduler's per-op cost is paid per 64 KiB, not
+/// per chunk.
+const BATCH_BYTES: usize = 64 << 10;
+/// Most items in a batch whatever the chunk size: the union of 16
+/// footprints stays well under the 96 lock stripes a full write group
+/// already holds, and a checkpoint interval of a few chunks stays
+/// meaningful.
+const BATCH_ITEMS: usize = 16;
+/// Fewest batches a worker should get: a plan of a few dozen items still
+/// fans out over the pool (and over slow devices) one item per op.
+const BATCHES_PER_WORKER: usize = 4;
 
-impl<'p> Combiner<'p> {
-    fn new(
-        geo: &'p Geometry,
-        code: &'p dyn ErasureCode,
-        plan: &'p RecoveryPlan,
-        pool: &'p BufPool,
-        obs: &'p RebuildObserver,
-    ) -> Self {
-        let items = plan.items();
-        let n = items.len();
-        let (depends, output_uses) = dependency_shape(geo, items);
-        let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut pending = Vec::with_capacity(n);
-        let mut ready = Vec::new();
-        for (idx, it) in items.iter().enumerate() {
-            for &(d, _) in &depends[idx] {
-                dependents[d].push(idx);
-            }
-            pending.push((it.reads.len(), depends[idx].len()));
-            if pending[idx] == (0, 0) {
-                ready.push(idx);
-            }
-        }
-        Self {
-            geo,
-            code,
-            plan,
-            pool,
-            obs,
-            inputs: vec![HashMap::new(); n],
-            pending,
-            dependents,
-            depends,
-            outputs: vec![None; n],
-            output_uses,
-            decoded: Mutex::default(),
-            ready,
-            remaining: n,
-        }
-    }
-
-    fn deliver_read(&mut self, idx: usize, addr: ChunkAddr, bytes: Vec<u8>) {
-        self.inputs[idx].insert(addr, bytes);
-        self.pending[idx].0 -= 1;
-        if self.pending[idx] == (0, 0) {
-            self.ready.push(idx);
-        }
-    }
-
-    /// Computes every ready item, cascading through items that become ready
-    /// in turn; `done` receives each `(item index, reconstructed chunk)` as
-    /// it completes.
-    fn drain(&mut self, mut done: impl FnMut(usize, Vec<u8>)) {
-        while let Some(idx) = self.ready.pop() {
-            let began = Instant::now();
-            // Fold (non-sibling) dependency outputs into the input map,
-            // keyed by the dependency's lost address. The last consumer of
-            // an output moves it; earlier consumers clone.
-            for (d, sibling_link) in std::mem::take(&mut self.depends[idx]) {
-                if sibling_link {
-                    continue;
-                }
-                let dep_lost = self.plan.items()[d].lost;
-                self.output_uses[d] -= 1;
-                let out = if self.output_uses[d] == 0 {
-                    self.outputs[d].take().expect("dependency completed")
-                } else {
-                    self.outputs[d].clone().expect("dependency completed")
-                };
-                self.inputs[idx].insert(dep_lost, out);
-            }
-            let lost = self.plan.items()[idx].lost;
-            let value = combine(
-                self.geo,
-                self.code,
-                lost,
-                &mut self.inputs[idx],
-                &self.decoded,
-                self.pool,
-            );
-            // Consumed inputs are gone; recycle what combine left behind.
-            for (_, b) in self.inputs[idx].drain() {
-                self.pool.put(b);
-            }
-            for dep in std::mem::take(&mut self.dependents[idx]) {
-                self.pending[dep].1 -= 1;
-                if self.pending[dep] == (0, 0) {
-                    self.ready.push(dep);
-                }
-            }
-            if self.output_uses[idx] > 0 {
-                self.outputs[idx] = Some(value.clone());
-            }
-            self.remaining -= 1;
-            self.obs.stages.combine.record_duration(began.elapsed());
-            self.obs.progress.chunk_combined();
-            done(idx, value);
-        }
-    }
+/// How many consecutive plan items form one batch.
+fn batch_items(chunk_size: usize, items: usize, workers: usize) -> usize {
+    (BATCH_BYTES / chunk_size.max(1))
+        .clamp(1, BATCH_ITEMS)
+        .min(items.div_ceil(BATCHES_PER_WORKER * workers.max(1)))
+        .max(1)
 }
 
 /// Splits a per-disk read queue into maximal runs of consecutive chunk
@@ -661,8 +571,7 @@ fn sibling_provider(geo: &Geometry, items: &[layout::ChunkRecovery], idx: usize)
 }
 
 /// The plan's per-disk read queues, pre-coalesced into runs, with the QoS
-/// charge applied at dequeue. Both executors — the serial loop and the DAG
-/// read ops — take runs through
+/// charge applied at dequeue. Both executors take runs through
 /// [`RunQueues::dequeue`], so rebuild I/O pays the store's token bucket in
 /// exactly one place: concurrent executors (a rebuild and a repairing
 /// scrub, say) draw from the same bucket instead of each charging its own
@@ -702,17 +611,25 @@ impl RunQueues {
         self.queues[qi].0
     }
 
-    /// Every run as `(qi, ri)` in the order both executors issue them:
-    /// item-major — a run goes where the first plan item it feeds is (ties
-    /// by disk), so an item's sources are read back to back and the item
-    /// can be combined and landed before the next one's bytes arrive.
-    /// Queues list reads in plan order, so each disk's runs keep theirs.
-    fn item_major(&self) -> Vec<(usize, usize)> {
-        let mut order: Vec<(usize, usize)> = (0..self.len())
-            .flat_map(|qi| (0..self.runs[qi].len()).map(move |ri| (qi, ri)))
-            .collect();
-        order.sort_by_key(|&(qi, ri)| self.peek(qi, ri)[0].0);
-        order
+    /// One read op per (batch, queue), batch-major (ties by disk): the
+    /// consecutive runs of queue `qi` whose first item lies in batch `b`,
+    /// as `(b, qi, runs)`. A batch's sources are read back to back, so it
+    /// can be combined and landed before the next one's bytes arrive;
+    /// queues list reads in plan order, so each disk's runs keep theirs.
+    fn by_batch(&self, per: usize) -> Vec<(usize, usize, Range<usize>)> {
+        let mut ops = Vec::new();
+        for qi in 0..self.len() {
+            let mut ri = 0;
+            while ri < self.runs[qi].len() {
+                let (from, b) = (ri, self.peek(qi, ri)[0].0 / per);
+                while ri < self.runs[qi].len() && self.peek(qi, ri)[0].0 / per == b {
+                    ri += 1;
+                }
+                ops.push((b, qi, from..ri));
+            }
+        }
+        ops.sort_by_key(|&(b, qi, _)| (b, qi));
+        ops
     }
 
     /// Run `ri` of queue `qi` without dequeuing it — no QoS charge. For
@@ -722,12 +639,18 @@ impl RunQueues {
         &self.queues[qi].1[start..end]
     }
 
-    /// Takes run `ri` of queue `qi`, paying the rebuild token bucket for
-    /// its chunks. This is the single QoS charge point for rebuild reads.
-    fn dequeue<'a>(&'a self, qos: &crate::qos::QosState, qi: usize, ri: usize) -> Run<'a> {
-        let run = self.peek(qi, ri);
-        qos.throttle_rebuild(run.len());
-        run
+    /// Takes the (consecutive, non-empty) `runs` of queue `qi`, paying the
+    /// rebuild token bucket once for all their chunks. This is the single
+    /// QoS charge point for rebuild reads.
+    fn dequeue<'a>(
+        &'a self,
+        qos: &crate::qos::QosState,
+        qi: usize,
+        runs: Range<usize>,
+    ) -> impl Iterator<Item = Run<'a>> {
+        let bounds = &self.runs[qi];
+        qos.throttle_rebuild(bounds[runs.end - 1].1 - bounds[runs.start].0);
+        runs.map(move |ri| self.peek(qi, ri))
     }
 }
 
@@ -737,64 +660,60 @@ type Run<'a> = &'a [(usize, ChunkAddr)];
 
 /// Serves one coalesced run through a retrying reader, degrading instead of
 /// failing: transient faults are retried, a chunk that stays unreadable is
-/// reported (for re-routing) without poisoning the rest of the run.
+/// reported (for re-routing) without poisoning the rest of the run. Every
+/// chunk of the run goes to `sink` as `(item, address, bytes or error)`;
+/// returns whether the device died.
 ///
 /// Every delivered chunk lands in a [`BufPool::take_dirty`] buffer. A
 /// multi-chunk run is read into `staging` first — the reader's own reused
 /// buffer, grown (never re-zeroed) to the longest run seen — so a source
 /// byte is written twice at most and nothing is memset per run.
-///
-/// Returns `(delivered reads, unreadable chunks, device died)`.
-#[allow(clippy::type_complexity)]
 fn read_run_healing<B: BlockDevice>(
     reader: &RetryReader<'_, B>,
-    run: &[(usize, ChunkAddr)],
+    run: Run<'_>,
     chunk_size: usize,
     pool: &BufPool,
-    staging: &mut Vec<u8>,
-) -> (
-    Vec<(usize, ChunkAddr, Vec<u8>)>,
-    Vec<(ChunkAddr, DeviceError)>,
-    bool,
-) {
+    staging: &Mutex<Vec<u8>>,
+    mut sink: impl FnMut(usize, ChunkAddr, Result<Vec<u8>, DeviceError>),
+) -> bool {
     if let [(idx, addr)] = run {
         let mut buf = pool.take_dirty();
-        return match reader.read_chunk(addr.offset, &mut buf) {
-            Ok(()) => (vec![(*idx, *addr, buf)], Vec::new(), false),
+        let read = reader.read_chunk(addr.offset, &mut buf);
+        let died = matches!(read, Err(DeviceError::Failed));
+        let read = match read {
+            Ok(()) => Ok(buf),
             Err(e) => {
                 pool.put(buf);
-                let died = matches!(e, DeviceError::Failed);
-                (Vec::new(), vec![(*addr, e)], died)
+                Err(e)
             }
         };
+        sink(*idx, *addr, read);
+        return died;
     }
+    let mut staging = lock(staging);
     let len = run.len() * chunk_size;
     if staging.len() < len {
         staging.resize(len, 0);
     }
     let batch = &mut staging[..len];
     let failures = reader.read_chunks_degrading(run[0].1.offset, run.len(), batch);
-    let died = failures
-        .iter()
-        .any(|(_, e)| matches!(e, DeviceError::Failed));
-    let bad: HashMap<usize, DeviceError> = failures.into_iter().collect();
-    let mut delivered = Vec::new();
-    let mut unreadable = Vec::new();
     for (&(idx, addr), bytes) in run.iter().zip(batch.chunks_exact(chunk_size)) {
-        match bad.get(&addr.offset) {
-            Some(e) => unreadable.push((addr, e.clone())),
+        match failures.iter().find(|(o, _)| *o == addr.offset) {
+            Some((_, e)) => sink(idx, addr, Err(e.clone())),
             None => {
                 let mut buf = pool.take_dirty();
                 buf.copy_from_slice(bytes);
-                delivered.push((idx, addr, buf));
+                sink(idx, addr, Ok(buf));
             }
         }
     }
-    (delivered, unreadable, died)
+    failures
+        .iter()
+        .any(|(_, e)| matches!(e, DeviceError::Failed))
 }
 
 /// What one round of plan execution produced. A round reads, decodes
-/// *and writes back* (through [`OiRaidStore::writeback_chunk`]); the
+/// *and writes back* (through [`OiRaidStore::writeback_chunks`]); the
 /// driver loop only keeps books on what it reports. Rounds are infallible:
 /// faults become entries in `unreadable`/`dead_disks` for the driver to
 /// heal around instead of errors that abort the rebuild. Shared with the
@@ -844,14 +763,28 @@ impl CheckpointTick {
     }
 }
 
-/// What [`OiRaidStore::writeback_chunk`] needs besides the chunk, and the
+/// The conservative dirty-dependency footprint of every item of a plan
+/// (see [`OiRaidStore::plan_regions`]), stored flat: two allocations per
+/// plan, not one per item.
+pub(crate) struct Footprints {
+    regions: Vec<Region>,
+    /// Item `idx`'s relations are `regions[start[idx]..start[idx + 1]]`.
+    start: Vec<usize>,
+}
+
+impl Footprints {
+    fn of(&self, idx: usize) -> &[Region] {
+        &self.regions[self.start[idx]..self.start[idx + 1]]
+    }
+}
+
+/// What [`OiRaidStore::writeback_chunks`] needs besides the chunks, and the
 /// books it keeps: one per round, shared by every worker of the round.
 struct Writeback<'a> {
     /// The round's chunk buffers: read targets, accumulators, outputs.
     pool: BufPool,
     plan: &'a RecoveryPlan,
-    /// Per-item dirty footprint from [`OiRaidStore::plan_regions`].
-    regions: &'a [Vec<Region>],
+    regions: &'a Footprints,
     obs: &'a RebuildObserver,
     tick: Option<&'a CheckpointTick>,
     policy: RetryPolicy,
@@ -891,19 +824,17 @@ impl Writeback<'_> {
 }
 
 /// One node of the lowered rebuild DAG (see
-/// [`OiRaidStore::execute_dag_round`]'s graph construction for the edges
+/// [`OiRaidStore::execute_round`]'s graph construction for the edges
 /// between them).
 #[derive(Debug, Clone, Copy)]
 enum DagOp {
-    /// Serve coalesced run `ri` of per-disk queue `qi`; feeds every combine
-    /// whose item reads from the run.
-    Read { qi: usize, ri: usize },
-    /// Reconstruct plan item `idx` from its delivered reads and dependency
-    /// outputs.
-    Combine { idx: usize },
-    /// Hand item `idx`'s reconstructed value to
-    /// [`OiRaidStore::writeback_chunk`].
-    Write { idx: usize },
+    /// Serve coalesced runs `from..to` of per-disk queue `qi` back to back;
+    /// feeds every batch holding an item that reads from them.
+    Read { qi: usize, from: usize, to: usize },
+    /// Reconstruct the plan items of batch `b` in plan order from their
+    /// delivered reads and dependency outputs, and land them through
+    /// [`OiRaidStore::writeback_chunks`].
+    Batch { b: usize },
 }
 
 /// Locks a mutex, tolerating poisoning: a panicking op callback must not
@@ -1140,7 +1071,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
         if let Some(ckpt) = &resume {
             // Checkpointed chunks hold trustworthy bytes: readable the
             // moment the devices heal, and excluded from re-recovery.
-            self.online().restore_valid(ckpt.valid.iter().copied());
+            self.online().mark_valid_all(ckpt.valid.iter().copied());
         }
         for &d in &initially_failed {
             if let Err(error) = self.devices()[d].heal() {
@@ -1180,7 +1111,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
         let mut stall = 0u32;
         let mut aborted: Option<Vec<usize>> = None;
         // Checkpoints are cut inside the rounds, at the writeback atom (see
-        // [`Self::writeback_chunk`]), and at each round boundary below.
+        // [`Self::writeback_chunks`]), and at each round boundary below.
         let tick = self.checkpoint_policy().map(CheckpointTick::new);
 
         loop {
@@ -1212,26 +1143,25 @@ impl<B: BlockDevice> OiRaidStore<B> {
             }
             let regions = self.plan_regions(&plan);
             obs.stages.plan.record_duration(began.elapsed());
+            obs.stages.regions.record_duration(began.elapsed());
             let began = Instant::now();
-            let out = match mode {
-                RebuildMode::Serial => {
-                    self.execute_serial_round(&plan, &regions, obs, tick.as_ref())
-                }
-                RebuildMode::Dag => self.execute_dag_round(&plan, &regions, obs, tick.as_ref()),
-            };
+            let out = self.execute_round(mode, &plan, &regions, obs, tick.as_ref());
             obs.stages.execute.record_duration(began.elapsed());
-            if rounds == 1 {
-                workers = out.workers;
-                worker_busy = out.worker_busy;
+            // `wall` spans every round, so busy time must too (per worker
+            // slot; the pool is as wide as its widest round).
+            workers = workers.max(out.workers);
+            worker_busy.resize(workers, Duration::ZERO);
+            for (total, busy) in worker_busy.iter_mut().zip(&out.worker_busy) {
+                *total += *busy;
             }
             retry = retry.merged(&out.retry);
             sched_stats.absorb(&out.sched);
             let died = out.dead_disks;
             let dirty_skips = out.dirty_skips;
             let mut progressed = false;
-            // The round wrote each chunk back itself, under its own region
-            // locks, the moment its combine finished; only the heal loop's
-            // books are left to keep here.
+            // The round wrote each chunk back itself, under its batch's
+            // region locks, the moment the batch was combined; only the heal
+            // loop's books are left to keep here.
             for addr in out.written {
                 let mut fresh = false;
                 if lost.contains(&addr) {
@@ -1459,27 +1389,38 @@ impl<B: BlockDevice> OiRaidStore<B> {
     /// parity relations of the lost chunk itself plus those of every chunk
     /// its reconstruction (transitively) reads. A writeback is discarded
     /// when a foreground write dirtied any of these since the round began.
-    pub(crate) fn plan_regions(&self, plan: &RecoveryPlan) -> Vec<Vec<Region>> {
+    pub(crate) fn plan_regions(&self, plan: &RecoveryPlan) -> Footprints {
         let geo = self.array().geometry();
         let items = plan.items();
-        let mut out: Vec<Vec<Region>> = Vec::with_capacity(items.len());
+        let mut regions: Vec<Region> = Vec::with_capacity(4 * items.len());
+        let mut start = Vec::with_capacity(items.len() + 1);
         for (idx, it) in items.iter().enumerate() {
-            let mut rs: HashSet<Region> = self.regions_for(it.lost).into_iter().collect();
-            for &r in &it.reads {
-                rs.extend(self.regions_for(r));
-            }
-            for &d in &it.depends {
-                rs.extend(out[d].iter().copied());
+            let from = regions.len();
+            start.push(from);
+            // An item's own footprint is a handful of relations: a scan of
+            // what it has so far dedupes them.
+            let add = |regions: &mut Vec<Region>, r: Region| {
+                if !regions[from..].contains(&r) {
+                    regions.push(r);
+                }
+            };
+            for &a in std::iter::once(&it.lost).chain(&it.reads) {
+                for r in self.regions_for(a) {
+                    add(&mut regions, r);
+                }
             }
             // Co-decoded sibling: its value comes from an earlier same-row
             // decode, so it inherits that provider's footprint (the same
-            // linkage rule the combiner and the DAG builder use).
-            if let Some(p) = sibling_provider(geo, items, idx) {
-                rs.extend(out[p].iter().copied());
+            // linkage rule the executors use).
+            for &d in it.depends.iter().chain(&sibling_provider(geo, items, idx)) {
+                for i in start[d]..start[d + 1] {
+                    let inherited = regions[i];
+                    add(&mut regions, inherited);
+                }
             }
-            out.push(rs.into_iter().collect());
         }
-        out
+        start.push(regions.len());
+        Footprints { regions, start }
     }
 
     /// Opens one round's writeback books. Disks already failed when the
@@ -1489,7 +1430,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
     fn begin_writeback<'a>(
         &self,
         plan: &'a RecoveryPlan,
-        regions: &'a [Vec<Region>],
+        regions: &'a Footprints,
         obs: &'a RebuildObserver,
         tick: Option<&'a CheckpointTick>,
     ) -> Writeback<'a> {
@@ -1508,324 +1449,320 @@ impl<B: BlockDevice> OiRaidStore<B> {
     }
 
     /// The one place a reconstructed chunk becomes live — every executor
-    /// (serial round, DAG write op, and through the serial round the
-    /// repairing scrub) lands plan item `idx`'s `value` here.
+    /// (serial walk, DAG batch op, and through the serial walk the
+    /// repairing scrub) lands plan items here, a batch at a time, as
+    /// `(item index, value)`.
     ///
-    /// The dirty check, the write, and the validity mark form one atom
-    /// under the item's region locks: no foreground write can slip between
-    /// "inputs were clean" and "chunk is live" and then be clobbered, yet
-    /// writes to unrelated relations proceed freely. A landed chunk then
+    /// The dirty check, the writes, and the validity marks form one atom
+    /// under the union of the items' region locks: no foreground write can
+    /// slip between "inputs were clean" and "chunk is live" and then be
+    /// clobbered, yet writes to unrelated relations proceed freely. The
+    /// window's own lock is taken twice for the whole batch (one dirty
+    /// check that answers per item, one pass of validity marks), the round's
+    /// dead set is consulted once. A dirty item is dropped and counted
+    /// while its clean batch-mates land. Each landed chunk then — outside
+    /// the locks, in order — records the stage, passes the crash point and
     /// ticks the checkpoint cadence, so the recorded position advances
-    /// mid-round on every executor.
-    fn writeback_chunk(&self, wb: &Writeback<'_>, idx: usize, value: &[u8]) {
-        let addr = wb.plan.items()[idx].lost;
-        if lock(&wb.dead).contains(&addr.disk) {
-            return;
-        }
+    /// mid-round, chunk by chunk, on every executor.
+    fn writeback_chunks(&self, wb: &Writeback<'_>, chunks: &[(usize, &[u8])]) {
         let began = Instant::now();
-        let footprint = wb.regions[idx].as_slice();
-        let guard = self.online().lock_regions(footprint);
-        if self.online().any_dirty(footprint) {
-            // A foreground write touched a relation this value was derived
-            // from: the reconstruction may be stale or torn. Drop it; the
-            // next round recomputes it from the updated parity.
-            drop(guard);
-            wb.dirty_skips.fetch_add(1, Ordering::Relaxed);
+        let items = wb.plan.items();
+        let mut dead = lock(&wb.dead).clone();
+        let live: Vec<(ChunkAddr, &[Region], &[u8])> = chunks
+            .iter()
+            .map(|&(idx, value)| (items[idx].lost, wb.regions.of(idx), value))
+            .filter(|(addr, ..)| !dead.contains(&addr.disk))
+            .collect();
+        if live.is_empty() {
             return;
         }
-        let wrote = write_chunk_retrying(
-            &self.devices()[addr.disk],
-            &wb.policy,
-            &wb.write_stats,
-            addr.offset,
-            value,
-        );
-        if wrote.is_ok() {
-            self.online().mark_valid(addr);
-        }
-        drop(guard);
-        match wrote {
-            Ok(()) => {
-                wb.obs.stages.writeback.record_duration(began.elapsed());
-                crash_point("rebuild_writeback");
-                lock(&wb.written).push(addr);
-                if let Some(tick) = wb.tick {
-                    let landed = tick.landed.fetch_add(1, Ordering::Relaxed) + 1;
-                    if landed % tick.policy.interval.max(1) == 0 {
-                        self.save_checkpoint_now(tick);
-                    }
+        let union: Vec<Region> = live.iter().flat_map(|l| l.1).copied().collect();
+        let guard = self.online().lock_regions(&union);
+        let dirty = self.online().dirty_among(live.iter().map(|l| l.1));
+        let mut landed: Vec<ChunkAddr> = Vec::with_capacity(live.len());
+        let mut died = false;
+        for (&(addr, _, value), dirty) in live.iter().zip(dirty) {
+            if dirty {
+                // A foreground write touched a relation this value was
+                // derived from: the reconstruction may be stale or torn.
+                // Drop it; the next round recomputes it from the updated
+                // parity.
+                wb.dirty_skips.fetch_add(1, Ordering::Relaxed);
+            } else if !dead.contains(&addr.disk) {
+                let dev = &self.devices()[addr.disk];
+                match write_chunk_retrying(dev, &wb.policy, &wb.write_stats, addr.offset, value) {
+                    Ok(()) => landed.push(addr),
+                    // Write retry budget exhausted: the chunk stays
+                    // un-rebuilt, the next round retries.
+                    Err(e) if e.is_transient() => {}
+                    // The disk died (or broke permanently) under write:
+                    // escalate it, and spare it the rest of the batch.
+                    Err(_) => died |= dead.insert(addr.disk),
                 }
             }
-            Err(e) if e.is_transient() => {
-                // Write retry budget exhausted: the chunk stays un-rebuilt,
-                // the next round retries.
-            }
-            Err(_) => {
-                // The disk died (or broke permanently) under write:
-                // escalate it.
-                lock(&wb.dead).insert(addr.disk);
+        }
+        self.online().mark_valid_all(landed.iter().copied());
+        drop(guard);
+        if died {
+            lock(&wb.dead).append(&mut dead);
+        }
+        if landed.is_empty() {
+            return;
+        }
+        lock(&wb.written).extend_from_slice(&landed);
+        let share = began.elapsed() / landed.len() as u32;
+        for _ in &landed {
+            wb.obs.stages.writeback.record_duration(share);
+            crash_point("rebuild_writeback");
+            if let Some(tick) = wb.tick {
+                let landed = tick.landed.fetch_add(1, Ordering::Relaxed) + 1;
+                if landed % tick.policy.interval.max(1) == 0 {
+                    self.save_checkpoint_now(tick);
+                }
             }
         }
     }
 
-    /// One serial round: drains every per-disk read queue inline, healing
-    /// around faults (never fails — faults land in the [`RoundOutput`]),
-    /// and writes each chunk back as its combine finishes. Also the
-    /// execution engine behind the repairing scrub. `regions` is the
-    /// per-item dirty footprint from [`Self::plan_regions`].
-    pub(crate) fn execute_serial_round(
-        &self,
-        plan: &RecoveryPlan,
-        regions: &[Vec<Region>],
-        obs: &RebuildObserver,
-        tick: Option<&CheckpointTick>,
-    ) -> RoundOutput {
-        let geo = self.array().geometry().clone();
-        let code = self.inner_code();
-        let chunk_size = self.chunk_size();
-        let wb = self.begin_writeback(plan, regions, obs, tick);
-        let pool = &wb.pool;
-        let land = |idx: usize, value: Vec<u8>| {
-            self.writeback_chunk(&wb, idx, &value);
-            pool.put(value);
-        };
-        let mut combiner = Combiner::new(&geo, code.as_ref(), plan, pool, obs);
-        combiner.drain(land);
-        let mut unreadable = Vec::new();
-        let queues = RunQueues::build(plan, obs);
-        let readers = self.run_readers(&queues);
-        let mut staging = Vec::new();
-        for (qi, ri) in queues.item_major() {
-            let disk = queues.disk(qi);
-            if lock(&wb.dead).contains(&disk) {
-                continue; // the disk died under an earlier run
-            }
-            let run = queues.dequeue(self.qos(), qi, ri);
-            let began = Instant::now();
-            let (batch, failed, died) =
-                read_run_healing(&readers[qi], run, chunk_size, pool, &mut staging);
-            obs.stages.read.record_duration(began.elapsed());
-            obs.progress
-                .add_bytes_read((batch.len() * chunk_size) as u64);
-            for (idx, addr, bytes) in batch {
-                combiner.deliver_read(idx, addr, bytes);
-            }
-            combiner.drain(land);
-            unreadable.extend(failed);
-            if died {
-                lock(&wb.dead).insert(disk);
-            }
-        }
-        debug_assert!(
-            combiner.remaining == 0 || !unreadable.is_empty() || !lock(&wb.dead).is_empty(),
-            "a fault-free round completes every item"
-        );
-        wb.into_output(
-            unreadable,
-            &readers,
-            0,
-            Vec::new(),
-            sched::SchedStats::default(),
-        )
-    }
-
-    /// One retrying reader per read queue of `queues`, in queue order.
-    fn run_readers(&self, queues: &RunQueues) -> Vec<RetryReader<'_, B>> {
-        (0..queues.len())
-            .map(|qi| RetryReader::new(&self.devices()[queues.disk(qi)], self.retry_policy()))
-            .collect()
-    }
-
-    /// One DAG round: the plan lowered into read → combine → writeback ops
-    /// with explicit dependency edges, executed by the [`sched`] pool. Reads
-    /// are added item-major ([`RunQueues::item_major`]) and the scheduler
-    /// takes ready reads in that order, everything else first and
-    /// downstream-first: the worker whose read completes an item combines
-    /// it and lands it through [`Self::writeback_chunk`] at once, while the
-    /// bytes are in its cache. Nothing waits for a phase, and the buffers
-    /// alive at any moment are a few per worker, not the plan's.
+    /// One round on either executor: the plan lowered into *batches* of
+    /// consecutive items ([`batch_items`] each) with one read op per
+    /// (batch, source disk) — the batch's coalesced runs of that disk,
+    /// served back to back; a run belongs to the batch of its first item
+    /// and feeds every batch it touches — and one batch op that combines
+    /// its items in plan order and lands them through
+    /// [`Self::writeback_chunks`]. Cross-batch dependencies (the plan's
+    /// `depends` and sibling links, which only point backwards) are
+    /// batch → batch edges; in-batch ones are satisfied by order.
     ///
-    /// Faults follow the same healing contract as the serial round: an
-    /// unreadable source poisons exactly the items that needed it (their
-    /// combine ops fail and the scheduler cancels their dependents), and a
-    /// dead disk stops only its own remaining reads. `regions` is the
-    /// per-item dirty footprint from [`Self::plan_regions`].
-    fn execute_dag_round(
+    /// [`RebuildMode::Dag`] hands the graph to the [`sched`] pool: ready
+    /// reads are taken batch-major, everything else first and
+    /// downstream-first, so the worker whose read completes a batch
+    /// combines and lands it at once, while the bytes are in its cache.
+    /// [`RebuildMode::Serial`] (the oracle, and the scrub's engine) walks
+    /// the same ops in the order they were added on the calling thread.
+    /// Either way nothing waits for a phase, and the buffers alive at any
+    /// moment are a batch or two per worker, not the plan's.
+    ///
+    /// Rounds never fail — faults land in the [`RoundOutput`]: an
+    /// unreadable source poisons exactly the items that needed it, an item
+    /// whose dependency never completed is skipped in turn (both inside
+    /// their batch, whose other items land), and a dead disk stops only its
+    /// own remaining reads. `regions` is [`Self::plan_regions`] of `plan`.
+    pub(crate) fn execute_round(
         &self,
+        mode: RebuildMode,
         plan: &RecoveryPlan,
-        regions: &[Vec<Region>],
+        regions: &Footprints,
         obs: &RebuildObserver,
         tick: Option<&CheckpointTick>,
     ) -> RoundOutput {
-        let geo = self.array().geometry().clone();
+        let began = Instant::now();
+        let geo = self.array().geometry();
         let code = self.inner_code();
         let chunk_size = self.chunk_size();
         let queues = RunQueues::build(plan, obs);
         let items = plan.items();
         let n = items.len();
-        let (depends, uses) = dependency_shape(&geo, items);
-
-        // Lower the plan into the op graph: one read op per coalesced run
-        // (bound to its disk), then one combine and one writeback op per
-        // item. Writebacks are left device-less like combines, so a chunk
-        // whose value exists lands ahead of any further read — its buffers
-        // stay live until it does.
-        let mut graph: sched::OpGraph<DagOp> = sched::OpGraph::new();
-        let mut feeds: Vec<Vec<sched::OpId>> = vec![Vec::new(); n];
-        for (qi, ri) in queues.item_major() {
-            let op = graph.add_node(DagOp::Read { qi, ri }, Some(queues.disk(qi)));
-            for &(idx, _) in queues.peek(qi, ri) {
-                feeds[idx].push(op);
-            }
-        }
-        let combine_ops: Vec<sched::OpId> = (0..n)
-            .map(|idx| graph.add_node(DagOp::Combine { idx }, None))
-            .collect();
-        for idx in 0..n {
-            for &op in &feeds[idx] {
-                graph.add_edge(op, combine_ops[idx]);
-            }
-            for &(d, _) in &depends[idx] {
-                graph.add_edge(combine_ops[d], combine_ops[idx]);
-            }
-            let write = graph.add_node(DagOp::Write { idx }, None);
-            graph.add_edge(combine_ops[idx], write);
-        }
-
-        // Shared executor state. Items poisoned by an unreadable source
-        // fail their combine op; the scheduler cancels everything
-        // downstream, which matches the serial round (those items simply
-        // never finish the round and the driver re-plans them).
-        let readers = self.run_readers(&queues);
-        let staging: Vec<Mutex<Vec<u8>>> = (0..queues.len()).map(|_| Mutex::default()).collect();
-        let poisoned: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
-        let inputs: Vec<Mutex<HashMap<ChunkAddr, Vec<u8>>>> =
-            (0..n).map(|_| Mutex::new(HashMap::new())).collect();
-        // Output slot per item: the value and its remaining consumers (its
-        // dependents, +1 for the write op, which consumes it like any other).
-        let outputs: Vec<Mutex<(Option<Vec<u8>>, usize)>> =
-            uses.iter().map(|&u| Mutex::new((None, u + 1))).collect();
-        let decoded: Mutex<HashMap<ChunkAddr, Vec<u8>>> = Mutex::default();
-        let unreadable: Mutex<Vec<(ChunkAddr, DeviceError)>> = Mutex::new(Vec::new());
-        let wb = self.begin_writeback(plan, regions, obs, tick);
-        let pool = &wb.pool;
-        let qos = self.qos();
+        let (depends, uses) = dependency_shape(geo, items);
         let workers = self
             .dag_workers()
             .unwrap_or_else(|| (2 * queues.len()).max(1));
+        let per = batch_items(chunk_size, n, workers);
 
-        let report = sched::run(
-            workers,
-            self.array().disks(),
-            &obs.sched,
-            &graph,
-            |_w, _op, payload| {
-                match *payload {
-                    DagOp::Read { qi, ri } => {
-                        let disk = queues.disk(qi);
-                        if lock(&wb.dead).contains(&disk) {
-                            // The disk died under an earlier run: deliver
-                            // nothing, poison the expecting items.
-                            for &(idx, _) in queues.peek(qi, ri) {
-                                poisoned[idx].store(true, Ordering::Release);
-                            }
-                            return sched::OpStatus::Done;
-                        }
-                        let run = queues.dequeue(qos, qi, ri);
-                        let began = Instant::now();
-                        let (batch, failed, died) = read_run_healing(
-                            &readers[qi],
-                            run,
-                            chunk_size,
-                            pool,
-                            &mut lock(&staging[qi]),
-                        );
-                        obs.stages.read.record_duration(began.elapsed());
-                        obs.progress
-                            .add_bytes_read((batch.len() * chunk_size) as u64);
-                        for (idx, addr, bytes) in batch {
-                            lock(&inputs[idx]).insert(addr, bytes);
-                        }
-                        if !failed.is_empty() {
-                            let mut u = lock(&unreadable);
-                            for (addr, e) in failed {
-                                for &(idx, a) in run {
-                                    if a == addr {
-                                        poisoned[idx].store(true, Ordering::Release);
-                                    }
-                                }
-                                u.push((addr, e));
-                            }
-                        }
-                        if died {
-                            lock(&wb.dead).insert(disk);
-                        }
-                        sched::OpStatus::Done
-                    }
-                    DagOp::Combine { idx } => {
-                        if poisoned[idx].load(Ordering::Acquire) {
-                            return sched::OpStatus::Failed;
-                        }
-                        let mut my_inputs = std::mem::take(&mut *lock(&inputs[idx]));
-                        // Fold dependency outputs in, keyed by the dep's
-                        // lost address; the last consumer (use count under
-                        // the slot lock) moves instead of cloning.
-                        for &(d, sibling) in &depends[idx] {
-                            if sibling {
-                                continue;
-                            }
-                            let mut slot = lock(&outputs[d]);
-                            slot.1 -= 1;
-                            let out = if slot.1 == 0 {
-                                slot.0.take()
-                            } else {
-                                slot.0.clone()
-                            };
-                            my_inputs.insert(items[d].lost, out.expect("dependency completed"));
-                        }
-                        let began = Instant::now();
-                        let lost = items[idx].lost;
-                        let value =
-                            combine(&geo, code.as_ref(), lost, &mut my_inputs, &decoded, pool);
-                        for (_, b) in my_inputs.drain() {
-                            pool.put(b);
-                        }
-                        obs.stages.combine.record_duration(began.elapsed());
-                        obs.progress.chunk_combined();
-                        lock(&outputs[idx]).0 = Some(value);
-                        sched::OpStatus::Done
-                    }
-                    DagOp::Write { idx } => {
-                        let value = {
-                            let mut slot = lock(&outputs[idx]);
-                            slot.1 -= 1;
-                            if slot.1 == 0 {
-                                slot.0.take()
-                            } else {
-                                slot.0.clone()
-                            }
-                        }
-                        .expect("combine completed before write");
-                        self.writeback_chunk(&wb, idx, &value);
-                        pool.put(value);
-                        sched::OpStatus::Done
+        // Lower the plan into the op graph, batch by batch: the batch's
+        // read ops (bound to their disks), then its batch op — device-less,
+        // so a batch whose sources are in lands ahead of any further read.
+        // Op ids are a topological order, which is all the serial walk needs.
+        let mut graph: sched::OpGraph<DagOp> = sched::OpGraph::new();
+        let mut batch_ops: Vec<sched::OpId> = Vec::with_capacity(n.div_ceil(per));
+        let mut read_ops = queues.by_batch(per).into_iter().peekable();
+        let mut feeds: Vec<(sched::OpId, usize)> = Vec::new();
+        for b in 0..n.div_ceil(per) {
+            while let Some((_, qi, runs)) = read_ops.next_if(|op| op.0 == b) {
+                let (from, to) = (runs.start, runs.end);
+                let op = graph.add_node(DagOp::Read { qi, from, to }, Some(queues.disk(qi)));
+                // Items along a queue only ascend, so do the batches fed.
+                for fed in runs.flat_map(|ri| queues.peek(qi, ri)).map(|r| r.0 / per) {
+                    if feeds.last() != Some(&(op, fed)) {
+                        feeds.push((op, fed));
                     }
                 }
-            },
+            }
+            batch_ops.push(graph.add_node(DagOp::Batch { b }, None));
+            let mut after: Vec<usize> = Vec::new();
+            for &(d, _) in depends[b * per..n.min((b + 1) * per)].iter().flatten() {
+                if d / per != b && !after.contains(&(d / per)) {
+                    after.push(d / per);
+                    graph.add_edge(batch_ops[d / per], batch_ops[b]);
+                }
+            }
+        }
+        for (op, b) in feeds {
+            graph.add_edge(op, batch_ops[b]);
+        }
+
+        // What the ops hand each other. A read fills its items' input
+        // *slots* (item `idx`'s `j`-th read is slot `slot_base[idx] + j`;
+        // empty until delivered) without hashing or allocating; a poisoned
+        // or dependency-starved item is skipped by flag inside its batch,
+        // which matches what the driver expects of any item that does not
+        // finish the round: it re-plans it.
+        let slot_base: Vec<usize> = std::iter::once(0)
+            .chain(items.iter().scan(0, |at, it| {
+                *at += it.reads.len();
+                Some(*at)
+            }))
+            .collect();
+        let slots: Vec<Mutex<Vec<u8>>> = (0..slot_base[n]).map(|_| Mutex::default()).collect();
+        let poisoned: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
+        let done: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
+        // Output per item some later item depends on: the value and its
+        // remaining consumers.
+        let outputs: Vec<Mutex<(Option<Vec<u8>>, usize)>> =
+            uses.iter().map(|&u| Mutex::new((None, u))).collect();
+        let decoded: Mutex<Inputs> = Mutex::default();
+        let unreadable: Mutex<Vec<(ChunkAddr, DeviceError)>> = Mutex::new(Vec::new());
+        let readers: Vec<RetryReader<'_, B>> = (0..queues.len())
+            .map(|qi| RetryReader::new(&self.devices()[queues.disk(qi)], self.retry_policy()))
+            .collect();
+        let staging: Vec<Mutex<Vec<u8>>> = (0..queues.len()).map(|_| Mutex::default()).collect();
+        let wb = self.begin_writeback(plan, regions, obs, tick);
+        let pool = &wb.pool;
+
+        let slot_of = |idx: usize, addr: ChunkAddr| {
+            let j = items[idx].reads.iter().position(|r| *r == addr);
+            &slots[slot_base[idx] + j.expect("a queued read is one of its item's reads")]
+        };
+        let read = |qi: usize, runs: Range<usize>| {
+            let disk = queues.disk(qi);
+            let mut dead = lock(&wb.dead).contains(&disk);
+            let mut delivered = 0;
+            let mut failed = Vec::new();
+            if !dead {
+                for run in queues.dequeue(self.qos(), qi, runs.clone()) {
+                    if dead {
+                        break; // the disk died under the run before
+                    }
+                    let began = Instant::now();
+                    let sink = |idx, addr, read| match read {
+                        Ok(bytes) => {
+                            *lock(slot_of(idx, addr)) = bytes;
+                            delivered += 1;
+                        }
+                        Err(e) => {
+                            poisoned[idx].store(true, Ordering::Release);
+                            failed.push((addr, e));
+                        }
+                    };
+                    dead =
+                        read_run_healing(&readers[qi], run, chunk_size, pool, &staging[qi], sink);
+                    obs.stages.read.record_duration(began.elapsed());
+                }
+                obs.progress.add_bytes_read((delivered * chunk_size) as u64);
+                if !failed.is_empty() {
+                    lock(&unreadable).append(&mut failed);
+                }
+            }
+            if dead {
+                // What the disk did not deliver poisons its item: every run
+                // of a disk dead before this op, the rest of the runs of one
+                // that died under it.
+                lock(&wb.dead).insert(disk);
+                for &(idx, addr) in runs.flat_map(|ri| queues.peek(qi, ri)) {
+                    if lock(slot_of(idx, addr)).is_empty() {
+                        poisoned[idx].store(true, Ordering::Release);
+                    }
+                }
+            }
+        };
+        let batch = |b: usize| {
+            let mut inputs: Inputs = Vec::new();
+            let mut values: Vec<(usize, Vec<u8>)> = Vec::with_capacity(per);
+            let mut combined: Vec<Duration> = Vec::with_capacity(per);
+            for idx in b * per..n.min((b + 1) * per) {
+                for (j, &addr) in items[idx].reads.iter().enumerate() {
+                    let bytes = std::mem::take(&mut *lock(&slots[slot_base[idx] + j]));
+                    if !bytes.is_empty() {
+                        inputs.push((addr, bytes));
+                    }
+                }
+                let ready = !poisoned[idx].load(Ordering::Acquire)
+                    && depends[idx]
+                        .iter()
+                        .all(|&(d, _)| done[d].load(Ordering::Acquire));
+                if !ready {
+                    inputs.drain(..).for_each(|(_, bytes)| pool.put(bytes));
+                    continue;
+                }
+                // Fold dependency outputs in, keyed by the dep's lost
+                // address; the last consumer (use count under the slot
+                // lock) moves instead of cloning.
+                for &(d, _) in depends[idx].iter().filter(|(_, sibling)| !sibling) {
+                    let mut slot = lock(&outputs[d]);
+                    slot.1 -= 1;
+                    let out = if slot.1 == 0 {
+                        slot.0.take()
+                    } else {
+                        slot.0.clone()
+                    };
+                    inputs.push((items[d].lost, out.expect("dependency completed")));
+                }
+                let began = Instant::now();
+                let value = combine(
+                    geo,
+                    code.as_ref(),
+                    items[idx].lost,
+                    &mut inputs,
+                    &decoded,
+                    pool,
+                );
+                inputs.drain(..).for_each(|(_, bytes)| pool.put(bytes));
+                combined.push(began.elapsed());
+                if uses[idx] > 0 {
+                    lock(&outputs[idx]).0 = Some(value.clone());
+                }
+                done[idx].store(true, Ordering::Release);
+                values.push((idx, value));
+            }
+            // Recorded back to back: the histogram's cache line crosses to
+            // this core once per batch, not once per chunk.
+            for took in combined {
+                obs.stages.combine.record_duration(took);
+                obs.progress.chunk_combined();
+            }
+            let landing: Vec<(usize, &[u8])> = values.iter().map(|(i, v)| (*i, &v[..])).collect();
+            self.writeback_chunks(&wb, &landing);
+            values.into_iter().for_each(|(_, value)| pool.put(value));
+        };
+        let run_op = |op: &DagOp| match *op {
+            DagOp::Read { qi, from, to } => read(qi, from..to),
+            DagOp::Batch { b } => batch(b),
+        };
+        obs.stages.lower.record_duration(began.elapsed());
+
+        let (workers, worker_busy, stats) = match mode {
+            RebuildMode::Serial => {
+                (0..graph.len()).for_each(|op| run_op(graph.payload(op)));
+                (0, Vec::new(), sched::SchedStats::default())
+            }
+            RebuildMode::Dag => {
+                let disks = self.array().disks();
+                let report = sched::run(workers, disks, &obs.sched, &graph, |_w, _op, op| {
+                    run_op(op);
+                    sched::OpStatus::Done
+                });
+                debug_assert_eq!(report.stats.executed, graph.len() as u64, "every op ran");
+                obs.stages.queue_depth.record(report.stats.max_ready_depth);
+                (workers, report.worker_busy, report.stats)
+            }
+        };
+        let unreadable = unreadable.into_inner().unwrap_or_else(|p| p.into_inner());
+        debug_assert!(
+            done.iter().all(|d| d.load(Ordering::Acquire))
+                || !unreadable.is_empty()
+                || !lock(&wb.dead).is_empty(),
+            "a fault-free round completes every item"
         );
-        debug_assert_eq!(
-            report.stats.executed + report.stats.cancelled,
-            graph.len() as u64,
-            "every op finalized exactly once"
-        );
-        obs.stages.queue_depth.record(report.stats.max_ready_depth);
-        wb.into_output(
-            unreadable.into_inner().unwrap_or_else(|p| p.into_inner()),
-            &readers,
-            workers,
-            report.worker_busy,
-            report.stats,
-        )
+        wb.into_output(unreadable, &readers, workers, worker_busy, stats)
     }
 }
 
@@ -1914,11 +1851,17 @@ mod tests {
             for (d, (s, p)) in rs.device_io.iter().zip(&rd.device_io).enumerate() {
                 assert_eq!(s.reads, p.reads, "{strategy:?} disk {d} read count");
             }
-            // The scheduler actually ran: one executed op per read run,
-            // combine, and writeback, none cancelled on a clean rebuild.
+            // The scheduler actually ran: one executed op per (batch,
+            // source disk) and one per batch, none cancelled on a clean
+            // rebuild.
             assert!(rd.workers > 0);
             assert_eq!(rs.workers, 0);
-            assert!(rd.sched.executed >= 2 * rd.chunks_rebuilt);
+            let plan = single_failure_plan(dag.array(), 7, SparePolicy::Distributed, strategy);
+            let plan = plan.unwrap();
+            let per = batch_items(16, plan.items().len(), rd.workers);
+            let reads = RunQueues::build(&plan, &RebuildObserver::default()).by_batch(per);
+            let batches = plan.items().len().div_ceil(per);
+            assert_eq!(rd.sched.executed, (reads.len() + batches) as u64);
             assert_eq!(rd.sched.cancelled, 0);
             assert!(rd.sched.max_inflight >= 1);
             assert_eq!(rs.sched, sched::SchedStats::default());
@@ -2207,7 +2150,7 @@ mod tests {
                     s.spawn(move || {
                         start.wait();
                         for idx in (0..PASSES).flat_map(|_| (t..n).step_by(THREADS)) {
-                            store.writeback_chunk(wb, idx, &[idx as u8; 16]);
+                            store.writeback_chunks(wb, &[(idx, &[idx as u8; 16])]);
                         }
                     })
                 })
@@ -2231,56 +2174,297 @@ mod tests {
         RebuildCheckpoint::remove(&path);
     }
 
-    /// Buffer lifetime: both executors issue reads item-major and land a
-    /// chunk as soon as its sources are in, so a round holds a few buffers
-    /// per worker — not two per lost chunk, as it did when every read ran
-    /// before the first combine. (A coalesced run still delivers its whole
-    /// length at once; the Outer strategy, one chunk per run, is the one
-    /// the bound is about.)
+    /// Buffer lifetime: both executors issue reads batch-major and land a
+    /// batch as soon as its sources are in, so a round holds a batch or two
+    /// per worker — not two buffers per lost chunk, as it did when every
+    /// read ran before the first combine. (A coalesced run still delivers
+    /// its whole length at once; the Outer strategy, one chunk per run, is
+    /// the one the bound is about.) The bound is in bytes — per worker three
+    /// batches' worth (one being read, one being landed, one waiting) and
+    /// what its thread may cache — whether a batch is one item of 64 KiB or
+    /// sixteen of 4 KiB.
     #[test]
     fn a_round_keeps_a_few_buffers_live_not_the_plan() {
-        const CHUNK: usize = 64 * 1024;
-        let cfg = OiRaidConfig::new(bibd::fano(), 3, 4).unwrap();
-        let reference = OiRaidStore::new(cfg, CHUNK).unwrap();
-        for idx in 0..reference.data_chunks() {
-            reference
-                .write_data(idx, &vec![(idx % 251) as u8 + 1; CHUNK])
+        const WORKERS: usize = 2;
+        for (chunk, cycles) in [(64 << 10, 4), (4 << 10, 64)] {
+            let cfg = OiRaidConfig::new(bibd::fano(), 3, cycles).unwrap();
+            let reference = OiRaidStore::new(cfg, chunk).unwrap();
+            for idx in 0..reference.data_chunks() {
+                reference
+                    .write_data(idx, &vec![(idx % 251) as u8 + 1; chunk])
+                    .unwrap();
+            }
+            let target = 4usize;
+            for mode in [RebuildMode::Serial, RebuildMode::Dag] {
+                let store = reference.clone();
+                store.set_dag_workers(Some(WORKERS));
+                let plan = single_failure_plan(
+                    store.array(),
+                    target,
+                    SparePolicy::Distributed,
+                    RecoveryStrategy::Outer,
+                )
                 .unwrap();
+                let lost = plan.items().len();
+                let bound = WORKERS * (3 * BATCH_BYTES + (128 << 10)) / chunk;
+                assert!(lost > 2 * bound, "the plan dwarfs the bound: {lost} items");
+                let regions = store.plan_regions(&plan);
+                let obs = crate::RebuildObserver::default();
+                store.fail_disk(target).unwrap();
+                store.online().begin([target]);
+                store.devices()[target].heal().unwrap();
+                let out = store.execute_round(mode, &plan, &regions, &obs, None);
+                store.online().end();
+                assert_eq!(out.written.len(), lost, "{mode}");
+                assert!(
+                    out.peak_buffers <= bound,
+                    "{mode} at {chunk} B: {} buffers live at once",
+                    out.peak_buffers
+                );
+                assert_eq!(
+                    disk_image(&store, target),
+                    disk_image(&reference, target),
+                    "{mode}"
+                );
+            }
         }
-        let target = 4usize;
-        for mode in [RebuildMode::Serial, RebuildMode::Dag] {
-            let store = reference.clone();
-            store.set_dag_workers(Some(2));
-            let plan = single_failure_plan(
-                store.array(),
-                target,
-                SparePolicy::Distributed,
-                RecoveryStrategy::Outer,
-            )
-            .unwrap();
-            let lost = plan.items().len();
-            assert!(2 * lost > 64, "the plan dwarfs the bound: {lost} items");
+    }
+
+    /// A batch's writeback holds the union of its items' footprints: on the
+    /// serving geometry (4 KiB chunks, sixteen items a batch) that stays
+    /// under the 96 lock stripes one full foreground write group may hold.
+    #[test]
+    fn a_batch_locks_no_more_stripes_than_a_write_group() {
+        let cfg = OiRaidConfig::new(bibd::fano(), 3, 256).unwrap();
+        let store = OiRaidStore::new(cfg, 1).unwrap();
+        for strategy in RecoveryStrategy::ALL {
+            let plan = single_failure_plan(store.array(), 4, SparePolicy::Distributed, strategy);
+            let plan = plan.unwrap();
             let regions = store.plan_regions(&plan);
-            let obs = crate::RebuildObserver::default();
-            store.fail_disk(target).unwrap();
-            store.online().begin([target]);
-            store.devices()[target].heal().unwrap();
-            let out = match mode {
-                RebuildMode::Serial => store.execute_serial_round(&plan, &regions, &obs, None),
-                RebuildMode::Dag => store.execute_dag_round(&plan, &regions, &obs, None),
-            };
-            store.online().end();
-            assert_eq!(out.written.len(), lost, "{mode}");
+            let n = plan.items().len();
+            let per = batch_items(4096, n, 2);
+            assert_eq!(per, BATCH_ITEMS);
+            for lo in (0..n).step_by(per) {
+                let union: Vec<Region> = (lo..n.min(lo + per))
+                    .flat_map(|idx| regions.of(idx))
+                    .copied()
+                    .collect();
+                let held = crate::online::stripe_order(&union).len();
+                assert!(held <= 96, "{strategy:?} batch at {lo}: {held} stripes");
+            }
+        }
+    }
+
+    #[test]
+    fn batch_size_follows_bytes_count_and_pool() {
+        // 64 KiB of chunks, sixteen items at most, one at least.
+        assert_eq!(batch_items(4 << 10, 2304, 2), 16);
+        assert_eq!(batch_items(256, 2304, 2), 16);
+        assert_eq!(batch_items(16 << 10, 2304, 2), 4);
+        assert_eq!(batch_items(64 << 10, 576, 2), 1);
+        assert_eq!(batch_items(1 << 20, 576, 2), 1);
+        // A small plan still gives every worker four ops: the crash suite's
+        // 9-chunk disks are not one batch, and 42 workers on a 27-item
+        // plan get one item per op.
+        assert_eq!(batch_items(256, 9, 1), 3);
+        assert_eq!(batch_items(256, 27, 42), 1);
+        assert_eq!(batch_items(4 << 10, 0, 2), 1);
+    }
+
+    /// A device that dies on the write after `left` more succeeded (armed
+    /// with [`DiesOnWrite::arm`]; unarmed it is its inner device).
+    struct DiesOnWrite {
+        inner: MemDevice,
+        left: std::sync::atomic::AtomicI64,
+    }
+
+    impl DiesOnWrite {
+        fn arm(&self, writes: i64) {
+            self.left.store(writes, Ordering::SeqCst);
+        }
+    }
+
+    impl BlockDevice for DiesOnWrite {
+        fn chunk_size(&self) -> usize {
+            self.inner.chunk_size()
+        }
+        fn chunks(&self) -> usize {
+            self.inner.chunks()
+        }
+        fn is_failed(&self) -> bool {
+            self.inner.is_failed()
+        }
+        fn read_chunk(&self, chunk: usize, buf: &mut [u8]) -> Result<(), DeviceError> {
+            self.inner.read_chunk(chunk, buf)
+        }
+        fn write_chunk(&self, chunk: usize, data: &[u8]) -> Result<(), DeviceError> {
+            if self.left.fetch_sub(1, Ordering::SeqCst) <= 0 {
+                self.inner.fail();
+            }
+            self.inner.write_chunk(chunk, data)
+        }
+        fn fail(&self) {
+            self.inner.fail()
+        }
+        fn heal(&self) -> Result<(), DeviceError> {
+            self.inner.heal()
+        }
+        fn counters(&self) -> CounterSnapshot {
+            self.inner.counters()
+        }
+        fn reset_counters(&self) {
+            self.inner.reset_counters()
+        }
+    }
+
+    /// A filled 21-disk store whose single-disk Outer plan (72 items of
+    /// 64 B) runs in sixteen-item batches on a one-worker pool, over
+    /// devices made by `wrap`.
+    fn batch_fixture<B: BlockDevice>(wrap: impl Fn(MemDevice) -> B) -> OiRaidStore<B> {
+        let cfg = OiRaidConfig::new(bibd::fano(), 3, 8).unwrap();
+        let devices: Vec<B> = (0..cfg.disks())
+            .map(|_| wrap(MemDevice::new(64, cfg.chunks_per_disk())))
+            .collect();
+        let store = OiRaidStore::with_devices(cfg, 64, devices).unwrap();
+        for idx in 0..store.data_chunks() {
+            let chunk: Vec<u8> = (0..64).map(|j| (idx * 131 + j * 17 + 3) as u8).collect();
+            store.write_data(idx, &chunk).unwrap();
+        }
+        store.set_dag_workers(Some(1));
+        store
+    }
+
+    const BATCH_TARGET: usize = 4;
+
+    fn batch_plan<B: BlockDevice>(store: &OiRaidStore<B>) -> RecoveryPlan {
+        let plan = single_failure_plan(
+            store.array(),
+            BATCH_TARGET,
+            SparePolicy::Distributed,
+            RecoveryStrategy::Outer,
+        )
+        .unwrap();
+        assert_eq!(batch_items(64, plan.items().len(), 1), BATCH_ITEMS);
+        plan
+    }
+
+    /// Fails [`BATCH_TARGET`], opens the window, lets `arm` stage a fault,
+    /// runs one round of `plan` and returns its output with the window's
+    /// valid set as the round left it.
+    fn batch_round<B: BlockDevice>(
+        store: &OiRaidStore<B>,
+        plan: &RecoveryPlan,
+        mode: RebuildMode,
+        arm: impl FnOnce(&OiRaidStore<B>),
+    ) -> (RoundOutput, BTreeSet<ChunkAddr>) {
+        let regions = store.plan_regions(plan);
+        let obs = crate::RebuildObserver::default();
+        store.fail_disk(BATCH_TARGET).unwrap();
+        store.online().begin([BATCH_TARGET]);
+        store.devices()[BATCH_TARGET].heal().unwrap();
+        arm(store);
+        let out = store.execute_round(mode, plan, &regions, &obs, None);
+        let (_, valid) = store.online().valid_snapshot().expect("window open");
+        store.online().end();
+        (out, valid.into_iter().collect())
+    }
+
+    #[test]
+    fn a_source_that_stays_unreadable_costs_its_items_not_their_batch() {
+        for mode in [RebuildMode::Serial, RebuildMode::Dag] {
+            let store = batch_fixture(|mem| FaultInjectingDevice::new(mem, FaultConfig::default()));
+            store.set_retry_policy(blockdev::RetryPolicy::immediate(2));
+            let plan = batch_plan(&store);
+            // One latent sector among the sources of the first batch.
+            let source = plan.items()[5].reads[0];
+            let seed = (1..)
+                .find(|&seed| {
+                    let dev = &store.devices()[source.disk];
+                    dev.set_config(FaultConfig {
+                        seed,
+                        latent_per_mille: 20,
+                        ..FaultConfig::default()
+                    });
+                    let bad = |a: &ChunkAddr| a.disk == source.disk && dev.is_latent_bad(a.offset);
+                    let hit: Vec<_> = plan.items().iter().flat_map(|it| &it.reads).collect();
+                    bad(&source) && hit.into_iter().filter(|a| bad(a)).count() == 1
+                })
+                .unwrap();
+            let (out, valid) = batch_round(&store, &plan, mode, |_| {});
+            let needed: Vec<ChunkAddr> = plan
+                .items()
+                .iter()
+                .filter(|it| it.reads.contains(&source))
+                .map(|it| it.lost)
+                .collect();
             assert!(
-                out.peak_buffers <= 16,
-                "{mode}: {} buffers live at once",
-                out.peak_buffers
+                !needed.is_empty() && needed.len() < BATCH_ITEMS,
+                "{mode} seed {seed}"
             );
+            let unreadable: Vec<ChunkAddr> = out.unreadable.iter().map(|(a, _)| *a).collect();
+            assert_eq!(unreadable, [source], "{mode}");
+            let written: BTreeSet<ChunkAddr> = out.written.iter().copied().collect();
+            let expected: BTreeSet<ChunkAddr> = plan
+                .items()
+                .iter()
+                .map(|it| it.lost)
+                .filter(|lost| !needed.contains(lost))
+                .collect();
             assert_eq!(
-                disk_image(&store, target),
-                disk_image(&reference, target),
-                "{mode}"
+                written, expected,
+                "{mode}: exactly the items that needed it miss"
             );
+            assert_eq!(valid, expected, "{mode}");
+            assert!(out.dead_disks.is_empty(), "{mode}");
+        }
+    }
+
+    #[test]
+    fn a_dirtied_relation_skips_its_items_and_the_rest_of_the_batch_lands() {
+        for mode in [RebuildMode::Serial, RebuildMode::Dag] {
+            let store = batch_fixture(|mem| mem);
+            let plan = batch_plan(&store);
+            let regions = store.plan_regions(&plan);
+            // A relation of one item of the second batch, dirtied after the
+            // round's epoch began.
+            let relation = regions.of(BATCH_ITEMS + 3)[0];
+            let holds = |idx: usize| regions.of(idx).contains(&relation);
+            let (out, valid) = batch_round(&store, &plan, mode, |store| {
+                store.online().mark_dirty([relation]);
+            });
+            let n = plan.items().len();
+            let skipped = (0..n).filter(|&idx| holds(idx)).count();
+            assert!((1..BATCH_ITEMS).contains(&skipped), "{mode}: {skipped}");
+            assert_eq!(out.dirty_skips as usize, skipped, "{mode}");
+            let expected: BTreeSet<ChunkAddr> = (0..n)
+                .filter(|&idx| !holds(idx))
+                .map(|idx| plan.items()[idx].lost)
+                .collect();
+            let written: BTreeSet<ChunkAddr> = out.written.iter().copied().collect();
+            assert_eq!(written, expected, "{mode}");
+            assert_eq!(valid, expected, "{mode}");
+        }
+    }
+
+    #[test]
+    fn a_target_dying_mid_batch_lands_what_it_wrote_and_no_more() {
+        for mode in [RebuildMode::Serial, RebuildMode::Dag] {
+            let store = batch_fixture(|inner| DiesOnWrite {
+                inner,
+                left: i64::MAX.into(),
+            });
+            let plan = batch_plan(&store);
+            let (out, valid) = batch_round(&store, &plan, mode, |store| {
+                store.devices()[BATCH_TARGET].arm(4)
+            });
+            let first: Vec<ChunkAddr> = plan.items()[..4].iter().map(|it| it.lost).collect();
+            assert_eq!(
+                out.written, first,
+                "{mode}: the fifth write killed the disk"
+            );
+            assert_eq!(out.dead_disks, BTreeSet::from([BATCH_TARGET]), "{mode}");
+            assert_eq!(valid, first.into_iter().collect(), "{mode}");
+            assert!(out.unreadable.is_empty(), "{mode}");
         }
     }
 
@@ -2379,6 +2563,41 @@ mod tests {
             }
             assert!(store.check_parity().is_empty(), "{mode}");
         }
+    }
+
+    /// `wall` spans every round, so the pool's busy time must too. The
+    /// latent-sector reroute takes two rounds at least; with every read
+    /// slowed by an amount the devices count, the workers cannot have been
+    /// busy for less than their ops slept — which the first round's busy
+    /// time alone is.
+    #[test]
+    fn worker_busy_time_covers_every_round() {
+        let store = filled_faulty(8);
+        store.set_dag_workers(Some(2));
+        for (d, dev) in store.devices().iter().enumerate() {
+            dev.set_config(FaultConfig {
+                seed: 7,
+                latent_per_mille: if d == 5 { 200 } else { 0 },
+                read_latency: Duration::from_millis(2),
+                ..FaultConfig::default()
+            });
+        }
+        store.fail_disk(4).unwrap();
+        let report = store
+            .rebuild(RebuildMode::Dag, RecoveryStrategy::Inner)
+            .unwrap();
+        assert_eq!(report.outcome, RebuildOutcome::CompletedWithReroutes);
+        assert!(report.rounds >= 2, "{report}");
+        assert_eq!(report.worker_busy.len(), report.workers);
+        let slept: u64 = report.device_io.iter().map(|c| c.injected_latency_ns).sum();
+        let busy: Duration = report.worker_busy.iter().sum();
+        assert!(
+            busy >= Duration::from_nanos(slept),
+            "busy {busy:?} over {} rounds, ops slept {slept} ns",
+            report.rounds
+        );
+        let utilization = report.worker_utilization();
+        assert!(utilization > 0.0 && utilization <= 1.0, "{utilization}");
     }
 
     #[test]

@@ -882,14 +882,14 @@ impl<B: BlockDevice> OiRaidStore<B> {
     /// The parity relations `addr` participates in (its inner row, plus
     /// its outer stripe for payload chunks) — the granularity of the
     /// online dirty tracker.
-    pub(crate) fn regions_for(&self, addr: ChunkAddr) -> Vec<Region> {
+    pub(crate) fn regions_for(&self, addr: ChunkAddr) -> impl Iterator<Item = Region> {
         let geo = self.array.geometry();
-        let mut regions = vec![Region::Row(geo.group_of(addr.disk), addr.offset)];
-        if !geo.is_inner_parity(addr) {
+        let stripe = (!geo.is_inner_parity(addr)).then(|| {
             let p = geo.payload_pos(addr);
-            regions.push(Region::Stripe(p.block, p.stripe));
-        }
-        regions
+            Region::Stripe(p.block, p.stripe)
+        });
+        let row = Region::Row(geo.group_of(addr.disk), addr.offset);
+        [Some(row), stripe].into_iter().flatten()
     }
 
     /// Reads `addr` into `buf` through the retry layer. `Ok(false)` when
@@ -1288,7 +1288,8 @@ impl<B: BlockDevice> OiRaidStore<B> {
             addr.disk as u64,
         );
         {
-            let guard = self.online.lock_regions(&self.regions_for(addr));
+            let regions: Vec<Region> = self.regions_for(addr).collect();
+            let guard = self.online.lock_regions(&regions);
             // Re-check under the lock: the rebuilder (or a degraded write)
             // may have restored the chunk while we waited.
             if let Some(bytes) = self.chunk(addr)? {
@@ -2371,8 +2372,8 @@ impl<B: BlockDevice> OiRaidStore<B> {
         }
         // Latent pass, repair: plan alternate read sets for everything
         // unreadable (treating failed disks' chunks as missing too, so no
-        // read set touches them), and run the plan as one rebuild round —
-        // it decodes and rewrites in place through the same writeback atom
+        // read set touches them), and run the plan as one serial rebuild
+        // round — it decodes and rewrites in place through the same writeback atom
         // (region locks, dirty check) a rebuild uses.
         let mut repaired_latent: Vec<ChunkAddr> = Vec::new();
         let mut unrecoverable: Vec<ChunkAddr> = Vec::new();
@@ -2385,7 +2386,8 @@ impl<B: BlockDevice> OiRaidStore<B> {
             match self.array.chunk_recovery_plan(&missing) {
                 Ok(plan) => {
                     let regions = self.plan_regions(&plan);
-                    let out = self.execute_serial_round(&plan, &regions, obs, None);
+                    let mode = crate::RebuildMode::Serial;
+                    let out = self.execute_round(mode, &plan, &regions, obs, None);
                     retry = retry.merged(&out.retry);
                     let written: BTreeSet<ChunkAddr> = out.written.into_iter().collect();
                     for addr in &bad {
@@ -3431,7 +3433,7 @@ mod tests {
         let footprint = |idx: usize| -> Vec<Region> {
             let addr = store.locate(idx);
             let outer = store.array.update_set(addr).unwrap()[1 + store.array.geometry().p_in];
-            let mut r = store.regions_for(addr);
+            let mut r: Vec<Region> = store.regions_for(addr).collect();
             r.extend(store.regions_for(outer));
             r
         };

@@ -99,6 +99,22 @@ fn strategy_from(pick: u32) -> RecoveryStrategy {
     RecoveryStrategy::ALL[pick as usize % RecoveryStrategy::ALL.len()]
 }
 
+/// One to three failed disks of a Fano x 3 array; the odd shapes put two
+/// of them in one group, so the plan's outer-layer items feed inner-row
+/// items through `depends` (and, under dual inner parity, a row decode
+/// hands its second chunk to a read-less sibling item).
+fn grouped_failures(shape: u32, seed: u64) -> Vec<usize> {
+    let group = (seed % 7) as usize * 3;
+    let elsewhere = (group + 3 + (seed / 7 % 18) as usize) % 21;
+    match shape % 5 {
+        0 => vec![elsewhere],
+        1 => vec![group, group + 2],
+        2 => vec![group + 1, elsewhere],
+        3 => vec![group, group + 1, elsewhere],
+        _ => pick_failures(21, 3, seed),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -139,6 +155,36 @@ proptest! {
         let outcome = assert_dag_matches_serial(serial, dag, &failures, strategy);
         let _ = std::fs::remove_dir_all(&base);
         outcome?;
+    }
+
+    // Plans of 18 to 216 items that span several batches (up to sixteen
+    // items each, fewer on a wide pool), with `depends` and sibling links
+    // crossing batch boundaries: the serial walk and the DAG pool run the
+    // same batches and must agree bit for bit and read for read.
+    #[test]
+    fn batched_rebuilds_are_bit_identical_across_batch_boundaries(
+        seed in any::<u64>(),
+        shape in any::<u32>(),
+        cycles in 0usize..2,
+        chunk in 0usize..3,
+        workers in 0usize..3,
+        dual in any::<bool>(),
+        spick in any::<u32>(),
+    ) {
+        let (cycles, chunk, workers) = ([2, 8][cycles], [64, 512, 4096][chunk], [1, 2, 7][workers]);
+        let mut cfg = OiRaidConfig::new(fano(), 3, cycles).unwrap();
+        if dual {
+            cfg = cfg.with_inner_parities(2).unwrap();
+        }
+        let mut serial = OiRaidStore::new(cfg, chunk).unwrap();
+        fill(&mut serial, seed);
+        let dag = serial.clone();
+        for store in [&serial, &dag] {
+            store.set_dag_workers(Some(workers));
+        }
+        let mut failures = grouped_failures(shape, seed);
+        failures.sort_unstable();
+        assert_dag_matches_serial(serial, dag, &failures, strategy_from(spick))?;
     }
 
     #[test]
