@@ -630,35 +630,13 @@ pub fn e12_dual_parity() -> Vec<(String, Table)> {
 /// reports the per-device I/O counters of a DAG single-failure run —
 /// the measured counterpart of the paper's balanced-rebuild-load claim.
 pub fn e13_parallel_rebuild() -> Vec<(String, Table)> {
-    use blockdev::{BlockDevice, FaultConfig, FaultInjectingDevice, MemDevice};
-    use oi_raid::{OiRaidStore, RebuildMode};
+    use oi_raid::RebuildMode;
     use std::time::Duration;
 
     const CHUNK: usize = 4096;
     let read_latency = Duration::from_micros(300);
     let cfg = OiRaidConfig::reference();
-    let chunks = {
-        let probe = OiRaidStore::new(cfg.clone(), CHUNK).expect("reference store");
-        probe.devices()[0].chunks()
-    };
-    // Read latency only: filling the store does reads too, and write
-    // latency would just slow both modes identically.
-    let make_store = || {
-        let devices: Vec<_> = (0..21)
-            .map(|_| {
-                FaultInjectingDevice::new(
-                    MemDevice::new(CHUNK, chunks),
-                    FaultConfig::latency(read_latency, Duration::ZERO),
-                )
-            })
-            .collect();
-        let store = OiRaidStore::with_devices(cfg.clone(), CHUNK, devices).expect("valid devices");
-        for idx in 0..store.data_chunks() {
-            let chunk: Vec<u8> = (0..CHUNK).map(|j| (idx * 131 + j * 17 + 3) as u8).collect();
-            store.write_data(idx, &chunk).expect("healthy write");
-        }
-        store
-    };
+    let make_store = || crate::closed_loop::slow_read_store(&cfg, CHUNK, read_latency);
     // A rebuilt store is bit-identical to its pre-failure self, so the same
     // two stores serve every failure pattern in sequence.
     let serial = make_store();
@@ -731,7 +709,6 @@ pub fn e13_parallel_rebuild() -> Vec<(String, Table)> {
 /// experiments binary is single-threaded between rebuilds, so the override
 /// is safe here (unlike in the parallel test runner).
 pub fn e14_kernel_throughput() -> Vec<(String, Table)> {
-    use blockdev::{BlockDevice, MemDevice};
     use gf::kernels::{self, KernelPath, MulTable};
     use oi_raid::{OiRaidStore, RebuildMode};
     use std::time::{Duration, Instant};
@@ -813,16 +790,8 @@ pub fn e14_kernel_throughput() -> Vec<(String, Table)> {
     // (reads are memcpy, no latency injection) under each forced path.
     const CHUNK: usize = 128 << 10;
     let cfg = OiRaidConfig::new(bibd::fano(), 3, 16).expect("valid config");
-    let chunks = OiRaidStore::new(cfg.clone(), CHUNK)
-        .expect("probe store")
-        .devices()[0]
-        .chunks();
-    let devices: Vec<_> = (0..21).map(|_| MemDevice::new(CHUNK, chunks)).collect();
-    let store = OiRaidStore::with_devices(cfg, CHUNK, devices).expect("valid devices");
-    for idx in 0..store.data_chunks() {
-        let chunk: Vec<u8> = (0..CHUNK).map(|j| (idx * 131 + j * 17 + 3) as u8).collect();
-        store.write_data(idx, &chunk).expect("healthy write");
-    }
+    let store = OiRaidStore::new(cfg, CHUNK).expect("valid config");
+    crate::closed_loop::prefill(&store);
     let mut rebuild = Table::new(&[
         "path",
         "chunks",
@@ -980,10 +949,7 @@ pub fn e15_telemetry_overhead() -> Vec<(String, Table)> {
     const RUNS: usize = 5;
     let cfg = OiRaidConfig::reference();
     let store = OiRaidStore::new(cfg, CHUNK).expect("reference store");
-    for idx in 0..store.data_chunks() {
-        let chunk: Vec<u8> = (0..CHUNK).map(|j| (idx * 131 + j * 17 + 3) as u8).collect();
-        store.write_data(idx, &chunk).expect("healthy write");
-    }
+    crate::closed_loop::prefill(&store);
     let median_wall_ms = |observed: bool| -> f64 {
         let mut walls: Vec<f64> = (0..RUNS)
             .map(|_| {
@@ -1044,30 +1010,11 @@ pub fn e16_self_healing() -> Vec<(String, Table)> {
     const CHUNK: usize = 4096;
     let read_latency = Duration::from_micros(100);
     let cfg = OiRaidConfig::reference();
-    let chunks = {
-        let probe = OiRaidStore::new(cfg.clone(), CHUNK).expect("reference store");
-        probe.devices()[0].chunks()
-    };
-    let make_store = || {
-        let devices: Vec<_> = (0..21)
-            .map(|_| {
-                FaultInjectingDevice::new(
-                    MemDevice::new(CHUNK, chunks),
-                    FaultConfig::latency(read_latency, Duration::ZERO),
-                )
-            })
-            .collect();
-        let store = OiRaidStore::with_devices(cfg.clone(), CHUNK, devices).expect("valid devices");
-        for idx in 0..store.data_chunks() {
-            let chunk: Vec<u8> = (0..CHUNK).map(|j| (idx * 131 + j * 17 + 3) as u8).collect();
-            store.write_data(idx, &chunk).expect("healthy write");
-        }
-        store
-    };
+    let make_store = || crate::closed_loop::slow_read_store(&cfg, CHUNK, read_latency);
     let image = |store: &OiRaidStore<FaultInjectingDevice<MemDevice>>, d: usize| -> Vec<u8> {
         let mut out = Vec::new();
         let mut buf = vec![0u8; CHUNK];
-        for o in 0..chunks {
+        for o in 0..cfg.chunks_per_disk() {
             store.devices()[d]
                 .read_chunk(o, &mut buf)
                 .expect("readable");
@@ -1204,7 +1151,7 @@ pub fn e16_self_healing() -> Vec<(String, Table)> {
 /// amplification is measured by E8, this experiment isolates scheduler
 /// interference.
 pub fn e17_online_qos() -> Vec<(String, Table)> {
-    use blockdev::{BlockDevice, FaultConfig, FaultInjectingDevice, MemDevice};
+    use blockdev::{FaultInjectingDevice, MemDevice};
     use oi_raid::{OiRaidStore, QosConfig, RebuildMode, RebuildOutcome};
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::time::{Duration, Instant};
@@ -1216,26 +1163,7 @@ pub fn e17_online_qos() -> Vec<(String, Table)> {
     const STORM: Duration = Duration::from_millis(250);
     let read_latency = Duration::from_micros(300);
     let cfg = OiRaidConfig::reference();
-    let chunks = {
-        let probe = OiRaidStore::new(cfg.clone(), CHUNK).expect("reference store");
-        probe.devices()[0].chunks()
-    };
-    let make_store = || {
-        let devices: Vec<_> = (0..21)
-            .map(|_| {
-                FaultInjectingDevice::new(
-                    MemDevice::new(CHUNK, chunks),
-                    FaultConfig::latency(read_latency, Duration::ZERO),
-                )
-            })
-            .collect();
-        let store = OiRaidStore::with_devices(cfg.clone(), CHUNK, devices).expect("valid devices");
-        for idx in 0..store.data_chunks() {
-            let chunk: Vec<u8> = (0..CHUNK).map(|j| (idx * 131 + j * 17 + 3) as u8).collect();
-            store.write_data(idx, &chunk).expect("healthy write");
-        }
-        store
-    };
+    let make_store = || crate::closed_loop::slow_read_store(&cfg, CHUNK, read_latency);
     // Foreground working set: data chunks that do not live on disk 4.
     let fg_set = |store: &OiRaidStore<FaultInjectingDevice<MemDevice>>| -> Vec<usize> {
         (0..store.data_chunks())
@@ -1584,21 +1512,16 @@ pub fn e18_dag_scheduler() -> Vec<(String, Table)> {
 /// `1.3x` acceptance bound, or if the capped tenant pushes the uncapped
 /// tenant's read p99 beyond `1.5x` its solo value.
 pub fn e19_volume_closed_loop() -> Vec<(String, Table)> {
-    use blockdev::{BlockDevice, FaultConfig, FaultInjectingDevice, MemDevice};
-    use oi_raid::{OiRaidStore, RebuildMode, RebuildOutcome};
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use crate::closed_loop::{closed_loop, prefilled_store, spindles_on, volumes, LoopSpec};
+    use blockdev::{FaultConfig, FaultInjectingDevice, MemDevice};
+    use oi_raid::{RebuildMode, RebuildOutcome};
     use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-    use std::time::{Duration, Instant};
-    use volume::{Op, TenantClass, TenantId, VolumeId, VolumeManager, Zipf};
+    use std::time::Duration;
+    use volume::{TenantClass, TenantId, VolumeId};
 
     telemetry::set_enabled(true);
     const CHUNK: usize = 4096;
-    const RECORD: usize = 512;
     const WORKERS: usize = 8;
-    const READ_FRAC: f64 = 0.7;
-    const THETA: f64 = 0.99;
     let latency = Duration::from_micros(300);
     let clients: usize = std::env::var("OI_E19_CLIENTS")
         .ok()
@@ -1606,165 +1529,30 @@ pub fn e19_volume_closed_loop() -> Vec<(String, Table)> {
         .unwrap_or(120_000)
         .max(WORKERS);
     let cfg = OiRaidConfig::reference();
-    let chunks_per_disk = {
-        let probe = OiRaidStore::new(cfg.clone(), CHUNK).expect("reference store");
-        probe.devices()[0].chunks()
-    };
 
-    type Mgr = VolumeManager<FaultInjectingDevice<MemDevice>>;
     // A fresh manager per measurement: prefill runs with latency off, then
     // the spindle delay is switched on for the measured phase.
-    let make_mgr = |tenants: &[(&str, TenantClass)]| -> (Arc<Mgr>, Vec<(TenantId, VolumeId)>) {
-        let devices: Vec<_> = (0..21)
-            .map(|_| {
-                FaultInjectingDevice::new(
-                    MemDevice::new(CHUNK, chunks_per_disk),
-                    FaultConfig::default(),
-                )
-            })
-            .collect();
-        let store = OiRaidStore::with_devices(cfg.clone(), CHUNK, devices).expect("valid devices");
-        for idx in 0..store.data_chunks() {
-            let chunk: Vec<u8> = (0..CHUNK).map(|j| (idx * 131 + j * 17 + 3) as u8).collect();
-            store.write_data(idx, &chunk).expect("prefill write");
-        }
-        for dev in store.devices() {
-            dev.set_config(FaultConfig::latency(latency, latency));
-        }
-        let total_records = store.capacity_bytes() / RECORD as u64;
-        let per_volume = total_records / tenants.len() as u64;
-        let mgr = Arc::new(VolumeManager::new(Arc::new(store), WORKERS * 2));
-        let ids = tenants
-            .iter()
-            .map(|(name, class)| {
-                let t = mgr.add_tenant(name, *class);
-                let v = mgr
-                    .create_volume(t, name, RECORD, per_volume)
-                    .expect("volume fits");
-                (t, v)
-            })
-            .collect();
-        (mgr, ids)
+    let make_mgr = |tenants: &[(&str, TenantClass)]| {
+        let device = |_, chunks| {
+            FaultInjectingDevice::new(MemDevice::new(CHUNK, chunks), FaultConfig::default())
+        };
+        let store = prefilled_store(&cfg, CHUNK, device, None);
+        spindles_on(&store, latency);
+        volumes(store, WORKERS * 2, tenants)
     };
-
-    struct LoopResult {
-        ops: usize,
-        wall: Duration,
-        read_p50: u64,
-        read_p99: u64,
-        read_p999: u64,
-        write_p99: u64,
-    }
-    impl LoopResult {
-        fn ops_per_sec(&self) -> f64 {
-            self.ops as f64 / self.wall.as_secs_f64()
-        }
-    }
-
-    // The closed loop: `WORKERS` threads share `clients` logical clients;
-    // each turn a worker collects one op from each of the next `group`
-    // clients and issues the group (one `submit` when batched, one store
-    // call per op when not). `seed` decorrelates phases; `done` (when
-    // given) lets another tenant's loop stop this one early.
-    let closed_loop = |mgr: &Arc<Mgr>,
-                       tenant: TenantId,
-                       vol: VolumeId,
-                       records: u64,
-                       total_ops: usize,
-                       group: usize,
-                       batched: bool,
-                       seed: u64,
-                       done: Option<&AtomicBool>,
-                       workers: usize|
-     -> LoopResult {
-        let zipf = Zipf::scrambled(records as usize, THETA, 0xE19 ^ seed);
-        let before_read = mgr
-            .tenant_read_latency(tenant)
-            .expect("tenant exists")
-            .snapshot()
-            .count;
-        let began = Instant::now();
-        let ops_done: usize = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let zipf = &zipf;
-                    let mgr = Arc::clone(mgr);
-                    s.spawn(move || {
-                        let per_worker = (total_ops / workers).max(1);
-                        let my_clients = (clients / workers).max(1);
-                        let mut rngs: Vec<StdRng> = (0..my_clients.min(per_worker))
-                            .map(|c| StdRng::seed_from_u64(seed ^ ((w * my_clients + c) as u64)))
-                            .collect();
-                        let mut next = 0usize;
-                        let mut issued = 0usize;
-                        while issued < per_worker {
-                            if done.is_some_and(|d| d.load(Ordering::Relaxed)) {
-                                break;
-                            }
-                            let n = group.min(per_worker - issued);
-                            let mut ops = Vec::with_capacity(n);
-                            for _ in 0..n {
-                                let n_clients = rngs.len();
-                                let rng = &mut rngs[next];
-                                next = (next + 1) % n_clients;
-                                let record = zipf.sample(rng) as u64;
-                                if rng.gen::<f64>() < READ_FRAC {
-                                    ops.push(Op::Read {
-                                        volume: vol,
-                                        record,
-                                    });
-                                } else {
-                                    let tag = (rng.next_u64() & 0xFF) as u8;
-                                    ops.push(Op::Write {
-                                        volume: vol,
-                                        record,
-                                        data: vec![tag; RECORD],
-                                    });
-                                }
-                            }
-                            if batched {
-                                for res in mgr.submit(ops) {
-                                    res.expect("batched op");
-                                }
-                            } else {
-                                for op in ops {
-                                    match op {
-                                        Op::Read { record, .. } => {
-                                            mgr.read_record(vol, record).expect("direct read");
-                                        }
-                                        Op::Write { record, data, .. } => {
-                                            mgr.write_record(vol, record, &data)
-                                                .expect("direct write");
-                                        }
-                                    }
-                                }
-                            }
-                            issued += n;
-                        }
-                        issued
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("worker")).sum()
-        });
-        let wall = began.elapsed();
-        let reads = mgr
-            .tenant_read_latency(tenant)
-            .expect("tenant exists")
-            .snapshot();
-        let writes = mgr
-            .tenant_write_latency(tenant)
-            .expect("tenant exists")
-            .snapshot();
-        assert!(reads.count > before_read, "closed loop made no reads");
-        LoopResult {
-            ops: ops_done,
-            wall,
-            read_p50: reads.p50(),
-            read_p99: reads.p99(),
-            read_p999: reads.p999(),
-            write_p99: writes.p99(),
-        }
+    // The loop of one tenant: `seed` decorrelates phases.
+    let spec = |id: (TenantId, VolumeId), records, total_ops, group, batched, seed| LoopSpec {
+        tenant: id.0,
+        vol: id.1,
+        records,
+        total_ops,
+        clients,
+        group,
+        batched,
+        seed,
+        zipf_seed: 0xE19 ^ seed,
+        done: None,
+        workers: WORKERS,
     };
 
     let ms = |ns: u64| f3(ns as f64 / 1e6);
@@ -1783,7 +1571,7 @@ pub fn e19_volume_closed_loop() -> Vec<(String, Table)> {
         "read p999 (ms)",
         "write p99 (ms)",
     ]);
-    let mut row = |name: &str, r: &LoopResult| {
+    let mut row = |name: &str, r: &crate::closed_loop::LoopResult| {
         t1.row_owned(vec![
             name.into(),
             r.ops.to_string(),
@@ -1796,30 +1584,15 @@ pub fn e19_volume_closed_loop() -> Vec<(String, Table)> {
         ]);
     };
     let unbatched = {
-        let (mgr, ids) = make_mgr(one_tenant);
-        let records = mgr.store().capacity_bytes() / RECORD as u64;
-        closed_loop(
-            &mgr,
-            ids[0].0,
-            ids[0].1,
-            records,
-            ops_unbatched,
-            64,
-            false,
-            1,
-            None,
-            WORKERS,
-        )
+        let (mgr, ids, records) = make_mgr(one_tenant);
+        closed_loop(&mgr, &spec(ids[0], records, ops_unbatched, 64, false, 1))
     };
     row("unbatched", &unbatched);
     let mut batched_best = 0.0f64;
     let mut batched_p99 = u64::MAX;
     for group in [64usize, 256, 1024] {
-        let (mgr, ids) = make_mgr(one_tenant);
-        let records = mgr.store().capacity_bytes() / RECORD as u64;
-        let r = closed_loop(
-            &mgr, ids[0].0, ids[0].1, records, ops_a, group, true, 2, None, WORKERS,
-        );
+        let (mgr, ids, records) = make_mgr(one_tenant);
+        let r = closed_loop(&mgr, &spec(ids[0], records, ops_a, group, true, 2));
         batched_best = batched_best.max(r.ops_per_sec());
         batched_p99 = batched_p99.min(r.read_p99);
         row(&format!("batched (group {group})"), &r);
@@ -1846,8 +1619,8 @@ pub fn e19_volume_closed_loop() -> Vec<(String, Table)> {
         "degraded ops",
     ]);
     for state in ["healthy", "degraded (2 disks)", "rebuilding"] {
-        let (mgr, ids) = make_mgr(one_tenant);
-        let records = mgr.store().capacity_bytes() / RECORD as u64;
+        let (mgr, ids, records) = make_mgr(one_tenant);
+        let state_loop = spec(ids[0], records, ops_b, 256, true, 3);
         if state != "healthy" {
             mgr.store().fail_disk(4).expect("valid disk");
             mgr.store().fail_disk(9).expect("valid disk");
@@ -1870,17 +1643,13 @@ pub fn e19_volume_closed_loop() -> Vec<(String, Table)> {
                         mgr.store().fail_disk(9).expect("valid disk");
                     }
                 });
-                let r = closed_loop(
-                    &mgr, ids[0].0, ids[0].1, records, ops_b, 256, true, 3, None, WORKERS,
-                );
+                let r = closed_loop(&mgr, &state_loop);
                 workload_done.store(true, Ordering::Relaxed);
                 storm.join().expect("rebuild storm");
                 r
             })
         } else {
-            closed_loop(
-                &mgr, ids[0].0, ids[0].1, records, ops_b, 256, true, 3, None, WORKERS,
-            )
+            closed_loop(&mgr, &state_loop)
         };
         let degraded =
             mgr.store().telemetry().degraded_reads() + mgr.store().telemetry().degraded_writes();
@@ -1905,34 +1674,20 @@ pub fn e19_volume_closed_loop() -> Vec<(String, Table)> {
         ("tenant-b", TenantClass::capped(600.0)),
     ];
     let solo = {
-        let (mgr, ids) = make_mgr(two_tenants);
-        let records = mgr.store().capacity_bytes() / RECORD as u64 / 2;
-        closed_loop(
-            &mgr, ids[0].0, ids[0].1, records, ops_c, 256, true, 4, None, WORKERS,
-        )
+        let (mgr, ids, records) = make_mgr(two_tenants);
+        closed_loop(&mgr, &spec(ids[0], records, ops_c, 256, true, 4))
     };
     let (shared_a, shared_b) = {
-        let (mgr, ids) = make_mgr(two_tenants);
-        let records = mgr.store().capacity_bytes() / RECORD as u64 / 2;
+        let (mgr, ids, records) = make_mgr(two_tenants);
         let a_done = AtomicBool::new(false);
+        let b_loop = LoopSpec {
+            done: Some(&a_done),
+            workers: 2,
+            ..spec(ids[1], records, usize::MAX / 2, 8, true, 5)
+        };
         std::thread::scope(|s| {
-            let b = s.spawn(|| {
-                closed_loop(
-                    &mgr,
-                    ids[1].0,
-                    ids[1].1,
-                    records,
-                    usize::MAX / 2,
-                    8,
-                    true,
-                    5,
-                    Some(&a_done),
-                    2,
-                )
-            });
-            let a = closed_loop(
-                &mgr, ids[0].0, ids[0].1, records, ops_c, 256, true, 4, None, WORKERS,
-            );
+            let b = s.spawn(|| closed_loop(&mgr, &b_loop));
+            let a = closed_loop(&mgr, &spec(ids[0], records, ops_c, 256, true, 4));
             a_done.store(true, Ordering::Relaxed);
             (a, b.join().expect("tenant B loop"))
         })
@@ -2007,20 +1762,15 @@ pub fn e19_volume_closed_loop() -> Vec<(String, Table)> {
 /// acceptance bound is the default setting: within 5% of the untraced
 /// throughput.
 pub fn e20_tracing_overhead() -> Vec<(String, Table)> {
-    use blockdev::{BlockDevice, FaultConfig, FaultInjectingDevice, MemDevice};
-    use oi_raid::OiRaidStore;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    use std::sync::Arc;
-    use std::time::{Duration, Instant};
-    use volume::{Op, TenantClass, VolumeManager, Zipf};
+    use crate::closed_loop::{closed_loop, prefilled_store, spindles_on, volumes, LoopSpec};
+    use blockdev::{FaultConfig, FaultInjectingDevice, MemDevice};
+    use std::time::Duration;
+    use volume::TenantClass;
 
     telemetry::set_enabled(true);
     const CHUNK: usize = 4096;
-    const RECORD: usize = 512;
     const WORKERS: usize = 8;
     const GROUP: usize = 256;
-    const READ_FRAC: f64 = 0.7;
     let latency = Duration::from_micros(300);
     let clients: usize = std::env::var("OI_E20_CLIENTS")
         .ok()
@@ -2029,92 +1779,34 @@ pub fn e20_tracing_overhead() -> Vec<(String, Table)> {
         .max(WORKERS);
     let total_ops = (clients * 4).clamp(4_096, 24_576);
     let cfg = OiRaidConfig::reference();
-    let chunks_per_disk = {
-        let probe = OiRaidStore::new(cfg.clone(), CHUNK).expect("reference store");
-        probe.devices()[0].chunks()
-    };
 
     // One measured closed loop over a fresh prefilled array: `WORKERS`
     // threads share `clients` logical clients and submit batched groups.
     let measure = |sample: Option<u32>, seed: u64| -> (usize, Duration, u64) {
         telemetry::set_trace_sample(sample);
-        let devices: Vec<_> = (0..21)
-            .map(|_| {
-                FaultInjectingDevice::new(
-                    MemDevice::new(CHUNK, chunks_per_disk),
-                    FaultConfig::default(),
-                )
-            })
-            .collect();
-        let store = OiRaidStore::with_devices(cfg.clone(), CHUNK, devices).expect("valid devices");
-        for idx in 0..store.data_chunks() {
-            let chunk: Vec<u8> = (0..CHUNK).map(|j| (idx * 131 + j * 17 + 3) as u8).collect();
-            store.write_data(idx, &chunk).expect("prefill write");
-        }
-        for dev in store.devices() {
-            dev.set_config(FaultConfig::latency(latency, latency));
-        }
-        let mgr = Arc::new(VolumeManager::new(Arc::new(store), WORKERS * 2));
-        let tenant = mgr.add_tenant("t0", TenantClass::default());
-        let records = mgr.store().capacity_bytes() / RECORD as u64;
-        let vol = mgr
-            .create_volume(tenant, "t0", RECORD, records)
-            .expect("volume fits");
-        let zipf = Zipf::scrambled(records as usize, 0.99, 0xE20 ^ seed);
-        let began = Instant::now();
-        let ops_done: usize = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..WORKERS)
-                .map(|w| {
-                    let zipf = &zipf;
-                    let mgr = Arc::clone(&mgr);
-                    s.spawn(move || {
-                        let per_worker = (total_ops / WORKERS).max(1);
-                        let my_clients = (clients / WORKERS).max(1);
-                        let mut rngs: Vec<StdRng> = (0..my_clients.min(per_worker))
-                            .map(|c| StdRng::seed_from_u64(seed ^ ((w * my_clients + c) as u64)))
-                            .collect();
-                        let mut next = 0usize;
-                        let mut issued = 0usize;
-                        while issued < per_worker {
-                            let n = GROUP.min(per_worker - issued);
-                            let mut ops = Vec::with_capacity(n);
-                            for _ in 0..n {
-                                let n_clients = rngs.len();
-                                let rng = &mut rngs[next];
-                                next = (next + 1) % n_clients;
-                                let record = zipf.sample(rng) as u64;
-                                if rng.gen::<f64>() < READ_FRAC {
-                                    ops.push(Op::Read {
-                                        volume: vol,
-                                        record,
-                                    });
-                                } else {
-                                    let tag = (rng.next_u64() & 0xFF) as u8;
-                                    ops.push(Op::Write {
-                                        volume: vol,
-                                        record,
-                                        data: vec![tag; RECORD],
-                                    });
-                                }
-                            }
-                            for res in mgr.submit(ops) {
-                                res.expect("batched op");
-                            }
-                            issued += n;
-                        }
-                        issued
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("worker")).sum()
-        });
-        let wall = began.elapsed();
-        let p99 = mgr
-            .tenant_read_latency(tenant)
-            .expect("tenant exists")
-            .snapshot()
-            .p99();
-        (ops_done, wall, p99)
+        let device = |_, chunks| {
+            FaultInjectingDevice::new(MemDevice::new(CHUNK, chunks), FaultConfig::default())
+        };
+        let store = prefilled_store(&cfg, CHUNK, device, None);
+        spindles_on(&store, latency);
+        let (mgr, ids, records) = volumes(store, WORKERS * 2, &[("t0", TenantClass::default())]);
+        let r = closed_loop(
+            &mgr,
+            &LoopSpec {
+                tenant: ids[0].0,
+                vol: ids[0].1,
+                records,
+                total_ops,
+                clients,
+                group: GROUP,
+                batched: true,
+                seed,
+                zipf_seed: 0xE20 ^ seed,
+                done: None,
+                workers: WORKERS,
+            },
+        );
+        (r.ops, r.wall, r.read_p99)
     };
 
     // Best of two runs per setting, interleaved, so scheduler noise does
@@ -2176,6 +1868,66 @@ pub fn e20_tracing_overhead() -> Vec<(String, Table)> {
     )]
 }
 
+/// The E21/E22 measurement: E19's batched closed loop (group 256, eight
+/// workers with one client each) over a fresh prefilled array of real file
+/// devices in `dir` behind the 300us spindle model, journaled under
+/// `policy` if given — with the background flusher a `Timed` deployment
+/// would run. Returns the loop's result and `oi_flush_waves_total`;
+/// removes `dir`.
+fn file_closed_loop(
+    cfg: &OiRaidConfig,
+    dir: &std::path::Path,
+    policy: Option<blockdev::FlushPolicy>,
+    seed: u64,
+    total_ops: usize,
+) -> (crate::closed_loop::LoopResult, u64) {
+    use crate::closed_loop::{closed_loop, prefilled_store, spindles_on, volumes, LoopSpec};
+    use blockdev::{FaultConfig, FaultInjectingDevice, FileDevice};
+
+    const CHUNK: usize = 4096;
+    const WORKERS: usize = 8;
+    std::fs::create_dir_all(dir).expect("bench dir");
+    let device = |d, chunks| {
+        let file = FileDevice::create(dir.join(format!("disk-{d:03}.img")), CHUNK, chunks)
+            .expect("device file");
+        FaultInjectingDevice::new(file, FaultConfig::default())
+    };
+    let store = prefilled_store(cfg, CHUNK, device, policy.map(|p| (dir, p)));
+    spindles_on(&store, std::time::Duration::from_micros(300));
+    let tenants = [("t0", volume::TenantClass::default())];
+    let (mgr, ids, records) = volumes(store, WORKERS * 2, &tenants);
+    let flusher = mgr.store().spawn_flusher();
+    let result = closed_loop(
+        &mgr,
+        &LoopSpec {
+            tenant: ids[0].0,
+            vol: ids[0].1,
+            records,
+            total_ops,
+            clients: WORKERS,
+            group: 256,
+            batched: true,
+            seed,
+            zipf_seed: seed,
+            done: None,
+            workers: WORKERS,
+        },
+    );
+    drop(flusher);
+    let reg = telemetry::Registry::new();
+    mgr.store().export_metrics(&reg);
+    let waves = reg
+        .prometheus()
+        .lines()
+        .find(|l| l.starts_with("oi_flush_waves_total") && !l.starts_with('#'))
+        .and_then(|l| l.split_whitespace().last())
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(0);
+    drop(mgr);
+    let _ = std::fs::remove_dir_all(dir);
+    (result, waves)
+}
+
 /// E21: what crash consistency costs — and what replay buys back. Two
 /// tables over real file-backed devices:
 ///
@@ -2191,32 +1943,18 @@ pub fn e20_tracing_overhead() -> Vec<(String, Table)> {
 ///    redoes the log. Reports replay throughput; asserts the scribbled
 ///    chunk comes back and parity is clean.
 pub fn e21_journal_overhead() -> Vec<(String, Table)> {
-    use blockdev::{
-        BlockDevice, FaultConfig, FaultInjectingDevice, FileDevice, Journal, MemberWrite,
-    };
+    use blockdev::{BlockDevice, FlushPolicy, MemberWrite};
     use oi_raid::OiRaidStore;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    use std::sync::Arc;
     use std::time::{Duration, Instant};
-    use volume::{Op, TenantClass, VolumeManager, Zipf};
 
     const CHUNK: usize = 4096;
-    const RECORD: usize = 512;
-    const WORKERS: usize = 8;
     const GROUP: usize = 256;
-    const READ_FRAC: f64 = 0.7;
-    let latency = Duration::from_micros(300);
     let total_ops: usize = std::env::var("OI_E21_OPS")
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(6_144)
-        .max(WORKERS);
+        .max(8);
     let cfg = OiRaidConfig::reference();
-    let chunks_per_disk = {
-        let probe = OiRaidStore::new(cfg.clone(), CHUNK).expect("reference store");
-        probe.devices()[0].chunks()
-    };
     let base = std::env::temp_dir().join(format!("oi-raid-e21-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
 
@@ -2225,90 +1963,10 @@ pub fn e21_journal_overhead() -> Vec<(String, Table)> {
     // whether the parity journal (intent write + group-commit fdatasync
     // per wave) is in the update path.
     let measure = |journaled: bool, round: u64| -> (usize, Duration, u64) {
-        let seed = 0xE21 ^ round;
         let dir = base.join(format!("{}-{round}", if journaled { "on" } else { "off" }));
-        std::fs::create_dir_all(&dir).expect("bench dir");
-        let devices: Vec<_> = (0..21)
-            .map(|d| {
-                let file = FileDevice::create(
-                    dir.join(format!("disk-{d:03}.img")),
-                    CHUNK,
-                    chunks_per_disk,
-                )
-                .expect("device file");
-                FaultInjectingDevice::new(file, FaultConfig::default())
-            })
-            .collect();
-        let mut store =
-            OiRaidStore::with_devices(cfg.clone(), CHUNK, devices).expect("valid devices");
-        if journaled {
-            store.attach_journal(
-                Journal::create(dir.join("journal.log")).expect("journal"),
-                blockdev::FlushPolicy::Never,
-            );
-        }
-        for idx in 0..store.data_chunks() {
-            let chunk: Vec<u8> = (0..CHUNK).map(|j| (idx * 131 + j * 17 + 3) as u8).collect();
-            store.write_data(idx, &chunk).expect("prefill write");
-        }
-        for dev in store.devices() {
-            dev.set_config(FaultConfig::latency(latency, latency));
-        }
-        let mgr = Arc::new(VolumeManager::new(Arc::new(store), WORKERS * 2));
-        let tenant = mgr.add_tenant("t0", TenantClass::default());
-        let records = mgr.store().capacity_bytes() / RECORD as u64;
-        let vol = mgr
-            .create_volume(tenant, "t0", RECORD, records)
-            .expect("volume fits");
-        let zipf = Zipf::scrambled(records as usize, 0.99, seed);
-        let began = Instant::now();
-        let ops_done: usize = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..WORKERS)
-                .map(|w| {
-                    let zipf = &zipf;
-                    let mgr = Arc::clone(&mgr);
-                    s.spawn(move || {
-                        let mut rng = StdRng::seed_from_u64(seed ^ w as u64);
-                        let per_worker = (total_ops / WORKERS).max(1);
-                        let mut issued = 0usize;
-                        while issued < per_worker {
-                            let n = GROUP.min(per_worker - issued);
-                            let mut ops = Vec::with_capacity(n);
-                            for _ in 0..n {
-                                let record = zipf.sample(&mut rng) as u64;
-                                if rng.gen::<f64>() < READ_FRAC {
-                                    ops.push(Op::Read {
-                                        volume: vol,
-                                        record,
-                                    });
-                                } else {
-                                    let tag = (rng.next_u64() & 0xFF) as u8;
-                                    ops.push(Op::Write {
-                                        volume: vol,
-                                        record,
-                                        data: vec![tag; RECORD],
-                                    });
-                                }
-                            }
-                            for res in mgr.submit(ops) {
-                                res.expect("batched op");
-                            }
-                            issued += n;
-                        }
-                        issued
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("worker")).sum()
-        });
-        let wall = began.elapsed();
-        let p99 = mgr
-            .tenant_read_latency(tenant)
-            .expect("tenant exists")
-            .snapshot()
-            .p99();
-        let _ = std::fs::remove_dir_all(&dir);
-        (ops_done, wall, p99)
+        let policy = journaled.then_some(FlushPolicy::Never);
+        let (r, _) = file_closed_loop(&cfg, &dir, policy, 0xE21 ^ round, total_ops);
+        (r.ops, r.wall, r.read_p99)
     };
 
     // Best of two interleaved rounds per setting, so filesystem noise
@@ -2468,33 +2126,16 @@ pub fn e21_journal_overhead() -> Vec<(String, Table)> {
 /// journal-on closed-loop throughput, Timed at most 1.3x. `OI_E22_OPS`
 /// trims the op count for smoke runs.
 pub fn e22_flush_policy() -> Vec<(String, Table)> {
-    use blockdev::{
-        BlockDevice, FaultConfig, FaultInjectingDevice, FileDevice, FlushPolicy, Journal,
-    };
-    use oi_raid::OiRaidStore;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    use std::sync::Arc;
-    use std::time::{Duration, Instant};
-    use telemetry::Registry;
-    use volume::{Op, TenantClass, VolumeManager, Zipf};
+    use blockdev::FlushPolicy;
+    use std::time::Duration;
 
-    const CHUNK: usize = 4096;
-    const RECORD: usize = 512;
-    const WORKERS: usize = 8;
     const GROUP: usize = 256;
-    const READ_FRAC: f64 = 0.7;
-    let latency = Duration::from_micros(300);
     let total_ops: usize = std::env::var("OI_E22_OPS")
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(6_144)
-        .max(WORKERS);
+        .max(8);
     let cfg = OiRaidConfig::reference();
-    let chunks_per_disk = {
-        let probe = OiRaidStore::new(cfg.clone(), CHUNK).expect("reference store");
-        probe.devices()[0].chunks()
-    };
     let base = std::env::temp_dir().join(format!("oi-raid-e22-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
 
@@ -2507,106 +2148,12 @@ pub fn e22_flush_policy() -> Vec<(String, Table)> {
     // One measured closed loop per policy, same harness as E21: real file
     // devices behind 300us spindles, Zipf 0.99 keys, 70/30 read/write.
     let measure = |name: &str, policy: FlushPolicy, round: u64| -> (usize, Duration, u64, u64) {
-        let seed = 0xE22 ^ round;
         let dir = base.join(format!(
             "{}-{round}",
             name.split_whitespace().next().unwrap()
         ));
-        std::fs::create_dir_all(&dir).expect("bench dir");
-        let devices: Vec<_> = (0..21)
-            .map(|d| {
-                let file = FileDevice::create(
-                    dir.join(format!("disk-{d:03}.img")),
-                    CHUNK,
-                    chunks_per_disk,
-                )
-                .expect("device file");
-                FaultInjectingDevice::new(file, FaultConfig::default())
-            })
-            .collect();
-        let mut store =
-            OiRaidStore::with_devices(cfg.clone(), CHUNK, devices).expect("valid devices");
-        store.attach_journal(
-            Journal::create(dir.join("journal.log")).expect("journal"),
-            policy,
-        );
-        for idx in 0..store.data_chunks() {
-            let chunk: Vec<u8> = (0..CHUNK).map(|j| (idx * 131 + j * 17 + 3) as u8).collect();
-            store.write_data(idx, &chunk).expect("prefill write");
-        }
-        for dev in store.devices() {
-            dev.set_config(FaultConfig::latency(latency, latency));
-        }
-        let store = Arc::new(store);
-        // Timed runs get the background flusher a production deployment
-        // would have; the other policies return None here.
-        let flusher = store.spawn_flusher();
-        let mgr = Arc::new(VolumeManager::new(Arc::clone(&store), WORKERS * 2));
-        let tenant = mgr.add_tenant("t0", TenantClass::default());
-        let records = mgr.store().capacity_bytes() / RECORD as u64;
-        let vol = mgr
-            .create_volume(tenant, "t0", RECORD, records)
-            .expect("volume fits");
-        let zipf = Zipf::scrambled(records as usize, 0.99, seed);
-        let began = Instant::now();
-        let ops_done: usize = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..WORKERS)
-                .map(|w| {
-                    let zipf = &zipf;
-                    let mgr = Arc::clone(&mgr);
-                    s.spawn(move || {
-                        let mut rng = StdRng::seed_from_u64(seed ^ w as u64);
-                        let per_worker = (total_ops / WORKERS).max(1);
-                        let mut issued = 0usize;
-                        while issued < per_worker {
-                            let n = GROUP.min(per_worker - issued);
-                            let mut ops = Vec::with_capacity(n);
-                            for _ in 0..n {
-                                let record = zipf.sample(&mut rng) as u64;
-                                if rng.gen::<f64>() < READ_FRAC {
-                                    ops.push(Op::Read {
-                                        volume: vol,
-                                        record,
-                                    });
-                                } else {
-                                    let tag = (rng.next_u64() & 0xFF) as u8;
-                                    ops.push(Op::Write {
-                                        volume: vol,
-                                        record,
-                                        data: vec![tag; RECORD],
-                                    });
-                                }
-                            }
-                            for res in mgr.submit(ops) {
-                                res.expect("batched op");
-                            }
-                            issued += n;
-                        }
-                        issued
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("worker")).sum()
-        });
-        let wall = began.elapsed();
-        drop(flusher);
-        let reg = Registry::new();
-        store.export_metrics(&reg);
-        let waves = reg
-            .prometheus()
-            .lines()
-            .find(|l| l.starts_with("oi_flush_waves_total") && !l.starts_with('#'))
-            .and_then(|l| l.split_whitespace().last())
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0);
-        let p99 = mgr
-            .tenant_read_latency(tenant)
-            .expect("tenant exists")
-            .snapshot()
-            .p99();
-        drop(mgr);
-        let _ = std::fs::remove_dir_all(&dir);
-        (ops_done, wall, p99, waves)
+        let (r, waves) = file_closed_loop(&cfg, &dir, Some(policy), 0xE22 ^ round, total_ops);
+        (r.ops, r.wall, r.read_p99, waves)
     };
 
     // Best of two interleaved rounds per policy, as in E21, so filesystem

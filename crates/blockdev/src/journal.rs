@@ -133,18 +133,9 @@ pub enum FlushPolicy {
 }
 
 impl FlushPolicy {
-    /// Reads `OI_RAID_FLUSH_POLICY` (`never`, `perwave`, or `timed:<ms>`),
-    /// defaulting to [`FlushPolicy::Never`] when unset or unparsable —
-    /// crash-harness children select their policy this way.
-    pub fn from_env() -> Self {
-        std::env::var("OI_RAID_FLUSH_POLICY")
-            .ok()
-            .and_then(|v| Self::parse(&v))
-            .unwrap_or_default()
-    }
-
     /// Parses a policy string: `never`, `perwave` (or `per-wave`,
-    /// `per_wave`), `timed:<ms>`.
+    /// `per_wave`), `timed:<ms>` — what a command line or a crash-harness
+    /// child hands over; the library itself reads no environment.
     pub fn parse(s: &str) -> Option<Self> {
         let s = s.trim().to_ascii_lowercase();
         match s.as_str() {

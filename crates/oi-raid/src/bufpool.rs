@@ -23,6 +23,11 @@ use std::sync::{Mutex, MutexGuard};
 /// chunks do not hoard thousands of buffers.
 const LOCAL_BYTES: usize = 128 << 10;
 const LOCAL_BUFS: usize = 32;
+/// Most bytes the shared list parks. Users need not balance their books —
+/// a decode may hand the pool a buffer it never lent (the row code
+/// allocates what it reconstructs) on every degraded write for as long as
+/// a disk is down — so the list is bounded and the surplus freed.
+const SHARED_BYTES: usize = 8 << 20;
 
 thread_local! {
     /// This thread's cached buffers, all of one length (a thread that moves
@@ -40,6 +45,8 @@ pub(crate) struct BufPool {
     chunk: usize,
     /// Buffers of this chunk size one thread may cache (see [`LOCAL_BYTES`]).
     local_room: usize,
+    /// Buffers the shared list holds at most (see [`SHARED_BYTES`]).
+    shared_room: usize,
     free: Mutex<Vec<Vec<u8>>>,
     /// Test builds only: buffers out of the pool now, and the most there
     /// ever were. A buffer dropped instead of returned stays counted; one
@@ -56,6 +63,7 @@ impl BufPool {
         Self {
             chunk,
             local_room: (LOCAL_BYTES / chunk.max(1)).min(LOCAL_BUFS),
+            shared_room: SHARED_BYTES / chunk.max(1),
             free: Mutex::new(Vec::new()),
             #[cfg(test)]
             out: Mutex::default(),
@@ -115,7 +123,10 @@ impl BufPool {
             }
         });
         if let Some(b) = spill {
-            self.shared().push(b);
+            let mut shared = self.shared();
+            if shared.len() < self.shared_room {
+                shared.push(b);
+            }
         }
     }
 
@@ -221,6 +232,17 @@ mod tests {
             assert_eq!(pool.take_dirty(), vec![0u8; 4096]);
         });
         assert_eq!(pool.peak(), room + 3);
+    }
+
+    #[test]
+    fn a_pool_that_is_only_ever_given_buffers_stays_bounded() {
+        on_a_fresh_thread(|| {
+            let pool = BufPool::new(1 << 20);
+            for _ in 0..3 * (SHARED_BYTES >> 20) {
+                pool.put(vec![0u8; 1 << 20]);
+            }
+            assert_eq!(pool.free.lock().unwrap().len(), SHARED_BYTES >> 20);
+        });
     }
 
     #[test]

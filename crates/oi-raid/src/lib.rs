@@ -44,7 +44,7 @@
 //!   while disks are down or a rebuild is in flight; [`RebuildMode`] /
 //!   [`RebuildReport`] — the plan-driven instrumented rebuild engine (a
 //!   serial oracle and one concurrent DAG executor); [`QosConfig`] — the
-//!   foreground/rebuild bandwidth throttle (`OI_RAID_REBUILD_THROTTLE`).
+//!   foreground/rebuild bandwidth throttle ([`OiRaidStore::set_qos`]).
 //!
 //! # Example
 //!

@@ -8,10 +8,8 @@
 //! *work-conserving*: it only engages while foreground requests have been
 //! seen recently, so an idle array still rebuilds at full speed.
 //!
-//! The default rate comes from the `OI_RAID_REBUILD_THROTTLE` environment
-//! variable (chunks per second; unset, `0`, or `off` = unlimited), read
-//! once at store construction. Experiments override it programmatically
-//! with [`crate::OiRaidStore::set_qos`].
+//! A store starts unthrottled ([`QosConfig::default`]); callers set a rate
+//! with [`crate::OiRaidStore::set_qos`], also while a rebuild runs.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -54,19 +52,6 @@ impl QosConfig {
         Self {
             rebuild_chunks_per_sec: (chunks_per_sec > 0.0).then_some(chunks_per_sec),
             ..Self::default()
-        }
-    }
-
-    /// Reads `OI_RAID_REBUILD_THROTTLE` (chunks per second). Unset,
-    /// unparsable, `0`, or `off` mean unlimited.
-    pub fn from_env() -> Self {
-        match std::env::var("OI_RAID_REBUILD_THROTTLE") {
-            Ok(v) if v.trim().eq_ignore_ascii_case("off") => Self::unlimited(),
-            Ok(v) => match v.trim().parse::<f64>() {
-                Ok(rate) if rate > 0.0 => Self::throttled(rate),
-                _ => Self::unlimited(),
-            },
-            Err(_) => Self::unlimited(),
         }
     }
 }
@@ -263,11 +248,8 @@ mod tests {
     }
 
     #[test]
-    fn env_parsing() {
-        // from_env with the variable unset (the test environment default).
-        if std::env::var("OI_RAID_REBUILD_THROTTLE").is_err() {
-            assert_eq!(QosConfig::from_env().rebuild_chunks_per_sec, None);
-        }
+    fn throttled_rejects_non_positive_rates() {
+        assert_eq!(QosConfig::default().rebuild_chunks_per_sec, None);
         assert_eq!(
             QosConfig::throttled(500.0).rebuild_chunks_per_sec,
             Some(500.0)

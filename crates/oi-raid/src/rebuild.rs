@@ -373,7 +373,7 @@ impl fmt::Display for RebuildReport {
 /// The sources gathered for one plan item — scheduled reads *and* outputs
 /// of dependency items — by address. An item has a handful, so a scan
 /// beats hashing, and one list serves a whole batch without reallocating.
-type Inputs = Vec<(ChunkAddr, Vec<u8>)>;
+pub(crate) type Inputs = Vec<(ChunkAddr, Vec<u8>)>;
 
 /// Moves `addr`'s bytes out of `inputs`.
 fn take_input(inputs: &mut Inputs, addr: ChunkAddr) -> Option<Vec<u8>> {
@@ -390,7 +390,7 @@ fn take_input(inputs: &mut Inputs, addr: ChunkAddr) -> Option<Vec<u8>> {
 /// the cache holds a few entries at most; it is locked on those two paths
 /// only, so concurrent stripe XORs never meet there. Pure in its inputs —
 /// this is what makes serial and DAG execution bit-identical.
-fn combine(
+pub(crate) fn combine(
     geo: &Geometry,
     code: &dyn ErasureCode,
     lost: ChunkAddr,
@@ -486,7 +486,7 @@ fn combine(
 /// provider's output into its inputs — and how many (non-sibling)
 /// dependents consume each item's output.
 #[allow(clippy::type_complexity)]
-fn dependency_shape(
+pub(crate) fn dependency_shape(
     geo: &Geometry,
     items: &[layout::ChunkRecovery],
 ) -> (Vec<Vec<(usize, bool)>>, Vec<usize>) {

@@ -14,12 +14,15 @@
 //! are interior-mutable), reads *and writes* keep working while disks are
 //! failed or a rebuild is in flight, and a rebuild window (see
 //! [`crate::online`]) keeps mid-rebuild chunks reading as missing until
-//! they are written back. Degraded writes reconstruct the old value under
-//! the update lock, apply the XOR delta to every *available* member of the
-//! update set, and leave the missing members to the rebuilder — the parity
+//! they are written back. A value the store cannot simply read — a degraded
+//! read's, a write's old data or parity — comes off one ladder (device
+//! read, one relation of the chunk's own, the recovery plan's dependency
+//! closure: `OiRaidStore::current_values`) through the rebuild engine's
+//! combiner. Degraded writes apply the XOR delta to every member whose
+//! device is up and leave the missing ones to the rebuilder — the parity
 //! relations then imply the *new* values, so nothing is lost.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::ops::Range;
 use std::path::Path;
@@ -43,6 +46,7 @@ use crate::geometry::{Geometry, PayloadPos};
 use crate::observe::RebuildObserver;
 use crate::online::{OnlineState, Region};
 use crate::qos::{QosConfig, QosCounters, QosState};
+use crate::rebuild::{combine, dependency_shape, Inputs};
 use crate::retry_cell::RetryCell;
 
 /// Errors from the byte-level store.
@@ -334,15 +338,9 @@ fn nonzero_chunk_size(chunk_size: usize) -> Result<(), StoreError> {
     Ok(())
 }
 
-/// Chunk credits between mid-round rebuild checkpoints
-/// (`OI_RAID_CKPT_INTERVAL`, default 128).
-fn ckpt_interval_from_env() -> u64 {
-    std::env::var("OI_RAID_CKPT_INTERVAL")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(128)
-}
+/// Chunk credits between mid-round rebuild checkpoints of a durable store
+/// (see [`OiRaidStore::set_checkpoint_policy`] to choose another).
+const CKPT_INTERVAL: u64 = 128;
 
 /// One touched chunk in a batched write: its data index and the
 /// `(offset-within-chunk, bytes)` patches targeting it, in submission order.
@@ -620,15 +618,13 @@ impl OiRaidStore<FileDevice> {
     /// Creates a *crash-consistent* file-backed store under `dir`: device
     /// files as [`Self::create_in_dir`], plus a write-ahead parity journal
     /// (`journal.log`) threaded through every multi-member update and a
-    /// rebuild checkpoint policy (`rebuild.ckpt`, interval from
-    /// `OI_RAID_CKPT_INTERVAL`, default 128 chunk credits).
+    /// rebuild checkpoint policy (`rebuild.ckpt`, every 128 chunk credits).
     ///
     /// Use [`Self::open_durable`] to reopen the same directory after a
     /// crash or clean shutdown.
     ///
-    /// The member-flush policy comes from `OI_RAID_FLUSH_POLICY`
-    /// (default [`FlushPolicy::Never`] — process-crash durability); use
-    /// [`Self::create_durable_with`] to pass one explicitly.
+    /// The member-flush policy is [`FlushPolicy::Never`] — process-crash
+    /// durability; use [`Self::create_durable_with`] to pass another.
     ///
     /// # Errors
     ///
@@ -639,11 +635,10 @@ impl OiRaidStore<FileDevice> {
         chunk_size: usize,
         dir: impl AsRef<Path>,
     ) -> Result<Self, StoreError> {
-        Self::create_durable_with(cfg, chunk_size, dir, FlushPolicy::from_env())
+        Self::create_durable_with(cfg, chunk_size, dir, FlushPolicy::default())
     }
 
-    /// [`Self::create_durable`] with an explicit [`FlushPolicy`] instead
-    /// of the environment default.
+    /// [`Self::create_durable`] with an explicit [`FlushPolicy`].
     pub fn create_durable_with(
         cfg: OiRaidConfig,
         chunk_size: usize,
@@ -677,19 +672,17 @@ impl OiRaidStore<FileDevice> {
     /// [`StoreError::Device`] if any device file is missing or has the
     /// wrong size, [`StoreError::Journal`] on journal I/O errors.
     ///
-    /// The member-flush policy comes from `OI_RAID_FLUSH_POLICY` (default
-    /// [`FlushPolicy::Never`]); use [`Self::open_durable_with`] to pass
-    /// one explicitly.
+    /// The member-flush policy is [`FlushPolicy::Never`]; use
+    /// [`Self::open_durable_with`] to pass another.
     pub fn open_durable(
         cfg: OiRaidConfig,
         chunk_size: usize,
         dir: impl AsRef<Path>,
     ) -> Result<Self, StoreError> {
-        Self::open_durable_with(cfg, chunk_size, dir, FlushPolicy::from_env())
+        Self::open_durable_with(cfg, chunk_size, dir, FlushPolicy::default())
     }
 
-    /// [`Self::open_durable`] with an explicit [`FlushPolicy`] instead of
-    /// the environment default.
+    /// [`Self::open_durable`] with an explicit [`FlushPolicy`].
     pub fn open_durable_with(
         cfg: OiRaidConfig,
         chunk_size: usize,
@@ -762,7 +755,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
             telem: StoreTelemetry::default(),
             retry: RetryCell::new(RetryPolicy::default()),
             online: OnlineState::default(),
-            qos: QosState::new(QosConfig::from_env()),
+            qos: QosState::new(QosConfig::default()),
             dag_workers: AtomicUsize::new(usize::MAX),
             pool: BufPool::new(chunk_size),
             durable: None,
@@ -892,63 +885,41 @@ impl<B: BlockDevice> OiRaidStore<B> {
         [Some(row), stripe].into_iter().flatten()
     }
 
-    /// Reads `addr` into `buf` through the retry layer. `Ok(false)` when
-    /// the disk turns out failed; transient device faults are retried under
-    /// the store policy, errors that outlast it (latent sectors, exhausted
-    /// retries) surface as [`StoreError::Device`].
-    fn read_into(&self, addr: ChunkAddr, buf: &mut [u8]) -> Result<bool, StoreError> {
-        let dev = &self.devices[addr.disk];
-        match RetryReader::new(dev, self.retry_policy()).read_chunk(addr.offset, buf) {
-            Ok(()) => Ok(true),
-            Err(DeviceError::Failed) => Ok(false),
-            Err(error) => Err(StoreError::Device {
-                disk: addr.disk,
-                error,
-            }),
-        }
-    }
-
-    /// Reads one chunk. `Ok(None)` when the disk is failed or the chunk is
-    /// inside an open rebuild window and not yet restored; errors as for
-    /// [`Self::read_into`].
-    pub(crate) fn chunk(&self, addr: ChunkAddr) -> Result<Option<Vec<u8>>, StoreError> {
-        self.at_one_epoch(|| {
-            if !self.chunk_available(addr) {
-                return Ok(None);
-            }
-            let mut buf = vec![0u8; self.chunk_size];
-            Ok(self.read_into(addr, &mut buf)?.then_some(buf))
-        })
-    }
-
-    /// Runs `read` — an availability check followed by a device read —
-    /// again until no rebuild-window edge went by while it ran.
+    /// Rung 1 of the value ladder (see [`Self::current_values`]): reads
+    /// `addr` from its device into `buf`, through the retry layer and under
+    /// the epoch ticket. `false` is a *miss*, never an error — the disk is
+    /// failed, the chunk sits un-rebuilt inside an open rebuild window, or
+    /// the member is up but stays unreadable past the retry policy (a
+    /// latent sector): each is somebody's cue to decode, and scrubbing and
+    /// verification, which skip relations they cannot fully read, see a
+    /// stable view of flaky media.
     ///
-    /// No lock spans the check and the read, and a whole fail → window open
-    /// → heal fits between them, after which the device answers with a
-    /// blank disk's zeroes for a chunk that was valid when asked. The window
-    /// epoch moves on every such edge, so an unchanged epoch vouches for the
-    /// bytes; a changed one means ask again, not give up (a parity member
-    /// may only be skipped when it really is unavailable).
-    fn at_one_epoch<T>(
-        &self,
-        mut read: impl FnMut() -> Result<T, StoreError>,
-    ) -> Result<T, StoreError> {
+    /// No lock spans the availability check and the read, and a whole fail
+    /// → window open → heal fits between them, after which the device
+    /// answers with a blank disk's zeroes for a chunk that was valid when
+    /// asked. The window epoch moves on every such edge, so an unchanged
+    /// epoch vouches for the answer; a changed one means ask again, not give
+    /// up (a parity member may only be skipped when it really is
+    /// unavailable).
+    fn read_into(&self, addr: ChunkAddr, buf: &mut [u8]) -> bool {
         loop {
             let epoch = self.online.epoch();
-            let out = read()?;
+            let reader = RetryReader::new(&self.devices[addr.disk], self.retry_policy());
+            let hit = self.chunk_available(addr) && reader.read_chunk(addr.offset, buf).is_ok();
             if self.online.epoch() == epoch {
-                return Ok(out);
+                return hit;
             }
         }
     }
 
-    /// Reads one chunk, mapping *any* persistent unavailability (failed
-    /// disk, un-rebuilt window chunk, latent sector, exhausted retries) to
-    /// `None`, so scrubbing/verification — which skip relations they cannot
-    /// fully read — see a stable view of flaky media.
-    fn readable_chunk(&self, addr: ChunkAddr) -> Option<Vec<u8>> {
-        self.chunk(addr).ok().flatten()
+    /// Reads one chunk into a buffer of its own — a value that leaves the
+    /// store. A chunk that is plainly unavailable costs no buffer.
+    pub(crate) fn chunk(&self, addr: ChunkAddr) -> Option<Vec<u8>> {
+        if !self.chunk_available(addr) {
+            return None;
+        }
+        let mut buf = vec![0u8; self.chunk_size];
+        self.read_into(addr, &mut buf).then_some(buf)
     }
 
     /// The inner-layer row code: RAID5 for `p_in = 1`, RAID6 for `p_in = 2`
@@ -985,7 +956,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
 
     fn xor_into(&self, addr: ChunkAddr, delta: &[u8]) -> Result<(), StoreError> {
         let mut bytes = self
-            .chunk_pooled(addr)?
+            .chunk_pooled(addr)
             .ok_or(StoreError::DiskFailed { disk: addr.disk })?;
         gf::kernels::xor_acc(&mut bytes, delta);
         let done = self.write_chunk(addr, &bytes);
@@ -998,20 +969,38 @@ impl<B: BlockDevice> OiRaidStore<B> {
     /// it needs no zeroing). Callers hand the buffer back with
     /// `self.pool.put` once the bytes are dead (dropping it is safe, just
     /// unpooled).
-    fn chunk_pooled(&self, addr: ChunkAddr) -> Result<Option<Vec<u8>>, StoreError> {
-        self.at_one_epoch(|| {
-            if !self.chunk_available(addr) {
-                return Ok(None);
-            }
-            let mut buf = self.pool.take_dirty();
-            match self.read_into(addr, &mut buf) {
-                Ok(true) => Ok(Some(buf)),
-                unread => {
-                    self.pool.put(buf);
-                    unread.map(|_| None)
-                }
-            }
-        })
+    fn chunk_pooled(&self, addr: ChunkAddr) -> Option<Vec<u8>> {
+        let mut buf = self.pool.take_dirty();
+        if self.read_into(addr, &mut buf) {
+            return Some(buf);
+        }
+        self.pool.put(buf);
+        None
+    }
+
+    /// Rejects a data chunk index past the end, before any I/O.
+    fn check_index(&self, idx: usize) -> Result<(), StoreError> {
+        let capacity = self.data_chunks();
+        if idx >= capacity {
+            return Err(StoreError::IndexOutOfRange {
+                index: idx,
+                capacity,
+            });
+        }
+        Ok(())
+    }
+
+    /// Rejects a byte range that overflows or runs past
+    /// [`Self::capacity_bytes`], before any I/O.
+    fn check_range(&self, offset: u64, len: usize) -> Result<(), StoreError> {
+        let capacity = self.capacity_bytes();
+        if offset.checked_add(len as u64).is_none_or(|e| e > capacity) {
+            return Err(StoreError::IndexOutOfRange {
+                index: offset as usize,
+                capacity: capacity as usize,
+            });
+        }
+        Ok(())
     }
 
     /// Writes logical data chunk `idx`, updating both parity layers
@@ -1031,12 +1020,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
     /// unrecoverable, [`StoreError::IndexOutOfRange`] /
     /// [`StoreError::WrongChunkSize`] on malformed input.
     pub fn write_data(&self, idx: usize, data: &[u8]) -> Result<(), StoreError> {
-        if idx >= self.data_chunks() {
-            return Err(StoreError::IndexOutOfRange {
-                index: idx,
-                capacity: self.data_chunks(),
-            });
-        }
+        self.check_index(idx)?;
         if data.len() != self.chunk_size {
             return Err(StoreError::WrongChunkSize {
                 found: data.len(),
@@ -1047,24 +1031,34 @@ impl<B: BlockDevice> OiRaidStore<B> {
     }
 
     /// Converts accumulated parity deltas into absolute member new values:
-    /// one read per available parity member, XORed with its delta.
-    /// Unavailable members are skipped exactly as the one-at-a-time path
-    /// skipped them.
+    /// each parity member's old value off the ladder, XORed with its delta.
+    /// An unavailable member (disk down, or un-rebuilt inside an open
+    /// window) is skipped: the rebuilder owes it, and derives it from the
+    /// relations this update leaves consistent. A member that is *up* is
+    /// never skipped, readable or not — nobody would rewrite it, and its
+    /// relation would sit stale behind a sector that may read again: its
+    /// old value is decoded and the new one written in place (remapping the
+    /// sector). `Ok(false)` hands on [`Self::current_values`]' `Ok(None)`.
     fn resolve_parity_news(
         &self,
         parity: BTreeMap<ChunkAddr, Vec<u8>>,
         news: &mut Vec<MemberNew>,
-    ) -> Result<(), StoreError> {
+        exclusive: bool,
+    ) -> Result<bool, StoreError> {
+        // Member by member, each delta back in the pool before the next old
+        // value is read: a group's hundred parity members then cycle a few
+        // hot buffers instead of holding two hundred at once.
         for (paddr, pdelta) in parity {
             if self.chunk_available(paddr) {
-                if let Some(mut bytes) = self.chunk_pooled(paddr)? {
-                    gf::kernels::xor_acc(&mut bytes, &pdelta);
-                    news.push((paddr, bytes, false));
-                }
+                let Some(mut old) = self.current_values(&[paddr], exclusive)? else {
+                    return Ok(false);
+                };
+                gf::kernels::xor_acc(&mut old[0], &pdelta);
+                news.push((paddr, old.swap_remove(0), false));
             }
             self.pool.put(pdelta);
         }
-        Ok(())
+        Ok(true)
     }
 
     /// Commits one update's member new-values crash-consistently:
@@ -1266,20 +1260,15 @@ impl<B: BlockDevice> OiRaidStore<B> {
     /// [`StoreError::DataLoss`] if the current failure pattern makes the
     /// chunk unrecoverable; [`StoreError::IndexOutOfRange`] on bad input.
     pub fn read_data(&self, idx: usize) -> Result<Vec<u8>, StoreError> {
-        if idx >= self.data_chunks() {
-            return Err(StoreError::IndexOutOfRange {
-                index: idx,
-                capacity: self.data_chunks(),
-            });
-        }
+        self.check_index(idx)?;
         self.qos.note_foreground();
         let began = Instant::now();
         let addr = self.array.locate_data(idx);
-        if let Some(bytes) = self.chunk(addr)? {
+        if let Some(bytes) = self.chunk(addr) {
             self.telem.record_foreground_read(began.elapsed());
             return Ok(bytes);
         }
-        // The request is about to take the reconstruct path: hang a
+        // The request is about to take the decode rungs: hang a
         // degraded-read node under whatever asked for this chunk so the
         // redundancy reads below attribute to it.
         let _trace = telemetry::trace_scope(
@@ -1287,108 +1276,187 @@ impl<B: BlockDevice> OiRaidStore<B> {
             idx as u64,
             addr.disk as u64,
         );
-        {
-            let regions: Vec<Region> = self.regions_for(addr).collect();
-            let guard = self.online.lock_regions(&regions);
-            // Re-check under the lock: the rebuilder (or a degraded write)
-            // may have restored the chunk while we waited.
-            if let Some(bytes) = self.chunk(addr)? {
-                self.telem.record_foreground_read(began.elapsed());
-                return Ok(bytes);
-            }
-            if let Some(value) = self.reconstruct_chunk_local(addr) {
-                drop(guard);
-                self.telem.record(began.elapsed());
-                self.telem.record_foreground_read(began.elapsed());
-                return Ok(value);
-            }
-        }
-        // Local relations cannot decode it: fall back to the whole-array
-        // fixpoint under the exclusive lock (see `write_group`).
-        let _guard = self.online.lock_updates();
-        if let Some(bytes) = self.chunk(addr)? {
-            self.telem.record_foreground_read(began.elapsed());
-            return Ok(bytes);
-        }
-        let value = self.reconstruct_chunk(addr)?;
-        drop(_guard);
+        let regions: Vec<Region> = self.regions_for(addr).collect();
+        let value = self.on_ladder(&regions, |exclusive| {
+            let values = self.current_values(&[addr], exclusive)?;
+            Ok(values.map(|mut v| v.swap_remove(0)))
+        })?;
         self.telem.record(began.elapsed());
         self.telem.record_foreground_read(began.elapsed());
         Ok(value)
     }
 
-    /// Reconstructs the current value of a single unavailable chunk using
-    /// only relations `addr` itself participates in: its inner row
-    /// (`g − 1` reads, up to `p_in` erasures), else its outer stripe
-    /// (`k − 1` reads; payload chunks only). These reads are exactly what
-    /// [`OnlineState::lock_regions`] over [`Self::regions_for`] covers, so
-    /// callers holding those guards see a consistent view. `None` means
-    /// the failure pattern is too dense for a local decode and the caller
-    /// must escalate to [`Self::reconstruct_chunk`] under the exclusive
-    /// update lock.
-    fn reconstruct_chunk_local(&self, addr: ChunkAddr) -> Option<Vec<u8>> {
-        let geo = self.array.geometry();
-        let grp = geo.group_of(addr.disk);
-        let row = addr.offset;
-        // Inner row: units in code order (payload ascending, parities by
-        // role), the target counted as an erasure.
-        let ordered: Vec<ChunkAddr> = geo
-            .row_payload(grp, row)
-            .into_iter()
-            .chain(geo.inner_parities_of_row(grp, row))
-            .collect();
-        let mut units: Vec<Option<Vec<u8>>> = ordered
-            .iter()
-            .map(|a| (*a != addr).then(|| self.readable_chunk(*a)).flatten())
-            .collect();
-        if units.iter().filter(|u| u.is_none()).count() <= geo.p_in {
-            let pos = ordered
-                .iter()
-                .position(|a| *a == addr)
-                .expect("chunk is in its own row");
-            if self.inner_code().reconstruct(&mut units).is_ok() {
-                if let Some(bytes) = units.swap_remove(pos) {
-                    return Some(bytes);
+    /// Runs `body` where [`Self::current_values`] may climb: under the
+    /// stripe locks of `regions` (rungs 1 and 2 of every chunk whose
+    /// [`Self::regions_for`] they include) and, when `body` answers
+    /// `Ok(None)` — a value lay beyond them, nothing was changed — again from
+    /// the top under the exclusive update lock, which shuts out every region
+    /// holder (foreground writers, rebuild writebacks) while rung 3 reads
+    /// across relations. `body` is told which of the two it holds.
+    fn on_ladder<T>(
+        &self,
+        regions: &[Region],
+        mut body: impl FnMut(bool) -> Result<Option<T>, StoreError>,
+    ) -> Result<T, StoreError> {
+        {
+            let _guard = self.online.lock_regions(regions);
+            if let Some(out) = body(false)? {
+                return Ok(out);
+            }
+        }
+        let _guard = self.online.lock_updates();
+        Ok(body(true)?.expect("under the exclusive lock the ladder answers or errors"))
+    }
+
+    /// The store's one way to a value it may not be able to simply read:
+    /// the current bytes of `addrs`, in order, in pooled buffers. Reads,
+    /// and writes for the old values of their data *and* parity members,
+    /// all come here, from inside [`Self::on_ladder`].
+    ///
+    /// * **Rung 1** — the device read ([`Self::chunk_pooled`]). A member
+    ///   that is up but unreadable is a miss like a failed disk's.
+    /// * **Rung 2** — one relation of the chunk's own
+    ///   ([`Self::decode_local`]), read under the caller's region locks.
+    /// * **Rung 3** — the plan walk ([`Self::decode_planned`]), taken only
+    ///   with `exclusive` set, that is under [`OnlineState::lock_updates`].
+    ///
+    /// `Ok(None)` asks a caller holding region locks only to come back
+    /// under the exclusive lock; [`StoreError::DataLoss`] is the planner's
+    /// word that no relation chain reaches the value any more.
+    fn current_values(
+        &self,
+        addrs: &[ChunkAddr],
+        exclusive: bool,
+    ) -> Result<Option<Vec<Vec<u8>>>, StoreError> {
+        let mut values: Vec<Vec<u8>> = Vec::with_capacity(addrs.len());
+        let mut dense: Vec<usize> = Vec::new();
+        for (i, &addr) in addrs.iter().enumerate() {
+            match self.chunk_pooled(addr).or_else(|| self.decode_local(addr)) {
+                Some(value) => values.push(value),
+                None if exclusive => {
+                    dense.push(i);
+                    values.push(Vec::new());
+                }
+                None => {
+                    values.into_iter().for_each(|v| self.pool.put(v));
+                    return Ok(None);
                 }
             }
         }
-        // Outer stripe: XOR of the other k − 1 chunks.
-        if !geo.is_inner_parity(addr) {
+        if !dense.is_empty() {
+            let targets: Vec<ChunkAddr> = dense.iter().map(|&i| addrs[i]).collect();
+            for (i, value) in dense.into_iter().zip(self.decode_planned(&targets)?) {
+                values[i] = value;
+            }
+        }
+        Ok(Some(values))
+    }
+
+    /// Rung 2: decodes `addr` through one relation it participates in —
+    /// its inner row (`g − 1` reads, up to `p_in` erasures), else its outer
+    /// stripe (`k − 1` reads; payload chunks only) — with the rebuild
+    /// engine's [`combine`]. These reads are exactly what
+    /// [`OnlineState::lock_regions`] over [`Self::regions_for`] covers, so
+    /// callers holding those guards see a consistent view. `None` means
+    /// both relations have lost more than their code absorbs.
+    fn decode_local(&self, addr: ChunkAddr) -> Option<Vec<u8>> {
+        let geo = self.array.geometry();
+        let row = geo.row_chunks(geo.group_of(addr.disk), addr.offset);
+        let stripe = (!geo.is_inner_parity(addr)).then(|| {
             let p = geo.payload_pos(addr);
-            let mut acc = vec![0u8; self.chunk_size];
-            let mut complete = true;
-            for a in geo.stripe_chunks(p.block, p.stripe) {
-                if a == addr {
-                    continue;
+            geo.stripe_chunks(p.block, p.stripe)
+        });
+        for (members, tolerated) in [(Some(row), geo.p_in), (stripe, 1)] {
+            let mut inputs: Inputs = Vec::new();
+            let mut erased = 1;
+            for a in members.into_iter().flatten().filter(|a| *a != addr) {
+                match self.chunk_pooled(a) {
+                    Some(bytes) => inputs.push((a, bytes)),
+                    None => erased += 1,
                 }
-                match self.readable_chunk(a) {
-                    Some(v) => gf::kernels::xor_acc(&mut acc, &v),
-                    None => {
-                        complete = false;
-                        break;
-                    }
+                if erased > tolerated {
+                    break;
                 }
             }
-            if complete {
-                return Some(acc);
+            let value = (erased <= tolerated).then(|| {
+                // A row decode parks its other erased units here for
+                // siblings; rung 2 has none.
+                let decoded = Mutex::default();
+                let code = self.inner_code();
+                let value = combine(geo, code.as_ref(), addr, &mut inputs, &decoded, &self.pool);
+                inputs.append(&mut decoded.into_inner().expect("decode cache lock"));
+                value
+            });
+            inputs.into_iter().for_each(|(_, b)| self.pool.put(b));
+            if value.is_some() {
+                return value;
             }
         }
         None
     }
 
-    /// Reconstructs the current value of a single unavailable chunk
-    /// through the cheapest decodable relation — its inner row, else its
-    /// outer stripe, else the whole-array decode fixpoint. Because the
-    /// fixpoint's read set spans the array, callers must hold the update
-    /// lock *exclusively* ([`OnlineState::lock_updates`]); region guards
-    /// are not enough.
-    fn reconstruct_chunk(&self, addr: ChunkAddr) -> Result<Vec<u8>, StoreError> {
-        if let Some(bytes) = self.reconstruct_chunk_local(addr) {
-            return Ok(bytes);
+    /// Rung 3: decodes `targets` by walking the chunk-granular recovery
+    /// plan of *everything* rung 1 cannot deliver — the same plan, items
+    /// and [`combine`] a rebuild round or the scrub executes, cut down to
+    /// the backward dependency closure of the targets and walked in plan
+    /// order on the calling thread. A source that turns out unreadable
+    /// joins the missing set and the walk re-plans, until it completes or
+    /// the planner reports [`StoreError::DataLoss`]. The closure's reads
+    /// span relations no region footprint bounds, so callers must hold the
+    /// update lock *exclusively*.
+    fn decode_planned(&self, targets: &[ChunkAddr]) -> Result<Vec<Vec<u8>>, StoreError> {
+        let geo = self.array.geometry();
+        let code = self.inner_code();
+        let mut unreadable: BTreeSet<ChunkAddr> = targets.iter().copied().collect();
+        'plan: loop {
+            let mut missing = unreadable.clone();
+            for d in 0..geo.disks() {
+                let chunks = (0..geo.chunks_per_disk).map(|o| ChunkAddr::new(d, o));
+                missing.extend(chunks.filter(|a| !self.chunk_available(*a)));
+            }
+            let plan = self
+                .array
+                .chunk_recovery_plan(&missing)
+                .map_err(|_| StoreError::DataLoss)?;
+            let items = plan.items();
+            let (depends, _) = dependency_shape(geo, items);
+            let item_of = |t: &ChunkAddr| items.iter().position(|it| it.lost == *t);
+            let at: Vec<usize> = targets
+                .iter()
+                .map(|t| item_of(t).expect("a target is missing, so planned"))
+                .collect();
+            // Dependencies (and sibling links) only point backwards, so one
+            // descending pass closes the targets' item set.
+            let mut wanted = vec![false; items.len()];
+            at.iter().for_each(|&idx| wanted[idx] = true);
+            for idx in (0..items.len()).rev() {
+                if wanted[idx] {
+                    depends[idx].iter().for_each(|&(d, _)| wanted[d] = true);
+                }
+            }
+            let mut outputs: Vec<Option<Vec<u8>>> = vec![None; items.len()];
+            let decoded = Mutex::default();
+            for idx in (0..items.len()).filter(|&idx| wanted[idx]) {
+                let (lost, mut inputs) = (items[idx].lost, Inputs::new());
+                for &a in &items[idx].reads {
+                    match self.chunk_pooled(a) {
+                        Some(bytes) => inputs.push((a, bytes)),
+                        None => {
+                            unreadable.insert(a);
+                            continue 'plan;
+                        }
+                    }
+                }
+                for &(d, _) in depends[idx].iter().filter(|(_, sibling)| !sibling) {
+                    inputs.push((items[d].lost, outputs[d].clone().expect("walked before")));
+                }
+                let value = combine(geo, code.as_ref(), lost, &mut inputs, &decoded, &self.pool);
+                inputs.into_iter().for_each(|(_, b)| self.pool.put(b));
+                outputs[idx] = Some(value);
+            }
+            let value = |&idx: &usize| outputs[idx].clone().expect("walked");
+            return Ok(at.iter().map(value).collect());
         }
-        // Dense failure patterns need multi-hop decoding across relations.
-        let recovered = self.reconstruct_missing()?;
-        recovered.get(&addr).cloned().ok_or(StoreError::DataLoss)
     }
 
     /// Store-level telemetry (degraded-read counter and latency).
@@ -1403,7 +1471,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
         self.durable = Some(Arc::new(DurableState::new(journal, policy)));
         *self.ckpt.lock().expect("ckpt lock") = Some(CheckpointPolicy {
             path: dir.join("rebuild.ckpt"),
-            interval: ckpt_interval_from_env(),
+            interval: CKPT_INTERVAL,
         });
         Ok(self)
     }
@@ -1500,7 +1568,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
         store.durable = Some(Arc::new(durable));
         *store.ckpt.lock().expect("ckpt lock") = Some(CheckpointPolicy {
             path: dir.join("rebuild.ckpt"),
-            interval: ckpt_interval_from_env(),
+            interval: CKPT_INTERVAL,
         });
         Ok(store)
     }
@@ -1513,20 +1581,6 @@ impl<B: BlockDevice> OiRaidStore<B> {
     /// The member-flush policy, if this store is durable.
     pub fn flush_policy(&self) -> Option<FlushPolicy> {
         self.durable.as_deref().map(|d| d.policy)
-    }
-
-    /// Attaches `journal` to an existing store: every subsequent
-    /// multi-member update runs through the write-ahead intent path
-    /// exactly as on a [`Self::create_durable`] store. This is the hook
-    /// for journaling device stacks the durable constructors cannot
-    /// build — e.g. fault-injected file devices in benchmarks or tests.
-    ///
-    /// Crash *recovery* stays the caller's problem: replay on reopen only
-    /// happens through [`Self::open_durable`] / [`Self::open_durable_on`],
-    /// so attach a journal over non-persistent devices only to measure the
-    /// journaling cost, not to survive anything.
-    pub fn attach_journal(&mut self, journal: Journal, policy: FlushPolicy) {
-        self.durable = Some(Arc::new(DurableState::new(journal, policy)));
     }
 
     /// Replaces the rebuild checkpoint policy (`None` disables
@@ -1799,50 +1853,58 @@ impl<B: BlockDevice> OiRaidStore<B> {
     /// failed disk — or a chunk the backend cannot read — are skipped.
     pub fn check_parity(&self) -> Vec<ChunkAddr> {
         let geo = self.array.geometry();
-        let cs = self.chunk_size;
         let code = self.inner_code();
         let mut bad = Vec::new();
         // Inner rows: re-encode the payload and compare the stored parities.
         for grp in 0..geo.v {
             for row in 0..geo.chunks_per_disk {
                 let chunks: Vec<_> = geo.row_chunks(grp, row);
-                if chunks.iter().any(|a| self.readable_chunk(*a).is_none()) {
+                if chunks.iter().any(|a| self.chunk(*a).is_none()) {
                     continue;
                 }
                 let payload: Vec<Vec<u8>> = geo
                     .row_payload(grp, row)
                     .iter()
-                    .map(|a| self.readable_chunk(*a).expect("checked readable"))
+                    .map(|a| self.chunk(*a).expect("checked readable"))
                     .collect();
                 let expect = code.encode(&payload).expect("row encodes");
                 for (stored, want) in geo.inner_parities_of_row(grp, row).into_iter().zip(expect) {
-                    if self.readable_chunk(stored).as_deref() != Some(&want[..]) {
+                    if self.chunk(stored).as_deref() != Some(&want[..]) {
                         bad.push(stored);
                     }
                 }
             }
         }
         // Outer stripes: XOR of all k chunks must be zero.
-        for (block, s) in geo.all_stripes() {
-            let chunks = geo.stripe_chunks(block, s);
-            let values: Vec<Option<Vec<u8>>> =
-                chunks.iter().map(|a| self.readable_chunk(*a)).collect();
-            if values.iter().any(|v| v.is_none()) {
-                continue;
-            }
-            let mut acc = vec![0u8; cs];
-            for v in values.iter().flatten() {
-                gf::kernels::xor_acc(&mut acc, v);
-            }
-            if acc.iter().any(|&x| x != 0) {
-                bad.push(geo.stripe_chunk(PayloadPos {
-                    block,
-                    stripe: s,
-                    pos: geo.outer_parity_pos(s),
-                }));
-            }
+        for (block, stripe, _) in self.violated_stripes() {
+            let pos = geo.outer_parity_pos(stripe);
+            bad.push(geo.stripe_chunk(PayloadPos { block, stripe, pos }));
         }
         bad
+    }
+
+    /// The outer stripes that verify as broken — all `k` chunks read, and
+    /// their XOR is not zero — as `(block, stripe, chunks)`. A stripe with
+    /// an unreadable chunk is skipped, not suspected.
+    fn violated_stripes(&self) -> Vec<(usize, usize, Vec<ChunkAddr>)> {
+        let geo = self.array.geometry();
+        let mut violated = Vec::new();
+        for (block, s) in geo.all_stripes() {
+            let chunks = geo.stripe_chunks(block, s);
+            let mut acc = self.pool.take();
+            let complete = chunks.iter().all(|a| {
+                self.chunk_pooled(*a).is_some_and(|v| {
+                    gf::kernels::xor_acc(&mut acc, &v);
+                    self.pool.put(v);
+                    true
+                })
+            });
+            if complete && acc.iter().any(|&x| x != 0) {
+                violated.push((block, s, chunks));
+            }
+            self.pool.put(acc);
+        }
+        violated
     }
 
     /// Total user-data capacity in bytes.
@@ -1859,15 +1921,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
     /// [`OiRaidStore::capacity_bytes`]; [`StoreError::DataLoss`] if a
     /// touched chunk is unrecoverable.
     pub fn read_bytes(&self, offset: u64, buf: &mut [u8]) -> Result<(), StoreError> {
-        if offset
-            .checked_add(buf.len() as u64)
-            .is_none_or(|e| e > self.capacity_bytes())
-        {
-            return Err(StoreError::IndexOutOfRange {
-                index: offset as usize,
-                capacity: self.capacity_bytes() as usize,
-            });
-        }
+        self.check_range(offset, buf.len())?;
         for (idx, within, range) in chunk_pieces(self.chunk_size, offset, buf.len()) {
             let chunk = self.read_data(idx)?;
             let take = range.len();
@@ -1885,15 +1939,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
     /// [`StoreError::IndexOutOfRange`] on range overflow and the
     /// [`OiRaidStore::write_data`] errors per touched chunk.
     pub fn write_bytes(&self, offset: u64, data: &[u8]) -> Result<(), StoreError> {
-        if offset
-            .checked_add(data.len() as u64)
-            .is_none_or(|e| e > self.capacity_bytes())
-        {
-            return Err(StoreError::IndexOutOfRange {
-                index: offset as usize,
-                capacity: self.capacity_bytes() as usize,
-            });
-        }
+        self.check_range(offset, data.len())?;
         for (idx, within, range) in chunk_pieces(self.chunk_size, offset, data.len()) {
             // Whole or partial chunk alike: the old value is read and
             // patched under the chunk's region locks, or two writers to
@@ -1921,12 +1967,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
     /// rest of the batch.
     pub fn read_data_batch(&self, idxs: &[usize]) -> Result<Vec<Vec<u8>>, StoreError> {
         for &idx in idxs {
-            if idx >= self.data_chunks() {
-                return Err(StoreError::IndexOutOfRange {
-                    index: idx,
-                    capacity: self.data_chunks(),
-                });
-            }
+            self.check_index(idx)?;
         }
         if idxs.is_empty() {
             return Ok(Vec::new());
@@ -2043,14 +2084,8 @@ impl<B: BlockDevice> OiRaidStore<B> {
     /// failing group is rolled back to its pre-group state only if the
     /// error struck before its first mutation (old-value snapshot phase).
     pub fn write_bytes_batch(&self, writes: &[(u64, &[u8])]) -> Result<BatchStats, StoreError> {
-        let cap = self.capacity_bytes();
         for &(off, data) in writes {
-            if off.checked_add(data.len() as u64).is_none_or(|e| e > cap) {
-                return Err(StoreError::IndexOutOfRange {
-                    index: off as usize,
-                    capacity: cap as usize,
-                });
-            }
+            self.check_range(off, data.len())?;
         }
         if writes.is_empty() {
             return Ok(BatchStats::default());
@@ -2089,8 +2124,9 @@ impl<B: BlockDevice> OiRaidStore<B> {
 
     /// The one foreground write path — single chunks, byte ranges and
     /// batches all land here. Commits one bounded group of per-chunk patch
-    /// lists: snapshot all old values under the union of the group's region
-    /// locks, then apply data writes and accumulated parity deltas (see
+    /// lists: take all old values off the value ladder under the union of the
+    /// group's region locks, then apply data writes and accumulated parity
+    /// deltas (see
     /// [`Self::apply_write_group`]). The whole read-modify-write runs under
     /// the relations it touches: parity deltas from concurrent writers to
     /// *intersecting* relation sets must not interleave, and the
@@ -2103,9 +2139,9 @@ impl<B: BlockDevice> OiRaidStore<B> {
     /// holds up to 96 of the 4096 stripes, and two full groups collide nine
     /// times in ten (1 − e^(−96·96/4096)): a group locks the union of its
     /// members' relations, so full groups mostly take turns.
-    /// Escalates the whole group to the exclusive update lock when any old
-    /// value needs the whole-array decode fixpoint, whose read set no
-    /// bounded region footprint covers.
+    /// The whole group goes round again under the exclusive update lock when
+    /// any old value — a data member's or a parity member's — needs rung 3
+    /// of the ladder (see [`Self::on_ladder`]).
     fn write_group(&self, group: &[ChunkPatches<'_>]) -> Result<(), StoreError> {
         self.qos.note_foreground();
         let _trace =
@@ -2126,55 +2162,9 @@ impl<B: BlockDevice> OiRaidStore<B> {
             let degraded = targets.iter().any(|t| !self.chunk_available(*t));
             items.push((addr, outer, degraded));
         }
-        let mut olds: Vec<Vec<u8>> = Vec::with_capacity(group.len());
-        {
-            let guard = self.online.lock_regions(&regions);
-            // Snapshot every old value before any mutation: group members
-            // that share relations must reconstruct against the pre-group
-            // state, exactly what each one-at-a-time write would have seen
-            // at its turn (parity patches cancel out of the reconstruction
-            // by linearity).
-            let mut local = true;
-            for (addr, _, _) in &items {
-                match self.chunk(*addr)? {
-                    Some(b) => olds.push(b),
-                    None => match self.reconstruct_chunk_local(*addr) {
-                        Some(b) => olds.push(b),
-                        None => {
-                            local = false;
-                            break;
-                        }
-                    },
-                }
-            }
-            if local {
-                self.apply_write_group(group, &items, &olds, &regions)?;
-                drop(guard);
-                let took = began.elapsed();
-                for (_, _, degraded) in &items {
-                    if *degraded {
-                        self.telem.record_degraded_write(took);
-                    }
-                    self.telem.record_foreground_write(took);
-                }
-                return Ok(());
-            }
-        }
-        // The failure pattern is too dense for a local decode somewhere in
-        // the group: re-run the whole group under the exclusive lock, which
-        // excludes every region holder and gives the whole-array fixpoint
-        // the stable view it needs.
-        let _guard = self.online.lock_updates();
-        olds.clear();
-        for (addr, _, _) in &items {
-            let old = match self.chunk(*addr)? {
-                Some(b) => b,
-                None => self.reconstruct_chunk(*addr)?,
-            };
-            olds.push(old);
-        }
-        self.apply_write_group(group, &items, &olds, &regions)?;
-        drop(_guard);
+        self.on_ladder(&regions, |exclusive| {
+            self.apply_write_group(group, &items, &regions, exclusive)
+        })?;
         let took = began.elapsed();
         for (_, _, degraded) in &items {
             if *degraded {
@@ -2185,39 +2175,43 @@ impl<B: BlockDevice> OiRaidStore<B> {
         Ok(())
     }
 
-    /// The locked body of [`Self::write_group`]: writes each chunk's new
-    /// value and accumulates every parity delta across the group so each
-    /// touched parity chunk is read-modify-written **once**, not once per
-    /// member. Callers hold either the region guards covering `regions` or
-    /// the exclusive update lock, and have already snapshotted `olds`.
+    /// The locked body of [`Self::write_group`], run by
+    /// [`Self::on_ladder`]: takes every old value off the ladder before any
+    /// mutation — group members that share relations must decode against
+    /// the pre-group state, exactly what each one-at-a-time write would
+    /// have seen at its turn (parity patches cancel out of a decode by
+    /// linearity) — then writes each chunk's new value and accumulates
+    /// every parity delta across the group so each touched parity chunk is
+    /// read-modify-written **once**, not once per member.
     ///
     /// Compute-then-commit: every member's absolute new value is derived
-    /// *before* any device is touched (unavailable members are skipped —
-    /// their implied values track the update through the surviving
-    /// relations), then the whole set commits through
-    /// [`Self::commit_members`] — journaled as one intent record when a
-    /// journal is attached.
+    /// *before* any device is touched, so an `Ok(None)` (an old value lay
+    /// beyond the region locks) has changed nothing; then the whole set
+    /// commits through [`Self::commit_members`] — journaled as one intent
+    /// record when a journal is attached.
     fn apply_write_group(
         &self,
         group: &[ChunkPatches<'_>],
         items: &[(ChunkAddr, ChunkAddr, bool)],
-        olds: &[Vec<u8>],
         regions: &[Region],
-    ) -> Result<(), StoreError> {
+        exclusive: bool,
+    ) -> Result<Option<()>, StoreError> {
+        let addrs: Vec<ChunkAddr> = items.iter().map(|(addr, ..)| *addr).collect();
+        let Some(olds) = self.current_values(&addrs, exclusive)? else {
+            return Ok(None);
+        };
         let mut parity: BTreeMap<ChunkAddr, Vec<u8>> = BTreeMap::new();
         let mut news: Vec<MemberNew> = Vec::with_capacity(group.len());
         for (((_, chunk_patches), (addr, outer, _)), old) in group.iter().zip(items).zip(olds) {
             // New value = old overlaid with this chunk's patches in
             // submission order.
             let mut new = self.pool.take_dirty();
-            new.copy_from_slice(old);
+            new.copy_from_slice(&old);
             for (within, slice) in chunk_patches {
                 new[*within..*within + slice.len()].copy_from_slice(slice);
             }
-            let mut delta = self.pool.take_dirty();
-            for ((d, o), n) in delta.iter_mut().zip(old).zip(&new) {
-                *d = o ^ n;
-            }
+            let mut delta = old;
+            gf::kernels::xor_acc(&mut delta, &new);
             // Outer parity absorbs Δ directly; each affected row's inner
             // parities absorb the code-weighted Δ — all into the group
             // accumulator rather than the devices.
@@ -2238,15 +2232,17 @@ impl<B: BlockDevice> OiRaidStore<B> {
         // (one read-modify per touched parity chunk, not one per member);
         // the whole group then commits as a single journal intent — one
         // record, one flush, however many chunks the wave coalesced.
-        self.resolve_parity_news(parity, &mut news)?;
-        self.commit_members(&news)?;
+        let resolved = self.resolve_parity_news(parity, &mut news, exclusive)?;
+        if resolved {
+            self.commit_members(&news)?;
+            // Tell an in-flight rebuild that these relations changed under
+            // it: reconstructions read from them this round are stale.
+            self.online.mark_dirty(regions.to_vec());
+        }
         for (_, buf, _) in news {
             self.pool.put(buf);
         }
-        // Tell an in-flight rebuild that these relations changed under it:
-        // reconstructions read from them this round are stale.
-        self.online.mark_dirty(regions.to_vec());
-        Ok(())
+        Ok(resolved.then_some(()))
     }
 
     /// Accumulates the inner-parity deltas for an update of `delta` at
@@ -2421,25 +2417,12 @@ impl<B: BlockDevice> OiRaidStore<B> {
     /// silently-corrupted chunks via the two parity layers' cross-check.
     fn scrub_corruption(&self) -> Vec<ChunkAddr> {
         let geo = self.array.geometry().clone();
-        let cs = self.chunk_size;
         let mut repaired = Vec::new();
-        // Violated outer stripes (XOR of all k chunks nonzero).
-        let mut bad_stripes: Vec<Vec<ChunkAddr>> = Vec::new();
-        for (block, s) in geo.all_stripes() {
-            let chunks = geo.stripe_chunks(block, s);
-            let values: Vec<Option<Vec<u8>>> =
-                chunks.iter().map(|a| self.readable_chunk(*a)).collect();
-            if values.iter().any(|v| v.is_none()) {
-                continue;
-            }
-            let mut acc = vec![0u8; cs];
-            for v in values.iter().flatten() {
-                gf::kernels::xor_acc(&mut acc, v);
-            }
-            if acc.iter().any(|&x| x != 0) {
-                bad_stripes.push(chunks);
-            }
-        }
+        let bad_stripes: Vec<Vec<ChunkAddr>> = self
+            .violated_stripes()
+            .into_iter()
+            .map(|(.., chunks)| chunks)
+            .collect();
         // Violated inner rows: locate the suspect within each. A row any
         // chunk of which is persistently unreadable (failed disk, latent
         // sector, exhausted retries — also mid-repair) is skipped and left
@@ -2473,13 +2456,13 @@ impl<B: BlockDevice> OiRaidStore<B> {
         let payload_addrs = geo.row_payload(grp, row);
         let payload: Vec<Vec<u8>> = payload_addrs
             .iter()
-            .map(|a| self.readable_chunk(*a))
+            .map(|a| self.chunk(*a))
             .collect::<Option<_>>()?;
         let expect = code.encode(&payload).expect("row encodes");
         let parities = geo.inner_parities_of_row(grp, row);
         let mut row_violated = false;
         for (a, want) in parities.iter().zip(&expect) {
-            if self.readable_chunk(*a)? != want[..] {
+            if self.chunk(*a)? != want[..] {
                 row_violated = true;
             }
         }
@@ -2500,10 +2483,10 @@ impl<B: BlockDevice> OiRaidStore<B> {
                 let mut val = vec![0u8; cs];
                 for a in geo.stripe_chunks(p.block, p.stripe) {
                     if a != *bad_payload {
-                        gf::kernels::xor_acc(&mut val, &self.readable_chunk(a)?);
+                        gf::kernels::xor_acc(&mut val, &self.chunk(a)?);
                     }
                 }
-                let mut delta = self.readable_chunk(*bad_payload)?;
+                let mut delta = self.chunk(*bad_payload)?;
                 gf::kernels::xor_acc(&mut delta, &val);
                 self.xor_into(*bad_payload, &delta).ok()?;
                 repaired.push(*bad_payload);
@@ -2513,11 +2496,11 @@ impl<B: BlockDevice> OiRaidStore<B> {
                 let fresh: Vec<Vec<u8>> = geo
                     .row_payload(grp, row)
                     .iter()
-                    .map(|a| self.readable_chunk(*a))
+                    .map(|a| self.chunk(*a))
                     .collect::<Option<_>>()?;
                 let want = code.encode(&fresh).expect("row encodes");
                 for (a, w) in parities.iter().zip(want) {
-                    let mut delta = self.readable_chunk(*a)?;
+                    let mut delta = self.chunk(*a)?;
                     if delta != w {
                         gf::kernels::xor_acc(&mut delta, &w);
                         self.xor_into(*a, &delta).ok()?;
@@ -2528,7 +2511,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
                 // No payload suspect: the inner parity itself is
                 // corrupted — recompute it.
                 for (a, w) in parities.iter().zip(&expect) {
-                    let mut delta = self.readable_chunk(*a)?;
+                    let mut delta = self.chunk(*a)?;
                     if delta != w[..] {
                         gf::kernels::xor_acc(&mut delta, w);
                         self.xor_into(*a, &delta).ok()?;
@@ -2543,108 +2526,44 @@ impl<B: BlockDevice> OiRaidStore<B> {
         }
         Some(())
     }
-
-    /// Value fixpoint: reconstructs every chunk of every failed disk.
-    ///
-    /// Reads every healthy chunk once up front (whole-array decode — the
-    /// plan-driven engine in [`crate::rebuild`] is the memory- and
-    /// I/O-bounded path), then repairs stripes/rows until closed.
-    pub(crate) fn reconstruct_missing(&self) -> Result<HashMap<ChunkAddr, Vec<u8>>, StoreError> {
-        let geo = self.array.geometry();
-        let failed = self.failed_disks();
-        let mut known: HashMap<ChunkAddr, Vec<u8>> = HashMap::new();
-        let mut missing: usize = 0;
-        for d in 0..geo.disks() {
-            for o in 0..geo.chunks_per_disk {
-                let addr = ChunkAddr::new(d, o);
-                // Un-rebuilt chunks inside an open window count as missing
-                // alongside failed disks' chunks.
-                if failed.contains(&d) || self.online.chunk_invalid(addr) {
-                    missing += 1;
-                    continue;
-                }
-                let bytes = self
-                    .chunk(addr)?
-                    .ok_or(StoreError::DiskFailed { disk: d })?;
-                known.insert(addr, bytes);
-            }
-        }
-        let cs = self.chunk_size;
-        let mut progressed = true;
-        while missing > 0 && progressed {
-            progressed = false;
-            let try_repair =
-                |chunks: &[ChunkAddr], known: &mut HashMap<ChunkAddr, Vec<u8>>| -> bool {
-                    let unknown: Vec<&ChunkAddr> =
-                        chunks.iter().filter(|a| !known.contains_key(*a)).collect();
-                    if unknown.len() != 1 {
-                        return false;
-                    }
-                    let lost = *unknown[0];
-                    let mut acc = vec![0u8; cs];
-                    for a in chunks.iter().filter(|a| **a != lost) {
-                        gf::kernels::xor_acc(&mut acc, &known[a]);
-                    }
-                    known.insert(lost, acc);
-                    true
-                };
-            for (block, s) in geo.all_stripes() {
-                if try_repair(&geo.stripe_chunks(block, s), &mut known) {
-                    missing -= 1;
-                    progressed = true;
-                }
-            }
-            // Inner rows decode up to p_in erasures through the row code.
-            let code = self.inner_code();
-            for grp in 0..geo.v {
-                for row in 0..geo.chunks_per_disk {
-                    // Row units in code order: payload ascending, parities
-                    // by role.
-                    let ordered: Vec<ChunkAddr> = geo
-                        .row_payload(grp, row)
-                        .into_iter()
-                        .chain(geo.inner_parities_of_row(grp, row))
-                        .collect();
-                    let unknown: Vec<usize> = ordered
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, a)| !known.contains_key(*a))
-                        .map(|(i, _)| i)
-                        .collect();
-                    if unknown.is_empty() || unknown.len() > geo.p_in {
-                        continue;
-                    }
-                    let mut units: Vec<Option<Vec<u8>>> =
-                        ordered.iter().map(|a| known.get(a).cloned()).collect();
-                    code.reconstruct(&mut units).expect("within tolerance");
-                    for i in unknown {
-                        known.insert(ordered[i], units[i].clone().expect("reconstructed"));
-                        missing -= 1;
-                    }
-                    progressed = true;
-                }
-            }
-        }
-        if missing == 0 {
-            Ok(known)
-        } else {
-            Err(StoreError::DataLoss)
-        }
-    }
 }
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{RebuildMode, RecoveryStrategy};
 
+    /// Writes the tests' pattern to every data chunk and returns it.
+    fn fill<B: BlockDevice>(store: &OiRaidStore<B>) -> Vec<Vec<u8>> {
+        let fill_one = |idx: usize| {
+            let chunk: Vec<u8> = (0..store.chunk_size())
+                .map(|j| (idx * 37 + j * 11 + 5) as u8)
+                .collect();
+            store.write_data(idx, &chunk).unwrap();
+            chunk
+        };
+        (0..store.data_chunks()).map(fill_one).collect()
+    }
+
     fn filled_store() -> (OiRaidStore, Vec<Vec<u8>>) {
         let store = OiRaidStore::new(OiRaidConfig::reference(), 16).unwrap();
-        let mut expect = Vec::new();
-        for idx in 0..store.data_chunks() {
-            let chunk: Vec<u8> = (0..16).map(|j| (idx * 37 + j * 11 + 5) as u8).collect();
-            store.write_data(idx, &chunk).unwrap();
-            expect.push(chunk);
-        }
+        let expect = fill(&store);
+        (store, expect)
+    }
+
+    type FaultyStore = OiRaidStore<blockdev::FaultInjectingDevice<MemDevice>>;
+
+    /// The reference array, filled, on fault-injecting devices with nothing
+    /// armed yet.
+    fn filled_faulty_store(chunk_size: usize) -> (FaultyStore, Vec<Vec<u8>>) {
+        use blockdev::{FaultConfig, FaultInjectingDevice};
+        let cfg = OiRaidConfig::reference();
+        let devices = (0..cfg.disks())
+            .map(|_| MemDevice::new(chunk_size, cfg.chunks_per_disk()))
+            .map(|mem| FaultInjectingDevice::new(mem, FaultConfig::default()))
+            .collect();
+        let store = OiRaidStore::with_devices(cfg, chunk_size, devices).unwrap();
+        let expect = fill(&store);
         (store, expect)
     }
 
@@ -3013,23 +2932,8 @@ mod tests {
 
     #[test]
     fn scrub_repairs_latent_sectors_in_place() {
-        use blockdev::{FaultConfig, FaultInjectingDevice};
-        let cfg = OiRaidConfig::reference();
-        let devices: Vec<_> = (0..cfg.disks())
-            .map(|_| {
-                FaultInjectingDevice::new(
-                    MemDevice::new(16, cfg.chunks_per_disk()),
-                    FaultConfig::default(),
-                )
-            })
-            .collect();
-        let store = OiRaidStore::with_devices(cfg, 16, devices).unwrap();
-        let mut expect = Vec::new();
-        for idx in 0..store.data_chunks() {
-            let chunk: Vec<u8> = (0..16).map(|j| (idx * 37 + j * 11 + 5) as u8).collect();
-            store.write_data(idx, &chunk).unwrap();
-            expect.push(chunk);
-        }
+        use blockdev::FaultConfig;
+        let (store, expect) = filled_faulty_store(16);
         // Deterministic latent sector errors on two disks in different
         // groups.
         for d in [5, 12] {
@@ -3065,21 +2969,8 @@ mod tests {
 
     #[test]
     fn scrub_skips_failed_disks_but_heals_latent_elsewhere() {
-        use blockdev::{FaultConfig, FaultInjectingDevice};
-        let cfg = OiRaidConfig::reference();
-        let devices: Vec<_> = (0..cfg.disks())
-            .map(|_| {
-                FaultInjectingDevice::new(
-                    MemDevice::new(8, cfg.chunks_per_disk()),
-                    FaultConfig::default(),
-                )
-            })
-            .collect();
-        let store = OiRaidStore::with_devices(cfg, 8, devices).unwrap();
-        for idx in 0..store.data_chunks() {
-            let chunk: Vec<u8> = (0..8).map(|j| (idx * 37 + j * 11 + 5) as u8).collect();
-            store.write_data(idx, &chunk).unwrap();
-        }
+        use blockdev::FaultConfig;
+        let (store, _) = filled_faulty_store(8);
         store.devices()[5].set_config(FaultConfig {
             seed: 7,
             latent_per_mille: 200,
@@ -3108,23 +2999,8 @@ mod tests {
     // media must retry, degrade gracefully, and still converge.
     #[test]
     fn scrub_repairs_corruption_under_transient_faults() {
-        use blockdev::{FaultConfig, FaultInjectingDevice};
-        let cfg = OiRaidConfig::reference();
-        let devices: Vec<_> = (0..cfg.disks())
-            .map(|_| {
-                FaultInjectingDevice::new(
-                    MemDevice::new(16, cfg.chunks_per_disk()),
-                    FaultConfig::default(),
-                )
-            })
-            .collect();
-        let store = OiRaidStore::with_devices(cfg, 16, devices).unwrap();
-        let mut expect = Vec::new();
-        for idx in 0..store.data_chunks() {
-            let chunk: Vec<u8> = (0..16).map(|j| (idx * 37 + j * 11 + 5) as u8).collect();
-            store.write_data(idx, &chunk).unwrap();
-            expect.push(chunk);
-        }
+        use blockdev::FaultConfig;
+        let (store, expect) = filled_faulty_store(16);
         let addr = store.locate(20);
         store.corrupt_chunk(addr, 0x5A).unwrap();
         for (d, dev) in store.devices().iter().enumerate() {
@@ -3303,6 +3179,194 @@ mod tests {
         for idx in 0..seq.data_chunks() {
             assert_eq!(seq.read_data(idx).unwrap(), bat.read_data(idx).unwrap());
         }
+    }
+
+    #[test]
+    fn foreground_io_over_latent_sectors_decodes_and_skips_no_up_member() {
+        use blockdev::FaultConfig;
+        use layout::Role;
+        let (store, mut expect) = filled_faulty_store(16);
+        // Armed after the fill, every disk up: 30 per mille of all sectors
+        // stop reading until they are rewritten.
+        for (d, dev) in store.devices().iter().enumerate() {
+            dev.set_config(FaultConfig {
+                seed: (5000 + d as u64) * 1_000_003,
+                latent_per_mille: 30,
+                ..FaultConfig::default()
+            });
+        }
+        let chunks_per_disk = store.array().chunks_per_disk();
+        let latent = |store: &FaultyStore| -> Vec<ChunkAddr> {
+            (0..store.devices().len())
+                .flat_map(|d| (0..chunks_per_disk).map(move |o| ChunkAddr::new(d, o)))
+                .filter(|a| store.devices()[a.disk].is_latent_bad(a.offset))
+                .collect()
+        };
+        let role = |a: &ChunkAddr| store.array().chunk_role(*a);
+        let bad = latent(&store);
+        let bad_data = bad.iter().filter(|a| role(a) == Role::Data).count() as u64;
+        assert!(bad_data > 0, "a data member on a bad sector: {bad:?}");
+        assert!(
+            bad.iter().any(|a| role(a) != Role::Data),
+            "a parity member on a bad sector: {bad:?}"
+        );
+
+        // Reads decode around the sector, and say so.
+        let degraded = store.telemetry().degraded_reads();
+        for (idx, e) in expect.iter().enumerate() {
+            assert_eq!(store.read_data(idx).unwrap(), *e, "idx {idx}");
+        }
+        assert_eq!(store.telemetry().degraded_reads() - degraded, bad_data);
+        let all: Vec<usize> = (0..store.data_chunks()).collect();
+        assert_eq!(store.read_data_batch(&all).unwrap(), expect);
+
+        // Writes decode the old value of a data *or parity* member on a bad
+        // sector and rewrite it in place; none is skipped.
+        for (idx, e) in expect.iter_mut().enumerate() {
+            *e = (0..16).map(|j| (idx * 53 + j * 29 + 11) as u8).collect();
+            store.write_data(idx, e).unwrap();
+        }
+        assert_eq!(latent(&store), [], "every member was rewritten");
+        for (idx, e) in expect.iter().enumerate() {
+            assert_eq!(store.read_data(idx).unwrap(), *e, "idx {idx}");
+        }
+        assert!(store.check_parity().is_empty());
+        let report = store.scrub();
+        assert!(report.is_clean(), "{report}");
+    }
+
+    /// Device reads issued since the store was built, over all disks.
+    fn device_reads<B: BlockDevice>(store: &OiRaidStore<B>) -> u64 {
+        store.devices().iter().map(|d| d.counters().reads).sum()
+    }
+
+    /// With `failed` down: every data chunk reads back right for at most
+    /// 16 device reads, and a degraded write materialises on rebuild.
+    fn serves_every_chunk_bounded(store: &OiRaidStore, expect: &mut [Vec<u8>], failed: &[usize]) {
+        for &d in failed {
+            store.fail_disk(d).unwrap();
+        }
+        for (idx, e) in expect.iter().enumerate() {
+            let before = device_reads(store);
+            assert_eq!(store.read_data(idx).unwrap(), *e, "{failed:?} idx {idx}");
+            let reads = device_reads(store) - before;
+            assert!(reads <= 16, "{failed:?} idx {idx}: {reads} device reads");
+        }
+        // A write whose home disk is down, where there is one.
+        let idx = (0..expect.len())
+            .find(|&idx| failed.contains(&store.locate(idx).disk))
+            .unwrap_or(0);
+        expect[idx]
+            .iter_mut()
+            .for_each(|b| *b = b.wrapping_add(failed[0] as u8 + 1));
+        store.write_data(idx, &expect[idx]).unwrap();
+        store
+            .rebuild(RebuildMode::Dag, RecoveryStrategy::Hybrid)
+            .unwrap();
+        assert_eq!(store.read_data(idx).unwrap(), expect[idx], "{failed:?}");
+    }
+
+    #[test]
+    fn the_dense_rung_is_bounded_for_every_triple_failure() {
+        let (store, mut expect) = filled_store();
+        let n = store.array().disks();
+        for a in 0..n {
+            for b in a + 1..n {
+                for c in b + 1..n {
+                    serves_every_chunk_bounded(&store, &mut expect, &[a, b, c]);
+                }
+            }
+        }
+        assert!(store.check_parity().is_empty());
+
+        // Dual inner parity: two down in one group, one outside it.
+        let cfg = OiRaidConfig::new(bibd::fano(), 5, 1)
+            .unwrap()
+            .with_inner_parities(2)
+            .unwrap();
+        let store = OiRaidStore::new(cfg, 16).unwrap();
+        let mut expect = Vec::new();
+        for idx in 0..store.data_chunks() {
+            let chunk: Vec<u8> = (0..16).map(|j| (idx * 61 + j * 19 + 7) as u8).collect();
+            store.write_data(idx, &chunk).unwrap();
+            expect.push(chunk);
+        }
+        for grp in 0..7 {
+            for (a, b) in [(0, 1), (1, 3), (2, 4)] {
+                for other in (0..7).filter(|&o| o != grp) {
+                    let failed = [5 * grp + a, 5 * grp + b, 5 * other + (a + grp) % 5];
+                    serves_every_chunk_bounded(&store, &mut expect, &failed);
+                }
+            }
+        }
+        assert!(store.check_parity().is_empty());
+    }
+
+    #[test]
+    fn the_dense_rung_is_bounded_at_the_serving_geometry() {
+        let cfg = OiRaidConfig::new(bibd::fano(), 3, 256).unwrap();
+        let store = OiRaidStore::new(cfg, 4096).unwrap();
+        let value =
+            |idx: usize| -> Vec<u8> { (0..4096).map(|j| (idx * 131 + j * 17 + 3) as u8).collect() };
+        let failed = [0usize, 1, 3];
+        // The class that no relation of its own decodes: home disk down,
+        // and another member down in its row *and* in its stripe.
+        let geo = store.array().geometry().clone();
+        let down = |a: &ChunkAddr| failed.contains(&a.disk);
+        let dense: Vec<usize> = (0..store.data_chunks())
+            .filter(|&idx| {
+                let addr = store.locate(idx);
+                let p = geo.payload_pos(addr);
+                let row = geo.row_chunks(geo.group_of(addr.disk), addr.offset);
+                let stripe = geo.stripe_chunks(p.block, p.stripe);
+                down(&addr)
+                    && [row, stripe]
+                        .iter()
+                        .all(|r| r.iter().filter(|a| down(a)).count() > 1)
+            })
+            .collect();
+        assert!(!dense.is_empty(), "disks {failed:?} leave a dense class");
+        // Fill what the class's decodes can reach: every chunk of a dense
+        // chunk's row and stripe neighbourhoods is data somebody wrote.
+        for idx in 0..store.data_chunks() {
+            store.write_data(idx, &value(idx)).unwrap();
+        }
+        for d in failed {
+            store.fail_disk(d).unwrap();
+        }
+        // The whole class in release (CI); a spread sample of it in debug,
+        // where one plan of 6 912 missing chunks takes a large part of a
+        // second.
+        let step = if cfg!(debug_assertions) {
+            dense.len().div_ceil(8)
+        } else {
+            1
+        };
+        let (mut worst, mut slowest) = (0, Duration::ZERO);
+        for &idx in dense.iter().step_by(step) {
+            let (before, began) = (device_reads(&store), Instant::now());
+            assert_eq!(store.read_data(idx).unwrap(), value(idx), "idx {idx}");
+            slowest = slowest.max(began.elapsed());
+            worst = worst.max(device_reads(&store) - before);
+        }
+        println!(
+            "dense class {} of {} degraded chunks: worst {worst} device reads, slowest {slowest:?}",
+            dense.len(),
+            (0..store.data_chunks())
+                .filter(|&idx| down(&store.locate(idx)))
+                .count(),
+        );
+        assert!(worst <= 16, "{worst} device reads for one dense read");
+        // One dense write, then the rebuild that materialises it.
+        let idx = dense[0];
+        let new = vec![0xA5u8; 4096];
+        store.write_data(idx, &new).unwrap();
+        assert_eq!(store.read_data(idx).unwrap(), new);
+        store
+            .rebuild(RebuildMode::Dag, RecoveryStrategy::Hybrid)
+            .unwrap();
+        assert_eq!(store.read_data(idx).unwrap(), new);
+        assert_eq!(store.read_data(dense[1]).unwrap(), value(dense[1]));
     }
 
     #[test]

@@ -3,13 +3,18 @@
 //! Creates a real on-disk array (one image file per disk), writes data,
 //! fails three disks, rebuilds them on the DAG executor's worker pool,
 //! and verifies the data survived — the
-//! runnable version of the README's storage-backend example.
+//! runnable version of the README's storage-backend example. An optional
+//! argument caps rebuild reads (chunks per second) while foreground I/O is
+//! active: `cargo run --release --example parallel_rebuild -- 3000`.
 
 use oi_raid_repro::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dir = std::env::temp_dir().join(format!("oi-raid-demo-{}", std::process::id()));
     let store = OiRaidStore::create_in_dir(OiRaidConfig::reference(), 4096, &dir)?;
+    if let Some(rate) = std::env::args().nth(1) {
+        store.set_qos(QosConfig::throttled(rate.parse()?));
+    }
     println!(
         "created {} disk images under {}",
         store.devices().len(),

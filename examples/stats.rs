@@ -26,6 +26,15 @@ const CHUNK: usize = 4096;
 /// process partway through, leaving a checkpoint behind.
 fn crash_child(dir: &std::path::Path) -> Result<(), Box<dyn std::error::Error>> {
     let store = OiRaidStore::open_durable(OiRaidConfig::reference(), CHUNK, dir)?;
+    // The parent asks for a checkpoint per landed chunk; the library reads
+    // no environment, so the child applies it.
+    let interval = std::env::var("OI_RAID_CKPT_INTERVAL")
+        .ok()
+        .and_then(|v| v.parse().ok());
+    if let (Some(interval), Some(mut policy)) = (interval, store.checkpoint_policy()) {
+        policy.interval = interval;
+        store.set_checkpoint_policy(Some(policy));
+    }
     store.fail_disk(4)?;
     // One DAG worker, so the armed hit count names the same writeback on
     // every run.

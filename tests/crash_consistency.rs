@@ -207,11 +207,27 @@ fn metric_value(text: &str, name: &str) -> u64 {
         .unwrap_or(0)
 }
 
+/// The flush policy the parent named for this child in
+/// `OI_RAID_FLUSH_POLICY` (default `Never`). The library reads no
+/// environment, so the child does.
+fn child_flush_policy() -> FlushPolicy {
+    std::env::var("OI_RAID_FLUSH_POLICY")
+        .ok()
+        .and_then(|v| FlushPolicy::parse(&v))
+        .unwrap_or_default()
+}
+
+/// Plain reopen for a harness child, under the parent's flush policy.
+fn open_plain(cfg: &OiRaidConfig, dir: &Path) -> OiRaidStore<FileDevice> {
+    OiRaidStore::open_durable_with(cfg.clone(), CHUNK, dir, child_flush_policy())
+        .expect("child open")
+}
+
 /// Power-loss reopen for a harness child: every member device is a
 /// [`WriteBackDevice`] over the persisted file, so writes sit in a
 /// simulated volatile cache until [`BlockDevice::flush`] pushes them down
 /// — and die with the abort if nothing ever flushed them. The flush policy
-/// comes from `OI_RAID_FLUSH_POLICY` exactly as in the plain open.
+/// is the parent's exactly as in the plain open.
 fn open_power(cfg: &OiRaidConfig, dir: &Path) -> OiRaidStore<WriteBackDevice<FileDevice>> {
     let array = OiRaid::new(cfg.clone()).expect("reference config");
     let devices: Vec<_> = (0..array.disks())
@@ -226,7 +242,7 @@ fn open_power(cfg: &OiRaidConfig, dir: &Path) -> OiRaidStore<WriteBackDevice<Fil
             )
         })
         .collect();
-    OiRaidStore::open_durable_on(cfg.clone(), CHUNK, devices, dir, FlushPolicy::from_env())
+    OiRaidStore::open_durable_on(cfg.clone(), CHUNK, devices, dir, child_flush_policy())
         .expect("child power open")
 }
 
@@ -304,7 +320,7 @@ fn crash_child() {
         }
         child_workload(&store, &dir, cycle);
     } else {
-        let store = OiRaidStore::open_durable(cfg, CHUNK, &dir).expect("child open");
+        let store = open_plain(&cfg, &dir);
         for d in read_failed(&dir) {
             store.fail_disk(d).expect("child re-fail");
         }
@@ -334,6 +350,14 @@ fn rebuild_body<B: BlockDevice>(store: &OiRaidStore<B>, dir: &Path, mode: Rebuil
     // One DAG worker: the armed crash point's hit count then names the same
     // writeback on every run (the parents use the default pool).
     store.set_dag_workers(Some(1));
+    // The parent's checkpoint cadence, if it named one.
+    let interval = std::env::var("OI_RAID_CKPT_INTERVAL")
+        .ok()
+        .and_then(|v| v.parse().ok());
+    if let (Some(interval), Some(mut policy)) = (interval, store.checkpoint_policy()) {
+        policy.interval = interval;
+        store.set_checkpoint_policy(Some(policy));
+    }
     let report = store
         .resume_rebuild(mode, RecoveryStrategy::Hybrid, &RebuildObserver::default())
         .expect("rebuild child rebuild");
@@ -352,8 +376,7 @@ fn rebuild_child_in(mode: RebuildMode) {
     if blockdev::crash::power_loss_armed() {
         rebuild_body(&open_power(&cfg, &dir), &dir, mode);
     } else {
-        let store = OiRaidStore::open_durable(cfg, CHUNK, &dir).expect("rebuild child open");
-        rebuild_body(&store, &dir, mode);
+        rebuild_body(&open_plain(&cfg, &dir), &dir, mode);
     }
 }
 
