@@ -106,6 +106,9 @@ pub(crate) struct OnlineState {
     /// Test builds only: acquisitions of the `window` mutex.
     #[cfg(test)]
     window_locks: std::sync::atomic::AtomicUsize,
+    /// Test builds only: calls of `lock_regions` and of `lock_updates`.
+    #[cfg(test)]
+    update_locks: [std::sync::atomic::AtomicUsize; 2],
 }
 
 impl Default for OnlineState {
@@ -117,6 +120,8 @@ impl Default for OnlineState {
             epoch: AtomicU64::new(0),
             #[cfg(test)]
             window_locks: Default::default(),
+            #[cfg(test)]
+            update_locks: Default::default(),
         }
     }
 }
@@ -164,6 +169,8 @@ impl OnlineState {
     /// the whole-array reconstruction fixpoint, a legacy offline disk
     /// rebuild, or the dirty-epoch reset at the start of a round.
     pub fn lock_updates(&self) -> RwLockWriteGuard<'_, ()> {
+        #[cfg(test)]
+        self.update_locks[1].fetch_add(1, Ordering::Relaxed);
         match self.all.write() {
             Ok(g) => g,
             // A panic while holding the lock (e.g. an assert in a test
@@ -178,6 +185,8 @@ impl OnlineState {
     /// ascending order, so concurrent callers cannot deadlock; callers
     /// whose relation sets intersect always contend on a common stripe.
     pub fn lock_regions(&self, regions: &[Region]) -> RegionGuards<'_> {
+        #[cfg(test)]
+        self.update_locks[0].fetch_add(1, Ordering::Relaxed);
         let all = match self.all.read() {
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),
@@ -248,6 +257,16 @@ impl OnlineState {
     #[cfg(test)]
     pub fn window_locks(&self) -> usize {
         self.window_locks.load(Ordering::Relaxed)
+    }
+
+    /// How often `(lock_regions, lock_updates)` have been called.
+    #[cfg(test)]
+    pub fn update_locks(&self) -> (usize, usize) {
+        let [regions, updates] = &self.update_locks;
+        (
+            regions.load(Ordering::Relaxed),
+            updates.load(Ordering::Relaxed),
+        )
     }
 
     /// Whether a rebuild window is currently open.

@@ -410,6 +410,19 @@ pub(crate) fn combine(
         .iter()
         .all(|(a, _)| geo.group_of(a.disk) == grp && a.offset == row)
     {
+        if geo.p_in == 1 {
+            // One XOR erasure: the lost unit is the XOR of the row's g − 1
+            // others, whatever its role. The first source's buffer is the
+            // accumulator — nothing is zero-filled or allocated, and the
+            // row costs one XOR pass fewer; the rest stay with the caller,
+            // like a stripe's.
+            debug_assert_eq!(inputs.len(), geo.g - 1, "a full XOR row but one");
+            let (_, mut acc) = inputs.swap_remove(0);
+            for (_, bytes) in inputs.iter() {
+                xor_acc(&mut acc, bytes);
+            }
+            return acc;
+        }
         // Inner-row decode (handles >1 erasure when p_in = 2).
         let ordered: Vec<ChunkAddr> = geo
             .row_payload(grp, row)
@@ -521,10 +534,18 @@ const BATCH_ITEMS: usize = 16;
 /// fans out over the pool (and over slow devices) one item per op.
 const BATCHES_PER_WORKER: usize = 4;
 
+/// Most chunks worth handling as one: [`BATCH_BYTES`] of them, at least 1
+/// and at most [`BATCH_ITEMS`]. It bounds a rebuild batch and a pass of
+/// the foreground ladder's group rung alike: what is gathered for more
+/// has left the cache before it is combined, and at 64 KiB a chunk is
+/// read straight into its buffer instead of staged in a run and copied.
+pub(crate) fn run_chunks(chunk_size: usize) -> usize {
+    (BATCH_BYTES / chunk_size.max(1)).clamp(1, BATCH_ITEMS)
+}
+
 /// How many consecutive plan items form one batch.
 fn batch_items(chunk_size: usize, items: usize, workers: usize) -> usize {
-    (BATCH_BYTES / chunk_size.max(1))
-        .clamp(1, BATCH_ITEMS)
+    run_chunks(chunk_size)
         .min(items.div_ceil(BATCHES_PER_WORKER * workers.max(1)))
         .max(1)
 }
@@ -656,7 +677,7 @@ impl RunQueues {
 
 /// One coalesced read run: `(item index, source address)` pairs with
 /// consecutive offsets on a single disk.
-type Run<'a> = &'a [(usize, ChunkAddr)];
+pub(crate) type Run<'a> = &'a [(usize, ChunkAddr)];
 
 /// Serves one coalesced run through a retrying reader, degrading instead of
 /// failing: transient faults are retried, a chunk that stays unreadable is
@@ -668,7 +689,7 @@ type Run<'a> = &'a [(usize, ChunkAddr)];
 /// multi-chunk run is read into `staging` first — the reader's own reused
 /// buffer, grown (never re-zeroed) to the longest run seen — so a source
 /// byte is written twice at most and nothing is memset per run.
-fn read_run_healing<B: BlockDevice>(
+pub(crate) fn read_run_healing<B: BlockDevice>(
     reader: &RetryReader<'_, B>,
     run: Run<'_>,
     chunk_size: usize,
@@ -1707,14 +1728,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
                     inputs.push((items[d].lost, out.expect("dependency completed")));
                 }
                 let began = Instant::now();
-                let value = combine(
-                    geo,
-                    code.as_ref(),
-                    items[idx].lost,
-                    &mut inputs,
-                    &decoded,
-                    pool,
-                );
+                let value = combine(geo, code, items[idx].lost, &mut inputs, &decoded, pool);
                 inputs.drain(..).for_each(|(_, bytes)| pool.put(bytes));
                 combined.push(began.elapsed());
                 if uses[idx] > 0 {
@@ -1813,6 +1827,53 @@ mod tests {
             out.extend_from_slice(&buf);
         }
         out
+    }
+
+    /// The single-XOR-erasure shortcut of [`combine`] against the row code
+    /// it stands in for: random rows of random widths, every unit lost in
+    /// turn (payload and parity alike), bit-identical to
+    /// `XorParity::reconstruct` — and the sources it did not consume are
+    /// still the caller's.
+    #[test]
+    fn a_single_xor_erasure_combines_to_what_the_row_code_reconstructs() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x28);
+        for (g, chunk) in [(3usize, 64usize), (5, 48), (7, 4096)] {
+            let array = crate::OiRaid::new(OiRaidConfig::new(bibd::fano(), g, 1).unwrap()).unwrap();
+            let (geo, pool) = (array.geometry(), BufPool::new(chunk));
+            let code = ecc::XorParity::new(g - 1).unwrap();
+            for _ in 0..20 {
+                let grp = rng.gen_range(0..geo.v);
+                let row = rng.gen_range(0..geo.chunks_per_disk);
+                let payload: Vec<Vec<u8>> = (1..g)
+                    .map(|_| (0..chunk).map(|_| rng.gen::<u32>() as u8).collect())
+                    .collect();
+                let parity = code.encode(&payload).unwrap();
+                let ordered: Vec<ChunkAddr> = geo
+                    .row_payload(grp, row)
+                    .into_iter()
+                    .chain(geo.inner_parities_of_row(grp, row))
+                    .collect();
+                let units: Vec<Vec<u8>> = payload.into_iter().chain(parity).collect();
+                for lost in 0..g {
+                    let mut want: Vec<Option<Vec<u8>>> = units.iter().cloned().map(Some).collect();
+                    want[lost] = None;
+                    code.reconstruct(&mut want).unwrap();
+                    let mut inputs: Inputs = (0..g)
+                        .filter(|&u| u != lost)
+                        .map(|u| (ordered[u], units[u].clone()))
+                        .collect();
+                    // Gather order is not unit order.
+                    inputs.rotate_left(rng.gen_range(0..g - 1));
+                    let decoded = Mutex::default();
+                    let got = combine(geo, &code, ordered[lost], &mut inputs, &decoded, &pool);
+                    assert_eq!(Some(&got), want[lost].as_ref(), "g {g}, unit {lost}");
+                    assert_eq!(got, units[lost]);
+                    assert_eq!(inputs.len(), g - 2, "one source became the value");
+                    assert!(lock(&decoded).is_empty(), "nothing parked for siblings");
+                }
+            }
+        }
     }
 
     #[test]

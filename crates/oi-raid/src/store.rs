@@ -46,7 +46,7 @@ use crate::geometry::{Geometry, PayloadPos};
 use crate::observe::RebuildObserver;
 use crate::online::{OnlineState, Region};
 use crate::qos::{QosConfig, QosCounters, QosState};
-use crate::rebuild::{combine, dependency_shape, Inputs};
+use crate::rebuild::{combine, dependency_shape, read_run_healing, run_chunks, Inputs};
 use crate::retry_cell::RetryCell;
 
 /// Errors from the byte-level store.
@@ -241,9 +241,15 @@ impl StoreTelemetry {
         Arc::clone(&self.foreground_write_latency)
     }
 
-    fn record(&self, took: Duration) {
-        self.degraded_reads.fetch_add(1, Ordering::Relaxed);
-        self.degraded_latency.record_duration(took);
+    /// `n` chunk reads that all saw latency `took`: one counter add and one
+    /// histogram touch, whatever `n`.
+    fn record_reads(count: &AtomicU64, latency: &Histogram, took: Duration, n: usize) {
+        count.fetch_add(n as u64, Ordering::Relaxed);
+        latency.record_n(took.as_nanos().min(u64::MAX as u128) as u64, n as u64);
+    }
+
+    fn record_degraded_reads(&self, took: Duration, n: usize) {
+        Self::record_reads(&self.degraded_reads, &self.degraded_latency, took, n);
     }
 
     fn record_degraded_write(&self, took: Duration) {
@@ -251,9 +257,9 @@ impl StoreTelemetry {
         self.degraded_write_latency.record_duration(took);
     }
 
-    fn record_foreground_read(&self, took: Duration) {
-        self.foreground_reads.fetch_add(1, Ordering::Relaxed);
-        self.foreground_read_latency.record_duration(took);
+    fn record_foreground_reads(&self, took: Duration, n: usize) {
+        let latency = &self.foreground_read_latency;
+        Self::record_reads(&self.foreground_reads, latency, took, n);
     }
 
     fn record_foreground_write(&self, took: Duration) {
@@ -315,7 +321,8 @@ pub struct BatchStats {
 /// lock footprint and in-flight scratch while still amortizing parity
 /// read-modify-writes across the group. A journal-attached store widens
 /// this to the whole batch so one coalesced volume wave costs exactly one
-/// journal flush (see [`OiRaidStore::write_bytes_batch`]).
+/// journal flush (see [`OiRaidStore::write_bytes_batch`]). The degraded
+/// chunks of a batched read are cut into groups of the same size.
 const MAX_WRITE_GROUP: usize = 32;
 
 fn journal_err(e: std::io::Error) -> StoreError {
@@ -336,6 +343,16 @@ fn nonzero_chunk_size(chunk_size: usize) -> Result<(), StoreError> {
         });
     }
     Ok(())
+}
+
+/// The inner-layer row code of an array: RAID5 for `p_in = 1`, RAID6 for
+/// `p_in = 2` (payload width `g − p_in`).
+fn row_code(geo: &Geometry) -> Box<dyn ErasureCode> {
+    match geo.p_in {
+        1 => Box::new(XorParity::new(geo.g - 1).expect("g >= 2")),
+        2 => Box::new(Raid6::new(geo.g - 2).expect("g >= 3")),
+        p => unreachable!("config validates p_in, got {p}"),
+    }
 }
 
 /// Chunk credits between mid-round rebuild checkpoints of a durable store
@@ -422,6 +439,8 @@ pub struct OiRaidStore<B: BlockDevice = MemDevice> {
     dag_workers: AtomicUsize,
     /// Recycled chunk-sized scratch buffers for the RMW delta/parity legs.
     pool: BufPool,
+    /// The inner-layer row code, built once (see [`row_code`]).
+    inner: Box<dyn ErasureCode>,
     /// Write-ahead parity journal: when attached, every multi-member
     /// update logs its absolute member new-values as one intent record and
     /// group-commits it before any device write (see `commit_members`).
@@ -558,6 +577,7 @@ impl<B: BlockDevice + Clone> Clone for OiRaidStore<B> {
             qos: self.qos.clone(),
             dag_workers: AtomicUsize::new(self.dag_workers.load(Ordering::Relaxed)),
             pool: BufPool::new(self.chunk_size),
+            inner: row_code(self.array.geometry()),
             durable: self.durable.clone(),
             ckpt: Mutex::new(self.ckpt.lock().expect("ckpt lock").clone()),
         }
@@ -749,6 +769,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
             }
         }
         Ok(Self {
+            inner: row_code(array.geometry()),
             array,
             chunk_size,
             devices,
@@ -904,8 +925,11 @@ impl<B: BlockDevice> OiRaidStore<B> {
     fn read_into(&self, addr: ChunkAddr, buf: &mut [u8]) -> bool {
         loop {
             let epoch = self.online.epoch();
-            let reader = RetryReader::new(&self.devices[addr.disk], self.retry_policy());
-            let hit = self.chunk_available(addr) && reader.read_chunk(addr.offset, buf).is_ok();
+            // A plainly unavailable chunk costs no policy read and no reader.
+            let hit = self.chunk_available(addr)
+                && RetryReader::new(&self.devices[addr.disk], self.retry_policy())
+                    .read_chunk(addr.offset, buf)
+                    .is_ok();
             if self.online.epoch() == epoch {
                 return hit;
             }
@@ -922,15 +946,10 @@ impl<B: BlockDevice> OiRaidStore<B> {
         self.read_into(addr, &mut buf).then_some(buf)
     }
 
-    /// The inner-layer row code: RAID5 for `p_in = 1`, RAID6 for `p_in = 2`
-    /// (payload width `g − p_in`).
-    pub(crate) fn inner_code(&self) -> Box<dyn ErasureCode> {
-        let geo = self.array.geometry();
-        match geo.p_in {
-            1 => Box::new(XorParity::new(geo.g - 1).expect("g >= 2")),
-            2 => Box::new(Raid6::new(geo.g - 2).expect("g >= 3")),
-            p => unreachable!("config validates p_in, got {p}"),
-        }
+    /// The inner-layer row code (see [`row_code`]), shared by the ladder,
+    /// the scrub and every rebuild round.
+    pub(crate) fn inner_code(&self) -> &dyn ErasureCode {
+        self.inner.as_ref()
     }
 
     /// Writes one chunk, retrying transient device faults under the store
@@ -1263,27 +1282,29 @@ impl<B: BlockDevice> OiRaidStore<B> {
         self.check_index(idx)?;
         self.qos.note_foreground();
         let began = Instant::now();
-        let addr = self.array.locate_data(idx);
-        if let Some(bytes) = self.chunk(addr) {
-            self.telem.record_foreground_read(began.elapsed());
+        if let Some(bytes) = self.chunk(self.array.locate_data(idx)) {
+            self.telem.record_foreground_reads(began.elapsed(), 1);
             return Ok(bytes);
         }
-        // The request is about to take the decode rungs: hang a
-        // degraded-read node under whatever asked for this chunk so the
-        // redundancy reads below attribute to it.
-        let _trace = telemetry::trace_scope(
-            telemetry::EventKind::DegradedRead,
-            idx as u64,
-            addr.disk as u64,
-        );
-        let regions: Vec<Region> = self.regions_for(addr).collect();
-        let value = self.on_ladder(&regions, |exclusive| {
-            let values = self.current_values(&[addr], exclusive)?;
-            Ok(values.map(|mut v| v.swap_remove(0)))
-        })?;
-        self.telem.record(began.elapsed());
-        self.telem.record_foreground_read(began.elapsed());
-        Ok(value)
+        Ok(self.read_degraded(&[idx], began)?.swap_remove(0))
+    }
+
+    /// The degraded read of a group of data chunks — one of
+    /// [`Self::read_data`], up to `MAX_WRITE_GROUP` of a
+    /// [`Self::read_data_batch`]: their values off the ladder, in order,
+    /// under one lock of the union of their relations, one degraded-read
+    /// node hung under whatever asked (the redundancy reads below attribute
+    /// to it) and one telemetry touch, counted per chunk since `began`.
+    fn read_degraded(&self, idxs: &[usize], began: Instant) -> Result<Vec<Vec<u8>>, StoreError> {
+        let kind = telemetry::EventKind::DegradedRead;
+        let _trace = telemetry::trace_scope(kind, idxs[0] as u64, idxs.len() as u64);
+        let addrs: Vec<ChunkAddr> = idxs.iter().map(|&i| self.array.locate_data(i)).collect();
+        let regions: Vec<Region> = addrs.iter().flat_map(|a| self.regions_for(*a)).collect();
+        let values = self.on_ladder(&regions, |excl| self.current_values(&addrs, excl))?;
+        let took = began.elapsed();
+        self.telem.record_degraded_reads(took, idxs.len());
+        self.telem.record_foreground_reads(took, idxs.len());
+        Ok(values)
     }
 
     /// Runs `body` where [`Self::current_values`] may climb: under the
@@ -1315,8 +1336,9 @@ impl<B: BlockDevice> OiRaidStore<B> {
     ///
     /// * **Rung 1** — the device read ([`Self::chunk_pooled`]). A member
     ///   that is up but unreadable is a miss like a failed disk's.
-    /// * **Rung 2** — one relation of the chunk's own
-    ///   ([`Self::decode_local`]), read under the caller's region locks.
+    /// * **Rung 2** — one relation of each miss's own, all the misses in
+    ///   one pass ([`Self::decode_group`]), read under the caller's region
+    ///   locks.
     /// * **Rung 3** — the plan walk ([`Self::decode_planned`]), taken only
     ///   with `exclusive` set, that is under [`OnlineState::lock_updates`].
     ///
@@ -1328,71 +1350,117 @@ impl<B: BlockDevice> OiRaidStore<B> {
         addrs: &[ChunkAddr],
         exclusive: bool,
     ) -> Result<Option<Vec<Vec<u8>>>, StoreError> {
-        let mut values: Vec<Vec<u8>> = Vec::with_capacity(addrs.len());
-        let mut dense: Vec<usize> = Vec::new();
-        for (i, &addr) in addrs.iter().enumerate() {
-            match self.chunk_pooled(addr).or_else(|| self.decode_local(addr)) {
-                Some(value) => values.push(value),
-                None if exclusive => {
-                    dense.push(i);
-                    values.push(Vec::new());
-                }
-                None => {
-                    values.into_iter().for_each(|v| self.pool.put(v));
-                    return Ok(None);
-                }
+        let mut values: Vec<Option<Vec<u8>>> =
+            addrs.iter().map(|a| self.chunk_pooled(*a)).collect();
+        // A pass at a time over what fits a rebuild batch, so the sources
+        // gathered for it are still in cache when they combine.
+        let per = run_chunks(self.chunk_size);
+        for (addrs, values) in addrs.chunks(per).zip(values.chunks_mut(per)) {
+            if values.iter().any(Option::is_none) {
+                self.decode_group(addrs, values);
             }
         }
+        let dense: Vec<usize> = (0..addrs.len()).filter(|&i| values[i].is_none()).collect();
         if !dense.is_empty() {
+            if !exclusive {
+                values.into_iter().flatten().for_each(|v| self.pool.put(v));
+                return Ok(None);
+            }
             let targets: Vec<ChunkAddr> = dense.iter().map(|&i| addrs[i]).collect();
             for (i, value) in dense.into_iter().zip(self.decode_planned(&targets)?) {
-                values[i] = value;
+                values[i] = Some(value);
             }
         }
-        Ok(Some(values))
+        let value = |v: Option<Vec<u8>>| v.expect("a rung answered");
+        Ok(Some(values.into_iter().map(value).collect()))
     }
 
-    /// Rung 2: decodes `addr` through one relation it participates in —
-    /// its inner row (`g − 1` reads, up to `p_in` erasures), else its outer
-    /// stripe (`k − 1` reads; payload chunks only) — with the rebuild
-    /// engine's [`combine`]. These reads are exactly what
-    /// [`OnlineState::lock_regions`] over [`Self::regions_for`] covers, so
-    /// callers holding those guards see a consistent view. `None` means
-    /// both relations have lost more than their code absorbs.
-    fn decode_local(&self, addr: ChunkAddr) -> Option<Vec<u8>> {
-        let geo = self.array.geometry();
-        let row = geo.row_chunks(geo.group_of(addr.disk), addr.offset);
-        let stripe = (!geo.is_inner_parity(addr)).then(|| {
-            let p = geo.payload_pos(addr);
-            geo.stripe_chunks(p.block, p.stripe)
-        });
-        for (members, tolerated) in [(Some(row), geo.p_in), (stripe, 1)] {
-            let mut inputs: Inputs = Vec::new();
-            let mut erased = 1;
-            for a in members.into_iter().flatten().filter(|a| *a != addr) {
-                match self.chunk_pooled(a) {
-                    Some(bytes) => inputs.push((a, bytes)),
-                    None => erased += 1,
+    /// Rung 2, over a group: fills every `None` of `values` (the rung-1
+    /// misses among `addrs`) that one relation of its own reaches.
+    /// **Plan**, from availability alone: the miss's inner row (up to `p_in`
+    /// erasures), else its outer stripe (payload chunks only). **Gather**
+    /// every wanted source once, in `(disk, offset)` order, consecutive
+    /// offsets as one device run ([`read_run_healing`], the rebuild
+    /// engine's) into pooled buffers, under one epoch ticket, one copy of
+    /// the retry policy and one reader per disk. **Combine** each miss
+    /// whose sources all came. A source the gather could not read (a latent
+    /// sector) is an erasure to the next pass, which re-plans what it
+    /// starved; a moved epoch voids the pass (see [`Self::read_into`]).
+    /// Misses are never errors: what stays `None` has lost more than its
+    /// relations absorb and is rung 3's. The reads are exactly what
+    /// [`OnlineState::lock_regions`] over [`Self::regions_for`] covers.
+    fn decode_group(&self, addrs: &[ChunkAddr], values: &mut [Option<Vec<u8>>]) {
+        let (geo, cs, pool) = (self.array.geometry(), self.chunk_size, &self.pool);
+        let (policy, staging) = (self.retry_policy(), Mutex::default());
+        let mut unreadable: Vec<ChunkAddr> = Vec::new();
+        loop {
+            let epoch = self.online.epoch();
+            let up = |a: &ChunkAddr| self.chunk_available(*a) && !unreadable.contains(a);
+            // `(source, miss)` pairs, the sources of one miss together.
+            let mut wanted: Vec<(ChunkAddr, usize)> = Vec::new();
+            for (m, &lost) in addrs.iter().enumerate() {
+                if values[m].is_some() {
+                    continue;
                 }
-                if erased > tolerated {
-                    break;
+                let from = wanted.len();
+                let row = geo.row_chunks(geo.group_of(lost.disk), lost.offset);
+                wanted.extend(row.iter().filter(|a| **a != lost && up(a)).map(|a| (*a, m)));
+                if geo.g - (wanted.len() - from) > geo.p_in {
+                    wanted.truncate(from);
+                    if !geo.is_inner_parity(lost) {
+                        let p = geo.payload_pos(lost);
+                        let stripe = geo.stripe_chunks(p.block, p.stripe);
+                        if stripe.iter().all(|a| *a == lost || up(a)) {
+                            wanted.extend(stripe.iter().filter(|a| **a != lost).map(|a| (*a, m)));
+                        }
+                    }
                 }
             }
-            let value = (erased <= tolerated).then(|| {
-                // A row decode parks its other erased units here for
-                // siblings; rung 2 has none.
-                let decoded = Mutex::default();
-                let code = self.inner_code();
-                let value = combine(geo, code.as_ref(), addr, &mut inputs, &decoded, &self.pool);
-                inputs.append(&mut decoded.into_inner().expect("decode cache lock"));
-                value
-            });
-            inputs.into_iter().for_each(|(_, b)| self.pool.put(b));
-            if value.is_some() {
-                return value;
+            if wanted.is_empty() {
+                return;
+            }
+            wanted.sort_unstable();
+            let mut firsts: Vec<(usize, ChunkAddr)> =
+                wanted.iter().map(|w| w.0).enumerate().collect();
+            firsts.dedup_by_key(|first| first.1);
+            let mut inputs: Vec<Inputs> = vec![Inputs::new(); addrs.len()];
+            let failed = unreadable.len();
+            let mut sink = |w: usize, addr: ChunkAddr, read: Result<Vec<u8>, DeviceError>| {
+                let Ok(bytes) = read else {
+                    return unreadable.push(addr);
+                };
+                // Read once; further misses planned on it get copies.
+                for &(_, m) in wanted[w + 1..].iter().take_while(|(a, _)| *a == addr) {
+                    let mut copy = pool.take_dirty();
+                    copy.copy_from_slice(&bytes);
+                    inputs[m].push((addr, copy));
+                }
+                inputs[wanted[w].1].push((addr, bytes));
+            };
+            for on_disk in firsts.chunk_by(|a, b| a.1.disk == b.1.disk) {
+                let reader = RetryReader::new(&self.devices[on_disk[0].1.disk], policy);
+                for run in on_disk.chunk_by(|a, b| a.1.offset + 1 == b.1.offset) {
+                    read_run_healing(&reader, run, cs, pool, &staging, &mut sink);
+                }
+            }
+            let stale = self.online.epoch() != epoch;
+            // A row decode parks its other erased units here for siblings;
+            // rung 2 has none.
+            let decoded = Mutex::default();
+            for (m, mut sources) in inputs.into_iter().enumerate() {
+                let need = wanted.iter().filter(|w| w.1 == m).count();
+                if !stale && need > 0 && sources.len() == need {
+                    let (code, lost) = (self.inner_code(), addrs[m]);
+                    values[m] = Some(combine(geo, code, lost, &mut sources, &decoded, pool));
+                }
+                sources.into_iter().for_each(|(_, b)| pool.put(b));
+            }
+            let parked = decoded.into_inner().expect("decode cache lock");
+            parked.into_iter().for_each(|(_, b)| pool.put(b));
+            if !stale && unreadable.len() == failed {
+                return;
             }
         }
-        None
     }
 
     /// Rung 3: decodes `targets` by walking the chunk-granular recovery
@@ -1450,7 +1518,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
                 for &(d, _) in depends[idx].iter().filter(|(_, sibling)| !sibling) {
                     inputs.push((items[d].lost, outputs[d].clone().expect("walked before")));
                 }
-                let value = combine(geo, code.as_ref(), lost, &mut inputs, &decoded, &self.pool);
+                let value = combine(geo, code, lost, &mut inputs, &decoded, &self.pool);
                 inputs.into_iter().for_each(|(_, b)| self.pool.put(b));
                 outputs[idx] = Some(value);
             }
@@ -1922,8 +1990,8 @@ impl<B: BlockDevice> OiRaidStore<B> {
     /// touched chunk is unrecoverable.
     pub fn read_bytes(&self, offset: u64, buf: &mut [u8]) -> Result<(), StoreError> {
         self.check_range(offset, buf.len())?;
-        for (idx, within, range) in chunk_pieces(self.chunk_size, offset, buf.len()) {
-            let chunk = self.read_data(idx)?;
+        for (at, within, range) in chunk_pieces(self.chunk_size, offset, buf.len()) {
+            let chunk = self.read_data(at)?;
             let take = range.len();
             buf[range].copy_from_slice(&chunk[within..within + take]);
         }
@@ -1952,8 +2020,9 @@ impl<B: BlockDevice> OiRaidStore<B> {
     /// Reads many logical data chunks in one submission, deduplicating
     /// repeated indices and coalescing physically-adjacent healthy chunks
     /// into single [`BlockDevice::read_chunks`] runs per disk. Unavailable
-    /// chunks fall back to the degraded [`Self::read_data`] machinery
-    /// one-by-one. Returns one chunk value per input index, in input order
+    /// chunks come off the value ladder in groups of `MAX_WRITE_GROUP`
+    /// (`read_degraded`: one lock per group, its sources gathered in
+    /// runs). Returns one chunk value per input index, in input order
     /// (duplicates get copies of the same fetch).
     ///
     /// Foreground-read latency is recorded per *distinct* chunk at batch
@@ -2029,7 +2098,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
                     // Went unreadable since the availability check (disk
                     // died, latent sector), or a rebuild window opened or
                     // closed meanwhile and the bytes cannot be vouched
-                    // for: the single-chunk path sorts it out below.
+                    // for: the ladder sorts it out below.
                     fallback.push(*idx);
                 } else {
                     fetched.insert(*idx, buf[slot * cs..(slot + 1) * cs].to_vec());
@@ -2037,14 +2106,13 @@ impl<B: BlockDevice> OiRaidStore<B> {
             }
             i = j;
         }
-        let direct_took = began.elapsed();
-        for _ in 0..fetched.len() {
-            self.telem.record_foreground_read(direct_took);
-        }
-        // Unavailable chunks: the one-at-a-time path reconstructs through
-        // the redundancy (and records its own degraded telemetry).
-        for &idx in &fallback {
-            fetched.insert(idx, self.read_data(idx)?);
+        self.telem
+            .record_foreground_reads(began.elapsed(), fetched.len());
+        // Unavailable chunks: off the ladder in bounded groups, each under
+        // one lock of its members' relations (and recording its own
+        // degraded telemetry).
+        for group in fallback.chunks(MAX_WRITE_GROUP) {
+            fetched.extend(group.iter().copied().zip(self.read_degraded(group, began)?));
         }
         self.telem
             .record_batch_read(idxs.len() as u64, fetched.len() as u64);
@@ -2430,7 +2498,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
         let code = self.inner_code();
         for grp in 0..geo.v {
             for row in 0..geo.chunks_per_disk {
-                self.scrub_row(&geo, code.as_ref(), grp, row, &bad_stripes, &mut repaired);
+                self.scrub_row(&geo, code, grp, row, &bad_stripes, &mut repaired);
             }
         }
         repaired
@@ -3121,6 +3189,135 @@ mod tests {
         let got = store.read_data_batch(&idxs).unwrap();
         assert_eq!(got, expect);
         assert!(store.telemetry().degraded_reads() >= 2);
+    }
+
+    /// What a degraded batch costs, counted: 64 consecutive data chunks of
+    /// one failed disk at the serving geometry. Every third row is the
+    /// disk's inner parity, so its data sits in runs of two and each
+    /// source disk serves a run per op.
+    #[test]
+    fn a_degraded_batch_costs_per_group_not_per_chunk() {
+        telemetry::set_enabled(true);
+        let cfg = OiRaidConfig::new(bibd::fano(), 3, 32).unwrap();
+        let store = OiRaidStore::new(cfg, 4096).unwrap();
+        let value = |idx: usize| vec![(idx % 251) as u8 + 1; 4096];
+        for idx in 0..store.data_chunks() {
+            store.write_data(idx, &value(idx)).unwrap();
+        }
+        let idxs: Vec<usize> = (0..store.data_chunks())
+            .filter(|&i| store.locate(i).disk == 0)
+            .take(64)
+            .collect();
+        assert_eq!(idxs.len(), 64);
+        store.fail_disk(0).unwrap();
+        let io = |store: &OiRaidStore| {
+            let counters = store.devices().iter().map(|d| d.counters());
+            counters.fold((0, 0), |io, c| (io.0 + c.reads, io.1 + c.bytes_read))
+        };
+        let (io_before, locks_before) = (io(&store), store.online.update_locks());
+        let got = store.read_data_batch(&idxs).unwrap();
+        let (io_after, locks_after) = (io(&store), store.online.update_locks());
+        for (idx, bytes) in idxs.iter().zip(&got) {
+            assert_eq!(*bytes, value(*idx), "idx {idx}");
+        }
+        assert_eq!(
+            io_after.1 - io_before.1,
+            128 * 4096,
+            "two sources per lost chunk, each read once and nothing else"
+        );
+        let ops = io_after.0 - io_before.0;
+        assert!(ops <= 64, "{ops} device reads for 128 source chunks");
+        assert_eq!(
+            (
+                locks_after.0 - locks_before.0,
+                locks_after.1 - locks_before.1
+            ),
+            (2, 0),
+            "one lock_regions per MAX_WRITE_GROUP chunks, lock_updates never"
+        );
+        // Counted per chunk, touched per group.
+        let t = store.telemetry();
+        assert_eq!(t.degraded_reads(), 64);
+        assert_eq!(t.degraded_read_latency().count(), 64);
+        assert_eq!(t.foreground_reads(), 64);
+    }
+
+    /// Disks to fail together: every single disk, then pairs and triples
+    /// inside one group, across groups that share a block (any two do,
+    /// lambda = 1), and across three groups no block holds.
+    fn failure_patterns() -> Vec<Vec<usize>> {
+        let multi: [&[usize]; 8] = [
+            &[0, 1],
+            &[0, 1, 2],
+            &[4, 9],
+            &[0, 1, 3],
+            &[0, 3, 6],
+            &[2, 10, 20],
+            &[5, 7, 12],
+            &[13, 14, 18],
+        ];
+        let singles = (0..21).map(|d| vec![d]);
+        singles.chain(multi.iter().map(|m| m.to_vec())).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(6))]
+
+        // `read_data_batch(idxs) == idxs.map(read_data)` for random index
+        // multisets (duplicates, unsorted), under every failure pattern
+        // above with latent sectors on the *surviving* disks: a source the
+        // gather cannot read re-plans its miss, and what no relation of
+        // its own reaches goes to rung 3, on both paths alike.
+        #[test]
+        fn a_batch_reads_what_single_reads_read_under_failures_and_latent_sources(
+            idxs in proptest::collection::vec(0usize..84, 1..160),
+            seed in proptest::any::<u64>(),
+        ) {
+            use blockdev::FaultConfig;
+            let (store, expect) = filled_faulty_store(16);
+            proptest::prop_assert_eq!(expect.len(), 84);
+            // The random multiset, then every chunk once: each pattern's
+            // whole lost set is asked for, among it the chunks whose row
+            // sources sit on bad sectors.
+            let idxs: Vec<usize> = idxs.into_iter().chain(0..84).collect();
+            let mut replanned = 0;
+            for failed in failure_patterns() {
+                for &d in &failed {
+                    store.fail_disk(d).unwrap();
+                }
+                for (d, dev) in store.devices().iter().enumerate() {
+                    dev.set_config(FaultConfig {
+                        seed: seed ^ (d as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                        latent_per_mille: 40,
+                        ..FaultConfig::default()
+                    });
+                }
+                let latent = |a: ChunkAddr| store.devices[a.disk].is_latent_bad(a.offset);
+                let geo = store.array.geometry();
+                replanned += idxs.iter().map(|&i| store.locate(i)).filter(|a| {
+                    failed.contains(&a.disk)
+                        && geo.row_chunks(geo.group_of(a.disk), a.offset).into_iter().any(latent)
+                }).count();
+                let singles: Vec<_> = idxs.iter().map(|&i| store.read_data(i)).collect();
+                match store.read_data_batch(&idxs) {
+                    Ok(batch) => {
+                        let singles: Result<Vec<_>, _> = singles.iter().cloned().collect();
+                        proptest::prop_assert_eq!(Ok(batch), singles, "{:?}", failed);
+                    }
+                    Err(e) => proptest::prop_assert!(singles.contains(&Err(e)), "{:?}", failed),
+                }
+                for (&i, single) in idxs.iter().zip(&singles) {
+                    if let Ok(bytes) = single {
+                        proptest::prop_assert_eq!(bytes, &expect[i], "{:?} idx {}", failed, i);
+                    }
+                }
+                for dev in store.devices() {
+                    dev.set_config(FaultConfig::default());
+                }
+                store.rebuild(RebuildMode::Dag, RecoveryStrategy::Hybrid).unwrap();
+            }
+            proptest::prop_assert!(replanned > 0, "no lost chunk had a latent row source");
+        }
     }
 
     #[test]

@@ -44,7 +44,7 @@ use crate::registry::{Counter, Registry};
 /// | `Wave` | combining wave serves an op | wave id low bits | ops in wave |
 /// | `BatchRead`/`BatchWrite` | store batch entry | chunks | 0 |
 /// | `DiskRun` | coalesced per-disk run | disk | run length |
-/// | `DegradedRead` | reconstruct path taken | stripe/global idx | disk |
+/// | `DegradedRead` | a group of reads takes the decode rungs | first data idx | chunks in group |
 /// | `WriteGroup` | store write group | group size | 0 |
 /// | `SchedOp` | DAG scheduler runs a node | op id | device |
 /// | `Rebuild`/`RebuildRound` | rebuild root / one round | round | disks down |
@@ -67,7 +67,8 @@ pub enum EventKind {
     BatchWrite = 5,
     /// One coalesced per-disk run inside a batch (fan-out edge).
     DiskRun = 6,
-    /// A read fell back to erasure-coded reconstruction.
+    /// A group of reads (one or more chunks) fell back to erasure-coded
+    /// reconstruction.
     DegradedRead = 7,
     /// One store write group inside a batched write.
     WriteGroup = 8,

@@ -107,12 +107,20 @@ impl Histogram {
     /// Records one value (no-op while telemetry is disabled).
     #[inline]
     pub fn record(&self, v: u64) {
-        if !crate::enabled() {
+        self.record_n(v, 1);
+    }
+
+    /// Records `n` observations of the same value `v` — a batch whose
+    /// members all saw one latency — at the cost of one (no-op while
+    /// telemetry is disabled, or for `n == 0`).
+    #[inline]
+    pub fn record_n(&self, v: u64, n: u64) {
+        if n == 0 || !crate::enabled() {
             return;
         }
-        self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
+        self.buckets[bucket_index(v)].fetch_add(n, Ordering::Relaxed);
+        self.count.fetch_add(n, Ordering::Relaxed);
+        self.sum.fetch_add(v.saturating_mul(n), Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
     }
 
@@ -380,6 +388,18 @@ mod tests {
         assert_eq!(s.quantile(0.99), 0);
         assert_eq!(s.mean(), 0);
         assert!(s.summary_ns().contains("n=0"));
+    }
+
+    #[test]
+    fn record_n_equals_n_records() {
+        crate::set_enabled(true);
+        let (batched, single) = (Histogram::new(), Histogram::new());
+        for (v, n) in [(7u64, 3u64), (4096, 64), (1 << 40, 1), (9, 0)] {
+            batched.record_n(v, n);
+            (0..n).for_each(|_| single.record(v));
+        }
+        assert_eq!(batched.snapshot(), single.snapshot());
+        assert_eq!(batched.count(), 68);
     }
 
     #[test]

@@ -1,8 +1,11 @@
 //! What a degraded foreground op costs, by failure pattern (EXPERIMENTS.md
 //! E27): at the serving geometry (Fano x 3, 256 cycles, 4 KiB chunks) every
 //! data chunk whose home disk is down is read once and classed by the
-//! device reads it took; then, on the reference array with every disk up
-//! and 30 per mille of sectors latent, how many foreground ops fail.
+//! device reads it took, and the same chunks again through
+//! `read_data_batch` 64 at a time (device read ops, source chunks read and
+//! us, per chunk: EXPERIMENTS.md E28); then, on the reference array with
+//! every disk up and 30 per mille of sectors latent, how many foreground
+//! ops fail.
 //!
 //! `cargo run --release --example degraded_classes`
 
@@ -15,12 +18,23 @@ fn device_reads<B: BlockDevice>(store: &OiRaidStore<B>) -> u64 {
     store.devices().iter().map(|d| d.counters().reads).sum()
 }
 
+fn device_bytes_read<B: BlockDevice>(store: &OiRaidStore<B>) -> u64 {
+    store
+        .devices()
+        .iter()
+        .map(|d| d.counters().bytes_read)
+        .sum()
+}
+
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let store = OiRaidStore::new(OiRaidConfig::new(fano(), 3, 256)?, 4096)?;
     for idx in 0..store.data_chunks() {
         store.write_data(idx, &vec![(idx % 251) as u8 + 1; 4096])?;
     }
-    println!("failed disks | degraded ops | device reads x ops (mean us) per class");
+    println!(
+        "failed disks | degraded ops | device reads x ops (mean us) per class \
+         | batches of 64: device reads, chunks read, us per chunk"
+    );
     for failed in [
         vec![0],
         vec![0, 1],
@@ -32,7 +46,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             store.fail_disk(d)?;
         }
         let mut classes: BTreeMap<u64, (u64, f64)> = BTreeMap::new();
-        for idx in (0..store.data_chunks()).filter(|&i| failed.contains(&store.locate(i).disk)) {
+        let degraded: Vec<usize> = (0..store.data_chunks())
+            .filter(|&i| failed.contains(&store.locate(i).disk))
+            .collect();
+        for &idx in &degraded {
             let (before, began) = (device_reads(&store), Instant::now());
             assert_eq!(store.read_data(idx)?, vec![(idx % 251) as u8 + 1; 4096]);
             let class = classes.entry(device_reads(&store) - before).or_default();
@@ -43,7 +60,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .iter()
             .map(|(reads, (n, us))| format!("{reads} x {n} ({:.1})", us / *n as f64))
             .collect();
-        println!("{failed:?} | {ops} | {}", classes.join(", "));
+        let (ops_before, bytes_before) = (device_reads(&store), device_bytes_read(&store));
+        let began = Instant::now();
+        for batch in degraded.chunks(64) {
+            let got = store.read_data_batch(batch)?;
+            assert!(batch
+                .iter()
+                .zip(&got)
+                .all(|(i, v)| v[0] == (i % 251) as u8 + 1));
+        }
+        let (us, n) = (began.elapsed().as_secs_f64() * 1e6, degraded.len() as f64);
+        println!(
+            "{failed:?} | {ops} | {} | {:.2}, {:.2}, {:.2}",
+            classes.join(", "),
+            (device_reads(&store) - ops_before) as f64 / n,
+            (device_bytes_read(&store) - bytes_before) as f64 / 4096.0 / n,
+            us / n,
+        );
         store.rebuild(RebuildMode::Dag, RecoveryStrategy::Hybrid)?;
     }
 

@@ -321,14 +321,21 @@ fn foreground_latency_metrics_are_exported() {
 /// answers reads with zeroes until its chunks are rebuilt; the store's
 /// window flag is published before the heal, so no read may ever return
 /// those zeroes (every expected chunk is non-zero) — through the single
-/// read, the batch read and the byte read alike.
+/// read, the batch read and the byte read alike, and through a batch of a
+/// whole disk's data: while that disk is down or un-rebuilt it is one
+/// degraded group, planned once and gathered in runs, and a window that
+/// opens between the plan and the gather must make it ask again.
 fn window_edge_hammer<B: BlockDevice>(store: &OiRaidStore<B>, laps: usize, readers: usize) {
     let expect = fill(store, 77);
     assert!(expect.iter().all(|c| c.iter().any(|&b| b != 0)));
+    let on_disk = |d: usize| (0..expect.len()).filter(move |&i| store.locate(i).disk == d);
+    let by_disk: Vec<Vec<usize>> = (0..store.array().disks())
+        .map(|d| on_disk(d).collect())
+        .collect();
     let done = AtomicBool::new(false);
     let start = std::sync::Barrier::new(readers + 1);
     std::thread::scope(|s| {
-        let (expect, done, start) = (&expect, &done, &start);
+        let (expect, by_disk, done, start) = (&expect, &by_disk, &done, &start);
         for r in 0..readers {
             s.spawn(move || {
                 start.wait();
@@ -336,6 +343,13 @@ fn window_edge_hammer<B: BlockDevice>(store: &OiRaidStore<B>, laps: usize, reade
                 while !done.load(Ordering::Relaxed) {
                     for k in 0..n {
                         let idx = (k * 5 + r + pass) % n;
+                        if (k + r) % 4 == 0 {
+                            let group = &by_disk[store.locate(idx).disk];
+                            let got = store.read_data_batch(group).unwrap();
+                            for (i, bytes) in group.iter().zip(&got) {
+                                assert_eq!(bytes, &expect[*i], "group of {idx}: {i}");
+                            }
+                        }
                         match (k + r) % 3 {
                             0 => assert_eq!(store.read_data(idx).unwrap(), expect[idx], "{idx}"),
                             1 => {
