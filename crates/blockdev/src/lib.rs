@@ -215,11 +215,13 @@ pub trait BlockDevice: Send + Sync {
         Ok(())
     }
 
-    /// Marks the device failed and discards its contents.
+    /// Marks the device failed: its contents are unreachable from now on.
     fn fail(&self);
 
-    /// Brings a failed device back online, zero-filled (a healed device has
-    /// lost its pre-failure contents — the RAID layer rebuilds them).
+    /// Brings a failed device back online; every chunk reads as zeroes
+    /// until written (a healed device has lost its pre-failure contents —
+    /// the RAID layer rebuilds them). A no-op on a device that is not
+    /// failed.
     ///
     /// The store that flips the failure state back must be a `Release`
     /// store, paired with the `Acquire` load in [`BlockDevice::is_failed`]:

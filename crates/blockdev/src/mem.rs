@@ -1,39 +1,102 @@
 //! RAM-backed device: the original store behavior, now behind the trait.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, RwLock};
+use std::sync::RwLock;
 use std::time::Instant;
 
 use crate::{
     check_io, check_io_run, BlockDevice, CounterSnapshot, Counters, DeviceError, DeviceLatency,
 };
 
-/// An in-memory block device. Failing it makes the contents unreachable;
-/// healing zero-fills them in place, so a blank replacement disk reuses
-/// memory that is already mapped instead of first-touching a fresh
-/// allocation, page fault by page fault, under its own write lock.
+/// An in-memory block device. Failing it makes the contents unreachable
+/// (the bytes stay where they are, behind the failed flag); healing marks
+/// every chunk *blank* instead of zero-filling it: a blank chunk reads as
+/// zeroes until it is written, whatever its bytes still hold. Bringing a
+/// replacement disk online therefore costs one bit per chunk, not a pass
+/// over its bytes, and the rebuild that follows overwrites each chunk once.
 ///
 /// Which call takes which lock: `read_chunk` / `read_chunks` hold the
 /// contents `RwLock` shared (concurrent readers proceed in parallel);
-/// `write_chunk`, `fail` and `heal` hold it exclusive (`heal` for its whole
-/// zero-fill, plus the `dead` mutex); `clone` holds it shared for the copy.
-/// `is_failed`, the geometry getters and the counters take no lock at all:
-/// the store asks `is_failed` several times per chunk, so it is one atomic
-/// load of a flag that `fail`/`heal` flip while they hold the write lock.
+/// `write_chunk`, `fail` and `heal` hold it exclusive (`heal` only long
+/// enough to set the blank bitmap, a word per 64 chunks); `clone` holds it
+/// shared for the copy. `is_failed`, the geometry getters and the counters
+/// take no lock at all: the store asks `is_failed` several times per chunk,
+/// so it is one atomic load of a flag that `fail`/`heal` flip while they
+/// hold the write lock.
 #[derive(Debug)]
 pub struct MemDevice {
     chunk_size: usize,
     chunks: usize,
-    /// `None` while failed.
-    data: RwLock<Option<Vec<u8>>>,
-    /// Mirrors `data.is_none()`; written only under `data`'s write lock.
-    /// `heal` stores with `Release` and `is_failed` loads with `Acquire`, so
-    /// whoever sees the device healthy again also sees everything the healer
-    /// did first (the store opens its rebuild window before it heals).
+    contents: RwLock<Contents>,
+    /// Mirrors `Contents::failed`; written only under `contents`' write
+    /// lock. `heal` stores with `Release` and `is_failed` loads with
+    /// `Acquire`, so whoever sees the device healthy again also sees
+    /// everything the healer did first (the store opens its rebuild window
+    /// before it heals).
     failed: AtomicBool,
-    /// What `fail` took out of `data`; only `heal` touches it, to zero it.
-    dead: Mutex<Option<Vec<u8>>>,
     counters: Counters,
+}
+
+/// A device's bytes, which of its chunks are blank, and whether it is
+/// failed.
+#[derive(Debug, Clone)]
+struct Contents {
+    bytes: Vec<u8>,
+    /// One bit per chunk, set from `heal` until the chunk's next write.
+    blank: Vec<u64>,
+    /// Set bits in `blank`: at 0 a run is one copy, bitmap unread.
+    blanks: usize,
+    /// Checked by every read and write under the lock they already hold,
+    /// beside the bytes; `MemDevice::failed` mirrors it for `is_failed`.
+    failed: bool,
+}
+
+impl Contents {
+    fn is_blank(&self, chunk: usize) -> bool {
+        self.blank[chunk / 64] >> (chunk % 64) & 1 != 0
+    }
+
+    /// Copies the run of chunks starting at `first` that fills `buf`,
+    /// blank chunks as zeroes.
+    fn copy_out(&self, first: usize, chunk_size: usize, buf: &mut [u8]) {
+        let start = first * chunk_size;
+        if self.blanks == 0 {
+            buf.copy_from_slice(&self.bytes[start..start + buf.len()]);
+            return;
+        }
+        for (i, out) in buf.chunks_exact_mut(chunk_size).enumerate() {
+            if self.is_blank(first + i) {
+                out.fill(0);
+            } else {
+                let at = start + i * chunk_size;
+                out.copy_from_slice(&self.bytes[at..at + chunk_size]);
+            }
+        }
+    }
+
+    /// Overwrites chunk `chunk`, which is no longer blank.
+    fn write(&mut self, chunk: usize, data: &[u8]) {
+        let start = chunk * data.len();
+        self.bytes[start..start + data.len()].copy_from_slice(data);
+        if self.blanks == 0 {
+            return;
+        }
+        let bit = 1u64 << (chunk % 64);
+        let word = &mut self.blank[chunk / 64];
+        if *word & bit != 0 {
+            *word &= !bit;
+            self.blanks -= 1;
+        }
+    }
+
+    /// Marks all `chunks` chunks blank.
+    fn blank_all(&mut self, chunks: usize) {
+        self.blank.fill(!0);
+        if let (Some(last), tail @ 1..) = (self.blank.last_mut(), chunks % 64) {
+            *last = (1 << tail) - 1;
+        }
+        self.blanks = chunks;
+    }
 }
 
 /// Granularity of the construction-time page touch.
@@ -61,9 +124,13 @@ impl MemDevice {
         Self {
             chunk_size,
             chunks,
-            data: RwLock::new(Some(bytes)),
+            contents: RwLock::new(Contents {
+                bytes,
+                blank: vec![0; chunks.div_ceil(64)],
+                blanks: 0,
+                failed: false,
+            }),
             failed: AtomicBool::new(false),
-            dead: Mutex::default(),
             counters: Counters::default(),
         }
     }
@@ -75,16 +142,15 @@ impl MemDevice {
 }
 
 impl Clone for MemDevice {
-    /// Clones contents and failure state (never a failed device's dead
-    /// bytes); counters start fresh.
+    /// Clones contents, blank chunks and failure state; counters start
+    /// fresh.
     fn clone(&self) -> Self {
-        let data = self.data.read().expect("mem lock").clone();
+        let contents = self.contents.read().expect("mem lock");
         Self {
             chunk_size: self.chunk_size,
             chunks: self.chunks,
-            failed: AtomicBool::new(data.is_none()),
-            data: RwLock::new(data),
-            dead: Mutex::default(),
+            failed: AtomicBool::new(contents.failed),
+            contents: RwLock::new(contents.clone()),
             counters: Counters::default(),
         }
     }
@@ -107,24 +173,27 @@ impl BlockDevice for MemDevice {
         check_io(chunk, self.chunks, buf.len(), self.chunk_size)?;
         let _io = self.counters.begin_io();
         let began = Instant::now();
-        let guard = self.data.read().expect("mem lock");
-        let data = guard.as_ref().ok_or(DeviceError::Failed)?;
-        let start = chunk * self.chunk_size;
-        buf.copy_from_slice(&data[start..start + self.chunk_size]);
+        let contents = self.contents.read().expect("mem lock");
+        if contents.failed {
+            return Err(DeviceError::Failed);
+        }
+        contents.copy_out(chunk, self.chunk_size, buf);
         self.counters
             .record_read(chunk, self.chunk_size as u64, began.elapsed());
         Ok(())
     }
 
-    /// Contiguous storage: a run of chunks is one copy and one I/O op.
+    /// Contiguous storage: a run of chunks is one copy and one I/O op (one
+    /// copy per chunk while the device has blank chunks).
     fn read_chunks(&self, first: usize, count: usize, buf: &mut [u8]) -> Result<(), DeviceError> {
         check_io_run(first, count, self.chunks, buf.len(), self.chunk_size)?;
         let _io = self.counters.begin_io();
         let began = Instant::now();
-        let guard = self.data.read().expect("mem lock");
-        let data = guard.as_ref().ok_or(DeviceError::Failed)?;
-        let start = first * self.chunk_size;
-        buf.copy_from_slice(&data[start..start + count * self.chunk_size]);
+        let contents = self.contents.read().expect("mem lock");
+        if contents.failed {
+            return Err(DeviceError::Failed);
+        }
+        contents.copy_out(first, self.chunk_size, buf);
         self.counters
             .record_read(first, (count * self.chunk_size) as u64, began.elapsed());
         Ok(())
@@ -134,33 +203,27 @@ impl BlockDevice for MemDevice {
         check_io(chunk, self.chunks, data.len(), self.chunk_size)?;
         let _io = self.counters.begin_io();
         let began = Instant::now();
-        let mut guard = self.data.write().expect("mem lock");
-        let store = guard.as_mut().ok_or(DeviceError::Failed)?;
-        let start = chunk * self.chunk_size;
-        store[start..start + self.chunk_size].copy_from_slice(data);
+        let mut contents = self.contents.write().expect("mem lock");
+        if contents.failed {
+            return Err(DeviceError::Failed);
+        }
+        contents.write(chunk, data);
         self.counters
             .record_write(chunk, self.chunk_size as u64, began.elapsed());
         Ok(())
     }
 
     fn fail(&self) {
-        let mut guard = self.data.write().expect("mem lock");
-        if let Some(bytes) = guard.take() {
-            self.failed.store(true, Ordering::Release);
-            *self.dead.lock().expect("mem lock") = Some(bytes);
-        }
+        let mut contents = self.contents.write().expect("mem lock");
+        contents.failed = true;
+        self.failed.store(true, Ordering::Release);
     }
 
     fn heal(&self) -> Result<(), DeviceError> {
-        let mut guard = self.data.write().expect("mem lock");
-        if guard.is_none() {
-            *guard = Some(match self.dead.lock().expect("mem lock").take() {
-                Some(mut bytes) => {
-                    bytes.fill(0);
-                    bytes
-                }
-                None => vec![0u8; self.chunk_size * self.chunks],
-            });
+        let mut contents = self.contents.write().expect("mem lock");
+        if contents.failed {
+            contents.blank_all(self.chunks);
+            contents.failed = false;
             self.failed.store(false, Ordering::Release);
         }
         Ok(())
@@ -316,6 +379,142 @@ mod tests {
         d.read_chunks(0, 13, &mut all).unwrap();
         assert!(all.iter().all(|&b| b == 0));
         assert!(!d.is_failed());
+    }
+
+    /// Chunk `c` of a test pattern: every byte `tag + c`.
+    fn pattern(tag: u8, c: usize) -> [u8; 4] {
+        [tag + c as u8; 4]
+    }
+
+    #[test]
+    fn a_run_over_blank_and_written_chunks_reads_each_as_it_is() {
+        let d = MemDevice::new(4, 70);
+        for c in 0..70 {
+            d.write_chunk(c, &pattern(1, c)).unwrap();
+        }
+        d.fail();
+        d.heal().unwrap();
+        // Rewrite both ends of the first word and a chunk in the second.
+        let written = [0, 2, 3, 63, 64, 69];
+        for &c in &written {
+            d.write_chunk(c, &pattern(100, c)).unwrap();
+        }
+        d.reset_counters();
+        let mut all = vec![0xFFu8; 4 * 70];
+        d.read_chunks(0, 70, &mut all).unwrap();
+        for (c, got) in all.chunks_exact(4).enumerate() {
+            let want = if written.contains(&c) {
+                pattern(100, c)
+            } else {
+                [0; 4]
+            };
+            assert_eq!(got, want, "chunk {c}");
+        }
+        // A run from the middle, across the word boundary.
+        let mut part = vec![0xFFu8; 4 * 4];
+        d.read_chunks(62, 4, &mut part).unwrap();
+        assert_eq!(&part[..4], &[0; 4]);
+        assert_eq!(&part[4..8], &pattern(100, 63));
+        assert_eq!(&part[8..12], &pattern(100, 64));
+        assert_eq!(&part[12..], &[0; 4]);
+        let c = d.counters();
+        assert_eq!((c.reads, c.bytes_read), (2, 4 * 74), "still one op a run");
+    }
+
+    #[test]
+    fn a_clone_of_a_healed_half_rewritten_device_keeps_its_blanks() {
+        let d = MemDevice::new(4, 6);
+        for c in 0..6 {
+            d.write_chunk(c, &pattern(1, c)).unwrap();
+        }
+        d.fail();
+        d.heal().unwrap();
+        for c in 0..3 {
+            d.write_chunk(c, &pattern(50, c)).unwrap();
+        }
+        let clone = d.clone();
+        assert!(!clone.is_failed());
+        let mut buf = [0u8; 4];
+        for c in 0..6 {
+            clone.read_chunk(c, &mut buf).unwrap();
+            let want = if c < 3 { pattern(50, c) } else { [0; 4] };
+            assert_eq!(buf, want, "chunk {c}");
+        }
+        // The two go their own ways: writing the clone's blanks leaves the
+        // original's blank.
+        clone.write_chunk(4, &pattern(9, 4)).unwrap();
+        d.read_chunk(4, &mut buf).unwrap();
+        assert_eq!(buf, [0; 4]);
+        clone.read_chunk(4, &mut buf).unwrap();
+        assert_eq!(buf, pattern(9, 4));
+    }
+
+    #[test]
+    fn a_second_failure_blanks_the_chunks_written_since_the_first_heal() {
+        let d = MemDevice::new(4, 3);
+        d.write_chunk(1, &pattern(1, 1)).unwrap();
+        d.fail();
+        d.heal().unwrap();
+        for c in 0..3 {
+            d.write_chunk(c, &pattern(20, c)).unwrap();
+        }
+        d.fail();
+        d.heal().unwrap();
+        let mut all = [0xFFu8; 12];
+        d.read_chunks(0, 3, &mut all).unwrap();
+        assert_eq!(all, [0u8; 12]);
+        assert_eq!(d.contents.read().unwrap().blanks, 3);
+    }
+
+    #[test]
+    fn heal_of_a_never_failed_device_blanks_nothing() {
+        let d = MemDevice::new(4, 130);
+        for c in 0..130 {
+            d.write_chunk(c, &[c as u8; 4]).unwrap();
+        }
+        d.heal().unwrap();
+        let contents = d.contents.read().unwrap();
+        assert_eq!(contents.blanks, 0);
+        assert!(contents.blank.iter().all(|&w| w == 0));
+        drop(contents);
+        let mut all = vec![0u8; 4 * 130];
+        d.read_chunks(0, 130, &mut all).unwrap();
+        for (c, got) in all.chunks_exact(4).enumerate() {
+            assert_eq!(got, [c as u8; 4], "chunk {c}");
+        }
+    }
+
+    /// The point of the bitmap: `fail` + `heal` leave the old bytes in
+    /// place (no pass over the device), and still no read can see them. A
+    /// memset brought back into `heal` fails the first half.
+    #[test]
+    fn heal_leaves_the_old_bytes_in_place_and_every_read_sees_zeroes() {
+        let d = MemDevice::new(4, 67);
+        for c in 0..67 {
+            d.write_chunk(c, &pattern(1, c)).unwrap();
+        }
+        d.fail();
+        d.heal().unwrap();
+        {
+            let contents = d.contents.read().unwrap();
+            for (c, old) in contents.bytes.chunks_exact(4).enumerate() {
+                assert_eq!(old, pattern(1, c), "chunk {c}'s bytes untouched");
+            }
+            assert_eq!(contents.blanks, 67);
+            assert_eq!(
+                contents.blank,
+                vec![!0, (1 << 3) - 1],
+                "no bit past the end"
+            );
+        }
+        let mut buf = [0xFFu8; 4];
+        for c in 0..67 {
+            d.read_chunk(c, &mut buf).unwrap();
+            assert_eq!(buf, [0; 4], "chunk {c}");
+        }
+        let mut all = vec![0xFFu8; 4 * 67];
+        d.read_chunks(0, 67, &mut all).unwrap();
+        assert!(all.iter().all(|&b| b == 0));
     }
 
     /// `is_failed` is a flag beside the contents, not the contents: after

@@ -799,6 +799,112 @@ impl Footprints {
     }
 }
 
+/// A set of chunk addresses kept as one bitmap per disk, indexed by
+/// offset: the rebuild loop's books. Testing, inserting and voiding a whole
+/// disk are word operations, and so is the difference the loop re-plans
+/// from; only the planner gets a `BTreeSet`.
+#[derive(Debug, Clone)]
+struct ChunkBits {
+    /// Words per disk.
+    stride: usize,
+    words: Vec<u64>,
+}
+
+impl ChunkBits {
+    fn new(disks: usize, chunks_per_disk: usize) -> Self {
+        let stride = chunks_per_disk.div_ceil(64);
+        Self {
+            stride,
+            words: vec![0; disks * stride],
+        }
+    }
+
+    /// Word index and bit of `a`.
+    fn at(&self, a: ChunkAddr) -> (usize, u64) {
+        (a.disk * self.stride + a.offset / 64, 1 << (a.offset % 64))
+    }
+
+    fn contains(&self, a: ChunkAddr) -> bool {
+        let (w, bit) = self.at(a);
+        self.words[w] & bit != 0
+    }
+
+    /// Adds `a`; whether it was absent.
+    fn insert(&mut self, a: ChunkAddr) -> bool {
+        let (w, bit) = self.at(a);
+        let fresh = self.words[w] & bit == 0;
+        self.words[w] |= bit;
+        fresh
+    }
+
+    /// Removes `a`; whether it was present.
+    fn remove(&mut self, a: ChunkAddr) -> bool {
+        let (w, bit) = self.at(a);
+        let present = self.words[w] & bit != 0;
+        self.words[w] &= !bit;
+        present
+    }
+
+    fn disk_mut(&mut self, d: usize) -> &mut [u64] {
+        &mut self.words[d * self.stride..(d + 1) * self.stride]
+    }
+
+    /// Adds all `chunks` chunks of disk `d`.
+    fn fill_disk(&mut self, d: usize, chunks: usize) {
+        let words = self.disk_mut(d);
+        words.fill(!0);
+        if let (Some(last), tail @ 1..) = (words.last_mut(), chunks % 64) {
+            *last = (1 << tail) - 1;
+        }
+    }
+
+    /// Removes every chunk of disk `d`; how many there were.
+    fn clear_disk(&mut self, d: usize) -> usize {
+        let words = self.disk_mut(d);
+        let n = words.iter().map(|w| w.count_ones() as usize).sum();
+        words.fill(0);
+        n
+    }
+
+    fn len(&self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.words.iter().all(|&w| w == 0)
+    }
+
+    /// `self` without the members of `other`.
+    fn minus(&self, other: &Self) -> Self {
+        let words = self.words.iter().zip(&other.words);
+        Self {
+            stride: self.stride,
+            words: words.map(|(a, b)| a & !b).collect(),
+        }
+    }
+
+    /// Adds every member of `other`.
+    fn union_with(&mut self, other: &Self) {
+        for (a, b) in self.words.iter_mut().zip(&other.words) {
+            *a |= b;
+        }
+    }
+
+    /// The members, as the planner takes them.
+    fn to_set(&self) -> BTreeSet<ChunkAddr> {
+        let mut set = BTreeSet::new();
+        for (w, &word) in self.words.iter().enumerate() {
+            let (disk, base) = (w / self.stride, w % self.stride * 64);
+            let mut rest = word;
+            while rest != 0 {
+                set.insert(ChunkAddr::new(disk, base + rest.trailing_zeros() as usize));
+                rest &= rest - 1;
+            }
+        }
+        set
+    }
+}
+
 /// What [`OiRaidStore::writeback_chunks`] needs besides the chunks, and the
 /// books it keeps: one per round, shared by every worker of the round.
 struct Writeback<'a> {
@@ -1040,24 +1146,22 @@ impl<B: BlockDevice> OiRaidStore<B> {
             );
         }
         let chunks_per_disk = self.array().chunks_per_disk();
-        let mut lost: BTreeSet<ChunkAddr> = initially_failed
-            .iter()
-            .flat_map(|&d| (0..chunks_per_disk).map(move |o| ChunkAddr::new(d, o)))
-            .collect();
-        let mut rebuilt: BTreeSet<ChunkAddr> = match &resume {
-            Some(ckpt) => ckpt
-                .valid
-                .iter()
-                .copied()
-                .filter(|a| lost.contains(a))
-                .collect(),
-            None => BTreeSet::new(),
-        };
+        let no_chunks = ChunkBits::new(self.array().disks(), chunks_per_disk);
+        let mut lost = no_chunks.clone();
+        for &d in &initially_failed {
+            lost.fill_disk(d, chunks_per_disk);
+        }
+        let mut rebuilt = no_chunks.clone();
+        if let Some(ckpt) = &resume {
+            for &a in ckpt.valid.iter().filter(|&&a| lost.contains(a)) {
+                rebuilt.insert(a);
+            }
+        }
         let began = Instant::now();
         let planned = if resume.is_some() {
             // Resume: only what the checkpoint does not cover needs
             // recovery — chunk-granular, same planner reroutes use.
-            let missing: BTreeSet<ChunkAddr> = lost.difference(&rebuilt).copied().collect();
+            let missing = lost.minus(&rebuilt).to_set();
             self.array().chunk_recovery_plan(&missing)
         } else if initially_failed.len() == 1 {
             single_failure_plan(
@@ -1119,8 +1223,8 @@ impl<B: BlockDevice> OiRaidStore<B> {
         // `repaired` marks avoided chunks whose re-derived value was
         // rewritten in place (readable again unless they fail anew).
         let mut target_disks = initially_failed.clone();
-        let mut avoid: BTreeSet<ChunkAddr> = BTreeSet::new();
-        let mut repaired: BTreeSet<ChunkAddr> = BTreeSet::new();
+        let mut avoid = no_chunks.clone();
+        let mut repaired = no_chunks;
 
         let mut rounds = 0u32;
         let mut escalations = 0u64;
@@ -1185,10 +1289,10 @@ impl<B: BlockDevice> OiRaidStore<B> {
             // loop's books are left to keep here.
             for addr in out.written {
                 let mut fresh = false;
-                if lost.contains(&addr) {
+                if lost.contains(addr) {
                     fresh |= rebuilt.insert(addr);
                 }
-                if avoid.contains(&addr) && repaired.insert(addr) {
+                if avoid.contains(addr) && repaired.insert(addr) {
                     obs.heal.latent_repairs.inc();
                     telemetry::flight_event(
                         telemetry::EventKind::LatentRepair,
@@ -1207,7 +1311,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
                     continue; // the whole disk escalates instead
                 }
                 let newly_avoided = avoid.insert(addr);
-                let un_repaired = repaired.remove(&addr);
+                let un_repaired = repaired.remove(addr);
                 if newly_avoided {
                     reroutes += 1;
                     obs.heal.reroutes.inc();
@@ -1233,13 +1337,10 @@ impl<B: BlockDevice> OiRaidStore<B> {
                         escalations,
                     );
                     target_disks.push(d);
-                    lost.extend((0..chunks_per_disk).map(|o| ChunkAddr::new(d, o)));
+                    lost.fill_disk(d, chunks_per_disk);
                 }
-                let voided = rebuilt.iter().filter(|a| a.disk == d).count()
-                    + repaired.iter().filter(|a| a.disk == d).count();
-                rebuilt.retain(|a| a.disk != d);
-                repaired.retain(|a| a.disk != d);
-                avoid.retain(|a| a.disk != d);
+                let voided = rebuilt.clear_disk(d) + repaired.clear_disk(d);
+                avoid.clear_disk(d);
                 let grown = if newly_escalated { chunks_per_disk } else { 0 } + voided;
                 obs.progress.add_total_chunks(grown as u64);
                 // Fold the dead disk into the window (its contents are
@@ -1259,8 +1360,8 @@ impl<B: BlockDevice> OiRaidStore<B> {
                 aborted = Some(target_disks.clone());
                 break;
             }
-            let mut missing: BTreeSet<ChunkAddr> = lost.difference(&rebuilt).copied().collect();
-            missing.extend(avoid.difference(&repaired).copied());
+            let mut missing = lost.minus(&rebuilt);
+            missing.union_with(&avoid.minus(&repaired));
             if missing.is_empty() {
                 break;
             }
@@ -1297,7 +1398,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
                 self.save_checkpoint_now(t);
             }
             let began = Instant::now();
-            let replanned = self.array().chunk_recovery_plan(&missing);
+            let replanned = self.array().chunk_recovery_plan(&missing.to_set());
             obs.stages.plan.record_duration(began.elapsed());
             plan = match replanned {
                 Ok(p) => p,
@@ -2312,6 +2413,49 @@ mod tests {
                     .collect();
                 let held = crate::online::stripe_order(&union).len();
                 assert!(held <= 96, "{strategy:?} batch at {lo}: {held} stripes");
+            }
+        }
+    }
+
+    /// The loop's bitmap books against the `BTreeSet`s they replace: a
+    /// seeded walk of inserts, removes, whole-disk fills and voids, with
+    /// the re-plan difference checked after every step.
+    #[test]
+    fn chunk_bits_behave_as_the_sets_they_replace() {
+        const DISKS: usize = 5;
+        for chunks in [1, 63, 64, 65, 130] {
+            let mut bits = [(); 4].map(|()| ChunkBits::new(DISKS, chunks));
+            let mut sets: [BTreeSet<ChunkAddr>; 4] = Default::default();
+            let mut x = chunks as u64 | 1;
+            for step in 0..2_000 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let (i, d) = ((x >> 8) as usize % 4, (x >> 16) as usize % DISKS);
+                let a = ChunkAddr::new(d, (x >> 24) as usize % chunks);
+                match x % 16 {
+                    0 => {
+                        bits[i].fill_disk(d, chunks);
+                        sets[i].extend((0..chunks).map(|o| ChunkAddr::new(d, o)));
+                    }
+                    1 => {
+                        let gone = sets[i].iter().filter(|a| a.disk == d).count();
+                        sets[i].retain(|a| a.disk != d);
+                        assert_eq!(bits[i].clear_disk(d), gone, "step {step}");
+                    }
+                    2..=8 => assert_eq!(bits[i].insert(a), sets[i].insert(a), "step {step}"),
+                    _ => assert_eq!(bits[i].remove(a), sets[i].remove(&a), "step {step}"),
+                }
+                assert_eq!(bits[i].contains(a), sets[i].contains(&a));
+                assert_eq!(bits[i].len(), sets[i].len());
+                assert_eq!(bits[i].to_set(), sets[i], "{chunks} chunks, step {step}");
+                let [lost, rebuilt, avoid, repaired] = &bits;
+                let mut missing = lost.minus(rebuilt);
+                missing.union_with(&avoid.minus(repaired));
+                let mut want: BTreeSet<ChunkAddr> = sets[0].difference(&sets[1]).copied().collect();
+                want.extend(sets[2].difference(&sets[3]).copied());
+                assert_eq!(missing.is_empty(), want.is_empty());
+                assert_eq!(missing.to_set(), want, "{chunks} chunks, step {step}");
             }
         }
     }

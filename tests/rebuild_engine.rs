@@ -307,3 +307,116 @@ fn rebuild_report_json_round_trips() {
     }
     assert_eq!(sum, report.total_reads(), "device_io reads sum");
 }
+
+/// A replacement disk comes online blank — every chunk reads as zeroes
+/// until written — so a recovered rebuild must write each chunk of each
+/// target exactly once: one write per chunk on the target's own counters,
+/// and a disk bit-identical to what it held before it failed (a chunk the
+/// rebuild skipped would read back as zeroes, not as its old bytes).
+#[test]
+fn a_recovered_rebuild_writes_every_target_chunk_exactly_once() {
+    for (chunk, cycles) in [(4 << 10, 8), (64 << 10, 2)] {
+        let cfg = OiRaidConfig::new(fano(), 3, cycles).unwrap();
+        let mut reference = OiRaidStore::new(cfg, chunk).unwrap();
+        fill(&mut reference, chunk as u64);
+        let per_disk = reference.array().chunks_per_disk();
+        // One failure, then two in different groups.
+        for failures in [vec![4], vec![4, 11]] {
+            let pristine: Vec<Vec<u8>> = failures
+                .iter()
+                .map(|&d| disk_image(&reference, d))
+                .collect();
+            for mode in [RebuildMode::Serial, RebuildMode::Dag] {
+                let store = reference.clone();
+                for &d in &failures {
+                    store.fail_disk(d).unwrap();
+                }
+                let report = store.rebuild(mode, RecoveryStrategy::Hybrid).unwrap();
+                let what = format!("{mode} at {chunk} B, disks {failures:?}");
+                assert_eq!(report.outcome, RebuildOutcome::Complete, "{what}: {report}");
+                assert_eq!(
+                    report.chunks_rebuilt as usize,
+                    failures.len() * per_disk,
+                    "{what}"
+                );
+                for (&d, want) in failures.iter().zip(&pristine) {
+                    let io = &report.device_io[d];
+                    assert_eq!(io.writes as usize, per_disk, "{what}: disk {d} writes");
+                    assert_eq!(
+                        io.bytes_written as usize,
+                        per_disk * chunk,
+                        "{what}: disk {d} bytes"
+                    );
+                    assert!(disk_image(&store, d) == *want, "{what}: disk {d} image");
+                }
+                assert!(store.check_parity().is_empty(), "{what}");
+            }
+        }
+    }
+}
+
+/// An aborted rebuild has half-written its targets (blank chunks beside
+/// rebuilt ones): the abort must re-fail them, so neither kind is ever
+/// readable, and a later rebuild converges to the pre-failure bytes.
+#[test]
+fn an_aborted_rebuild_leaves_its_targets_failed_and_a_later_one_converges() {
+    const CHUNK: usize = 64;
+    for mode in [RebuildMode::Serial, RebuildMode::Dag] {
+        let cfg = OiRaidConfig::reference();
+        let devices: Vec<_> = (0..cfg.disks())
+            .map(|_| {
+                FaultInjectingDevice::new(
+                    MemDevice::new(CHUNK, cfg.chunks_per_disk()),
+                    FaultConfig::default(),
+                )
+            })
+            .collect();
+        let mut store = OiRaidStore::with_devices(cfg, CHUNK, devices).unwrap();
+        fill(&mut store, 0xAB07);
+        let pristine = disk_image(&store, 0);
+        // Disk 0's Inner plan reads its row siblings on disks 1 and 2. Half
+        // of disk 1 and all of the other groups are unreadable: the rows
+        // disk 1 can serve land, the rest need the outer layer, which has
+        // nothing to give — the loop runs out of plans and aborts.
+        for d in (1..store.array().disks()).filter(|&d| d != 2) {
+            store.devices()[d].set_config(FaultConfig {
+                seed: 11,
+                latent_per_mille: if d == 1 { 500 } else { 1000 },
+                ..FaultConfig::default()
+            });
+        }
+        store.fail_disk(0).unwrap();
+        let report = store.rebuild(mode, RecoveryStrategy::Inner).unwrap();
+        assert_eq!(
+            report.outcome,
+            RebuildOutcome::Aborted { failed: vec![0] },
+            "{mode}: {report}"
+        );
+        let landed = report.device_io[0].writes as usize;
+        assert!(
+            (1..store.array().chunks_per_disk()).contains(&landed),
+            "{mode}: the abort came after some writes and before the last: {landed}"
+        );
+        let mut buf = [0u8; CHUNK];
+        for o in 0..store.array().chunks_per_disk() {
+            assert_eq!(
+                store.devices()[0].read_chunk(o, &mut buf),
+                Err(DeviceError::Failed),
+                "{mode}: chunk {o}"
+            );
+        }
+        assert_eq!(store.failed_disks(), vec![0], "{mode}");
+        for dev in store.devices() {
+            dev.set_config(FaultConfig::default());
+        }
+        let again = store.rebuild(mode, RecoveryStrategy::Inner).unwrap();
+        assert_eq!(again.outcome, RebuildOutcome::Complete, "{mode}: {again}");
+        assert_eq!(
+            again.device_io[0].writes as usize,
+            store.array().chunks_per_disk(),
+            "{mode}: the second rebuild writes the whole disk again"
+        );
+        assert!(disk_image(&store, 0) == pristine, "{mode}");
+        assert!(store.check_parity().is_empty(), "{mode}");
+    }
+}
