@@ -208,21 +208,26 @@ impl OiRaid {
         recovery::single_failure_plan(self, failed_disk, policy, strategy)
     }
 
-    /// Builds a chunk-granular repair plan for an arbitrary set of
-    /// unreadable chunks (latent sector errors, partially rebuilt disks):
-    /// the alternate-read-set API the self-healing rebuild and repairing
-    /// scrub re-plan through. Chunks outside `missing` are assumed
-    /// readable; all items write in place.
+    /// The alternate-plan API: a chunk-granular repair plan for the chunks
+    /// `missing` names (latent sectors, a disk that died mid-rebuild, the
+    /// unrebuilt rest of a resumed rebuild), cross-layer cascades included.
+    /// Every other chunk is assumed readable; every item writes
+    /// [`layout::WriteTarget::InPlace`], remapping a latent sector.
     ///
     /// # Errors
     ///
-    /// [`LayoutError::DiskOutOfRange`] for addresses outside the array,
-    /// [`LayoutError::DataLoss`] when the missing set is not decodable.
+    /// [`LayoutError::DataLoss`], listing the disks that hold unrecovered
+    /// chunks, when the missing set is not decodable.
     pub fn chunk_recovery_plan(
         &self,
-        missing: &std::collections::BTreeSet<ChunkAddr>,
+        missing: impl Fn(ChunkAddr) -> bool,
     ) -> Result<RecoveryPlan, LayoutError> {
-        recovery::chunk_recovery_plan(self, missing)
+        let mut items = Vec::new();
+        let lost = multifail::run_fixpoint(self, missing, Some(&mut items));
+        if !lost.is_empty() {
+            return Err(LayoutError::DataLoss { failed: lost });
+        }
+        Ok(RecoveryPlan::new(self.geo.disks(), Vec::new(), items))
     }
 }
 

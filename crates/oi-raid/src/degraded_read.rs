@@ -10,6 +10,8 @@ use disksim::{DiskSpec, SimTime, Simulation, Summary, TaskSpec, Workload};
 use layout::{ChunkAddr, LayoutError, RecoveryPlan, WriteTarget};
 
 use crate::array::OiRaid;
+use crate::multifail;
+use crate::online::Region;
 use crate::OiRaidConfig;
 
 /// How a degraded read is served.
@@ -42,16 +44,17 @@ impl ReadPlan {
 }
 
 impl OiRaid {
-    /// Plans the cheapest single-level reconstruction read for logical data
-    /// chunk `idx` under the failure pattern `failed`: direct if healthy,
-    /// else inner-row decode (fewest reads when available), else
-    /// outer-stripe decode.
+    /// Plans the read of logical data chunk `idx` under the failure pattern
+    /// `failed`: direct if its disk is up, else the store's own plan of it
+    /// (the backward planner every degraded foreground read takes), which
+    /// decodes through the chunk's inner row when that has at most `p_in`
+    /// misses, else through its outer stripe.
     ///
-    /// Reads served this way touch only healthy chunks; deeper cascades
-    /// (both levels broken around the chunk) fall back to the full
-    /// [`layout::Layout::recovery_plan`] machinery and are reported as
-    /// [`LayoutError::DataLoss`] here — a real system would run the rebuild
-    /// rather than serve that read online.
+    /// Reads served this way touch only healthy chunks of one relation; a
+    /// plan through more than one (both levels broken around the chunk) is
+    /// reported as [`LayoutError::DataLoss`] here — the analysis model
+    /// counts single-level decodes only, though the store serves those
+    /// reads through the whole closure.
     ///
     /// # Errors
     ///
@@ -62,38 +65,31 @@ impl OiRaid {
     ///
     /// Panics if `idx` is out of range.
     pub fn read_plan(&self, idx: usize, failed: &[usize]) -> Result<ReadPlan, LayoutError> {
-        let geo = self.geometry();
-        if let Some(&d) = failed.iter().find(|&&d| d >= geo.disks()) {
-            return Err(LayoutError::DiskOutOfRange {
-                disk: d,
-                disks: geo.disks(),
-            });
+        let disks = self.geometry().disks();
+        if let Some(&d) = failed.iter().find(|&&d| d >= disks) {
+            return Err(LayoutError::DiskOutOfRange { disk: d, disks });
         }
         let addr = self.locate_data(idx);
-        let down = |a: &ChunkAddr| failed.contains(&a.disk);
-        if !down(&addr) {
+        if !failed.contains(&addr.disk) {
             return Ok(ReadPlan::Direct(addr));
         }
-        // Inner row: decodable when the row has at most p_in missing chunks.
-        let grp = geo.group_of(addr.disk);
-        let row = geo.row_chunks(grp, addr.offset);
-        let missing = row.iter().filter(|a| down(a)).count();
-        if missing <= geo.p_in {
-            return Ok(ReadPlan::InnerDecode {
-                reads: row.into_iter().filter(|a| !down(a)).collect(),
-            });
+        let (plan, via) = multifail::plan_closure(self, &[addr], |a| !failed.contains(&a.disk));
+        // A row decoding several misses plans them as several items, the
+        // reads on the first.
+        let reads = plan
+            .items()
+            .iter()
+            .flat_map(|it| it.reads.clone())
+            .collect();
+        match via.first() {
+            Some(Region::Row(..)) if via.iter().all(|r| *r == via[0]) => {
+                Ok(ReadPlan::InnerDecode { reads })
+            }
+            Some(Region::Stripe(..)) if via.len() == 1 => Ok(ReadPlan::OuterDecode { reads }),
+            _ => Err(LayoutError::DataLoss {
+                failed: failed.to_vec(),
+            }),
         }
-        // Outer stripe: decodable when the data chunk is its only loss.
-        let p = geo.payload_pos(addr);
-        let stripe = geo.stripe_chunks(p.block, p.stripe);
-        if stripe.iter().filter(|a| down(a)).count() == 1 {
-            return Ok(ReadPlan::OuterDecode {
-                reads: stripe.into_iter().filter(|a| !down(a)).collect(),
-            });
-        }
-        Err(LayoutError::DataLoss {
-            failed: failed.to_vec(),
-        })
     }
 }
 

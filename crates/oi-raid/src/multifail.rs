@@ -1,21 +1,27 @@
-//! Multi-failure analysis and planning by decode fixpoint.
+//! Multi-failure analysis and planning, two ways over one rule.
 //!
 //! Both layers are RAID5, so a stripe (inner row or outer stripe) is
-//! decodable exactly when at most one of its chunks is missing. Starting
-//! from the failed disks' chunks, we repeatedly repair every stripe with a
-//! single missing chunk until nothing changes. If all chunks come back, the
-//! failure pattern is survivable — this is how the "tolerates at least three
-//! disk failures" claim (C4) is *checked* rather than assumed, and how
-//! multi-failure recovery plans (experiment E9) are produced, including
-//! cascades where an outer repair feeds an inner repair.
+//! decodable exactly when at most one of its chunks is missing (`p_in` for a
+//! RAID6 inner row). [`run_fixpoint`] plans *forward* over the whole array:
+//! starting from every missing chunk, it repeatedly repairs every stripe
+//! within its tolerance until nothing changes. If all chunks come back, the
+//! failure pattern is survivable — this is how the "tolerates at least
+//! three disk failures" claim (C4) is *checked* rather than assumed, and how
+//! whole-array recovery plans (rebuild, scrub, experiment E9) are produced,
+//! including cascades where an outer repair feeds an inner repair.
+//! [`plan_closure`] plans *backward* from a few target chunks and touches
+//! only their closure: every foreground value the store cannot read comes
+//! off it.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 use layout::{
     assign_writes, ChunkAddr, ChunkRecovery, LayoutError, RecoveryPlan, SparePolicy, WriteTarget,
 };
 
 use crate::array::OiRaid;
+use crate::geometry::{Geometry, PayloadPos};
+use crate::online::Region;
 
 /// Whether the failure pattern is survivable (duplicate or out-of-range
 /// entries are never survivable-relevant: out-of-range returns `false`).
@@ -25,7 +31,7 @@ pub(crate) fn survives(array: &OiRaid, failed: &[usize]) -> bool {
     if failed.iter().any(|&d| d >= n) {
         return false;
     }
-    run_fixpoint(array, failed, &BTreeSet::new(), None)
+    run_fixpoint(array, |a| failed.contains(&a.disk), None).is_empty()
 }
 
 /// Builds a recovery plan for an arbitrary survivable failure pattern.
@@ -49,145 +55,239 @@ pub(crate) fn multi_failure_plan(
         }
     }
     let mut items = Vec::new();
-    if sorted.is_empty() {
-        return Ok(RecoveryPlan::new(n, sorted, items));
-    }
-    if !run_fixpoint(array, &sorted, &BTreeSet::new(), Some(&mut items)) {
+    if !run_fixpoint(array, |a| sorted.contains(&a.disk), Some(&mut items)).is_empty() {
         return Err(LayoutError::DataLoss { failed: sorted });
     }
     assign_writes(policy, n, &sorted, &mut items);
     Ok(RecoveryPlan::new(n, sorted, items))
 }
 
-/// Runs the decode fixpoint. Initially-missing chunks are every chunk of
-/// the `failed` disks plus the chunk-granular `extra_missing` set (latent
-/// sector errors on otherwise-healthy disks — the alternate-read-set
-/// machinery of the self-healing rebuild). With `plan` set, records one
+/// Runs the decode fixpoint over every chunk `missing` names: whole failed
+/// disks, latent sector errors on otherwise-healthy disks, the unrebuilt
+/// rest of a resumed rebuild. With `plan` set, records one in-place
 /// [`ChunkRecovery`] per repaired chunk (reads reference originally-present
-/// chunks; previously repaired inputs become `depends`). Returns whether
-/// every chunk was recovered.
+/// chunks; previously repaired inputs become `depends`). Returns the disks
+/// that still hold unrecovered chunks, ascending — empty when every chunk
+/// came back.
 pub(crate) fn run_fixpoint(
     array: &OiRaid,
-    failed: &[usize],
-    extra_missing: &BTreeSet<ChunkAddr>,
+    missing: impl Fn(ChunkAddr) -> bool,
     mut plan: Option<&mut Vec<ChunkRecovery>>,
-) -> bool {
+) -> Vec<usize> {
     let geo = array.geometry();
-    let n = geo.disks();
     let t = geo.chunks_per_disk;
-    let mut present = vec![true; n * t];
-    let mut missing = 0usize;
-    for &d in failed {
-        for o in 0..t {
-            present[d * t + o] = false;
-            missing += 1;
-        }
-    }
-    for a in extra_missing {
-        if a.disk < n && a.offset < t && present[a.disk * t + a.offset] {
-            present[a.disk * t + a.offset] = false;
-            missing += 1;
-        }
-    }
+    let at = |a: &ChunkAddr| a.disk * t + a.offset;
+    let mut present: Vec<bool> = (0..geo.disks() * t)
+        .map(|i| !missing(ChunkAddr::new(i / t, i % t)))
+        .collect();
+    let mut left = present.iter().filter(|p| !**p).count();
     // Map repaired chunk -> plan item index, for dependency wiring.
     let mut repaired_item: HashMap<ChunkAddr, usize> = HashMap::new();
-    let originally_failed = |a: ChunkAddr| failed.contains(&a.disk) || extra_missing.contains(&a);
-
     let mut progressed = true;
-    while missing > 0 && progressed {
+    while left > 0 && progressed {
         progressed = false;
-        // Outer stripes cover payload chunks.
-        for (block, s) in geo.all_stripes() {
-            let chunks = geo.stripe_chunks(block, s);
-            let miss: Vec<&ChunkAddr> = chunks
-                .iter()
-                .filter(|a| !present[a.disk * t + a.offset])
-                .collect();
-            if miss.len() == 1 {
-                let lost = *miss[0];
-                repair(
-                    lost,
-                    chunks.iter().copied().filter(|a| *a != lost),
-                    &mut present,
-                    t,
-                    &mut repaired_item,
-                    &mut plan,
-                    &originally_failed,
-                );
-                missing -= 1;
-                progressed = true;
+        // Outer stripes cover payload chunks and decode one miss; inner
+        // rows cover everything (payload + inner parity) and decode up to
+        // p_in. When several chunks of a row come back together, the first
+        // plan item carries the shared reads.
+        let stripes = geo.all_stripes().map(|(b, s)| (geo.stripe_chunks(b, s), 1));
+        let rows = (0..geo.v).flat_map(|grp| (0..t).map(move |row| (grp, row)));
+        let rows = rows.map(|(grp, row)| (geo.row_chunks(grp, row), geo.p_in));
+        for (chunks, tolerance) in stripes.chain(rows) {
+            let miss: Vec<ChunkAddr> = chunks.iter().copied().filter(|a| !present[at(a)]).collect();
+            if miss.is_empty() || miss.len() > tolerance {
+                continue;
             }
-        }
-        // Inner rows cover everything (payload + inner parity); the row
-        // code decodes up to p_in erasures. When several chunks of a row
-        // come back together, the first plan item carries the shared reads.
-        for grp in 0..geo.v {
-            for row in 0..t {
-                let chunks = geo.row_chunks(grp, row);
-                let miss: Vec<ChunkAddr> = chunks
-                    .iter()
-                    .copied()
-                    .filter(|a| !present[a.disk * t + a.offset])
-                    .collect();
-                if !miss.is_empty() && miss.len() <= geo.p_in {
-                    for (mi, &lost) in miss.iter().enumerate() {
-                        let sources: Vec<ChunkAddr> = if mi == 0 {
-                            chunks
-                                .iter()
-                                .copied()
-                                .filter(|a| !miss.contains(a))
-                                .collect()
-                        } else {
-                            Vec::new()
-                        };
-                        repair(
-                            lost,
-                            sources.into_iter(),
-                            &mut present,
-                            t,
-                            &mut repaired_item,
-                            &mut plan,
-                            &originally_failed,
-                        );
-                        missing -= 1;
+            progressed = true;
+            for (i, &lost) in miss.iter().enumerate() {
+                present[at(&lost)] = true;
+                left -= 1;
+                let Some(items) = plan.as_deref_mut() else {
+                    continue;
+                };
+                let (mut reads, mut depends) = (Vec::new(), Vec::new());
+                for &src in chunks.iter().filter(|a| i == 0 && !miss.contains(a)) {
+                    match missing(src) {
+                        true => depends.push(repaired_item[&src]),
+                        false => reads.push(src),
                     }
-                    progressed = true;
                 }
+                repaired_item.insert(lost, items.len());
+                let write = WriteTarget::InPlace;
+                items.push(ChunkRecovery {
+                    lost,
+                    reads,
+                    depends,
+                    write,
+                });
             }
         }
     }
-    missing == 0
+    let lost = (0..present.len()).filter(|&i| !present[i]);
+    let mut lost: Vec<usize> = lost.map(|i| i / t).collect();
+    lost.dedup();
+    lost
 }
 
-#[allow(clippy::too_many_arguments)]
-fn repair(
-    lost: ChunkAddr,
-    sources: impl Iterator<Item = ChunkAddr>,
-    present: &mut [bool],
-    t: usize,
-    repaired_item: &mut HashMap<ChunkAddr, usize>,
-    plan: &mut Option<&mut Vec<ChunkRecovery>>,
-    originally_failed: &impl Fn(ChunkAddr) -> bool,
-) {
-    present[lost.disk * t + lost.offset] = true;
-    if let Some(items) = plan.as_deref_mut() {
-        let mut reads = Vec::new();
-        let mut depends = Vec::new();
-        for src in sources {
-            if originally_failed(src) {
-                depends.push(repaired_item[&src]);
-            } else {
-                reads.push(src);
+/// Plans `targets` backward over the chunks `available` vouches for: their
+/// closure, where [`run_fixpoint`] plans the whole array. A target decodes
+/// through its inner row if that has at most `p_in` misses, else its outer
+/// stripe if it is the sole miss there, else the first of the two whose
+/// other misses are plannable, recursively (the row first: a RAID6 row
+/// decodes two misses of a group). Planned chunks are reused; one on the
+/// search path is not planned again, which ends the recursion. Items write
+/// in place and depend backwards, a row's reads on its first item and its
+/// other misses read-less after it, as the rebuild's `combine` reads them.
+/// Returns the plan and the relation each item decodes through; a target
+/// no relation chain reaches has no item.
+pub(crate) fn plan_closure(
+    array: &OiRaid,
+    targets: &[ChunkAddr],
+    available: impl Fn(ChunkAddr) -> bool,
+) -> (RecoveryPlan, Vec<Region>) {
+    let geo = array.geometry();
+    let mut search = Search {
+        geo,
+        available,
+        items: Vec::with_capacity(targets.len()),
+        via: Vec::with_capacity(targets.len()),
+        path: Vec::new(),
+        spare: Vec::new(),
+    };
+    for &t in targets {
+        search.plan(t);
+    }
+    let plan = RecoveryPlan::new(geo.disks(), Vec::new(), search.items);
+    (plan, search.via)
+}
+
+/// The parity relations of `addr`: its inner row, then for payload its outer
+/// stripe, worked out only if the iterator gets that far.
+pub(crate) fn relations_of(geo: &Geometry, addr: ChunkAddr) -> impl Iterator<Item = Region> + '_ {
+    let row = Region::Row(geo.group_of(addr.disk), addr.offset);
+    let stripe = std::iter::once_with(move || {
+        let p = (!geo.is_inner_parity(addr)).then(|| geo.payload_pos(addr))?;
+        Some(Region::Stripe(p.block, p.stripe))
+    });
+    std::iter::once(row).chain(stripe.flatten())
+}
+
+/// Where a chunk's value comes from, as far as a search has got.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Source {
+    Read,
+    Item(usize),
+    Miss,
+}
+
+/// One [`plan_closure`] search in progress.
+struct Search<'a, F> {
+    geo: &'a Geometry,
+    available: F,
+    items: Vec<ChunkRecovery>,
+    via: Vec<Region>,
+    /// Chunks whose relations' misses are being planned, outermost first.
+    path: Vec<ChunkAddr>,
+    /// Used relation chunk lists: one allocation per level of recursion.
+    spare: Vec<Vec<(ChunkAddr, Source)>>,
+}
+
+impl<F: Fn(ChunkAddr) -> bool> Search<'_, F> {
+    fn source(&self, a: ChunkAddr) -> Source {
+        if (self.available)(a) {
+            return Source::Read;
+        }
+        match self.items.iter().position(|it| it.lost == a) {
+            Some(item) => Source::Item(item),
+            None => Source::Miss,
+        }
+    }
+
+    /// Plans `t` unless its value is known; whether it is now.
+    fn plan(&mut self, t: ChunkAddr) -> bool {
+        if self.source(t) != Source::Miss {
+            return true;
+        }
+        if self.path.contains(&t) {
+            return false;
+        }
+        let geo = self.geo;
+        if relations_of(geo, t).any(|r| self.decode(t, r, false)) {
+            return true;
+        }
+        self.path.push(t);
+        let ok = relations_of(geo, t).any(|r| self.decode(t, r, true));
+        self.path.pop();
+        ok
+    }
+
+    /// Plans `t` through `region` as it stands, or — with `recurse` — once
+    /// its other misses are planned; a failed attempt plans nothing.
+    fn decode(&mut self, t: ChunkAddr, region: Region, recurse: bool) -> bool {
+        let geo = self.geo;
+        let mut chunks = self.spare.pop().unwrap_or_default();
+        chunks.clear();
+        let miss = |a| (a, Source::Miss);
+        match region {
+            Region::Row(group, row) => {
+                chunks.extend((0..geo.g).map(|j| miss(ChunkAddr::new(geo.disk_id(group, j), row))))
+            }
+            Region::Stripe(block, stripe) => chunks.extend(
+                (0..geo.k).map(|pos| miss(geo.stripe_chunk(PayloadPos { block, stripe, pos }))),
+            ),
+        }
+        let mark = self.items.len();
+        if recurse {
+            for &(m, _) in chunks.iter().filter(|(m, _)| *m != t) {
+                self.plan(m);
             }
         }
-        let idx = items.len();
-        items.push(ChunkRecovery {
-            lost,
-            reads,
-            depends,
-            write: WriteTarget::Spare(0),
-        });
-        repaired_item.insert(lost, idx);
+        // A row planned on the way may have co-decoded `t` already.
+        let planned = recurse && self.source(t) != Source::Miss;
+        let decoded = planned || self.emit(t, region, &mut chunks);
+        if !decoded {
+            self.items.truncate(mark);
+            self.via.truncate(mark);
+        }
+        self.spare.push(chunks);
+        decoded
+    }
+
+    /// Plans the misses of `chunks`, `t` among them, if `region` decodes them
+    /// all. Each chunk is asked once: what is counted is what is planned.
+    fn emit(&mut self, t: ChunkAddr, region: Region, chunks: &mut [(ChunkAddr, Source)]) -> bool {
+        // `t` stays the miss it was listed as.
+        for (a, source) in chunks.iter_mut().filter(|(a, _)| *a != t) {
+            *source = self.source(*a);
+        }
+        let misses = chunks.iter().filter(|(_, s)| *s == Source::Miss).count();
+        let tolerance = match region {
+            Region::Row(..) => self.geo.p_in,
+            Region::Stripe(..) => 1,
+        };
+        if misses > tolerance {
+            return false;
+        }
+        let (mut reads, mut depends) = (Vec::new(), Vec::new());
+        for &(a, source) in chunks.iter() {
+            match source {
+                Source::Read => reads.push(a),
+                Source::Item(item) => depends.push(item),
+                Source::Miss => {}
+            }
+        }
+        for &(lost, _) in chunks.iter().filter(|(_, s)| *s == Source::Miss) {
+            let (reads, depends) = (std::mem::take(&mut reads), std::mem::take(&mut depends));
+            let write = WriteTarget::InPlace;
+            self.items.push(ChunkRecovery {
+                lost,
+                reads,
+                depends,
+                write,
+            });
+            self.via.push(region);
+        }
+        true
     }
 }
 
@@ -314,14 +414,11 @@ mod tests {
         OiRaid::new(cfg).unwrap()
     }
 
-    #[test]
-    fn dual_parity_tolerates_five_failures_sampled() {
-        let a = dual_parity_array();
-        assert_eq!(a.fault_tolerance(), 5);
-        let n = a.disks(); // 35
-                           // Deterministic sample of 5-failure patterns including adversarial
-                           // shapes (whole group = 5 disks, 3+2 across block-sharing groups).
-        let patterns: Vec<Vec<usize>> = vec![
+    /// Deterministic 5-failure patterns of [`dual_parity_array`]:
+    /// adversarial shapes (whole group = 5 disks, 3 + 2 across
+    /// block-sharing groups), then a pseudo-random sample.
+    fn dual_parity_samples(n: usize) -> Vec<Vec<usize>> {
+        let mut patterns: Vec<Vec<usize>> = vec![
             vec![0, 1, 2, 3, 4],      // whole group
             vec![0, 1, 2, 5, 6],      // 3 + 2 in groups sharing a block
             vec![0, 1, 5, 6, 10],     // 2+2+1
@@ -329,14 +426,6 @@ mod tests {
             vec![30, 31, 32, 33, 34], // last group
             vec![0, 1, 2, 3, 34],     // 4 + 1
         ];
-        for p in &patterns {
-            assert!(a.survives(p), "{p:?}");
-            assert!(
-                a.recovery_plan(p, SparePolicy::Distributed).is_ok(),
-                "{p:?}"
-            );
-        }
-        // Pseudo-random sample on top.
         let mut s = 0xD00Du64;
         for _ in 0..40 {
             let mut p = Vec::new();
@@ -347,7 +436,21 @@ mod tests {
                     p.push(d);
                 }
             }
-            assert!(a.survives(&p), "{p:?}");
+            patterns.push(p);
+        }
+        patterns
+    }
+
+    #[test]
+    fn dual_parity_tolerates_five_failures_sampled() {
+        let a = dual_parity_array();
+        assert_eq!(a.fault_tolerance(), 5);
+        for p in &dual_parity_samples(a.disks()) {
+            assert!(a.survives(p), "{p:?}");
+            assert!(
+                a.recovery_plan(p, SparePolicy::Distributed).is_ok(),
+                "{p:?}"
+            );
         }
     }
 
@@ -379,6 +482,125 @@ mod tests {
             (0, 32, 64),
         ] {
             assert!(a.survives(&[d1, d2, d3]), "[{d1},{d2},{d3}]");
+        }
+    }
+
+    /// Every data chunk of an array written, every disk up: the bytes a
+    /// plan's walk must come back with.
+    fn filled(cfg: OiRaidConfig) -> crate::OiRaidStore {
+        let store = crate::OiRaidStore::new(cfg, 16).unwrap();
+        for idx in 0..store.data_chunks() {
+            let chunk: Vec<u8> = (0..16).map(|j| (idx * 37 + j * 11 + 5) as u8).collect();
+            store.write_data(idx, &chunk).unwrap();
+        }
+        store
+    }
+
+    /// [`plan_closure`] against [`run_fixpoint`] over one missing set of
+    /// `store`'s array. Each missing chunk, planned on its own, is planned
+    /// exactly when the fixpoint recovers it. One plan of them all reads
+    /// only available chunks, depends backwards, reads inside the relation
+    /// each item decodes through, and walks through `combine` to the stored
+    /// bytes of every chunk it plans. Returns how many chunks needed more
+    /// than one relation.
+    fn planner_matches_fixpoint(
+        store: &crate::OiRaidStore,
+        missing: &dyn Fn(ChunkAddr) -> bool,
+    ) -> Result<usize, proptest::TestCaseError> {
+        use blockdev::BlockDevice;
+        let (array, geo) = (store.array(), store.array().geometry());
+        let available = |a: ChunkAddr| !missing(a);
+        let mut fixed = Vec::new();
+        run_fixpoint(array, missing, Some(&mut fixed));
+        let recovered: Vec<ChunkAddr> = fixed.iter().map(|it| it.lost).collect();
+        let targets: Vec<ChunkAddr> = (0..geo.disks())
+            .flat_map(|d| (0..geo.chunks_per_disk).map(move |o| ChunkAddr::new(d, o)))
+            .filter(|a| missing(*a))
+            .collect();
+        let mut deep = 0;
+        for &t in &targets {
+            let (plan, via) = plan_closure(array, &[t], available);
+            let planned = plan.items().iter().any(|it| it.lost == t);
+            proptest::prop_assert_eq!(planned, recovered.contains(&t), "{}", t);
+            deep += usize::from(via.iter().any(|r| *r != via[0]));
+        }
+        let (plan, via) = plan_closure(array, &targets, available);
+        let items = plan.items();
+        proptest::prop_assert_eq!(items.len(), recovered.len());
+        let stored = |a: ChunkAddr| {
+            let mut buf = vec![0u8; 16];
+            store.devices()[a.disk]
+                .read_chunk(a.offset, &mut buf)
+                .unwrap();
+            buf
+        };
+        let pool = crate::bufpool::BufPool::new(16);
+        let decoded = std::sync::Mutex::default();
+        let mut outputs: Vec<Vec<u8>> = Vec::new();
+        for (i, (it, region)) in items.iter().zip(&via).enumerate() {
+            let relation = match *region {
+                Region::Row(group, row) => geo.row_chunks(group, row),
+                Region::Stripe(block, stripe) => geo.stripe_chunks(block, stripe),
+            };
+            proptest::prop_assert!(relation.contains(&it.lost), "{} via {:?}", it.lost, region);
+            let mut inputs = crate::rebuild::Inputs::new();
+            for &a in &it.reads {
+                proptest::prop_assert!(
+                    available(a) && relation.contains(&a),
+                    "{} reads {}",
+                    it.lost,
+                    a
+                );
+                inputs.push((a, stored(a)));
+            }
+            for &d in &it.depends {
+                proptest::prop_assert!(d < i, "item {} depends on {}", i, d);
+                proptest::prop_assert!(relation.contains(&items[d].lost));
+                inputs.push((items[d].lost, outputs[d].clone()));
+            }
+            let code = store.inner_code();
+            let value = crate::rebuild::combine(geo, code, it.lost, &mut inputs, &decoded, &pool);
+            proptest::prop_assert_eq!(&value, &stored(it.lost), "{}", it.lost);
+            outputs.push(value);
+        }
+        Ok(deep)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(6))]
+
+        // The backward planner is complete: over every 3-disk pattern of
+        // the reference array and the dual-parity samples, each with up to
+        // six more chunks missing at random, it plans a chunk exactly when
+        // the whole-array fixpoint recovers it, and what it plans decodes
+        // to the stored bytes.
+        #[test]
+        fn the_backward_planner_reaches_what_the_fixpoint_reaches(seed in proptest::any::<u64>()) {
+            let mut x = seed | 1;
+            let mut next = move || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as usize
+            };
+            for store in [filled(OiRaidConfig::reference()), filled(dual_parity_array().config().clone())] {
+                let (n, t) = (store.array().disks(), store.array().chunks_per_disk());
+                let mut patterns = dual_parity_samples(n);
+                if n == 21 {
+                    patterns = (0..n)
+                        .flat_map(|a| (a + 1..n).flat_map(move |b| (b + 1..n).map(move |c| vec![a, b, c])))
+                        .collect();
+                }
+                let mut deep = 0;
+                for failed in patterns {
+                    let extra: Vec<ChunkAddr> = (0..next() % 7)
+                        .map(|_| ChunkAddr::new(next() % n, next() % t))
+                        .collect();
+                    let missing = |a: ChunkAddr| failed.contains(&a.disk) || extra.contains(&a);
+                    deep += planner_matches_fixpoint(&store, &missing)?;
+                }
+                proptest::prop_assert!(deep > 0, "no chunk of {} disks needed a second relation", n);
+            }
         }
     }
 }

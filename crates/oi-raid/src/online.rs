@@ -70,11 +70,11 @@ pub(crate) struct RegionGuards<'a> {
 /// (no rebuild in flight), mirroring how telemetry clones.
 #[derive(Debug)]
 pub(crate) struct OnlineState {
-    /// Two-tier update locking. Region-scoped read-modify-writes (a
-    /// foreground RMW, a rebuild writeback) hold this *shared* plus the
+    /// Two-tier update locking. Region-scoped operations (a foreground
+    /// read or RMW, a rebuild writeback) hold this *shared* plus the
     /// stripe mutexes their relations hash to; whole-array phases (the
-    /// dense reconstruction fixpoint, the dirty-epoch reset) hold it
-    /// *exclusive* and need no stripes. Two operations whose relation
+    /// dirty-epoch reset, a scrub row repair) hold it *exclusive* and need
+    /// no stripes. Two operations whose relation
     /// sets intersect always share at least one stripe mutex, so the
     /// old single-lock atomicity is preserved per relation — without
     /// serializing writers that touch disjoint relations.
@@ -164,10 +164,11 @@ pub(crate) fn stripe_order(regions: &[Region]) -> Vec<usize> {
 }
 
 impl OnlineState {
-    /// Takes the update lock exclusively. Hold the guard across any
-    /// operation whose read set cannot be bounded to known relations —
-    /// the whole-array reconstruction fixpoint, a legacy offline disk
-    /// rebuild, or the dirty-epoch reset at the start of a round.
+    /// Takes the update lock exclusively, shutting out every region holder.
+    /// Two callers are left: a rebuild round's dirty-epoch reset and the
+    /// scrub's corruption repair of one row. No foreground op takes it —
+    /// every value they decode comes off a plan whose relations they lock
+    /// through [`Self::lock_regions`].
     pub fn lock_updates(&self) -> RwLockWriteGuard<'_, ()> {
         #[cfg(test)]
         self.update_locks[1].fetch_add(1, Ordering::Relaxed);

@@ -499,7 +499,7 @@ pub(crate) fn combine(
 /// provider's output into its inputs — and how many (non-sibling)
 /// dependents consume each item's output.
 #[allow(clippy::type_complexity)]
-pub(crate) fn dependency_shape(
+fn dependency_shape(
     geo: &Geometry,
     items: &[layout::ChunkRecovery],
 ) -> (Vec<Vec<(usize, bool)>>, Vec<usize>) {
@@ -535,8 +535,8 @@ const BATCH_ITEMS: usize = 16;
 const BATCHES_PER_WORKER: usize = 4;
 
 /// Most chunks worth handling as one: [`BATCH_BYTES`] of them, at least 1
-/// and at most [`BATCH_ITEMS`]. It bounds a rebuild batch and a pass of
-/// the foreground ladder's group rung alike: what is gathered for more
+/// and at most [`BATCH_ITEMS`]. It bounds a rebuild batch and a batch of
+/// the foreground ladder's plan walk alike: what is gathered for more
 /// has left the cache before it is combined, and at 64 KiB a chunk is
 /// read straight into its buffer instead of staged in a run and copied.
 pub(crate) fn run_chunks(chunk_size: usize) -> usize {
@@ -802,7 +802,7 @@ impl Footprints {
 /// A set of chunk addresses kept as one bitmap per disk, indexed by
 /// offset: the rebuild loop's books. Testing, inserting and voiding a whole
 /// disk are word operations, and so is the difference the loop re-plans
-/// from; only the planner gets a `BTreeSet`.
+/// from; the planner asks it chunk by chunk.
 #[derive(Debug, Clone)]
 struct ChunkBits {
     /// Words per disk.
@@ -888,20 +888,6 @@ impl ChunkBits {
         for (a, b) in self.words.iter_mut().zip(&other.words) {
             *a |= b;
         }
-    }
-
-    /// The members, as the planner takes them.
-    fn to_set(&self) -> BTreeSet<ChunkAddr> {
-        let mut set = BTreeSet::new();
-        for (w, &word) in self.words.iter().enumerate() {
-            let (disk, base) = (w / self.stride, w % self.stride * 64);
-            let mut rest = word;
-            while rest != 0 {
-                set.insert(ChunkAddr::new(disk, base + rest.trailing_zeros() as usize));
-                rest &= rest - 1;
-            }
-        }
-        set
     }
 }
 
@@ -1161,8 +1147,8 @@ impl<B: BlockDevice> OiRaidStore<B> {
         let planned = if resume.is_some() {
             // Resume: only what the checkpoint does not cover needs
             // recovery — chunk-granular, same planner reroutes use.
-            let missing = lost.minus(&rebuilt).to_set();
-            self.array().chunk_recovery_plan(&missing)
+            let missing = lost.minus(&rebuilt);
+            self.array().chunk_recovery_plan(|a| missing.contains(a))
         } else if initially_failed.len() == 1 {
             single_failure_plan(
                 self.array(),
@@ -1398,15 +1384,13 @@ impl<B: BlockDevice> OiRaidStore<B> {
                 self.save_checkpoint_now(t);
             }
             let began = Instant::now();
-            let replanned = self.array().chunk_recovery_plan(&missing.to_set());
+            let replanned = self.array().chunk_recovery_plan(|a| missing.contains(a));
             obs.stages.plan.record_duration(began.elapsed());
-            plan = match replanned {
-                Ok(p) => p,
-                Err(_) => {
-                    aborted = Some(target_disks.clone());
-                    break;
-                }
+            let Ok(replanned) = replanned else {
+                aborted = Some(target_disks.clone());
+                break;
             };
+            plan = replanned;
         }
         let wall = start.elapsed();
         obs.heal.retries.inc_by(retry.retries);
@@ -2448,14 +2432,20 @@ mod tests {
                 }
                 assert_eq!(bits[i].contains(a), sets[i].contains(&a));
                 assert_eq!(bits[i].len(), sets[i].len());
-                assert_eq!(bits[i].to_set(), sets[i], "{chunks} chunks, step {step}");
                 let [lost, rebuilt, avoid, repaired] = &bits;
                 let mut missing = lost.minus(rebuilt);
                 missing.union_with(&avoid.minus(repaired));
                 let mut want: BTreeSet<ChunkAddr> = sets[0].difference(&sets[1]).copied().collect();
                 want.extend(sets[2].difference(&sets[3]).copied());
                 assert_eq!(missing.is_empty(), want.is_empty());
-                assert_eq!(missing.to_set(), want, "{chunks} chunks, step {step}");
+                assert_eq!(missing.len(), want.len());
+                for d in 0..DISKS {
+                    for o in 0..chunks {
+                        let a = ChunkAddr::new(d, o);
+                        assert_eq!(bits[i].contains(a), sets[i].contains(&a), "step {step}");
+                        assert_eq!(missing.contains(a), want.contains(&a), "step {step}");
+                    }
+                }
             }
         }
     }

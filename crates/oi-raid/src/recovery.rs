@@ -18,13 +18,10 @@
 //!   `ψ = (rg − (g−1)) / (rg + (g−1))` that equalises group-survivor and
 //!   remote-disk load — the bottleneck-optimal mix (ablation A2).
 
-use std::collections::BTreeSet;
-
 use layout::ChunkRecovery;
 use layout::{ChunkAddr, LayoutError, RecoveryPlan, SparePolicy, WriteTarget};
 
 use crate::array::OiRaid;
-use crate::multifail;
 
 /// How a single-disk rebuild sources its reads: `Inner` is local and slow,
 /// `Outer` is the paper's declustered default, `OuterAll` moves even
@@ -90,11 +87,9 @@ pub(crate) fn single_failure_plan(
         });
     }
     let grp = geo.group_of(failed_disk);
-    let j = geo.member_of(failed_disk);
     let (num, den) = hybrid_remote_fraction(geo.r, geo.g, geo.p_in);
     let mut parity_rows_seen = 0usize;
     let mut items = Vec::with_capacity(geo.chunks_per_disk);
-    let _ = j;
     for o in 0..geo.chunks_per_disk {
         let lost = ChunkAddr::new(failed_disk, o);
         let reads = if geo.is_inner_parity(lost) {
@@ -138,53 +133,6 @@ pub(crate) fn single_failure_plan(
     Ok(RecoveryPlan::new(n, failed, items))
 }
 
-/// The alternate-plan API: derives an arbitrary *chunk-granular* missing
-/// set from whatever redundancy is still readable.
-///
-/// This is what makes C4 operational during a rebuild: when a source read
-/// exhausts its retries (latent sector error) or a surviving disk dies
-/// mid-rebuild, the engine collects the unreadable chunks and asks for a
-/// fresh plan that routes around them through the inner/outer codes —
-/// including cross-layer cascades, exactly like whole-disk multi-failure
-/// planning, but seeded with individual chunks instead of disks.
-///
-/// Every chunk **not** in `missing` is assumed readable (already-rebuilt
-/// chunks on a healed disk are legitimate sources, which is how a resumed
-/// rebuild avoids re-reading what it already recovered). All items are
-/// written [`WriteTarget::InPlace`]: the owning disk is online (healed or
-/// healthy) and the rewrite lands at the chunk's own address, remapping
-/// latent sectors as a side effect.
-///
-/// Fails with [`LayoutError::DataLoss`] (listing the affected disks) when
-/// the missing set is not decodable.
-pub(crate) fn chunk_recovery_plan(
-    array: &OiRaid,
-    missing: &BTreeSet<ChunkAddr>,
-) -> Result<RecoveryPlan, LayoutError> {
-    let geo = array.geometry();
-    let n = geo.disks();
-    let t = geo.chunks_per_disk;
-    if let Some(a) = missing.iter().find(|a| a.disk >= n || a.offset >= t) {
-        return Err(LayoutError::DiskOutOfRange {
-            disk: a.disk,
-            disks: n,
-        });
-    }
-    let mut items = Vec::new();
-    if missing.is_empty() {
-        return Ok(RecoveryPlan::new(n, Vec::new(), items));
-    }
-    if !multifail::run_fixpoint(array, &[], missing, Some(&mut items)) {
-        let mut disks: Vec<usize> = missing.iter().map(|a| a.disk).collect();
-        disks.dedup(); // BTreeSet iteration is sorted by disk first
-        return Err(LayoutError::DataLoss { failed: disks });
-    }
-    for item in &mut items {
-        item.write = WriteTarget::InPlace;
-    }
-    Ok(RecoveryPlan::new(n, Vec::new(), items))
-}
-
 /// The `k − 1` surviving chunks of the outer stripe containing payload
 /// chunk `lost` — all in other groups.
 fn outer_stripe_reads(array: &OiRaid, lost: ChunkAddr) -> Vec<ChunkAddr> {
@@ -210,6 +158,8 @@ fn remote_row_reads(array: &OiRaid, grp: usize, row: usize) -> Vec<ChunkAddr> {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
     use crate::config::OiRaidConfig;
     use layout::Layout;
@@ -327,7 +277,7 @@ mod tests {
         // One missing chunk: derivable from its row or stripe, never read.
         let victim = ChunkAddr::new(4, 2);
         let missing: BTreeSet<ChunkAddr> = [victim].into_iter().collect();
-        let plan = a.chunk_recovery_plan(&missing).unwrap();
+        let plan = a.chunk_recovery_plan(|c| missing.contains(&c)).unwrap();
         assert_eq!(plan.total_writes(), 1);
         let item = &plan.items()[0];
         assert_eq!(item.lost, victim);
@@ -346,7 +296,7 @@ mod tests {
         // recomputes from repaired payload (depends wiring).
         let mut missing: BTreeSet<ChunkAddr> = geo.row_chunks(0, 0).into_iter().collect();
         missing.insert(ChunkAddr::new(20, 8));
-        let plan = a.chunk_recovery_plan(&missing).unwrap();
+        let plan = a.chunk_recovery_plan(|c| missing.contains(&c)).unwrap();
         assert_eq!(plan.total_writes() as usize, missing.len());
         // No plan read touches a missing chunk.
         for item in plan.items() {
@@ -364,27 +314,21 @@ mod tests {
     }
 
     #[test]
-    fn chunk_plan_rejects_undecodable_sets_and_bad_addresses() {
+    fn chunk_plan_rejects_undecodable_sets() {
         let a = reference();
-        let geo = a.geometry();
-        let everything: BTreeSet<ChunkAddr> = (0..geo.disks())
-            .flat_map(|d| (0..geo.chunks_per_disk).map(move |o| ChunkAddr::new(d, o)))
-            .collect();
         assert!(matches!(
-            a.chunk_recovery_plan(&everything),
-            Err(LayoutError::DataLoss { .. })
+            a.chunk_recovery_plan(|_| true),
+            Err(LayoutError::DataLoss { failed }) if failed == (0..21).collect::<Vec<_>>()
         ));
-        let oob: BTreeSet<ChunkAddr> = [ChunkAddr::new(99, 0)].into_iter().collect();
-        assert!(matches!(
-            a.chunk_recovery_plan(&oob),
-            Err(LayoutError::DiskOutOfRange { disk: 99, .. })
-        ));
-        assert_eq!(
-            a.chunk_recovery_plan(&BTreeSet::new())
-                .unwrap()
-                .total_writes(),
-            0
-        );
+        // 2 + 2 disks across two groups: only disks left holding
+        // unrecovered chunks are named.
+        match a.chunk_recovery_plan(|c| [0, 1, 3, 4].contains(&c.disk)) {
+            Err(LayoutError::DataLoss { failed }) => {
+                assert!(!failed.is_empty() && failed.iter().all(|d| [0, 1, 3, 4].contains(d)))
+            }
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(a.chunk_recovery_plan(|_| false).unwrap().total_writes(), 0);
     }
 
     #[test]

@@ -36,17 +36,18 @@ use blockdev::{
 };
 use ecc::{ErasureCode, Raid6, XorParity};
 use gf::Gf256;
-use layout::{ChunkAddr, Layout, LayoutError};
+use layout::{ChunkAddr, ChunkRecovery, Layout, LayoutError, RecoveryPlan};
 use telemetry::{Histogram, Registry};
 
 use crate::array::OiRaid;
 use crate::bufpool::BufPool;
 use crate::config::OiRaidConfig;
 use crate::geometry::{Geometry, PayloadPos};
+use crate::multifail;
 use crate::observe::RebuildObserver;
 use crate::online::{OnlineState, Region};
 use crate::qos::{QosConfig, QosCounters, QosState};
-use crate::rebuild::{combine, dependency_shape, read_run_healing, run_chunks, Inputs};
+use crate::rebuild::{combine, read_run_healing, run_chunks, Inputs};
 use crate::retry_cell::RetryCell;
 
 /// Errors from the byte-level store.
@@ -390,6 +391,13 @@ fn chunk_pieces(
 /// new bytes, is-data-chunk)` — data chunks become window-valid at commit,
 /// parity chunks do not.
 type MemberNew = (ChunkAddr, Vec<u8>, bool);
+
+/// What a foreground op holds on the value ladder ([`OiRaidStore::on_ladder`]):
+/// the relations it locked, and the plan they were locked for with its epoch.
+struct Held {
+    regions: Vec<Region>,
+    plan: Option<(u64, RecoveryPlan)>,
+}
 
 /// An OI-RAID array storing real bytes on pluggable block devices.
 ///
@@ -896,14 +904,8 @@ impl<B: BlockDevice> OiRaidStore<B> {
     /// The parity relations `addr` participates in (its inner row, plus
     /// its outer stripe for payload chunks) — the granularity of the
     /// online dirty tracker.
-    pub(crate) fn regions_for(&self, addr: ChunkAddr) -> impl Iterator<Item = Region> {
-        let geo = self.array.geometry();
-        let stripe = (!geo.is_inner_parity(addr)).then(|| {
-            let p = geo.payload_pos(addr);
-            Region::Stripe(p.block, p.stripe)
-        });
-        let row = Region::Row(geo.group_of(addr.disk), addr.offset);
-        [Some(row), stripe].into_iter().flatten()
+    pub(crate) fn regions_for(&self, addr: ChunkAddr) -> impl Iterator<Item = Region> + '_ {
+        multifail::relations_of(self.array.geometry(), addr)
     }
 
     /// Rung 1 of the value ladder (see [`Self::current_values`]): reads
@@ -1062,14 +1064,14 @@ impl<B: BlockDevice> OiRaidStore<B> {
         &self,
         parity: BTreeMap<ChunkAddr, Vec<u8>>,
         news: &mut Vec<MemberNew>,
-        exclusive: bool,
+        held: &mut Held,
     ) -> Result<bool, StoreError> {
         // Member by member, each delta back in the pool before the next old
         // value is read: a group's hundred parity members then cycle a few
         // hot buffers instead of holding two hundred at once.
         for (paddr, pdelta) in parity {
             if self.chunk_available(paddr) {
-                let Some(mut old) = self.current_values(&[paddr], exclusive)? else {
+                let Some(mut old) = self.current_values(&[paddr], held)? else {
                     return Ok(false);
                 };
                 gf::kernels::xor_acc(&mut old[0], &pdelta);
@@ -1292,148 +1294,171 @@ impl<B: BlockDevice> OiRaidStore<B> {
     /// The degraded read of a group of data chunks — one of
     /// [`Self::read_data`], up to `MAX_WRITE_GROUP` of a
     /// [`Self::read_data_batch`]: their values off the ladder, in order,
-    /// under one lock of the union of their relations, one degraded-read
-    /// node hung under whatever asked (the redundancy reads below attribute
-    /// to it) and one telemetry touch, counted per chunk since `began`.
+    /// under one lock of the relations their plan decodes through, one
+    /// degraded-read node hung under whatever asked
+    /// (the redundancy reads below attribute to it) and one telemetry
+    /// touch, counted per chunk since `began`.
     fn read_degraded(&self, idxs: &[usize], began: Instant) -> Result<Vec<Vec<u8>>, StoreError> {
         let kind = telemetry::EventKind::DegradedRead;
         let _trace = telemetry::trace_scope(kind, idxs[0] as u64, idxs.len() as u64);
         let addrs: Vec<ChunkAddr> = idxs.iter().map(|&i| self.array.locate_data(i)).collect();
-        let regions: Vec<Region> = addrs.iter().flat_map(|a| self.regions_for(*a)).collect();
-        let values = self.on_ladder(&regions, |excl| self.current_values(&addrs, excl))?;
+        // A read changes nothing, so it locks only what its plan decodes
+        // through; a target found latent by its own read relocks for more.
+        let values =
+            self.on_ladder(&addrs, Vec::new(), |held| self.current_values(&addrs, held))?;
         let took = began.elapsed();
         self.telem.record_degraded_reads(took, idxs.len());
         self.telem.record_foreground_reads(took, idxs.len());
         Ok(values)
     }
 
-    /// Runs `body` where [`Self::current_values`] may climb: under the
-    /// stripe locks of `regions` (rungs 1 and 2 of every chunk whose
-    /// [`Self::regions_for`] they include) and, when `body` answers
-    /// `Ok(None)` — a value lay beyond them, nothing was changed — again from
-    /// the top under the exclusive update lock, which shuts out every region
-    /// holder (foreground writers, rebuild writebacks) while rung 3 reads
-    /// across relations. `body` is told which of the two it holds.
+    /// Runs `body` where [`Self::current_values`] may decode: under the
+    /// stripe locks of `regions` and of the relations the plan of the
+    /// unavailable `targets`, made before locking and handed on for reuse,
+    /// decodes through. A writer locks every relation holding a chunk it
+    /// modifies, so these keep still all that the decodes read. `Ok(None)`
+    /// from `body` changed nothing and grew what it holds (a latent source
+    /// moved the plan): it runs again under the union, never under
+    /// [`OnlineState::lock_updates`].
     fn on_ladder<T>(
         &self,
-        regions: &[Region],
-        mut body: impl FnMut(bool) -> Result<Option<T>, StoreError>,
+        targets: &[ChunkAddr],
+        regions: Vec<Region>,
+        mut body: impl FnMut(&mut Held) -> Result<Option<T>, StoreError>,
     ) -> Result<T, StoreError> {
-        {
-            let _guard = self.online.lock_regions(regions);
-            if let Some(out) = body(false)? {
+        let epoch = self.online.epoch();
+        let available = |a: ChunkAddr| self.chunk_available(a);
+        let (plan, via) = multifail::plan_closure(&self.array, targets, available);
+        let mut held = Held {
+            regions,
+            plan: Some((epoch, plan)),
+        };
+        held.regions.extend(via);
+        loop {
+            let _guard = self.online.lock_regions(&held.regions);
+            if let Some(out) = body(&mut held)? {
                 return Ok(out);
             }
         }
-        let _guard = self.online.lock_updates();
-        Ok(body(true)?.expect("under the exclusive lock the ladder answers or errors"))
     }
 
     /// The store's one way to a value it may not be able to simply read:
-    /// the current bytes of `addrs`, in order, in pooled buffers. Reads,
-    /// and writes for the old values of their data *and* parity members,
-    /// all come here, from inside [`Self::on_ladder`].
+    /// the current bytes of `addrs` (distinct), in order, in pooled
+    /// buffers. Reads, and writes for the old values of their data *and*
+    /// parity members, all come here, from inside [`Self::on_ladder`].
     ///
     /// * **Rung 1** — the device read ([`Self::chunk_pooled`]). A member
     ///   that is up but unreadable is a miss like a failed disk's.
-    /// * **Rung 2** — one relation of each miss's own, all the misses in
-    ///   one pass ([`Self::decode_group`]), read under the caller's region
-    ///   locks.
-    /// * **Rung 3** — the plan walk ([`Self::decode_planned`]), taken only
-    ///   with `exclusive` set, that is under [`OnlineState::lock_updates`].
+    /// * **Rung 2** — one plan of every miss, walked by [`Self::walk_plan`]:
+    ///   `held`'s if it plans them all, else a new one
+    ///   ([`multifail::plan_closure`], misses and unreadable sources counted
+    ///   out). An unreadable source (a latent sector) or a moved epoch (see
+    ///   [`Self::read_into`]) voids the walk and plans again.
     ///
-    /// `Ok(None)` asks a caller holding region locks only to come back
-    /// under the exclusive lock; [`StoreError::DataLoss`] is the planner's
-    /// word that no relation chain reaches the value any more.
+    /// A new plan through a relation `held` lacks is kept in it, its
+    /// relations added, and the answer is `Ok(None)` before anything is
+    /// read: the caller relocks. [`StoreError::DataLoss`] is the planner's
+    /// word that no relation chain reaches a miss any more.
     fn current_values(
         &self,
         addrs: &[ChunkAddr],
-        exclusive: bool,
+        held: &mut Held,
     ) -> Result<Option<Vec<Vec<u8>>>, StoreError> {
         let mut values: Vec<Option<Vec<u8>>> =
             addrs.iter().map(|a| self.chunk_pooled(*a)).collect();
-        // A pass at a time over what fits a rebuild batch, so the sources
-        // gathered for it are still in cache when they combine.
-        let per = run_chunks(self.chunk_size);
-        for (addrs, values) in addrs.chunks(per).zip(values.chunks_mut(per)) {
-            if values.iter().any(Option::is_none) {
-                self.decode_group(addrs, values);
+        let misses = addrs.iter().zip(&values).filter(|(_, v)| v.is_none());
+        let targets: Vec<ChunkAddr> = misses.map(|(a, _)| *a).collect();
+        // Each miss's item in `plan`, or `None` if one has none.
+        let items_of = |plan: &RecoveryPlan| -> Option<Vec<usize>> {
+            let item_of = |t: &ChunkAddr| plan.items().iter().position(|it| it.lost == *t);
+            targets.iter().map(item_of).collect()
+        };
+        let mut reuse = held
+            .plan
+            .take()
+            .and_then(|(epoch, plan)| Some((epoch, items_of(&plan)?, plan)));
+        let mut unreadable = Vec::new();
+        while !targets.is_empty() {
+            let (epoch, at, plan) = match reuse.take() {
+                Some(planned) => planned,
+                None => {
+                    let epoch = self.online.epoch();
+                    let out = |a: &ChunkAddr| targets.contains(a) || unreadable.contains(a);
+                    let available = |a: ChunkAddr| self.chunk_available(a) && !out(&a);
+                    let (plan, via) = multifail::plan_closure(&self.array, &targets, available);
+                    let Some(at) = items_of(&plan) else {
+                        if self.online.epoch() == epoch {
+                            return Err(StoreError::DataLoss);
+                        }
+                        continue;
+                    };
+                    if !via.iter().all(|r| held.regions.contains(r)) {
+                        held.regions.extend(via);
+                        held.plan = Some((epoch, plan));
+                        values.into_iter().flatten().for_each(|v| self.pool.put(v));
+                        return Ok(None);
+                    }
+                    (epoch, at, plan)
+                }
+            };
+            let Some(mut outputs) = self.walk_plan(plan.items(), &mut unreadable) else {
+                continue;
+            };
+            if self.online.epoch() == epoch {
+                let misses = values.iter_mut().filter(|v| v.is_none());
+                for (value, &item) in misses.zip(&at) {
+                    *value = Some(std::mem::take(&mut outputs[item]));
+                }
             }
-        }
-        let dense: Vec<usize> = (0..addrs.len()).filter(|&i| values[i].is_none()).collect();
-        if !dense.is_empty() {
-            if !exclusive {
-                values.into_iter().flatten().for_each(|v| self.pool.put(v));
-                return Ok(None);
-            }
-            let targets: Vec<ChunkAddr> = dense.iter().map(|&i| addrs[i]).collect();
-            for (i, value) in dense.into_iter().zip(self.decode_planned(&targets)?) {
-                values[i] = Some(value);
+            // Outputs taken above are empty, which the pool refuses.
+            outputs.into_iter().for_each(|b| self.pool.put(b));
+            if values.iter().all(Option::is_some) {
+                break;
             }
         }
         let value = |v: Option<Vec<u8>>| v.expect("a rung answered");
         Ok(Some(values.into_iter().map(value).collect()))
     }
 
-    /// Rung 2, over a group: fills every `None` of `values` (the rung-1
-    /// misses among `addrs`) that one relation of its own reaches.
-    /// **Plan**, from availability alone: the miss's inner row (up to `p_in`
-    /// erasures), else its outer stripe (payload chunks only). **Gather**
-    /// every wanted source once, in `(disk, offset)` order, consecutive
-    /// offsets as one device run ([`read_run_healing`], the rebuild
-    /// engine's) into pooled buffers, under one epoch ticket, one copy of
-    /// the retry policy and one reader per disk. **Combine** each miss
-    /// whose sources all came. A source the gather could not read (a latent
-    /// sector) is an erasure to the next pass, which re-plans what it
-    /// starved; a moved epoch voids the pass (see [`Self::read_into`]).
-    /// Misses are never errors: what stays `None` has lost more than its
-    /// relations absorb and is rung 3's. The reads are exactly what
-    /// [`OnlineState::lock_regions`] over [`Self::regions_for`] covers.
-    fn decode_group(&self, addrs: &[ChunkAddr], values: &mut [Option<Vec<u8>>]) {
+    /// Walks a ladder plan in order, [`run_chunks`] items at a time so a
+    /// batch's sources are still in cache when they combine. **Gather** each
+    /// read once, in `(disk, offset)` order, consecutive offsets as one
+    /// device run ([`read_run_healing`], the rebuild engine's) into pooled
+    /// buffers; **combine** each item from its reads and the outputs it
+    /// depends on. Every item's output, or `None` (everything back in the
+    /// pool) once a source stays unreadable; it joins `unreadable`.
+    fn walk_plan(
+        &self,
+        items: &[ChunkRecovery],
+        unreadable: &mut Vec<ChunkAddr>,
+    ) -> Option<Vec<Vec<u8>>> {
         let (geo, cs, pool) = (self.array.geometry(), self.chunk_size, &self.pool);
-        let (policy, staging) = (self.retry_policy(), Mutex::default());
-        let mut unreadable: Vec<ChunkAddr> = Vec::new();
-        loop {
-            let epoch = self.online.epoch();
-            let up = |a: &ChunkAddr| self.chunk_available(*a) && !unreadable.contains(a);
-            // `(source, miss)` pairs, the sources of one miss together.
+        let (code, policy, staging) = (self.inner_code(), self.retry_policy(), Mutex::default());
+        let failed = unreadable.len();
+        // A row decode parks its other erased units here for the read-less
+        // siblings that follow it.
+        let decoded = Mutex::default();
+        let mut outputs: Vec<Vec<u8>> = Vec::with_capacity(items.len());
+        for batch in items.chunks(run_chunks(cs)) {
+            // `(source, item)` pairs, the sources of one item together.
             let mut wanted: Vec<(ChunkAddr, usize)> = Vec::new();
-            for (m, &lost) in addrs.iter().enumerate() {
-                if values[m].is_some() {
-                    continue;
-                }
-                let from = wanted.len();
-                let row = geo.row_chunks(geo.group_of(lost.disk), lost.offset);
-                wanted.extend(row.iter().filter(|a| **a != lost && up(a)).map(|a| (*a, m)));
-                if geo.g - (wanted.len() - from) > geo.p_in {
-                    wanted.truncate(from);
-                    if !geo.is_inner_parity(lost) {
-                        let p = geo.payload_pos(lost);
-                        let stripe = geo.stripe_chunks(p.block, p.stripe);
-                        if stripe.iter().all(|a| *a == lost || up(a)) {
-                            wanted.extend(stripe.iter().filter(|a| **a != lost).map(|a| (*a, m)));
-                        }
-                    }
-                }
-            }
-            if wanted.is_empty() {
-                return;
+            for (i, it) in batch.iter().enumerate() {
+                wanted.extend(it.reads.iter().map(|a| (*a, i)));
             }
             wanted.sort_unstable();
             let mut firsts: Vec<(usize, ChunkAddr)> =
                 wanted.iter().map(|w| w.0).enumerate().collect();
             firsts.dedup_by_key(|first| first.1);
-            let mut inputs: Vec<Inputs> = vec![Inputs::new(); addrs.len()];
-            let failed = unreadable.len();
+            let mut inputs: Vec<Inputs> = vec![Inputs::new(); batch.len()];
             let mut sink = |w: usize, addr: ChunkAddr, read: Result<Vec<u8>, DeviceError>| {
                 let Ok(bytes) = read else {
                     return unreadable.push(addr);
                 };
-                // Read once; further misses planned on it get copies.
-                for &(_, m) in wanted[w + 1..].iter().take_while(|(a, _)| *a == addr) {
+                // Read once; further items planned on it get copies.
+                for &(_, i) in wanted[w + 1..].iter().take_while(|(a, _)| *a == addr) {
                     let mut copy = pool.take_dirty();
                     copy.copy_from_slice(&bytes);
-                    inputs[m].push((addr, copy));
+                    inputs[i].push((addr, copy));
                 }
                 inputs[wanted[w].1].push((addr, bytes));
             };
@@ -1443,88 +1468,27 @@ impl<B: BlockDevice> OiRaidStore<B> {
                     read_run_healing(&reader, run, cs, pool, &staging, &mut sink);
                 }
             }
-            let stale = self.online.epoch() != epoch;
-            // A row decode parks its other erased units here for siblings;
-            // rung 2 has none.
-            let decoded = Mutex::default();
-            for (m, mut sources) in inputs.into_iter().enumerate() {
-                let need = wanted.iter().filter(|w| w.1 == m).count();
-                if !stale && need > 0 && sources.len() == need {
-                    let (code, lost) = (self.inner_code(), addrs[m]);
-                    values[m] = Some(combine(geo, code, lost, &mut sources, &decoded, pool));
+            if unreadable.len() > failed {
+                inputs.into_iter().flatten().for_each(|(_, b)| pool.put(b));
+                break;
+            }
+            for (it, mut sources) in batch.iter().zip(inputs) {
+                for &d in &it.depends {
+                    let mut copy = pool.take_dirty();
+                    copy.copy_from_slice(&outputs[d]);
+                    sources.push((items[d].lost, copy));
                 }
+                outputs.push(combine(geo, code, it.lost, &mut sources, &decoded, pool));
                 sources.into_iter().for_each(|(_, b)| pool.put(b));
             }
-            let parked = decoded.into_inner().expect("decode cache lock");
-            parked.into_iter().for_each(|(_, b)| pool.put(b));
-            if !stale && unreadable.len() == failed {
-                return;
-            }
         }
-    }
-
-    /// Rung 3: decodes `targets` by walking the chunk-granular recovery
-    /// plan of *everything* rung 1 cannot deliver — the same plan, items
-    /// and [`combine`] a rebuild round or the scrub executes, cut down to
-    /// the backward dependency closure of the targets and walked in plan
-    /// order on the calling thread. A source that turns out unreadable
-    /// joins the missing set and the walk re-plans, until it completes or
-    /// the planner reports [`StoreError::DataLoss`]. The closure's reads
-    /// span relations no region footprint bounds, so callers must hold the
-    /// update lock *exclusively*.
-    fn decode_planned(&self, targets: &[ChunkAddr]) -> Result<Vec<Vec<u8>>, StoreError> {
-        let geo = self.array.geometry();
-        let code = self.inner_code();
-        let mut unreadable: BTreeSet<ChunkAddr> = targets.iter().copied().collect();
-        'plan: loop {
-            let mut missing = unreadable.clone();
-            for d in 0..geo.disks() {
-                let chunks = (0..geo.chunks_per_disk).map(|o| ChunkAddr::new(d, o));
-                missing.extend(chunks.filter(|a| !self.chunk_available(*a)));
-            }
-            let plan = self
-                .array
-                .chunk_recovery_plan(&missing)
-                .map_err(|_| StoreError::DataLoss)?;
-            let items = plan.items();
-            let (depends, _) = dependency_shape(geo, items);
-            let item_of = |t: &ChunkAddr| items.iter().position(|it| it.lost == *t);
-            let at: Vec<usize> = targets
-                .iter()
-                .map(|t| item_of(t).expect("a target is missing, so planned"))
-                .collect();
-            // Dependencies (and sibling links) only point backwards, so one
-            // descending pass closes the targets' item set.
-            let mut wanted = vec![false; items.len()];
-            at.iter().for_each(|&idx| wanted[idx] = true);
-            for idx in (0..items.len()).rev() {
-                if wanted[idx] {
-                    depends[idx].iter().for_each(|&(d, _)| wanted[d] = true);
-                }
-            }
-            let mut outputs: Vec<Option<Vec<u8>>> = vec![None; items.len()];
-            let decoded = Mutex::default();
-            for idx in (0..items.len()).filter(|&idx| wanted[idx]) {
-                let (lost, mut inputs) = (items[idx].lost, Inputs::new());
-                for &a in &items[idx].reads {
-                    match self.chunk_pooled(a) {
-                        Some(bytes) => inputs.push((a, bytes)),
-                        None => {
-                            unreadable.insert(a);
-                            continue 'plan;
-                        }
-                    }
-                }
-                for &(d, _) in depends[idx].iter().filter(|(_, sibling)| !sibling) {
-                    inputs.push((items[d].lost, outputs[d].clone().expect("walked before")));
-                }
-                let value = combine(geo, code, lost, &mut inputs, &decoded, &self.pool);
-                inputs.into_iter().for_each(|(_, b)| self.pool.put(b));
-                outputs[idx] = Some(value);
-            }
-            let value = |&idx: &usize| outputs[idx].clone().expect("walked");
-            return Ok(at.iter().map(value).collect());
+        let parked = decoded.into_inner().expect("decode cache lock");
+        parked.into_iter().for_each(|(_, b)| pool.put(b));
+        if unreadable.len() == failed {
+            return Some(outputs);
         }
+        outputs.into_iter().for_each(|b| pool.put(b));
+        None
     }
 
     /// Store-level telemetry (degraded-read counter and latency).
@@ -2206,10 +2170,11 @@ impl<B: BlockDevice> OiRaidStore<B> {
     /// they do proceed in parallel. A full group of `MAX_WRITE_GROUP` chunks
     /// holds up to 96 of the 4096 stripes, and two full groups collide nine
     /// times in ten (1 − e^(−96·96/4096)): a group locks the union of its
-    /// members' relations, so full groups mostly take turns.
-    /// The whole group goes round again under the exclusive update lock when
-    /// any old value — a data member's or a parity member's — needs rung 3
-    /// of the ladder (see [`Self::on_ladder`]).
+    /// members' relations, so full groups mostly take turns. A degraded
+    /// group adds the relations its lost data members' plan decodes through,
+    /// planned before the lock; only a latent source found under it can
+    /// grow that set, and then the group goes round again under the union
+    /// (see [`Self::on_ladder`]).
     fn write_group(&self, group: &[ChunkPatches<'_>]) -> Result<(), StoreError> {
         self.qos.note_foreground();
         let _trace =
@@ -2230,8 +2195,9 @@ impl<B: BlockDevice> OiRaidStore<B> {
             let degraded = targets.iter().any(|t| !self.chunk_available(*t));
             items.push((addr, outer, degraded));
         }
-        self.on_ladder(&regions, |exclusive| {
-            self.apply_write_group(group, &items, &regions, exclusive)
+        let addrs: Vec<ChunkAddr> = items.iter().map(|(addr, ..)| *addr).collect();
+        self.on_ladder(&addrs, regions.clone(), |held| {
+            self.apply_write_group(group, &items, &addrs, &regions, held)
         })?;
         let took = began.elapsed();
         for (_, _, degraded) in &items {
@@ -2253,19 +2219,20 @@ impl<B: BlockDevice> OiRaidStore<B> {
     /// read-modify-written **once**, not once per member.
     ///
     /// Compute-then-commit: every member's absolute new value is derived
-    /// *before* any device is touched, so an `Ok(None)` (an old value lay
-    /// beyond the region locks) has changed nothing; then the whole set
-    /// commits through [`Self::commit_members`] — journaled as one intent
-    /// record when a journal is attached.
+    /// *before* any device is touched, so an `Ok(None)` (an old value's
+    /// plan needs relations `held` lacks) has changed nothing; then the
+    /// whole set commits through [`Self::commit_members`] — journaled as one
+    /// intent record when a journal is attached — and marks the relations
+    /// it modified, `regions`, dirty.
     fn apply_write_group(
         &self,
         group: &[ChunkPatches<'_>],
         items: &[(ChunkAddr, ChunkAddr, bool)],
+        addrs: &[ChunkAddr],
         regions: &[Region],
-        exclusive: bool,
+        held: &mut Held,
     ) -> Result<Option<()>, StoreError> {
-        let addrs: Vec<ChunkAddr> = items.iter().map(|(addr, ..)| *addr).collect();
-        let Some(olds) = self.current_values(&addrs, exclusive)? else {
+        let Some(olds) = self.current_values(addrs, held)? else {
             return Ok(None);
         };
         let mut parity: BTreeMap<ChunkAddr, Vec<u8>> = BTreeMap::new();
@@ -2300,7 +2267,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
         // (one read-modify per touched parity chunk, not one per member);
         // the whole group then commits as a single journal intent — one
         // record, one flush, however many chunks the wave coalesced.
-        let resolved = self.resolve_parity_news(parity, &mut news, exclusive)?;
+        let resolved = self.resolve_parity_news(parity, &mut news, held)?;
         if resolved {
             self.commit_members(&news)?;
             // Tell an in-flight rebuild that these relations changed under
@@ -2443,11 +2410,8 @@ impl<B: BlockDevice> OiRaidStore<B> {
         let mut unrecoverable: Vec<ChunkAddr> = Vec::new();
         if !bad.is_empty() {
             obs.heal.reroutes.inc_by(bad.len() as u64);
-            let mut missing = bad.clone();
-            for &d in &failed {
-                missing.extend((0..chunks_per_disk).map(|o| ChunkAddr::new(d, o)));
-            }
-            match self.array.chunk_recovery_plan(&missing) {
+            let missing = |a: ChunkAddr| bad.contains(&a) || failed.contains(&a.disk);
+            match self.array.chunk_recovery_plan(missing) {
                 Ok(plan) => {
                     let regions = self.plan_regions(&plan);
                     let mode = crate::RebuildMode::Serial;
@@ -3430,6 +3394,162 @@ mod tests {
         assert!(store.check_parity().is_empty());
         let report = store.scrub();
         assert!(report.is_clean(), "{report}");
+    }
+
+    /// No foreground op takes the store-wide exclusive lock, whatever it
+    /// decodes: under every multi-disk pattern of [`failure_patterns`],
+    /// with 40 per mille of the surviving sectors latent, single and
+    /// batched reads and writes either answer right or report data loss.
+    #[test]
+    fn no_foreground_op_takes_the_exclusive_lock() {
+        use blockdev::FaultConfig;
+        let (store, mut expect) = filled_faulty_store(16);
+        let all: Vec<usize> = (0..store.data_chunks()).collect();
+        for failed in failure_patterns().into_iter().filter(|f| f.len() > 1) {
+            for &d in &failed {
+                store.fail_disk(d).unwrap();
+            }
+            for (d, dev) in store.devices().iter().enumerate() {
+                dev.set_config(FaultConfig {
+                    seed: 0x5EED ^ ((d as u64 + 1) * 7919),
+                    latent_per_mille: 40,
+                    ..FaultConfig::default()
+                });
+            }
+            let exclusive = store.online.update_locks().1;
+            let answered = |got: Result<Vec<u8>, StoreError>, want: &[u8]| match got {
+                Ok(bytes) => assert_eq!(bytes, want, "{failed:?}"),
+                Err(e) => assert_eq!(e, StoreError::DataLoss, "{failed:?}"),
+            };
+            for &idx in &all {
+                answered(store.read_data(idx), &expect[idx]);
+                let new = vec![(idx + failed.len()) as u8; 16];
+                if store.write_data(idx, &new).is_ok() {
+                    expect[idx] = new;
+                }
+            }
+            match store.read_data_batch(&all) {
+                Ok(got) => assert_eq!(got, expect, "{failed:?}"),
+                Err(e) => assert_eq!(e, StoreError::DataLoss, "{failed:?}"),
+            }
+            let new = [0xC3u8; 40];
+            let writes: Vec<(u64, &[u8])> = (0..12).map(|k| (k * 53, &new[..])).collect();
+            if store.write_bytes_batch(&writes).is_ok() {
+                for (at, bytes) in &writes {
+                    for (i, b) in bytes.iter().enumerate() {
+                        let pos = *at as usize + i;
+                        expect[pos / 16][pos % 16] = *b;
+                    }
+                }
+            }
+            assert_eq!(store.online.update_locks().1, exclusive, "{failed:?}");
+            for dev in store.devices() {
+                dev.set_config(FaultConfig::default());
+            }
+            store
+                .rebuild(RebuildMode::Dag, RecoveryStrategy::Hybrid)
+                .unwrap();
+            assert_eq!(store.read_data_batch(&all).unwrap(), expect, "{failed:?}");
+        }
+    }
+
+    /// A memory device that counts the reads of each of its chunks.
+    #[derive(Debug)]
+    struct CountingDevice {
+        inner: MemDevice,
+        reads: Mutex<Vec<u32>>,
+    }
+
+    impl BlockDevice for CountingDevice {
+        fn chunk_size(&self) -> usize {
+            self.inner.chunk_size()
+        }
+        fn chunks(&self) -> usize {
+            self.inner.chunks()
+        }
+        fn is_failed(&self) -> bool {
+            self.inner.is_failed()
+        }
+        fn read_chunk(&self, chunk: usize, buf: &mut [u8]) -> Result<(), DeviceError> {
+            self.reads.lock().unwrap()[chunk] += 1;
+            self.inner.read_chunk(chunk, buf)
+        }
+        fn write_chunk(&self, chunk: usize, data: &[u8]) -> Result<(), DeviceError> {
+            self.inner.write_chunk(chunk, data)
+        }
+        fn fail(&self) {
+            self.inner.fail()
+        }
+        fn heal(&self) -> Result<(), DeviceError> {
+            self.inner.heal()
+        }
+        fn counters(&self) -> blockdev::CounterSnapshot {
+            self.inner.counters()
+        }
+        fn reset_counters(&self) {
+            self.inner.reset_counters()
+        }
+    }
+
+    /// At the serving geometry with disks {0, 1, 3} down, a 64-chunk batch
+    /// of disk 1's lost chunks, the dense ones among them (row *and* stripe
+    /// broken: their stripe's lost member on disk 3 decodes through its own
+    /// row first), reads every source chunk once and takes `lock_regions`
+    /// once per group of `MAX_WRITE_GROUP`: no group relocks.
+    #[test]
+    fn a_dense_degraded_batch_reads_each_source_once_under_one_lock_per_group() {
+        let cfg = OiRaidConfig::new(bibd::fano(), 3, 32).unwrap();
+        let devices = (0..cfg.disks())
+            .map(|_| CountingDevice {
+                inner: MemDevice::new(4096, cfg.chunks_per_disk()),
+                reads: Mutex::new(vec![0; cfg.chunks_per_disk()]),
+            })
+            .collect();
+        let store = OiRaidStore::with_devices(cfg, 4096, devices).unwrap();
+        let value = |idx: usize| vec![(idx % 251) as u8 + 1; 4096];
+        for idx in 0..store.data_chunks() {
+            store.write_data(idx, &value(idx)).unwrap();
+        }
+        let failed = [0usize, 1, 3];
+        for d in failed {
+            store.fail_disk(d).unwrap();
+        }
+        let geo = store.array.geometry();
+        let dense = |idx: &usize| {
+            let p = geo.payload_pos(store.locate(*idx));
+            let stripe = geo.stripe_chunks(p.block, p.stripe);
+            stripe.iter().filter(|a| failed.contains(&a.disk)).count() > 1
+        };
+        let mut idxs: Vec<usize> = (0..store.data_chunks())
+            .filter(|&i| store.locate(i).disk == 1)
+            .collect();
+        idxs.sort_by_key(|i| !dense(i));
+        idxs.truncate(64);
+        let dense_count = idxs.iter().filter(|i| dense(i)).count();
+        assert!((1..64).contains(&dense_count), "{dense_count} dense of 64");
+        for dev in store.devices() {
+            dev.reads.lock().unwrap().fill(0);
+        }
+        let locks = store.online.update_locks();
+        let got = store.read_data_batch(&idxs).unwrap();
+        let after = store.online.update_locks();
+        for (idx, bytes) in idxs.iter().zip(&got) {
+            assert_eq!(*bytes, value(*idx), "idx {idx}");
+        }
+        assert_eq!(
+            (after.0 - locks.0, after.1 - locks.1),
+            (64 / MAX_WRITE_GROUP, 0),
+            "one lock_regions per group, lock_updates never"
+        );
+        let reads: Vec<u32> = store
+            .devices()
+            .iter()
+            .flat_map(|d| d.reads.lock().unwrap().clone())
+            .collect();
+        assert_eq!(reads.iter().max(), Some(&1), "a source chunk read twice");
+        // Two sources per lost chunk, one more per dense one.
+        let sources: u32 = reads.iter().sum();
+        assert_eq!(sources as usize, 2 * 64 + dense_count);
     }
 
     /// Device reads issued since the store was built, over all disks.

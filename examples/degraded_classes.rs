@@ -1,11 +1,12 @@
 //! What a degraded foreground op costs, by failure pattern (EXPERIMENTS.md
-//! E27): at the serving geometry (Fano x 3, 256 cycles, 4 KiB chunks) every
-//! data chunk whose home disk is down is read once and classed by the
-//! device reads it took, and the same chunks again through
-//! `read_data_batch` 64 at a time (device read ops, source chunks read and
-//! us, per chunk: EXPERIMENTS.md E28); then, on the reference array with
-//! every disk up and 30 per mille of sectors latent, how many foreground
-//! ops fail.
+//! E27, E30): at the serving geometry (Fano x 3, 256 cycles, 4 KiB chunks)
+//! every data chunk whose home disk is down is read once through
+//! `read_data` and classed by the device reads it took, with the source
+//! chunks read per lost chunk (the reconstruction load of Dau et al.), and
+//! the same chunks again through `read_data_batch` 64 at a time (device
+//! read ops, source chunks read and us, per chunk: EXPERIMENTS.md E28);
+//! then, on the reference array with every disk up and 30 per mille of
+//! sectors latent, how many foreground ops fail.
 //!
 //! `cargo run --release --example degraded_classes`
 
@@ -33,11 +34,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!(
         "failed disks | degraded ops | device reads x ops (mean us) per class \
-         | batches of 64: device reads, chunks read, us per chunk"
+         | single: chunks read per chunk | batches of 64: device reads, chunks read, us per chunk"
     );
     for failed in [
         vec![0],
         vec![0, 1],
+        vec![0, 1, 2],
         vec![0, 1, 3],
         vec![0, 1, 4],
         vec![0, 3, 6],
@@ -49,12 +51,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let degraded: Vec<usize> = (0..store.data_chunks())
             .filter(|&i| failed.contains(&store.locate(i).disk))
             .collect();
+        let bytes_before = device_bytes_read(&store);
         for &idx in &degraded {
             let (before, began) = (device_reads(&store), Instant::now());
             assert_eq!(store.read_data(idx)?, vec![(idx % 251) as u8 + 1; 4096]);
             let class = classes.entry(device_reads(&store) - before).or_default();
             *class = (class.0 + 1, class.1 + began.elapsed().as_secs_f64() * 1e6);
         }
+        let n = degraded.len() as f64;
+        let single = (device_bytes_read(&store) - bytes_before) as f64 / 4096.0 / n;
         let ops: u64 = classes.values().map(|c| c.0).sum();
         let classes: Vec<String> = classes
             .iter()
@@ -69,9 +74,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .zip(&got)
                 .all(|(i, v)| v[0] == (i % 251) as u8 + 1));
         }
-        let (us, n) = (began.elapsed().as_secs_f64() * 1e6, degraded.len() as f64);
+        let us = began.elapsed().as_secs_f64() * 1e6;
         println!(
-            "{failed:?} | {ops} | {} | {:.2}, {:.2}, {:.2}",
+            "{failed:?} | {ops} | {} | {single:.2} | {:.2}, {:.2}, {:.2}",
             classes.join(", "),
             (device_reads(&store) - ops_before) as f64 / n,
             (device_bytes_read(&store) - bytes_before) as f64 / 4096.0 / n,
