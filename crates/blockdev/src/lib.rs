@@ -35,7 +35,7 @@ mod writeback;
 pub use crash::crash_point;
 pub use fault::{FaultConfig, FaultInjectingDevice};
 pub use file::FileDevice;
-pub use journal::{FlushPolicy, Journal, JournalStats, MemberWrite, ReplaySummary};
+pub use journal::{FlushPolicy, Journal, JournalStats, MemberWrite, RedoMember, ReplaySummary};
 pub use mem::MemDevice;
 pub use retry::{write_chunk_retrying, RetryCounters, RetryPolicy, RetryReader, RetryStats};
 pub use writeback::WriteBackDevice;

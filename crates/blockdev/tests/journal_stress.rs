@@ -12,7 +12,7 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use blockdev::{Journal, MemberWrite};
+use blockdev::{Journal, MemberWrite, RedoMember};
 
 #[test]
 fn hammer_append_commit_apply_with_truncation_races() {
@@ -203,8 +203,9 @@ fn mixed_size_intents_replay_verbatim_through_the_reused_buffer() {
     assert_eq!(summary.redo.len(), kept.len());
     for ((seq, writes), (want_seq, t, i)) in summary.redo.iter().zip(&kept) {
         assert_eq!(seq, want_seq);
+        let want = [member(*t, *i), member(*t, *i + 1)].map(RedoMember::from);
         assert!(
-            writes[..] == [member(*t, *i), member(*t, *i + 1)],
+            writes[..] == want,
             "intent {seq} (thread {t}, op {i}) came back altered"
         );
     }

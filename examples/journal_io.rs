@@ -2,8 +2,12 @@
 //! store, no journal, no parity — only the system calls `serve_durable`
 //! makes per wave, replayed from two threads against files in `$TMPDIR`:
 //! 42 positioned 4 KiB reads, 100-400 us of spinning where the parity work
-//! would be, one 113 KiB log write, an `fdatasync` of the log behind a
-//! group-commit lock, 28 positioned 4 KiB writes, one 21-byte marker. What varies is how the log is kept and where its sync sits:
+//! would be, one log write of a wave's intent record, an `fdatasync` of the
+//! log behind a group-commit lock, 28 positioned 4 KiB writes, one 21-byte
+//! marker. The record is 113 KiB when every member is logged whole and
+//! ~15 KiB when each logs the 512-byte range a record write changed (E31);
+//! each size given runs every arrangement. What varies besides is how the
+//! log is kept and where its sync sits:
 //!
 //! * `append`  — opened `append(true)`, `set_len(0)` + sync once past 1 MiB
 //!   with nothing outstanding (the journal up to PR 18);
@@ -13,8 +17,9 @@
 //!   that appends and markers need.
 //!
 //! ```bash
-//! cargo run --release --example journal_io            # 2 000 waves per thread
-//! cargo run --release --example journal_io -- 200     # quicker
+//! cargo run --release --example journal_io              # 2 000 waves per thread, 113 and 15 KiB
+//! cargo run --release --example journal_io -- 200       # quicker
+//! cargo run --release --example journal_io -- 2000 64   # one record size, in KiB
 //! ```
 //!
 //! The numbers are the checkout's filesystem's, not a device's.
@@ -31,7 +36,6 @@ const DISKS: usize = 21;
 const DISK_CHUNKS: usize = 1024;
 const READS: usize = 42;
 const WRITES: usize = 28;
-const RECORD: usize = 113 << 10;
 const MARKER: usize = 21;
 const RESET_BYTES: u64 = 1 << 20;
 const EXTENT: u64 = 4 << 20;
@@ -156,7 +160,13 @@ fn wave(shared: &Shared, disks: &[File], rng: &mut u64, record: &[u8], buf: &mut
     shared.rewind_if_due(&mut log);
 }
 
-fn run(dir: &std::path::Path, in_place: bool, sync_holds_log: bool, waves: usize) -> String {
+fn run(
+    dir: &std::path::Path,
+    in_place: bool,
+    sync_holds_log: bool,
+    waves: usize,
+    record_kib: usize,
+) -> String {
     let path = dir.join("log");
     std::fs::remove_file(&path).ok();
     let mut options = OpenOptions::new();
@@ -211,7 +221,7 @@ fn run(dir: &std::path::Path, in_place: bool, sync_holds_log: bool, waves: usize
             let (shared, disks) = (&shared, &disks);
             s.spawn(move || {
                 let mut rng = 0x9E37_79B9_7F4A_7C15 ^ (t as u64 + 1);
-                let record = vec![0xA5u8; RECORD];
+                let record = vec![0xA5u8; record_kib << 10];
                 let mut buf = vec![0x3Cu8; CHUNK];
                 for _ in 0..waves {
                     wave(shared, disks, &mut rng, &record, &mut buf);
@@ -225,7 +235,8 @@ fn run(dir: &std::path::Path, in_place: bool, sync_holds_log: bool, waves: usize
         Duration::from_nanos(ns.load(Ordering::Relaxed) / n).as_secs_f64() * 1e6
     };
     format!(
-        "{:<8} {:<7} {:>9.0} {:>13.0} {:>8} {:>11.0} {:>8}",
+        "{:>10} {:<8} {:<7} {:>9.0} {:>13.0} {:>8} {:>11.0} {:>8}",
+        record_kib,
         if in_place { "inplace" } else { "append" },
         if sync_holds_log { "locked" } else { "free" },
         (THREADS * waves) as f64 / elapsed.as_secs_f64(),
@@ -237,10 +248,17 @@ fn run(dir: &std::path::Path, in_place: bool, sync_holds_log: bool, waves: usize
 }
 
 fn main() {
-    let waves: usize = std::env::args()
-        .nth(1)
+    let mut args = std::env::args().skip(1);
+    let waves: usize = args
+        .next()
         .map(|a| a.parse().expect("waves per thread: a number"))
         .unwrap_or(2000);
+    let mut records: Vec<usize> = args
+        .map(|a| a.parse().expect("record size in KiB: a number"))
+        .collect();
+    if records.is_empty() {
+        records = vec![113, 15];
+    }
     let dir = std::env::temp_dir().join(format!("oi-journal-io-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("scratch dir");
     println!(
@@ -248,11 +266,15 @@ fn main() {
         std::thread::available_parallelism().map_or(0, usize::from)
     );
     println!(
-        "{:<8} {:<7} {:>9} {:>13} {:>8} {:>11} {:>8}",
-        "log", "sync", "waves/s", "fdatasync_us", "syncs", "rewind_us", "rewinds"
+        "{:>10} {:<8} {:<7} {:>9} {:>13} {:>8} {:>11} {:>8}",
+        "record_kib", "log", "sync", "waves/s", "fdatasync_us", "syncs", "rewind_us", "rewinds"
     );
-    for (in_place, sync_holds_log) in [(false, true), (false, false), (true, true), (true, false)] {
-        println!("{}", run(&dir, in_place, sync_holds_log, waves));
+    for record_kib in records {
+        for (in_place, sync_holds_log) in
+            [(false, true), (false, false), (true, true), (true, false)]
+        {
+            println!("{}", run(&dir, in_place, sync_holds_log, waves, record_kib));
+        }
     }
     std::fs::remove_dir_all(&dir).ok();
 }

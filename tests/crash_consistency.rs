@@ -24,6 +24,11 @@
 //! them); under [`FlushPolicy::Never`] they demonstrably do not — the
 //! negative control below asserts the data loss.
 //!
+//! The sub-chunk leg (`piece_child` and the `*piece*` / `*over_pieces*`
+//! tests) writes quarter chunks instead of whole ones, so every member is
+//! logged as a range and replay patches it onto what its device holds; its
+//! model is per piece, and its degraded cycles write while a rebuild runs.
+//!
 //! Knobs: `OI_CRASH_CYCLES` (default 100) sizes the kill-anywhere sweep;
 //! `OI_CRASH_POWER_CYCLES` (default 50) sizes each power-loss sweep;
 //! `OI_CRASH_MATRIX=1` additionally runs the targeted point × hit grid.
@@ -86,10 +91,15 @@ fn read_failed(dir: &Path) -> Vec<usize> {
 /// store op is what makes the log a valid oracle: the `begin` record is
 /// durable before any member write it describes can land.
 fn log_lines(dir: &Path, lines: &[String]) {
+    log_lines_to(dir, "model.log", lines);
+}
+
+/// [`log_lines`] into the model log named `file`.
+fn log_lines_to(dir: &Path, file: &str, lines: &[String]) {
     let mut f = OpenOptions::new()
         .create(true)
         .append(true)
-        .open(dir.join("model.log"))
+        .open(dir.join(file))
         .expect("open model log");
     for l in lines {
         writeln!(f, "{l}").expect("append model log");
@@ -102,8 +112,13 @@ fn log_lines(dir: &Path, lines: &[String]) {
 /// the set forever (its write may or may not have applied — and once it is
 /// a candidate, a later crash can still leave either value).
 fn allowed_patterns(dir: &Path) -> HashMap<usize, Vec<u64>> {
+    allowed_in(dir, "model.log")
+}
+
+/// [`allowed_patterns`] from the model log named `file`.
+fn allowed_in(dir: &Path, file: &str) -> HashMap<usize, Vec<u64>> {
     let mut allowed: HashMap<usize, Vec<u64>> = HashMap::new();
-    let text = std::fs::read_to_string(dir.join("model.log")).unwrap_or_default();
+    let text = std::fs::read_to_string(dir.join(file)).unwrap_or_default();
     for line in text.lines() {
         let mut it = line.split_whitespace();
         let (Some(kind), Some(p), Some(seed)) = (it.next(), it.next(), it.next()) else {
@@ -1012,6 +1027,289 @@ fn a_foreign_intent_fails_the_open_before_any_intent_is_replayed() {
         let bytes = std::fs::read(image(disk)).expect("read disk file back");
         assert_eq!(bytes.len(), CHUNK * cfg.chunks_per_disk());
         assert!(bytes.iter().all(|&b| b == 0), "disk {disk} was written");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Bytes per modelled piece in the sub-chunk leg: a quarter chunk, so a
+/// write's members log ranges narrower than their chunks.
+const PIECE: usize = CHUNK / 4;
+const PIECES_PER_CHUNK: usize = CHUNK / PIECE;
+/// The sub-chunk leg's model log: the `begin`/`ack` protocol of
+/// `model.log`, keyed by piece.
+const PIECE_LOG: &str = "pieces.log";
+
+/// Writes `requests` — each `(first piece, one seed per consecutive
+/// piece)` — as one batch, or one `write_bytes` call each, between synced
+/// `begin` and `ack` lines per piece.
+fn write_pieces<B: BlockDevice>(
+    store: &OiRaidStore<B>,
+    dir: &Path,
+    requests: &[(usize, Vec<u64>)],
+    batched: bool,
+) {
+    let lines = |kind: &str| -> Vec<String> {
+        let pieces = requests.iter().flat_map(|(q, seeds)| (*q..).zip(seeds));
+        pieces.map(|(q, s)| format!("{kind} {q} {s}")).collect()
+    };
+    log_lines_to(dir, PIECE_LOG, &lines("begin"));
+    let datas: Vec<Vec<u8>> = requests
+        .iter()
+        .map(|(_, seeds)| seeds.iter().flat_map(|&s| fill(s, PIECE)).collect())
+        .collect();
+    let writes: Vec<(u64, &[u8])> = requests
+        .iter()
+        .zip(&datas)
+        .map(|((q, _), data)| ((q * PIECE) as u64, data.as_slice()))
+        .collect();
+    if batched {
+        store.write_bytes_batch(&writes).expect("child piece batch");
+    } else {
+        for (offset, data) in writes {
+            store.write_bytes(offset, data).expect("child piece write");
+        }
+    }
+    log_lines_to(dir, PIECE_LOG, &lines("ack"));
+}
+
+/// The first half of the sub-chunk workload: twelve single requests of
+/// one piece, every fourth of two pieces across a chunk boundary (two
+/// intents).
+fn piece_singles<B: BlockDevice>(store: &OiRaidStore<B>, dir: &Path, cycle: u64) {
+    for i in 0..12u64 {
+        let h = splitmix(cycle.wrapping_mul(139) ^ i);
+        let seed = |k: u64| splitmix(h ^ (k + 1)) | 1;
+        let request = if i % 4 == 3 {
+            let last = (h as usize % (SPAN - 1)) * PIECES_PER_CHUNK + PIECES_PER_CHUNK - 1;
+            (last, vec![seed(0), seed(1)])
+        } else {
+            (h as usize % (SPAN * PIECES_PER_CHUNK), vec![seed(0)])
+        };
+        write_pieces(store, dir, &[request], false);
+    }
+}
+
+/// The second half: two batched waves, each one intent holding two pieces
+/// of one chunk around an untouched third (a logged range wider than what
+/// changed) and one request across a chunk boundary.
+fn piece_waves<B: BlockDevice>(store: &OiRaidStore<B>, dir: &Path, cycle: u64) {
+    for b in 0..2u64 {
+        let h = splitmix(cycle.wrapping_mul(149) ^ (0x2000 + b));
+        let seed = |k: u64| splitmix(h ^ (k + 1)) | 1;
+        let (a, r) = (h as usize % 12, 12 + (h >> 8) as usize % (SPAN - 13));
+        let requests = [
+            (a * PIECES_PER_CHUNK, vec![seed(0)]),
+            (a * PIECES_PER_CHUNK + 2, vec![seed(1)]),
+            (
+                r * PIECES_PER_CHUNK + PIECES_PER_CHUNK - 1,
+                vec![seed(2), seed(3)],
+            ),
+        ];
+        write_pieces(store, dir, &requests, true);
+    }
+}
+
+/// The sub-chunk child's body. With a persisted failed disk it rebuilds
+/// that disk on a second thread, paced so that the singles land inside
+/// the rebuild window, then writes the waves once the rebuild is done and
+/// the failure is cleared: ranges on the rebuilt disk are then patched,
+/// on replay, onto what its rebuild left there.
+fn piece_body<B: BlockDevice>(store: &OiRaidStore<B>, dir: &Path, cycle: u64) {
+    let failed = read_failed(dir);
+    if failed.is_empty() {
+        piece_singles(store, dir, cycle);
+        piece_waves(store, dir, cycle);
+        return;
+    }
+    for &d in &failed {
+        store.fail_disk(d).expect("child re-fail");
+    }
+    // One DAG worker, as in the rebuild child; reads paced while
+    // foreground traffic is seen, which this read starts.
+    store.set_dag_workers(Some(1));
+    store.set_qos(QosConfig {
+        rebuild_chunks_per_sec: Some(400.0),
+        burst_chunks: 1,
+        foreground_window: std::time::Duration::from_secs(5),
+    });
+    store.read_bytes(0, &mut [0u8; 1]).expect("child read");
+    std::thread::scope(|s| {
+        let rebuild = s.spawn(|| {
+            let obs = RebuildObserver::default();
+            store.resume_rebuild(RebuildMode::Dag, RecoveryStrategy::Hybrid, &obs)
+        });
+        // The window is open once the failed disk answers again.
+        while !store.failed_disks().is_empty() && !rebuild.is_finished() {
+            std::thread::yield_now();
+        }
+        piece_singles(store, dir, cycle);
+        let report = rebuild.join().expect("rebuild thread");
+        assert!(report.expect("child rebuild").outcome.is_recovered());
+    });
+    std::fs::write(failed_path(dir), "").expect("clear failed set");
+    piece_waves(store, dir, cycle);
+}
+
+/// Subprocess body of the sub-chunk leg: [`crash_child`]'s reopen, on
+/// plain or write-back devices, running [`piece_body`].
+#[test]
+#[ignore = "subprocess body for the crash harness; spawned by the tests below"]
+fn piece_child() {
+    let Ok(dir) = std::env::var("OI_CRASH_DIR") else {
+        return;
+    };
+    let dir = PathBuf::from(dir);
+    let cycle: u64 = std::env::var("OI_CRASH_CYCLE")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(0);
+    let cfg = OiRaidConfig::reference();
+    if blockdev::crash::power_loss_armed() {
+        piece_body(&open_power(&cfg, &dir), &dir, cycle);
+    } else {
+        piece_body(&open_plain(&cfg, &dir), &dir, cycle);
+    }
+}
+
+/// [`verify_converged`] (replay, rebuild of a persisted failure, parity),
+/// then every modelled piece read back against its allowed patterns.
+fn verify_pieces(dir: &Path, cfg: &OiRaidConfig, what: &str) -> u64 {
+    let replayed = verify_converged(dir, cfg, what);
+    let store = OiRaidStore::open_durable(cfg.clone(), CHUNK, dir).expect("reopen to read pieces");
+    let mut buf = vec![0u8; PIECE];
+    for (&q, seeds) in &allowed_in(dir, PIECE_LOG) {
+        store
+            .read_bytes((q * PIECE) as u64, &mut buf)
+            .expect("read converged piece");
+        assert!(
+            seeds.iter().any(|&s| buf == fill(s, PIECE)),
+            "{what}: piece {q} matches none of its {} allowed patterns \
+             (torn or lost write)",
+            seeds.len()
+        );
+    }
+    replayed
+}
+
+/// Runs `cycles` sub-chunk child cycles over one fresh directory, each
+/// child armed by `envs(cycle)`; every third cycle persists a failed disk,
+/// which that child rebuilds while it writes. Verifies after every cycle
+/// and asserts that children crashed and, over 20 cycles or more, that
+/// replay redid intents of ranges.
+fn piece_cycles(tag: &str, cycles: u64, envs: impl Fn(u64) -> Vec<(&'static str, String)>) {
+    let dir = unique_dir(tag);
+    let cfg = OiRaidConfig::reference();
+    let store = OiRaidStore::create_durable(cfg.clone(), CHUNK, &dir).expect("create durable");
+    let disks = store.array().disks();
+    drop(store);
+    let (mut crashes, mut replays) = (0u64, 0u64);
+    for cycle in 0..cycles {
+        if cycle % 3 == 1 {
+            let d = (splitmix(0x91EC ^ cycle) % disks as u64) as usize;
+            std::fs::write(failed_path(&dir), format!("{d}")).expect("persist failed disk");
+        }
+        let what = format!("{tag} cycle {cycle}");
+        let status = spawn_child("piece_child", &dir, &envs(cycle));
+        assert_clean_or_aborted(status, &what);
+        crashes += u64::from(!status.success());
+        replays += verify_pieces(&dir, &cfg, &what);
+    }
+    assert!(
+        crashes > 0,
+        "{tag}: no child crashed — crash points unarmed?"
+    );
+    if cycles >= 20 {
+        assert!(replays > 0, "{tag}: {crashes} crashes but nothing redone");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The kill-anywhere sweep over sub-chunk writes, some of them inside a
+/// rebuild window: every piece converges to an allowed pattern.
+#[test]
+fn kill_anywhere_piece_cycles_converge() {
+    let cycles: u64 = std::env::var("OI_CRASH_CYCLES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(100);
+    piece_cycles("pieces", cycles, |cycle| {
+        vec![
+            (
+                "OI_CRASH_COUNT",
+                (1 + splitmix(0x9EC3 ^ cycle) % 160).to_string(),
+            ),
+            ("OI_CRASH_CYCLE", cycle.to_string()),
+        ]
+    });
+}
+
+/// The sub-chunk leg under power loss and `policy`.
+fn power_loss_piece_cycles(policy: &str, tag: &str) {
+    let cycles: u64 = std::env::var("OI_CRASH_POWER_CYCLES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(50);
+    piece_cycles(&format!("pieces-power-{tag}"), cycles, |cycle| {
+        let count = 1 + splitmix(0x90E8 ^ cycle ^ (tag.len() as u64) << 32) % 190;
+        vec![
+            ("OI_CRASH_COUNT", count.to_string()),
+            ("OI_CRASH_CYCLE", (0x8000 + cycle).to_string()),
+            ("OI_CRASH_POWER", "1".to_string()),
+            ("OI_RAID_FLUSH_POLICY", policy.to_string()),
+        ]
+    });
+}
+
+#[test]
+fn power_loss_piece_cycles_converge_per_wave() {
+    power_loss_piece_cycles("perwave", "pw");
+}
+
+#[test]
+fn power_loss_piece_cycles_converge_timed() {
+    power_loss_piece_cycles("timed:2", "timed");
+}
+
+/// The targeted grid over sub-chunk writes (gated on `OI_CRASH_MATRIX=1`):
+/// hits 1, 2 and 5 of the write-path points and of the rebuild writeback,
+/// a persisted failed disk in every cell so each child rebuilds while it
+/// writes; the child must die there, and the state converge.
+#[test]
+fn targeted_crash_matrix_over_pieces_converges() {
+    if std::env::var("OI_CRASH_MATRIX")
+        .map(|v| v != "1")
+        .unwrap_or(true)
+    {
+        return;
+    }
+    let cells = [1u64, 2, 5].into_iter().flat_map(|hits| {
+        let points = ["journal_append", "journal_flush", "member_write"];
+        points
+            .into_iter()
+            .chain(["rebuild_writeback"])
+            .map(move |point| (point, hits))
+    });
+    let cells: Vec<_> = cells.collect();
+    let cycles = cells.len() as u64;
+    let disks = OiRaidConfig::reference().disks() as u64;
+    let dir = unique_dir("pieces-matrix");
+    let cfg = OiRaidConfig::reference();
+    drop(OiRaidStore::create_durable(cfg.clone(), CHUNK, &dir).expect("create durable"));
+    for (cycle, (point, hits)) in (0..cycles).zip(cells) {
+        let d = splitmix(0xFA12 ^ cycle) % disks;
+        std::fs::write(failed_path(&dir), format!("{d}")).expect("persist failed disk");
+        let envs = [
+            ("OI_CRASH_POINT", point.to_string()),
+            ("OI_CRASH_HITS", hits.to_string()),
+            ("OI_CRASH_CYCLE", (0x4800 + cycle).to_string()),
+        ];
+        let status = spawn_child("piece_child", &dir, &envs);
+        assert_eq!(
+            status.signal(),
+            Some(SIGABRT),
+            "{point} hit {hits}: child must crash, got {status:?}"
+        );
+        verify_pieces(&dir, &cfg, &format!("{point} hit {hits}"));
     }
     std::fs::remove_dir_all(&dir).ok();
 }

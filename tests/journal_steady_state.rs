@@ -43,13 +43,15 @@ fn bytes_per_user_byte(size: usize) -> f64 {
     logged as f64 / (WRITES * size as u64) as f64
 }
 
-/// Today's logging cost, pinned from the counter: a single-chunk write logs
-/// its four whole members — one 16 457-byte intent and a 21-byte applied
-/// marker — however few of the chunk's bytes changed.
+/// The logging cost, pinned from the counter: a single-chunk write logs
+/// what it changed of its four members — the same range of each, 16 bytes
+/// of address per member, 25 of header, count and CRC per intent, and a
+/// 21-byte applied marker. 512 B: 4 · (16 + 512) + 25 + 21 = 2 158 bytes
+/// (a whole-member log took 16 478); 4 KiB: 4 · (16 + 4096) + 46 = 16 494.
 #[test]
-fn a_single_chunk_write_logs_four_whole_members() {
-    assert_eq!(bytes_per_user_byte(512), 32.18359375);
-    assert_eq!(bytes_per_user_byte(4096), 4.02294921875);
+fn a_single_chunk_write_logs_what_changed() {
+    assert_eq!(bytes_per_user_byte(512), 4.21484375);
+    assert_eq!(bytes_per_user_byte(4096), 4.02685546875);
 }
 
 #[test]
