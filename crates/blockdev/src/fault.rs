@@ -1,11 +1,14 @@
 //! Deterministic fault injection and latency modelling around any backend.
 
 use std::collections::HashSet;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use crate::{BlockDevice, CounterSnapshot, DeviceError, DeviceLatency, InflightTracker};
+use crate::{
+    check_range, BlockDevice, CounterSnapshot, DeviceError, DeviceLatency, InflightTracker,
+};
 
 /// Fault-injection policy. All decisions derive from `seed`, so runs are
 /// reproducible.
@@ -75,7 +78,11 @@ fn splitmix(mut x: u64) -> u64 {
 /// This wrapper deliberately keeps the trait's default per-chunk
 /// [`BlockDevice::read_chunks`] loop: coalesced runs still pay latency and
 /// roll the fault dice once per chunk, so injection semantics do not change
-/// when the rebuild engine batches reads.
+/// when the rebuild engine batches reads. The range pair
+/// ([`BlockDevice::read_range`] / [`BlockDevice::write_range`]) goes to the
+/// wrapped device's own and rolls the same dice as a whole-chunk call: a
+/// range of a latent chunk does not read, and a range write remaps the
+/// sector only when it covers the whole chunk.
 ///
 /// When latency injection is configured, the sleep is served under a
 /// per-device lock: the device models a single spindle that serves one
@@ -223,23 +230,14 @@ impl<B: BlockDevice> FaultInjectingDevice<B> {
         }
         false
     }
-}
 
-impl<B: BlockDevice> BlockDevice for FaultInjectingDevice<B> {
-    fn chunk_size(&self) -> usize {
-        self.inner.chunk_size()
-    }
-
-    fn chunks(&self) -> usize {
-        self.inner.chunks()
-    }
-
-    fn is_failed(&self) -> bool {
-        // Acquire, pairing with `heal`'s Release: see `BlockDevice::heal`.
-        self.died.load(Ordering::Acquire) || self.inner.is_failed()
-    }
-
-    fn read_chunk(&self, chunk: usize, buf: &mut [u8]) -> Result<(), DeviceError> {
+    /// One read of `chunk` (`io` does it on the wrapped device) through the
+    /// death countdown, the latency model and the fault dice.
+    fn faulted_read(
+        &self,
+        chunk: usize,
+        io: impl FnOnce() -> Result<(), DeviceError>,
+    ) -> Result<(), DeviceError> {
         let _io = self.inflight.begin();
         let began = Instant::now();
         let cfg = self.config();
@@ -259,14 +257,22 @@ impl<B: BlockDevice> BlockDevice for FaultInjectingDevice<B> {
                 transient: !latent,
             });
         }
-        let result = self.inner.read_chunk(chunk, buf);
+        let result = io();
         if result.is_ok() {
             self.latency.read.record_duration(began.elapsed());
         }
         result
     }
 
-    fn write_chunk(&self, chunk: usize, data: &[u8]) -> Result<(), DeviceError> {
+    /// One write of `chunk` (`io` does it on the wrapped device) through
+    /// the latency model and the fault dice; a write that `remaps` (covers
+    /// the whole chunk) repairs a latent sector.
+    fn faulted_write(
+        &self,
+        chunk: usize,
+        remaps: bool,
+        io: impl FnOnce() -> Result<(), DeviceError>,
+    ) -> Result<(), DeviceError> {
         let _io = self.inflight.begin();
         let began = Instant::now();
         let cfg = self.config();
@@ -282,12 +288,56 @@ impl<B: BlockDevice> BlockDevice for FaultInjectingDevice<B> {
                 transient: true,
             });
         }
-        self.inner.write_chunk(chunk, data)?;
-        if self.latent_bad_by_seed(&cfg, chunk) {
+        io()?;
+        if remaps && self.latent_bad_by_seed(&cfg, chunk) {
             self.remapped.lock().expect("remap lock").insert(chunk);
         }
         self.latency.write.record_duration(began.elapsed());
         Ok(())
+    }
+}
+
+impl<B: BlockDevice> BlockDevice for FaultInjectingDevice<B> {
+    fn chunk_size(&self) -> usize {
+        self.inner.chunk_size()
+    }
+
+    fn chunks(&self) -> usize {
+        self.inner.chunks()
+    }
+
+    fn is_failed(&self) -> bool {
+        // Acquire, pairing with `heal`'s Release: see `BlockDevice::heal`.
+        self.died.load(Ordering::Acquire) || self.inner.is_failed()
+    }
+
+    fn read_chunk(&self, chunk: usize, buf: &mut [u8]) -> Result<(), DeviceError> {
+        self.faulted_read(chunk, || self.inner.read_chunk(chunk, buf))
+    }
+
+    fn write_chunk(&self, chunk: usize, data: &[u8]) -> Result<(), DeviceError> {
+        self.faulted_write(chunk, true, || self.inner.write_chunk(chunk, data))
+    }
+
+    fn read_range(
+        &self,
+        chunk: usize,
+        range: Range<usize>,
+        buf: &mut [u8],
+    ) -> Result<(), DeviceError> {
+        check_range(&range, self.chunk_size())?;
+        self.faulted_read(chunk, || self.inner.read_range(chunk, range, buf))
+    }
+
+    fn write_range(
+        &self,
+        chunk: usize,
+        range: Range<usize>,
+        buf: &[u8],
+    ) -> Result<(), DeviceError> {
+        check_range(&range, self.chunk_size())?;
+        let whole = range == (0..self.chunk_size());
+        self.faulted_write(chunk, whole, || self.inner.write_range(chunk, range, buf))
     }
 
     /// Durability barrier with injected failures: a faulted flush returns a

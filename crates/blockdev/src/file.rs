@@ -1,6 +1,7 @@
 //! File-backed device: one file per disk, so arrays larger than RAM work.
 
 use std::fs::{File, OpenOptions};
+use std::ops::Range;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -8,7 +9,8 @@ use std::sync::RwLock;
 use std::time::Instant;
 
 use crate::{
-    check_io, check_io_run, BlockDevice, CounterSnapshot, Counters, DeviceError, DeviceLatency,
+    check_io_run, check_range_io, BlockDevice, CounterSnapshot, Counters, DeviceError,
+    DeviceLatency,
 };
 
 /// A block device backed by a single file via `std::fs`.
@@ -16,16 +18,17 @@ use crate::{
 /// The file is created (or truncated) zero-filled at construction. Every
 /// transfer is one positioned call (`read_exact_at` / `write_all_at`): the
 /// file has no cursor to share, so two clients on one disk do not wait for
-/// each other here.
+/// each other here. A range read or write is one positioned call of the
+/// range's bytes.
 ///
-/// Which call takes which lock: `read_chunk`, `read_chunks`, `write_chunk`
-/// and `flush` hold the *read* side of the file lock for their transfer
-/// (or `fdatasync`), so they run side by side; only `heal` takes the write
-/// side, while it truncates and re-extends the file, so that no transfer
-/// lands in a half-rebuilt one. `is_failed` and `fail` take no lock: the
-/// failure state is an atomic flag, stored with `Release` and loaded with
-/// `Acquire` so that whoever sees the device healthy again also sees what
-/// its healer did before healing it.
+/// Which call takes which lock: `read_chunk`, `read_chunks`, `write_chunk`,
+/// the range pair and `flush` hold the *read* side of the file lock for
+/// their transfer (or `fdatasync`), so they run side by side; only `heal`
+/// takes the write side, while it truncates and re-extends the file, so
+/// that no transfer lands in a half-rebuilt one. `is_failed` and `fail`
+/// take no lock: the failure state is an atomic flag, stored with
+/// `Release` and loaded with `Acquire` so that whoever sees the device
+/// healthy again also sees what its healer did before healing it.
 #[derive(Debug)]
 pub struct FileDevice {
     path: PathBuf,
@@ -151,20 +154,7 @@ impl BlockDevice for FileDevice {
     }
 
     fn read_chunk(&self, chunk: usize, buf: &mut [u8]) -> Result<(), DeviceError> {
-        check_io(chunk, self.chunks, buf.len(), self.chunk_size)?;
-        let _io = self.counters.begin_io();
-        if self.is_failed() {
-            return Err(DeviceError::Failed);
-        }
-        let began = Instant::now();
-        self.file
-            .read()
-            .expect("file lock")
-            .read_exact_at(buf, (chunk * self.chunk_size) as u64)
-            .map_err(io_err)?;
-        self.counters
-            .record_read(chunk, self.chunk_size as u64, began.elapsed());
-        Ok(())
+        self.read_range(chunk, 0..self.chunk_size, buf)
     }
 
     /// One `read_exact_at` for the whole run: a single I/O op.
@@ -186,19 +176,54 @@ impl BlockDevice for FileDevice {
     }
 
     fn write_chunk(&self, chunk: usize, data: &[u8]) -> Result<(), DeviceError> {
-        check_io(chunk, self.chunks, data.len(), self.chunk_size)?;
+        self.write_range(chunk, 0..self.chunk_size, data)
+    }
+
+    /// One `read_exact_at` of the range's bytes.
+    fn read_range(
+        &self,
+        chunk: usize,
+        range: Range<usize>,
+        buf: &mut [u8],
+    ) -> Result<(), DeviceError> {
+        check_range_io(chunk, &range, self.chunks, buf.len(), self.chunk_size)?;
         let _io = self.counters.begin_io();
         if self.is_failed() {
             return Err(DeviceError::Failed);
         }
         let began = Instant::now();
+        let at = (chunk * self.chunk_size + range.start) as u64;
+        let bytes = range.len() as u64;
         self.file
             .read()
             .expect("file lock")
-            .write_all_at(data, (chunk * self.chunk_size) as u64)
+            .read_exact_at(&mut buf[range], at)
             .map_err(io_err)?;
-        self.counters
-            .record_write(chunk, self.chunk_size as u64, began.elapsed());
+        self.counters.record_read(chunk, bytes, began.elapsed());
+        Ok(())
+    }
+
+    /// One `write_all_at` of the range's bytes.
+    fn write_range(
+        &self,
+        chunk: usize,
+        range: Range<usize>,
+        buf: &[u8],
+    ) -> Result<(), DeviceError> {
+        check_range_io(chunk, &range, self.chunks, buf.len(), self.chunk_size)?;
+        let _io = self.counters.begin_io();
+        if self.is_failed() {
+            return Err(DeviceError::Failed);
+        }
+        let began = Instant::now();
+        let at = (chunk * self.chunk_size + range.start) as u64;
+        let bytes = range.len() as u64;
+        self.file
+            .read()
+            .expect("file lock")
+            .write_all_at(&buf[range], at)
+            .map_err(io_err)?;
+        self.counters.record_write(chunk, bytes, began.elapsed());
         Ok(())
     }
 

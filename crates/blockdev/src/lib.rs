@@ -37,10 +37,13 @@ pub use fault::{FaultConfig, FaultInjectingDevice};
 pub use file::FileDevice;
 pub use journal::{FlushPolicy, Journal, JournalStats, MemberWrite, RedoMember, ReplaySummary};
 pub use mem::MemDevice;
-pub use retry::{write_chunk_retrying, RetryCounters, RetryPolicy, RetryReader, RetryStats};
+pub use retry::{
+    write_chunk_retrying, write_range_retrying, RetryCounters, RetryPolicy, RetryReader, RetryStats,
+};
 pub use writeback::WriteBackDevice;
 
 use std::fmt;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -65,6 +68,15 @@ pub enum DeviceError {
         found: usize,
         /// The device's chunk size.
         expected: usize,
+    },
+    /// A byte range of [`BlockDevice::read_range`] /
+    /// [`BlockDevice::write_range`] runs backwards or past the end of its
+    /// chunk.
+    RangeOutsideChunk {
+        /// The range asked for.
+        range: Range<usize>,
+        /// The device's chunk size.
+        chunk_size: usize,
     },
     /// A deterministic injected fault (latent sector error or transient
     /// read failure) from a [`FaultInjectingDevice`].
@@ -116,6 +128,7 @@ impl DeviceError {
             Self::Failed
             | Self::OutOfRange { .. }
             | Self::WrongBufferSize { .. }
+            | Self::RangeOutsideChunk { .. }
             | Self::InjectedFault {
                 transient: false, ..
             } => ErrorClass::Permanent,
@@ -139,6 +152,12 @@ impl fmt::Display for DeviceError {
                 write!(
                     f,
                     "buffer has {found} bytes, device chunk size is {expected}"
+                )
+            }
+            Self::RangeOutsideChunk { range, chunk_size } => {
+                write!(
+                    f,
+                    "bytes {range:?} are not inside a {chunk_size}-byte chunk"
                 )
             }
             Self::InjectedFault { chunk, transient } => {
@@ -204,6 +223,46 @@ pub trait BlockDevice: Send + Sync {
 
     /// Writes `data` (exactly one chunk) to chunk `chunk`.
     fn write_chunk(&self, chunk: usize, data: &[u8]) -> Result<(), DeviceError>;
+
+    /// Reads at least bytes `range` of chunk `chunk` into the same bytes of
+    /// `buf`, a whole chunk's buffer; what lands outside `range` is the
+    /// device's business. The pair with [`BlockDevice::write_range`] is the
+    /// contract: a caller that reads a range into `buf`, changes bytes
+    /// inside it and writes the same range back from the same `buf` leaves
+    /// every byte outside it as it was.
+    ///
+    /// The default reads the whole chunk ([`BlockDevice::read_chunk`]), so
+    /// `buf` holds the device's bytes outside `range` too, which is what
+    /// the default [`BlockDevice::write_range`] writes back. A device
+    /// overrides both or neither: one that moves only the range each way
+    /// must not take the other's whole-chunk default, or a range write
+    /// would put back whatever `buf` held outside the range. Rejects a
+    /// range past the end of the chunk before any I/O.
+    fn read_range(
+        &self,
+        chunk: usize,
+        range: Range<usize>,
+        buf: &mut [u8],
+    ) -> Result<(), DeviceError> {
+        check_range(&range, self.chunk_size())?;
+        self.read_chunk(chunk, buf)
+    }
+
+    /// Writes at least bytes `range` of `buf`, a whole chunk's buffer, to
+    /// the same bytes of chunk `chunk`; see [`BlockDevice::read_range`] for
+    /// the pair's contract. The default writes the whole chunk
+    /// ([`BlockDevice::write_chunk`]): right after a default
+    /// [`BlockDevice::read_range`] of the same chunk into `buf`, that is the
+    /// device's own bytes outside `range`.
+    fn write_range(
+        &self,
+        chunk: usize,
+        range: Range<usize>,
+        buf: &[u8],
+    ) -> Result<(), DeviceError> {
+        check_range(&range, self.chunk_size())?;
+        self.write_chunk(chunk, buf)
+    }
 
     /// Durability barrier: blocks until every write accepted so far is on
     /// stable storage. [`FileDevice`] issues a real `fdatasync`; memory
@@ -469,6 +528,30 @@ pub(crate) fn check_io_run(
     Ok(())
 }
 
+/// Rejects a byte range that runs backwards or past a chunk's end.
+pub(crate) fn check_range(range: &Range<usize>, chunk_size: usize) -> Result<(), DeviceError> {
+    if range.start > range.end || range.end > chunk_size {
+        return Err(DeviceError::RangeOutsideChunk {
+            range: range.clone(),
+            chunk_size,
+        });
+    }
+    Ok(())
+}
+
+/// [`check_io`] and [`check_range`]: the checks every range I/O makes
+/// before it touches the device.
+pub(crate) fn check_range_io(
+    chunk: usize,
+    range: &Range<usize>,
+    chunks: usize,
+    buf_len: usize,
+    chunk_size: usize,
+) -> Result<(), DeviceError> {
+    check_io(chunk, chunks, buf_len, chunk_size)?;
+    check_range(range, chunk_size)
+}
+
 pub(crate) fn check_io(
     chunk: usize,
     chunks: usize,
@@ -584,6 +667,12 @@ mod tests {
         }
         .to_string()
         .contains('9'));
+        assert!(DeviceError::RangeOutsideChunk {
+            range: 3..9,
+            chunk_size: 8
+        }
+        .to_string()
+        .contains("3..9"));
         assert!(DeviceError::InjectedFault {
             chunk: 2,
             transient: true

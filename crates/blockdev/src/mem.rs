@@ -1,11 +1,13 @@
 //! RAM-backed device: the original store behavior, now behind the trait.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::RwLock;
 use std::time::Instant;
 
 use crate::{
-    check_io, check_io_run, BlockDevice, CounterSnapshot, Counters, DeviceError, DeviceLatency,
+    check_io_run, check_range_io, BlockDevice, CounterSnapshot, Counters, DeviceError,
+    DeviceLatency,
 };
 
 /// An in-memory block device. Failing it makes the contents unreachable
@@ -15,14 +17,19 @@ use crate::{
 /// replacement disk online therefore costs one bit per chunk, not a pass
 /// over its bytes, and the rebuild that follows overwrites each chunk once.
 ///
-/// Which call takes which lock: `read_chunk` / `read_chunks` hold the
-/// contents `RwLock` shared (concurrent readers proceed in parallel);
-/// `write_chunk`, `fail` and `heal` hold it exclusive (`heal` only long
-/// enough to set the blank bitmap, a word per 64 chunks); `clone` holds it
-/// shared for the copy. `is_failed`, the geometry getters and the counters
-/// take no lock at all: the store asks `is_failed` several times per chunk,
-/// so it is one atomic load of a flag that `fail`/`heal` flip while they
-/// hold the write lock.
+/// A range read or write ([`BlockDevice::read_range`] /
+/// [`BlockDevice::write_range`]) copies only the range. A range written
+/// into a blank chunk leaves zeroes around it, as a whole-chunk write of
+/// what the blank chunk read would.
+///
+/// Which call takes which lock: `read_chunk` / `read_chunks` /
+/// `read_range` hold the contents `RwLock` shared (concurrent readers
+/// proceed in parallel); `write_chunk`, `write_range`, `fail` and `heal`
+/// hold it exclusive (`heal` only long enough to set the blank bitmap, a
+/// word per 64 chunks); `clone` holds it shared for the copy. `is_failed`,
+/// the geometry getters and the counters take no lock at all: the store
+/// asks `is_failed` several times per chunk, so it is one atomic load of a
+/// flag that `fail`/`heal` flip while they hold the write lock.
 #[derive(Debug)]
 pub struct MemDevice {
     chunk_size: usize,
@@ -74,16 +81,34 @@ impl Contents {
         }
     }
 
-    /// Overwrites chunk `chunk`, which is no longer blank.
-    fn write(&mut self, chunk: usize, data: &[u8]) {
-        let start = chunk * data.len();
-        self.bytes[start..start + data.len()].copy_from_slice(data);
+    /// Copies bytes `range` of chunk `chunk` into the same bytes of `buf`
+    /// (a whole chunk's buffer), as zeroes if the chunk is blank.
+    fn copy_range_out(&self, chunk: usize, range: Range<usize>, buf: &mut [u8]) {
+        let at = chunk * buf.len();
+        let out = &mut buf[range.clone()];
+        if self.blanks > 0 && self.is_blank(chunk) {
+            out.fill(0);
+        } else {
+            out.copy_from_slice(&self.bytes[at + range.start..at + range.end]);
+        }
+    }
+
+    /// Overwrites bytes `range` of chunk `chunk` with the same bytes of
+    /// `buf` (a whole chunk's buffer); the chunk is no longer blank. A
+    /// blank chunk read as zeroes, so the bytes around `range` become
+    /// zeroes too, whatever they held before the device failed.
+    fn write(&mut self, chunk: usize, range: Range<usize>, buf: &[u8]) {
+        let at = chunk * buf.len();
+        let stored = &mut self.bytes[at..at + buf.len()];
+        stored[range.clone()].copy_from_slice(&buf[range.clone()]);
         if self.blanks == 0 {
             return;
         }
         let bit = 1u64 << (chunk % 64);
         let word = &mut self.blank[chunk / 64];
         if *word & bit != 0 {
+            stored[..range.start].fill(0);
+            stored[range.end..].fill(0);
             *word &= !bit;
             self.blanks -= 1;
         }
@@ -170,17 +195,7 @@ impl BlockDevice for MemDevice {
     }
 
     fn read_chunk(&self, chunk: usize, buf: &mut [u8]) -> Result<(), DeviceError> {
-        check_io(chunk, self.chunks, buf.len(), self.chunk_size)?;
-        let _io = self.counters.begin_io();
-        let began = Instant::now();
-        let contents = self.contents.read().expect("mem lock");
-        if contents.failed {
-            return Err(DeviceError::Failed);
-        }
-        contents.copy_out(chunk, self.chunk_size, buf);
-        self.counters
-            .record_read(chunk, self.chunk_size as u64, began.elapsed());
-        Ok(())
+        self.read_range(chunk, 0..self.chunk_size, buf)
     }
 
     /// Contiguous storage: a run of chunks is one copy and one I/O op (one
@@ -200,16 +215,47 @@ impl BlockDevice for MemDevice {
     }
 
     fn write_chunk(&self, chunk: usize, data: &[u8]) -> Result<(), DeviceError> {
-        check_io(chunk, self.chunks, data.len(), self.chunk_size)?;
+        self.write_range(chunk, 0..self.chunk_size, data)
+    }
+
+    /// One copy of the range under the shared lock.
+    fn read_range(
+        &self,
+        chunk: usize,
+        range: Range<usize>,
+        buf: &mut [u8],
+    ) -> Result<(), DeviceError> {
+        check_range_io(chunk, &range, self.chunks, buf.len(), self.chunk_size)?;
+        let _io = self.counters.begin_io();
+        let began = Instant::now();
+        let contents = self.contents.read().expect("mem lock");
+        if contents.failed {
+            return Err(DeviceError::Failed);
+        }
+        let bytes = range.len() as u64;
+        contents.copy_range_out(chunk, range, buf);
+        self.counters.record_read(chunk, bytes, began.elapsed());
+        Ok(())
+    }
+
+    /// One copy of the range under the exclusive lock (a blank chunk's
+    /// other bytes are zeroed).
+    fn write_range(
+        &self,
+        chunk: usize,
+        range: Range<usize>,
+        buf: &[u8],
+    ) -> Result<(), DeviceError> {
+        check_range_io(chunk, &range, self.chunks, buf.len(), self.chunk_size)?;
         let _io = self.counters.begin_io();
         let began = Instant::now();
         let mut contents = self.contents.write().expect("mem lock");
         if contents.failed {
             return Err(DeviceError::Failed);
         }
-        contents.write(chunk, data);
-        self.counters
-            .record_write(chunk, self.chunk_size as u64, began.elapsed());
+        let bytes = range.len() as u64;
+        contents.write(chunk, range, buf);
+        self.counters.record_write(chunk, bytes, began.elapsed());
         Ok(())
     }
 

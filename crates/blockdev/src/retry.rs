@@ -14,6 +14,7 @@
 //! failure is transient, then falls back to per-chunk reads (each with its
 //! own retry budget) so one bad sector costs one chunk, not the run.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -220,6 +221,18 @@ impl<'d, B: BlockDevice + ?Sized> RetryReader<'d, B> {
         })
     }
 
+    /// [`BlockDevice::read_range`] with bounded retry of transient faults.
+    pub fn read_range(
+        &self,
+        chunk: usize,
+        range: Range<usize>,
+        buf: &mut [u8],
+    ) -> Result<(), DeviceError> {
+        retry_op(&self.policy, &self.stats, chunk, || {
+            self.dev.read_range(chunk, range.clone(), buf)
+        })
+    }
+
     /// Coalesced [`BlockDevice::read_chunks`] that degrades on failure.
     ///
     /// First the whole run is attempted (with retry while the error stays
@@ -268,6 +281,20 @@ pub fn write_chunk_retrying<B: BlockDevice + ?Sized>(
     data: &[u8],
 ) -> Result<(), DeviceError> {
     retry_op(policy, stats, chunk, || dev.write_chunk(chunk, data))
+}
+
+/// [`BlockDevice::write_range`] with bounded retry of transient faults.
+pub fn write_range_retrying<B: BlockDevice + ?Sized>(
+    dev: &B,
+    policy: &RetryPolicy,
+    stats: &RetryStats,
+    chunk: usize,
+    range: Range<usize>,
+    buf: &[u8],
+) -> Result<(), DeviceError> {
+    retry_op(policy, stats, chunk, || {
+        dev.write_range(chunk, range.clone(), buf)
+    })
 }
 
 #[cfg(test)]
@@ -408,5 +435,30 @@ mod tests {
             write_chunk_retrying(&d, &policy, &stats, i % 4, &[i as u8; 8]).unwrap();
         }
         assert!(stats.snapshot().retries > 0, "{:?}", stats.snapshot());
+    }
+
+    #[test]
+    fn range_forms_retry_transient_faults_and_move_only_the_range() {
+        let cfg = FaultConfig {
+            seed: 11,
+            transient_read_per_mille: 500,
+            transient_write_per_mille: 500,
+            ..FaultConfig::default()
+        };
+        let d = FaultInjectingDevice::new(MemDevice::new(8, 4), cfg);
+        let (policy, stats) = (RetryPolicy::immediate(64), RetryStats::default());
+        let r = RetryReader::new(&d, policy);
+        for i in 0..50u8 {
+            let mut buf = [0xEEu8; 8];
+            r.read_range(1, 2..5, &mut buf).unwrap();
+            buf[2..5].fill(i);
+            write_range_retrying(&d, &policy, &stats, 1, 2..5, &buf).unwrap();
+        }
+        assert!(stats.snapshot().retries > 0, "{:?}", stats.snapshot());
+        assert!(r.counters().retries > 0, "{:?}", r.counters());
+        d.set_config(FaultConfig::default());
+        let mut buf = [0u8; 8];
+        d.read_chunk(1, &mut buf).unwrap();
+        assert_eq!(buf, [0, 0, 49, 49, 49, 0, 0, 0]);
     }
 }

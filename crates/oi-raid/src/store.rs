@@ -32,7 +32,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use blockdev::{
-    crash_point, write_chunk_retrying, BlockDevice, DeviceError, FileDevice, FlushPolicy, Journal,
+    crash_point, write_range_retrying, BlockDevice, DeviceError, FileDevice, FlushPolicy, Journal,
     MemDevice, RedoMember, RetryCounters, RetryPolicy, RetryReader, RetryStats,
 };
 use ecc::{ErasureCode, Raid6, XorParity};
@@ -391,25 +391,31 @@ fn chunk_pieces(
 /// One member's computed new value awaiting commit.
 struct MemberNew {
     addr: ChunkAddr,
-    /// The chunk's absolute new bytes.
+    /// A whole chunk's buffer holding the member's absolute new bytes over
+    /// `range` (around it, whatever its device read returned).
     bytes: Vec<u8>,
     /// Data chunks become window-valid at commit, parity chunks do not.
     is_data: bool,
-    /// The bytes the journal logs (see [`OiRaidStore::logged_range`]).
-    logged: Range<usize>,
+    /// The bytes the commit writes and the journal logs (see
+    /// [`OiRaidStore::logged_range`]).
+    range: Range<usize>,
 }
 
 /// A parity member's accumulated delta and the byte range it may be
-/// nonzero in: the union of the ranges of the data deltas it absorbed.
+/// nonzero in: the union of the ranges of the data deltas it absorbed. The
+/// buffer holds the delta over that range only.
 type ParityDelta = (Vec<u8>, Range<usize>);
 
 /// What a foreground op holds on the value ladder ([`OiRaidStore::on_ladder`]):
 /// the relations it locked, the plan they were locked for with its epoch,
-/// and the chunks whose values it decoded rather than read.
+/// the chunks whose values it decoded rather than read, and whether the
+/// write attempt running under them moves every member whole
+/// ([`OiRaidStore::logs_whole`], fixed when the attempt starts).
 struct Held {
     regions: Vec<Region>,
     plan: Option<(u64, RecoveryPlan)>,
     decoded: Vec<ChunkAddr>,
+    whole: bool,
 }
 
 /// The bytes a patch list changes, at most: from its lowest offset to the
@@ -935,8 +941,10 @@ impl<B: BlockDevice> OiRaidStore<B> {
     }
 
     /// Rung 1 of the value ladder (see [`Self::current_values`]): reads
-    /// `addr` from its device into `buf`, through the retry layer and under
-    /// the epoch ticket. `false` is a *miss*, never an error — the disk is
+    /// bytes `range` of `addr` from its device into the same bytes of `buf`
+    /// ([`BlockDevice::read_range`]: what lands outside them is the
+    /// device's business), through the retry layer and under the epoch
+    /// ticket. `false` is a *miss*, never an error — the disk is
     /// failed, the chunk sits un-rebuilt inside an open rebuild window, or
     /// the member is up but stays unreadable past the retry policy (a
     /// latent sector): each is somebody's cue to decode, and scrubbing and
@@ -950,13 +958,13 @@ impl<B: BlockDevice> OiRaidStore<B> {
     /// epoch vouches for the answer; a changed one means ask again, not give
     /// up (a parity member may only be skipped when it really is
     /// unavailable).
-    fn read_into(&self, addr: ChunkAddr, buf: &mut [u8]) -> bool {
+    fn read_into(&self, addr: ChunkAddr, range: Range<usize>, buf: &mut [u8]) -> bool {
         loop {
             let epoch = self.online.epoch();
             // A plainly unavailable chunk costs no policy read and no reader.
             let hit = self.chunk_available(addr)
                 && RetryReader::new(&self.devices[addr.disk], self.retry_policy())
-                    .read_chunk(addr.offset, buf)
+                    .read_range(addr.offset, range.clone(), buf)
                     .is_ok();
             if self.online.epoch() == epoch {
                 return hit;
@@ -971,7 +979,8 @@ impl<B: BlockDevice> OiRaidStore<B> {
             return None;
         }
         let mut buf = vec![0u8; self.chunk_size];
-        self.read_into(addr, &mut buf).then_some(buf)
+        self.read_into(addr, 0..self.chunk_size, &mut buf)
+            .then_some(buf)
     }
 
     /// The inner-layer row code (see [`row_code`]), shared by the ladder,
@@ -984,14 +993,23 @@ impl<B: BlockDevice> OiRaidStore<B> {
     /// policy so a flaky sector does not abort a multi-chunk parity update
     /// half-way through.
     pub(crate) fn write_chunk(&self, addr: ChunkAddr, data: &[u8]) -> Result<(), StoreError> {
+        self.write_range(addr, 0..self.chunk_size, data)
+    }
+
+    /// [`Self::write_chunk`] of bytes `range` of `buf`, a whole chunk's
+    /// buffer ([`BlockDevice::write_range`]): `buf` was read over the same
+    /// range of the same chunk ([`Self::read_into`]) and changed only
+    /// inside it, or holds the whole chunk's value.
+    fn write_range(
+        &self,
+        addr: ChunkAddr,
+        range: Range<usize>,
+        buf: &[u8],
+    ) -> Result<(), StoreError> {
         let stats = RetryStats::default();
-        match write_chunk_retrying(
-            &self.devices[addr.disk],
-            &self.retry_policy(),
-            &stats,
-            addr.offset,
-            data,
-        ) {
+        let dev = &self.devices[addr.disk];
+        let policy = self.retry_policy();
+        match write_range_retrying(dev, &policy, &stats, addr.offset, range, buf) {
             Ok(()) => Ok(()),
             Err(DeviceError::Failed) => Err(StoreError::DiskFailed { disk: addr.disk }),
             Err(error) => Err(StoreError::Device {
@@ -1002,10 +1020,11 @@ impl<B: BlockDevice> OiRaidStore<B> {
     }
 
     /// Rung 1 of the value ladder over a set (see [`Self::current_values`]):
-    /// each of `addrs` (distinct) as its device serves it, or `None` for a
-    /// miss (unavailable or unreadable, as in [`Self::read_into`]). What is
-    /// available is read in device runs through [`Self::gather`] into
-    /// pooled buffers, each handed to `keep` as it lands: `identity` keeps
+    /// bytes `ranges[i]` of each of `addrs` (distinct) as its device serves
+    /// them, or `None` for a miss (unavailable or unreadable, as in
+    /// [`Self::read_into`]). What is available is read in device runs
+    /// through [`Self::gather`] into pooled buffers, each handed to `keep`
+    /// as it lands: `identity` keeps
     /// the pooled buffer (the caller hands it back with `self.pool.put` once
     /// the bytes are dead; dropping it is safe, just unpooled). The epoch
     /// ticket is [`Self::read_into`]'s: taken before the availability
@@ -1016,11 +1035,12 @@ impl<B: BlockDevice> OiRaidStore<B> {
     fn read_set(
         &self,
         addrs: &[ChunkAddr],
+        ranges: &[Range<usize>],
         mut keep: impl FnMut(Vec<u8>) -> Vec<u8>,
     ) -> Vec<Option<Vec<u8>>> {
         if let [addr] = addrs {
             let mut buf = self.pool.take_dirty();
-            if self.read_into(*addr, &mut buf) {
+            if self.read_into(*addr, ranges[0].clone(), &mut buf) {
                 return vec![Some(keep(buf))];
             }
             self.pool.put(buf);
@@ -1035,7 +1055,8 @@ impl<B: BlockDevice> OiRaidStore<B> {
                 .collect();
             wanted.sort_unstable_by_key(|w| w.1);
             let mut values = vec![None; addrs.len()];
-            self.gather(&wanted, &staging, |slot, _, read| {
+            let range_of = |slot: usize| ranges[slot].clone();
+            self.gather(&wanted, range_of, &staging, |slot, _, read| {
                 values[slot] = read.ok().map(&mut keep);
             });
             if self.online.epoch() == epoch {
@@ -1049,23 +1070,39 @@ impl<B: BlockDevice> OiRaidStore<B> {
     /// once — with one [`RetryReader`] per disk, consecutive offsets as one
     /// device run of at most [`run_chunks`] chunks ([`read_run_healing`],
     /// the rebuild engine's) into pooled buffers, one `DiskRun` trace scope
-    /// per run. Every chunk goes to `sink` as `(slot, address, bytes or
+    /// per run. A slot that wants less than its whole chunk
+    /// (`range_of(slot)`) joins no run: it is one [`RetryReader::read_range`]
+    /// of its bytes. Every chunk goes to `sink` as `(slot, address, bytes or
     /// error)`.
     fn gather(
         &self,
         wanted: &[(usize, ChunkAddr)],
+        range_of: impl Fn(usize) -> Range<usize>,
         staging: &Mutex<Vec<u8>>,
         mut sink: impl FnMut(usize, ChunkAddr, Result<Vec<u8>, DeviceError>),
     ) {
         let (cs, policy) = (self.chunk_size, self.retry_policy());
+        let whole = |w: &(usize, ChunkAddr)| range_of(w.0).len() == cs;
         for on_disk in wanted.chunk_by(|a, b| a.1.disk == b.1.disk) {
             let disk = on_disk[0].1.disk;
             let reader = RetryReader::new(&self.devices[disk], policy);
-            for run in on_disk.chunk_by(|a, b| a.1.offset + 1 == b.1.offset) {
+            let adjacent = |a: &_, b: &_| whole(a) && whole(b) && a.1.offset + 1 == b.1.offset;
+            for run in on_disk.chunk_by(adjacent) {
                 for run in run.chunks(run_chunks(cs)) {
                     let kind = telemetry::EventKind::DiskRun;
                     let _trace = telemetry::trace_scope(kind, disk as u64, run.len() as u64);
-                    read_run_healing(&reader, run, cs, &self.pool, staging, &mut sink);
+                    let &[(slot, addr)] = run else {
+                        read_run_healing(&reader, run, cs, &self.pool, staging, &mut sink);
+                        continue;
+                    };
+                    let mut buf = self.pool.take_dirty();
+                    match reader.read_range(addr.offset, range_of(slot), &mut buf) {
+                        Ok(()) => sink(slot, addr, Ok(buf)),
+                        Err(e) => {
+                            self.pool.put(buf);
+                            sink(slot, addr, Err(e));
+                        }
+                    }
                 }
             }
         }
@@ -1132,6 +1169,8 @@ impl<B: BlockDevice> OiRaidStore<B> {
     /// relation would sit stale behind a sector that may read again: its
     /// old value is decoded and the new one written in place (remapping the
     /// sector). `Ok(false)` hands on [`Self::current_values`]' `Ok(None)`.
+    /// Only the member's range ([`Self::logged_range`]) is read, and only
+    /// the bytes its delta may be nonzero in are XORed.
     fn resolve_parity_news(
         &self,
         parity: BTreeMap<ChunkAddr, ParityDelta>,
@@ -1143,15 +1182,17 @@ impl<B: BlockDevice> OiRaidStore<B> {
         // hot buffers instead of holding two hundred at once.
         for (addr, (pdelta, changed)) in parity {
             if self.chunk_available(addr) {
-                let Some(mut old) = self.current_values(&[addr], held)? else {
+                let range = self.logged_range(addr, changed.clone(), held);
+                let Some(mut old) = self.current_values(&[addr], &[range], held)? else {
                     return Ok(false);
                 };
-                gf::kernels::xor_acc(&mut old[0], &pdelta);
+                let mut bytes = old.swap_remove(0);
+                gf::kernels::xor_acc(&mut bytes[changed.clone()], &pdelta[changed.clone()]);
                 news.push(MemberNew {
                     addr,
-                    bytes: old.swap_remove(0),
+                    bytes,
                     is_data: false,
-                    logged: self.logged_range(addr, changed, held),
+                    range: self.logged_range(addr, changed, held),
                 });
             }
             self.pool.put(pdelta);
@@ -1159,32 +1200,44 @@ impl<B: BlockDevice> OiRaidStore<B> {
         Ok(true)
     }
 
-    /// What the journal logs of member `addr`, whose update changed the
-    /// bytes `changed` at most. Redo patches a logged range onto the chunk
-    /// as its device then holds it, and decodes the chunk from its
-    /// relations if it no longer reads, so the range alone is enough only
-    /// where the rest of the chunk is on its device and every device holds
-    /// current bytes. Otherwise the whole chunk is logged: when the old
-    /// value was decoded rather than read from the member's own device (a
-    /// latent sector), and for every member while any disk is failed or a
-    /// rebuild window is open — a failed or un-rebuilt disk holds stale
+    /// The one rule for the bytes of member `addr`, whose update changes
+    /// the bytes `changed` at most, that the update reads, writes and logs:
+    /// `changed`, or the whole chunk. Asked before the old value is read
+    /// (the range rung 1 reads) and after (the range the commit writes and
+    /// the journal logs), the two answers differ only for a member whose
+    /// old value was decoded in between, which is whole anyway.
+    ///
+    /// The range alone is enough only where the rest of the chunk is on
+    /// its device. So the whole chunk is moved when the old value was
+    /// decoded rather than read from the member's own device (a latent
+    /// sector, an un-rebuilt chunk inside a rebuild window). A durable
+    /// store also moves and logs every member whole while any disk is
+    /// failed or a rebuild window is open (`held.whole`, see
+    /// [`Self::logs_whole`]): redo patches a logged range onto the chunk as
+    /// its device then holds it, and decodes the chunk from its relations
+    /// if it no longer reads, but a failed or un-rebuilt disk holds stale
     /// bytes that replay, which knows no failure state, would decode from,
     /// and a window's writebacks may not be durable yet.
     fn logged_range(&self, addr: ChunkAddr, changed: Range<usize>, held: &Held) -> Range<usize> {
-        let whole = self.durable.is_some()
-            && (held.decoded.contains(&addr)
-                || self.online.maybe_open()
-                || self.devices.iter().any(|d| d.is_failed()));
-        if whole {
+        if held.whole || held.decoded.contains(&addr) {
             0..self.chunk_size
         } else {
             changed
         }
     }
 
+    /// Whether a write attempt starting now moves and logs every member
+    /// whole (see [`Self::logged_range`]): a durable store's, while any disk
+    /// is failed or a rebuild window may be open.
+    fn logs_whole(&self) -> bool {
+        self.durable.is_some()
+            && (self.online.maybe_open() || self.devices.iter().any(|d| d.is_failed()))
+    }
+
     /// Commits one update's member new-values crash-consistently:
-    /// journal intent (each member's logged range, absolute bytes) →
-    /// group-commit flush → member writes → applied marker. The journal
+    /// journal intent (each member's range, absolute bytes) →
+    /// group-commit flush → member writes (each member's range) → applied
+    /// marker. The journal
     /// flush is the commit point: after it, a crash anywhere leaves the
     /// update redoable from the log; before it, no member has been touched,
     /// so the update atomically never happened. Redo writes absolute bytes,
@@ -1196,12 +1249,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
             Some(d) => {
                 let members = news.iter().map(|m| {
                     let (disk, chunk) = (m.addr.disk as u32, m.addr.offset as u32);
-                    (
-                        disk,
-                        chunk,
-                        m.logged.start as u32,
-                        &m.bytes[m.logged.clone()],
-                    )
+                    (disk, chunk, m.range.start as u32, &m.bytes[m.range.clone()])
                 });
                 let seq = d.journal.append_ranges(members).map_err(journal_err)?;
                 d.journal.commit(seq).map_err(journal_err)?;
@@ -1210,7 +1258,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
             None => None,
         };
         for m in news {
-            self.write_chunk(m.addr, &m.bytes)?;
+            self.write_range(m.addr, m.range.clone(), &m.bytes)?;
             crash_point("member_write");
             if m.is_data {
                 self.online.mark_valid(m.addr);
@@ -1411,8 +1459,10 @@ impl<B: BlockDevice> OiRaidStore<B> {
         let addrs: Vec<ChunkAddr> = idxs.iter().map(|&i| self.array.locate_data(i)).collect();
         // A read changes nothing, so it locks only what its plan decodes
         // through; a target found latent by its own read relocks for more.
-        let values =
-            self.on_ladder(&addrs, Vec::new(), |held| self.current_values(&addrs, held))?;
+        let whole = vec![0..self.chunk_size; addrs.len()];
+        let values = self.on_ladder(&addrs, Vec::new(), |held| {
+            self.current_values(&addrs, &whole, held)
+        })?;
         let took = began.elapsed();
         self.telem.record_degraded_reads(took, idxs.len());
         self.telem.record_foreground_reads(took, idxs.len());
@@ -1440,6 +1490,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
             regions,
             plan: Some((epoch, plan)),
             decoded: Vec::new(),
+            whole: false,
         };
         held.regions.extend(via);
         loop {
@@ -1455,7 +1506,8 @@ impl<B: BlockDevice> OiRaidStore<B> {
     /// buffers. Reads, and writes for the old values of their data *and*
     /// parity members, all come here, from inside [`Self::on_ladder`].
     ///
-    /// * **Rung 1** — the device read, in runs ([`Self::read_set`]). A
+    /// * **Rung 1** — the device read of bytes `ranges[i]` of each, in runs
+    ///   ([`Self::read_set`]); a buffer holds only those bytes for sure. A
     ///   member that is up but unreadable is a miss like a failed disk's.
     /// * **Rung 2** — one plan of every miss, walked by [`Self::walk_plan`]:
     ///   `held`'s if it plans them all, else a new one
@@ -1467,13 +1519,14 @@ impl<B: BlockDevice> OiRaidStore<B> {
     /// relations added, and the answer is `Ok(None)` before anything is
     /// read: the caller relocks. [`StoreError::DataLoss`] is the planner's
     /// word that no relation chain reaches a miss any more. Every rung-1
-    /// miss joins `held.decoded`.
+    /// miss joins `held.decoded`, and its value is the whole chunk.
     fn current_values(
         &self,
         addrs: &[ChunkAddr],
+        ranges: &[Range<usize>],
         held: &mut Held,
     ) -> Result<Option<Vec<Vec<u8>>>, StoreError> {
-        let mut values = self.read_set(addrs, identity);
+        let mut values = self.read_set(addrs, ranges, identity);
         let misses = addrs.iter().zip(&values).filter(|(_, v)| v.is_none());
         let targets: Vec<ChunkAddr> = misses.map(|(a, _)| *a).collect();
         held.decoded.extend_from_slice(&targets);
@@ -1542,6 +1595,8 @@ impl<B: BlockDevice> OiRaidStore<B> {
     ) -> Option<Vec<Vec<u8>>> {
         let (geo, cs, pool) = (self.array.geometry(), self.chunk_size, &self.pool);
         let (code, staging) = (self.inner_code(), Mutex::default());
+        // Sources are read whole: a decode combines whole chunks.
+        let whole = |_: usize| 0..cs;
         let failed = unreadable.len();
         // A row decode parks its other erased units here for the read-less
         // siblings that follow it.
@@ -1558,7 +1613,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
                 wanted.iter().map(|w| w.0).enumerate().collect();
             firsts.dedup_by_key(|first| first.1);
             let mut inputs: Vec<Inputs> = vec![Inputs::new(); batch.len()];
-            self.gather(&firsts, &staging, |w, addr, read| {
+            self.gather(&firsts, whole, &staging, |w, addr, read| {
                 let Ok(bytes) = read else {
                     return unreadable.push(addr);
                 };
@@ -1732,13 +1787,18 @@ impl<B: BlockDevice> OiRaidStore<B> {
         let mut chunk = vec![0u8; self.chunk_size];
         for m in members {
             let addr = ChunkAddr::new(m.disk as usize, m.chunk as usize);
+            let within = m.within.unwrap_or(0) as usize;
+            let range = within..within + m.data.len();
             if let Some(later) = waiting.get_mut(&addr) {
                 later.push(m);
             } else if m.data.len() == self.chunk_size {
                 self.write_chunk(addr, &m.data)?;
-            } else if self.read_into(addr, &mut chunk) {
+            } else if self.read_into(addr, range.clone(), &mut chunk) {
+                // The range's own bytes, read and written back: the read is
+                // the check that the chunk still reads, and on a device
+                // that keeps the whole-chunk defaults it brings the rest.
                 m.patch(&mut chunk);
-                self.write_chunk(addr, &chunk)?;
+                self.write_range(addr, range, &chunk)?;
             } else {
                 waiting.insert(addr, vec![m]);
             }
@@ -1747,8 +1807,9 @@ impl<B: BlockDevice> OiRaidStore<B> {
             return Ok(());
         }
         let targets: Vec<ChunkAddr> = waiting.keys().copied().collect();
+        let whole = vec![0..self.chunk_size; targets.len()];
         let values = self.on_ladder(&targets, Vec::new(), |held| {
-            self.current_values(&targets, held)
+            self.current_values(&targets, &whole, held)
         })?;
         for ((addr, members), mut value) in waiting.into_iter().zip(values) {
             members.iter().for_each(|m| m.patch(&mut value));
@@ -2082,7 +2143,8 @@ impl<B: BlockDevice> OiRaidStore<B> {
         let mut violated = Vec::new();
         for (block, s) in geo.all_stripes() {
             let chunks = geo.stripe_chunks(block, s);
-            let values = self.read_set(&chunks, identity);
+            let whole = vec![0..self.chunk_size; chunks.len()];
+            let values = self.read_set(&chunks, &whole, identity);
             let complete = values.iter().all(Option::is_some);
             let mut acc = self.pool.take();
             for v in values.into_iter().flatten() {
@@ -2112,15 +2174,16 @@ impl<B: BlockDevice> OiRaidStore<B> {
     /// touched chunk is unrecoverable.
     pub fn read_bytes(&self, offset: u64, buf: &mut [u8]) -> Result<(), StoreError> {
         self.check_range(offset, buf.len())?;
-        // The pieces are distinct chunks, ascending: one set read.
-        let idxs: Vec<usize> = chunk_pieces(self.chunk_size, offset, buf.len())
-            .map(|(idx, ..)| idx)
-            .collect();
-        let chunks = self.read_distinct(&idxs, identity)?;
+        // The pieces are distinct chunks, ascending: one set read of each
+        // piece's own bytes.
         let pieces = chunk_pieces(self.chunk_size, offset, buf.len());
-        for ((_, within, range), chunk) in pieces.zip(chunks) {
-            let take = range.len();
-            buf[range].copy_from_slice(&chunk[within..within + take]);
+        let (idxs, ranges): (Vec<usize>, Vec<Range<usize>>) = pieces
+            .map(|(idx, within, range)| (idx, within..within + range.len()))
+            .unzip();
+        let chunks = self.read_distinct(&idxs, &ranges, identity)?;
+        let pieces = chunk_pieces(self.chunk_size, offset, buf.len());
+        for (((_, _, range), bytes), chunk) in pieces.zip(ranges).zip(chunks) {
+            buf[range].copy_from_slice(&chunk[bytes]);
             self.pool.put(chunk);
         }
         Ok(())
@@ -2179,7 +2242,8 @@ impl<B: BlockDevice> OiRaidStore<B> {
             self.pool.put(pooled);
             bytes
         };
-        let mut values = self.read_distinct(&distinct, copy_out)?;
+        let whole = vec![0..self.chunk_size; distinct.len()];
+        let mut values = self.read_distinct(&distinct, &whole, copy_out)?;
         self.telem
             .record_batch_read(idxs.len() as u64, distinct.len() as u64);
         // Each distinct chunk fans back out to every slot that asked for it,
@@ -2201,21 +2265,23 @@ impl<B: BlockDevice> OiRaidStore<B> {
         Ok(slots.into_iter().map(fan_out).collect())
     }
 
-    /// [`Self::read_data`] over the distinct data chunks `idxs`, in order:
-    /// every chunk takes rung 1 of the value ladder, in device runs and
-    /// under no lock, each read passed through `keep` (see
-    /// [`Self::read_set`]), and the misses come off the ladder in groups of
-    /// `MAX_WRITE_GROUP` (`read_degraded`: one lock per group, its sources
-    /// gathered in runs by the same gather) in the buffers they decode into.
+    /// [`Self::read_data`] over the distinct data chunks `idxs`, in order,
+    /// of which bytes `ranges[i]` are wanted: every chunk takes rung 1 of
+    /// the value ladder for those bytes, in device runs and under no lock,
+    /// each read passed through `keep` (see [`Self::read_set`]), and the
+    /// misses come off the ladder whole in groups of `MAX_WRITE_GROUP`
+    /// (`read_degraded`: one lock per group, its sources gathered in runs by
+    /// the same gather) in the buffers they decode into.
     fn read_distinct(
         &self,
         idxs: &[usize],
+        ranges: &[Range<usize>],
         keep: impl FnMut(Vec<u8>) -> Vec<u8>,
     ) -> Result<Vec<Vec<u8>>, StoreError> {
         self.qos.note_foreground();
         let began = Instant::now();
         let addrs: Vec<ChunkAddr> = idxs.iter().map(|&i| self.array.locate_data(i)).collect();
-        let values = self.read_set(&addrs, keep);
+        let values = self.read_set(&addrs, ranges, keep);
         let misses = idxs.iter().zip(&values).filter(|(_, v)| v.is_none());
         let misses: Vec<usize> = misses.map(|(i, _)| *i).collect();
         self.telem
@@ -2360,6 +2426,13 @@ impl<B: BlockDevice> OiRaidStore<B> {
     /// whole set commits through [`Self::commit_members`] — journaled as one
     /// intent record when a journal is attached — and marks the relations
     /// it modified, `regions`, dirty.
+    ///
+    /// Each member moves only its range ([`Self::logged_range`]): a data
+    /// member the hull of its patches, a parity member the union of the
+    /// deltas it absorbs, each read, changed and written back in one pooled
+    /// buffer. The ranges are fixed before the reads, so an attempt that
+    /// finds a disk failed or a window opened by commit time, on a store
+    /// that must then move every member whole, goes round again.
     fn apply_write_group(
         &self,
         group: &[ChunkPatches<'_>],
@@ -2368,24 +2441,29 @@ impl<B: BlockDevice> OiRaidStore<B> {
         regions: &[Region],
         held: &mut Held,
     ) -> Result<Option<()>, StoreError> {
-        let Some(olds) = self.current_values(addrs, held)? else {
+        held.whole = self.logs_whole();
+        let hulls: Vec<Range<usize>> = group.iter().map(|(_, patches)| hull(patches)).collect();
+        let range = |(addr, changed): (&ChunkAddr, &Range<usize>)| {
+            self.logged_range(*addr, changed.clone(), held)
+        };
+        let ranges: Vec<Range<usize>> = addrs.iter().zip(&hulls).map(range).collect();
+        let Some(olds) = self.current_values(addrs, &ranges, held)? else {
             return Ok(None);
         };
         let mut parity: BTreeMap<ChunkAddr, ParityDelta> = BTreeMap::new();
         let mut news: Vec<MemberNew> = Vec::with_capacity(group.len());
-        for (((_, chunk_patches), (addr, outer, _)), old) in group.iter().zip(items).zip(olds) {
-            // New value = old overlaid with this chunk's patches in
-            // submission order.
-            let mut new = self.pool.take_dirty();
-            new.copy_from_slice(&old);
+        let members = group.iter().zip(items).zip(olds).zip(hulls);
+        for ((((_, chunk_patches), (addr, outer, _)), mut new), changed) in members {
+            // Δ = old ⊕ new is zero outside the patches' hull, and so is
+            // every parity delta it feeds: Δ takes the hull's old bytes, the
+            // old value is patched into the new one in place (in submission
+            // order), and Δ absorbs the hull's new bytes.
+            let mut delta = self.pool.take_dirty();
+            delta[changed.clone()].copy_from_slice(&new[changed.clone()]);
             for (within, slice) in chunk_patches {
                 new[*within..*within + slice.len()].copy_from_slice(slice);
             }
-            let mut delta = old;
-            gf::kernels::xor_acc(&mut delta, &new);
-            // Δ is zero outside the patches' hull, and so is every parity
-            // delta it feeds.
-            let changed = hull(chunk_patches);
+            gf::kernels::xor_acc(&mut delta[changed.clone()], &new[changed.clone()]);
             // Outer parity absorbs Δ directly; each affected row's inner
             // parities absorb the code-weighted Δ — all into the group
             // accumulator rather than the devices.
@@ -2402,7 +2480,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
                     addr: *addr,
                     bytes: new,
                     is_data: true,
-                    logged: self.logged_range(*addr, changed, held),
+                    range: self.logged_range(*addr, changed, held),
                 });
             } else {
                 self.pool.put(new);
@@ -2412,7 +2490,8 @@ impl<B: BlockDevice> OiRaidStore<B> {
         // (one read-modify per touched parity chunk, not one per member);
         // the whole group then commits as a single journal intent — one
         // record, one flush, however many chunks the wave coalesced.
-        let resolved = self.resolve_parity_news(parity, &mut news, held)?;
+        let resolved = self.resolve_parity_news(parity, &mut news, held)?
+            && (held.whole || !self.logs_whole());
         if resolved {
             self.commit_members(&news)?;
             // Tell an in-flight rebuild that these relations changed under
@@ -2459,9 +2538,10 @@ impl<B: BlockDevice> OiRaidStore<B> {
         }
     }
 
-    /// `parity[paddr] ^= w · delta`, materialising the accumulator slot
-    /// from the scratch pool on first touch, and widening its range to
-    /// cover `delta`'s.
+    /// `parity[paddr] ^= w · delta` over `delta`'s range, materialising the
+    /// accumulator slot from the scratch pool on first touch. The slot's
+    /// range widens to cover `delta`'s, and only the bytes it gains are
+    /// zeroed: what lies outside it is never read.
     fn acc_parity(
         parity: &mut BTreeMap<ChunkAddr, ParityDelta>,
         pool: &BufPool,
@@ -2469,10 +2549,16 @@ impl<B: BlockDevice> OiRaidStore<B> {
         (delta, changed): (&[u8], &Range<usize>),
         w: u8,
     ) {
-        let (slot, range) = parity
-            .entry(paddr)
-            .or_insert_with(|| (pool.take(), changed.clone()));
-        *range = range.start.min(changed.start)..range.end.max(changed.end);
+        let (slot, range) = parity.entry(paddr).or_insert_with(|| {
+            let mut slot = pool.take_dirty();
+            slot[changed.clone()].fill(0);
+            (slot, changed.clone())
+        });
+        let wider = range.start.min(changed.start)..range.end.max(changed.end);
+        slot[wider.start..range.start].fill(0);
+        slot[range.end..wider.end].fill(0);
+        *range = wider;
+        let (slot, delta) = (&mut slot[changed.clone()], &delta[changed.clone()]);
         if w == 1 {
             gf::kernels::xor_acc(slot, delta);
         } else {
@@ -3740,6 +3826,313 @@ mod tests {
                 .rebuild(RebuildMode::Dag, RecoveryStrategy::Hybrid)
                 .unwrap();
             assert_eq!(store.read_data_batch(&all).unwrap(), expect, "{failed:?}");
+        }
+    }
+
+    /// A device that keeps the trait's whole-chunk defaults for the range
+    /// pair, as the benchmark's `NoSync` does: every range read or write is
+    /// a whole-chunk one. Runs go to the wrapped device's own `read_chunks`.
+    #[derive(Debug)]
+    struct WholeChunks<B>(B);
+
+    impl<B: BlockDevice> BlockDevice for WholeChunks<B> {
+        fn chunk_size(&self) -> usize {
+            self.0.chunk_size()
+        }
+        fn chunks(&self) -> usize {
+            self.0.chunks()
+        }
+        fn is_failed(&self) -> bool {
+            self.0.is_failed()
+        }
+        fn read_chunk(&self, chunk: usize, buf: &mut [u8]) -> Result<(), DeviceError> {
+            self.0.read_chunk(chunk, buf)
+        }
+        fn read_chunks(&self, first: usize, n: usize, buf: &mut [u8]) -> Result<(), DeviceError> {
+            self.0.read_chunks(first, n, buf)
+        }
+        fn write_chunk(&self, chunk: usize, data: &[u8]) -> Result<(), DeviceError> {
+            self.0.write_chunk(chunk, data)
+        }
+        fn fail(&self) {
+            self.0.fail()
+        }
+        fn heal(&self) -> Result<(), DeviceError> {
+            self.0.heal()
+        }
+        fn counters(&self) -> blockdev::CounterSnapshot {
+            self.0.counters()
+        }
+        fn reset_counters(&self) {
+            self.0.reset_counters()
+        }
+    }
+
+    type Ranged = OiRaidStore<blockdev::FaultInjectingDevice<MemDevice>>;
+    type Whole = OiRaidStore<WholeChunks<blockdev::FaultInjectingDevice<MemDevice>>>;
+
+    /// One call of the range == whole stream.
+    #[derive(Debug)]
+    enum Op {
+        Write(u64, Vec<u8>),
+        Batch(Vec<(u64, Vec<u8>)>),
+        Read(u64, usize),
+    }
+
+    /// `n` sub-chunk calls at random places, some across a chunk boundary.
+    fn random_ops(rng: &mut rand::rngs::StdRng, store: &Ranged, n: usize) -> Vec<Op> {
+        use rand::Rng;
+        let cs = store.chunk_size();
+        let capacity = store.capacity_bytes();
+        let piece = |rng: &mut rand::rngs::StdRng| {
+            let len = rng.gen_range(1..cs);
+            let at = rng.gen_range(0..capacity - len as u64);
+            let byte = rng.gen_range(0..256usize) as u8;
+            (at, (0..len).map(|j| byte ^ j as u8).collect::<Vec<u8>>())
+        };
+        (0..n)
+            .map(|_| match rng.gen_range(0..3) {
+                0 => {
+                    let (at, bytes) = piece(rng);
+                    Op::Write(at, bytes)
+                }
+                1 => Op::Batch((0..rng.gen_range(1..12)).map(|_| piece(rng)).collect()),
+                _ => {
+                    let (at, bytes) = piece(rng);
+                    Op::Read(at, bytes.len())
+                }
+            })
+            .collect()
+    }
+
+    /// Runs `ops` on both stores: every outcome and every read agree.
+    fn run_both(ranged: &Ranged, whole: &Whole, ops: &[Op]) {
+        for op in ops {
+            match op {
+                Op::Write(at, bytes) => {
+                    assert_eq!(
+                        ranged.write_bytes(*at, bytes),
+                        whole.write_bytes(*at, bytes)
+                    );
+                }
+                Op::Batch(writes) => {
+                    let refs: Vec<(u64, &[u8])> =
+                        writes.iter().map(|(at, b)| (*at, b.as_slice())).collect();
+                    assert_eq!(
+                        ranged.write_bytes_batch(&refs),
+                        whole.write_bytes_batch(&refs)
+                    );
+                }
+                Op::Read(at, len) => {
+                    let (mut a, mut b) = (vec![0u8; *len], vec![1u8; *len]);
+                    let a = ranged.read_bytes(*at, &mut a).map(|()| a);
+                    assert_eq!(a, whole.read_bytes(*at, &mut b).map(|()| b), "{op:?}");
+                }
+            }
+        }
+    }
+
+    /// Every up device holds the same bytes under both stores (read past
+    /// the fault injector), and both stores' parity verifies.
+    fn same_devices(ranged: &Ranged, whole: &Whole, leg: &str) {
+        let chunks = ranged.array().chunks_per_disk();
+        for (d, (a, b)) in ranged.devices().iter().zip(whole.devices()).enumerate() {
+            assert_eq!(a.is_failed(), b.is_failed(), "{leg}: disk {d}");
+            if a.is_failed() {
+                continue;
+            }
+            let mut x = vec![0u8; chunks * ranged.chunk_size()];
+            let mut y = vec![1u8; x.len()];
+            a.inner().read_chunks(0, chunks, &mut x).unwrap();
+            b.0.inner().read_chunks(0, chunks, &mut y).unwrap();
+            assert!(x == y, "{leg}: disk {d}'s bytes differ");
+        }
+        assert_eq!(ranged.check_parity(), [], "{leg}");
+        assert_eq!(whole.check_parity(), [], "{leg}");
+    }
+
+    /// Both stores on the reference array, filled alike, no fault armed.
+    fn range_and_whole_stores(cs: usize) -> (Ranged, Whole) {
+        use blockdev::{FaultConfig, FaultInjectingDevice};
+        let cfg = OiRaidConfig::reference();
+        let dev = || {
+            FaultInjectingDevice::new(
+                MemDevice::new(cs, cfg.chunks_per_disk()),
+                FaultConfig::default(),
+            )
+        };
+        let ranged =
+            OiRaidStore::with_devices(cfg.clone(), cs, (0..cfg.disks()).map(|_| dev()).collect())
+                .unwrap();
+        let whole = (0..cfg.disks()).map(|_| WholeChunks(dev())).collect();
+        let whole = OiRaidStore::with_devices(cfg, cs, whole).unwrap();
+        assert_eq!(fill(&ranged), fill(&whole));
+        (ranged, whole)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(4))]
+
+        // Range I/O is whole-chunk I/O, byte for byte: one random stream of
+        // sub-chunk `write_bytes`, `write_bytes_batch` and `read_bytes` on a
+        // store whose devices move ranges and on one whose devices keep the
+        // whole-chunk defaults reads alike and leaves the devices
+        // bit-identical — healthy, with one and two disks failed, over
+        // latent sectors, and inside an open rebuild window.
+        #[test]
+        fn a_stream_of_range_io_leaves_what_whole_chunk_io_leaves(seed in proptest::any::<u64>()) {
+            use blockdev::FaultConfig;
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let (ranged, whole) = range_and_whole_stores(64);
+            let disks = ranged.devices().len();
+            let rebuild = || {
+                ranged.rebuild(RebuildMode::Dag, RecoveryStrategy::Hybrid).unwrap();
+                whole.rebuild(RebuildMode::Dag, RecoveryStrategy::Hybrid).unwrap();
+            };
+
+            let ops = random_ops(&mut rng, &ranged, 40);
+            run_both(&ranged, &whole, &ops);
+            same_devices(&ranged, &whole, "healthy");
+
+            let first = rng.gen_range(0..disks);
+            let pair = [first, (first + 1 + rng.gen_range(0..disks - 1)) % disks];
+            for failed in [&pair[..1], &pair[..]] {
+                for &d in failed {
+                    ranged.fail_disk(d).unwrap();
+                    whole.fail_disk(d).unwrap();
+                }
+                let ops = random_ops(&mut rng, &ranged, 40);
+                run_both(&ranged, &whole, &ops);
+                same_devices(&ranged, &whole, "failed");
+                rebuild();
+                same_devices(&ranged, &whole, "rebuilt");
+            }
+
+            let arm = |latent_per_mille| {
+                for d in 0..disks {
+                    let cfg = FaultConfig {
+                        seed: seed ^ (d as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                        latent_per_mille,
+                        ..FaultConfig::default()
+                    };
+                    ranged.devices()[d].set_config(cfg);
+                    whole.devices()[d].0.set_config(cfg);
+                }
+            };
+            arm(40);
+            let ops = random_ops(&mut rng, &ranged, 40);
+            run_both(&ranged, &whole, &ops);
+            arm(0);
+            same_devices(&ranged, &whole, "latent");
+
+            let d = rng.gen_range(0..disks);
+            for store in [&ranged as &dyn WindowOver, &whole] {
+                store.open_window_over(d);
+            }
+            let ops = random_ops(&mut rng, &ranged, 40);
+            run_both(&ranged, &whole, &ops);
+            same_devices(&ranged, &whole, "in the window");
+            for store in [&ranged as &dyn WindowOver, &whole] {
+                store.close_window_failing(d);
+            }
+            rebuild();
+            same_devices(&ranged, &whole, "window rebuilt");
+        }
+    }
+
+    /// A rebuild window opened over a disk by hand, nothing rebuilt yet.
+    trait WindowOver {
+        fn open_window_over(&self, d: usize);
+        fn close_window_failing(&self, d: usize);
+    }
+
+    impl<B: BlockDevice> WindowOver for OiRaidStore<B> {
+        fn open_window_over(&self, d: usize) {
+            self.fail_disk(d).unwrap();
+            self.online.begin([d]);
+            self.devices[d].heal().unwrap();
+        }
+        fn close_window_failing(&self, d: usize) {
+            self.online.end();
+            self.fail_disk(d).unwrap();
+        }
+    }
+
+    /// Device bytes read and written over all members while `op` runs.
+    fn bytes_moved<B: BlockDevice>(store: &OiRaidStore<B>, op: impl FnOnce()) -> (u64, u64) {
+        let sum = |store: &OiRaidStore<B>| {
+            let counters = store.devices().iter().map(|d| d.counters());
+            counters.fold((0, 0), |(r, w), c| (r + c.bytes_read, w + c.bytes_written))
+        };
+        let before = sum(store);
+        op();
+        let after = sum(store);
+        (after.0 - before.0, after.1 - before.1)
+    }
+
+    /// C6 in bytes: a 512-byte write reads and writes 512 bytes of each of
+    /// its four members, a 512-byte read reads 512 bytes, and a whole-chunk
+    /// write still moves whole chunks. A member whose old value is decoded
+    /// (a latent data sector, an un-rebuilt chunk inside an open window) is
+    /// written whole: the rest of it is not on its device.
+    #[test]
+    fn a_sub_chunk_write_moves_only_its_bytes() {
+        use blockdev::FaultConfig;
+        const CS: u64 = 4096;
+        const PIECE: u64 = 512;
+        let (store, _) = filled_faulty_store(CS as usize);
+        let piece = [0x5Au8; PIECE as usize];
+        let write = |idx: u64| store.write_bytes(idx * CS + 1024, &piece).unwrap();
+        assert_eq!(bytes_moved(&store, || write(0)), (4 * PIECE, 4 * PIECE));
+        let mut buf = [0u8; PIECE as usize];
+        let read = || store.read_bytes(1024, &mut buf).unwrap();
+        assert_eq!(bytes_moved(&store, read), (PIECE, 0));
+        assert_eq!(buf, piece);
+        let chunk = vec![0xA5u8; CS as usize];
+        let whole = || store.write_data(3, &chunk).unwrap();
+        assert_eq!(bytes_moved(&store, whole), (4 * CS, 4 * CS));
+
+        // A latent sector under data chunk 1, nothing else latent on its disk.
+        let addr = store.locate(1);
+        let dev = &store.devices()[addr.disk];
+        let latent_at = |cfg: &FaultConfig| {
+            dev.set_config(*cfg);
+            (0..dev.chunks()).all(|c| dev.is_latent_bad(c) == (c == addr.offset))
+        };
+        (0..)
+            .map(|seed| FaultConfig {
+                seed,
+                latent_per_mille: 200,
+                ..FaultConfig::default()
+            })
+            .find(latent_at)
+            .unwrap();
+        let (_, written) = bytes_moved(&store, || write(1));
+        assert_eq!(written, CS + 3 * PIECE, "latent data member");
+        assert!(!dev.is_latent_bad(addr.offset), "rewritten whole");
+        dev.set_config(FaultConfig::default());
+
+        // Data chunk 2 inside an open window over its disk, not rebuilt:
+        // decoded, and written whole. Its parities sit on other disks.
+        let d = store.locate(2).disk;
+        store.open_window_over(d);
+        let (_, written) = bytes_moved(&store, || write(2));
+        assert_eq!(written, CS + 3 * PIECE, "un-rebuilt data member");
+        assert_eq!(
+            bytes_moved(&store, || write(2)),
+            (4 * PIECE, 4 * PIECE),
+            "rebuilt by the write"
+        );
+        store.close_window_failing(d);
+        store
+            .rebuild(RebuildMode::Dag, RecoveryStrategy::Hybrid)
+            .unwrap();
+        assert!(store.check_parity().is_empty());
+        for idx in 0..3u64 {
+            let mut got = [0u8; PIECE as usize];
+            store.read_bytes(idx * CS + 1024, &mut got).unwrap();
+            assert_eq!(got, piece, "idx {idx}");
         }
     }
 

@@ -98,9 +98,32 @@ fn main() {
         );
     }
 
-    // And the real thing: count bytes actually touched by the byte store.
-    let store = OiRaidStore::new(OiRaidConfig::reference(), 1024).expect("store");
-    store.write_data(idx, &[0x5A; 1024]).expect("write");
+    // And the real thing: the device bytes one write moves on the byte
+    // store, from the members' counters. Each member moves only the bytes
+    // the write changes, so C6 holds per byte as well as per chunk: 4 B
+    // read and 4 B written per user byte, whatever the write's size.
+    const CHUNK: usize = 4096;
+    let store = OiRaidStore::new(OiRaidConfig::reference(), CHUNK).expect("store");
+    let moved = || {
+        let counters = store.devices().iter().map(|d| d.counters());
+        counters.fold((0, 0), |(r, w), c| (r + c.bytes_read, w + c.bytes_written))
+    };
+    println!("\ndevice bytes per user byte on the byte store ({CHUNK} B chunks, memory devices):");
+    println!("  {:<12}{:>8}{:>10}", "write", "read", "written");
+    for len in [512, CHUNK] {
+        let before = moved();
+        let offset = (idx * CHUNK + CHUNK - len) as u64;
+        store.write_bytes(offset, &vec![0x5A; len]).expect("write");
+        let after = moved();
+        let per_byte = |d: u64| d as f64 / len as f64;
+        println!(
+            "  {:<12}{:>8.2}{:>10.2}",
+            format!("{len} B"),
+            per_byte(after.0 - before.0),
+            per_byte(after.1 - before.1)
+        );
+        assert_eq!(after.1 - before.1, 4 * len as u64, "4 members x {len} B");
+    }
     assert!(store.check_parity().is_empty());
-    println!("\nbyte-level store: the incremental update left both parity layers consistent.");
+    println!("the incremental updates left both parity layers consistent.");
 }
