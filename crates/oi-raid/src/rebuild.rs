@@ -686,12 +686,16 @@ pub(crate) type Run<'a> = &'a [(usize, ChunkAddr)];
 /// returns whether the device died.
 ///
 /// Every delivered chunk lands in a [`BufPool::take_dirty`] buffer. A
-/// multi-chunk run is read into `staging` first — the reader's own reused
-/// buffer, grown (never re-zeroed) to the longest run seen — so a source
-/// byte is written twice at most and nothing is memset per run.
+/// one-chunk run reads bytes `range_of(item)` of its chunk
+/// ([`RetryReader::read_range`]; the rebuild wants every chunk whole); a
+/// multi-chunk run's items all want their whole chunks, and it is read
+/// into `staging` first — the reader's own reused buffer, grown (never
+/// re-zeroed) to the longest run seen — so a source byte is written twice
+/// at most and nothing is memset per run.
 pub(crate) fn read_run_healing<B: BlockDevice>(
     reader: &RetryReader<'_, B>,
     run: Run<'_>,
+    range_of: impl Fn(usize) -> Range<usize>,
     chunk_size: usize,
     pool: &BufPool,
     staging: &Mutex<Vec<u8>>,
@@ -699,7 +703,7 @@ pub(crate) fn read_run_healing<B: BlockDevice>(
 ) -> bool {
     if let [(idx, addr)] = run {
         let mut buf = pool.take_dirty();
-        let read = reader.read_chunk(addr.offset, &mut buf);
+        let read = reader.read_range(addr.offset, range_of(*idx), &mut buf);
         let died = matches!(read, Err(DeviceError::Failed));
         let read = match read {
             Ok(()) => Ok(buf),
@@ -1773,8 +1777,10 @@ impl<B: BlockDevice> OiRaidStore<B> {
                             failed.push((addr, e));
                         }
                     };
+                    let whole = |_| 0..chunk_size;
+                    let reader = &readers[qi];
                     dead =
-                        read_run_healing(&readers[qi], run, chunk_size, pool, &staging[qi], sink);
+                        read_run_healing(reader, run, whole, chunk_size, pool, &staging[qi], sink);
                     obs.stages.read.record_duration(began.elapsed());
                 }
                 obs.progress.add_bytes_read((delivered * chunk_size) as u64);

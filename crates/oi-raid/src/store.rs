@@ -394,7 +394,8 @@ struct MemberNew {
     /// A whole chunk's buffer holding the member's absolute new bytes over
     /// `range` (around it, whatever its device read returned).
     bytes: Vec<u8>,
-    /// Data chunks become window-valid at commit, parity chunks do not.
+    /// Data chunks written whole become window-valid at commit, parity
+    /// chunks do not.
     is_data: bool,
     /// The bytes the commit writes and the journal logs (see
     /// [`OiRaidStore::logged_range`]).
@@ -1071,8 +1072,8 @@ impl<B: BlockDevice> OiRaidStore<B> {
     /// device run of at most [`run_chunks`] chunks ([`read_run_healing`],
     /// the rebuild engine's) into pooled buffers, one `DiskRun` trace scope
     /// per run. A slot that wants less than its whole chunk
-    /// (`range_of(slot)`) joins no run: it is one [`RetryReader::read_range`]
-    /// of its bytes. Every chunk goes to `sink` as `(slot, address, bytes or
+    /// (`range_of(slot)`) joins no run: it is a run of one, which reads only
+    /// its bytes. Every chunk goes to `sink` as `(slot, address, bytes or
     /// error)`.
     fn gather(
         &self,
@@ -1091,18 +1092,8 @@ impl<B: BlockDevice> OiRaidStore<B> {
                 for run in run.chunks(run_chunks(cs)) {
                     let kind = telemetry::EventKind::DiskRun;
                     let _trace = telemetry::trace_scope(kind, disk as u64, run.len() as u64);
-                    let &[(slot, addr)] = run else {
-                        read_run_healing(&reader, run, cs, &self.pool, staging, &mut sink);
-                        continue;
-                    };
-                    let mut buf = self.pool.take_dirty();
-                    match reader.read_range(addr.offset, range_of(slot), &mut buf) {
-                        Ok(()) => sink(slot, addr, Ok(buf)),
-                        Err(e) => {
-                            self.pool.put(buf);
-                            sink(slot, addr, Err(e));
-                        }
-                    }
+                    let pool = &self.pool;
+                    read_run_healing(&reader, run, &range_of, cs, pool, staging, &mut sink);
                 }
             }
         }
@@ -1260,7 +1251,12 @@ impl<B: BlockDevice> OiRaidStore<B> {
         for m in news {
             self.write_range(m.addr, m.range.clone(), &m.bytes)?;
             crash_point("member_write");
-            if m.is_data {
+            // Only a member written whole vouches for its whole chunk. A
+            // range member was valid when it was read (else it was decoded,
+            // and is whole); if its disk failed and was healed into a new
+            // window since, the range landed on a blank chunk, which stays
+            // invalid and is rebuilt from the relations this write updated.
+            if m.is_data && m.range.len() == self.chunk_size {
                 self.online.mark_valid(m.addr);
             }
         }
@@ -4134,6 +4130,117 @@ mod tests {
             store.read_bytes(idx * CS + 1024, &mut got).unwrap();
             assert_eq!(got, piece, "idx {idx}");
         }
+    }
+
+    /// What [`HookedDevice`] runs after its next read of one chunk.
+    type Hook = (usize, Box<dyn FnOnce() + Send>);
+
+    /// A memory device that moves ranges and runs a hook once, right after
+    /// its next read of one chunk: a way to act between two steps of a write.
+    struct HookedDevice {
+        inner: MemDevice,
+        hook: Mutex<Option<Hook>>,
+    }
+
+    impl BlockDevice for HookedDevice {
+        fn chunk_size(&self) -> usize {
+            self.inner.chunk_size()
+        }
+        fn chunks(&self) -> usize {
+            self.inner.chunks()
+        }
+        fn is_failed(&self) -> bool {
+            self.inner.is_failed()
+        }
+        fn read_chunk(&self, chunk: usize, buf: &mut [u8]) -> Result<(), DeviceError> {
+            self.read_range(chunk, 0..self.chunk_size(), buf)
+        }
+        fn write_chunk(&self, chunk: usize, data: &[u8]) -> Result<(), DeviceError> {
+            self.inner.write_chunk(chunk, data)
+        }
+        fn read_range(
+            &self,
+            chunk: usize,
+            range: Range<usize>,
+            buf: &mut [u8],
+        ) -> Result<(), DeviceError> {
+            let read = self.inner.read_range(chunk, range, buf);
+            let due = {
+                let mut hook = self.hook.lock().unwrap();
+                match &*hook {
+                    Some((at, _)) if *at == chunk => hook.take(),
+                    _ => None,
+                }
+            };
+            if let Some((_, run)) = due {
+                run();
+            }
+            read
+        }
+        fn write_range(
+            &self,
+            chunk: usize,
+            range: Range<usize>,
+            buf: &[u8],
+        ) -> Result<(), DeviceError> {
+            self.inner.write_range(chunk, range, buf)
+        }
+        fn fail(&self) {
+            self.inner.fail()
+        }
+        fn heal(&self) -> Result<(), DeviceError> {
+            self.inner.heal()
+        }
+        fn counters(&self) -> blockdev::CounterSnapshot {
+            self.inner.counters()
+        }
+        fn reset_counters(&self) {
+            self.inner.reset_counters()
+        }
+    }
+
+    /// A sub-chunk write whose data member's disk fails and comes back
+    /// inside a new rebuild window after the member was read and before it
+    /// is written: the range lands on a blank chunk, which the write must
+    /// not mark rebuilt. The hook sits on the member's row parity, whose
+    /// read comes between the two. The chunk reads back right inside the
+    /// window and after the rebuild.
+    #[test]
+    fn a_range_written_onto_a_disk_healed_mid_write_is_not_marked_rebuilt() {
+        const CS: usize = 4096;
+        let cfg = OiRaidConfig::reference();
+        let devices = (0..cfg.disks())
+            .map(|_| HookedDevice {
+                inner: MemDevice::new(CS, cfg.chunks_per_disk()),
+                hook: Mutex::default(),
+            })
+            .collect();
+        let store = Arc::new(OiRaidStore::with_devices(cfg, CS, devices).unwrap());
+        let mut expect = fill(&*store);
+        let idx = 5;
+        let addr = store.locate(idx);
+        let parity = store.array().update_set(addr).unwrap()[1];
+        assert_ne!(parity.disk, addr.disk);
+        let weak = Arc::downgrade(&store);
+        let replace = move || weak.upgrade().unwrap().open_window_over(addr.disk);
+        *store.devices()[parity.disk].hook.lock().unwrap() =
+            Some((parity.offset, Box::new(replace)));
+
+        store
+            .write_bytes((idx * CS + 1024) as u64, &[0x77; 512])
+            .unwrap();
+        expect[idx][1024..1536].fill(0x77);
+        assert!(store.devices()[parity.disk].hook.lock().unwrap().is_none());
+        assert!(store.online.chunk_invalid(addr), "marked rebuilt");
+        assert_eq!(store.read_data(idx).unwrap(), expect[idx], "in the window");
+        store.close_window_failing(addr.disk);
+        store
+            .rebuild(RebuildMode::Dag, RecoveryStrategy::Hybrid)
+            .unwrap();
+        for (idx, e) in expect.iter().enumerate() {
+            assert_eq!(store.read_data(idx).unwrap(), *e, "idx {idx}");
+        }
+        assert!(store.check_parity().is_empty());
     }
 
     /// A memory device that counts the reads of each of its chunks.
