@@ -790,10 +790,13 @@ impl Journal {
     /// intents are outstanding and the tail is past a threshold, the log
     /// rewinds (sequence numbers stay monotonic).
     ///
-    /// Only valid under [`FlushPolicy::Never`]-style callers: the embedded
-    /// rewind does not flush member devices first. Flush-policy callers
-    /// use [`Journal::mark_applied_no_truncate`] and decide when
-    /// [`Journal::try_truncate`] is safe.
+    /// The rewind does not flush member devices, so call it only once the
+    /// intent's members are where the flush policy needs them: written
+    /// under [`FlushPolicy::Never`], flushed under a power-safe policy.
+    /// Every earlier marker obeyed the same rule, so by the time the log
+    /// drains the whole lap's members are there too. A caller that must
+    /// flush between the marker and the rewind uses
+    /// [`Journal::mark_applied_no_truncate`] and [`Journal::try_truncate`].
     pub fn mark_applied(&self, seq: u64) -> std::io::Result<()> {
         if self.mark_applied_no_truncate(seq)? {
             self.try_truncate()?;

@@ -82,7 +82,7 @@ impl StageTimings {
     }
 }
 
-/// Self-healing counters for one (or more) rebuild/scrub runs: how often
+/// Self-healing counters for one (or more) rebuild runs: how often
 /// the engine retried transient faults, re-routed around unreadable
 /// chunks, escalated after a mid-rebuild disk failure, and repaired latent
 /// sectors by rewrite. Live [`Counter`] handles — clone the struct to keep
@@ -100,7 +100,7 @@ pub struct HealCounters {
     pub reroutes: Counter,
     /// Mid-rebuild surviving-disk failures absorbed by re-planning.
     pub escalations: Counter,
-    /// Latent sector errors repaired by rewrite (rebuild or scrub).
+    /// Latent sector errors repaired by rewrite during a rebuild.
     pub latent_repairs: Counter,
     /// Total deterministic backoff slept before retries, in nanoseconds.
     pub backoff_ns: Counter,

@@ -10,7 +10,7 @@
 //!
 //! Foreground writes that land while the window is open mark the parity
 //! *relations* they touch — an outer stripe or an inner row — dirty. A
-//! rebuild round reads source chunks without the update lock, so a
+//! rebuild round reads source chunks without region locks, so a
 //! concurrent write can hand it a torn view (new data, old parity, or any
 //! mix); reconstructions derived from a dirtied relation are discarded at
 //! writeback instead of overwriting the foreground data, and the next
@@ -18,7 +18,7 @@
 
 use std::collections::{BTreeSet, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Mutex, MutexGuard};
 
 use layout::ChunkAddr;
 
@@ -58,11 +58,9 @@ pub(crate) struct RebuildWindow {
 }
 
 /// Guards held for the duration of one region-scoped read-modify-write:
-/// a shared hold on the store lock (excluding whole-array phases) plus
 /// the stripe mutexes covering every relation the operation touches.
-/// Dropping the struct releases everything.
+/// Dropping the struct releases them.
 pub(crate) struct RegionGuards<'a> {
-    _all: RwLockReadGuard<'a, ()>,
     _stripes: Vec<MutexGuard<'a, ()>>,
 }
 
@@ -70,15 +68,12 @@ pub(crate) struct RegionGuards<'a> {
 /// (no rebuild in flight), mirroring how telemetry clones.
 #[derive(Debug)]
 pub(crate) struct OnlineState {
-    /// Two-tier update locking. Region-scoped operations (a foreground
-    /// read or RMW, a rebuild writeback) hold this *shared* plus the
-    /// stripe mutexes their relations hash to; whole-array phases (the
-    /// dirty-epoch reset, a scrub row repair) hold it *exclusive* and need
-    /// no stripes. Two operations whose relation
-    /// sets intersect always share at least one stripe mutex, so the
-    /// old single-lock atomicity is preserved per relation — without
-    /// serializing writers that touch disjoint relations.
-    all: RwLock<()>,
+    /// The update locks, one tier: every operation that reads or changes
+    /// chunks under a relation (a foreground read or RMW, a rebuild
+    /// writeback, a scrub repair) holds the stripe mutexes its relations
+    /// hash to. Two operations whose relation sets intersect always share
+    /// at least one stripe mutex, so each relation is updated atomically
+    /// without serializing writers that touch disjoint relations.
     stripes: Vec<Mutex<()>>,
     window: Mutex<Option<RebuildWindow>>,
     /// Counts the window's edges — `begin`, `escalate`, `end` — so it is odd
@@ -106,15 +101,14 @@ pub(crate) struct OnlineState {
     /// Test builds only: acquisitions of the `window` mutex.
     #[cfg(test)]
     window_locks: std::sync::atomic::AtomicUsize,
-    /// Test builds only: calls of `lock_regions` and of `lock_updates`.
+    /// Test builds only: calls of `lock_regions`.
     #[cfg(test)]
-    update_locks: [std::sync::atomic::AtomicUsize; 2],
+    update_locks: std::sync::atomic::AtomicUsize,
 }
 
 impl Default for OnlineState {
     fn default() -> Self {
         Self {
-            all: RwLock::new(()),
             stripes: (0..LOCK_STRIPES).map(|_| Mutex::new(())).collect(),
             window: Mutex::new(None),
             epoch: AtomicU64::new(0),
@@ -164,45 +158,24 @@ pub(crate) fn stripe_order(regions: &[Region]) -> Vec<usize> {
 }
 
 impl OnlineState {
-    /// Takes the update lock exclusively, shutting out every region holder.
-    /// Two callers are left: a rebuild round's dirty-epoch reset and the
-    /// scrub's corruption repair of one row. No foreground op takes it —
-    /// every value they decode comes off a plan whose relations they lock
-    /// through [`Self::lock_regions`].
-    pub fn lock_updates(&self) -> RwLockWriteGuard<'_, ()> {
-        #[cfg(test)]
-        self.update_locks[1].fetch_add(1, Ordering::Relaxed);
-        match self.all.write() {
-            Ok(g) => g,
-            // A panic while holding the lock (e.g. an assert in a test
-            // thread) must not wedge every subsequent I/O.
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    /// Takes the update lock for one bounded operation: shared on the
-    /// store-wide lock plus the stripe mutex of every relation in
-    /// `regions`. Stripe indices are deduplicated and acquired in
-    /// ascending order, so concurrent callers cannot deadlock; callers
-    /// whose relation sets intersect always contend on a common stripe.
+    /// Takes the update lock for one bounded operation: the stripe mutex
+    /// of every relation in `regions`. Stripe indices are deduplicated and
+    /// acquired in ascending order, so concurrent callers cannot deadlock;
+    /// callers whose relation sets intersect always contend on a common
+    /// stripe.
     pub fn lock_regions(&self, regions: &[Region]) -> RegionGuards<'_> {
         #[cfg(test)]
-        self.update_locks[0].fetch_add(1, Ordering::Relaxed);
-        let all = match self.all.read() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        self.update_locks.fetch_add(1, Ordering::Relaxed);
         let stripes = stripe_order(regions)
             .into_iter()
             .map(|i| match self.stripes[i].lock() {
                 Ok(g) => g,
+                // A panic while holding a stripe (e.g. an assert in a test
+                // thread) must not wedge every subsequent I/O.
                 Err(poisoned) => poisoned.into_inner(),
             })
             .collect();
-        RegionGuards {
-            _all: all,
-            _stripes: stripes,
-        }
+        RegionGuards { _stripes: stripes }
     }
 
     fn window(&self) -> MutexGuard<'_, Option<RebuildWindow>> {
@@ -261,14 +234,10 @@ impl OnlineState {
         self.window_locks.load(Ordering::Relaxed)
     }
 
-    /// How often `(lock_regions, lock_updates)` have been called.
+    /// How often `lock_regions` has been called.
     #[cfg(test)]
-    pub fn update_locks(&self) -> (usize, usize) {
-        let [regions, updates] = &self.update_locks;
-        (
-            regions.load(Ordering::Relaxed),
-            updates.load(Ordering::Relaxed),
-        )
+    pub fn update_locks(&self) -> usize {
+        self.update_locks.load(Ordering::Relaxed)
     }
 
     /// Whether a rebuild window is currently open.
@@ -334,7 +303,8 @@ impl OnlineState {
         }
     }
 
-    /// Marks relations touched by a foreground write. A no-op without an
+    /// Marks relations a write or a repair changed. Call after the last
+    /// member write and before the region locks drop. A no-op without an
     /// open window.
     pub fn mark_dirty(&self, regions: impl IntoIterator<Item = Region>) {
         if !self.maybe_open() {
@@ -345,8 +315,10 @@ impl OnlineState {
         }
     }
 
-    /// Clears the dirty set (at the start of a rebuild round, under the
-    /// update lock, so the round's reads see a consistent epoch).
+    /// Clears the dirty set at the start of a rebuild round. No lock is
+    /// needed: a write marks its relations after its last member write, so
+    /// one whose mark precedes the clear is wholly visible to the round's
+    /// reads, and one whose mark follows it is caught at writeback.
     pub fn clear_dirty(&self) {
         if let Some(w) = self.window().as_mut() {
             w.dirty.clear();
@@ -495,27 +467,6 @@ mod tests {
             assert!(
                 !entered.load(Ordering::SeqCst),
                 "overlapping region sets must contend"
-            );
-            drop(g);
-        });
-        assert!(entered.load(Ordering::SeqCst));
-    }
-
-    #[test]
-    fn exclusive_lock_excludes_region_holders() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        let s = OnlineState::default();
-        let entered = AtomicBool::new(false);
-        std::thread::scope(|scope| {
-            let g = s.lock_regions(&[Region::Row(2, 2)]);
-            scope.spawn(|| {
-                let _g = s.lock_updates();
-                entered.store(true, Ordering::SeqCst);
-            });
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            assert!(
-                !entered.load(Ordering::SeqCst),
-                "whole-array phase must wait for region holders"
             );
             drop(g);
         });

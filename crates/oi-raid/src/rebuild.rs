@@ -1,6 +1,6 @@
 //! Self-healing, plan-driven rebuild engine: executes a
 //! [`layout::RecoveryPlan`] against the store's block devices — serially
-//! (the oracle, and the scrub engine) or as an op DAG on a worker pool
+//! (the oracle) or as an op DAG on a worker pool
 //! that carries each batch of chunks from read to writeback while its
 //! bytes are in cache — and *absorbs* device faults instead of dying on
 //! them.
@@ -12,8 +12,7 @@
 //! on. Every reconstructed chunk becomes live in exactly one place,
 //! `OiRaidStore::writeback_chunks` — region locks, dirty check, writes,
 //! validity marks, then per chunk crash point and checkpoint tick — called
-//! once per batch by the serial walk, by the DAG's batch ops, and (through
-//! a serial round) by the repairing scrub.
+//! once per batch by the serial walk and by the DAG's batch ops.
 //!
 //! Every read goes through a
 //! [`RetryReader`](blockdev::RetryReader): transient faults are retried
@@ -48,7 +47,7 @@
 //! a rebuild window (see `crate::online`) before healing the target devices,
 //! so foreground reads treat not-yet-rebuilt chunks as missing and
 //! foreground writes land degraded, marking the parity relations they touch
-//! dirty. Each round clears the dirty set under the update lock; a
+//! dirty. Each round clears the dirty set as it starts; a
 //! reconstruction whose (transitive) inputs intersect a dirtied relation is
 //! discarded at writeback — the next round recomputes it from the updated
 //! parity, so stale reconstructions never clobber foreground writes.
@@ -594,9 +593,9 @@ fn sibling_provider(geo: &Geometry, items: &[layout::ChunkRecovery], idx: usize)
 /// The plan's per-disk read queues, pre-coalesced into runs, with the QoS
 /// charge applied at dequeue. Both executors take runs through
 /// [`RunQueues::dequeue`], so rebuild I/O pays the store's token bucket in
-/// exactly one place: concurrent executors (a rebuild and a repairing
-/// scrub, say) draw from the same bucket instead of each charging its own
-/// copy of the accounting against the same refill window.
+/// exactly one place: the DAG's concurrent read ops draw from the same
+/// bucket instead of each charging its own copy of the accounting against
+/// the same refill window.
 struct RunQueues {
     /// `(disk, read queue)` per surviving disk with scheduled reads.
     queues: Vec<(usize, Vec<(usize, ChunkAddr)>)>,
@@ -741,21 +740,20 @@ pub(crate) fn read_run_healing<B: BlockDevice>(
 /// *and writes back* (through [`OiRaidStore::writeback_chunks`]); the
 /// driver loop only keeps books on what it reports. Rounds are infallible:
 /// faults become entries in `unreadable`/`dead_disks` for the driver to
-/// heal around instead of errors that abort the rebuild. Shared with the
-/// repairing scrub in [`crate::store`].
-pub(crate) struct RoundOutput {
+/// heal around instead of errors that abort the rebuild.
+struct RoundOutput {
     /// Chunks written back and marked valid, in completion order.
-    pub(crate) written: Vec<ChunkAddr>,
+    written: Vec<ChunkAddr>,
     /// Writebacks discarded because a foreground write dirtied an input
     /// relation since the round began.
-    pub(crate) dirty_skips: u32,
+    dirty_skips: u32,
     /// Source chunks that stayed unreadable after their retry budget.
-    pub(crate) unreadable: Vec<(ChunkAddr, DeviceError)>,
+    unreadable: Vec<(ChunkAddr, DeviceError)>,
     /// Disks that reported [`DeviceError::Failed`] while serving reads or
     /// taking writebacks (plus any already failed when the round began).
-    pub(crate) dead_disks: BTreeSet<usize>,
+    dead_disks: BTreeSet<usize>,
     /// Retry activity summed over this round's readers and writebacks.
-    pub(crate) retry: RetryCounters,
+    retry: RetryCounters,
     workers: usize,
     worker_busy: Vec<Duration>,
     /// Scheduler statistics (all-zero outside DAG mode).
@@ -768,7 +766,7 @@ pub(crate) struct RoundOutput {
 /// The checkpoint cadence of one rebuild (all its rounds): every
 /// `policy.interval` landed chunks the window's valid set is persisted, so
 /// a process killed mid-round resumes instead of restarting.
-pub(crate) struct CheckpointTick {
+struct CheckpointTick {
     policy: CheckpointPolicy,
     /// Chunks landed since the rebuild began.
     landed: AtomicU64,
@@ -791,7 +789,7 @@ impl CheckpointTick {
 /// The conservative dirty-dependency footprint of every item of a plan
 /// (see [`OiRaidStore::plan_regions`]), stored flat: two allocations per
 /// plan, not one per item.
-pub(crate) struct Footprints {
+struct Footprints {
     regions: Vec<Region>,
     /// Item `idx`'s relations are `regions[start[idx]..start[idx + 1]]`.
     start: Vec<usize>,
@@ -1249,13 +1247,12 @@ impl<B: BlockDevice> OiRaidStore<B> {
             };
             let _round_guard = (round_trace != 0).then(|| telemetry::enter_trace(round_trace));
             let began = Instant::now();
-            {
-                // New dirty epoch: writes completed before this point are
-                // visible to every read this round issues; writes that land
-                // later re-mark their relations and are caught at writeback.
-                let _g = self.online().lock_updates();
-                self.online().clear_dirty();
-            }
+            // New dirty epoch, with no lock: a write marks its relations
+            // dirty after its last member write and before it drops its
+            // region locks, so one whose mark comes before this clear is
+            // wholly visible to every read this round issues, and one whose
+            // mark comes after is caught at writeback.
+            self.online().clear_dirty();
             let regions = self.plan_regions(&plan);
             obs.stages.plan.record_duration(began.elapsed());
             obs.stages.regions.record_duration(began.elapsed());
@@ -1513,7 +1510,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
     /// parity relations of the lost chunk itself plus those of every chunk
     /// its reconstruction (transitively) reads. A writeback is discarded
     /// when a foreground write dirtied any of these since the round began.
-    pub(crate) fn plan_regions(&self, plan: &RecoveryPlan) -> Footprints {
+    fn plan_regions(&self, plan: &RecoveryPlan) -> Footprints {
         let geo = self.array().geometry();
         let items = plan.items();
         let mut regions: Vec<Region> = Vec::with_capacity(4 * items.len());
@@ -1549,8 +1546,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
 
     /// Opens one round's writeback books. Disks already failed when the
     /// round begins take no I/O and are reported dead like a disk that dies
-    /// mid-round: a rebuild escalates them, the scrub (which plans around
-    /// failed disks it does not rebuild) leaves them alone.
+    /// mid-round, and the rebuild escalates them.
     fn begin_writeback<'a>(
         &self,
         plan: &'a RecoveryPlan,
@@ -1573,9 +1569,8 @@ impl<B: BlockDevice> OiRaidStore<B> {
     }
 
     /// The one place a reconstructed chunk becomes live — every executor
-    /// (serial walk, DAG batch op, and through the serial walk the
-    /// repairing scrub) lands plan items here, a batch at a time, as
-    /// `(item index, value)`.
+    /// (serial walk, DAG batch op) lands plan items here, a batch at a
+    /// time, as `(item index, value)`.
     ///
     /// The dirty check, the writes, and the validity marks form one atom
     /// under the union of the items' region locks: no foreground write can
@@ -1661,7 +1656,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
     /// reads are taken batch-major, everything else first and
     /// downstream-first, so the worker whose read completes a batch
     /// combines and lands it at once, while the bytes are in its cache.
-    /// [`RebuildMode::Serial`] (the oracle, and the scrub's engine) walks
+    /// [`RebuildMode::Serial`] (the oracle) walks
     /// the same ops in the order they were added on the calling thread.
     /// Either way nothing waits for a phase, and the buffers alive at any
     /// moment are a batch or two per worker, not the plan's.
@@ -1671,7 +1666,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
     /// whose dependency never completed is skipped in turn (both inside
     /// their batch, whose other items land), and a dead disk stops only its
     /// own remaining reads. `regions` is [`Self::plan_regions`] of `plan`.
-    pub(crate) fn execute_round(
+    fn execute_round(
         &self,
         mode: RebuildMode,
         plan: &RecoveryPlan,
@@ -2659,6 +2654,73 @@ mod tests {
             assert_eq!(written, expected, "{mode}");
             assert_eq!(valid, expected, "{mode}");
         }
+    }
+
+    /// A write paused after its data member and before its parity members
+    /// (holding its region locks) while a round clears the dirty set and
+    /// reads that relation — torn: new data, old parity. The round's read
+    /// releases the write, which marks the relation dirty before the
+    /// batch's writeback can take its locks, so the item is skipped, not
+    /// landed from the torn read; a rebuild then converges exactly.
+    #[test]
+    fn a_write_straddling_a_rounds_dirty_reset_is_skipped_not_clobbered() {
+        use crate::store::tests::HookedDevice;
+        use std::sync::mpsc;
+        let wait = Duration::from_secs(10);
+        let store = batch_fixture(HookedDevice::new);
+        let plan = batch_plan(&store);
+        let regions = store.plan_regions(&plan);
+        // A data source of the first item: read before any writeback.
+        let (addr, idx) = plan.items()[0]
+            .reads
+            .iter()
+            .find_map(|&a| Some((a, store.array().data_index(a)?)))
+            .expect("the first item reads a data chunk");
+        let mut expect: Vec<Vec<u8>> = (0..store.data_chunks())
+            .map(|i| store.read_data(i).unwrap())
+            .collect();
+        expect[idx] = vec![0x3C; 64];
+        store.fail_disk(BATCH_TARGET).unwrap();
+        let (paused, on_pause) = mpsc::channel();
+        let (release, on_release) = mpsc::channel::<()>();
+        let pause = move || {
+            paused.send(()).unwrap();
+            on_release
+                .recv_timeout(wait)
+                .expect("the round read the source");
+        };
+        let dev = &store.devices()[addr.disk];
+        *dev.write_hook.lock().unwrap() = Some((addr.offset, 0, Box::new(pause)));
+        let out = std::thread::scope(|scope| {
+            let writer = scope.spawn(|| store.write_data(idx, &expect[idx]));
+            on_pause
+                .recv_timeout(wait)
+                .expect("the write reached its data member");
+            let read = move || release.send(()).unwrap();
+            *dev.hook.lock().unwrap() = Some((addr.offset, 0, Box::new(read)));
+            // The round as `rebuild_inner` runs it.
+            store.online().begin([BATCH_TARGET]);
+            store.devices()[BATCH_TARGET].heal().unwrap();
+            store.online().clear_dirty();
+            let obs = crate::RebuildObserver::default();
+            let out = store.execute_round(RebuildMode::Serial, &plan, &regions, &obs, None);
+            writer.join().unwrap().unwrap();
+            out
+        });
+        assert!(out.dirty_skips >= 1, "{} dirty skips", out.dirty_skips);
+        assert!(!out.written.contains(&plan.items()[0].lost));
+        for (i, want) in expect.iter().enumerate() {
+            assert_eq!(store.read_data(i).unwrap(), *want, "in the window, idx {i}");
+        }
+        store.online().end();
+        store.fail_disk(BATCH_TARGET).unwrap();
+        store
+            .rebuild(RebuildMode::Serial, RecoveryStrategy::Hybrid)
+            .unwrap();
+        for (i, want) in expect.iter().enumerate() {
+            assert_eq!(store.read_data(i).unwrap(), *want, "idx {i}");
+        }
+        assert!(store.check_parity().is_empty());
     }
 
     #[test]

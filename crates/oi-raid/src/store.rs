@@ -33,7 +33,7 @@ use std::time::{Duration, Instant};
 
 use blockdev::{
     crash_point, write_range_retrying, BlockDevice, DeviceError, FileDevice, FlushPolicy, Journal,
-    MemDevice, RedoMember, RetryCounters, RetryPolicy, RetryReader, RetryStats,
+    MemDevice, RedoMember, RetryPolicy, RetryReader, RetryStats,
 };
 use ecc::{ErasureCode, Raid6, XorParity};
 use gf::Gf256;
@@ -45,7 +45,6 @@ use crate::bufpool::BufPool;
 use crate::config::OiRaidConfig;
 use crate::geometry::{Geometry, PayloadPos};
 use crate::multifail;
-use crate::observe::RebuildObserver;
 use crate::online::{OnlineState, Region};
 use crate::qos::{QosConfig, QosCounters, QosState};
 use crate::rebuild::{combine, read_run_healing, run_chunks, Inputs};
@@ -132,13 +131,15 @@ pub struct ScrubReport {
     pub scanned: u64,
     /// Silently-corrupted chunks repaired from the redundancy.
     pub repaired_corruption: Vec<ChunkAddr>,
-    /// Latent sector errors (unreadable after retries) re-derived through
-    /// alternate read sets and repaired by rewriting in place.
+    /// Latent sector errors (unreadable after retries) re-derived from
+    /// their relations and repaired by rewriting in place.
     pub repaired_latent: Vec<ChunkAddr>,
     /// Unreadable chunks the scrub could not repair (no decodable read
     /// set, or the rewrite failed) — left for rebuild or operator action.
     pub unrecoverable: Vec<ChunkAddr>,
-    /// Read/write attempts retried after transient faults during the pass.
+    /// Reads the latent pass's probe retried after transient faults. The
+    /// repairs' own reads and writes retry under the same policy, like any
+    /// foreground I/O, and are not counted here.
     pub retries: u64,
     /// Wall-clock time of the whole pass.
     pub wall: Duration,
@@ -1276,12 +1277,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
                     let disks = news.iter().map(|m| m.addr.disk).collect::<BTreeSet<_>>();
                     self.flush_disks_inner(&d.flush_stats, disks)?;
                     crash_point("member_flush");
-                    if d.journal
-                        .mark_applied_no_truncate(seq)
-                        .map_err(journal_err)?
-                    {
-                        d.journal.try_truncate().map_err(journal_err)?;
-                    }
+                    d.journal.mark_applied(seq).map_err(journal_err)?;
                 }
                 // Deferred barrier: park the marker behind the flush
                 // high-water mark; a commit past the deadline runs the
@@ -1333,11 +1329,8 @@ impl<B: BlockDevice> OiRaidStore<B> {
         }
         crash_point("member_flush");
         for &seq in &seqs {
-            d.journal
-                .mark_applied_no_truncate(seq)
-                .map_err(journal_err)?;
+            d.journal.mark_applied(seq).map_err(journal_err)?;
         }
-        d.journal.try_truncate().map_err(journal_err)?;
         Ok(seqs.len())
     }
 
@@ -1471,8 +1464,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
     /// decodes through. A writer locks every relation holding a chunk it
     /// modifies, so these keep still all that the decodes read. `Ok(None)`
     /// from `body` changed nothing and grew what it holds (a latent source
-    /// moved the plan): it runs again under the union, never under
-    /// [`OnlineState::lock_updates`].
+    /// moved the plan): it runs again under the union.
     fn on_ladder<T>(
         &self,
         targets: &[ChunkAddr],
@@ -1799,20 +1791,54 @@ impl<B: BlockDevice> OiRaidStore<B> {
                 waiting.insert(addr, vec![m]);
             }
         }
-        if waiting.is_empty() {
-            return Ok(());
-        }
         let targets: Vec<ChunkAddr> = waiting.keys().copied().collect();
-        let whole = vec![0..self.chunk_size; targets.len()];
-        let values = self.on_ladder(&targets, Vec::new(), |held| {
-            self.current_values(&targets, &whole, held)
-        })?;
-        for ((addr, members), mut value) in waiting.into_iter().zip(values) {
-            members.iter().for_each(|m| m.patch(&mut value));
-            self.write_chunk(addr, &value)?;
-            self.pool.put(value);
+        let patch = |addr, value: &mut [u8]| waiting[&addr].iter().for_each(|m| m.patch(value));
+        self.rewrite_lost(&targets, &patch).into_iter().collect()
+    }
+
+    /// Rewrites `targets` (distinct chunks) from their relations, outside a
+    /// rebuild: the scrub's latent sectors and [`Self::redo`]'s unreadable
+    /// chunks. `MAX_WRITE_GROUP` at a time, under one [`Self::on_ladder`]
+    /// over the group's own relations: its values come off the ladder
+    /// ([`Self::current_values`]), `patch` changes each, each is written in
+    /// place, and the relations the group changed are marked dirty, as a
+    /// write does. A group the ladder cannot answer is retried one chunk at
+    /// a time, so only a chunk that does not decode fails
+    /// ([`StoreError::DataLoss`]). One result per target.
+    fn rewrite_lost(
+        &self,
+        targets: &[ChunkAddr],
+        patch: &impl Fn(ChunkAddr, &mut [u8]),
+    ) -> Vec<Result<(), StoreError>> {
+        let mut results = Vec::with_capacity(targets.len());
+        for group in targets.chunks(MAX_WRITE_GROUP) {
+            let regions: Vec<Region> = group.iter().flat_map(|a| self.regions_for(*a)).collect();
+            let whole = vec![0..self.chunk_size; group.len()];
+            let rewritten = self.on_ladder(group, regions.clone(), |held| {
+                let Some(values) = self.current_values(group, &whole, held)? else {
+                    return Ok(None);
+                };
+                let written = group.iter().zip(values).map(|(addr, mut value)| {
+                    patch(*addr, &mut value);
+                    let wrote = self.write_chunk(*addr, &value);
+                    self.pool.put(value);
+                    wrote
+                });
+                let written: Vec<_> = written.collect();
+                self.online.mark_dirty(regions.iter().copied());
+                Ok(Some(written))
+            });
+            match rewritten {
+                Ok(written) => results.extend(written),
+                Err(e) if group.len() == 1 => results.push(Err(e)),
+                Err(_) => results.extend(
+                    group
+                        .chunks(1)
+                        .flat_map(|one| self.rewrite_lost(one, patch)),
+                ),
+            }
         }
-        Ok(())
+        results
     }
 
     /// The attached write-ahead journal, if this store is durable.
@@ -2585,11 +2611,13 @@ impl<B: BlockDevice> OiRaidStore<B> {
     ///
     /// **Latent pass** — every chunk is read through the store's
     /// [retry policy](OiRaidStore::retry_policy); a chunk that stays
-    /// unreadable (a latent sector error) is re-derived through an
-    /// alternate read set via the chunk-granular planner and rewritten in
-    /// place. Chunks with no decodable read set (or whose rewrite fails)
-    /// land in [`ScrubReport::unrecoverable`] — the scrub reports, it never
-    /// panics or errors.
+    /// unreadable (a latent sector error) is rewritten in place with the
+    /// value its relations imply, off the value ladder and under the region
+    /// locks of its relations and of those its decode reads, so a write
+    /// that lands meanwhile waits and is never overwritten. Chunks with no
+    /// decodable read set (or whose rewrite fails) land in
+    /// [`ScrubReport::unrecoverable`] — the scrub reports, it never panics
+    /// or errors.
     ///
     /// **Corruption pass** — finds chunks whose parity relations are
     /// violated (the disk answered, but with the wrong bytes) and repairs
@@ -2603,25 +2631,17 @@ impl<B: BlockDevice> OiRaidStore<B> {
     ///
     /// Failed disks are skipped (they are [`OiRaidStore::rebuild`]'s job)
     /// but their chunks are excluded from repair read sets, so scrubbing a
-    /// degraded array is safe.
+    /// degraded array is safe. Every repair marks the relations it changed
+    /// dirty, as a write does.
     pub fn scrub(&self) -> ScrubReport {
-        self.scrub_observed(&RebuildObserver::default())
-    }
-
-    /// [`OiRaidStore::scrub`] with caller-provided telemetry: the
-    /// observer's [`HealCounters`](crate::HealCounters) tick as latent
-    /// sectors are retried, re-routed, and repaired, and its stage
-    /// histograms time the repair reads/decodes.
-    pub fn scrub_observed(&self, obs: &RebuildObserver) -> ScrubReport {
         let start = Instant::now();
         let policy = self.retry_policy();
         let failed = self.failed_disks();
         let chunks_per_disk = self.array.geometry().chunks_per_disk;
-        let mut scanned = 0u64;
-        let mut retry = RetryCounters::default();
+        let (mut scanned, mut retries) = (0u64, 0u64);
         // Latent pass, detection: probe every chunk of every online disk
         // through the retry layer.
-        let mut bad: BTreeSet<ChunkAddr> = BTreeSet::new();
+        let mut bad: Vec<ChunkAddr> = Vec::new();
         let mut buf = vec![0u8; self.chunk_size];
         for (d, dev) in self.devices.iter().enumerate() {
             if failed.contains(&d) {
@@ -2631,51 +2651,26 @@ impl<B: BlockDevice> OiRaidStore<B> {
             for o in 0..chunks_per_disk {
                 scanned += 1;
                 if reader.read_chunk(o, &mut buf).is_err() {
-                    bad.insert(ChunkAddr::new(d, o));
+                    bad.push(ChunkAddr::new(d, o));
                 }
             }
-            retry = retry.merged(&reader.counters());
+            retries += reader.counters().retries;
         }
-        // Latent pass, repair: plan alternate read sets for everything
-        // unreadable (treating failed disks' chunks as missing too, so no
-        // read set touches them), and run the plan as one serial rebuild
-        // round — it decodes and rewrites in place through the same writeback atom
-        // (region locks, dirty check) a rebuild uses.
-        let mut repaired_latent: Vec<ChunkAddr> = Vec::new();
-        let mut unrecoverable: Vec<ChunkAddr> = Vec::new();
-        if !bad.is_empty() {
-            obs.heal.reroutes.inc_by(bad.len() as u64);
-            let missing = |a: ChunkAddr| bad.contains(&a) || failed.contains(&a.disk);
-            match self.array.chunk_recovery_plan(missing) {
-                Ok(plan) => {
-                    let regions = self.plan_regions(&plan);
-                    let mode = crate::RebuildMode::Serial;
-                    let out = self.execute_round(mode, &plan, &regions, obs, None);
-                    retry = retry.merged(&out.retry);
-                    let written: BTreeSet<ChunkAddr> = out.written.into_iter().collect();
-                    for addr in &bad {
-                        if written.contains(addr) {
-                            repaired_latent.push(*addr);
-                            obs.heal.latent_repairs.inc();
-                        } else {
-                            unrecoverable.push(*addr);
-                        }
-                    }
-                }
-                // The unreadable set is not decodable: nothing to repair.
-                Err(_) => unrecoverable.extend(bad.iter().copied()),
+        // Latent pass, repair.
+        let (mut repaired_latent, mut unrecoverable) = (Vec::new(), Vec::new());
+        for (addr, rewrote) in bad.iter().zip(self.rewrite_lost(&bad, &|_, _| {})) {
+            match rewrote {
+                Ok(()) => repaired_latent.push(*addr),
+                Err(_) => unrecoverable.push(*addr),
             }
         }
-        obs.heal.retries.inc_by(retry.retries);
-        obs.heal.retries_exhausted.inc_by(retry.exhausted);
-        obs.heal.backoff_ns.inc_by(retry.backoff_ns);
         let repaired_corruption = self.scrub_corruption();
         ScrubReport {
             scanned,
             repaired_corruption,
             repaired_latent,
             unrecoverable,
-            retries: retry.retries,
+            retries,
             wall: start.elapsed(),
         }
     }
@@ -2706,8 +2701,10 @@ impl<B: BlockDevice> OiRaidStore<B> {
     /// row to a later pass — as soon as any chunk involved is unreadable
     /// or a repair write fails persistently; a partial repair left behind
     /// surfaces as a plain parity violation the next sweep closes.
-    /// Runs under the update lock so repairs cannot interleave with
-    /// foreground parity patches.
+    /// Runs under the region locks of the row and of the outer stripe of
+    /// each payload chunk in it — every relation it reads or repairs — so
+    /// repairs cannot interleave with foreground parity patches. Each
+    /// repair marks the relations of the chunk it rewrote dirty.
     fn scrub_row(
         &self,
         geo: &Geometry,
@@ -2716,18 +2713,23 @@ impl<B: BlockDevice> OiRaidStore<B> {
         bad_stripes: &[Vec<ChunkAddr>],
         repaired: &mut Vec<ChunkAddr>,
     ) -> Option<()> {
-        let _guard = self.online.lock_updates();
+        let payload = geo.row_payload(grp, row);
+        let regions: Vec<Region> = payload.iter().flat_map(|a| self.regions_for(*a)).collect();
+        let _guard = self.online.lock_regions(&regions);
         let violated = self.row_violations(grp, row)?;
         if violated.is_empty() {
             return Some(());
         }
         // Payload suspects sit in a violated outer stripe too.
-        let suspects: Vec<ChunkAddr> = geo
-            .row_payload(grp, row)
+        let suspects: Vec<ChunkAddr> = payload
             .into_iter()
             .filter(|a| bad_stripes.iter().any(|s| s.contains(a)))
             .collect();
-        let fix = |(a, want): (ChunkAddr, Vec<u8>)| self.write_chunk(a, &want).ok().map(|()| a);
+        let fix = |(a, want): (ChunkAddr, Vec<u8>)| {
+            self.write_chunk(a, &want).ok()?;
+            self.online.mark_dirty(self.regions_for(a));
+            Some(a)
+        };
         match suspects.as_slice() {
             [bad_payload] => {
                 // Repair from the outer stripe (XOR of the others), then
@@ -2762,7 +2764,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::{RebuildMode, RecoveryStrategy};
 
@@ -3393,12 +3395,9 @@ mod tests {
         let ops = io_after.0 - io_before.0;
         assert!(ops <= 64, "{ops} device reads for 128 source chunks");
         assert_eq!(
-            (
-                locks_after.0 - locks_before.0,
-                locks_after.1 - locks_before.1
-            ),
-            (2, 0),
-            "one lock_regions per MAX_WRITE_GROUP chunks, lock_updates never"
+            locks_after - locks_before,
+            2,
+            "one lock_regions per MAX_WRITE_GROUP chunks"
         );
         // Counted per chunk, touched per group.
         let t = store.telemetry();
@@ -3768,12 +3767,12 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// No foreground op takes the store-wide exclusive lock, whatever it
-    /// decodes: under every multi-disk pattern of [`failure_patterns`],
-    /// with 40 per mille of the surviving sectors latent, single and
-    /// batched reads and writes either answer right or report data loss.
+    /// Every multi-disk pattern of [`failure_patterns`] is served and
+    /// rebuilt under latent sectors: with 40 per mille of the surviving
+    /// sectors latent, single and batched reads and writes either answer
+    /// right or report data loss, and the rebuild restores every value.
     #[test]
-    fn no_foreground_op_takes_the_exclusive_lock() {
+    fn every_multi_disk_pattern_is_served_and_rebuilt_under_latent_sectors() {
         use blockdev::FaultConfig;
         let (store, mut expect) = filled_faulty_store(16);
         let all: Vec<usize> = (0..store.data_chunks()).collect();
@@ -3788,7 +3787,6 @@ mod tests {
                     ..FaultConfig::default()
                 });
             }
-            let exclusive = store.online.update_locks().1;
             let answered = |got: Result<Vec<u8>, StoreError>, want: &[u8]| match got {
                 Ok(bytes) => assert_eq!(bytes, want, "{failed:?}"),
                 Err(e) => assert_eq!(e, StoreError::DataLoss, "{failed:?}"),
@@ -3814,7 +3812,6 @@ mod tests {
                     }
                 }
             }
-            assert_eq!(store.online.update_locks().1, exclusive, "{failed:?}");
             for dev in store.devices() {
                 dev.set_config(FaultConfig::default());
             }
@@ -4132,17 +4129,50 @@ mod tests {
         }
     }
 
-    /// What [`HookedDevice`] runs after its next read of one chunk.
-    type Hook = (usize, Box<dyn FnOnce() + Send>);
+    /// What [`HookedDevice`] runs once: `(chunk, calls on it to let by,
+    /// hook)`.
+    pub(crate) type Hook = (usize, usize, Box<dyn FnOnce() + Send>);
 
-    /// A memory device that moves ranges and runs a hook once, right after
-    /// its next read of one chunk: a way to act between two steps of a write.
-    struct HookedDevice {
-        inner: MemDevice,
-        hook: Mutex<Option<Hook>>,
+    /// A device that moves ranges and runs a hook once, right after a given
+    /// read (or write) of one chunk: a way to act between two steps of an
+    /// operation.
+    pub(crate) struct HookedDevice<D = MemDevice> {
+        pub(crate) inner: D,
+        /// Runs after a read.
+        pub(crate) hook: Mutex<Option<Hook>>,
+        /// Runs after a write.
+        pub(crate) write_hook: Mutex<Option<Hook>>,
     }
 
-    impl BlockDevice for HookedDevice {
+    impl<D> HookedDevice<D> {
+        pub(crate) fn new(inner: D) -> Self {
+            Self {
+                inner,
+                hook: Mutex::default(),
+                write_hook: Mutex::default(),
+            }
+        }
+    }
+
+    /// Runs `slot`'s hook if this call on `chunk` is the one it waits for.
+    fn fire(slot: &Mutex<Option<Hook>>, chunk: usize) {
+        let due = {
+            let mut hook = slot.lock().unwrap();
+            match &mut *hook {
+                Some((at, 0, _)) if *at == chunk => hook.take(),
+                Some((at, skip, _)) if *at == chunk => {
+                    *skip -= 1;
+                    None
+                }
+                _ => None,
+            }
+        };
+        if let Some((.., run)) = due {
+            run();
+        }
+    }
+
+    impl<D: BlockDevice> BlockDevice for HookedDevice<D> {
         fn chunk_size(&self) -> usize {
             self.inner.chunk_size()
         }
@@ -4156,7 +4186,7 @@ mod tests {
             self.read_range(chunk, 0..self.chunk_size(), buf)
         }
         fn write_chunk(&self, chunk: usize, data: &[u8]) -> Result<(), DeviceError> {
-            self.inner.write_chunk(chunk, data)
+            self.write_range(chunk, 0..self.chunk_size(), data)
         }
         fn read_range(
             &self,
@@ -4165,16 +4195,7 @@ mod tests {
             buf: &mut [u8],
         ) -> Result<(), DeviceError> {
             let read = self.inner.read_range(chunk, range, buf);
-            let due = {
-                let mut hook = self.hook.lock().unwrap();
-                match &*hook {
-                    Some((at, _)) if *at == chunk => hook.take(),
-                    _ => None,
-                }
-            };
-            if let Some((_, run)) = due {
-                run();
-            }
+            fire(&self.hook, chunk);
             read
         }
         fn write_range(
@@ -4183,7 +4204,9 @@ mod tests {
             range: Range<usize>,
             buf: &[u8],
         ) -> Result<(), DeviceError> {
-            self.inner.write_range(chunk, range, buf)
+            let written = self.inner.write_range(chunk, range, buf);
+            fire(&self.write_hook, chunk);
+            written
         }
         fn fail(&self) {
             self.inner.fail()
@@ -4199,6 +4222,93 @@ mod tests {
         }
     }
 
+    /// A write that lands while the scrub repairs a latent data chunk,
+    /// between the decode's source reads and the rewrite, is not
+    /// overwritten with the value decoded before it. A hook sits on every
+    /// parity the write changes, so it fires after the decode read the
+    /// parity of the relation it decodes through, whichever that is: a
+    /// chunk's first read is the scrub's probe, and the first second read
+    /// fires the hook once. It writes the chunk from another thread and
+    /// waits for that write, for at most a second — the write waits for the
+    /// region locks the repair holds, and goes in after it.
+    #[test]
+    fn a_scrub_does_not_overwrite_a_write_that_lands_during_its_repair() {
+        use blockdev::{FaultConfig, FaultInjectingDevice};
+        use std::sync::mpsc;
+        const CS: usize = 16;
+        let cfg = OiRaidConfig::reference();
+        let devices = (0..cfg.disks())
+            .map(|_| MemDevice::new(CS, cfg.chunks_per_disk()))
+            .map(|mem| HookedDevice::new(FaultInjectingDevice::new(mem, FaultConfig::default())))
+            .collect();
+        let store = Arc::new(OiRaidStore::with_devices(cfg, CS, devices).unwrap());
+        fill(&*store);
+        // One latent sector in the array, on a data chunk: the repair's
+        // reads are then the only second reads.
+        let disk = 5;
+        let latent = &store.devices()[disk].inner;
+        let cpd = store.array().chunks_per_disk();
+        let data_index = |o: usize| store.array().data_index(ChunkAddr::new(disk, o));
+        let idx = (1..)
+            .find_map(|seed| {
+                latent.set_config(FaultConfig {
+                    seed,
+                    latent_per_mille: 100,
+                    ..FaultConfig::default()
+                });
+                let bad: Vec<usize> = (0..cpd).filter(|&o| latent.is_latent_bad(o)).collect();
+                match bad[..] {
+                    [o] => data_index(o),
+                    _ => None,
+                }
+            })
+            .unwrap();
+        let addr = store.locate(idx);
+        let mut parities = store.array().update_set(addr).unwrap();
+        parities.retain(|a| *a != addr);
+        let new = vec![0xA5u8; CS];
+        let (joined, handle) = mpsc::channel();
+        let weak = Arc::downgrade(&store);
+        let bytes = new.clone();
+        let write_meanwhile = move || {
+            let store = weak.upgrade().unwrap();
+            let (done, wrote) = mpsc::channel();
+            let writer = std::thread::spawn(move || {
+                store.write_data(idx, &bytes).unwrap();
+                // Nobody listens once the wait has timed out.
+                let _ = done.send(());
+            });
+            // Done at once if the repair holds no lock the write needs.
+            let _ = wrote.recv_timeout(Duration::from_secs(1));
+            joined.send(writer).unwrap();
+        };
+        type FirstOnly = Arc<Mutex<Option<Box<dyn FnOnce() + Send>>>>;
+        let once: FirstOnly = Arc::new(Mutex::new(Some(Box::new(write_meanwhile))));
+        for source in parities {
+            let once = once.clone();
+            let run = move || {
+                let first = once.lock().unwrap().take();
+                first.into_iter().for_each(|run| run());
+            };
+            let slot = &mut *store.devices()[source.disk].hook.lock().unwrap();
+            assert!(slot.replace((source.offset, 1, Box::new(run))).is_none());
+        }
+
+        let report = store.scrub();
+        let writer = handle.recv_timeout(Duration::from_secs(10));
+        writer.expect("the decode read a parity").join().unwrap();
+        assert_eq!(report.repaired_latent, [addr], "{report}");
+        // Overwritten, the chunk disagrees with the parities the write
+        // left, and the corruption sweep "repairs" it.
+        assert!(report.repaired_corruption.is_empty(), "{report}");
+        assert_eq!(
+            store.read_data(idx).unwrap(),
+            new,
+            "the write was overwritten"
+        );
+        assert!(store.check_parity().is_empty());
+    }
+
     /// A sub-chunk write whose data member's disk fails and comes back
     /// inside a new rebuild window after the member was read and before it
     /// is written: the range lands on a blank chunk, which the write must
@@ -4210,10 +4320,7 @@ mod tests {
         const CS: usize = 4096;
         let cfg = OiRaidConfig::reference();
         let devices = (0..cfg.disks())
-            .map(|_| HookedDevice {
-                inner: MemDevice::new(CS, cfg.chunks_per_disk()),
-                hook: Mutex::default(),
-            })
+            .map(|_| HookedDevice::new(MemDevice::new(CS, cfg.chunks_per_disk())))
             .collect();
         let store = Arc::new(OiRaidStore::with_devices(cfg, CS, devices).unwrap());
         let mut expect = fill(&*store);
@@ -4224,7 +4331,7 @@ mod tests {
         let weak = Arc::downgrade(&store);
         let replace = move || weak.upgrade().unwrap().open_window_over(addr.disk);
         *store.devices()[parity.disk].hook.lock().unwrap() =
-            Some((parity.offset, Box::new(replace)));
+            Some((parity.offset, 0, Box::new(replace)));
 
         store
             .write_bytes((idx * CS + 1024) as u64, &[0x77; 512])
@@ -4327,9 +4434,9 @@ mod tests {
             assert_eq!(*bytes, value(*idx), "idx {idx}");
         }
         assert_eq!(
-            (after.0 - locks.0, after.1 - locks.1),
-            (64 / MAX_WRITE_GROUP, 0),
-            "one lock_regions per group, lock_updates never"
+            after - locks,
+            64 / MAX_WRITE_GROUP,
+            "one lock_regions per group"
         );
         let reads: Vec<u32> = store
             .devices()

@@ -11,7 +11,7 @@
 //! funnel: concurrent submitters to a hot shard merge their work into one
 //! store batch instead of contending chunk-by-chunk.
 //!
-//! Each drain wave (up to `max_wave` operations, tenants interleaved by
+//! Each drain wave (up to `MAX_WAVE` operations, tenants interleaved by
 //! their QoS weight) is issued to the store as at most **one coalesced read
 //! batch plus one coalesced write batch**:
 //!
@@ -263,6 +263,10 @@ struct Shard {
 /// bound failed one run in three with unconditional skipping).
 const PATIENT_ABOVE_US: u64 = 10_000;
 
+/// Most operations one drain wave takes. Larger waves amortize better;
+/// smaller waves bound per-wave memory and tail latency.
+const MAX_WAVE: usize = 2048;
+
 /// Maps many virtual volumes onto one [`OiRaidStore`] with per-tenant QoS
 /// and a batch-first foreground path (see the module docs for the model).
 ///
@@ -271,7 +275,6 @@ const PATIENT_ABOVE_US: u64 = 10_000;
 pub struct VolumeManager<B: BlockDevice = MemDevice> {
     store: Arc<OiRaidStore<B>>,
     shards: Vec<Shard>,
-    max_wave: usize,
     tenants: RwLock<Vec<Arc<Tenant>>>,
     volumes: RwLock<Vec<Volume>>,
     /// Next unallocated store byte.
@@ -296,7 +299,6 @@ impl<B: BlockDevice> VolumeManager<B> {
                     wave_us: AtomicU64::new(0),
                 })
                 .collect(),
-            max_wave: 2048,
             tenants: RwLock::new(Vec::new()),
             volumes: RwLock::new(Vec::new()),
             alloc: Mutex::new(0),
@@ -304,13 +306,6 @@ impl<B: BlockDevice> VolumeManager<B> {
             waves: AtomicU64::new(0),
             batch_ops: AtomicU64::new(0),
         }
-    }
-
-    /// Caps operations per drain wave (clamped to at least 1). Larger waves
-    /// amortize better; smaller waves bound per-wave memory and tail
-    /// latency.
-    pub fn set_max_wave(&mut self, max_wave: usize) {
-        self.max_wave = max_wave.max(1);
     }
 
     /// The wrapped store.
@@ -604,18 +599,18 @@ impl<B: BlockDevice> VolumeManager<B> {
         }
     }
 
-    /// Pops up to `max_wave` ops from a shard's tenant queues, interleaved
+    /// Pops up to `MAX_WAVE` ops from a shard's tenant queues, interleaved
     /// by QoS weight (a weight-w tenant contributes up to w ops per
     /// round-robin cycle while its queue lasts).
     fn take_wave(&self, s: &Shard, tenants: &[Arc<Tenant>]) -> Vec<Pending> {
         let mut queues = s.queues.lock().expect("shard queues lock");
         let mut wave = Vec::new();
         let mut any = true;
-        while any && wave.len() < self.max_wave {
+        while any && wave.len() < MAX_WAVE {
             any = false;
             for (t, q) in queues.iter_mut().enumerate() {
                 let weight = tenants.get(t).map_or(1, |t| t.class.weight.max(1));
-                let take = (weight as usize).min(self.max_wave - wave.len());
+                let take = (weight as usize).min(MAX_WAVE - wave.len());
                 for _ in 0..take {
                     match q.pop_front() {
                         Some(p) => {
@@ -625,7 +620,7 @@ impl<B: BlockDevice> VolumeManager<B> {
                         None => break,
                     }
                 }
-                if wave.len() >= self.max_wave {
+                if wave.len() >= MAX_WAVE {
                     break;
                 }
             }
