@@ -2,9 +2,9 @@
 //! behind every rebuild the timing experiments simulate).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use ecc::{ErasureCode, EvenOdd, Raid6, Rdp, ReedSolomon, XorParity};
+use ecc::{ErasureCode, Raid6, ReedSolomon, XorParity};
 
-const UNIT: usize = 65532; // ~64 KiB, divisible by the p-1=6 symbol rows of EVENODD(7)/RDP(7)
+const UNIT: usize = 64 * 1024;
 
 fn data(k: usize) -> Vec<Vec<u8>> {
     (0..k)
@@ -16,8 +16,6 @@ fn bench_codes(c: &mut Criterion) {
     let codes: Vec<Box<dyn ErasureCode>> = vec![
         Box::new(XorParity::new(6).unwrap()),
         Box::new(Raid6::new(6).unwrap()),
-        Box::new(EvenOdd::new(7).unwrap()),
-        Box::new(Rdp::new(7).unwrap()),
         Box::new(ReedSolomon::new(6, 3).unwrap()),
     ];
     let mut group = c.benchmark_group("ecc");

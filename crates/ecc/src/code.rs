@@ -29,14 +29,6 @@ pub enum CodeError {
         /// Fault tolerance of the code.
         tolerance: usize,
     },
-    /// Unit length violates a structural requirement of the code (array
-    /// codes like EVENODD/RDP need a whole number of symbol rows).
-    UnalignedUnitLength {
-        /// Bytes supplied per unit.
-        len: usize,
-        /// Required divisor.
-        multiple_of: usize,
-    },
 }
 
 impl fmt::Display for CodeError {
@@ -51,9 +43,6 @@ impl fmt::Display for CodeError {
             Self::UnequalUnitLength => write!(f, "units have differing lengths"),
             Self::TooManyErasures { erased, tolerance } => {
                 write!(f, "{erased} erasures exceed fault tolerance {tolerance}")
-            }
-            Self::UnalignedUnitLength { len, multiple_of } => {
-                write!(f, "unit length {len} is not a multiple of {multiple_of}")
             }
         }
     }

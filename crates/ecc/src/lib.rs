@@ -6,10 +6,8 @@
 //! evaluation needs — behind one trait:
 //!
 //! * [`XorParity`] — single-parity RAID5, the paper's layer code.
-//! * [`Raid6`] — P+Q dual parity over GF(2^8).
-//! * [`EvenOdd`] / [`Rdp`] — the classic XOR-only double-erasure *array*
-//!   codes (Blaum et al. 1995; Corbett et al. 2004) that RAID6 deployments
-//!   of the paper's era actually shipped.
+//! * [`Raid6`] — P+Q dual parity over GF(2^8), the one double-erasure code
+//!   (the generalized inner layer and the store's parity-delta weights).
 //! * [`Lrc`] — Local Reconstruction Codes (Azure), the modern
 //!   repair-locality comparator: single failures rebuild from a small local
 //!   group instead of the whole stripe.
@@ -44,19 +42,15 @@
 #![warn(missing_docs)]
 
 mod code;
-mod evenodd;
 mod lrc;
 mod raid6;
-mod rdp;
 mod replicate;
 mod rs;
 mod xor;
 
 pub use code::{CodeError, ErasureCode, UpdateCost};
-pub use evenodd::EvenOdd;
 pub use lrc::Lrc;
 pub use raid6::Raid6;
-pub use rdp::Rdp;
 pub use replicate::Replication;
 pub use rs::ReedSolomon;
 pub use xor::XorParity;
@@ -124,68 +118,47 @@ mod tests {
         conformance(&ReedSolomon::new(4, 3).unwrap(), 16);
         conformance(&ReedSolomon::new(6, 2).unwrap(), 16);
         conformance(&Replication::new(3).unwrap(), 16);
-        // Array codes need unit length divisible by p − 1.
-        conformance(&EvenOdd::new(5).unwrap(), 16);
-        conformance(&Rdp::new(5).unwrap(), 16);
         conformance(&Lrc::new(4, 2, 2).unwrap(), 16);
     }
 
     #[test]
-    fn raid6_class_codes_agree_on_geometry() {
-        // Same tolerance, same update cost model, XOR-only vs GF(2^8).
-        let eo = EvenOdd::new(7).unwrap();
-        let rdp = Rdp::new(7).unwrap();
+    fn raid6_tolerates_two_and_writes_three_per_update() {
         let pq = Raid6::new(6).unwrap();
-        for c in [&eo as &dyn ErasureCode, &rdp, &pq] {
-            assert_eq!(c.fault_tolerance(), 2, "{}", c.name());
-            assert_eq!(c.update_cost().total_writes(), 3, "{}", c.name());
-        }
+        assert_eq!(pq.fault_tolerance(), 2);
+        assert_eq!(pq.update_cost().total_writes(), 3);
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
         #[test]
-        fn raid6_class_codes_agree_on_reconstruction(
+        fn raid6_survives_double_erasures_at_random_lengths(
             seed in any::<u64>(),
-            rows in 1usize..6,
+            len in 1usize..40,
             e1 in any::<usize>(),
             e2 in any::<usize>(),
         ) {
-            // EVENODD(7), RDP(7) and GF(2^8) P+Q all must survive the same
-            // random double erasures on random data.
-            let codes: Vec<Box<dyn ErasureCode>> = vec![
-                Box::new(EvenOdd::new(7).unwrap()),
-                Box::new(Rdp::new(7).unwrap()),
-                Box::new(Raid6::new(6).unwrap()),
-            ];
-            for code in codes {
-                let k = code.data_units();
-                let n = code.total_units();
-                let len = rows * 6; // multiple of p−1 for the array codes
-                let data: Vec<Vec<u8>> = (0..k)
-                    .map(|i| {
-                        (0..len)
-                            .map(|j| {
-                                (seed
-                                    .wrapping_mul(0x9e3779b97f4a7c15)
-                                    .wrapping_add((i * 131 + j * 17) as u64)
-                                    >> 23) as u8
-                            })
-                            .collect()
-                    })
-                    .collect();
-                let parity = code.encode(&data).unwrap();
-                let full: Vec<Vec<u8>> = data.iter().cloned().chain(parity).collect();
-                let a = e1 % n;
-                let b = e2 % n;
-                let mut units: Vec<Option<Vec<u8>>> =
-                    full.iter().cloned().map(Some).collect();
-                units[a] = None;
-                units[b] = None;
-                code.reconstruct(&mut units).unwrap();
-                for (i, u) in units.iter().enumerate() {
-                    prop_assert_eq!(u.as_deref(), Some(&full[i][..]), "{} unit {}", code.name(), i);
-                }
+            let code = Raid6::new(6).unwrap();
+            let n = code.total_units();
+            let data: Vec<Vec<u8>> = (0..code.data_units())
+                .map(|i| {
+                    (0..len)
+                        .map(|j| {
+                            (seed
+                                .wrapping_mul(0x9e3779b97f4a7c15)
+                                .wrapping_add((i * 131 + j * 17) as u64)
+                                >> 23) as u8
+                        })
+                        .collect()
+                })
+                .collect();
+            let parity = code.encode(&data).unwrap();
+            let full: Vec<Vec<u8>> = data.iter().cloned().chain(parity).collect();
+            let mut units: Vec<Option<Vec<u8>>> = full.iter().cloned().map(Some).collect();
+            units[e1 % n] = None;
+            units[e2 % n] = None;
+            code.reconstruct(&mut units).unwrap();
+            for (i, u) in units.iter().enumerate() {
+                prop_assert_eq!(u.as_deref(), Some(&full[i][..]), "unit {}", i);
             }
         }
     }

@@ -1,10 +1,10 @@
 //! Branch-free byte-slice kernels for the erasure-coding hot paths.
 //!
 //! Every byte an OI-RAID rebuild moves goes through one of two inner loops:
-//! a pure-XOR accumulate (RAID5 parity, EVENODD/RDP symbol XORs, the outer
-//! declustered stripes) or a GF(2^8) multiply-accumulate (Reed–Solomon,
-//! RAID6 Q, LRC globals). This module provides both as standalone kernels
-//! with three implementations each, selected once at runtime:
+//! a pure-XOR accumulate (RAID5 parity, RAID6 P, the outer declustered
+//! stripes) or a GF(2^8) multiply-accumulate (Reed–Solomon, RAID6 Q, LRC
+//! globals). This module provides both as standalone kernels with three
+//! implementations each, selected once at runtime:
 //!
 //! * **Scalar** — the retained reference implementations ([`scalar`]): the
 //!   log/exp-table multiply with its data-dependent `if s != 0` branch and a

@@ -177,7 +177,7 @@ mod tests {
 
     #[test]
     fn sampling_admits_one_in_n() {
-        crate::set_enabled(true);
+        let _switches = crate::hold_switches();
         set_trace_sample(Some(4));
         let admitted = (0..64).filter(|_| sample_trace() != 0).count();
         assert_eq!(admitted, 16, "1/4 of 64 calls admitted");
@@ -194,6 +194,7 @@ mod tests {
 
     #[test]
     fn kill_switch_short_circuits() {
+        let _switches = crate::hold_switches();
         crate::set_enabled(false);
         set_trace_sample(Some(1));
         assert_eq!(sample_trace(), 0);

@@ -508,7 +508,7 @@ mod tests {
     use crate::Registry;
 
     fn populated() -> Registry {
-        crate::set_enabled(true);
+        let _switches = crate::hold_switches();
         let reg = Registry::new();
         reg.counter("oi_reads_total", "Reads", &[("disk", "0")])
             .inc_by(7);
@@ -551,7 +551,7 @@ mod tests {
 
     #[test]
     fn escaping_survives_hostile_label_values() {
-        crate::set_enabled(true);
+        let _switches = crate::hold_switches();
         let reg = Registry::new();
         reg.counter(
             "m_total",

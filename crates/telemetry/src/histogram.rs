@@ -339,7 +339,7 @@ mod tests {
 
     #[test]
     fn bucket_index_is_monotone_and_exact_for_small_values() {
-        crate::set_enabled(true);
+        let _switches = crate::hold_switches();
         for v in 0..16u64 {
             assert_eq!(bucket_index(v), v as usize);
             assert_eq!(bucket_upper(v as usize), v);
@@ -366,7 +366,7 @@ mod tests {
 
     #[test]
     fn quantiles_are_ordered_and_clamped_to_max() {
-        crate::set_enabled(true);
+        let _switches = crate::hold_switches();
         let h = Histogram::new();
         for v in [5u64, 10, 100, 1000, 10_000, 1_000_000] {
             h.record(v);
@@ -392,7 +392,7 @@ mod tests {
 
     #[test]
     fn record_n_equals_n_records() {
-        crate::set_enabled(true);
+        let _switches = crate::hold_switches();
         let (batched, single) = (Histogram::new(), Histogram::new());
         for (v, n) in [(7u64, 3u64), (4096, 64), (1 << 40, 1), (9, 0)] {
             batched.record_n(v, n);
@@ -404,7 +404,7 @@ mod tests {
 
     #[test]
     fn merge_adds_counts() {
-        crate::set_enabled(true);
+        let _switches = crate::hold_switches();
         let a = Histogram::new();
         let b = Histogram::new();
         for v in 0..100u64 {
@@ -423,7 +423,7 @@ mod tests {
 
     #[test]
     fn reset_clears_everything() {
-        crate::set_enabled(true);
+        let _switches = crate::hold_switches();
         let h = Histogram::new();
         h.record(42);
         h.reset();
@@ -448,7 +448,7 @@ mod tests {
 
     #[test]
     fn record_duration_uses_nanos() {
-        crate::set_enabled(true);
+        let _switches = crate::hold_switches();
         let h = Histogram::new();
         h.record_duration(Duration::from_micros(3));
         assert_eq!(h.max(), 3_000);

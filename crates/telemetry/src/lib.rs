@@ -89,13 +89,28 @@ pub fn set_enabled(on: bool) {
     ENABLED.store(if on { 1 } else { 2 }, Ordering::Relaxed);
 }
 
+/// Serialises the unit tests that write or depend on the process-wide
+/// switches ([`set_enabled`], [`set_trace_sample`]): the harness runs tests
+/// on several threads, and one that turns recording off would make another
+/// lose samples. Switches recording on and holds the lock until the guard
+/// drops.
+#[cfg(test)]
+pub(crate) fn hold_switches() -> std::sync::MutexGuard<'static, ()> {
+    static SWITCHES: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    let guard = SWITCHES
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    set_enabled(true);
+    guard
+}
+
 #[cfg(test)]
 mod tests {
     #[test]
     fn enabled_by_default() {
         // Tests in this crate rely on recording being live; pin it rather
         // than depend on the environment.
-        super::set_enabled(true);
+        let _switches = super::hold_switches();
         assert!(super::enabled());
     }
 }

@@ -500,7 +500,7 @@ mod tests {
 
     #[test]
     fn attached_histogram_is_shared() {
-        crate::set_enabled(true);
+        let _switches = crate::hold_switches();
         let reg = Registry::new();
         let h = Arc::new(Histogram::new());
         reg.register_histogram("lat_ns", "latency", &[("disk", "0")], Arc::clone(&h));

@@ -203,7 +203,7 @@ mod tests {
 
     #[test]
     fn serves_all_routes() {
-        crate::set_enabled(true);
+        let _switches = crate::hold_switches();
         let reg = Arc::new(Registry::new());
         reg.counter("oi_test_total", "Test counter", &[]).inc_by(3);
         let progress = Arc::new(Progress::new());

@@ -23,7 +23,7 @@ pub mod prelude {
         FlushPolicy, Journal, MemDevice, RetryPolicy, WriteBackDevice,
     };
     pub use disksim::{ArrivalProcess, DiskSpec, SimTime, Simulation, Workload, WorkloadKind};
-    pub use ecc::{ErasureCode, EvenOdd, Lrc, Raid6, Rdp, ReedSolomon, Replication, XorParity};
+    pub use ecc::{ErasureCode, Lrc, Raid6, ReedSolomon, Replication, XorParity};
     pub use layout::{
         ChunkAddr, FlatRaid5, FlatRaid6, Layout, ParityDeclustered, Raid50, RecoveryPlan, Role,
         SparePolicy,
