@@ -6,9 +6,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use crate::{
-    check_range, BlockDevice, CounterSnapshot, DeviceError, DeviceLatency, InflightTracker,
-};
+use crate::{check_range, BlockDevice, CounterSnapshot, DeviceError, DeviceLatency, Timing};
 
 /// Fault-injection policy. All decisions derive from `seed`, so runs are
 /// reproducible.
@@ -108,11 +106,9 @@ pub struct FaultInjectingDevice<B> {
     remapped: Mutex<HashSet<usize>>,
     faults: AtomicU64,
     injected_latency_ns: AtomicU64,
-    /// Queue depth as seen by callers: covers the injected sleep, which
-    /// the wrapped device's own tracker never sees.
-    inflight: InflightTracker,
-    /// Total service time seen by callers (sleep + inner device).
-    latency: DeviceLatency,
+    /// Queue depth and total service time as seen by callers: they cover
+    /// the injected sleep, which the wrapped device never sees.
+    timing: Timing,
 }
 
 impl<B: BlockDevice> FaultInjectingDevice<B> {
@@ -130,8 +126,7 @@ impl<B: BlockDevice> FaultInjectingDevice<B> {
             remapped: Mutex::new(HashSet::new()),
             faults: AtomicU64::new(0),
             injected_latency_ns: AtomicU64::new(0),
-            inflight: InflightTracker::default(),
-            latency: DeviceLatency::default(),
+            timing: Timing::default(),
         }
     }
 
@@ -238,7 +233,7 @@ impl<B: BlockDevice> FaultInjectingDevice<B> {
         chunk: usize,
         io: impl FnOnce() -> Result<(), DeviceError>,
     ) -> Result<(), DeviceError> {
-        let _io = self.inflight.begin();
+        let _io = self.timing.begin();
         let began = Instant::now();
         let cfg = self.config();
         if self.count_read_toward_death(&cfg) {
@@ -251,7 +246,7 @@ impl<B: BlockDevice> FaultInjectingDevice<B> {
             // Faulted reads still consumed service time (the platters
             // spun, the retry happened inside the drive): record it so
             // fault latency is visible in the read histogram.
-            self.latency.read.record_duration(began.elapsed());
+            self.timing.read(began.elapsed());
             return Err(DeviceError::InjectedFault {
                 chunk,
                 transient: !latent,
@@ -259,7 +254,7 @@ impl<B: BlockDevice> FaultInjectingDevice<B> {
         }
         let result = io();
         if result.is_ok() {
-            self.latency.read.record_duration(began.elapsed());
+            self.timing.read(began.elapsed());
         }
         result
     }
@@ -273,7 +268,7 @@ impl<B: BlockDevice> FaultInjectingDevice<B> {
         remaps: bool,
         io: impl FnOnce() -> Result<(), DeviceError>,
     ) -> Result<(), DeviceError> {
-        let _io = self.inflight.begin();
+        let _io = self.timing.begin();
         let began = Instant::now();
         let cfg = self.config();
         if self.died.load(Ordering::Relaxed) {
@@ -282,7 +277,7 @@ impl<B: BlockDevice> FaultInjectingDevice<B> {
         self.inject_latency(cfg.write_latency);
         if self.transient_write_fault(&cfg) {
             self.faults.fetch_add(1, Ordering::Relaxed);
-            self.latency.write.record_duration(began.elapsed());
+            self.timing.write(began.elapsed());
             return Err(DeviceError::InjectedFault {
                 chunk,
                 transient: true,
@@ -292,7 +287,7 @@ impl<B: BlockDevice> FaultInjectingDevice<B> {
         if remaps && self.latent_bad_by_seed(&cfg, chunk) {
             self.remapped.lock().expect("remap lock").insert(chunk);
         }
-        self.latency.write.record_duration(began.elapsed());
+        self.timing.write(began.elapsed());
         Ok(())
     }
 }
@@ -377,7 +372,7 @@ impl<B: BlockDevice> BlockDevice for FaultInjectingDevice<B> {
         let mut c = self.inner.counters();
         c.faults = self.faults.load(Ordering::Relaxed);
         c.injected_latency_ns = self.injected_latency_ns.load(Ordering::Relaxed);
-        c.max_inflight = c.max_inflight.max(self.inflight.peak());
+        c.max_inflight = c.max_inflight.max(self.timing.peak());
         c
     }
 
@@ -385,16 +380,14 @@ impl<B: BlockDevice> BlockDevice for FaultInjectingDevice<B> {
         self.inner.reset_counters();
         self.faults.store(0, Ordering::Relaxed);
         self.injected_latency_ns.store(0, Ordering::Relaxed);
-        self.inflight.reset();
-        self.latency.read.reset();
-        self.latency.write.reset();
+        self.timing.reset();
     }
 
     /// Service time as seen by callers: injected sleep plus the wrapped
     /// device's own time (the wrapped device's [`BlockDevice::latency`]
-    /// still reports its raw time separately).
+    /// reports its raw time separately, if it measures any).
     fn latency(&self) -> DeviceLatency {
-        self.latency.clone()
+        self.timing.latency()
     }
 }
 
@@ -433,9 +426,12 @@ mod tests {
             "service time includes the sleep: {}",
             lat.read.snapshot().summary_ns()
         );
-        // The wrapped device's own histogram excludes the sleep but was
-        // still recorded.
-        assert_eq!(d.inner().latency().read.count(), 2);
+        // The wrapped memory device counts its two reads but times
+        // nothing: its histograms stay empty, and the wrapper's hold both.
+        assert_eq!(d.inner().counters().reads, 2);
+        let inner = d.inner().latency();
+        assert_eq!((inner.read.count(), inner.write.count()), (0, 0));
+        assert_eq!(lat.read.count(), 2);
         d.reset_counters();
         assert_eq!(d.counters().injected_latency_ns, 0);
         assert_eq!(d.latency().read.count(), 0);

@@ -10,7 +10,7 @@ use std::time::Instant;
 
 use crate::{
     check_io_run, check_range_io, BlockDevice, CounterSnapshot, Counters, DeviceError,
-    DeviceLatency,
+    DeviceLatency, Timing,
 };
 
 /// A block device backed by a single file via `std::fs`.
@@ -37,6 +37,7 @@ pub struct FileDevice {
     failed: AtomicBool,
     file: RwLock<File>,
     counters: Counters,
+    timing: Timing,
 }
 
 fn io_err(e: std::io::Error) -> DeviceError {
@@ -83,6 +84,7 @@ impl FileDevice {
             failed: AtomicBool::new(false),
             file: RwLock::new(file),
             counters: Counters::default(),
+            timing: Timing::default(),
         })
     }
 
@@ -131,6 +133,7 @@ impl FileDevice {
             failed: AtomicBool::new(false),
             file: RwLock::new(file),
             counters: Counters::default(),
+            timing: Timing::default(),
         })
     }
 
@@ -160,7 +163,7 @@ impl BlockDevice for FileDevice {
     /// One `read_exact_at` for the whole run: a single I/O op.
     fn read_chunks(&self, first: usize, count: usize, buf: &mut [u8]) -> Result<(), DeviceError> {
         check_io_run(first, count, self.chunks, buf.len(), self.chunk_size)?;
-        let _io = self.counters.begin_io();
+        let _io = self.timing.begin();
         if self.is_failed() {
             return Err(DeviceError::Failed);
         }
@@ -170,8 +173,8 @@ impl BlockDevice for FileDevice {
             .expect("file lock")
             .read_exact_at(buf, (first * self.chunk_size) as u64)
             .map_err(io_err)?;
-        self.counters
-            .record_read(first, buf.len() as u64, began.elapsed());
+        self.counters.record_read(first, buf.len() as u64);
+        self.timing.read(began.elapsed());
         Ok(())
     }
 
@@ -187,7 +190,7 @@ impl BlockDevice for FileDevice {
         buf: &mut [u8],
     ) -> Result<(), DeviceError> {
         check_range_io(chunk, &range, self.chunks, buf.len(), self.chunk_size)?;
-        let _io = self.counters.begin_io();
+        let _io = self.timing.begin();
         if self.is_failed() {
             return Err(DeviceError::Failed);
         }
@@ -199,7 +202,8 @@ impl BlockDevice for FileDevice {
             .expect("file lock")
             .read_exact_at(&mut buf[range], at)
             .map_err(io_err)?;
-        self.counters.record_read(chunk, bytes, began.elapsed());
+        self.counters.record_read(chunk, bytes);
+        self.timing.read(began.elapsed());
         Ok(())
     }
 
@@ -211,7 +215,7 @@ impl BlockDevice for FileDevice {
         buf: &[u8],
     ) -> Result<(), DeviceError> {
         check_range_io(chunk, &range, self.chunks, buf.len(), self.chunk_size)?;
-        let _io = self.counters.begin_io();
+        let _io = self.timing.begin();
         if self.is_failed() {
             return Err(DeviceError::Failed);
         }
@@ -223,7 +227,8 @@ impl BlockDevice for FileDevice {
             .expect("file lock")
             .write_all_at(&buf[range], at)
             .map_err(io_err)?;
-        self.counters.record_write(chunk, bytes, began.elapsed());
+        self.counters.record_write(chunk, bytes);
+        self.timing.write(began.elapsed());
         Ok(())
     }
 
@@ -257,15 +262,19 @@ impl BlockDevice for FileDevice {
     }
 
     fn counters(&self) -> CounterSnapshot {
-        self.counters.snapshot()
+        CounterSnapshot {
+            max_inflight: self.timing.peak(),
+            ..self.counters.snapshot()
+        }
     }
 
     fn reset_counters(&self) {
         self.counters.reset();
+        self.timing.reset();
     }
 
     fn latency(&self) -> DeviceLatency {
-        self.counters.latency()
+        self.timing.latency()
     }
 }
 

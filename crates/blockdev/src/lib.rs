@@ -48,7 +48,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use telemetry::Histogram;
+use telemetry::{Histogram, Sharded};
 
 /// Errors surfaced by block devices.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -298,7 +298,9 @@ pub trait BlockDevice: Send + Sync {
     /// The device's per-operation service-time histograms. The returned
     /// handles share storage with the device (they are `Arc`s), so they
     /// stay live as I/O continues. Backends that do not measure latency
-    /// return empty histograms (the default).
+    /// return empty histograms (the default): [`MemDevice`], whose
+    /// operation is a copy that a clock read on each side would cost more
+    /// than.
     fn latency(&self) -> DeviceLatency {
         DeviceLatency::default()
     }
@@ -358,25 +360,21 @@ impl Drop for InflightGuard<'_> {
     }
 }
 
-/// Always-on per-device I/O counters (atomics: reads count under `&self`),
-/// plus shared service-time histograms for [`BlockDevice::latency`].
+/// Always-on per-device I/O counters. Each is a [`telemetry::Sharded`]
+/// sum, so the threads that drive one device each count on a cache line of
+/// their own.
 #[derive(Debug, Default)]
 pub struct Counters {
-    reads: AtomicU64,
-    writes: AtomicU64,
-    bytes_read: AtomicU64,
-    bytes_written: AtomicU64,
-    faults: AtomicU64,
-    injected_latency_ns: AtomicU64,
-    inflight: InflightTracker,
-    latency: DeviceLatency,
+    reads: Sharded,
+    writes: Sharded,
+    bytes_read: Sharded,
+    bytes_written: Sharded,
 }
 
 impl Counters {
-    pub(crate) fn record_read(&self, chunk: usize, bytes: u64, took: Duration) {
-        self.reads.fetch_add(1, Ordering::Relaxed);
-        self.bytes_read.fetch_add(bytes, Ordering::Relaxed);
-        self.latency.read.record_duration(took);
+    pub(crate) fn record_read(&self, chunk: usize, bytes: u64) {
+        self.reads.add(1);
+        self.bytes_read.add(bytes);
         // Leaf of the request causal tree: only sampled requests carry an
         // ambient trace id, so untraced I/O pays one thread-local read.
         let trace = telemetry::current_trace();
@@ -391,10 +389,9 @@ impl Counters {
         }
     }
 
-    pub(crate) fn record_write(&self, chunk: usize, bytes: u64, took: Duration) {
-        self.writes.fetch_add(1, Ordering::Relaxed);
-        self.bytes_written.fetch_add(bytes, Ordering::Relaxed);
-        self.latency.write.record_duration(took);
+    pub(crate) fn record_write(&self, chunk: usize, bytes: u64) {
+        self.writes.add(1);
+        self.bytes_written.add(bytes);
         let trace = telemetry::current_trace();
         if trace != 0 {
             telemetry::trace_event(
@@ -407,35 +404,60 @@ impl Counters {
         }
     }
 
-    pub(crate) fn latency(&self) -> DeviceLatency {
-        self.latency.clone()
-    }
-
-    /// Marks one operation in flight for queue-depth accounting; hold the
-    /// guard for the operation's full duration.
-    pub(crate) fn begin_io(&self) -> InflightGuard<'_> {
-        self.inflight.begin()
-    }
-
+    /// The counts, with no faults, injected latency or queue peak: a
+    /// device that has those fills them in.
     pub(crate) fn snapshot(&self) -> CounterSnapshot {
         CounterSnapshot {
-            reads: self.reads.load(Ordering::Relaxed),
-            writes: self.writes.load(Ordering::Relaxed),
-            bytes_read: self.bytes_read.load(Ordering::Relaxed),
-            bytes_written: self.bytes_written.load(Ordering::Relaxed),
-            faults: self.faults.load(Ordering::Relaxed),
-            injected_latency_ns: self.injected_latency_ns.load(Ordering::Relaxed),
-            max_inflight: self.inflight.peak(),
+            reads: self.reads.get(),
+            writes: self.writes.get(),
+            bytes_read: self.bytes_read.get(),
+            bytes_written: self.bytes_written.get(),
+            ..CounterSnapshot::default()
         }
     }
 
     pub(crate) fn reset(&self) {
-        self.reads.store(0, Ordering::Relaxed);
-        self.writes.store(0, Ordering::Relaxed);
-        self.bytes_read.store(0, Ordering::Relaxed);
-        self.bytes_written.store(0, Ordering::Relaxed);
-        self.faults.store(0, Ordering::Relaxed);
-        self.injected_latency_ns.store(0, Ordering::Relaxed);
+        self.reads.reset();
+        self.writes.reset();
+        self.bytes_read.reset();
+        self.bytes_written.reset();
+    }
+}
+
+/// Service time and queue depth, for a device whose operations take long
+/// enough to be worth a clock read each ([`FileDevice`]: a system call;
+/// [`FaultInjectingDevice`]: an injected sleep). [`MemDevice`] has none:
+/// its operation is a copy, which timing would cost more than.
+#[derive(Debug, Default)]
+pub(crate) struct Timing {
+    inflight: InflightTracker,
+    latency: DeviceLatency,
+}
+
+impl Timing {
+    /// Marks one operation in flight for queue-depth accounting; hold the
+    /// guard for the operation's full duration.
+    pub(crate) fn begin(&self) -> InflightGuard<'_> {
+        self.inflight.begin()
+    }
+
+    pub(crate) fn read(&self, took: Duration) {
+        self.latency.read.record_duration(took);
+    }
+
+    pub(crate) fn write(&self, took: Duration) {
+        self.latency.write.record_duration(took);
+    }
+
+    pub(crate) fn latency(&self) -> DeviceLatency {
+        self.latency.clone()
+    }
+
+    pub(crate) fn peak(&self) -> u64 {
+        self.inflight.peak()
+    }
+
+    pub(crate) fn reset(&self) {
         self.inflight.reset();
         self.latency.read.reset();
         self.latency.write.reset();
@@ -460,7 +482,8 @@ pub struct CounterSnapshot {
     /// device time from engine overhead in rebuild accounting.
     pub injected_latency_ns: u64,
     /// Peak queue depth: the most operations concurrently inside the
-    /// device since construction (or the last counter reset).
+    /// device since construction (or the last counter reset). Always 0 for
+    /// a [`MemDevice`], which has no queue and does not gauge one.
     pub max_inflight: u64,
 }
 
@@ -577,12 +600,11 @@ mod tests {
     #[test]
     fn snapshot_deltas() {
         let c = Counters::default();
-        let t = Duration::from_micros(1);
-        c.record_read(0, 64, t);
-        c.record_read(0, 64, t);
-        c.record_write(0, 64, t);
+        c.record_read(0, 64);
+        c.record_read(0, 64);
+        c.record_write(0, 64);
         let a = c.snapshot();
-        c.record_read(0, 64, t);
+        c.record_read(0, 64);
         let b = c.snapshot();
         let d = b.since(&a);
         assert_eq!(d.reads, 1);
@@ -609,22 +631,26 @@ mod tests {
         assert_eq!(t.peak(), 1);
         // The counter snapshot surfaces the peak and `since` keeps the
         // later snapshot's value (a peak is not a delta).
-        let c = Counters::default();
+        let c = Timing::default();
         {
-            let _one = c.begin_io();
-            let _two = c.begin_io();
+            let _one = c.begin();
+            let _two = c.begin();
         }
         let early = CounterSnapshot::default();
-        assert_eq!(c.snapshot().max_inflight, 2);
-        assert_eq!(c.snapshot().since(&early).max_inflight, 2);
+        let later = CounterSnapshot {
+            max_inflight: c.peak(),
+            ..CounterSnapshot::default()
+        };
+        assert_eq!(later.max_inflight, 2);
+        assert_eq!(later.since(&early).max_inflight, 2);
     }
 
     #[test]
     fn counters_feed_latency_histograms() {
         telemetry::set_enabled(true);
-        let c = Counters::default();
-        c.record_read(0, 64, Duration::from_micros(5));
-        c.record_write(0, 64, Duration::from_micros(9));
+        let c = Timing::default();
+        c.read(Duration::from_micros(5));
+        c.write(Duration::from_micros(9));
         let lat = c.latency();
         assert_eq!(lat.read.count(), 1);
         assert!(lat.read.max() >= 5_000);

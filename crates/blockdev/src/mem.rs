@@ -3,12 +3,8 @@
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::RwLock;
-use std::time::Instant;
 
-use crate::{
-    check_io_run, check_range_io, BlockDevice, CounterSnapshot, Counters, DeviceError,
-    DeviceLatency,
-};
+use crate::{check_io_run, check_range_io, BlockDevice, CounterSnapshot, Counters, DeviceError};
 
 /// An in-memory block device. Failing it makes the contents unreachable
 /// (the bytes stay where they are, behind the failed flag); healing marks
@@ -30,6 +26,13 @@ use crate::{
 /// the geometry getters and the counters take no lock at all: the store
 /// asks `is_failed` several times per chunk, so it is one atomic load of a
 /// flag that `fail`/`heal` flip while they hold the write lock.
+///
+/// The device counts its operations and bytes but neither times them nor
+/// gauges its queue: an operation is one copy, which two clock reads and a
+/// histogram record would cost more than, and there is no queue.
+/// [`BlockDevice::latency`] is the trait's empty default and
+/// [`CounterSnapshot::max_inflight`] reads 0; wrap the device in a
+/// [`crate::FaultInjectingDevice`] to time and gauge it.
 #[derive(Debug)]
 pub struct MemDevice {
     chunk_size: usize,
@@ -202,15 +205,13 @@ impl BlockDevice for MemDevice {
     /// copy per chunk while the device has blank chunks).
     fn read_chunks(&self, first: usize, count: usize, buf: &mut [u8]) -> Result<(), DeviceError> {
         check_io_run(first, count, self.chunks, buf.len(), self.chunk_size)?;
-        let _io = self.counters.begin_io();
-        let began = Instant::now();
         let contents = self.contents.read().expect("mem lock");
         if contents.failed {
             return Err(DeviceError::Failed);
         }
         contents.copy_out(first, self.chunk_size, buf);
         self.counters
-            .record_read(first, (count * self.chunk_size) as u64, began.elapsed());
+            .record_read(first, (count * self.chunk_size) as u64);
         Ok(())
     }
 
@@ -226,15 +227,13 @@ impl BlockDevice for MemDevice {
         buf: &mut [u8],
     ) -> Result<(), DeviceError> {
         check_range_io(chunk, &range, self.chunks, buf.len(), self.chunk_size)?;
-        let _io = self.counters.begin_io();
-        let began = Instant::now();
         let contents = self.contents.read().expect("mem lock");
         if contents.failed {
             return Err(DeviceError::Failed);
         }
         let bytes = range.len() as u64;
         contents.copy_range_out(chunk, range, buf);
-        self.counters.record_read(chunk, bytes, began.elapsed());
+        self.counters.record_read(chunk, bytes);
         Ok(())
     }
 
@@ -247,15 +246,13 @@ impl BlockDevice for MemDevice {
         buf: &[u8],
     ) -> Result<(), DeviceError> {
         check_range_io(chunk, &range, self.chunks, buf.len(), self.chunk_size)?;
-        let _io = self.counters.begin_io();
-        let began = Instant::now();
         let mut contents = self.contents.write().expect("mem lock");
         if contents.failed {
             return Err(DeviceError::Failed);
         }
         let bytes = range.len() as u64;
         contents.write(chunk, range, buf);
-        self.counters.record_write(chunk, bytes, began.elapsed());
+        self.counters.record_write(chunk, bytes);
         Ok(())
     }
 
@@ -281,10 +278,6 @@ impl BlockDevice for MemDevice {
 
     fn reset_counters(&self) {
         self.counters.reset();
-    }
-
-    fn latency(&self) -> DeviceLatency {
-        self.counters.latency()
     }
 }
 

@@ -15,6 +15,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use telemetry::Sharded;
+
 /// Rebuild-bandwidth policy for one store.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QosConfig {
@@ -81,9 +83,11 @@ struct Bucket {
 pub(crate) struct QosState {
     cfg: Mutex<QosConfig>,
     bucket: Mutex<Bucket>,
-    /// Nanoseconds since `epoch` of the last foreground request;
-    /// `u64::MAX` = never.
-    last_foreground_ns: AtomicU64,
+    /// Per thread, one plus the nanoseconds since `epoch` of that
+    /// thread's last foreground request (0 = never); the latest request
+    /// of any thread is the largest cell. Each client stamps its own cache
+    /// line.
+    last_foreground: Sharded,
     epoch: Instant,
     waits: AtomicU64,
     wait_ns: AtomicU64,
@@ -112,7 +116,7 @@ impl QosState {
                 last_refill: now,
             }),
             cfg: Mutex::new(cfg),
-            last_foreground_ns: AtomicU64::new(u64::MAX),
+            last_foreground: Sharded::new(),
             epoch: now,
             waits: AtomicU64::new(0),
             wait_ns: AtomicU64::new(0),
@@ -130,19 +134,22 @@ impl QosState {
         b.last_refill = Instant::now();
     }
 
+    /// Nanoseconds since `epoch`, plus one so that 0 means never.
+    fn stamp(&self) -> u64 {
+        (self.epoch.elapsed().as_nanos() as u64).saturating_add(1)
+    }
+
     /// Stamps the arrival of a foreground request.
     pub(crate) fn note_foreground(&self) {
-        let ns = self.epoch.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        self.last_foreground_ns.store(ns, Ordering::Relaxed);
+        self.last_foreground.store(self.stamp());
     }
 
     fn foreground_active(&self, window: Duration) -> bool {
-        let last = self.last_foreground_ns.load(Ordering::Relaxed);
-        if last == u64::MAX {
+        let last = self.last_foreground.max();
+        if last == 0 {
             return false;
         }
-        let now = self.epoch.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        now.saturating_sub(last) <= window.as_nanos().min(u64::MAX as u128) as u64
+        self.stamp().saturating_sub(last) <= window.as_nanos().min(u64::MAX as u128) as u64
     }
 
     /// Paces a rebuild batch of `chunks` reads. Sleeps only when a rate is
@@ -245,6 +252,64 @@ mod tests {
             began.elapsed() < Duration::from_millis(50),
             "window expired"
         );
+    }
+
+    #[test]
+    fn a_foreground_stamp_on_one_thread_paces_a_rebuild_on_another() {
+        let mut cfg = QosConfig::throttled(2000.0);
+        cfg.burst_chunks = 4;
+        let q = QosState::new(cfg);
+        std::thread::scope(|s| {
+            s.spawn(|| q.note_foreground());
+        });
+        let began = Instant::now();
+        let c = std::thread::scope(|s| {
+            s.spawn(|| {
+                // Same pacing as above: 100 chunks at 2000/s after a
+                // 4-chunk burst.
+                for _ in 0..25 {
+                    q.throttle_rebuild(4);
+                }
+                q.counters()
+            })
+            .join()
+            .expect("rebuild thread")
+        });
+        assert!(c.throttle_waits > 0, "{c:?}");
+        assert!(
+            began.elapsed() >= Duration::from_millis(30),
+            "paced to ~50ms, took {:?}",
+            began.elapsed()
+        );
+    }
+
+    #[test]
+    fn stamps_from_several_threads_all_expire() {
+        let mut cfg = QosConfig::throttled(10.0);
+        cfg.foreground_window = Duration::from_millis(20);
+        cfg.burst_chunks = 1;
+        let q = QosState::new(cfg);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| q.note_foreground());
+            }
+        });
+        q.note_foreground();
+        assert!(q.foreground_active(cfg.foreground_window), "fresh stamps");
+        std::thread::sleep(Duration::from_millis(40));
+        assert!(
+            !q.foreground_active(cfg.foreground_window),
+            "every thread's stamp is older than the window"
+        );
+        let began = Instant::now();
+        for _ in 0..50 {
+            q.throttle_rebuild(8);
+        }
+        assert!(
+            began.elapsed() < Duration::from_millis(50),
+            "window expired"
+        );
+        assert_eq!(q.counters().throttle_waits, 0);
     }
 
     #[test]

@@ -38,7 +38,7 @@ use blockdev::{
 use ecc::{ErasureCode, Raid6, XorParity};
 use gf::Gf256;
 use layout::{ChunkAddr, ChunkRecovery, Layout, LayoutError, RecoveryPlan};
-use telemetry::{Histogram, Registry};
+use telemetry::{Histogram, Registry, Sharded};
 
 use crate::array::OiRaid;
 use crate::bufpool::BufPool;
@@ -178,20 +178,22 @@ impl fmt::Display for ScrubReport {
 /// paths) record per-class latency; requests that had to reconstruct
 /// through the redundancy additionally bump the degraded counters. The
 /// foreground histograms are what experiment E17 reads its p99 from.
+/// Counters and histograms are per-thread sharded ([`telemetry::Sharded`]),
+/// so concurrent clients do not share a cache line through them.
 #[derive(Debug, Default)]
 pub struct StoreTelemetry {
-    degraded_reads: AtomicU64,
+    degraded_reads: Sharded,
     degraded_latency: Arc<Histogram>,
-    degraded_writes: AtomicU64,
+    degraded_writes: Sharded,
     degraded_write_latency: Arc<Histogram>,
-    foreground_reads: AtomicU64,
+    foreground_reads: Sharded,
     foreground_read_latency: Arc<Histogram>,
-    foreground_writes: AtomicU64,
+    foreground_writes: Sharded,
     foreground_write_latency: Arc<Histogram>,
-    batch_read_requests: AtomicU64,
-    batch_read_chunks: AtomicU64,
-    batch_write_requests: AtomicU64,
-    batch_write_chunks: AtomicU64,
+    batch_read_requests: Sharded,
+    batch_read_chunks: Sharded,
+    batch_write_requests: Sharded,
+    batch_write_chunks: Sharded,
 }
 
 impl Clone for StoreTelemetry {
@@ -205,7 +207,7 @@ impl Clone for StoreTelemetry {
 impl StoreTelemetry {
     /// Reads served by reconstruction because the chunk's disk was failed.
     pub fn degraded_reads(&self) -> u64 {
-        self.degraded_reads.load(Ordering::Relaxed)
+        self.degraded_reads.get()
     }
 
     /// End-to-end latency of degraded reads, in nanoseconds.
@@ -216,7 +218,7 @@ impl StoreTelemetry {
     /// Writes that found part of their update set unavailable and went
     /// through the degraded (reconstruct + partial-patch) path.
     pub fn degraded_writes(&self) -> u64 {
-        self.degraded_writes.load(Ordering::Relaxed)
+        self.degraded_writes.get()
     }
 
     /// End-to-end latency of degraded writes, in nanoseconds.
@@ -226,7 +228,7 @@ impl StoreTelemetry {
 
     /// All foreground chunk reads served (healthy and degraded).
     pub fn foreground_reads(&self) -> u64 {
-        self.foreground_reads.load(Ordering::Relaxed)
+        self.foreground_reads.get()
     }
 
     /// End-to-end foreground read latency, in nanoseconds.
@@ -236,7 +238,7 @@ impl StoreTelemetry {
 
     /// All foreground chunk writes served (healthy and degraded).
     pub fn foreground_writes(&self) -> u64 {
-        self.foreground_writes.load(Ordering::Relaxed)
+        self.foreground_writes.get()
     }
 
     /// End-to-end foreground write latency, in nanoseconds.
@@ -246,8 +248,8 @@ impl StoreTelemetry {
 
     /// `n` chunk reads that all saw latency `took`: one counter add and one
     /// histogram touch, whatever `n`.
-    fn record_reads(count: &AtomicU64, latency: &Histogram, took: Duration, n: usize) {
-        count.fetch_add(n as u64, Ordering::Relaxed);
+    fn record_reads(count: &Sharded, latency: &Histogram, took: Duration, n: usize) {
+        count.add(n as u64);
         latency.record_n(took.as_nanos().min(u64::MAX as u128) as u64, n as u64);
     }
 
@@ -256,7 +258,7 @@ impl StoreTelemetry {
     }
 
     fn record_degraded_write(&self, took: Duration) {
-        self.degraded_writes.fetch_add(1, Ordering::Relaxed);
+        self.degraded_writes.add(1);
         self.degraded_write_latency.record_duration(took);
     }
 
@@ -266,46 +268,43 @@ impl StoreTelemetry {
     }
 
     fn record_foreground_write(&self, took: Duration) {
-        self.foreground_writes.fetch_add(1, Ordering::Relaxed);
+        self.foreground_writes.add(1);
         self.foreground_write_latency.record_duration(took);
     }
 
     /// Logical read requests submitted through
     /// [`OiRaidStore::read_data_batch`].
     pub fn batch_read_requests(&self) -> u64 {
-        self.batch_read_requests.load(Ordering::Relaxed)
+        self.batch_read_requests.get()
     }
 
     /// Distinct chunks actually fetched for those batched reads — the gap
     /// to [`Self::batch_read_requests`] is the dedup win.
     pub fn batch_read_chunks(&self) -> u64 {
-        self.batch_read_chunks.load(Ordering::Relaxed)
+        self.batch_read_chunks.get()
     }
 
     /// Logical byte-range requests submitted through
     /// [`OiRaidStore::write_bytes_batch`].
     pub fn batch_write_requests(&self) -> u64 {
-        self.batch_write_requests.load(Ordering::Relaxed)
+        self.batch_write_requests.get()
     }
 
     /// Distinct chunk read-modify-writes performed for those batched
     /// writes — the gap to [`Self::batch_write_requests`] is the
     /// coalescing win.
     pub fn batch_write_chunks(&self) -> u64 {
-        self.batch_write_chunks.load(Ordering::Relaxed)
+        self.batch_write_chunks.get()
     }
 
     fn record_batch_read(&self, requests: u64, chunks: u64) {
-        self.batch_read_requests
-            .fetch_add(requests, Ordering::Relaxed);
-        self.batch_read_chunks.fetch_add(chunks, Ordering::Relaxed);
+        self.batch_read_requests.add(requests);
+        self.batch_read_chunks.add(chunks);
     }
 
     fn record_batch_write(&self, stats: BatchStats) {
-        self.batch_write_requests
-            .fetch_add(stats.requests as u64, Ordering::Relaxed);
-        self.batch_write_chunks
-            .fetch_add(stats.chunks as u64, Ordering::Relaxed);
+        self.batch_write_requests.add(stats.requests as u64);
+        self.batch_write_chunks.add(stats.chunks as u64);
     }
 }
 

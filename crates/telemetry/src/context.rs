@@ -12,13 +12,13 @@
 //! duration. Work that crosses threads (scheduler workers) re-enters the
 //! context explicitly inside the worker callback.
 //!
-//! Sampling is head-based: [`sample_trace`] admits one in `N` requests
-//! (`OI_RAID_TRACE_SAMPLE`, default one in 64; `1` traces everything,
-//! `0`/`off` disables). The not-sampled and disabled paths are one
-//! relaxed atomic load plus (when sampling is live) one relaxed
-//! `fetch_add` — a nanosecond or two, cheap enough to leave in every
-//! hot path. The global kill switch ([`crate::enabled`]) short-circuits
-//! everything first.
+//! Sampling is head-based: [`sample_trace`] admits one in `N` calls per
+//! thread (`OI_RAID_TRACE_SAMPLE`, default one in 64; `1` traces
+//! everything, `0`/`off` disables). The not-sampled and disabled paths are
+//! one relaxed atomic load plus (when sampling is live) one thread-local
+//! increment — a nanosecond or two and no shared cache line, cheap enough
+//! to leave in every hot path. The global kill switch ([`crate::enabled`])
+//! short-circuits everything first.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -26,9 +26,6 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 /// Sampling latch: 0 = uninitialised (consult the environment),
 /// `u32::MAX` = off, anything else = admit one in that many.
 static SAMPLE: AtomicU32 = AtomicU32::new(0);
-
-/// Requests seen by [`sample_trace`] (drives the 1/N admission).
-static SEEN: AtomicU64 = AtomicU64::new(0);
 
 /// Next trace id. Starts at 1 so 0 stays "not traced" forever.
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
@@ -38,6 +35,8 @@ const DEFAULT_EVERY: u32 = 64;
 
 thread_local! {
     static CURRENT: Cell<u64> = const { Cell::new(0) };
+    /// Calls of [`sample_trace`] on this thread (drives the 1/N admission).
+    static CALLS: Cell<u64> = const { Cell::new(0) };
 }
 
 fn sample_every() -> u32 {
@@ -81,8 +80,9 @@ pub fn alloc_trace_id() -> u64 {
     NEXT_ID.fetch_add(1, Ordering::Relaxed)
 }
 
-/// Head sampling: returns a fresh trace id for one in `N` calls, 0
-/// otherwise. The 0 path is the cost every untraced request pays.
+/// Head sampling: returns a fresh trace id for one in `N` calls on the
+/// calling thread, 0 otherwise. The 0 path is the cost every untraced
+/// request pays.
 #[inline]
 pub fn sample_trace() -> u64 {
     if !crate::enabled() {
@@ -93,9 +93,11 @@ pub fn sample_trace() -> u64 {
         return 0;
     }
     if every == 1
-        || SEEN
-            .fetch_add(1, Ordering::Relaxed)
-            .is_multiple_of(every as u64)
+        || CALLS.with(|calls| {
+            let n = calls.get();
+            calls.set(n.wrapping_add(1));
+            n.is_multiple_of(every as u64)
+        })
     {
         alloc_trace_id()
     } else {
@@ -190,6 +192,23 @@ mod tests {
         set_trace_sample(Some(1));
         assert!(tracing_active());
         assert_ne!(trace_always(), 0);
+    }
+
+    #[test]
+    fn sampling_admits_one_in_n_per_thread() {
+        let _switches = crate::hold_switches();
+        set_trace_sample(Some(4));
+        let admitted = std::thread::scope(|s| {
+            let threads: Vec<_> = (0..2)
+                .map(|_| s.spawn(|| (0..16 * 4).filter(|_| sample_trace() != 0).count()))
+                .collect();
+            threads
+                .into_iter()
+                .map(|t| t.join().expect("sampling thread"))
+                .sum::<usize>()
+        });
+        assert_eq!(admitted, 32, "each thread admits 1/4 of its 64 calls");
+        set_trace_sample(Some(1));
     }
 
     #[test]

@@ -4,12 +4,21 @@
 //! unit-width buckets; every power-of-two range `[2^m, 2^{m+1})` above
 //! that is split into 16 linear sub-buckets. Quantiles read from a bucket
 //! therefore carry at most `2^-4 = 6.25 %` relative error (plus the
-//! exactly-tracked maximum as a clamp), while `record` is four relaxed
-//! atomic operations — cheap enough to instrument every device I/O.
+//! exactly-tracked maximum as a clamp).
+//!
+//! A histogram is eight shards, one per thread index (see the `shard`
+//! module), each allocated on its first record: `record` is three relaxed
+//! `fetch_add`s and a compare on the calling thread's own shard, so two
+//! threads recording into one histogram touch no common cache line, and a
+//! histogram nobody records into costs an array of empty slots. Readers
+//! fold the shards.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 use std::time::Duration;
+
+use crate::shard::{shard_index, SHARDS};
 
 /// log2 of the number of linear sub-buckets per power-of-two range.
 const SUB_BITS: u32 = 4;
@@ -50,10 +59,12 @@ fn bucket_upper(i: usize) -> u64 {
 
 /// A concurrent latency/value histogram.
 ///
-/// `record` takes `&self` and performs only relaxed atomic adds, so any
-/// number of threads can record into one histogram; totals are exact
-/// (nothing is sampled or dropped), bucket placement is exact, and
-/// quantiles are approximate within the bucket scheme's 6.25 % bound.
+/// `record` takes `&self` and performs only relaxed atomic operations on
+/// the calling thread's shard, so any number of threads can record into
+/// one histogram; totals are exact (nothing is sampled or dropped), bucket
+/// placement is exact, and quantiles are approximate within the bucket
+/// scheme's 6.25 % bound. Counts and sums fold the shards with wrapping
+/// adds, as one atomic receiving every record would wrap.
 ///
 /// # Example
 ///
@@ -71,10 +82,37 @@ fn bucket_upper(i: usize) -> u64 {
 /// assert!(s.p50() >= 500 && s.p50() <= 532); // ≤ 6.25 % over
 /// ```
 pub struct Histogram {
-    buckets: Box<[AtomicU64]>,
+    shards: [OnceLock<Box<Shard>>; SHARDS],
+}
+
+/// One thread index's share of a [`Histogram`], on lines of its own.
+#[repr(align(128))]
+struct Shard {
     count: AtomicU64,
     sum: AtomicU64,
     max: AtomicU64,
+    buckets: [AtomicU64; BUCKETS],
+}
+
+impl Shard {
+    fn boxed() -> Box<Self> {
+        Box::new(Self {
+            count: AtomicU64::new(0),
+            sum: AtomicU64::new(0),
+            max: AtomicU64::new(0),
+            buckets: [const { AtomicU64::new(0) }; BUCKETS],
+        })
+    }
+
+    fn record(&self, v: u64, n: u64) {
+        self.buckets[bucket_index(v)].fetch_add(n, Ordering::Relaxed);
+        self.count.fetch_add(n, Ordering::Relaxed);
+        self.sum.fetch_add(v.saturating_mul(n), Ordering::Relaxed);
+        // Most records are below the maximum: skip the read-modify-write.
+        if v > self.max.load(Ordering::Relaxed) {
+            self.max.fetch_max(v, Ordering::Relaxed);
+        }
+    }
 }
 
 impl Default for Histogram {
@@ -95,13 +133,27 @@ impl fmt::Debug for Histogram {
 
 impl Histogram {
     /// An empty histogram.
-    pub fn new() -> Self {
+    pub const fn new() -> Self {
         Self {
-            buckets: (0..BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            max: AtomicU64::new(0),
+            shards: [const { OnceLock::new() }; SHARDS],
         }
+    }
+
+    /// The calling thread's shard, allocated on first use.
+    #[inline]
+    fn mine(&self) -> &Shard {
+        self.shards[shard_index()].get_or_init(Shard::boxed)
+    }
+
+    /// The shards some thread has recorded into.
+    fn live(&self) -> impl Iterator<Item = &Shard> {
+        self.shards.iter().filter_map(|s| s.get().map(|b| &**b))
+    }
+
+    /// Wrapping sum of one field over the shards.
+    fn total(&self, field: fn(&Shard) -> &AtomicU64) -> u64 {
+        self.live()
+            .fold(0, |t, s| t.wrapping_add(field(s).load(Ordering::Relaxed)))
     }
 
     /// Records one value (no-op while telemetry is disabled).
@@ -118,10 +170,7 @@ impl Histogram {
         if n == 0 || !crate::enabled() {
             return;
         }
-        self.buckets[bucket_index(v)].fetch_add(n, Ordering::Relaxed);
-        self.count.fetch_add(n, Ordering::Relaxed);
-        self.sum.fetch_add(v.saturating_mul(n), Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
+        self.mine().record(v, n);
     }
 
     /// Records a duration in nanoseconds.
@@ -132,59 +181,63 @@ impl Histogram {
 
     /// Number of recorded values.
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.total(|s| &s.count)
     }
 
     /// Sum of recorded values.
     pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
+        self.total(|s| &s.sum)
     }
 
     /// Largest recorded value (exact, not bucketed).
     pub fn max(&self) -> u64 {
-        self.max.load(Ordering::Relaxed)
+        self.live()
+            .map(|s| s.max.load(Ordering::Relaxed))
+            .max()
+            .unwrap_or(0)
     }
 
-    /// Folds another histogram's counts into this one.
+    /// Folds another histogram's counts into this one (into the calling
+    /// thread's shard).
     pub fn merge_from(&self, other: &Histogram) {
-        for (mine, theirs) in self.buckets.iter().zip(other.buckets.iter()) {
-            let n = theirs.load(Ordering::Relaxed);
+        let theirs = other.snapshot();
+        let mine = self.mine();
+        for (i, &n) in theirs.buckets.iter().enumerate() {
             if n > 0 {
-                mine.fetch_add(n, Ordering::Relaxed);
+                mine.buckets[i].fetch_add(n, Ordering::Relaxed);
             }
         }
-        self.count
-            .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.sum
-            .fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.max
-            .fetch_max(other.max.load(Ordering::Relaxed), Ordering::Relaxed);
+        mine.count.fetch_add(theirs.count, Ordering::Relaxed);
+        mine.sum.fetch_add(theirs.sum, Ordering::Relaxed);
+        mine.max.fetch_max(theirs.max, Ordering::Relaxed);
     }
 
     /// Resets every bucket and total to zero.
     pub fn reset(&self) {
-        for b in self.buckets.iter() {
-            b.store(0, Ordering::Relaxed);
+        for s in self.live() {
+            for b in s.buckets.iter() {
+                b.store(0, Ordering::Relaxed);
+            }
+            s.count.store(0, Ordering::Relaxed);
+            s.sum.store(0, Ordering::Relaxed);
+            s.max.store(0, Ordering::Relaxed);
         }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-        self.max.store(0, Ordering::Relaxed);
     }
 
     /// A point-in-time copy of the histogram. Consistent once recording
     /// has quiesced; during concurrent recording the totals may lead or
     /// lag the buckets by in-flight operations.
     pub fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            buckets: self
-                .buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
-            count: self.count.load(Ordering::Relaxed),
-            sum: self.sum.load(Ordering::Relaxed),
-            max: self.max.load(Ordering::Relaxed),
+        let mut snap = HistogramSnapshot::default();
+        for s in self.live() {
+            for (mine, theirs) in snap.buckets.iter_mut().zip(s.buckets.iter()) {
+                *mine = mine.wrapping_add(theirs.load(Ordering::Relaxed));
+            }
+            snap.count = snap.count.wrapping_add(s.count.load(Ordering::Relaxed));
+            snap.sum = snap.sum.wrapping_add(s.sum.load(Ordering::Relaxed));
+            snap.max = snap.max.max(s.max.load(Ordering::Relaxed));
         }
+        snap
     }
 
     /// Convenience quantile on a fresh snapshot (`q` in `0.0..=1.0`).

@@ -11,7 +11,11 @@
 //! * [`Histogram`] — a lock-free, log-bucketed latency histogram
 //!   (HdrHistogram-style: power-of-two major buckets × 16 linear
 //!   sub-buckets, ≤ 6.25 % relative quantile error, atomic counts,
-//!   mergeable). Recording is a handful of relaxed atomic adds.
+//!   mergeable). Recording is a handful of relaxed atomic adds on the
+//!   calling thread's own shard.
+//! * [`Sharded`] — a `u64` sum or stamp split over per-thread cache lines:
+//!   the per-op counters of every layer, so a second client thread does
+//!   not pay for the first's increments.
 //! * [`Registry`] — labeled counters, gauges, and histograms, exported as
 //!   Prometheus text exposition ([`Registry::prometheus`]) or JSON
 //!   ([`Registry::json`]); [`lint_prometheus`] validates the exposition
@@ -41,6 +45,7 @@ mod histogram;
 mod progress;
 mod registry;
 mod serve;
+mod shard;
 
 pub use context::{
     alloc_trace_id, current_trace, enter_trace, sample_trace, set_trace_sample, trace_always,
@@ -55,6 +60,7 @@ pub use histogram::{exact_percentile_sorted, Histogram, HistogramSnapshot, BUCKE
 pub use progress::{Progress, ProgressSnapshot};
 pub use registry::{Counter, Gauge, Registry, RegistryError};
 pub use serve::ScrapeServer;
+pub use shard::Sharded;
 
 use std::sync::atomic::{AtomicU8, Ordering};
 

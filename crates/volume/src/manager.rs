@@ -744,7 +744,7 @@ impl<B: BlockDevice> VolumeManager<B> {
             } else {
                 // Absorbed read.
                 tenant.record_read(took(p));
-                tenant.absorbed_reads.fetch_add(1, Ordering::Relaxed);
+                tenant.absorbed_reads.add(1);
                 let w = absorbed[i].expect("read is pre-read, absorbed, or batched");
                 Ok(Some(wave[w].data.clone().expect("write has data")))
             };
@@ -882,13 +882,13 @@ impl<B: BlockDevice> VolumeManager<B> {
                     "oi_volume_requests_total",
                     "Requests served per tenant and op",
                     "read",
-                    t.reads.load(Ordering::Relaxed),
+                    t.reads.get(),
                 ),
                 (
                     "oi_volume_requests_total",
                     "Requests served per tenant and op",
                     "write",
-                    t.writes.load(Ordering::Relaxed),
+                    t.writes.get(),
                 ),
             ] {
                 reg.counter(metric, help, &[("tenant", name), ("op", op)])
@@ -898,7 +898,7 @@ impl<B: BlockDevice> VolumeManager<B> {
                 (
                     "oi_volume_absorbed_reads_total",
                     "Reads answered from a pending batched write without I/O",
-                    t.absorbed_reads.load(Ordering::Relaxed),
+                    t.absorbed_reads.get(),
                 ),
                 (
                     "oi_volume_throttle_waits_total",
@@ -1148,7 +1148,7 @@ mod tests {
         assert_eq!(results[3].clone().unwrap(), Some(vec![2u8; 16]));
         // The final read was absorbed from the pending write: no extra I/O.
         let tenants = m.tenants.read().unwrap();
-        assert_eq!(tenants[0].absorbed_reads.load(Ordering::Relaxed), 1);
+        assert_eq!(tenants[0].absorbed_reads.get(), 1);
         // And the store really holds the last write.
         drop(tenants);
         assert_eq!(m.read_record(v, 0).unwrap(), vec![2u8; 16]);

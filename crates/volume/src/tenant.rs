@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use telemetry::Histogram;
+use telemetry::{Histogram, Sharded};
 
 use crate::slo::{SloPolicy, SloTracker};
 
@@ -97,9 +97,9 @@ pub(crate) struct Tenant {
     pub(crate) name: String,
     pub(crate) class: TenantClass,
     bucket: Mutex<Bucket>,
-    pub(crate) reads: AtomicU64,
-    pub(crate) writes: AtomicU64,
-    pub(crate) absorbed_reads: AtomicU64,
+    pub(crate) reads: Sharded,
+    pub(crate) writes: Sharded,
+    pub(crate) absorbed_reads: Sharded,
     pub(crate) throttle_waits: AtomicU64,
     pub(crate) throttle_wait_ns: AtomicU64,
     pub(crate) read_latency: Arc<Histogram>,
@@ -117,9 +117,9 @@ impl Tenant {
                 tokens: class.burst_ops,
                 last: Instant::now(),
             }),
-            reads: AtomicU64::new(0),
-            writes: AtomicU64::new(0),
-            absorbed_reads: AtomicU64::new(0),
+            reads: Sharded::new(),
+            writes: Sharded::new(),
+            absorbed_reads: Sharded::new(),
             throttle_waits: AtomicU64::new(0),
             throttle_wait_ns: AtomicU64::new(0),
             read_latency: Arc::new(Histogram::new()),
@@ -168,7 +168,7 @@ impl Tenant {
     }
 
     pub(crate) fn record_read(&self, took: Duration) {
-        self.reads.fetch_add(1, Ordering::Relaxed);
+        self.reads.add(1);
         self.read_latency.record_duration(took);
         if let Some(slo) = &self.slo {
             slo.record_read(took);
@@ -176,7 +176,7 @@ impl Tenant {
     }
 
     pub(crate) fn record_write(&self, took: Duration) {
-        self.writes.fetch_add(1, Ordering::Relaxed);
+        self.writes.add(1);
         self.write_latency.record_duration(took);
         if let Some(slo) = &self.slo {
             slo.record_write(took);

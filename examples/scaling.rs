@@ -11,8 +11,10 @@
 //! (it rises with T when threads fight over cache lines), and on Linux the
 //! voluntary context switches per op (a thread that slept on a lock) and
 //! the user / system clock ticks the threads burned, next to the ticks that
-//! were available (T x wall). Prints numbers; asserts nothing about time.
+//! were available (T x wall). Rows with T > 1 end with their ops/s over the
+//! same row's at T = 1. Prints numbers; asserts nothing about time.
 
+use std::collections::HashMap;
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
@@ -44,7 +46,14 @@ type Tally = (u64, Duration, u64, u64, u64);
 
 /// Runs `op(thread, iteration)` on `threads` threads for [`RUN`] and prints
 /// one row. `op` returns how many operations the call was worth.
-fn row(name: &str, threads: usize, op: &(dyn Fn(usize, u64) -> u64 + Sync)) {
+/// `one_thread` holds each row's ops/s at T = 1: a T = 1 row fills it, a
+/// later row prints its ratio to it.
+fn row(
+    one_thread: &mut HashMap<&'static str, f64>,
+    name: &'static str,
+    threads: usize,
+    op: &(dyn Fn(usize, u64) -> u64 + Sync),
+) {
     let start = Barrier::new(threads);
     let began = Instant::now();
     let tallies: Vec<Tally> = std::thread::scope(|s| {
@@ -76,9 +85,16 @@ fn row(name: &str, threads: usize, op: &(dyn Fn(usize, u64) -> u64 + Sync)) {
     let sum = |f: fn(&Tally) -> u64| tallies.iter().map(f).sum::<u64>();
     // USER_HZ is 100 on every Linux this runs on.
     let available = (threads as f64 * wall * 100.0).round();
+    let rate = ops as f64 / wall;
+    let ratio = match one_thread.get(name) {
+        Some(base) if threads > 1 => format!("  {:.2}x T=1", rate / base),
+        _ => {
+            one_thread.insert(name, rate);
+            String::new()
+        }
+    };
     println!(
-        "{name:<18} T={threads}  {:>9.0} ops/s  {:>6.2} us thread-time/op  {:>7.4} sleeps/op  user {:>3} sys {:>3} of {available:.0} ticks",
-        ops as f64 / wall,
+        "{name:<18} T={threads}  {rate:>9.0} ops/s  {:>6.2} us thread-time/op  {:>7.4} sleeps/op  user {:>3} sys {:>3} of {available:.0} ticks{ratio}",
         busy * 1e6 / ops as f64,
         sum(|t| t.2) as f64 / ops as f64,
         sum(|t| t.3),
@@ -111,6 +127,7 @@ fn main() {
         store.write_bytes_batch(&writes).expect("prefill");
     }
 
+    let mut one_thread = HashMap::new();
     for threads in 1..=nproc {
         // Thread t owns every `threads`-th span of 64 chunks: no two
         // threads ever name the same chunk, record or parity-free byte.
@@ -118,24 +135,24 @@ fn main() {
         let chunk_of = move |t: usize, i: u64| ((i % span) * threads as u64 + t as u64) * 64;
         let mix = |i: u64| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33;
 
-        row("read_bytes 512", threads, &|t, i| {
+        row(&mut one_thread, "read_bytes 512", threads, &|t, i| {
             let mut buf = [0u8; RECORD];
             let off = (chunk_of(t, mix(i)) + i % 64) * CHUNK as u64;
             store.read_bytes(off, &mut buf).expect("read");
             1
         });
-        row("write_bytes 512", threads, &|t, i| {
+        row(&mut one_thread, "write_bytes 512", threads, &|t, i| {
             let off = (chunk_of(t, mix(i)) + i % 64) * CHUNK as u64;
             store.write_bytes(off, &payload).expect("write");
             1
         });
-        row("read_data_batch 45", threads, &|t, i| {
+        row(&mut one_thread, "read_data_batch 45", threads, &|t, i| {
             let base = chunk_of(t, mix(i));
             let idxs: Vec<usize> = (0..45).map(|k| (base + (k * 7) % 64) as usize).collect();
             store.read_data_batch(&idxs).expect("batch read");
             45
         });
-        row("write_bytes_batch 19", threads, &|t, i| {
+        row(&mut one_thread, "write_bytes_batch 19", threads, &|t, i| {
             let base = chunk_of(t, mix(i));
             let writes: Vec<(u64, &[u8])> = (0..19)
                 .map(|k| ((base + (k * 5) % 64) * CHUNK as u64, payload.as_slice()))
@@ -143,7 +160,7 @@ fn main() {
             store.write_bytes_batch(&writes).expect("batch write");
             19
         });
-        row("volume.submit 64", threads, &|t, i| {
+        row(&mut one_thread, "volume.submit 64", threads, &|t, i| {
             let base = chunk_of(t, mix(i)) * (CHUNK / RECORD) as u64;
             let ops: Vec<Op> = (0..64u64)
                 .map(|k| {
