@@ -1952,7 +1952,7 @@ fn file_closed_loop(
 ///    throughput within 15% of unjournaled.
 /// 2. Crash-storm replay: the journal is loaded with committed-but-
 ///    unapplied intents (the worst case a kill-anywhere storm can leave
-///    behind), one covered chunk is scribbled over, and `open_durable`
+///    behind), one covered chunk is scribbled over, and `open_durable_with`
 ///    redoes the log. Reports replay throughput; asserts the scribbled
 ///    chunk comes back and parity is clean.
 pub fn e21_journal_overhead() -> Vec<(String, Table)> {
@@ -2031,7 +2031,13 @@ pub fn e21_journal_overhead() -> Vec<(String, Table)> {
     const MEMBERS: usize = 4; // one data chunk + 3 parity chunks per wave
     let dir = base.join("replay");
     let (victim, want) = {
-        let store = OiRaidStore::create_durable(cfg.clone(), CHUNK, &dir).expect("durable store");
+        let store = OiRaidStore::create_durable_with(
+            cfg.clone(),
+            CHUNK,
+            &dir,
+            blockdev::FlushPolicy::Never,
+        )
+        .expect("durable store");
         for idx in 0..store.data_chunks() {
             let chunk: Vec<u8> = (0..CHUNK).map(|j| (idx * 37 + j * 11 + 5) as u8).collect();
             store.write_data(idx, &chunk).expect("prefill write");
@@ -2071,7 +2077,9 @@ pub fn e21_journal_overhead() -> Vec<(String, Table)> {
         ((0usize, 0usize), want)
     };
     let began = Instant::now();
-    let store = OiRaidStore::open_durable(cfg.clone(), CHUNK, &dir).expect("replay");
+    let store =
+        OiRaidStore::open_durable_with(cfg.clone(), CHUNK, &dir, blockdev::FlushPolicy::Never)
+            .expect("replay");
     let replay_wall = began.elapsed();
     let mut buf = vec![0u8; CHUNK];
     store.devices()[victim.0]

@@ -96,12 +96,6 @@ pub fn crash_point(name: &str) {
     }
 }
 
-/// Total crash-point hits so far in this process (all points). Lets a
-/// harness size `OI_CRASH_COUNT` to the actual number of opportunities.
-pub fn crash_point_hits() -> u64 {
-    TOTAL_HITS.load(Ordering::Relaxed)
-}
-
 /// Whether `OI_CRASH_POWER=1` is set: the harness wants this process to
 /// model *power loss*, so device stacks should be built with
 /// [`crate::WriteBackDevice`] wrappers whose unflushed buffers die with

@@ -22,9 +22,8 @@
 //! The per-coefficient tables are a [`MulTable`]; [`crate::Gf256`] caches
 //! all 256 of them at construction, so slice multiplies never touch the
 //! log/exp tables. Dispatch is a single relaxed atomic load per slice call
-//! and can be pinned with [`force_path`] (or the `OI_RAID_KERNEL`
-//! environment variable: `scalar`, `wide`, or `simd`) for benchmarks and
-//! differential tests.
+//! and can be pinned with [`force_path`] for benchmarks and differential
+//! tests.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
@@ -41,7 +40,7 @@ pub enum KernelPath {
 }
 
 impl KernelPath {
-    /// Stable lowercase name (matches the `OI_RAID_KERNEL` values).
+    /// Stable lowercase name.
     pub fn name(self) -> &'static str {
         match self {
             Self::Scalar => "scalar",
@@ -68,14 +67,6 @@ pub fn simd_available() -> bool {
 }
 
 fn detect() -> KernelPath {
-    if let Ok(v) = std::env::var("OI_RAID_KERNEL") {
-        match v.as_str() {
-            "scalar" => return KernelPath::Scalar,
-            "wide" => return KernelPath::Wide,
-            "simd" if simd_available() => return KernelPath::Simd,
-            _ => {}
-        }
-    }
     if simd_available() {
         KernelPath::Simd
     } else {

@@ -149,12 +149,6 @@ impl Model {
         1.0 / self.bottleneck_read_fraction(s)
     }
 
-    /// Read-bound rebuild speedup over RAID50 with the same group size
-    /// (whose group survivors read full capacity, like `Inner`).
-    pub fn read_speedup_vs_raid50(&self, s: RecoveryStrategy) -> f64 {
-        self.read_speedup_vs_raid5(s)
-    }
-
     /// The declustering ratio of a parity-declustered layout over the same
     /// `n` disks with stripe width `k` — the strongest 1-fault baseline.
     pub fn pd_read_fraction(&self) -> f64 {

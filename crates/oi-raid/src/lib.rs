@@ -82,7 +82,6 @@ mod online;
 mod qos;
 mod rebuild;
 mod recovery;
-mod retry_cell;
 mod store;
 
 pub use array::{ChunkInfo, OiRaid};

@@ -66,7 +66,7 @@ use gf::kernels::xor_acc;
 
 use blockdev::{
     crash_point, write_chunk_retrying, BlockDevice, CounterSnapshot, DeviceError, RetryCounters,
-    RetryPolicy, RetryReader, RetryStats,
+    RetryReader, RetryStats,
 };
 use ecc::ErasureCode;
 use layout::{ChunkAddr, Layout, RecoveryPlan, SparePolicy};
@@ -78,7 +78,7 @@ use crate::geometry::Geometry;
 use crate::observe::{RebuildObserver, StageSummary};
 use crate::online::Region;
 use crate::recovery::single_failure_plan;
-use crate::store::{CheckpointPolicy, OiRaidStore, StoreError};
+use crate::store::{CheckpointPolicy, OiRaidStore, StoreError, RETRY};
 use crate::RecoveryStrategy;
 
 /// How the rebuild engine executes a recovery plan.
@@ -902,7 +902,6 @@ struct Writeback<'a> {
     regions: &'a Footprints,
     obs: &'a RebuildObserver,
     tick: Option<&'a CheckpointTick>,
-    policy: RetryPolicy,
     write_stats: RetryStats,
     written: Mutex<Vec<ChunkAddr>>,
     dirty_skips: AtomicU32,
@@ -970,7 +969,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
     /// modes produce bit-identical disks, with or without faults.
     ///
     /// Fault handling (see the module docs): transient faults are retried
-    /// under [`OiRaidStore::retry_policy`], unreadable sectors are
+    /// within the store's fixed retry budget, unreadable sectors are
     /// re-derived through alternate read sets and repaired in place, and
     /// mid-rebuild disk deaths escalate into the rebuild. None of these
     /// return `Err` — check [`RebuildReport::outcome`]; an unrecoverable
@@ -1037,7 +1036,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
     /// [`blockdev::FileDevice`]'s heal semantics) — so its checkpointed
     /// chunks are discarded and the whole disk is rebuilt. Do **not**
     /// re-fail an intact mid-rebuild disk before resuming; re-fail only
-    /// disks that are genuinely dead (see [`OiRaidStore::open_durable`]).
+    /// disks that are genuinely dead (see [`OiRaidStore::open_durable_with`]).
     ///
     /// The returned report's `chunks_rebuilt` counts every chunk that is
     /// valid when the rebuild finishes, including the checkpointed ones —
@@ -1560,7 +1559,6 @@ impl<B: BlockDevice> OiRaidStore<B> {
             regions,
             obs,
             tick,
-            policy: self.retry_policy(),
             write_stats: RetryStats::default(),
             written: Mutex::new(Vec::new()),
             dirty_skips: AtomicU32::new(0),
@@ -1609,7 +1607,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
                 wb.dirty_skips.fetch_add(1, Ordering::Relaxed);
             } else if !dead.contains(&addr.disk) {
                 let dev = &self.devices()[addr.disk];
-                match write_chunk_retrying(dev, &wb.policy, &wb.write_stats, addr.offset, value) {
+                match write_chunk_retrying(dev, &RETRY, &wb.write_stats, addr.offset, value) {
                     Ok(()) => landed.push(addr),
                     // Write retry budget exhausted: the chunk stays
                     // un-rebuilt, the next round retries.
@@ -1741,7 +1739,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
         let decoded: Mutex<Inputs> = Mutex::default();
         let unreadable: Mutex<Vec<(ChunkAddr, DeviceError)>> = Mutex::new(Vec::new());
         let readers: Vec<RetryReader<'_, B>> = (0..queues.len())
-            .map(|qi| RetryReader::new(&self.devices()[queues.disk(qi)], self.retry_policy()))
+            .map(|qi| RetryReader::new(&self.devices()[queues.disk(qi)], RETRY))
             .collect();
         let staging: Vec<Mutex<Vec<u8>>> = (0..queues.len()).map(|_| Mutex::default()).collect();
         let wb = self.begin_writeback(plan, regions, obs, tick);
@@ -2583,7 +2581,6 @@ mod tests {
     fn a_source_that_stays_unreadable_costs_its_items_not_their_batch() {
         for mode in [RebuildMode::Serial, RebuildMode::Dag] {
             let store = batch_fixture(|mem| FaultInjectingDevice::new(mem, FaultConfig::default()));
-            store.set_retry_policy(blockdev::RetryPolicy::immediate(2));
             let plan = batch_plan(&store);
             // One latent sector among the sources of the first batch.
             let source = plan.items()[5].reads[0];
@@ -2770,7 +2767,6 @@ mod tests {
         for mode in [RebuildMode::Serial, RebuildMode::Dag] {
             let reference = filled(8);
             let store = filled_faulty(8);
-            store.set_retry_policy(blockdev::RetryPolicy::immediate(3));
             store.devices()[3].set_config(FaultConfig {
                 seed: 99,
                 transient_read_per_mille: 1000,

@@ -48,7 +48,6 @@ use crate::multifail;
 use crate::online::{OnlineState, Region};
 use crate::qos::{QosConfig, QosCounters, QosState};
 use crate::rebuild::{combine, read_run_healing, run_chunks, Inputs};
-use crate::retry_cell::RetryCell;
 
 /// Errors from the byte-level store.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -357,6 +356,17 @@ fn row_code(geo: &Geometry) -> Box<dyn ErasureCode> {
     }
 }
 
+/// Retry budget for *every* device read and write the store issues —
+/// foreground chunk reads and writes, gathers, scrub and rebuild: 4
+/// attempts, backing off 50 µs doubling to a 2 ms cap
+/// (`RetryPolicy::default()`). Transient faults are retried within it;
+/// what stays unreadable is a miss the value ladder decodes around.
+pub(crate) const RETRY: RetryPolicy = RetryPolicy {
+    max_attempts: 4,
+    base_backoff: Duration::from_micros(50),
+    max_backoff: Duration::from_millis(2),
+};
+
 /// Chunk credits between mid-round rebuild checkpoints of a durable store
 /// (see [`OiRaidStore::set_checkpoint_policy`] to choose another).
 const CKPT_INTERVAL: u64 = 128;
@@ -463,12 +473,6 @@ pub struct OiRaidStore<B: BlockDevice = MemDevice> {
     /// One device per disk; failed disks are failed *devices*.
     devices: Vec<B>,
     telem: StoreTelemetry,
-    /// Retry policy for *every* device read and write the store issues:
-    /// each foreground chunk read and write copies it out, as do rebuild
-    /// and scrub. Swappable through `&self` during live I/O, and read
-    /// without a lock (see [`RetryCell`]) because the per-chunk path must
-    /// not share a mutex between client threads.
-    retry: RetryCell,
     /// Rebuild-window availability + dirty tracking for online rebuilds.
     online: OnlineState,
     /// Foreground/rebuild bandwidth arbitration.
@@ -499,12 +503,12 @@ struct DurableState {
     /// When member devices are flushed relative to applied markers: the
     /// process-crash vs power-loss durability knob (see [`FlushPolicy`]).
     policy: FlushPolicy,
-    /// Intents redone at `open_durable` (0 for a fresh store).
-    replayed: AtomicU64,
-    /// Torn journal tails rolled back at `open_durable`.
-    rolled_back: AtomicU64,
+    /// Intents redone at `open_durable_on` (0 for a fresh store).
+    replayed: u64,
+    /// Torn journal tails rolled back at `open_durable_on`.
+    rolled_back: u64,
     /// Corrupt mid-log regions skipped during recovery.
-    skipped: AtomicU64,
+    skipped: u64,
     /// `FlushPolicy::Timed` bookkeeping: applied markers deferred until
     /// the covering member flush completes.
     pending: Mutex<PendingFlush>,
@@ -517,9 +521,9 @@ impl DurableState {
         Self {
             journal,
             policy,
-            replayed: AtomicU64::new(0),
-            rolled_back: AtomicU64::new(0),
-            skipped: AtomicU64::new(0),
+            replayed: 0,
+            rolled_back: 0,
+            skipped: 0,
             pending: Mutex::new(PendingFlush::new()),
             flush_stats: FlushStats::default(),
         }
@@ -613,7 +617,6 @@ impl<B: BlockDevice + Clone> Clone for OiRaidStore<B> {
             chunk_size: self.chunk_size,
             devices: self.devices.clone(),
             telem: self.telem.clone(),
-            retry: RetryCell::new(self.retry_policy()),
             online: self.online.clone(),
             qos: self.qos.clone(),
             dag_workers: AtomicUsize::new(self.dag_workers.load(Ordering::Relaxed)),
@@ -681,25 +684,15 @@ impl OiRaidStore<FileDevice> {
     /// (`journal.log`) threaded through every multi-member update and a
     /// rebuild checkpoint policy (`rebuild.ckpt`, every 128 chunk credits).
     ///
-    /// Use [`Self::open_durable`] to reopen the same directory after a
+    /// `policy` says when member devices are flushed relative to applied
+    /// markers ([`FlushPolicy::Never`]: process-crash durability). Use
+    /// [`Self::open_durable_with`] to reopen the same directory after a
     /// crash or clean shutdown.
-    ///
-    /// The member-flush policy is [`FlushPolicy::Never`] — process-crash
-    /// durability; use [`Self::create_durable_with`] to pass another.
     ///
     /// # Errors
     ///
     /// As [`Self::create_in_dir`], plus [`StoreError::Journal`] if the
     /// journal file cannot be created.
-    pub fn create_durable(
-        cfg: OiRaidConfig,
-        chunk_size: usize,
-        dir: impl AsRef<Path>,
-    ) -> Result<Self, StoreError> {
-        Self::create_durable_with(cfg, chunk_size, dir, FlushPolicy::default())
-    }
-
-    /// [`Self::create_durable`] with an explicit [`FlushPolicy`].
     pub fn create_durable_with(
         cfg: OiRaidConfig,
         chunk_size: usize,
@@ -711,7 +704,7 @@ impl OiRaidStore<FileDevice> {
         store.into_durable_created(dir, policy)
     }
 
-    /// Reopens a durable store created by [`Self::create_durable`] —
+    /// Reopens a durable store created by [`Self::create_durable_with`] —
     /// the crash-recovery path. Device files are opened *without*
     /// truncation, the journal is scanned, committed-but-unapplied intents
     /// are redone onto the devices (absolute values, so replay is
@@ -732,18 +725,6 @@ impl OiRaidStore<FileDevice> {
     ///
     /// [`StoreError::Device`] if any device file is missing or has the
     /// wrong size, [`StoreError::Journal`] on journal I/O errors.
-    ///
-    /// The member-flush policy is [`FlushPolicy::Never`]; use
-    /// [`Self::open_durable_with`] to pass another.
-    pub fn open_durable(
-        cfg: OiRaidConfig,
-        chunk_size: usize,
-        dir: impl AsRef<Path>,
-    ) -> Result<Self, StoreError> {
-        Self::open_durable_with(cfg, chunk_size, dir, FlushPolicy::default())
-    }
-
-    /// [`Self::open_durable`] with an explicit [`FlushPolicy`].
     pub fn open_durable_with(
         cfg: OiRaidConfig,
         chunk_size: usize,
@@ -815,7 +796,6 @@ impl<B: BlockDevice> OiRaidStore<B> {
             chunk_size,
             devices,
             telem: StoreTelemetry::default(),
-            retry: RetryCell::new(RetryPolicy::default()),
             online: OnlineState::default(),
             qos: QosState::new(QosConfig::default()),
             dag_workers: AtomicUsize::new(usize::MAX),
@@ -843,11 +823,6 @@ impl<B: BlockDevice> OiRaidStore<B> {
         &self.qos
     }
 
-    /// The current rebuild-bandwidth policy.
-    pub fn qos_config(&self) -> QosConfig {
-        self.qos.config()
-    }
-
     /// Replaces the rebuild-bandwidth policy (rate cap, burst size,
     /// foreground-activity window). Takes effect on the next rebuild
     /// batch, including mid-rebuild.
@@ -863,22 +838,6 @@ impl<B: BlockDevice> OiRaidStore<B> {
     /// Bytes per chunk.
     pub fn chunk_size(&self) -> usize {
         self.chunk_size
-    }
-
-    /// The retry policy for device I/O: it governs every foreground chunk
-    /// read and write as well as rebuild and scrub. A lock-free read; never
-    /// a mix of two policies, even while [`Self::set_retry_policy`] runs.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry.get()
-    }
-
-    /// Replaces the retry policy for all subsequent device I/O —
-    /// foreground reads and writes, rebuilds and scrubs (e.g.
-    /// `RetryPolicy::none()` to fail fast, or a wider budget for flaky
-    /// media). Takes `&self` — safe to call while I/O or a rebuild is in
-    /// flight; operations pick up the new policy on their next device op.
-    pub fn set_retry_policy(&self, policy: RetryPolicy) {
-        self.retry.set(policy);
     }
 
     /// Pool-size override for [`RebuildMode::Dag`](crate::RebuildMode::Dag)
@@ -962,9 +921,9 @@ impl<B: BlockDevice> OiRaidStore<B> {
     fn read_into(&self, addr: ChunkAddr, range: Range<usize>, buf: &mut [u8]) -> bool {
         loop {
             let epoch = self.online.epoch();
-            // A plainly unavailable chunk costs no policy read and no reader.
+            // A plainly unavailable chunk costs no reader.
             let hit = self.chunk_available(addr)
-                && RetryReader::new(&self.devices[addr.disk], self.retry_policy())
+                && RetryReader::new(&self.devices[addr.disk], RETRY)
                     .read_range(addr.offset, range.clone(), buf)
                     .is_ok();
             if self.online.epoch() == epoch {
@@ -1009,8 +968,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
     ) -> Result<(), StoreError> {
         let stats = RetryStats::default();
         let dev = &self.devices[addr.disk];
-        let policy = self.retry_policy();
-        match write_range_retrying(dev, &policy, &stats, addr.offset, range, buf) {
+        match write_range_retrying(dev, &RETRY, &stats, addr.offset, range, buf) {
             Ok(()) => Ok(()),
             Err(DeviceError::Failed) => Err(StoreError::DiskFailed { disk: addr.disk }),
             Err(error) => Err(StoreError::Device {
@@ -1082,11 +1040,11 @@ impl<B: BlockDevice> OiRaidStore<B> {
         staging: &Mutex<Vec<u8>>,
         mut sink: impl FnMut(usize, ChunkAddr, Result<Vec<u8>, DeviceError>),
     ) {
-        let (cs, policy) = (self.chunk_size, self.retry_policy());
+        let cs = self.chunk_size;
         let whole = |w: &(usize, ChunkAddr)| range_of(w.0).len() == cs;
         for on_disk in wanted.chunk_by(|a, b| a.1.disk == b.1.disk) {
             let disk = on_disk[0].1.disk;
-            let reader = RetryReader::new(&self.devices[disk], policy);
+            let reader = RetryReader::new(&self.devices[disk], RETRY);
             let adjacent = |a: &_, b: &_| whole(a) && whole(b) && a.1.offset + 1 == b.1.offset;
             for run in on_disk.chunk_by(adjacent) {
                 for run in run.chunks(run_chunks(cs)) {
@@ -1446,9 +1404,13 @@ impl<B: BlockDevice> OiRaidStore<B> {
         let _trace = telemetry::trace_scope(kind, idxs[0] as u64, idxs.len() as u64);
         let addrs: Vec<ChunkAddr> = idxs.iter().map(|&i| self.array.locate_data(i)).collect();
         // A read changes nothing, so it locks only what its plan decodes
-        // through; a target found latent by its own read relocks for more.
+        // through. Every target just missed its device read; one that is
+        // still available is up but unreadable, and is planned as a miss
+        // and not read again: a read spends the retry budget once.
         let whole = vec![0..self.chunk_size; addrs.len()];
-        let values = self.on_ladder(&addrs, Vec::new(), |held| {
+        let available = addrs.iter().filter(|a| self.chunk_available(**a));
+        let unreadable = available.copied().collect();
+        let values = self.on_ladder(&addrs, Vec::new(), unreadable, |held| {
             self.current_values(&addrs, &whole, held)
         })?;
         let took = began.elapsed();
@@ -1460,23 +1422,26 @@ impl<B: BlockDevice> OiRaidStore<B> {
     /// Runs `body` where [`Self::current_values`] may decode: under the
     /// stripe locks of `regions` and of the relations the plan of the
     /// unavailable `targets`, made before locking and handed on for reuse,
-    /// decodes through. A writer locks every relation holding a chunk it
-    /// modifies, so these keep still all that the decodes read. `Ok(None)`
-    /// from `body` changed nothing and grew what it holds (a latent source
-    /// moved the plan): it runs again under the union.
+    /// decodes through. `decoded` are targets whose device read already
+    /// missed: they count as unavailable and start `held.decoded`. A writer
+    /// locks every relation holding a chunk it modifies, so these keep
+    /// still all that the decodes read. `Ok(None)` from `body` changed
+    /// nothing and grew what it holds (a latent source moved the plan): it
+    /// runs again under the union.
     fn on_ladder<T>(
         &self,
         targets: &[ChunkAddr],
         regions: Vec<Region>,
+        decoded: Vec<ChunkAddr>,
         mut body: impl FnMut(&mut Held) -> Result<Option<T>, StoreError>,
     ) -> Result<T, StoreError> {
         let epoch = self.online.epoch();
-        let available = |a: ChunkAddr| self.chunk_available(a);
+        let available = |a: ChunkAddr| self.chunk_available(a) && !decoded.contains(&a);
         let (plan, via) = multifail::plan_closure(&self.array, targets, available);
         let mut held = Held {
             regions,
             plan: Some((epoch, plan)),
-            decoded: Vec::new(),
+            decoded,
             whole: false,
         };
         held.regions.extend(via);
@@ -1496,6 +1461,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
     /// * **Rung 1** — the device read of bytes `ranges[i]` of each, in runs
     ///   ([`Self::read_set`]); a buffer holds only those bytes for sure. A
     ///   member that is up but unreadable is a miss like a failed disk's.
+    ///   One already in `held.decoded` missed before and is not read again.
     /// * **Rung 2** — one plan of every miss, walked by [`Self::walk_plan`]:
     ///   `held`'s if it plans them all, else a new one
     ///   ([`multifail::plan_closure`], misses and unreadable sources counted
@@ -1513,7 +1479,20 @@ impl<B: BlockDevice> OiRaidStore<B> {
         ranges: &[Range<usize>],
         held: &mut Held,
     ) -> Result<Option<Vec<Vec<u8>>>, StoreError> {
-        let mut values = self.read_set(addrs, ranges, identity);
+        let mut values = if held.decoded.is_empty() {
+            self.read_set(addrs, ranges, identity)
+        } else {
+            let unread = |i: &usize| !held.decoded.contains(&addrs[*i]);
+            let unread: Vec<usize> = (0..addrs.len()).filter(unread).collect();
+            let pick = |&i: &usize| (addrs[i], ranges[i].clone());
+            let (some, their): (Vec<_>, Vec<_>) = unread.iter().map(pick).unzip();
+            let mut values = vec![None; addrs.len()];
+            let read = self.read_set(&some, &their, identity);
+            for (i, v) in unread.into_iter().zip(read) {
+                values[i] = v;
+            }
+            values
+        };
         let misses = addrs.iter().zip(&values).filter(|(_, v)| v.is_none());
         let targets: Vec<ChunkAddr> = misses.map(|(a, _)| *a).collect();
         held.decoded.extend_from_slice(&targets);
@@ -1724,7 +1703,12 @@ impl<B: BlockDevice> OiRaidStore<B> {
             }
         }
         store.redo(members())?;
-        let durable = DurableState::new(journal, policy);
+        let durable = DurableState {
+            replayed,
+            rolled_back: summary.rolled_back,
+            skipped: summary.skipped,
+            ..DurableState::new(journal, policy)
+        };
         if policy != FlushPolicy::Never && replayed > 0 {
             // Push the redo writes through the devices' volatile caches
             // before the journal forgets them. A crash mid-flush is fine:
@@ -1743,11 +1727,6 @@ impl<B: BlockDevice> OiRaidStore<B> {
                 summary.rolled_back,
             );
         }
-        durable.replayed.store(replayed, Ordering::Relaxed);
-        durable
-            .rolled_back
-            .store(summary.rolled_back, Ordering::Relaxed);
-        durable.skipped.store(summary.skipped, Ordering::Relaxed);
         store.durable = Some(Arc::new(durable));
         *store.ckpt.lock().expect("ckpt lock") = Some(CheckpointPolicy {
             path: dir.join("rebuild.ckpt"),
@@ -1813,7 +1792,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
         for group in targets.chunks(MAX_WRITE_GROUP) {
             let regions: Vec<Region> = group.iter().flat_map(|a| self.regions_for(*a)).collect();
             let whole = vec![0..self.chunk_size; group.len()];
-            let rewritten = self.on_ladder(group, regions.clone(), |held| {
+            let rewritten = self.on_ladder(group, regions.clone(), Vec::new(), |held| {
                 let Some(values) = self.current_values(group, &whole, held)? else {
                     return Ok(None);
                 };
@@ -1851,8 +1830,8 @@ impl<B: BlockDevice> OiRaidStore<B> {
     }
 
     /// Replaces the rebuild checkpoint policy (`None` disables
-    /// checkpointing). [`OiRaidStore::create_durable`] /
-    /// [`OiRaidStore::open_durable`] install one automatically.
+    /// checkpointing). [`OiRaidStore::create_durable_with`] /
+    /// [`OiRaidStore::open_durable_with`] install one automatically.
     pub fn set_checkpoint_policy(&self, policy: Option<CheckpointPolicy>) {
         *self.ckpt.lock().expect("ckpt lock") = policy;
     }
@@ -1997,9 +1976,9 @@ impl<B: BlockDevice> OiRaidStore<B> {
                         s.resets.load(Ordering::Relaxed),
                         s.bytes.load(Ordering::Relaxed),
                         s.tail.load(Ordering::Relaxed),
-                        d.replayed.load(Ordering::Relaxed),
-                        d.rolled_back.load(Ordering::Relaxed),
-                        d.skipped.load(Ordering::Relaxed),
+                        d.replayed,
+                        d.rolled_back,
+                        d.skipped,
                     )
                 }
                 None => (0, 0, 0, 0, 0, 0, 0, 0),
@@ -2419,7 +2398,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
             items.push((addr, outer, degraded));
         }
         let addrs: Vec<ChunkAddr> = items.iter().map(|(addr, ..)| *addr).collect();
-        self.on_ladder(&addrs, regions.clone(), |held| {
+        self.on_ladder(&addrs, regions.clone(), Vec::new(), |held| {
             self.apply_write_group(group, &items, &addrs, &regions, held)
         })?;
         let took = began.elapsed();
@@ -2609,7 +2588,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
     /// fixes what it finds, in two sweeps.
     ///
     /// **Latent pass** — every chunk is read through the store's
-    /// [retry policy](OiRaidStore::retry_policy); a chunk that stays
+    /// fixed retry budget; a chunk that stays
     /// unreadable (a latent sector error) is rewritten in place with the
     /// value its relations imply, off the value ladder and under the region
     /// locks of its relations and of those its decode reads, so a write
@@ -2634,7 +2613,6 @@ impl<B: BlockDevice> OiRaidStore<B> {
     /// dirty, as a write does.
     pub fn scrub(&self) -> ScrubReport {
         let start = Instant::now();
-        let policy = self.retry_policy();
         let failed = self.failed_disks();
         let chunks_per_disk = self.array.geometry().chunks_per_disk;
         let (mut scanned, mut retries) = (0u64, 0u64);
@@ -2646,7 +2624,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
             if failed.contains(&d) {
                 continue;
             }
-            let reader = RetryReader::new(dev, policy);
+            let reader = RetryReader::new(dev, RETRY);
             for o in 0..chunks_per_disk {
                 scanned += 1;
                 if reader.read_chunk(o, &mut buf).is_err() {
@@ -2829,6 +2807,24 @@ pub(crate) mod tests {
         store.write_data(10, &[0x42; 16]).unwrap();
         assert!(store.check_parity().is_empty());
         assert_eq!(store.read_data(10).unwrap(), vec![0x42; 16]);
+    }
+
+    #[test]
+    fn a_read_whose_disk_always_faults_spends_the_retry_budget_then_decodes() {
+        assert_eq!(RETRY, RetryPolicy::default());
+        let (store, expect) = filled_faulty_store(16);
+        let idx = 5;
+        let dev = &store.devices()[store.locate(idx).disk];
+        dev.set_config(blockdev::FaultConfig {
+            seed: 7,
+            transient_read_per_mille: 1000,
+            ..blockdev::FaultConfig::default()
+        });
+        dev.reset_counters();
+        assert_eq!(store.read_data(idx).unwrap(), expect[idx]);
+        let c = dev.counters();
+        assert_eq!(c.faults, u64::from(RETRY.max_attempts), "{c:?}");
+        assert_eq!(c.reads, 0, "no attempt got past the fault dice");
     }
 
     #[test]
@@ -4602,25 +4598,18 @@ pub(crate) mod tests {
 
     #[test]
     fn online_reconfig_through_shared_ref() {
-        // The satellite point: both setters now work through `&self`,
-        // even behind an Arc shared with live I/O.
+        // The setter works through `&self`, even behind an Arc shared with
+        // live I/O.
         let store = std::sync::Arc::new(OiRaidStore::new(OiRaidConfig::reference(), 16).unwrap());
-        store.set_retry_policy(RetryPolicy::none());
-        assert_eq!(store.retry_policy(), RetryPolicy::none());
         store.set_dag_workers(Some(5));
         assert_eq!(store.dag_workers(), Some(5));
         store.set_dag_workers(None);
         assert_eq!(store.dag_workers(), None);
     }
-    /// `(window-mutex acquisitions, retry-policy exclusions, shared-pool
-    /// lock acquisitions)` so far: the three store-wide locks that used to
-    /// sit on the per-chunk path.
-    fn shared_lock_counts<B: BlockDevice>(store: &OiRaidStore<B>) -> (usize, u64, usize) {
-        (
-            store.online.window_locks(),
-            store.retry.exclusions(),
-            store.pool.shared_locks(),
-        )
+    /// `(window-mutex acquisitions, shared-pool lock acquisitions)` so far:
+    /// the two store-wide locks that used to sit on the per-chunk path.
+    fn shared_lock_counts<B: BlockDevice>(store: &OiRaidStore<B>) -> (usize, usize) {
+        (store.online.window_locks(), store.pool.shared_locks())
     }
 
     /// The benchmark's serving array at 4 KiB chunks, every chunk written.
@@ -4646,7 +4635,7 @@ pub(crate) mod tests {
         assert_eq!(
             shared_lock_counts(&store),
             before,
-            "a single healthy read or write takes none of the three"
+            "a single healthy read or write takes neither"
         );
 
         let idxs: Vec<usize> = (0..45).map(|k| (k * 3) % store.data_chunks()).collect();
@@ -4661,15 +4650,15 @@ pub(crate) mod tests {
         assert_eq!(got.len(), 45);
         assert_eq!(store.write_bytes_batch(&writes).unwrap().chunks, 19);
         let after = shared_lock_counts(&store);
-        assert_eq!((after.0, after.1), (before.0, before.1));
+        assert_eq!(after.0, before.0);
         // A 19-chunk group has more buffers live than one thread caches:
         // what overflows goes through the shared list, once out, once back.
         let overflow = store.pool.peak().saturating_sub(store.pool.local_room());
         assert!(overflow > 0, "peak {}", store.pool.peak());
         assert!(
-            after.2 - before.2 <= 2 * overflow,
+            after.1 - before.1 <= 2 * overflow,
             "{} shared-pool acquisitions for an overflow of {overflow}",
-            after.2 - before.2
+            after.1 - before.1
         );
         assert!(store.check_parity().is_empty());
     }
@@ -4695,7 +4684,6 @@ pub(crate) mod tests {
         assert_eq!(got[1], vec![other as u8 + 1; 4096]);
         let after = shared_lock_counts(&store);
         assert!(after.0 > before.0, "window mutex consulted while open");
-        assert_eq!(after.1, before.1, "the policy is never locked to read");
         store.online.end();
         let closed = shared_lock_counts(&store).0;
         store.read_data(3).unwrap();

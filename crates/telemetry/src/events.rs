@@ -411,26 +411,21 @@ impl EventRing {
     }
 }
 
-fn ring_capacity(env: &str, default: usize) -> usize {
-    std::env::var(env)
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .unwrap_or(default)
-        .clamp(2, 1 << 22)
-}
+/// Events the process-wide trace ring holds before it wraps.
+const TRACE_RING: usize = 65536;
+/// Events the process-wide flight recorder holds before it wraps.
+const FLIGHT_RING: usize = 4096;
 
-/// The process-wide trace ring (capacity `OI_RAID_TRACE_RING`, default
-/// 65536 events).
+/// The process-wide trace ring (`TRACE_RING` events).
 pub fn traces() -> &'static EventRing {
     static RING: OnceLock<EventRing> = OnceLock::new();
-    RING.get_or_init(|| EventRing::new(ring_capacity("OI_RAID_TRACE_RING", 65536)))
+    RING.get_or_init(|| EventRing::new(TRACE_RING))
 }
 
-/// The process-wide flight recorder (capacity `OI_RAID_FLIGHT_RING`,
-/// default 4096 events).
+/// The process-wide flight recorder (`FLIGHT_RING` events).
 pub fn flight() -> &'static EventRing {
     static RING: OnceLock<EventRing> = OnceLock::new();
-    RING.get_or_init(|| EventRing::new(ring_capacity("OI_RAID_FLIGHT_RING", 4096)))
+    RING.get_or_init(|| EventRing::new(FLIGHT_RING))
 }
 
 /// Publishes one causal-tree edge to the trace ring. Callers gate on a

@@ -31,9 +31,8 @@
 //!   `/traces`, `/events`, `/progress`, and `/health` for `curl` and
 //!   Prometheus.
 //!
-//! The whole layer can be switched off process-wide ([`set_enabled`], or
-//! `OI_RAID_TELEMETRY=off` in the environment) to measure its own
-//! overhead — experiment E15 records the cost either way.
+//! The whole layer can be switched off process-wide ([`set_enabled`]) to
+//! measure its own overhead — experiment E15 records the cost either way.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -62,37 +61,24 @@ pub use registry::{Counter, Gauge, Registry, RegistryError};
 pub use serve::ScrapeServer;
 pub use shard::Sharded;
 
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
-/// 0 = uninitialised (consult the environment), 1 = on, 2 = off.
-static ENABLED: AtomicU8 = AtomicU8::new(0);
+static ENABLED: AtomicBool = AtomicBool::new(true);
 
 /// Whether telemetry recording is enabled.
 ///
-/// Defaults to **on**; the first call consults `OI_RAID_TELEMETRY`
-/// (`off`/`0` disables) and latches the answer. [`set_enabled`] overrides
-/// at any time. Disabled telemetry skips histogram recording; counters and progress stay live (they are functional state,
-/// not instrumentation).
+/// Starts **on**; [`set_enabled`] switches it at any time. Disabled
+/// telemetry skips histogram recording; counters and progress stay live
+/// (they are functional state, not instrumentation).
 #[inline]
 pub fn enabled() -> bool {
-    match ENABLED.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => {
-            let on = !matches!(
-                std::env::var("OI_RAID_TELEMETRY").as_deref(),
-                Ok("off") | Ok("0")
-            );
-            ENABLED.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-            on
-        }
-    }
+    ENABLED.load(Ordering::Relaxed)
 }
 
 /// Forces telemetry recording on or off process-wide (overhead
 /// experiments toggle this around identical workloads).
 pub fn set_enabled(on: bool) {
-    ENABLED.store(if on { 1 } else { 2 }, Ordering::Relaxed);
+    ENABLED.store(on, Ordering::Relaxed);
 }
 
 /// Serialises the unit tests that write or depend on the process-wide

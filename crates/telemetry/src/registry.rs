@@ -60,12 +60,6 @@ impl Gauge {
     pub fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)
     }
-
-    /// Raises the gauge to `v` if it is below it (atomic max): high-water
-    /// marks such as a scheduler's peak queue depth.
-    pub fn set_max(&self, v: i64) {
-        self.0.fetch_max(v, Ordering::Relaxed);
-    }
 }
 
 #[derive(Debug, Clone)]

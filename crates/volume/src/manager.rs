@@ -972,18 +972,6 @@ impl<B: BlockDevice> VolumeManager<B> {
             }
         }
     }
-
-    /// A point-in-time SLO view for one tenant and op kind (`true` =
-    /// reads), or `None` if the tenant is unknown or has no SLO policy.
-    pub fn slo_snapshot(&self, tenant: TenantId, read: bool) -> Option<crate::slo::SloSnapshot> {
-        self.tenants
-            .read()
-            .expect("tenants lock")
-            .get(tenant.0)?
-            .slo
-            .as_ref()
-            .map(|s| s.snapshot(read))
-    }
 }
 
 /// A validated op before enqueue.

@@ -25,7 +25,8 @@ const CHUNK: usize = 4096;
 /// and rebuild — the inherited `OI_CRASH_*` environment aborts the
 /// process partway through, leaving a checkpoint behind.
 fn crash_child(dir: &std::path::Path) -> Result<(), Box<dyn std::error::Error>> {
-    let store = OiRaidStore::open_durable(OiRaidConfig::reference(), CHUNK, dir)?;
+    let store =
+        OiRaidStore::open_durable_with(OiRaidConfig::reference(), CHUNK, dir, FlushPolicy::Never)?;
     // The parent asks for a checkpoint per landed chunk; the library reads
     // no environment, so the child applies it.
     let interval = std::env::var("OI_RAID_CKPT_INTERVAL")
@@ -156,7 +157,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // resumed rebuild skip the chunks the crashed run already restored.
     let dir = std::env::temp_dir().join(format!("oi-raid-stats-crash-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let durable = OiRaidStore::create_durable(OiRaidConfig::reference(), CHUNK, &dir)?;
+    let durable = OiRaidStore::create_durable_with(
+        OiRaidConfig::reference(),
+        CHUNK,
+        &dir,
+        FlushPolicy::Never,
+    )?;
     for idx in 0..durable.data_chunks() {
         durable.write_data(idx, &vec![(idx % 250) as u8 + 1; CHUNK])?;
     }
@@ -176,7 +182,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The device files survived the process crash intact, so the disk is
     // NOT re-failed here — the checkpoint reopens the rebuild window and
     // keeps the chunks the crashed run already wrote.
-    let store = OiRaidStore::open_durable(OiRaidConfig::reference(), CHUNK, &dir)?;
+    let store =
+        OiRaidStore::open_durable_with(OiRaidConfig::reference(), CHUNK, &dir, FlushPolicy::Never)?;
     let obs = RebuildObserver::default();
     let report = store.resume_rebuild(RebuildMode::Dag, RecoveryStrategy::Hybrid, &obs)?;
     let snap = obs.progress.snapshot();

@@ -173,7 +173,8 @@ fn assert_clean_or_aborted(status: std::process::ExitStatus, what: &str) {
 /// every chunk holding an allowed pattern. Returns the journal replay
 /// count this open performed.
 fn verify_converged(dir: &Path, cfg: &OiRaidConfig, what: &str) -> u64 {
-    let store = OiRaidStore::open_durable(cfg.clone(), CHUNK, dir).expect("reopen after crash");
+    let store = OiRaidStore::open_durable_with(cfg.clone(), CHUNK, dir, FlushPolicy::Never)
+        .expect("reopen after crash");
     let reg = Registry::new();
     store.export_metrics(&reg);
     let replayed = metric_value(&reg.prometheus(), "oi_journal_replayed_total");
@@ -422,7 +423,8 @@ fn kill_anywhere_crash_cycles_converge() {
         .unwrap_or(100);
     let dir = unique_dir("anywhere");
     let cfg = OiRaidConfig::reference();
-    let store = OiRaidStore::create_durable(cfg.clone(), CHUNK, &dir).expect("create durable");
+    let store = OiRaidStore::create_durable_with(cfg.clone(), CHUNK, &dir, FlushPolicy::Never)
+        .expect("create durable");
     let disks = store.array().disks();
     drop(store);
 
@@ -484,7 +486,10 @@ fn power_loss_cycles(policy: &str, tag: &str) {
         .unwrap_or(50);
     let dir = unique_dir(&format!("power-{tag}"));
     let cfg = OiRaidConfig::reference();
-    drop(OiRaidStore::create_durable(cfg.clone(), CHUNK, &dir).expect("create durable"));
+    drop(
+        OiRaidStore::create_durable_with(cfg.clone(), CHUNK, &dir, FlushPolicy::Never)
+            .expect("create durable"),
+    );
 
     let mut crashes = 0u64;
     let mut replays = 0u64;
@@ -551,7 +556,10 @@ fn power_loss_never_policy_loses_data() {
     let attempts = 4u64;
     for attempt in 0..attempts {
         let dir = unique_dir(&format!("power-never-{attempt}"));
-        drop(OiRaidStore::create_durable(cfg.clone(), CHUNK, &dir).expect("create durable"));
+        drop(
+            OiRaidStore::create_durable_with(cfg.clone(), CHUNK, &dir, FlushPolicy::Never)
+                .expect("create durable"),
+        );
         // Kill late: a Never-policy run hits ~84+ points (appends, group
         // flushes, member writes), so count 80 lands after many acked
         // singles whose buffered members then drop with the abort.
@@ -573,7 +581,8 @@ fn power_loss_never_policy_loses_data() {
         // Count violations instead of asserting convergence: chunks whose
         // content matches no allowed pattern are acknowledged writes the
         // power loss destroyed.
-        let store = OiRaidStore::open_durable(cfg.clone(), CHUNK, &dir).expect("reopen");
+        let store = OiRaidStore::open_durable_with(cfg.clone(), CHUNK, &dir, FlushPolicy::Never)
+            .expect("reopen");
         let mut buf = vec![0u8; CHUNK];
         for (&p, seeds) in &allowed_patterns(&dir) {
             store
@@ -603,7 +612,8 @@ fn power_loss_never_policy_loses_data() {
 fn power_loss_rebuild_checkpoint_stays_honest() {
     let cfg = OiRaidConfig::reference();
     let dir = unique_dir("power-rebuild");
-    let store = OiRaidStore::create_durable(cfg.clone(), CHUNK, &dir).expect("create durable");
+    let store = OiRaidStore::create_durable_with(cfg.clone(), CHUNK, &dir, FlushPolicy::Never)
+        .expect("create durable");
     let payload = store.capacity_bytes() as usize / CHUNK;
     for p in 0..payload {
         store
@@ -633,7 +643,8 @@ fn power_loss_rebuild_checkpoint_stays_honest() {
 
     // The checkpoint (if any survived) pre-credits only flushed chunks, so
     // the resume rebuilds everything the dropped caches swallowed.
-    let store = OiRaidStore::open_durable(cfg.clone(), CHUNK, &dir).expect("reopen");
+    let store = OiRaidStore::open_durable_with(cfg.clone(), CHUNK, &dir, FlushPolicy::Never)
+        .expect("reopen");
     let report = store
         .resume_rebuild(
             RebuildMode::Dag,
@@ -676,7 +687,8 @@ fn targeted_crash_matrix_converges() {
     let write_points = ["journal_append", "journal_flush", "member_write"];
     let rebuild_points = ["rebuild_writeback", "checkpoint_write"];
     let dir = unique_dir("matrix");
-    let store = OiRaidStore::create_durable(cfg.clone(), CHUNK, &dir).expect("create durable");
+    let store = OiRaidStore::create_durable_with(cfg.clone(), CHUNK, &dir, FlushPolicy::Never)
+        .expect("create durable");
     let disks = store.array().disks();
     drop(store);
 
@@ -778,7 +790,8 @@ fn resume_reads_fewer(child: &str, mode: RebuildMode) {
 
     // Build one store, fill every payload chunk, then clone the directory
     // byte-for-byte so both rebuilds start from identical contents.
-    let store = OiRaidStore::create_durable(cfg.clone(), CHUNK, &dir_a).expect("create durable");
+    let store = OiRaidStore::create_durable_with(cfg.clone(), CHUNK, &dir_a, FlushPolicy::Never)
+        .expect("create durable");
     let payload = store.capacity_bytes() as usize / CHUNK;
     for p in 0..payload {
         store
@@ -810,7 +823,8 @@ fn resume_reads_fewer(child: &str, mode: RebuildMode) {
     assert_eq!(status.signal(), Some(SIGABRT), "rebuild child must crash");
 
     let measure = |dir: &Path, resumed: bool| -> (u64, u64) {
-        let store = OiRaidStore::open_durable(cfg.clone(), CHUNK, dir).expect("reopen");
+        let store = OiRaidStore::open_durable_with(cfg.clone(), CHUNK, dir, FlushPolicy::Never)
+            .expect("reopen");
         if !resumed {
             // The from-scratch baseline starts as a real disk replacement;
             // the resumed side must NOT re-fail — its device file survived
@@ -879,7 +893,8 @@ fn resume_reads_fewer(child: &str, mode: RebuildMode) {
 fn corrupt_checkpoint_falls_back_to_full_rebuild() {
     let cfg = OiRaidConfig::reference();
     let dir = unique_dir("badckpt");
-    let store = OiRaidStore::create_durable(cfg.clone(), CHUNK, &dir).expect("create durable");
+    let store = OiRaidStore::create_durable_with(cfg.clone(), CHUNK, &dir, FlushPolicy::Never)
+        .expect("create durable");
     let payload = store.capacity_bytes() as usize / CHUNK;
     for p in 0..payload.min(SPAN) {
         store
@@ -922,7 +937,8 @@ fn corrupt_checkpoint_falls_back_to_full_rebuild() {
 fn stale_checkpoint_is_discarded_when_new_disks_fail() {
     let cfg = OiRaidConfig::reference();
     let dir = unique_dir("stale");
-    let store = OiRaidStore::create_durable(cfg.clone(), CHUNK, &dir).expect("create durable");
+    let store = OiRaidStore::create_durable_with(cfg.clone(), CHUNK, &dir, FlushPolicy::Never)
+        .expect("create durable");
     let ckpt_path = store.checkpoint_policy().expect("policy").path;
     // A genuine checkpoint for disk 1 only.
     RebuildCheckpoint {
@@ -1175,7 +1191,8 @@ fn piece_child() {
 /// then every modelled piece read back against its allowed patterns.
 fn verify_pieces(dir: &Path, cfg: &OiRaidConfig, what: &str) -> u64 {
     let replayed = verify_converged(dir, cfg, what);
-    let store = OiRaidStore::open_durable(cfg.clone(), CHUNK, dir).expect("reopen to read pieces");
+    let store = OiRaidStore::open_durable_with(cfg.clone(), CHUNK, dir, FlushPolicy::Never)
+        .expect("reopen to read pieces");
     let mut buf = vec![0u8; PIECE];
     for (&q, seeds) in &allowed_in(dir, PIECE_LOG) {
         store
@@ -1199,7 +1216,8 @@ fn verify_pieces(dir: &Path, cfg: &OiRaidConfig, what: &str) -> u64 {
 fn piece_cycles(tag: &str, cycles: u64, envs: impl Fn(u64) -> Vec<(&'static str, String)>) {
     let dir = unique_dir(tag);
     let cfg = OiRaidConfig::reference();
-    let store = OiRaidStore::create_durable(cfg.clone(), CHUNK, &dir).expect("create durable");
+    let store = OiRaidStore::create_durable_with(cfg.clone(), CHUNK, &dir, FlushPolicy::Never)
+        .expect("create durable");
     let disks = store.array().disks();
     drop(store);
     let (mut crashes, mut replays) = (0u64, 0u64);
@@ -1294,7 +1312,10 @@ fn targeted_crash_matrix_over_pieces_converges() {
     let disks = OiRaidConfig::reference().disks() as u64;
     let dir = unique_dir("pieces-matrix");
     let cfg = OiRaidConfig::reference();
-    drop(OiRaidStore::create_durable(cfg.clone(), CHUNK, &dir).expect("create durable"));
+    drop(
+        OiRaidStore::create_durable_with(cfg.clone(), CHUNK, &dir, FlushPolicy::Never)
+            .expect("create durable"),
+    );
     for (cycle, (point, hits)) in (0..cycles).zip(cells) {
         let d = splitmix(0xFA12 ^ cycle) % disks;
         std::fs::write(failed_path(&dir), format!("{d}")).expect("persist failed disk");
