@@ -3,11 +3,10 @@
 //! A [`RebuildObserver`] bundles the telemetry a rebuild feeds: latency
 //! histograms ([`StageTimings`]) for its three sequential phases
 //! (`plan`/`heal`/`execute`, one sample per occurrence — their sums cover
-//! the rebuild's wall time), for the per-chunk pipeline stages inside
-//! `execute` (`read`/`coalesce`/`combine`/`writeback`) and for the two
-//! per-round sub-phases that are serial work (`regions`, `lower`), the
-//! self-healing
-//! counters, and a [`Progress`] handle another thread can poll while
+//! the rebuild's wall time), for the pipeline stages inside `execute` (per
+//! batch op `read` and `coalesce`, per chunk `combine` and `writeback`) and
+//! for the two per-round sub-phases that are serial work (`regions`,
+//! `lower`), the self-healing counters, and a [`Progress`] handle another thread can poll while
 //! [`OiRaidStore::rebuild_observed`](crate::OiRaidStore::rebuild_observed)
 //! runs. The rebuild's causal structure (rounds, scheduled ops, device
 //! I/O) is in the global trace-event ring — see [`telemetry::traces`].
@@ -33,9 +32,10 @@ pub struct StageTimings {
     pub heal: Arc<Histogram>,
     /// Wall time of one round's execution (reads, decodes and writebacks).
     pub execute: Arc<Histogram>,
-    /// Coalesced read-run service time, per run (device time included).
+    /// Read service time per batch op: all its source runs, served back to
+    /// back after one QoS charge (device time included).
     pub read: Arc<Histogram>,
-    /// Time to split one per-disk queue into coalesced runs.
+    /// Time to gather one batch's source reads by disk into device runs.
     pub coalesce: Arc<Histogram>,
     /// Reconstruction compute time per plan item.
     pub combine: Arc<Histogram>,
@@ -45,8 +45,9 @@ pub struct StageTimings {
     /// One round's dirty-epoch reset and footprint computation — the part
     /// of `plan` that every round repeats.
     pub regions: Arc<Histogram>,
-    /// One round's lowering — read queues, batches, op graph and the state
-    /// the ops share — the part of `execute` before the first op runs.
+    /// One round's lowering — batches, the op graph (one op per batch) and
+    /// the state the ops share — the part of `execute` before the first op
+    /// runs.
     pub lower: Arc<Histogram>,
     /// The DAG scheduler's peak ready-queue depth, one sample per round
     /// (empty for serial mode).
@@ -154,7 +155,7 @@ impl RebuildObserver {
         }
         reg.register_histogram(
             "oi_rebuild_queue_depth",
-            "Combiner input-queue depth sampled at each receive",
+            "Peak ready-op depth of the rebuild scheduler, one sample per round",
             &[],
             Arc::clone(&self.stages.queue_depth),
         );

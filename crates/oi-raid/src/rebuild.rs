@@ -1,9 +1,9 @@
 //! Self-healing, plan-driven rebuild engine: executes a
 //! [`layout::RecoveryPlan`] against the store's block devices — serially
-//! (the oracle) or as an op DAG on a worker pool
-//! that carries each batch of chunks from read to writeback while its
-//! bytes are in cache — and *absorbs* device faults instead of dying on
-//! them.
+//! (the oracle) or as an op DAG on a worker pool, one op per batch of
+//! chunks that reads, combines and writes them back on one worker while
+//! their bytes are in cache — and *absorbs* device faults instead of dying
+//! on them.
 //!
 //! The engine runs in rounds, and a round has one contract and one body on
 //! every executor (`OiRaidStore::execute_round`): the plan is cut into
@@ -12,7 +12,8 @@
 //! on. Every reconstructed chunk becomes live in exactly one place,
 //! `OiRaidStore::writeback_chunks` — region locks, dirty check, writes,
 //! validity marks, then per chunk crash point and checkpoint tick — called
-//! once per batch by the serial walk and by the DAG's batch ops.
+//! once per batch by the batch op, which the serial walk and the DAG's
+//! pool run alike.
 //!
 //! Every read goes through a
 //! [`RetryReader`](blockdev::RetryReader): transient faults are retried
@@ -37,11 +38,10 @@
 //!
 //! The data path avoids per-chunk allocation and zero-filling: a
 //! [`BufPool`] recycles chunk buffers from writeback back to the next read,
-//! and adjacent same-disk reads in each per-disk queue are coalesced into
-//! single [`BlockDevice::read_chunks`] calls. Both modes coalesce from the
-//! same [`RecoveryPlan::reads_by_disk`] queues and issue the runs in the
-//! same batch-major order, so their device read counters stay equal and a
-//! round holds a batch or two of buffers per worker, not the plan's.
+//! and adjacent same-disk reads of one batch are coalesced into single
+//! [`BlockDevice::read_chunks`] calls. Both modes run the same batch ops,
+//! so their device read counters are equal by construction, and a round
+//! holds a batch of buffers per worker, not the plan's.
 //!
 //! While a rebuild is in flight the store stays **online**: the engine opens
 //! a rebuild window (see `crate::online`) before healing the target devices,
@@ -87,11 +87,11 @@ pub enum RebuildMode {
     /// One batch of items at a time on the calling thread, reads issued
     /// inline in plan order.
     Serial,
-    /// The same batches lowered into an explicit op DAG (a read op per
-    /// batch and source disk, a combine-and-writeback op per batch, atomic
-    /// indegrees) executed by a worker pool in plan order,
-    /// downstream-first — no round barrier between read, decode, and
-    /// writeback; see [`crates/sched`](sched).
+    /// The same batches lowered into an explicit op DAG (one
+    /// read-combine-writeback op per batch, edges only where a batch needs
+    /// an earlier one's output, atomic indegrees) executed by a worker pool
+    /// in plan order, downstream-first — no round barrier between batches;
+    /// see [`crates/sched`](sched).
     Dag,
 }
 
@@ -188,13 +188,14 @@ pub struct RebuildReport {
     pub injected_faults: u64,
     /// Latency summaries of the three sequential phases
     /// (`plan`/`heal`/`execute`, one sample per occurrence — their sums
-    /// cover [`RebuildReport::wall`]), then of the per-chunk pipeline
-    /// stages (`read`/`coalesce`/`combine`/`writeback`) in pipeline order,
-    /// then of the per-round sub-phases `regions` (inside `plan`) and
-    /// `lower` (inside `execute`).
+    /// cover [`RebuildReport::wall`]), then of the pipeline stages in
+    /// pipeline order (`read` and `coalesce` one sample per batch op,
+    /// `combine` and `writeback` one per chunk), then of the per-round
+    /// sub-phases `regions` (inside `plan`) and `lower` (inside
+    /// `execute`).
     pub stages: Vec<StageSummary>,
     /// Busy time per DAG pool worker, in worker order, summed over every
-    /// round: time inside any op (read/combine/writeback) — compare against
+    /// round: time inside batch ops (read, combine, writeback) — compare against
     /// [`RebuildReport::wall`] for utilization. Empty for serial mode.
     pub worker_busy: Vec<Duration>,
     /// The scheduler's peak ready-queue depth per round (DAG mode); empty
@@ -492,32 +493,17 @@ pub(crate) fn combine(
     parities[role].clone()
 }
 
-/// The dependency shape of a plan, identical for both executors: per item
-/// its backward edges — the plan's `depends` plus the sibling link, marked
-/// `true` because a sibling reads the decode cache instead of folding the
-/// provider's output into its inputs — and how many (non-sibling)
-/// dependents consume each item's output.
-#[allow(clippy::type_complexity)]
-fn dependency_shape(
-    geo: &Geometry,
-    items: &[layout::ChunkRecovery],
-) -> (Vec<Vec<(usize, bool)>>, Vec<usize>) {
-    let mut depends: Vec<Vec<(usize, bool)>> = items
-        .iter()
-        .map(|it| it.depends.iter().map(|&d| (d, false)).collect())
-        .collect();
-    for (idx, deps) in depends.iter_mut().enumerate() {
-        if let Some(provider) = sibling_provider(geo, items, idx) {
-            deps.push((provider, true));
-        }
-    }
-    let mut uses = vec![0usize; items.len()];
-    for &(d, sibling) in depends.iter().flatten() {
-        if !sibling {
-            uses[d] += 1;
-        }
-    }
-    (depends, uses)
+/// Item `idx`'s backward edges, identical for both executors: the plan's
+/// `depends`, then the sibling link, marked `true` because a sibling reads
+/// the decode cache instead of folding the provider's output into its
+/// inputs.
+fn depends_of<'a>(
+    geo: &'a Geometry,
+    items: &'a [layout::ChunkRecovery],
+    idx: usize,
+) -> impl Iterator<Item = (usize, bool)> + 'a {
+    let planned = items[idx].depends.iter().map(|&d| (d, false));
+    planned.chain(sibling_provider(geo, items, idx).map(|p| (p, true)))
 }
 
 /// Bytes of reconstruction one batch op carries: what a round hands a
@@ -549,23 +535,30 @@ fn batch_items(chunk_size: usize, items: usize, workers: usize) -> usize {
         .max(1)
 }
 
-/// Splits a per-disk read queue into maximal runs of consecutive chunk
-/// offsets (as `start..end` index pairs), preserving queue order; each run
-/// becomes one [`BlockDevice::read_chunks`] call. Every execution mode
-/// coalesces the same queues, so their device read counts stay equal.
-fn coalesce_bounds(queue: &[(usize, ChunkAddr)]) -> Vec<(usize, usize)> {
-    let mut runs = Vec::new();
-    let mut start = 0;
-    for i in 1..=queue.len() {
-        if i == queue.len() || queue[i].1.offset != queue[i - 1].1.offset + 1 {
-            runs.push((start, i));
-            start = i;
-        }
-    }
-    runs
+/// The source reads of one batch's plan `items`, in the order its op
+/// issues them: `(slot, address)`, where slot `s` is the batch's `s`-th
+/// read counting item by item in plan order, sorted by disk (stably, so
+/// plan order holds within a disk). Each [`continues_run`] chunk of it is
+/// one device run; runs end at the batch's edge, so no read feeds another
+/// batch.
+fn batch_reads(items: &[layout::ChunkRecovery]) -> Vec<(usize, ChunkAddr)> {
+    let mut reads: Vec<(usize, ChunkAddr)> = items
+        .iter()
+        .flat_map(|it| &it.reads)
+        .copied()
+        .enumerate()
+        .collect();
+    reads.sort_by_key(|r| r.1.disk);
+    reads
 }
 
-/// The sibling linkage rule shared by [`dependency_shape`] and the dirty
+/// Whether read `y` extends the device run that read `x` ends: same disk,
+/// next offset. A run is one [`BlockDevice::read_chunks`] call.
+fn continues_run(x: &(usize, ChunkAddr), y: &(usize, ChunkAddr)) -> bool {
+    x.1.disk == y.1.disk && x.1.offset + 1 == y.1.offset
+}
+
+/// The sibling linkage rule shared by [`depends_of`] and the dirty
 /// footprints: a read-less, dependency-less plan item is a
 /// co-decoded *sibling* whose value comes from the nearest **earlier**
 /// same-inner-row item that has sources of its own (multi-failure plans
@@ -590,105 +583,22 @@ fn sibling_provider(geo: &Geometry, items: &[layout::ChunkRecovery], idx: usize)
     Some(provider)
 }
 
-/// The plan's per-disk read queues, pre-coalesced into runs, with the QoS
-/// charge applied at dequeue. Both executors take runs through
-/// [`RunQueues::dequeue`], so rebuild I/O pays the store's token bucket in
-/// exactly one place: the DAG's concurrent read ops draw from the same
-/// bucket instead of each charging its own copy of the accounting against
-/// the same refill window.
-struct RunQueues {
-    /// `(disk, read queue)` per surviving disk with scheduled reads.
-    queues: Vec<(usize, Vec<(usize, ChunkAddr)>)>,
-    /// Per-queue run boundaries (`start..end` into the queue), maximal
-    /// consecutive-offset spans in queue order — identical across modes,
-    /// which is what keeps per-device read counters equal.
-    runs: Vec<Vec<(usize, usize)>>,
-}
-
-impl RunQueues {
-    /// Builds the queues from the plan, recording per-queue coalesce time.
-    fn build(plan: &RecoveryPlan, obs: &RebuildObserver) -> Self {
-        let queues = plan.reads_by_disk();
-        let runs = queues
-            .iter()
-            .map(|(_, queue)| {
-                let began = Instant::now();
-                let runs = coalesce_bounds(queue);
-                obs.stages.coalesce.record_duration(began.elapsed());
-                runs
-            })
-            .collect();
-        Self { queues, runs }
-    }
-
-    /// Number of per-disk queues.
-    fn len(&self) -> usize {
-        self.queues.len()
-    }
-
-    /// The disk queue `qi` reads from.
-    fn disk(&self, qi: usize) -> usize {
-        self.queues[qi].0
-    }
-
-    /// One read op per (batch, queue), batch-major (ties by disk): the
-    /// consecutive runs of queue `qi` whose first item lies in batch `b`,
-    /// as `(b, qi, runs)`. A batch's sources are read back to back, so it
-    /// can be combined and landed before the next one's bytes arrive;
-    /// queues list reads in plan order, so each disk's runs keep theirs.
-    fn by_batch(&self, per: usize) -> Vec<(usize, usize, Range<usize>)> {
-        let mut ops = Vec::new();
-        for qi in 0..self.len() {
-            let mut ri = 0;
-            while ri < self.runs[qi].len() {
-                let (from, b) = (ri, self.peek(qi, ri)[0].0 / per);
-                while ri < self.runs[qi].len() && self.peek(qi, ri)[0].0 / per == b {
-                    ri += 1;
-                }
-                ops.push((b, qi, from..ri));
-            }
-        }
-        ops.sort_by_key(|&(b, qi, _)| (b, qi));
-        ops
-    }
-
-    /// Run `ri` of queue `qi` without dequeuing it — no QoS charge. For
-    /// graph building and for skipping runs on a dead disk.
-    fn peek(&self, qi: usize, ri: usize) -> Run<'_> {
-        let (start, end) = self.runs[qi][ri];
-        &self.queues[qi].1[start..end]
-    }
-
-    /// Takes the (consecutive, non-empty) `runs` of queue `qi`, paying the
-    /// rebuild token bucket once for all their chunks. This is the single
-    /// QoS charge point for rebuild reads.
-    fn dequeue<'a>(
-        &'a self,
-        qos: &crate::qos::QosState,
-        qi: usize,
-        runs: Range<usize>,
-    ) -> impl Iterator<Item = Run<'a>> {
-        let bounds = &self.runs[qi];
-        qos.throttle_rebuild(bounds[runs.end - 1].1 - bounds[runs.start].0);
-        runs.map(move |ri| self.peek(qi, ri))
-    }
-}
-
-/// One coalesced read run: `(item index, source address)` pairs with
-/// consecutive offsets on a single disk.
+/// One coalesced read run: `(slot, source address)` pairs with
+/// consecutive offsets on a single disk, `slot` being the caller's index
+/// for the chunk.
 pub(crate) type Run<'a> = &'a [(usize, ChunkAddr)];
 
 /// Serves one coalesced run through a retrying reader, degrading instead of
 /// failing: transient faults are retried, a chunk that stays unreadable is
 /// reported (for re-routing) without poisoning the rest of the run. Every
-/// chunk of the run goes to `sink` as `(item, address, bytes or error)`;
+/// chunk of the run goes to `sink` as `(slot, address, bytes or error)`;
 /// returns whether the device died.
 ///
 /// Every delivered chunk lands in a [`BufPool::take_dirty`] buffer. A
-/// one-chunk run reads bytes `range_of(item)` of its chunk
+/// one-chunk run reads bytes `range_of(slot)` of its chunk
 /// ([`RetryReader::read_range`]; the rebuild wants every chunk whole); a
-/// multi-chunk run's items all want their whole chunks, and it is read
-/// into `staging` first — the reader's own reused buffer, grown (never
+/// multi-chunk run's slots all want their whole chunks, and it is read
+/// into `staging` first — the caller's reused buffer, grown (never
 /// re-zeroed) to the longest run seen — so a source byte is written twice
 /// at most and nothing is memset per run.
 pub(crate) fn read_run_healing<B: BlockDevice>(
@@ -935,20 +845,6 @@ impl Writeback<'_> {
             sched,
         }
     }
-}
-
-/// One node of the lowered rebuild DAG (see
-/// [`OiRaidStore::execute_round`]'s graph construction for the edges
-/// between them).
-#[derive(Debug, Clone, Copy)]
-enum DagOp {
-    /// Serve coalesced runs `from..to` of per-disk queue `qi` back to back;
-    /// feeds every batch holding an item that reads from them.
-    Read { qi: usize, from: usize, to: usize },
-    /// Reconstruct the plan items of batch `b` in plan order from their
-    /// delivered reads and dependency outputs, and land them through
-    /// [`OiRaidStore::writeback_chunks`].
-    Batch { b: usize },
 }
 
 /// Locks a mutex, tolerating poisoning: a panicking op callback must not
@@ -1641,26 +1537,24 @@ impl<B: BlockDevice> OiRaidStore<B> {
     }
 
     /// One round on either executor: the plan lowered into *batches* of
-    /// consecutive items ([`batch_items`] each) with one read op per
-    /// (batch, source disk) — the batch's coalesced runs of that disk,
-    /// served back to back; a run belongs to the batch of its first item
-    /// and feeds every batch it touches — and one batch op that combines
-    /// its items in plan order and lands them through
-    /// [`Self::writeback_chunks`]. Cross-batch dependencies (the plan's
-    /// `depends` and sibling links, which only point backwards) are
-    /// batch → batch edges; in-batch ones are satisfied by order.
+    /// consecutive items ([`batch_items`] each), one op per batch and
+    /// nothing else. A batch op runs start to finish on one worker: it pays
+    /// the QoS token bucket once for all its reads, serves its items'
+    /// source runs back to back ([`batch_reads`]; no run crosses the
+    /// batch's edge), combines the items in plan order and lands them
+    /// through [`Self::writeback_chunks`]. Cross-batch dependencies (the
+    /// plan's `depends` and sibling links, which only point backwards) are
+    /// the graph's only edges; in-batch ones are satisfied by order.
     ///
-    /// [`RebuildMode::Dag`] hands the graph to the [`sched`] pool: ready
-    /// reads are taken batch-major, everything else first and
-    /// downstream-first, so the worker whose read completes a batch
-    /// combines and lands it at once, while the bytes are in its cache.
-    /// [`RebuildMode::Serial`] (the oracle) walks
-    /// the same ops in the order they were added on the calling thread.
-    /// Either way nothing waits for a phase, and the buffers alive at any
-    /// moment are a batch or two per worker, not the plan's.
+    /// [`RebuildMode::Dag`] hands the graph to the [`sched`] pool, which
+    /// takes ready batches in plan order and runs a batch another one
+    /// unblocked on the worker that unblocked it. [`RebuildMode::Serial`]
+    /// (the oracle) walks the same ops in order on the calling thread, so
+    /// both issue the same device reads by construction. Either way the
+    /// buffers alive at any moment are a batch per worker, not the plan's.
     ///
     /// Rounds never fail — faults land in the [`RoundOutput`]: an
-    /// unreadable source poisons exactly the items that needed it, an item
+    /// unreadable source costs exactly the items that needed it, an item
     /// whose dependency never completed is skipped in turn (both inside
     /// their batch, whose other items land), and a dead disk stops only its
     /// own remaining reads. `regions` is [`Self::plan_regions`] of `plan`.
@@ -1676,138 +1570,110 @@ impl<B: BlockDevice> OiRaidStore<B> {
         let geo = self.array().geometry();
         let code = self.inner_code();
         let chunk_size = self.chunk_size();
-        let queues = RunQueues::build(plan, obs);
         let items = plan.items();
         let n = items.len();
-        let (depends, uses) = dependency_shape(geo, items);
-        let workers = self
-            .dag_workers()
-            .unwrap_or_else(|| (2 * queues.len()).max(1));
+        let mut read_from = vec![false; self.array().disks()];
+        // How many later items fold each item's output into their inputs.
+        let mut uses = vec![0usize; n];
+        for it in items {
+            it.reads.iter().for_each(|a| read_from[a.disk] = true);
+            it.depends.iter().for_each(|&d| uses[d] += 1);
+        }
+        let sources = read_from.iter().filter(|&&r| r).count();
+        let workers = self.dag_workers().unwrap_or((2 * sources).max(1));
         let per = batch_items(chunk_size, n, workers);
+        let of_batch = |b: usize| b * per..n.min((b + 1) * per);
 
-        // Lower the plan into the op graph, batch by batch: the batch's
-        // read ops (bound to their disks), then its batch op — device-less,
-        // so a batch whose sources are in lands ahead of any further read.
-        // Op ids are a topological order, which is all the serial walk needs.
-        let mut graph: sched::OpGraph<DagOp> = sched::OpGraph::new();
-        let mut batch_ops: Vec<sched::OpId> = Vec::with_capacity(n.div_ceil(per));
-        let mut read_ops = queues.by_batch(per).into_iter().peekable();
-        let mut feeds: Vec<(sched::OpId, usize)> = Vec::new();
+        // Op `b` is batch `b`, so op ids are a topological order, which is
+        // all the serial walk needs.
+        let mut graph: sched::OpGraph<()> = sched::OpGraph::new();
         for b in 0..n.div_ceil(per) {
-            while let Some((_, qi, runs)) = read_ops.next_if(|op| op.0 == b) {
-                let (from, to) = (runs.start, runs.end);
-                let op = graph.add_node(DagOp::Read { qi, from, to }, Some(queues.disk(qi)));
-                // Items along a queue only ascend, so do the batches fed.
-                for fed in runs.flat_map(|ri| queues.peek(qi, ri)).map(|r| r.0 / per) {
-                    if feeds.last() != Some(&(op, fed)) {
-                        feeds.push((op, fed));
-                    }
-                }
-            }
-            batch_ops.push(graph.add_node(DagOp::Batch { b }, None));
+            graph.add_node((), None);
             let mut after: Vec<usize> = Vec::new();
-            for &(d, _) in depends[b * per..n.min((b + 1) * per)].iter().flatten() {
+            for (d, _) in of_batch(b).flat_map(|idx| depends_of(geo, items, idx)) {
                 if d / per != b && !after.contains(&(d / per)) {
                     after.push(d / per);
-                    graph.add_edge(batch_ops[d / per], batch_ops[b]);
+                    graph.add_edge(d / per, b);
                 }
             }
         }
-        for (op, b) in feeds {
-            graph.add_edge(op, batch_ops[b]);
-        }
 
-        // What the ops hand each other. A read fills its items' input
-        // *slots* (item `idx`'s `j`-th read is slot `slot_base[idx] + j`;
-        // empty until delivered) without hashing or allocating; a poisoned
-        // or dependency-starved item is skipped by flag inside its batch,
-        // which matches what the driver expects of any item that does not
-        // finish the round: it re-plans it.
-        let slot_base: Vec<usize> = std::iter::once(0)
-            .chain(items.iter().scan(0, |at, it| {
-                *at += it.reads.len();
-                Some(*at)
-            }))
-            .collect();
-        let slots: Vec<Mutex<Vec<u8>>> = (0..slot_base[n]).map(|_| Mutex::default()).collect();
-        let poisoned: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
+        // What the batch ops hand each other: which items are done, and the
+        // output of each item a later one depends on, with its remaining
+        // consumers. An item missing a source or a dependency is skipped
+        // inside its batch, which matches what the rebuild loop expects of any
+        // item that does not finish the round: it re-plans it.
         let done: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
-        // Output per item some later item depends on: the value and its
-        // remaining consumers.
         let outputs: Vec<Mutex<(Option<Vec<u8>>, usize)>> =
             uses.iter().map(|&u| Mutex::new((None, u))).collect();
         let decoded: Mutex<Inputs> = Mutex::default();
         let unreadable: Mutex<Vec<(ChunkAddr, DeviceError)>> = Mutex::new(Vec::new());
-        let readers: Vec<RetryReader<'_, B>> = (0..queues.len())
-            .map(|qi| RetryReader::new(&self.devices()[queues.disk(qi)], RETRY))
+        let readers: Vec<RetryReader<'_, B>> = self
+            .devices()
+            .iter()
+            .map(|dev| RetryReader::new(dev, RETRY))
             .collect();
-        let staging: Vec<Mutex<Vec<u8>>> = (0..queues.len()).map(|_| Mutex::default()).collect();
+        // One run-staging buffer per worker (the serial walk is worker 0).
+        let staging: Vec<Mutex<Vec<u8>>> = (0..workers.max(1)).map(|_| Mutex::default()).collect();
         let wb = self.begin_writeback(plan, regions, obs, tick);
         let pool = &wb.pool;
 
-        let slot_of = |idx: usize, addr: ChunkAddr| {
-            let j = items[idx].reads.iter().position(|r| *r == addr);
-            &slots[slot_base[idx] + j.expect("a queued read is one of its item's reads")]
-        };
-        let read = |qi: usize, runs: Range<usize>| {
-            let disk = queues.disk(qi);
-            let mut dead = lock(&wb.dead).contains(&disk);
-            let mut delivered = 0;
+        let batch = |w: usize, b: usize| {
+            let span = of_batch(b);
+            let began = Instant::now();
+            let reads = batch_reads(&items[span.clone()]);
+            obs.stages.coalesce.record_duration(began.elapsed());
+            // Slot `s` receives the batch's `s`-th read; one left empty
+            // (unreadable, or its disk dead) costs its item.
+            let mut slots: Vec<Vec<u8>> = vec![Vec::new(); reads.len()];
             let mut failed = Vec::new();
-            if !dead {
-                for run in queues.dequeue(self.qos(), qi, runs.clone()) {
-                    if dead {
-                        break; // the disk died under the run before
-                    }
-                    let began = Instant::now();
-                    let sink = |idx, addr, read| match read {
-                        Ok(bytes) => {
-                            *lock(slot_of(idx, addr)) = bytes;
-                            delivered += 1;
-                        }
-                        Err(e) => {
-                            poisoned[idx].store(true, Ordering::Release);
-                            failed.push((addr, e));
-                        }
-                    };
-                    let whole = |_| 0..chunk_size;
-                    let reader = &readers[qi];
-                    dead =
-                        read_run_healing(reader, run, whole, chunk_size, pool, &staging[qi], sink);
-                    obs.stages.read.record_duration(began.elapsed());
+            let mut delivered = 0;
+            let mut dead = lock(&wb.dead).clone();
+            let live = reads.iter().filter(|r| !dead.contains(&r.1.disk)).count();
+            self.qos().throttle_rebuild(live);
+            let began = Instant::now();
+            for run in reads.chunk_by(continues_run) {
+                let disk = run[0].1.disk;
+                if dead.contains(&disk) {
+                    continue;
                 }
-                obs.progress.add_bytes_read((delivered * chunk_size) as u64);
-                if !failed.is_empty() {
-                    lock(&unreadable).append(&mut failed);
+                let sink = |s, addr, read| match read {
+                    Ok(bytes) => {
+                        slots[s] = bytes;
+                        delivered += 1;
+                    }
+                    Err(e) => failed.push((addr, e)),
+                };
+                let (reader, whole) = (&readers[disk], |_| 0..chunk_size);
+                if read_run_healing(reader, run, whole, chunk_size, pool, &staging[w], sink) {
+                    // The disk died under the run: the rest of its reads
+                    // cost their items too.
+                    dead.insert(disk);
+                    lock(&wb.dead).insert(disk);
                 }
             }
-            if dead {
-                // What the disk did not deliver poisons its item: every run
-                // of a disk dead before this op, the rest of the runs of one
-                // that died under it.
-                lock(&wb.dead).insert(disk);
-                for &(idx, addr) in runs.flat_map(|ri| queues.peek(qi, ri)) {
-                    if lock(slot_of(idx, addr)).is_empty() {
-                        poisoned[idx].store(true, Ordering::Release);
-                    }
-                }
+            obs.stages.read.record_duration(began.elapsed());
+            obs.progress.add_bytes_read((delivered * chunk_size) as u64);
+            if !failed.is_empty() {
+                lock(&unreadable).append(&mut failed);
             }
-        };
-        let batch = |b: usize| {
+
             let mut inputs: Inputs = Vec::new();
-            let mut values: Vec<(usize, Vec<u8>)> = Vec::with_capacity(per);
-            let mut combined: Vec<Duration> = Vec::with_capacity(per);
-            for idx in b * per..n.min((b + 1) * per) {
-                for (j, &addr) in items[idx].reads.iter().enumerate() {
-                    let bytes = std::mem::take(&mut *lock(&slots[slot_base[idx] + j]));
-                    if !bytes.is_empty() {
+            let mut values: Vec<(usize, Vec<u8>)> = Vec::with_capacity(span.len());
+            let mut combined: Vec<Duration> = Vec::with_capacity(span.len());
+            let mut next = 0;
+            for idx in span {
+                let mut ready =
+                    depends_of(geo, items, idx).all(|(d, _)| done[d].load(Ordering::Acquire));
+                for &addr in &items[idx].reads {
+                    let bytes = std::mem::take(&mut slots[next]);
+                    next += 1;
+                    if bytes.is_empty() {
+                        ready = false;
+                    } else {
                         inputs.push((addr, bytes));
                     }
                 }
-                let ready = !poisoned[idx].load(Ordering::Acquire)
-                    && depends[idx]
-                        .iter()
-                        .all(|&(d, _)| done[d].load(Ordering::Acquire));
                 if !ready {
                     inputs.drain(..).for_each(|(_, bytes)| pool.put(bytes));
                     continue;
@@ -1815,7 +1681,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
                 // Fold dependency outputs in, keyed by the dep's lost
                 // address; the last consumer (use count under the slot
                 // lock) moves instead of cloning.
-                for &(d, _) in depends[idx].iter().filter(|(_, sibling)| !sibling) {
+                for (d, _) in depends_of(geo, items, idx).filter(|(_, sibling)| !sibling) {
                     let mut slot = lock(&outputs[d]);
                     slot.1 -= 1;
                     let out = if slot.1 == 0 {
@@ -1845,21 +1711,17 @@ impl<B: BlockDevice> OiRaidStore<B> {
             self.writeback_chunks(&wb, &landing);
             values.into_iter().for_each(|(_, value)| pool.put(value));
         };
-        let run_op = |op: &DagOp| match *op {
-            DagOp::Read { qi, from, to } => read(qi, from..to),
-            DagOp::Batch { b } => batch(b),
-        };
         obs.stages.lower.record_duration(began.elapsed());
 
         let (workers, worker_busy, stats) = match mode {
             RebuildMode::Serial => {
-                (0..graph.len()).for_each(|op| run_op(graph.payload(op)));
+                (0..graph.len()).for_each(|b| batch(0, b));
                 (0, Vec::new(), sched::SchedStats::default())
             }
             RebuildMode::Dag => {
                 let disks = self.array().disks();
-                let report = sched::run(workers, disks, &obs.sched, &graph, |_w, _op, op| {
-                    run_op(op);
+                let report = sched::run(workers, disks, &obs.sched, &graph, |w, b, ()| {
+                    batch(w, b);
                     sched::OpStatus::Done
                 });
                 debug_assert_eq!(report.stats.executed, graph.len() as u64, "every op ran");
@@ -2010,17 +1872,15 @@ mod tests {
             for (d, (s, p)) in rs.device_io.iter().zip(&rd.device_io).enumerate() {
                 assert_eq!(s.reads, p.reads, "{strategy:?} disk {d} read count");
             }
-            // The scheduler actually ran: one executed op per (batch,
-            // source disk) and one per batch, none cancelled on a clean
-            // rebuild.
+            // The scheduler actually ran: one executed op per batch, none
+            // cancelled on a clean rebuild.
             assert!(rd.workers > 0);
             assert_eq!(rs.workers, 0);
             let plan = single_failure_plan(dag.array(), 7, SparePolicy::Distributed, strategy);
             let plan = plan.unwrap();
             let per = batch_items(16, plan.items().len(), rd.workers);
-            let reads = RunQueues::build(&plan, &RebuildObserver::default()).by_batch(per);
             let batches = plan.items().len().div_ceil(per);
-            assert_eq!(rd.sched.executed, (reads.len() + batches) as u64);
+            assert_eq!(rd.sched.executed, batches as u64);
             assert_eq!(rd.sched.cancelled, 0);
             assert!(rd.sched.max_inflight >= 1);
             assert_eq!(rs.sched, sched::SchedStats::default());
@@ -2333,15 +2193,13 @@ mod tests {
         RebuildCheckpoint::remove(&path);
     }
 
-    /// Buffer lifetime: both executors issue reads batch-major and land a
-    /// batch as soon as its sources are in, so a round holds a batch or two
-    /// per worker — not two buffers per lost chunk, as it did when every
-    /// read ran before the first combine. (A coalesced run still delivers
-    /// its whole length at once; the Outer strategy, one chunk per run, is
-    /// the one the bound is about.) The bound is in bytes — per worker three
-    /// batches' worth (one being read, one being landed, one waiting) and
-    /// what its thread may cache — whether a batch is one item of 64 KiB or
-    /// sixteen of 4 KiB.
+    /// Buffer lifetime: both executors run one batch op at a time per
+    /// worker, which reads, combines and lands its batch before the next
+    /// one, so a round holds a batch per worker — not two buffers per lost
+    /// chunk, as it did when every read ran before the first combine. The
+    /// bound is in bytes — per worker three batches' worth and what its
+    /// thread may cache — whether a batch is one item of 64 KiB or sixteen
+    /// of 4 KiB.
     #[test]
     fn a_round_keeps_a_few_buffers_live_not_the_plan() {
         const WORKERS: usize = 2;
@@ -2739,6 +2597,213 @@ mod tests {
             assert_eq!(out.dead_disks, BTreeSet::from([BATCH_TARGET]), "{mode}");
             assert_eq!(valid, first.into_iter().collect(), "{mode}");
             assert!(out.unreadable.is_empty(), "{mode}");
+        }
+    }
+
+    /// A [`MemDevice`] that logs every read op as `(disk, first chunk,
+    /// chunks)` into a log its array shares.
+    struct LogsReads {
+        inner: MemDevice,
+        disk: usize,
+        log: std::sync::Arc<Mutex<Vec<(usize, usize, usize)>>>,
+    }
+
+    impl LogsReads {
+        fn log(&self, first: usize, count: usize) {
+            lock(&self.log).push((self.disk, first, count));
+        }
+    }
+
+    impl BlockDevice for LogsReads {
+        fn chunk_size(&self) -> usize {
+            self.inner.chunk_size()
+        }
+        fn chunks(&self) -> usize {
+            self.inner.chunks()
+        }
+        fn is_failed(&self) -> bool {
+            self.inner.is_failed()
+        }
+        fn read_chunk(&self, chunk: usize, buf: &mut [u8]) -> Result<(), DeviceError> {
+            self.log(chunk, 1);
+            self.inner.read_chunk(chunk, buf)
+        }
+        fn read_chunks(
+            &self,
+            first: usize,
+            count: usize,
+            buf: &mut [u8],
+        ) -> Result<(), DeviceError> {
+            self.log(first, count);
+            self.inner.read_chunks(first, count, buf)
+        }
+        fn read_range(
+            &self,
+            chunk: usize,
+            range: Range<usize>,
+            buf: &mut [u8],
+        ) -> Result<(), DeviceError> {
+            self.log(chunk, 1);
+            self.inner.read_range(chunk, range, buf)
+        }
+        fn write_chunk(&self, chunk: usize, data: &[u8]) -> Result<(), DeviceError> {
+            self.inner.write_chunk(chunk, data)
+        }
+        fn write_range(
+            &self,
+            chunk: usize,
+            range: Range<usize>,
+            buf: &[u8],
+        ) -> Result<(), DeviceError> {
+            self.inner.write_range(chunk, range, buf)
+        }
+        fn fail(&self) {
+            self.inner.fail()
+        }
+        fn heal(&self) -> Result<(), DeviceError> {
+            self.inner.heal()
+        }
+        fn counters(&self) -> CounterSnapshot {
+            self.inner.counters()
+        }
+        fn reset_counters(&self) {
+            self.inner.reset_counters()
+        }
+    }
+
+    /// Device runs of a plan cut into batches of `per` items: what the
+    /// batch ops issue.
+    fn batch_runs(plan: &RecoveryPlan, per: usize) -> usize {
+        plan.items()
+            .chunks(per)
+            .map(|batch| batch_reads(batch).chunk_by(continues_run).count())
+            .sum()
+    }
+
+    /// Device runs of the same plan coalesced over whole per-disk queues,
+    /// with no batch edge to stop them.
+    fn queue_runs(plan: &RecoveryPlan) -> usize {
+        let queues = plan.reads_by_disk();
+        let runs = queues
+            .iter()
+            .map(|(_, q)| q.chunk_by(continues_run).count());
+        runs.sum()
+    }
+
+    /// Every read a batch op issues is a source of one of that batch's
+    /// items, and the batch reads them all: the serial walk runs the batch
+    /// ops in order, so the device log, cut batch by batch, is each batch's
+    /// reads — in one device op per run of [`batch_reads`].
+    #[test]
+    fn a_batch_op_reads_its_own_items_sources_and_nothing_else() {
+        for strategy in RecoveryStrategy::ALL {
+            let log = std::sync::Arc::new(Mutex::new(Vec::new()));
+            let disks = std::cell::Cell::new(0);
+            let store = batch_fixture(|inner| {
+                let disk = disks.replace(disks.get() + 1);
+                let log = std::sync::Arc::clone(&log);
+                LogsReads { inner, disk, log }
+            });
+            store.set_dag_workers(Some(2));
+            let plan = single_failure_plan(
+                store.array(),
+                BATCH_TARGET,
+                SparePolicy::Distributed,
+                strategy,
+            );
+            let plan = plan.unwrap();
+            lock(&log).clear();
+            let (out, _) = batch_round(&store, &plan, RebuildMode::Serial, |_| {});
+            assert_eq!(out.written.len(), plan.items().len(), "{strategy:?}");
+            let per = batch_items(64, plan.items().len(), 2);
+            let log = lock(&log);
+            let mut ops = log.iter();
+            for (b, batch) in plan.items().chunks(per).enumerate() {
+                let mut want: Vec<ChunkAddr> =
+                    batch.iter().flat_map(|it| &it.reads).copied().collect();
+                let runs = batch_reads(batch).chunk_by(continues_run).count();
+                for _ in 0..runs {
+                    let &(disk, first, count) = ops.next().expect("the batch's reads were issued");
+                    for offset in first..first + count {
+                        let at = want.iter().position(|&a| a == ChunkAddr::new(disk, offset));
+                        let at = at.unwrap_or_else(|| {
+                            panic!("{strategy:?} batch {b} read disk {disk} chunk {offset}, not its own")
+                        });
+                        want.swap_remove(at);
+                    }
+                }
+                assert!(
+                    want.is_empty(),
+                    "{strategy:?} batch {b} left {want:?} unread"
+                );
+            }
+            assert!(
+                ops.next().is_none(),
+                "{strategy:?}: reads beyond the batches'"
+            );
+        }
+    }
+
+    /// Where runs do coalesce — rows read by the Inner and Hybrid
+    /// strategies, and a two-disk pattern — serial and DAG rounds issue the
+    /// same device read ops disk by disk, one per run of [`batch_reads`].
+    /// A run that a batch edge cuts costs one device op more than coalescing
+    /// whole per-disk queues would; that cost is printed (`--nocapture`)
+    /// and bounded by one per source disk and batch edge.
+    #[test]
+    fn serial_and_dag_issue_the_same_device_reads_where_runs_coalesce() {
+        let patterns: [(&[usize], RecoveryStrategy); 3] = [
+            (&[BATCH_TARGET], RecoveryStrategy::Inner),
+            (&[BATCH_TARGET], RecoveryStrategy::Hybrid),
+            (&[BATCH_TARGET, 11], RecoveryStrategy::Hybrid),
+        ];
+        for (failed, strategy) in patterns {
+            let reference = batch_fixture(|mem| mem);
+            reference.set_dag_workers(Some(2));
+            let plan = match failed {
+                [d] => {
+                    single_failure_plan(reference.array(), *d, SparePolicy::Distributed, strategy)
+                }
+                _ => Layout::recovery_plan(reference.array(), failed, SparePolicy::Distributed),
+            };
+            let plan = plan.unwrap();
+            let reads = plan.total_reads() as usize;
+            let per = batch_items(64, plan.items().len(), 2);
+            let (split, whole) = (batch_runs(&plan, per), queue_runs(&plan));
+            assert!(
+                split < reads,
+                "{failed:?} {strategy:?}: runs coalesce ({split} of {reads})"
+            );
+            let mut device_reads = Vec::new();
+            for mode in [RebuildMode::Serial, RebuildMode::Dag] {
+                let store = reference.clone();
+                for &d in failed {
+                    store.fail_disk(d).unwrap();
+                }
+                let report = store.rebuild(mode, strategy).unwrap();
+                assert_eq!(report.outcome, RebuildOutcome::Complete, "{mode}");
+                assert_eq!(
+                    report.total_reads() as usize,
+                    split,
+                    "{failed:?} {strategy:?} {mode}"
+                );
+                for &d in failed {
+                    assert_eq!(disk_image(&store, d), disk_image(&reference, d), "{mode}");
+                }
+                device_reads.push(report.device_io.iter().map(|c| c.reads).collect::<Vec<_>>());
+            }
+            assert_eq!(
+                device_reads[0], device_reads[1],
+                "{failed:?} {strategy:?}: per-disk reads"
+            );
+            let sources = device_reads[0].iter().filter(|&&r| r > 0).count();
+            let edges = plan.items().len().div_ceil(per) - 1;
+            println!(
+                "{failed:?} {strategy:?}: {reads} source chunks, {whole} runs over whole queues, \
+                 {split} cut at {edges} batch edges (+{})",
+                split - whole
+            );
+            assert!(whole <= split && split - whole <= sources * edges);
         }
     }
 

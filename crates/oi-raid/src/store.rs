@@ -850,9 +850,8 @@ impl<B: BlockDevice> OiRaidStore<B> {
     }
 
     /// Overrides the DAG-mode worker-pool size. `None` (the default) sizes
-    /// the pool at twice the plan's per-disk queue count, enough to keep
-    /// every surviving disk's queue busy while combines and writebacks
-    /// overlap. Takes `&self` — the next DAG round picks up the new size.
+    /// the pool at twice the number of disks the plan reads from, enough to
+    /// keep every source disk busy while combines and writebacks overlap. Takes `&self` — the next DAG round picks up the new size.
     /// (`Some(usize::MAX)` is reserved as the "unset" sentinel and reads
     /// back as `None`.)
     pub fn set_dag_workers(&self, workers: Option<usize>) {

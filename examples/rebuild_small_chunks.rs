@@ -17,9 +17,13 @@
 //! reset and footprints, inside `plan`) and `lower` (plan to batches and
 //! op graph, inside `execute`) their sub-phases; `run` is what is left of
 //! `execute` (the scheduler run and closing the round) and `books` what is
-//! left of the report's wall time (the driver's bookkeeping). Only the
-//! MiB/s column is timed here, around the whole `rebuild()` call. Prints
-//! numbers; asserts nothing about time.
+//! left of the report's wall time (the rebuild loop's bookkeeping). `ops/chunk`
+//! is scheduler ops per rebuilt chunk: one op per batch, which reads,
+//! combines and lands its chunks, so 1/16 at 4 KiB and 1 at 64 KiB. Of the
+//! stage medians, `read` is one batch op's reads (all its source runs) and
+//! `combine` / `writeback` are per chunk. Only the MiB/s column is timed
+//! here, around the whole `rebuild()` call. Prints numbers; asserts
+//! nothing about time.
 
 use std::time::Instant;
 
@@ -74,7 +78,7 @@ fn row(chunk: usize, cycles: usize, rebuilds: usize, workers: usize) {
     println!(
         "{:>6} B x {:>4} chunks  {:>7.0} MiB/s | plan {:>6.0}  regions {:>6.0}  heal {:>6.0}  \
          lower {:>6.0}  run {:>7.0}  books {:>6.0} us | {:.2} ops/chunk  {:>5.2} worker-us/chunk  \
-         util {:.2}  read/combine/writeback p50 {:.2}/{:.2}/{:.2} us",
+         util {:.2}  read per batch {:.2} us, combine/writeback per chunk {:.2}/{:.2} us (p50)",
         chunk,
         med(&chunks),
         median(mib_per_s),
