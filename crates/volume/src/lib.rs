@@ -6,10 +6,11 @@
 //! batch against the array. This crate adds that layer:
 //!
 //! * [`VolumeManager`] — maps volumes onto the store and runs the
-//!   batch-first submission path: per-shard queues, a combining drain
-//!   (one submitter serves everyone's pending ops), read coalescing and
-//!   read-after-write absorption, and write coalescing down to one
-//!   read-modify-write per touched chunk (see [`manager`] docs).
+//!   submission path: reads answered on the submitting thread (from an
+//!   earlier write in the same submission where there is one), writes
+//!   through per-shard queues and a combining drain (one submitter serves
+//!   everyone's pending writes), coalesced down to one read-modify-write
+//!   per touched chunk (see [`manager`] docs).
 //! * [`TenantClass`] — per-tenant QoS: drain weights plus optional
 //!   token-bucket rate caps that make tenants pace themselves.
 //! * [`Zipf`] — the skewed key sampler the closed-loop benchmark (E19)

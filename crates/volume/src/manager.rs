@@ -1,34 +1,38 @@
-//! The volume manager: many virtual volumes over one [`OiRaidStore`],
-//! batch-first.
+//! The volume manager: many virtual volumes over one [`OiRaidStore`].
 //!
-//! # Batching model
+//! # Serving model
 //!
-//! Requests enter per-shard submission queues (a shard is a slice of the
-//! store's chunk space; a record's shard is the chunk its first byte lives
-//! on, so all operations on one record always meet in the same shard).
-//! Whichever submitting thread acquires a shard's *drain lock* becomes the
-//! drainer and serves **everyone's** pending operations — a combining
-//! funnel: concurrent submitters to a hot shard merge their work into one
-//! store batch instead of contending chunk-by-chunk.
+//! OI-RAID answers a healthy read with one device read; only a write pays
+//! the two-layer read-modify-write (C6), so only writes are worth
+//! combining. [`VolumeManager::submit`] therefore splits a submission:
 //!
-//! Each drain wave (up to `MAX_WAVE` operations, tenants interleaved by
-//! their QoS weight) is issued to the store as at most **one coalesced read
-//! batch plus one coalesced write batch**:
+//! * every op is validated and resolved, and each tenant's rate cap is
+//!   charged for all of its ops, reads included;
+//! * every read is answered **on the submitting thread**, before any of
+//!   the submission's writes is queued: a read that follows a write to its
+//!   record in the same submission is answered from that write's bytes
+//!   (no I/O), any other goes to [`OiRaidStore::read_bytes`] exactly as
+//!   [`VolumeManager::read_record`] does;
+//! * the writes then enter per-shard submission queues (a shard is a slice
+//!   of the store's chunk space; a record's shard is the chunk its first
+//!   byte lives on, so all writes to one record meet in the same shard).
+//!   Whichever submitting thread acquires a shard's *drain lock* becomes
+//!   the drainer and serves **everyone's** pending writes — a combining
+//!   funnel: concurrent writers to a hot shard merge their work into one
+//!   store batch instead of contending chunk by chunk. Each drain wave (up
+//!   to `MAX_WAVE` writes, tenants interleaved by their QoS weight) is one
+//!   [`OiRaidStore::write_bytes_batch`], which coalesces it into one
+//!   read-modify-write per touched chunk.
 //!
-//! * a read that *follows* a write to the same record within the wave is
-//!   absorbed — answered from the pending write's bytes with no I/O at all;
-//! * the remaining reads execute first via
-//!   [`OiRaidStore::read_data_batch`] (they precede any same-record write
-//!   in submission order, so they must observe the pre-wave state);
-//! * all writes then commit via [`OiRaidStore::write_bytes_batch`], which
-//!   coalesces them into one read-modify-write per touched chunk.
-//!
-//! This preserves per-record program order, so a batched execution is
-//! bit-identical to submitting the same operations one at a time (the
-//! property tests in `tests/equivalence.rs` check exactly that, including
-//! under failed disks and live rebuild windows).
+//! A read that precedes a write to its record runs before that write can
+//! be queued, and one that follows it is answered from it, so per-record
+//! program order holds: a submission is bit-identical to issuing the same
+//! operations one at a time (the property tests in `tests/equivalence.rs`
+//! check exactly that, including under failed disks and live rebuild
+//! windows). No read ever waits for a drain lock or another submitter's
+//! writes, and a read's store error fails only its own slot.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock, TryLockError};
@@ -154,28 +158,24 @@ struct Volume {
     records: u64,
 }
 
-/// A planned (validated, address-resolved) operation waiting in a shard
+/// A planned (validated, address-resolved) write waiting in a shard
 /// queue.
 struct Pending {
     tenant: usize,
     slot: usize,
     batch: Arc<BatchState>,
-    /// Volume-and-record key — same-record ordering within a wave.
-    key: (usize, u64),
     /// Absolute byte offset in the store.
     offset: u64,
-    len: usize,
-    /// `Some` for writes, `None` for reads.
-    data: Option<Vec<u8>>,
+    data: Vec<u8>,
     /// Root trace id when this request was sampled, else 0. Whichever
     /// thread drains the wave links the wave node back to this root.
     trace: u64,
 }
 
-/// Shared completion state of one `submit` call. Whoever drains an op
+/// Shared completion state of one `submit` call. Whoever drains a write
 /// fills its slot; the slots are independent (one uncontended lock each)
 /// and the count of unfilled ones is an atomic, so a drainer completing the
-/// ops of one submitter and that submitter polling [`Self::is_complete`]
+/// writes of one submitter and that submitter polling [`Self::is_complete`]
 /// between waves share no lock. `sleep` + `done` exist only to park the
 /// submitter in [`Self::wait`].
 struct BatchState {
@@ -189,20 +189,21 @@ struct BatchState {
 }
 
 impl BatchState {
-    /// `early` are the slots that failed validation: filled here, never
-    /// queued, so they do not count as remaining.
-    fn new(slots: usize, early: Vec<(usize, VolumeError)>) -> Arc<Self> {
-        let remaining = slots - early.len();
+    /// `done` are the slots the submitting thread answered itself (reads
+    /// and ops that failed validation): filled here, never queued, so they
+    /// do not count as remaining. `began` is when the submission arrived.
+    fn new(slots: usize, began: Instant, done: Vec<(usize, OpResult)>) -> Arc<Self> {
+        let remaining = slots - done.len();
         let results: Vec<_> = (0..slots).map(|_| Mutex::new(None)).collect();
-        for (slot, e) in early {
-            *results[slot].lock().expect("batch slot lock") = Some(Err(e));
+        for (slot, result) in done {
+            *results[slot].lock().expect("batch slot lock") = Some(result);
         }
         Arc::new(Self {
             results,
             remaining: AtomicUsize::new(remaining),
             sleep: Mutex::new(()),
             done: Condvar::new(),
-            began: Instant::now(),
+            began,
         })
     }
 
@@ -241,7 +242,7 @@ impl BatchState {
     }
 }
 
-/// One shard: per-tenant FIFO queues plus the combining drain lock.
+/// One shard: per-tenant FIFO write queues plus the combining drain lock.
 struct Shard {
     queues: Mutex<Vec<VecDeque<Pending>>>,
     drain: Mutex<()>,
@@ -263,12 +264,12 @@ struct Shard {
 /// bound failed one run in three with unconditional skipping).
 const PATIENT_ABOVE_US: u64 = 10_000;
 
-/// Most operations one drain wave takes. Larger waves amortize better;
+/// Most writes one drain wave takes. Larger waves amortize better;
 /// smaller waves bound per-wave memory and tail latency.
 const MAX_WAVE: usize = 2048;
 
 /// Maps many virtual volumes onto one [`OiRaidStore`] with per-tenant QoS
-/// and a batch-first foreground path (see the module docs for the model).
+/// and a combining write path (see the module docs for the model).
 ///
 /// All methods take `&self`; the manager is meant to be shared across
 /// client threads behind an [`Arc`].
@@ -380,8 +381,14 @@ impl<B: BlockDevice> VolumeManager<B> {
         Ok(id)
     }
 
-    /// Resolves an op to `(tenant, key, offset, len)`.
-    fn plan(&self, volume: VolumeId, record: u64, write_len: Option<usize>) -> OpPlan {
+    /// Resolves an op to `(tenant, offset, len)`. Volumes do not overlap,
+    /// so the store offset also names the record.
+    fn plan(
+        &self,
+        volume: VolumeId,
+        record: u64,
+        write_len: Option<usize>,
+    ) -> Result<(usize, u64, usize), VolumeError> {
         let volumes = self.volumes.read().expect("volumes lock");
         let Some(v) = volumes.get(volume.0) else {
             return Err(VolumeError::UnknownVolume { volume: volume.0 });
@@ -402,7 +409,6 @@ impl<B: BlockDevice> VolumeManager<B> {
         }
         Ok((
             v.tenant.0,
-            (volume.0, record),
             v.base + record * v.record_size as u64,
             v.record_size,
         ))
@@ -414,9 +420,11 @@ impl<B: BlockDevice> VolumeManager<B> {
         (offset / self.store.chunk_size() as u64) as usize % self.shards.len()
     }
 
-    /// Submits a group of operations through the batched path and waits for
-    /// all of them. Results are returned in submission order; each slot
-    /// carries its own [`OpResult`], so one bad op fails alone.
+    /// Submits a group of operations and waits for all of them: the reads
+    /// are served on the calling thread, the writes through the combining
+    /// drain (see the module docs). Results are returned in submission
+    /// order; each slot carries its own [`OpResult`], so one bad op fails
+    /// alone.
     ///
     /// Per-record program order is preserved within the submission;
     /// operations on *different* records may be reordered relative to each
@@ -435,12 +443,14 @@ impl<B: BlockDevice> VolumeManager<B> {
         if ops.is_empty() {
             return (Vec::new(), Vec::new());
         }
+        let began = Instant::now();
+        let slots = ops.len();
         // Validate and resolve every op up front; invalid slots complete
         // immediately.
-        let mut planned: Vec<(usize, OpSpec)> = Vec::with_capacity(ops.len());
-        let mut early: Vec<(usize, VolumeError)> = Vec::new();
+        let mut planned: Vec<(usize, OpSpec)> = Vec::with_capacity(slots);
+        let mut done: Vec<(usize, OpResult)> = Vec::new();
         let mut per_tenant: BTreeMap<usize, u64> = BTreeMap::new();
-        let mut trace_ids: Vec<u64> = vec![0; ops.len()];
+        let mut trace_ids: Vec<u64> = vec![0; slots];
         for (slot, op) in ops.into_iter().enumerate() {
             let (volume, record, data) = match op {
                 Op::Read { volume, record } => (volume, record, None),
@@ -451,7 +461,7 @@ impl<B: BlockDevice> VolumeManager<B> {
                 } => (volume, record, Some(data)),
             };
             match self.plan(volume, record, data.as_ref().map(Vec::len)) {
-                Ok((tenant, key, offset, len)) => {
+                Ok((tenant, offset, len)) => {
                     let trace = telemetry::sample_trace();
                     if trace != 0 {
                         telemetry::trace_event(
@@ -472,7 +482,6 @@ impl<B: BlockDevice> VolumeManager<B> {
                         slot,
                         OpSpec {
                             tenant,
-                            key,
                             offset,
                             len,
                             data,
@@ -480,25 +489,49 @@ impl<B: BlockDevice> VolumeManager<B> {
                         },
                     ));
                 }
-                Err(e) => early.push((slot, e)),
+                Err(e) => done.push((slot, Err(e))),
             }
         }
-        let batch = BatchState::new(planned.len() + early.len(), early);
-        // Rate caps: each capped tenant pays for its ops *before* they
-        // enter the shard queues — a throttled tenant paces itself without
-        // holding any shared resource.
+        self.batches.fetch_add(1, Ordering::Relaxed);
+        self.batch_ops
+            .fetch_add(planned.len() as u64, Ordering::Relaxed);
+        // Rate caps: each capped tenant pays for all its ops, reads
+        // included, before any is served — a throttled tenant paces itself
+        // without holding any shared resource. Then the reads, in
+        // submission order on this thread: one that follows a write to its
+        // record is answered from that write, the rest from the store
+        // before any write of this submission can be queued.
         {
             let tenants = self.tenants.read().expect("tenants lock");
             for (&t, &n) in &per_tenant {
                 tenants[t].pay(n);
             }
+            let mut last_write: BTreeMap<u64, &[u8]> = BTreeMap::new();
+            for (slot, spec) in &planned {
+                if let Some(data) = &spec.data {
+                    last_write.insert(spec.offset, data);
+                    continue;
+                }
+                let tenant = &tenants[spec.tenant];
+                let result = match last_write.get(&spec.offset) {
+                    Some(written) => {
+                        tenant.record_read(began.elapsed());
+                        tenant.absorbed_reads.add(1);
+                        Ok(written.to_vec())
+                    }
+                    None => self.read_at(tenant, spec.offset, spec.len, spec.trace, began),
+                };
+                done.push((*slot, result.map(Some)));
+            }
         }
-        // Enqueue (one `queues` lock per touched shard), then drain every
-        // touched shard. The drain lock makes one thread the combiner for
-        // everyone's pending ops, so our ops are served even if another
-        // submitter drains them first.
+        // Enqueue the writes (one `queues` lock per touched shard), then
+        // drain every touched shard. The drain lock makes one thread the
+        // combiner for everyone's pending writes, so ours are served even
+        // if another submitter drains them first.
+        let batch = BatchState::new(slots, began, done);
         let mut by_shard: BTreeMap<usize, Vec<Pending>> = BTreeMap::new();
         for (slot, spec) in planned {
+            let Some(data) = spec.data else { continue };
             by_shard
                 .entry(self.shard_of(spec.offset))
                 .or_default()
@@ -506,10 +539,8 @@ impl<B: BlockDevice> VolumeManager<B> {
                     tenant: spec.tenant,
                     slot,
                     batch: Arc::clone(&batch),
-                    key: spec.key,
                     offset: spec.offset,
-                    len: spec.len,
-                    data: spec.data,
+                    data,
                     trace: spec.trace,
                 });
         }
@@ -520,7 +551,6 @@ impl<B: BlockDevice> VolumeManager<B> {
                 queues[p.tenant].push_back(p);
             }
         }
-        self.batches.fetch_add(1, Ordering::Relaxed);
         // Pass 1 puts off a shard someone else is draining (unless its
         // waves are long, see `PATIENT_ABOVE_US`), so two submitters that
         // touch the same shards work on different ones instead of queueing
@@ -556,16 +586,16 @@ impl<B: BlockDevice> VolumeManager<B> {
     }
 
     /// Drains one shard as its combiner (the caller passes the shard's
-    /// drain lock, held): pulls weighted waves and issues each as one
-    /// coalesced store batch, stopping when the shard is empty or the
+    /// drain lock, held): pulls weighted waves of writes and issues each as
+    /// one coalesced store batch, stopping when the shard is empty or the
     /// caller's own batch has completed.
     ///
     /// What a drainer may assume in each of `submit`'s two passes. In pass 1
     /// it got the lock without waiting, or waited because this shard's waves
     /// are long (`PATIENT_ABOVE_US`); shards it found busy otherwise are
     /// merely put off, nothing is given up. In pass 2 it waits for the
-    /// lock, exactly as the single pass used to. In both, its own ops are
-    /// already queued, so "shard empty" implies they were served.
+    /// lock, exactly as the single pass used to. In both, its own writes
+    /// are already queued, so "shard empty" implies they were served.
     ///
     /// The early exit bounds servitude — under sustained load a drainer is
     /// never stuck serving other submitters' streams forever — without
@@ -586,8 +616,6 @@ impl<B: BlockDevice> VolumeManager<B> {
                 return;
             }
             self.waves.fetch_add(1, Ordering::Relaxed);
-            self.batch_ops
-                .fetch_add(wave.len() as u64, Ordering::Relaxed);
             let began = Instant::now();
             self.execute_wave(wave, &tenants);
             let took = began.elapsed().as_micros() as u64;
@@ -628,11 +656,11 @@ impl<B: BlockDevice> VolumeManager<B> {
         wave
     }
 
-    /// Executes one wave: absorb reads-after-writes, batch the remaining
-    /// reads, batch all writes, complete every slot.
+    /// Executes one wave of writes: one coalesced store batch, then every
+    /// slot.
     fn execute_wave(&self, wave: Vec<Pending>, tenants: &[Arc<Tenant>]) {
         // Fan-in: every sampled request in the wave gets an edge to one
-        // shared wave node, and the store batches below execute under that
+        // shared wave node, and the store batch below executes under that
         // node's context — so a request's tree shows exactly which
         // combined wave served it and what I/O that wave did.
         let wave_node = if wave.iter().any(|p| p.trace != 0) {
@@ -653,116 +681,52 @@ impl<B: BlockDevice> VolumeManager<B> {
             0
         };
         let _wave_guard = (wave_node != 0).then(|| telemetry::enter_trace(wave_node));
-        let cs = self.store.chunk_size() as u64;
-        // Pass 1 (submission order): a read that follows a write to the
-        // same record is absorbed from the pending write's bytes; earlier
-        // reads must see the pre-wave store state.
-        let mut last_write: BTreeMap<(usize, u64), usize> = BTreeMap::new();
-        // Wave position of an absorbed read -> position of the write it
-        // is answered from.
-        let mut absorbed: Vec<Option<usize>> = vec![None; wave.len()];
-        let mut pre_reads: Vec<usize> = Vec::new();
-        let mut write_order: Vec<usize> = Vec::new();
-        for (i, p) in wave.iter().enumerate() {
-            if p.data.is_some() {
-                last_write.insert(p.key, i);
-                write_order.push(i);
-            } else if let Some(&w) = last_write.get(&p.key) {
-                absorbed[i] = Some(w);
-            } else {
-                pre_reads.push(i);
-            }
-        }
-        // Pass 2: one coalesced chunk-read batch for the pre-reads.
-        let mut read_results: BTreeMap<usize, OpResult> = BTreeMap::new();
-        if !pre_reads.is_empty() {
-            let mut chunk_idxs: Vec<usize> = Vec::new();
-            let mut seen: BTreeSet<usize> = BTreeSet::new();
-            for &i in &pre_reads {
-                let p = &wave[i];
-                let first = p.offset / cs;
-                let last = (p.offset + p.len as u64 - 1) / cs;
-                for c in first..=last {
-                    if seen.insert(c as usize) {
-                        chunk_idxs.push(c as usize);
-                    }
-                }
-            }
-            match self.store.read_data_batch(&chunk_idxs) {
-                Ok(chunks) => {
-                    let by_idx: BTreeMap<usize, Vec<u8>> =
-                        chunk_idxs.into_iter().zip(chunks).collect();
-                    for &i in &pre_reads {
-                        let p = &wave[i];
-                        let mut out = Vec::with_capacity(p.len);
-                        let mut pos = p.offset;
-                        let end = p.offset + p.len as u64;
-                        while pos < end {
-                            let c = (pos / cs) as usize;
-                            let within = (pos % cs) as usize;
-                            let take = ((cs as usize) - within).min((end - pos) as usize);
-                            let chunk = &by_idx[&c];
-                            out.extend_from_slice(&chunk[within..within + take]);
-                            pos += take as u64;
-                        }
-                        read_results.insert(i, Ok(Some(out)));
-                    }
-                }
-                Err(e) => {
-                    for &i in &pre_reads {
-                        read_results.insert(i, Err(VolumeError::Store(e.clone())));
-                    }
-                }
-            }
-        }
-        // Pass 3: one coalesced write batch, in submission order (the store
-        // applies overlapping ranges last-wins, matching sequential issue).
-        let mut write_result: Result<(), StoreError> = Ok(());
-        if !write_order.is_empty() {
-            let ranges: Vec<(u64, &[u8])> = write_order
-                .iter()
-                .map(|&i| {
-                    let p = &wave[i];
-                    (p.offset, p.data.as_deref().expect("write has data"))
-                })
-                .collect();
-            write_result = self.store.write_bytes_batch(&ranges).map(|_| ());
-        }
-        // Complete every slot and record per-tenant latency/counters.
-        let took = |p: &Pending| p.batch.began.elapsed();
-        for (i, p) in wave.iter().enumerate() {
-            let tenant = &tenants[p.tenant];
-            let result: OpResult = if p.data.is_some() {
-                tenant.record_write(took(p));
-                match &write_result {
-                    Ok(()) => Ok(None),
-                    Err(e) => Err(VolumeError::Store(e.clone())),
-                }
-            } else if let Some(r) = read_results.remove(&i) {
-                tenant.record_read(took(p));
-                r
-            } else {
-                // Absorbed read.
-                tenant.record_read(took(p));
-                tenant.absorbed_reads.add(1);
-                let w = absorbed[i].expect("read is pre-read, absorbed, or batched");
-                Ok(Some(wave[w].data.clone().expect("write has data")))
+        // In queue order: the store applies overlapping ranges last-wins,
+        // matching sequential issue.
+        let ranges: Vec<(u64, &[u8])> = wave.iter().map(|p| (p.offset, &p.data[..])).collect();
+        let result = self.store.write_bytes_batch(&ranges);
+        for p in &wave {
+            tenants[p.tenant].record_write(p.batch.began.elapsed());
+            let result = match &result {
+                Ok(_) => Ok(None),
+                Err(e) => Err(VolumeError::Store(e.clone())),
             };
             p.batch.fill(p.slot, result);
         }
     }
 
+    /// A read served on the calling thread: the record's bytes from
+    /// [`OiRaidStore::read_bytes`] into their own buffer, under the
+    /// request's root trace (0: not sampled), with the tenant's read
+    /// latency recorded since `began`.
+    fn read_at(
+        &self,
+        tenant: &Tenant,
+        offset: u64,
+        len: usize,
+        trace: u64,
+        began: Instant,
+    ) -> Result<Vec<u8>, VolumeError> {
+        let _guard = (trace != 0).then(|| telemetry::enter_trace(trace));
+        let mut buf = vec![0u8; len];
+        let result = self.store.read_bytes(offset, &mut buf);
+        tenant.record_read(began.elapsed());
+        result.map_err(VolumeError::Store)?;
+        Ok(buf)
+    }
+
     /// Reads one record through the **unbatched** path (one store call per
     /// op) — the baseline the closed-loop benchmark compares against. QoS
-    /// caps and tenant telemetry apply exactly as on the batched path.
+    /// caps and tenant telemetry apply exactly as in [`Self::submit`], whose
+    /// reads take this same store call.
     ///
     /// # Errors
     ///
     /// Validation errors as in [`Self::submit`]; store errors pass through.
     pub fn read_record(&self, volume: VolumeId, record: u64) -> Result<Vec<u8>, VolumeError> {
-        let (tenant, _, offset, len) = self.plan(volume, record, None)?;
+        let (tenant, offset, len) = self.plan(volume, record, None)?;
         let trace = telemetry::sample_trace();
-        let _guard = (trace != 0).then(|| {
+        if trace != 0 {
             telemetry::trace_event(
                 telemetry::EventKind::VolumeRead,
                 trace,
@@ -770,16 +734,10 @@ impl<B: BlockDevice> VolumeManager<B> {
                 volume.0 as u64,
                 record,
             );
-            telemetry::enter_trace(trace)
-        });
+        }
         let t = Arc::clone(&self.tenants.read().expect("tenants lock")[tenant]);
         t.pay(1);
-        let began = Instant::now();
-        let mut buf = vec![0u8; len];
-        let result = self.store.read_bytes(offset, &mut buf);
-        t.record_read(began.elapsed());
-        result.map_err(VolumeError::Store)?;
-        Ok(buf)
+        self.read_at(&t, offset, len, trace, Instant::now())
     }
 
     /// Writes one record through the **unbatched** path (one store RMW
@@ -794,7 +752,7 @@ impl<B: BlockDevice> VolumeManager<B> {
         record: u64,
         data: &[u8],
     ) -> Result<(), VolumeError> {
-        let (tenant, _, offset, _) = self.plan(volume, record, Some(data.len()))?;
+        let (tenant, offset, _) = self.plan(volume, record, Some(data.len()))?;
         let trace = telemetry::sample_trace();
         let _guard = (trace != 0).then(|| {
             telemetry::trace_event(
@@ -837,12 +795,12 @@ impl<B: BlockDevice> VolumeManager<B> {
         self.batches.load(Ordering::Relaxed)
     }
 
-    /// Drain waves issued to the store.
+    /// Write waves issued to the store.
     pub fn waves(&self) -> u64 {
         self.waves.load(Ordering::Relaxed)
     }
 
-    /// Operations that went through the batched path.
+    /// Valid operations accepted by [`Self::submit`], reads and writes.
     pub fn batch_ops(&self) -> u64 {
         self.batch_ops.load(Ordering::Relaxed)
     }
@@ -858,17 +816,17 @@ impl<B: BlockDevice> VolumeManager<B> {
         for (name, help, value) in [
             (
                 "oi_volume_batches_total",
-                "Submissions accepted by the batched path",
+                "Submissions accepted by submit",
                 self.batches(),
             ),
             (
                 "oi_volume_waves_total",
-                "Drain waves issued to the store",
+                "Write waves issued to the store",
                 self.waves(),
             ),
             (
                 "oi_volume_batch_ops_total",
-                "Operations served by the batched path",
+                "Valid operations accepted by submit",
                 self.batch_ops(),
             ),
         ] {
@@ -897,7 +855,7 @@ impl<B: BlockDevice> VolumeManager<B> {
             for (metric, help, value) in [
                 (
                     "oi_volume_absorbed_reads_total",
-                    "Reads answered from a pending batched write without I/O",
+                    "Reads answered from an earlier write in the same submission",
                     t.absorbed_reads.get(),
                 ),
                 (
@@ -974,18 +932,14 @@ impl<B: BlockDevice> VolumeManager<B> {
     }
 }
 
-/// A validated op before enqueue.
+/// A validated op: a read (`data` is `None`) or a write before enqueue.
 struct OpSpec {
     tenant: usize,
-    key: (usize, u64),
     offset: u64,
     len: usize,
     data: Option<Vec<u8>>,
     trace: u64,
 }
-
-/// `plan` result alias, for clippy's sake.
-type OpPlan = Result<(usize, (usize, u64), u64, usize), VolumeError>;
 
 #[cfg(test)]
 mod tests {
@@ -1106,40 +1060,98 @@ mod tests {
     fn submit_preserves_per_record_program_order() {
         let m = manager(2);
         let t = m.add_tenant("a", TenantClass::default());
-        let v = m.create_volume(t, "v", 16, 4).unwrap();
-        // read(0) before any write sees the pre-batch state; read(0) after
-        // the second write absorbs the *latest* pending write.
-        m.write_record(v, 0, &[7u8; 16]).unwrap();
+        // Records of 24 B straddle the 16 B chunks.
+        let v = m.create_volume(t, "v", 24, 4).unwrap();
+        m.write_record(v, 0, &[7u8; 24]).unwrap();
+        m.write_record(v, 1, &[8u8; 24]).unwrap();
+        let read = |record| Op::Read { volume: v, record };
+        let write = |record, byte| Op::Write {
+            volume: v,
+            record,
+            data: vec![byte; 24],
+        };
+        // read(0) before any write sees the pre-submission state, and so
+        // does read(1) between the writes to record 0; read(0) after the
+        // second write is answered from the *latest* earlier write.
         let results = m.submit(vec![
-            Op::Read {
-                volume: v,
-                record: 0,
-            },
-            Op::Write {
-                volume: v,
-                record: 0,
-                data: vec![1u8; 16],
-            },
-            Op::Write {
-                volume: v,
-                record: 0,
-                data: vec![2u8; 16],
-            },
-            Op::Read {
-                volume: v,
-                record: 0,
-            },
+            read(0),
+            write(0, 1),
+            read(1),
+            write(0, 2),
+            read(0),
+            write(1, 3),
         ]);
-        assert_eq!(results[0].clone().unwrap(), Some(vec![7u8; 16]));
-        assert_eq!(results[1].clone().unwrap(), None);
-        assert_eq!(results[2].clone().unwrap(), None);
-        assert_eq!(results[3].clone().unwrap(), Some(vec![2u8; 16]));
-        // The final read was absorbed from the pending write: no extra I/O.
+        let got: Vec<Option<Vec<u8>>> = results.into_iter().map(Result::unwrap).collect();
+        let bytes = |b| Some(vec![b; 24]);
+        assert_eq!(got, [bytes(7), None, bytes(8), None, bytes(2), None]);
+        // The final read was answered from the write: no extra I/O.
         let tenants = m.tenants.read().unwrap();
         assert_eq!(tenants[0].absorbed_reads.get(), 1);
-        // And the store really holds the last write.
+        assert_eq!(tenants[0].reads.get(), 3);
         drop(tenants);
-        assert_eq!(m.read_record(v, 0).unwrap(), vec![2u8; 16]);
+        assert_eq!(m.batch_ops(), 6);
+        // And the store really holds the last writes.
+        assert_eq!(m.read_record(v, 0).unwrap(), vec![2u8; 24]);
+        assert_eq!(m.read_record(v, 1).unwrap(), vec![3u8; 24]);
+        assert!(m.store().check_parity().is_empty());
+    }
+
+    #[test]
+    fn a_read_only_submit_waits_for_no_drain_lock() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let m = Arc::new(manager(4));
+        let t = m.add_tenant("a", TenantClass::default());
+        let v = m.create_volume(t, "v", 16, 32).unwrap();
+        for r in 0..32 {
+            m.write_record(v, r, &[r as u8 + 1; 16]).unwrap();
+        }
+        // Every drain lock is held for as long as the reads may take.
+        let held: Vec<_> = m.shards.iter().map(|s| s.drain.lock().unwrap()).collect();
+        let (tx, rx) = mpsc::channel();
+        let reader = {
+            let m = Arc::clone(&m);
+            std::thread::spawn(move || {
+                let ops = (0..32).map(|record| Op::Read { volume: v, record });
+                let _ = tx.send(m.submit(ops.collect()));
+            })
+        };
+        let results = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("a read-only submit waited for a drain lock");
+        for (r, res) in results.into_iter().enumerate() {
+            assert_eq!(res.unwrap(), Some(vec![r as u8 + 1; 16]), "record {r}");
+        }
+        drop(held);
+        reader.join().unwrap();
+        assert_eq!(m.waves(), 0);
+        assert_eq!(m.batch_ops(), 32);
+    }
+
+    #[test]
+    fn a_capped_tenant_pays_for_its_reads() {
+        use std::time::Duration;
+        let m = manager(2);
+        // 1000 ops/s, burst 10: 60 reads must take at least ~50 ms.
+        let slow = TenantClass {
+            rate_ops_per_sec: Some(1000.0),
+            burst_ops: 10.0,
+            ..TenantClass::default()
+        };
+        let t = m.add_tenant("slow", slow);
+        let v = m.create_volume(t, "v", 16, 10).unwrap();
+        let began = Instant::now();
+        for _ in 0..6 {
+            let ops = (0..10).map(|record| Op::Read { volume: v, record });
+            for res in m.submit(ops.collect()) {
+                assert_eq!(res.unwrap(), Some(vec![0u8; 16]));
+            }
+        }
+        let took = began.elapsed();
+        assert!(took >= Duration::from_millis(35), "took {took:?}");
+        let tenants = m.tenants.read().unwrap();
+        assert!(tenants[0].throttle_waits.load(Ordering::Relaxed) > 0);
+        assert_eq!(tenants[0].reads.get(), 60);
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! shapes how the per-shard drain interleaves tenants when queues are
 //! contended, and an optional *rate cap* enforced by a token bucket at
 //! submission time. Capped tenants pace **themselves** (the submitting
-//! thread sleeps before its ops enter the shard queues), so a throttled
-//! tenant can never hold a drain slot hostage — the isolation model E19c
-//! measures.
+//! thread sleeps before any of its ops is served, reads included, or
+//! enters the shard queues), so a throttled tenant can never hold a drain
+//! slot hostage — the isolation model E19c measures.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};

@@ -1,6 +1,7 @@
 //! Multi-tenant volumes: carve one OI-RAID store into per-tenant volumes,
-//! push a batch of operations through the coalescing submission path, and
-//! watch the QoS classes keep tenants apart.
+//! push a batch of operations through one submission (reads served on the
+//! caller's thread, writes coalesced), and watch the QoS classes keep
+//! tenants apart.
 //!
 //! ```text
 //! cargo run --release --example volumes
@@ -33,9 +34,9 @@ fn main() {
     );
 
     // One submission, many operations: writes to the same chunk coalesce
-    // into a single read-modify-write, duplicate hot reads are served by
-    // one disk access, and a read behind a write in the same batch is
-    // answered from the pending write without touching a disk at all.
+    // into a single read-modify-write, and a read behind a write in the
+    // same submission is answered from that write without touching a disk
+    // at all (any other read is one store read on this thread).
     let mut ops = Vec::new();
     for r in 0..64u64 {
         ops.push(Op::Write {
@@ -57,7 +58,7 @@ fn main() {
     assert_eq!(reads.len(), 2);
     assert!(reads.iter().all(|r| r[0] == 7));
     println!(
-        "one submit   : 64 writes + 2 reads -> {} store wave(s), {} ops batched",
+        "one submit   : 64 writes + 2 reads -> {} write wave(s), {} ops accepted",
         mgr.waves(),
         mgr.batch_ops()
     );

@@ -1,8 +1,11 @@
 //! Cross-layer request tracing, end to end: a degraded read submitted
 //! through the [`VolumeManager`] while a DAG rebuild is live must be
-//! reconstructible from the global trace ring — volume root → combining
-//! wave → store batch → degraded reconstruct → individual device I/Os —
-//! and the same tree must be served over HTTP by the scrape endpoint.
+//! reconstructible from the global trace ring — volume root → degraded
+//! reconstruct → device run → individual device I/Os, the read served on
+//! its submitter's thread with no combining wave between — a submitted
+//! write's tree must run volume root → combining wave → store batch →
+//! write group, and the same trees must be served over HTTP by the scrape
+//! endpoint.
 //! Separately, an induced `RebuildOutcome::Aborted` must leave the
 //! escalation/retry history in the flight recorder.
 
@@ -59,6 +62,20 @@ fn descendants(events: &[Event], root: u64) -> Vec<Event> {
         }
     }
     out
+}
+
+/// Whether `events` hold a path of `kinds`, each hanging under the one
+/// before it, the first under one of `roots`.
+fn chain(events: &[Event], roots: &[u64], kinds: &[EventKind]) -> bool {
+    let mut parents: Vec<u64> = roots.to_vec();
+    for &kind in kinds {
+        parents = events
+            .iter()
+            .filter(|e| e.kind == kind && parents.contains(&e.parent))
+            .map(|e| e.trace)
+            .collect();
+    }
+    !parents.is_empty()
 }
 
 #[test]
@@ -149,30 +166,72 @@ fn degraded_read_during_live_rebuild_reconstructs_from_traces() {
     );
 
     let events = telemetry::traces().snapshot();
-    // Every live root fans into a combining wave.
+    // A read is served on its submitter's thread: no live root fans into a
+    // combining wave.
     for &root in &roots {
         assert!(
-            events
+            !events
                 .iter()
                 .any(|e| e.parent == root && e.kind == EventKind::Wave),
-            "root {root} has a wave edge"
+            "read root {root} has a wave edge"
         );
     }
-    // Across the live roots, the full causal chain appears: wave →
-    // store batch → degraded reconstruct → device I/O leaves.
+    // Across the live roots, the full causal chain hangs off a root
+    // directly: degraded reconstruct → device run → device I/O leaf.
     let all: Vec<Event> = roots
         .iter()
         .flat_map(|&r| descendants(&events, r))
         .collect();
     let has = |k: EventKind| all.iter().any(|e| e.kind == k);
-    assert!(has(EventKind::Wave), "wave nodes present");
-    assert!(has(EventKind::BatchRead), "store batch under a wave");
-    assert!(has(EventKind::DiskRun), "device runs under a store batch");
     assert!(
         has(EventKind::DegradedRead),
         "reads of the failed disk took the reconstruct path"
     );
+    assert!(has(EventKind::DiskRun), "device runs under a read");
     assert!(has(EventKind::DeviceRead), "device-level read leaves");
+    assert!(
+        chain(
+            &all,
+            &roots,
+            &[
+                EventKind::DegradedRead,
+                EventKind::DiskRun,
+                EventKind::DeviceRead
+            ]
+        ),
+        "degraded read -> device run -> device read under a read root"
+    );
+
+    // A traced write submission goes through the combining funnel: its
+    // root fans into a wave, which issues one store batch of write groups.
+    let ops: Vec<Op> = (0..records)
+        .map(|r| Op::Write {
+            volume,
+            record: r,
+            data: (0..24).map(|i| (r as u8) ^ i ^ 0x5A).collect(),
+        })
+        .collect();
+    let (results, write_roots) = manager.submit_traced(ops);
+    assert!(results.into_iter().all(|r| r == Ok(None)), "writes land");
+    let write_roots: Vec<u64> = write_roots.into_iter().filter(|&t| t != 0).collect();
+    assert_eq!(write_roots.len(), records as usize, "every write sampled");
+    let events = telemetry::traces().snapshot();
+    let all: Vec<Event> = write_roots
+        .iter()
+        .flat_map(|&r| descendants(&events, r))
+        .collect();
+    assert!(
+        chain(
+            &all,
+            &write_roots,
+            &[
+                EventKind::Wave,
+                EventKind::BatchWrite,
+                EventKind::WriteGroup
+            ]
+        ),
+        "wave -> store batch -> write group under a write root"
+    );
     // And the rebuild itself is traced, rounds hanging off its root.
     let rebuild_roots: Vec<u64> = events
         .iter()
