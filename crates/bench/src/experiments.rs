@@ -1678,12 +1678,12 @@ pub fn e19_volume_closed_loop() -> Vec<(String, Table)> {
         ]);
     }
 
-    // E19c: QoS isolation. Tenant A (weight 4, uncapped) runs the same
-    // closed loop solo and then alongside tenant B, which is rate-capped
-    // and must not move A's tail.
+    // E19c: QoS isolation. Tenant A (uncapped) runs the same closed loop
+    // solo and then alongside tenant B, which is rate-capped and must not
+    // move A's tail.
     let ops_c = (clients / 5).clamp(4_096, 24_576);
     let two_tenants: &[(&str, TenantClass)] = &[
-        ("tenant-a", TenantClass::weighted(4)),
+        ("tenant-a", TenantClass::default()),
         ("tenant-b", TenantClass::capped(600.0)),
     ];
     let solo = {
@@ -1716,7 +1716,7 @@ pub fn e19_volume_closed_loop() -> Vec<(String, Table)> {
         "p99 vs solo (x)",
     ]);
     t3.row_owned(vec![
-        "A (weight 4)".into(),
+        "A (uncapped)".into(),
         "solo".into(),
         solo.ops.to_string(),
         f3(solo.ops_per_sec()),
@@ -1725,7 +1725,7 @@ pub fn e19_volume_closed_loop() -> Vec<(String, Table)> {
         "1.000".into(),
     ]);
     t3.row_owned(vec![
-        "A (weight 4)".into(),
+        "A (uncapped)".into(),
         "with capped B".into(),
         shared_a.ops.to_string(),
         f3(shared_a.ops_per_sec()),

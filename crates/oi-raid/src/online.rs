@@ -18,7 +18,7 @@
 
 use std::collections::{BTreeSet, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use layout::ChunkAddr;
 
@@ -168,11 +168,12 @@ impl OnlineState {
         self.update_locks.fetch_add(1, Ordering::Relaxed);
         let stripes = stripe_order(regions)
             .into_iter()
-            .map(|i| match self.stripes[i].lock() {
-                Ok(g) => g,
-                // A panic while holding a stripe (e.g. an assert in a test
-                // thread) must not wedge every subsequent I/O.
-                Err(poisoned) => poisoned.into_inner(),
+            // A panic while holding a stripe (e.g. an assert in a test
+            // thread) must not wedge every subsequent I/O.
+            .map(|i| {
+                self.stripes[i]
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
             })
             .collect();
         RegionGuards { _stripes: stripes }
@@ -181,10 +182,7 @@ impl OnlineState {
     fn window(&self) -> MutexGuard<'_, Option<RebuildWindow>> {
         #[cfg(test)]
         self.window_locks.fetch_add(1, Ordering::Relaxed);
-        match self.window.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
+        self.window.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Opens a rebuild window over `disks`: their chunks read as missing

@@ -23,11 +23,11 @@
 //! only when a parked worker has no wake-up already on its way, so a busy
 //! pool makes no wake-up syscalls at all.
 //!
-//! Failure is a first-class edge of the graph, not an exception: an op
-//! whose callback returns [`OpStatus::Failed`] *poisons* its dependents,
-//! which are then finalized as cancelled (transitively) without running.
-//! The caller gets the cancelled set back and can re-root those subgraphs
-//! — re-plan just the affected items — instead of re-running everything.
+//! **There is no failure edge.** Every op runs once its dependencies have
+//! run: a callback handles a fault inside its own op (a rebuild batch
+//! leaves the items it cannot serve unwritten), so a run always executes
+//! the whole graph. [`OpStatus`] has the one variant `Done` and stays only
+//! because the benchmark's scheduler probe names it.
 //!
 //! Scheduler observability is built in: [`SchedMetrics`] carries live
 //! [`Gauge`]/[`Counter`] handles (ready-set depth, in-flight ops, steals)
@@ -39,7 +39,7 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -48,14 +48,12 @@ use telemetry::{Counter, Gauge, Registry};
 /// Identifies one op inside an [`OpGraph`] (dense, starting at 0).
 pub type OpId = usize;
 
-/// What an op's callback reports back to the scheduler.
+/// What an op's callback reports back to the scheduler: it ran, so its
+/// dependents may run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpStatus {
-    /// The op succeeded; dependents may run.
+    /// The op ran; dependents may run.
     Done,
-    /// The op failed; dependents (transitively) are cancelled and returned
-    /// in [`ExecReport::cancelled`] for the caller to re-plan.
-    Failed,
 }
 
 /// A dependency graph of opaque operations, built up-front and executed
@@ -177,11 +175,8 @@ impl SchedMetrics {
 /// Aggregate statistics of one [`run`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedStats {
-    /// Ops whose callback ran (whether it returned `Done` or `Failed`).
+    /// Ops whose callback ran.
     pub executed: u64,
-    /// Ops finalized as cancelled without running (poisoned by a failed
-    /// ancestor).
-    pub cancelled: u64,
     /// Ready-set pops of an op that a *different* worker made ready. An
     /// op its own producer runs next (downstream-first) is never popped,
     /// and the graph's roots are made ready by no worker, so neither
@@ -202,7 +197,6 @@ impl SchedStats {
     /// the max. For summing stats across successive [`run`] calls.
     pub fn absorb(&mut self, other: &SchedStats) {
         self.executed += other.executed;
-        self.cancelled += other.cancelled;
         self.steals += other.steals;
         self.max_ready_depth = self.max_ready_depth.max(other.max_ready_depth);
         self.max_inflight = self.max_inflight.max(other.max_inflight);
@@ -218,9 +212,6 @@ pub struct ExecReport {
     /// Time each worker spent inside op callbacks, in worker order (zero
     /// for workers a graph smaller than the pool never needed).
     pub worker_busy: Vec<Duration>,
-    /// Ops that never ran because an ancestor failed, in finalization
-    /// order. Empty for a fault-free run.
-    pub cancelled: Vec<OpId>,
 }
 
 /// Who made a root op ready: no worker.
@@ -244,15 +235,12 @@ struct Ready {
 struct Shared<'g, T> {
     graph: &'g OpGraph<T>,
     indeg: Vec<AtomicU32>,
-    poisoned: Vec<AtomicBool>,
     ready: Mutex<Ready>,
     wake: Condvar,
-    /// Ops not yet finalized (executed or cancelled). The run is over when
-    /// this reaches zero.
+    /// Ops not yet executed. The run is over when this reaches zero.
     remaining: AtomicUsize,
     metrics: SchedMetrics,
     inflight: AtomicI64,
-    cancelled: Mutex<Vec<OpId>>,
 }
 
 impl<T> Shared<'_, T> {
@@ -277,7 +265,7 @@ impl<T> Shared<'_, T> {
     }
 
     /// Takes the first ready op, parking while there is none; `None` once
-    /// every op is finalized.
+    /// every op has run.
     fn pop(&self, w: usize, stats: &mut SchedStats) -> Option<OpId> {
         let mut ready = self.lock_ready();
         loop {
@@ -308,18 +296,13 @@ impl<T> Shared<'_, T> {
     }
 
     /// Decrements every dependent's indegree; the decrement that lands on
-    /// zero — exactly one, by `fetch_sub` atomicity — makes it ready. A
-    /// failed/cancelled op poisons the dependent first, so the poison is
-    /// visible before the dependent can possibly run. Returns the first
-    /// (in ready order) of the ops this made ready, for worker `w` to run
-    /// next; the others are queued.
-    fn finish(&self, w: usize, op: OpId, ok: bool) -> Option<OpId> {
+    /// zero — exactly one, by `fetch_sub` atomicity — makes it ready.
+    /// Returns the first (in ready order) of the ops this made ready, for
+    /// worker `w` to run next; the others are queued.
+    fn finish(&self, w: usize, op: OpId) -> Option<OpId> {
         let mut next: Option<(bool, OpId)> = None;
         let mut ready: Option<MutexGuard<'_, Ready>> = None;
         for &dep in &self.graph.dependents[op] {
-            if !ok {
-                self.poisoned[dep].store(true, Ordering::Release);
-            }
             if self.indeg[dep].fetch_sub(1, Ordering::AcqRel) == 1 {
                 let key = self.key(dep);
                 let Some(kept) = next else {
@@ -345,7 +328,7 @@ impl<T> Shared<'_, T> {
     }
 
     /// One worker's life: run what the last op made ready, else the first
-    /// op of the ready set, until the graph is finalized. Returns its
+    /// op of the ready set, until every op has run. Returns its
     /// share of the statistics and its time inside callbacks.
     fn work<F>(&self, w: usize, f: &F) -> (SchedStats, Duration)
     where
@@ -355,12 +338,6 @@ impl<T> Shared<'_, T> {
         let mut busy = Duration::ZERO;
         let mut next = None;
         while let Some(op) = next.take().or_else(|| self.pop(w, &mut stats)) {
-            if self.poisoned[op].load(Ordering::Acquire) {
-                stats.cancelled += 1;
-                self.cancelled.lock().expect("cancel lock").push(op);
-                next = self.finish(w, op, false);
-                continue;
-            }
             let d = self.inflight.fetch_add(1, Ordering::Relaxed) + 1;
             stats.max_inflight = stats.max_inflight.max(d.max(0) as u64);
             self.metrics.inflight_ops.add(1);
@@ -380,13 +357,13 @@ impl<T> Shared<'_, T> {
                 telemetry::enter_trace(node)
             });
             let began = Instant::now();
-            let status = f(w, op, self.graph.payload(op));
+            let OpStatus::Done = f(w, op, self.graph.payload(op));
             drop(trace_guard);
             busy += began.elapsed();
             self.metrics.inflight_ops.add(-1);
             self.inflight.fetch_sub(1, Ordering::Relaxed);
             stats.executed += 1;
-            next = self.finish(w, op, status == OpStatus::Done);
+            next = self.finish(w, op);
         }
         (stats, busy)
     }
@@ -394,13 +371,9 @@ impl<T> Shared<'_, T> {
 
 /// Executes `graph` on up to `workers` threads (never more than it has
 /// ops), calling `f(worker, op, payload)` for each runnable op in the
-/// ready order the module docs describe. Returns once every op is executed
-/// or cancelled. `_devices` is the size of the device-id space; the ready
-/// order does not depend on it.
-///
-/// The callback decides success: [`OpStatus::Failed`] cancels the op's
-/// transitive dependents (they are reported, not run). `metrics` gauges
-/// tick live while the run is in flight.
+/// ready order the module docs describe. Returns once every op has run.
+/// `_devices` is the size of the device-id space; the ready order does not
+/// depend on it. `metrics` gauges tick live while the run is in flight.
 pub fn run<T, F>(
     workers: usize,
     _devices: usize,
@@ -418,12 +391,10 @@ where
         return ExecReport {
             stats: SchedStats::default(),
             worker_busy,
-            cancelled: Vec::new(),
         };
     }
     let mut shared = Shared {
         indeg: graph.indeg.iter().map(|&d| AtomicU32::new(d)).collect(),
-        poisoned: (0..graph.len()).map(|_| AtomicBool::new(false)).collect(),
         ready: Mutex::new(Ready {
             heap: BinaryHeap::new(),
             sleepers: 0,
@@ -434,7 +405,6 @@ where
         remaining: AtomicUsize::new(graph.len()),
         metrics: metrics.clone(),
         inflight: AtomicI64::new(0),
-        cancelled: Mutex::new(Vec::new()),
         graph,
     };
     {
@@ -458,16 +428,13 @@ where
     let ready = shared.ready.get_mut().expect("ready lock");
     debug_assert!(ready.heap.is_empty(), "ready set drained");
     stats.max_ready_depth = ready.max_depth as u64;
-    ExecReport {
-        stats,
-        worker_busy,
-        cancelled: shared.cancelled.into_inner().expect("cancel lock"),
-    }
+    ExecReport { stats, worker_busy }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
     use std::sync::atomic::AtomicU32 as Count;
 
     fn statuses(n: usize) -> Vec<AtomicBool> {
@@ -479,7 +446,6 @@ mod tests {
         let g: OpGraph<()> = OpGraph::new();
         let r = run(4, 2, &SchedMetrics::default(), &g, |_, _, _| OpStatus::Done);
         assert_eq!(r.stats, SchedStats::default());
-        assert!(r.cancelled.is_empty());
     }
 
     #[test]
@@ -501,37 +467,8 @@ mod tests {
             OpStatus::Done
         });
         assert_eq!(r.stats.executed, n as u64);
-        assert_eq!(r.stats.cancelled, 0);
         // A strict chain can never have two ops in flight.
         assert_eq!(r.stats.max_inflight, 1);
-    }
-
-    #[test]
-    fn failure_cancels_transitive_dependents_only() {
-        // a -> b -> c, plus independent d. a fails: b and c cancelled.
-        let mut g = OpGraph::new();
-        let a = g.add_node("a", None);
-        let b = g.add_node("b", None);
-        let c = g.add_node("c", None);
-        let d = g.add_node("d", None);
-        g.add_edge(a, b);
-        g.add_edge(b, c);
-        let ran = statuses(4);
-        let r = run(4, 0, &SchedMetrics::default(), &g, |_, op, _| {
-            ran[op].store(true, Ordering::Release);
-            if op == a {
-                OpStatus::Failed
-            } else {
-                OpStatus::Done
-            }
-        });
-        assert_eq!(r.stats.executed, 2, "a and d ran");
-        assert_eq!(r.stats.cancelled, 2);
-        let mut cancelled = r.cancelled.clone();
-        cancelled.sort_unstable();
-        assert_eq!(cancelled, vec![b, c]);
-        assert!(ran[d].load(Ordering::Acquire));
-        assert!(!ran[b].load(Ordering::Acquire) && !ran[c].load(Ordering::Acquire));
     }
 
     #[test]
@@ -621,7 +558,6 @@ mod tests {
                 OpStatus::Done
             });
             assert_eq!(r.stats.executed, g.len() as u64, "iter {iter}");
-            assert_eq!(r.stats.cancelled, 0, "iter {iter}");
             for (op, c) in fired.iter().enumerate() {
                 assert_eq!(
                     c.load(Ordering::Acquire),
@@ -763,54 +699,5 @@ mod tests {
         assert_eq!(r.stats.executed, 3);
         assert_eq!(r.worker_busy.len(), 32);
         assert!(seen.lock().unwrap().iter().all(|&w| w < 3));
-    }
-
-    /// Same stress shape but with random failures: executed + cancelled
-    /// must account for every op exactly once, and no cancelled op may
-    /// have run.
-    #[test]
-    fn stress_failures_partition_the_graph() {
-        let mut seed = 0xA24BAED4963EE407u64;
-        let mut next = move || {
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            seed
-        };
-        for iter in 0..30 {
-            let mut g = OpGraph::new();
-            let mut prev: Vec<OpId> = Vec::new();
-            for l in 0..5 {
-                let mut cur = Vec::new();
-                for i in 0..16 {
-                    let op = g.add_node((l, i), Some(i % 5));
-                    if !prev.is_empty() {
-                        for _ in 0..(1 + next() % 2) {
-                            g.add_edge(prev[(next() as usize) % prev.len()], op);
-                        }
-                    }
-                    cur.push(op);
-                }
-                prev = cur;
-            }
-            let fail_mask: Vec<bool> = (0..g.len()).map(|_| next() % 8 == 0).collect();
-            let fired: Vec<Count> = (0..g.len()).map(|_| Count::new(0)).collect();
-            let r = run(16, 5, &SchedMetrics::default(), &g, |_, op, _| {
-                fired[op].fetch_add(1, Ordering::AcqRel);
-                if fail_mask[op] {
-                    OpStatus::Failed
-                } else {
-                    OpStatus::Done
-                }
-            });
-            assert_eq!(
-                r.stats.executed + r.stats.cancelled,
-                g.len() as u64,
-                "iter {iter}: every op finalized exactly once"
-            );
-            for &op in &r.cancelled {
-                assert_eq!(fired[op].load(Ordering::Acquire), 0, "iter {iter}");
-            }
-        }
     }
 }

@@ -8,11 +8,11 @@
 //! * [`VolumeManager`] — maps volumes onto the store and runs the
 //!   submission path: reads answered on the submitting thread (from an
 //!   earlier write in the same submission where there is one), writes
-//!   through per-shard queues and a combining drain (one submitter serves
-//!   everyone's pending writes), coalesced down to one read-modify-write
-//!   per touched chunk (see [`manager`] docs).
-//! * [`TenantClass`] — per-tenant QoS: drain weights plus optional
-//!   token-bucket rate caps that make tenants pace themselves.
+//!   through one arrival-order queue per shard and a combining drain (one
+//!   submitter serves everyone's pending writes), coalesced down to one
+//!   read-modify-write per touched chunk (see [`manager`] docs).
+//! * [`TenantClass`] — per-tenant QoS: an optional token-bucket rate cap
+//!   that makes a tenant pace itself, plus an optional latency SLO.
 //! * [`Zipf`] — the skewed key sampler the closed-loop benchmark (E19)
 //!   and the equivalence property tests drive the layer with.
 //!

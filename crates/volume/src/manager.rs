@@ -20,7 +20,8 @@
 //!   the drainer and serves **everyone's** pending writes — a combining
 //!   funnel: concurrent writers to a hot shard merge their work into one
 //!   store batch instead of contending chunk by chunk. Each drain wave (up
-//!   to `MAX_WAVE` writes, tenants interleaved by their QoS weight) is one
+//!   to `MAX_WAVE` writes, taken from the front of the shard's one FIFO in
+//!   arrival order, whatever their tenant) is one
 //!   [`OiRaidStore::write_bytes_batch`], which coalesces it into one
 //!   read-modify-write per touched chunk.
 //!
@@ -242,27 +243,20 @@ impl BatchState {
     }
 }
 
-/// One shard: per-tenant FIFO write queues plus the combining drain lock.
+/// One shard: one arrival-order write FIFO plus the combining drain lock.
 struct Shard {
-    queues: Mutex<Vec<VecDeque<Pending>>>,
+    queue: Mutex<VecDeque<Pending>>,
     drain: Mutex<()>,
-    /// Running mean of this shard's wave wall time in microseconds (0 until
-    /// the first wave). Written by the drainer alone, under `drain`; read
-    /// by submitters deciding whether a busy shard is worth waiting for.
-    wave_us: AtomicU64,
 }
 
-/// A busy shard whose waves last longer than this is waited for in pass 1
-/// of `submit` instead of being put off. Skipping a busy shard buys
-/// parallelism (two drainers on two shards) at the price of combining (the
-/// skipper goes on to drain other shards early, in smaller waves). Where a
-/// wave takes a fraction of a millisecond — memory devices, the journaled
-/// file store — sleeping on the lock costs as much as the wave and skipping
-/// wins (E24). Where a wave takes tens of milliseconds it is the devices
-/// that are slow: waiting is free by comparison, big waves are what pays,
-/// and parallel drainers make tail latency a lottery (E19c's isolation
-/// bound failed one run in three with unconditional skipping).
-const PATIENT_ABOVE_US: u64 = 10_000;
+impl Shard {
+    /// Pops up to `MAX_WAVE` writes from the front of the queue.
+    fn take_wave(&self) -> Vec<Pending> {
+        let mut queue = self.queue.lock().expect("shard queue lock");
+        let take = queue.len().min(MAX_WAVE);
+        queue.drain(..take).collect()
+    }
+}
 
 /// Most writes one drain wave takes. Larger waves amortize better;
 /// smaller waves bound per-wave memory and tail latency.
@@ -295,9 +289,8 @@ impl<B: BlockDevice> VolumeManager<B> {
             store,
             shards: (0..shards)
                 .map(|_| Shard {
-                    queues: Mutex::new(Vec::new()),
+                    queue: Mutex::new(VecDeque::new()),
                     drain: Mutex::new(()),
-                    wave_us: AtomicU64::new(0),
                 })
                 .collect(),
             tenants: RwLock::new(Vec::new()),
@@ -319,13 +312,6 @@ impl<B: BlockDevice> VolumeManager<B> {
         let mut tenants = self.tenants.write().expect("tenants lock");
         let id = TenantId(tenants.len());
         tenants.push(Arc::new(Tenant::new(id.0, name, class)));
-        for shard in &self.shards {
-            shard
-                .queues
-                .lock()
-                .expect("shard queues lock")
-                .push(VecDeque::new());
-        }
         id
     }
 
@@ -524,7 +510,7 @@ impl<B: BlockDevice> VolumeManager<B> {
                 done.push((*slot, result.map(Some)));
             }
         }
-        // Enqueue the writes (one `queues` lock per touched shard), then
+        // Enqueue the writes (one `queue` lock per touched shard), then
         // drain every touched shard. The drain lock makes one thread the
         // combiner for everyone's pending writes, so ours are served even
         // if another submitter drains them first.
@@ -546,31 +532,24 @@ impl<B: BlockDevice> VolumeManager<B> {
         }
         let touched: Vec<usize> = by_shard.keys().copied().collect();
         for (shard, ops) in by_shard {
-            let mut queues = self.shards[shard].queues.lock().expect("shard queues lock");
-            for p in ops {
-                queues[p.tenant].push_back(p);
-            }
+            let mut queue = self.shards[shard].queue.lock().expect("shard queue lock");
+            queue.extend(ops);
         }
-        // Pass 1 puts off a shard someone else is draining (unless its
-        // waves are long, see `PATIENT_ABOVE_US`), so two submitters that
-        // touch the same shards work on different ones instead of queueing
-        // behind each other shard by shard. Pass 2 is the blocking visit
-        // that liveness rests on (see `drain_shard`).
+        // Pass 1 puts off a shard someone else is draining, so two
+        // submitters that touch the same shards work on different ones
+        // instead of queueing behind each other shard by shard. Pass 2 is
+        // the blocking visit that liveness rests on (see `drain_shard`).
         let mut busy: Vec<usize> = Vec::new();
         for shard in touched {
             if batch.is_complete() {
                 break;
             }
-            let s = &self.shards[shard];
-            let drain = match s.drain.try_lock() {
+            let drain = match self.shards[shard].drain.try_lock() {
                 Ok(drain) => drain,
-                Err(TryLockError::WouldBlock)
-                    if s.wave_us.load(Ordering::Relaxed) < PATIENT_ABOVE_US =>
-                {
+                Err(TryLockError::WouldBlock) => {
                     busy.push(shard);
                     continue;
                 }
-                Err(TryLockError::WouldBlock) => s.drain.lock().expect("shard drain lock"),
                 Err(TryLockError::Poisoned(_)) => panic!("shard drain lock poisoned"),
             };
             self.drain_shard(shard, drain, &batch);
@@ -586,16 +565,15 @@ impl<B: BlockDevice> VolumeManager<B> {
     }
 
     /// Drains one shard as its combiner (the caller passes the shard's
-    /// drain lock, held): pulls weighted waves of writes and issues each as
-    /// one coalesced store batch, stopping when the shard is empty or the
-    /// caller's own batch has completed.
+    /// drain lock, held): pulls waves of writes in arrival order and issues
+    /// each as one coalesced store batch, stopping when the shard is empty
+    /// or the caller's own batch has completed.
     ///
     /// What a drainer may assume in each of `submit`'s two passes. In pass 1
-    /// it got the lock without waiting, or waited because this shard's waves
-    /// are long (`PATIENT_ABOVE_US`); shards it found busy otherwise are
-    /// merely put off, nothing is given up. In pass 2 it waits for the
-    /// lock, exactly as the single pass used to. In both, its own writes
-    /// are already queued, so "shard empty" implies they were served.
+    /// it got the lock without waiting; shards it found busy are merely put
+    /// off, nothing is given up. In pass 2 it waits for the lock. In both,
+    /// its own writes are already queued, so "shard empty" implies they
+    /// were served.
     ///
     /// The early exit bounds servitude — under sustained load a drainer is
     /// never stuck serving other submitters' streams forever — without
@@ -606,54 +584,16 @@ impl<B: BlockDevice> VolumeManager<B> {
     /// only skips a visit once all its ops are done; a pass-1 visit that
     /// did get the lock ran until the shard was empty or its batch done.
     fn drain_shard(&self, shard: usize, _drain: MutexGuard<'_, ()>, own: &BatchState) {
-        let s = &self.shards[shard];
         while !own.is_complete() {
-            // One guard per wave serves the weights and the per-tenant
-            // latency records; the `Arc`s are not cloned.
-            let tenants = self.tenants.read().expect("tenants lock");
-            let wave = self.take_wave(s, &tenants);
+            let wave = self.shards[shard].take_wave();
             if wave.is_empty() {
                 return;
             }
             self.waves.fetch_add(1, Ordering::Relaxed);
-            let began = Instant::now();
-            self.execute_wave(wave, &tenants);
-            let took = began.elapsed().as_micros() as u64;
-            let mean = match s.wave_us.load(Ordering::Relaxed) {
-                0 => took,
-                mean => (3 * mean + took) / 4,
-            };
-            s.wave_us.store(mean, Ordering::Relaxed);
+            // One guard per wave serves the per-tenant latency records; the
+            // `Arc`s are not cloned.
+            self.execute_wave(wave, &self.tenants.read().expect("tenants lock"));
         }
-    }
-
-    /// Pops up to `MAX_WAVE` ops from a shard's tenant queues, interleaved
-    /// by QoS weight (a weight-w tenant contributes up to w ops per
-    /// round-robin cycle while its queue lasts).
-    fn take_wave(&self, s: &Shard, tenants: &[Arc<Tenant>]) -> Vec<Pending> {
-        let mut queues = s.queues.lock().expect("shard queues lock");
-        let mut wave = Vec::new();
-        let mut any = true;
-        while any && wave.len() < MAX_WAVE {
-            any = false;
-            for (t, q) in queues.iter_mut().enumerate() {
-                let weight = tenants.get(t).map_or(1, |t| t.class.weight.max(1));
-                let take = (weight as usize).min(MAX_WAVE - wave.len());
-                for _ in 0..take {
-                    match q.pop_front() {
-                        Some(p) => {
-                            wave.push(p);
-                            any = true;
-                        }
-                        None => break,
-                    }
-                }
-                if wave.len() >= MAX_WAVE {
-                    break;
-                }
-            }
-        }
-        wave
     }
 
     /// Executes one wave of writes: one coalesced store batch, then every
@@ -1272,53 +1212,83 @@ mod tests {
         assert_eq!(m.batch_ops(), 64);
     }
 
-    /// The one measurement `submit` steers by: a shard's mean wave time
-    /// puts memory devices far below `PATIENT_ABOVE_US` and devices with
-    /// real latency far above it.
+    /// Two tenants' writes in one shard queue: tenant A's last record and
+    /// tenant B's first start on the same chunk (B's runs on into the
+    /// next), and four submitters overwrite both, so waves mix the tenants
+    /// in arrival order and coalesce them into one read-modify-write.
     #[test]
-    fn wave_time_separates_fast_devices_from_slow_ones() {
-        use blockdev::{FaultConfig, FaultInjectingDevice};
+    fn two_tenants_sharing_a_chunk_keep_their_last_writes() {
+        use std::sync::mpsc;
         use std::time::Duration;
-        fn write<B: BlockDevice>(m: &VolumeManager<B>, v: VolumeId) {
-            for res in m.submit(vec![Op::Write {
-                volume: v,
-                record: 0,
-                data: vec![1u8; 16],
-            }]) {
-                res.unwrap();
-            }
-        }
-        let fast = manager(1);
-        let t = fast.add_tenant("a", TenantClass::default());
-        let v = fast.create_volume(t, "v", 16, 4).unwrap();
-        assert_eq!(fast.shards[0].wave_us.load(Ordering::Relaxed), 0);
-        write(&fast, v);
-        assert!(fast.shards[0].wave_us.load(Ordering::Relaxed) < PATIENT_ABOVE_US / 4);
-
-        let cfg = OiRaidConfig::reference();
-        let spindle = Duration::from_millis(5);
-        let devices = (0..cfg.disks())
-            .map(|_| {
-                FaultInjectingDevice::new(
-                    MemDevice::new(16, cfg.chunks_per_disk()),
-                    FaultConfig::latency(spindle, spindle),
-                )
+        const ROUNDS: u8 = 200;
+        let m = Arc::new(manager(2));
+        let a = m.add_tenant("a", TenantClass::default());
+        let b = m.add_tenant("b", TenantClass::default());
+        // A: bytes 0..60 in 12 B records, its last one at 48..60; B: from
+        // byte 60, its first record at 60..72. Both start on chunk 3.
+        let va = m.create_volume(a, "a", 12, 5).unwrap();
+        let vb = m.create_volume(b, "b", 12, 4).unwrap();
+        let (ra, rb) = (4u64, 0u64);
+        assert_eq!(m.shard_of(48), m.shard_of(60));
+        m.write_record(va, 3, &[0xAA; 12]).unwrap();
+        m.write_record(vb, 1, &[0xBB; 12]).unwrap();
+        let tag = |w: u8, round: u8, record: u8| -> Vec<u8> {
+            (0..12).map(|i| [w, round, record][i % 3]).collect()
+        };
+        let (tx, rx) = mpsc::channel();
+        let writers: Vec<_> = (0..4u8)
+            .map(|w| {
+                let (m, tx) = (Arc::clone(&m), tx.clone());
+                std::thread::spawn(move || {
+                    for round in 0..ROUNDS {
+                        let mut ops = vec![
+                            Op::Write {
+                                volume: va,
+                                record: ra,
+                                data: tag(w, round, 0),
+                            },
+                            Op::Write {
+                                volume: vb,
+                                record: rb,
+                                data: tag(w, round, 1),
+                            },
+                        ];
+                        if w % 2 == 1 {
+                            ops.reverse();
+                        }
+                        for res in m.submit(ops) {
+                            res.unwrap();
+                        }
+                    }
+                    let _ = tx.send(w);
+                })
             })
             .collect();
-        let store = Arc::new(OiRaidStore::with_devices(cfg, 16, devices).unwrap());
-        let slow = VolumeManager::new(store, 1);
-        let t = slow.add_tenant("a", TenantClass::default());
-        let v = slow.create_volume(t, "v", 16, 4).unwrap();
-        // One chunk write is 4 reads and 4 writes of 5 ms each.
-        write(&slow, v);
-        assert!(slow.shards[0].wave_us.load(Ordering::Relaxed) > 2 * PATIENT_ABOVE_US);
+        for _ in 0..writers.len() {
+            rx.recv_timeout(Duration::from_secs(10))
+                .expect("a submitter did not finish within 10 s");
+        }
+        for th in writers {
+            th.join().unwrap();
+        }
+        // Each record is whole and is the last write of whichever
+        // submitter landed last on it.
+        for (v, r, which) in [(va, ra, 0u8), (vb, rb, 1u8)] {
+            let got = m.read_record(v, r).unwrap();
+            let w = got[0];
+            assert!(w < 4, "record {which}: {got:?}");
+            assert_eq!(got, tag(w, ROUNDS - 1, which), "record {which}");
+        }
+        assert_eq!(m.read_record(va, 3).unwrap(), vec![0xAA; 12]);
+        assert_eq!(m.read_record(vb, 1).unwrap(), vec![0xBB; 12]);
+        assert!(m.store().check_parity().is_empty());
     }
 
     #[test]
     fn metrics_export_has_volume_series() {
         let reg = Registry::new();
         let m = manager(2);
-        let t = m.add_tenant("tenant-a", TenantClass::weighted(3));
+        let t = m.add_tenant("tenant-a", TenantClass::default());
         let v = m.create_volume(t, "v", 16, 4).unwrap();
         m.write_record(v, 0, &[5u8; 16]).unwrap();
         for res in m.submit(vec![Op::Read {

@@ -1,12 +1,12 @@
 //! Tenant QoS classes and per-tenant accounting.
 //!
-//! A tenant owns volumes and carries a [`TenantClass`]: a *weight* that
-//! shapes how the per-shard drain interleaves tenants when queues are
-//! contended, and an optional *rate cap* enforced by a token bucket at
-//! submission time. Capped tenants pace **themselves** (the submitting
-//! thread sleeps before any of its ops is served, reads included, or
-//! enters the shard queues), so a throttled tenant can never hold a drain
-//! slot hostage — the isolation model E19c measures.
+//! A tenant owns volumes and carries a [`TenantClass`]: an optional *rate
+//! cap* enforced by a token bucket at submission time, and an optional
+//! latency SLO. Capped tenants pace **themselves** (the submitting thread
+//! sleeps before any of its ops is served, reads included, or enters the
+//! shard queues), so a throttled tenant can never hold a drain slot
+//! hostage — the isolation model E19c measures. The drain itself knows no
+//! tenants: a shard's writes are served in arrival order.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -27,13 +27,9 @@ impl TenantId {
     }
 }
 
-/// A tenant's QoS class: drain weight plus optional rate cap.
+/// A tenant's QoS class: an optional rate cap plus an optional SLO.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TenantClass {
-    /// Relative share of each drain wave when shard queues are contended
-    /// (a weight-3 tenant gets three queue slots per round-robin cycle for
-    /// every one a weight-1 tenant gets). Clamped to at least 1.
-    pub weight: u32,
     /// Optional hard cap on submitted operations per second, enforced by a
     /// token bucket at submission time. `None` = uncapped.
     pub rate_ops_per_sec: Option<f64>,
@@ -49,7 +45,6 @@ pub struct TenantClass {
 impl Default for TenantClass {
     fn default() -> Self {
         Self {
-            weight: 1,
             rate_ops_per_sec: None,
             burst_ops: 64.0,
             slo: None,
@@ -58,15 +53,7 @@ impl Default for TenantClass {
 }
 
 impl TenantClass {
-    /// An uncapped class with the given drain weight.
-    pub fn weighted(weight: u32) -> Self {
-        Self {
-            weight,
-            ..Self::default()
-        }
-    }
-
-    /// A weight-1 class capped at `ops_per_sec`.
+    /// A class capped at `ops_per_sec`.
     pub fn capped(ops_per_sec: f64) -> Self {
         Self {
             rate_ops_per_sec: Some(ops_per_sec),

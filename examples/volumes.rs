@@ -17,9 +17,9 @@ fn main() {
     let store = Arc::new(OiRaidStore::new(OiRaidConfig::reference(), 4096).expect("store"));
     let mgr = VolumeManager::new(store, 16);
 
-    // Two tenants with different QoS classes: `app` gets 4x the drain
-    // weight; `batchjob` is capped at 2000 ops/s and paces itself.
-    let app = mgr.add_tenant("app", TenantClass::weighted(4));
+    // Two tenants with different QoS classes: `app` is uncapped;
+    // `batchjob` is capped at 2000 ops/s and paces itself.
+    let app = mgr.add_tenant("app", TenantClass::default());
     let batchjob = mgr.add_tenant("batchjob", TenantClass::capped(2000.0));
 
     // Volumes are fixed-size record arrays carved from the store's bytes.
