@@ -997,6 +997,45 @@ pub fn e15_telemetry_overhead() -> Vec<(String, Table)> {
         f3(overhead),
     ]);
 
+    // The rebuild every serving workload of `oibench` runs: the DAG
+    // executor on two workers, 4 KiB chunks, a 9 MiB disk of Fano x 3 —
+    // per chunk the most telemetry, and always traced (`trace_always`)
+    // unless the kill switch is off. The two configurations alternate
+    // rebuild by rebuild (a different disk each time), so the box's drift
+    // hits both; median MiB/s of each after two warm-up rebuilds apiece.
+    const SMALL: usize = 4 << 10;
+    const DAG_RUNS: usize = 41;
+    let small_cfg = OiRaidConfig::new(bibd::fano(), 3, 256).expect("Fano x 3");
+    let small = OiRaidStore::new(small_cfg, SMALL).expect("serving store");
+    small.set_dag_workers(Some(2));
+    crate::closed_loop::prefill(&small);
+    let disks = small.array().disks();
+    let mut rates: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
+    for i in 0..2 * (2 + DAG_RUNS) {
+        let on = i % 2 == 1;
+        telemetry::set_enabled(on);
+        small.fail_disk((i * 5 + 4) % disks).expect("valid disk");
+        let report = small
+            .rebuild(RebuildMode::Dag, RecoveryStrategy::Outer)
+            .expect("recoverable");
+        if i >= 4 {
+            let mib = report.bytes_rebuilt as f64 / (1 << 20) as f64;
+            rates[usize::from(on)].push(mib / report.wall.as_secs_f64());
+        }
+    }
+    telemetry::set_enabled(true);
+    let [small_off, small_on] = rates.map(|mut r| {
+        r.sort_by(f64::total_cmp);
+        r[DAG_RUNS / 2]
+    });
+    let mut dag = Table::new(&["configuration", "median MiB/s", "overhead (%)"]);
+    dag.row_owned(vec!["telemetry disabled".into(), f3(small_off), f3(0.0)]);
+    dag.row_owned(vec![
+        "observed and traced (default)".into(),
+        f3(small_on),
+        f3((small_off / small_on - 1.0) * 100.0),
+    ]);
+
     vec![
         ("E15a: telemetry hot-path cost per call".into(), hot),
         (
@@ -1005,6 +1044,14 @@ pub fn e15_telemetry_overhead() -> Vec<(String, Table)> {
                 CHUNK >> 10
             ),
             e2e,
+        ),
+        (
+            format!(
+                "E15c: DAG rebuild (2 workers), in-memory devices, {} KiB chunks, \
+                 median of {DAG_RUNS}",
+                SMALL >> 10
+            ),
+            dag,
         ),
     ]
 }

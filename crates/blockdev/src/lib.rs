@@ -376,8 +376,9 @@ impl Counters {
         self.reads.add(1);
         self.bytes_read.add(bytes);
         // Leaf of the request causal tree: only sampled requests carry an
-        // ambient trace id, so untraced I/O pays one thread-local read.
-        let trace = telemetry::current_trace();
+        // ambient trace id, so untraced I/O pays one thread-local read. A
+        // rebuild batch's calls record none (`telemetry::without_leaves`).
+        let trace = telemetry::leaf_trace();
         if trace != 0 {
             telemetry::trace_event(
                 telemetry::EventKind::DeviceRead,
@@ -392,7 +393,7 @@ impl Counters {
     pub(crate) fn record_write(&self, chunk: usize, bytes: u64) {
         self.writes.add(1);
         self.bytes_written.add(bytes);
-        let trace = telemetry::current_trace();
+        let trace = telemetry::leaf_trace();
         if trace != 0 {
             telemetry::trace_event(
                 telemetry::EventKind::DeviceWrite,

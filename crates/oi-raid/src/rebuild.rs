@@ -41,7 +41,8 @@
 //! and adjacent same-disk reads of one batch are coalesced into single
 //! [`BlockDevice::read_chunks`] calls. Both modes run the same batch ops,
 //! so their device read counters are equal by construction, and a round
-//! holds a batch of buffers per worker, not the plan's.
+//! holds a batch of buffers per worker, not the plan's. A batch's device
+//! calls leave no trace events: a rebuild's trace ends at its batches.
 //!
 //! While a rebuild is in flight the store stays **online**: the engine opens
 //! a rebuild window (see `crate::online`) before healing the target devices,
@@ -1015,8 +1016,12 @@ impl<B: BlockDevice> OiRaidStore<B> {
             });
         }
         // Rebuilds bypass request sampling (`trace_always`): there is at
-        // most one in flight and its causal tree — rounds, scheduled ops,
-        // device I/O — is the primary diagnostic for a slow recovery.
+        // most one in flight and its causal tree is the primary diagnostic
+        // for a slow recovery. The tree ends at its batches — the root, one
+        // node per round, one per DAG batch op — and the batches' device
+        // calls record no leaves: at 4 KiB a leaf per call was ~7 000
+        // events per disk, and ten rebuilds lapped the trace ring over the
+        // sampled requests it keeps (EXPERIMENTS.md E39).
         let rebuild_trace = telemetry::trace_always();
         if rebuild_trace != 0 {
             telemetry::trace_event(
@@ -1618,6 +1623,10 @@ impl<B: BlockDevice> OiRaidStore<B> {
         let pool = &wb.pool;
 
         let batch = |w: usize, b: usize| {
+            // The batch's node (its `SchedOp` on the DAG, the round on the
+            // serial walk) stands for its device calls: they record no trace
+            // leaves, and a retry among them still links to the node.
+            let _leafless = telemetry::without_leaves();
             let span = of_batch(b);
             let began = Instant::now();
             let reads = batch_reads(&items[span.clone()]);
@@ -1882,6 +1891,96 @@ mod tests {
             assert!(rd.sched.max_inflight >= 1);
             assert_eq!(rs.sched, sched::SchedStats::default());
         }
+    }
+
+    /// The 4 KiB rebuild the serving workloads run, counted: a
+    /// single-failure DAG rebuild of Fano x 3 (2 304 chunks a disk) on two
+    /// workers runs 144 sixteen-chunk batch ops, leaves one trace event per
+    /// round and per batch under its root and nothing else — no device
+    /// leaves — and writes the image the serial oracle writes.
+    #[test]
+    fn a_4k_dag_rebuild_traces_a_node_per_batch() {
+        use telemetry::EventKind;
+        const TARGET: usize = 17;
+        let cfg = OiRaidConfig::new(bibd::fano(), 3, 256).unwrap();
+        let store = OiRaidStore::new(cfg, 4 << 10).unwrap();
+        store.set_dag_workers(Some(2));
+        for idx in (0..store.data_chunks()).step_by(7) {
+            store
+                .write_data(idx, &[(idx % 251) as u8 + 1; 4 << 10])
+                .unwrap();
+        }
+        let image = disk_image(&store, TARGET);
+        let plan = single_failure_plan(
+            store.array(),
+            TARGET,
+            SparePolicy::Distributed,
+            RecoveryStrategy::Outer,
+        )
+        .unwrap();
+        assert_eq!(plan.items().len(), 2304);
+        let batches = plan.items().len().div_ceil(batch_items(4 << 10, 2304, 2));
+        assert_eq!(batches, 144);
+
+        if !telemetry::tracing_active() {
+            telemetry::set_trace_sample(Some(64));
+        }
+        store.fail_disk(TARGET).unwrap();
+        let first_id = telemetry::alloc_trace_id();
+        let report = store
+            .rebuild(RebuildMode::Dag, RecoveryStrategy::Outer)
+            .unwrap();
+        let ids = first_id..telemetry::alloc_trace_id();
+        assert_eq!(report.outcome, RebuildOutcome::Complete);
+        assert_eq!(report.sched.executed, batches as u64);
+        let target_io = report.device_io[TARGET];
+        assert_eq!(
+            (target_io.writes, target_io.bytes_written),
+            (2304, 9 << 20),
+            "one write op per rebuilt chunk"
+        );
+        assert_eq!(report.total_reads(), 4608, "no two sources form a run");
+        assert_eq!(disk_image(&store, TARGET), image);
+
+        // Other tests share the ring: count this rebuild's root and its
+        // descendants only.
+        let events = telemetry::traces().snapshot();
+        let roots: Vec<u64> = events
+            .iter()
+            .filter(|e| e.kind == EventKind::Rebuild && ids.contains(&e.trace))
+            .filter(|e| (e.a, e.b) == (1, TARGET as u64))
+            .map(|e| e.trace)
+            .collect();
+        let [root] = roots[..] else {
+            panic!("one root for this rebuild: {roots:?}");
+        };
+        let mut tree = vec![root];
+        let mut kinds = Vec::new();
+        while let Some(parent) = tree.pop() {
+            for e in events.iter().filter(|e| e.parent == parent) {
+                tree.push(e.trace);
+                kinds.push(e.kind);
+            }
+        }
+        let count = |k: EventKind| kinds.iter().filter(|&&x| x == k).count();
+        let rounds = report.rounds as usize;
+        assert_eq!(count(EventKind::RebuildRound), rounds);
+        assert_eq!(count(EventKind::SchedOp), batches);
+        assert_eq!(
+            1 + kinds.len(),
+            1 + rounds + batches,
+            "the root, its rounds and its batches, nothing else: {kinds:?}"
+        );
+
+        // The serial oracle writes the same image with the same ops.
+        store.fail_disk(TARGET).unwrap();
+        let serial = store
+            .rebuild(RebuildMode::Serial, RecoveryStrategy::Outer)
+            .unwrap();
+        assert_eq!(serial.outcome, RebuildOutcome::Complete);
+        assert_eq!(serial.device_io[TARGET].writes, 2304);
+        assert_eq!(serial.total_reads(), 4608);
+        assert_eq!(disk_image(&store, TARGET), image);
     }
 
     #[test]

@@ -193,6 +193,7 @@ pub struct StoreTelemetry {
     batch_read_chunks: Sharded,
     batch_write_requests: Sharded,
     batch_write_chunks: Sharded,
+    foreground_retries: Sharded,
 }
 
 impl Clone for StoreTelemetry {
@@ -294,6 +295,19 @@ impl StoreTelemetry {
     /// coalescing win.
     pub fn batch_write_chunks(&self) -> u64 {
         self.batch_write_chunks.get()
+    }
+
+    /// Device retries of transient faults that foreground I/O made: every
+    /// read and write a store call makes, whatever the retry layer it went
+    /// through (the rebuild counts its own, in its report).
+    pub fn foreground_retries(&self) -> u64 {
+        self.foreground_retries.get()
+    }
+
+    fn record_retries(&self, retries: u64) {
+        if retries > 0 {
+            self.foreground_retries.add(retries);
+        }
     }
 
     fn record_batch_read(&self, requests: u64, chunks: u64) {
@@ -921,10 +935,12 @@ impl<B: BlockDevice> OiRaidStore<B> {
         loop {
             let epoch = self.online.epoch();
             // A plainly unavailable chunk costs no reader.
-            let hit = self.chunk_available(addr)
-                && RetryReader::new(&self.devices[addr.disk], RETRY)
-                    .read_range(addr.offset, range.clone(), buf)
-                    .is_ok();
+            let hit = self.chunk_available(addr) && {
+                let reader = RetryReader::new(&self.devices[addr.disk], RETRY);
+                let read = reader.read_range(addr.offset, range.clone(), buf);
+                self.telem.record_retries(reader.counters().retries);
+                read.is_ok()
+            };
             if self.online.epoch() == epoch {
                 return hit;
             }
@@ -967,7 +983,9 @@ impl<B: BlockDevice> OiRaidStore<B> {
     ) -> Result<(), StoreError> {
         let stats = RetryStats::default();
         let dev = &self.devices[addr.disk];
-        match write_range_retrying(dev, &RETRY, &stats, addr.offset, range, buf) {
+        let wrote = write_range_retrying(dev, &RETRY, &stats, addr.offset, range, buf);
+        self.telem.record_retries(stats.snapshot().retries);
+        match wrote {
             Ok(()) => Ok(()),
             Err(DeviceError::Failed) => Err(StoreError::DiskFailed { disk: addr.disk }),
             Err(error) => Err(StoreError::Device {
@@ -1053,6 +1071,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
                     read_run_healing(&reader, run, &range_of, cs, pool, staging, &mut sink);
                 }
             }
+            self.telem.record_retries(reader.counters().retries);
         }
     }
 
@@ -1936,6 +1955,11 @@ impl<B: BlockDevice> OiRaidStore<B> {
                 "oi_store_batch_write_chunks_total",
                 "Distinct chunk RMWs performed for batched writes",
                 self.telem.batch_write_chunks(),
+            ),
+            (
+                "oi_store_foreground_retries_total",
+                "Device retries of transient faults made by foreground reads and writes",
+                self.telem.foreground_retries(),
             ),
             (
                 "oi_store_rebuild_throttle_waits_total",
@@ -2824,6 +2848,54 @@ pub(crate) mod tests {
         let c = dev.counters();
         assert_eq!(c.faults, u64::from(RETRY.max_attempts), "{c:?}");
         assert_eq!(c.reads, 0, "no attempt got past the fault dice");
+    }
+
+    /// Foreground retries land in one store-wide counter, exported as
+    /// `oi_store_foreground_retries_total`: single reads, batched reads
+    /// (the ladder's gather) and writes alike. Every injected fault that a
+    /// retry got past is one retry.
+    #[test]
+    fn foreground_retries_are_counted_store_wide() {
+        let (store, expect) = filled_faulty_store(16);
+        assert_eq!(store.telemetry().foreground_retries(), 0);
+        let arm = |read, write| -> u64 {
+            let mut faults = 0;
+            for (d, dev) in store.devices().iter().enumerate() {
+                faults += dev.counters().faults;
+                dev.reset_counters();
+                dev.set_config(blockdev::FaultConfig {
+                    seed: d as u64 + 1,
+                    transient_read_per_mille: read,
+                    transient_write_per_mille: write,
+                    ..blockdev::FaultConfig::default()
+                });
+            }
+            faults
+        };
+        arm(100, 0);
+        for (idx, want) in expect.iter().enumerate() {
+            assert_eq!(store.read_data(idx).unwrap(), *want, "idx {idx}");
+        }
+        let all: Vec<usize> = (0..expect.len()).collect();
+        assert_eq!(store.read_data_batch(&all).unwrap(), expect);
+        let read_faults = arm(0, 100);
+        let reads = store.telemetry().foreground_retries();
+        assert!(reads > 0, "a 100 per mille read fault rate retried");
+        assert_eq!(reads, read_faults, "no read spent its whole budget");
+        for idx in 0..32 {
+            store.write_data(idx, &[idx as u8; 16]).unwrap();
+        }
+        let write_faults = arm(0, 0);
+        let total = store.telemetry().foreground_retries();
+        assert!(total > reads, "writes retried too");
+        assert_eq!(total - reads, write_faults);
+        let reg = Registry::new();
+        store.export_metrics(&reg);
+        let text = reg.prometheus();
+        assert!(
+            text.contains(&format!("oi_store_foreground_retries_total {total}")),
+            "{text}"
+        );
     }
 
     #[test]

@@ -29,6 +29,13 @@
 //! the whole graph. [`OpStatus`] has the one variant `Done` and stays only
 //! because the benchmark's scheduler probe names it.
 //!
+//! **Tracing.** A node remembers the trace its builder was working under
+//! and runs under a `SchedOp` child of it: one trace event per executed op
+//! of a traced graph, whatever the op does. What the callback records
+//! below that is its own business — a rebuild batch records nothing more
+//! (its device calls leave no leaves), so a rebuild's trace ends at its
+//! batches.
+//!
 //! Scheduler observability is built in: [`SchedMetrics`] carries live
 //! [`Gauge`]/[`Counter`] handles (ready-set depth, in-flight ops, steals)
 //! that can be attached to a [`telemetry::Registry`], and every run returns
@@ -342,8 +349,10 @@ impl<T> Shared<'_, T> {
             stats.max_inflight = stats.max_inflight.max(d.max(0) as u64);
             self.metrics.inflight_ops.add(1);
             // Re-enter the planning request's trace on this worker thread,
-            // with a SchedOp node so device I/O inside the callback hangs
-            // under this specific DAG node.
+            // with a SchedOp node so what the callback records — device
+            // leaves, flight incidents — hangs under this specific DAG node.
+            // A callback may keep the node and drop its device leaves
+            // (`telemetry::without_leaves`), as a rebuild batch does.
             let parent = self.graph.trace[op];
             let trace_guard = (parent != 0).then(|| {
                 let node = telemetry::alloc_trace_id();

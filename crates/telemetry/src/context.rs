@@ -12,6 +12,13 @@
 //! duration. Work that crosses threads (scheduler workers) re-enters the
 //! context explicitly inside the worker callback.
 //!
+//! Device I/O is the one layer that records a node per call without
+//! fanning anything out: a leaf ([`leaf_trace`]). A caller whose own node
+//! already says what its device calls did — a rebuild batch, which makes
+//! dozens of them per op — drops the leaves with [`without_leaves`] and
+//! keeps everything else: its node, and the link from the incidents raised
+//! inside it ([`crate::flight_event`]) back to that node.
+//!
 //! Sampling is head-based: [`sample_trace`] admits one in `N` calls per
 //! thread (`OI_RAID_TRACE_SAMPLE`, default one in 64; `1` traces
 //! everything, `0`/`off` disables). The not-sampled and disabled paths are
@@ -32,6 +39,10 @@ static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 
 const OFF: u32 = u32::MAX;
 const DEFAULT_EVERY: u32 = 64;
+
+/// Set on the ambient id inside a [`without_leaves`] scope. Ids count up
+/// from 1 and never reach it.
+const NO_LEAVES: u64 = 1 << 63;
 
 thread_local! {
     static CURRENT: Cell<u64> = const { Cell::new(0) };
@@ -119,7 +130,28 @@ pub fn trace_always() -> u64 {
 /// The trace id the current thread is working under (0 = untraced).
 #[inline]
 pub fn current_trace() -> u64 {
-    CURRENT.with(|c| c.get())
+    CURRENT.with(|c| c.get()) & !NO_LEAVES
+}
+
+/// The node a device I/O leaf hangs under: [`current_trace`], or 0 inside
+/// a [`without_leaves`] scope.
+#[inline]
+pub fn leaf_trace() -> u64 {
+    let id = CURRENT.with(|c| c.get());
+    if id & NO_LEAVES == 0 {
+        id
+    } else {
+        0
+    }
+}
+
+/// Keeps the thread's ambient trace but records no device leaves under it
+/// until the guard drops: [`current_trace`] still answers the id (so
+/// incidents link to it), [`leaf_trace`] answers 0. A scope entered inside
+/// it ([`enter_trace`], [`crate::trace_scope`]) records leaves again.
+pub fn without_leaves() -> TraceGuard {
+    let prev = CURRENT.with(|c| c.replace(c.get() | NO_LEAVES));
+    TraceGuard { prev }
 }
 
 /// Sets the thread's ambient trace id until the guard drops (restoring
@@ -175,6 +207,26 @@ mod tests {
             .join()
             .expect("spawned thread");
         assert_eq!(current_trace(), 42);
+    }
+
+    #[test]
+    fn a_leafless_scope_keeps_its_trace_and_drops_its_leaves() {
+        assert_eq!(leaf_trace(), 0);
+        let _a = enter_trace(7);
+        assert_eq!(leaf_trace(), 7);
+        {
+            let _quiet = without_leaves();
+            assert_eq!(current_trace(), 7, "incidents still link to the node");
+            assert_eq!(leaf_trace(), 0, "device calls record nothing");
+            {
+                let _b = enter_trace(9);
+                assert_eq!((current_trace(), leaf_trace()), (9, 9));
+            }
+            assert_eq!(leaf_trace(), 0);
+        }
+        assert_eq!((current_trace(), leaf_trace()), (7, 7));
+        let _quiet = without_leaves();
+        assert_eq!((current_trace(), leaf_trace()), (7, 0));
     }
 
     #[test]

@@ -48,7 +48,7 @@ use crate::registry::{Counter, Registry};
 /// | `WriteGroup` | store write group | group size | 0 |
 /// | `SchedOp` | DAG scheduler runs a node | op id | device |
 /// | `Rebuild`/`RebuildRound` | rebuild root / one round | round | disks down |
-/// | `DeviceRead`/`DeviceWrite` | block device completes I/O | chunk | bytes |
+/// | `DeviceRead`/`DeviceWrite` | block device completes I/O, outside a [`crate::without_leaves`] scope | first chunk | bytes |
 ///
 /// Flight kinds (incident log): `a`/`b` carry the disk/chunk or
 /// wait-nanoseconds involved; see each variant.

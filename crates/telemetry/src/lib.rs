@@ -47,8 +47,8 @@ mod serve;
 mod shard;
 
 pub use context::{
-    alloc_trace_id, current_trace, enter_trace, sample_trace, set_trace_sample, trace_always,
-    tracing_active, TraceGuard,
+    alloc_trace_id, current_trace, enter_trace, leaf_trace, sample_trace, set_trace_sample,
+    trace_always, tracing_active, without_leaves, TraceGuard,
 };
 pub use events::{
     export_trace_metrics, flight, flight_dump_on_panic, flight_event, trace_event, trace_scope,
