@@ -37,7 +37,7 @@ fn main() -> ExitCode {
     if args.iter().any(|a| a == "--list") || ids.is_empty() {
         eprintln!(
             "usage: experiments [--csv] <id>...\n\
-             ids: e1 e2 e3 e4 e5 e6 e7 e8 e9 e10 e11 e12 e13 e14 e15 e16 e17 e18 e19 e20 e21 e22 a1 a2 all"
+             ids: e1 e2 e3 e4 e5 e6 e7 e8 e9 e10 e11 e13 e14 e15 e16 e17 e18 e19 e20 e21 e22 a1 a2 all"
         );
         return if ids.is_empty() && !args.iter().any(|a| a == "--list") {
             ExitCode::FAILURE

@@ -582,58 +582,6 @@ pub fn e11_ure_sensitivity() -> Vec<(String, Table)> {
     )]
 }
 
-/// E12 — the generalized inner layer (RAID6-in-group): tolerance 5 at
-/// update cost 6, the extension the paper's "as an example, RAID5 in both
-/// layers" leaves open.
-pub fn e12_dual_parity() -> Vec<(String, Table)> {
-    let single = OiRaid::new(OiRaidConfig::new(bibd::fano(), 5, 1).unwrap()).unwrap();
-    let dual = OiRaid::new(
-        OiRaidConfig::new(bibd::fano(), 5, 1)
-            .unwrap()
-            .with_inner_parities(2)
-            .unwrap(),
-    )
-    .unwrap();
-    let mut table = Table::new(&[
-        "variant",
-        "tolerance",
-        "efficiency",
-        "writes/update",
-        "rebuild (s)",
-        "P(loss|f=4)",
-        "P(loss|f=5)",
-        "P(loss|f=6)",
-    ]);
-    for (name, a) in [
-        ("OI-RAID (RAID5 inner)", &single),
-        ("OI-RAID^2 (RAID6 inner)", &dual),
-    ] {
-        let t = a.chunks_per_disk();
-        let rebuild = rebuild_secs(
-            &a.recovery_plan_with_strategy(0, SparePolicy::Distributed, RecoveryStrategy::Outer)
-                .unwrap(),
-            t,
-        );
-        let writes = a.update_set(a.locate_data(0)).map_or(0, |s| s.len());
-        let mut cells = vec![
-            name.to_string(),
-            a.fault_tolerance().to_string(),
-            f3(a.efficiency()),
-            writes.to_string(),
-            f3(rebuild),
-        ];
-        for f in 4..=6usize {
-            let q = survivable_fraction(a, f, 4_000, 0xE12 + f as u64);
-            cells.push(f3(1.0 - q));
-        }
-        table.row_owned(cells);
-    }
-    vec![(
-        "E12: inner-layer generalization, Fano outer x 5-disk groups (35 disks)".into(),
-        table,
-    )]
-}
-
 /// E13 — measured concurrent (DAG) vs serial rebuild on the byte-level store.
 ///
 /// Unlike E1 (discrete-event simulation), this runs the plan-driven rebuild
@@ -956,37 +904,48 @@ pub fn e15_telemetry_overhead() -> Vec<(String, Table)> {
         hot.row_owned(vec![op.into(), f3(ns)]);
     }
 
+    /// Medians of `measure(i, on)` over rebuilds `i` with telemetry off
+    /// (`on` false) and on, alternating rebuild by rebuild so the box's
+    /// drift hits both: two warm-ups apiece, then `RUNS` measured each.
+    fn alternated(mut measure: impl FnMut(usize, bool) -> f64) -> [f64; 2] {
+        let mut got: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
+        for i in 0..2 * (2 + RUNS) {
+            let on = i % 2 == 1;
+            telemetry::set_enabled(on);
+            let x = measure(i, on);
+            if i >= 4 {
+                got[usize::from(on)].push(x);
+            }
+        }
+        telemetry::set_enabled(true);
+        got.map(|mut r| {
+            r.sort_by(f64::total_cmp);
+            r[RUNS / 2]
+        })
+    }
+    const RUNS: usize = 41;
+
     // End-to-end: serial rebuild on pure in-memory devices — all compute,
-    // so telemetry has maximal relative weight. Median of repeated runs.
+    // so telemetry has maximal relative weight. A rebuild takes ~0.2 ms,
+    // so only alternated medians resolve a few per cent.
     const CHUNK: usize = 64 << 10;
-    const RUNS: usize = 5;
     let cfg = OiRaidConfig::reference();
     let store = OiRaidStore::new(cfg, CHUNK).expect("reference store");
     crate::closed_loop::prefill(&store);
-    let median_wall_ms = |observed: bool| -> f64 {
-        let mut walls: Vec<f64> = (0..RUNS)
-            .map(|_| {
-                store.fail_disk(4).expect("valid disk");
-                let report = if observed {
-                    let obs = RebuildObserver::default();
-                    store
-                        .rebuild_observed(RebuildMode::Serial, RecoveryStrategy::Hybrid, &obs)
-                        .expect("recoverable")
-                } else {
-                    store
-                        .rebuild(RebuildMode::Serial, RecoveryStrategy::Hybrid)
-                        .expect("recoverable")
-                };
-                report.wall.as_secs_f64() * 1e3
-            })
-            .collect();
-        walls.sort_by(f64::total_cmp);
-        walls[RUNS / 2]
-    };
-    telemetry::set_enabled(false);
-    let off_ms = median_wall_ms(false);
-    telemetry::set_enabled(true);
-    let on_ms = median_wall_ms(true);
+    let [off_ms, on_ms] = alternated(|_, observed| {
+        store.fail_disk(4).expect("valid disk");
+        let report = if observed {
+            let obs = RebuildObserver::default();
+            store
+                .rebuild_observed(RebuildMode::Serial, RecoveryStrategy::Hybrid, &obs)
+                .expect("recoverable")
+        } else {
+            store
+                .rebuild(RebuildMode::Serial, RecoveryStrategy::Hybrid)
+                .expect("recoverable")
+        };
+        report.wall.as_secs_f64() * 1e3
+    });
     let overhead = (on_ms - off_ms) / off_ms * 100.0;
 
     let mut e2e = Table::new(&["configuration", "median wall (ms)", "overhead (%)"]);
@@ -1000,33 +959,21 @@ pub fn e15_telemetry_overhead() -> Vec<(String, Table)> {
     // The rebuild every serving workload of `oibench` runs: the DAG
     // executor on two workers, 4 KiB chunks, a 9 MiB disk of Fano x 3 —
     // per chunk the most telemetry, and always traced (`trace_always`)
-    // unless the kill switch is off. The two configurations alternate
-    // rebuild by rebuild (a different disk each time), so the box's drift
-    // hits both; median MiB/s of each after two warm-up rebuilds apiece.
+    // unless the kill switch is off. A different disk each time; median
+    // MiB/s of each configuration.
     const SMALL: usize = 4 << 10;
-    const DAG_RUNS: usize = 41;
     let small_cfg = OiRaidConfig::new(bibd::fano(), 3, 256).expect("Fano x 3");
     let small = OiRaidStore::new(small_cfg, SMALL).expect("serving store");
     small.set_dag_workers(Some(2));
     crate::closed_loop::prefill(&small);
     let disks = small.array().disks();
-    let mut rates: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
-    for i in 0..2 * (2 + DAG_RUNS) {
-        let on = i % 2 == 1;
-        telemetry::set_enabled(on);
+    let [small_off, small_on] = alternated(|i, _| {
         small.fail_disk((i * 5 + 4) % disks).expect("valid disk");
         let report = small
             .rebuild(RebuildMode::Dag, RecoveryStrategy::Outer)
             .expect("recoverable");
-        if i >= 4 {
-            let mib = report.bytes_rebuilt as f64 / (1 << 20) as f64;
-            rates[usize::from(on)].push(mib / report.wall.as_secs_f64());
-        }
-    }
-    telemetry::set_enabled(true);
-    let [small_off, small_on] = rates.map(|mut r| {
-        r.sort_by(f64::total_cmp);
-        r[DAG_RUNS / 2]
+        let mib = report.bytes_rebuilt as f64 / (1 << 20) as f64;
+        mib / report.wall.as_secs_f64()
     });
     let mut dag = Table::new(&["configuration", "median MiB/s", "overhead (%)"]);
     dag.row_owned(vec!["telemetry disabled".into(), f3(small_off), f3(0.0)]);
@@ -1040,7 +987,8 @@ pub fn e15_telemetry_overhead() -> Vec<(String, Table)> {
         ("E15a: telemetry hot-path cost per call".into(), hot),
         (
             format!(
-                "E15b: serial rebuild, in-memory devices, {} KiB chunks, median of {RUNS}",
+                "E15b: serial rebuild, in-memory devices, {} KiB chunks, \
+                 median of {RUNS} alternated",
                 CHUNK >> 10
             ),
             e2e,
@@ -1048,7 +996,7 @@ pub fn e15_telemetry_overhead() -> Vec<(String, Table)> {
         (
             format!(
                 "E15c: DAG rebuild (2 workers), in-memory devices, {} KiB chunks, \
-                 median of {DAG_RUNS}",
+                 median of {RUNS} alternated",
                 SMALL >> 10
             ),
             dag,
@@ -2287,7 +2235,7 @@ pub fn e22_flush_policy() -> Vec<(String, Table)> {
     )]
 }
 
-/// Runs one experiment by id (`e1`..`e22`, `a1`, `a2`), or `all`.
+/// Runs one experiment by id (`e1`..`e22` but `e12`, `a1`, `a2`), or `all`.
 /// Returns the rendered tables; unknown ids return `None`.
 pub fn run(id: &str) -> Option<Vec<(String, Table)>> {
     match id {
@@ -2302,7 +2250,6 @@ pub fn run(id: &str) -> Option<Vec<(String, Table)>> {
         "e9" => Some(e9_multi_failure()),
         "e10" => Some(e10_catalogue()),
         "e11" => Some(e11_ure_sensitivity()),
-        "e12" => Some(e12_dual_parity()),
         "e13" => Some(e13_parallel_rebuild()),
         "e14" => Some(e14_kernel_throughput()),
         "e15" => Some(e15_telemetry_overhead()),
@@ -2317,8 +2264,8 @@ pub fn run(id: &str) -> Option<Vec<(String, Table)>> {
         "all" => {
             let mut out = Vec::new();
             for id in [
-                "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13",
-                "e14", "e15", "e16", "e17", "e18", "e19", "e20", "e21", "e22", "a2",
+                "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e13", "e14",
+                "e15", "e16", "e17", "e18", "e19", "e20", "e21", "e22", "a2",
             ] {
                 out.extend(run(id).expect("known id"));
             }

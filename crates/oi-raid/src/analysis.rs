@@ -31,8 +31,6 @@ pub struct Model {
     r: usize,
     k: usize,
     g: usize,
-    /// Inner parity count (1 = the paper's RAID5 inner layer).
-    p: usize,
 }
 
 impl Model {
@@ -44,7 +42,6 @@ impl Model {
             r: cfg.design().r(),
             k: cfg.design().k(),
             g: cfg.group_size(),
-            p: cfg.inner_parities(),
         }
     }
 
@@ -55,23 +52,12 @@ impl Model {
     ///
     /// Panics if `(k−1)` does not divide `(v−1)` (no such design).
     pub fn from_parameters(v: usize, k: usize, g: usize) -> Self {
-        Self::from_parameters_with_inner(v, k, g, 1)
-    }
-
-    /// Like [`Model::from_parameters`] with an explicit inner parity count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `(k−1)` does not divide `(v−1)` or `p >= g`.
-    pub fn from_parameters_with_inner(v: usize, k: usize, g: usize, p: usize) -> Self {
         assert_eq!((v - 1) % (k - 1), 0, "lambda=1 needs (k-1) | (v-1)");
-        assert!(p >= 1 && p < g, "inner parities must satisfy 1 <= p < g");
         Self {
             v,
             r: (v - 1) / (k - 1),
             k,
             g,
-            p,
         }
     }
 
@@ -80,9 +66,9 @@ impl Model {
         self.v * self.g
     }
 
-    /// Storage efficiency `(k−1)(g−p)/(k·g)`.
+    /// Storage efficiency `(k−1)(g−1)/(k·g)`.
     pub fn efficiency(&self) -> f64 {
-        ((self.k - 1) * (self.g - self.p)) as f64 / (self.k * self.g) as f64
+        ((self.k - 1) * (self.g - 1)) as f64 / (self.k * self.g) as f64
     }
 
     /// Storage overhead (redundancy per data byte).
@@ -91,43 +77,39 @@ impl Model {
         (1.0 - e) / e
     }
 
-    /// Chunk writes per user data-chunk write: `1` data + `2p + 1` parity —
-    /// optimal for `(2p + 1)`-failure tolerance (claim C6; 4 writes for the
-    /// paper's `p = 1`).
+    /// Chunk writes per user data-chunk write: `1` data + 3 parity —
+    /// optimal for 3-failure tolerance (claim C6).
     pub fn update_writes(&self) -> usize {
-        2 * self.p + 2
+        4
     }
 
-    /// Guaranteed failure tolerance `2p + 1`.
+    /// Guaranteed failure tolerance.
     pub fn fault_tolerance(&self) -> usize {
-        2 * self.p + 1
+        3
     }
 
     /// Read load on each surviving disk of the failed disk's *own group*,
     /// as a fraction of disk capacity.
-    /// For `p > 1` this is the *busiest* survivor (per-survivor parity-row
-    /// duty is slightly non-uniform under dual parity).
     pub fn group_survivor_read_fraction(&self, s: RecoveryStrategy) -> f64 {
         let g = self.g as f64;
-        let p = self.p as f64;
         match s {
             RecoveryStrategy::Inner => 1.0,
-            RecoveryStrategy::Outer => p / g,
+            RecoveryStrategy::Outer => 1.0 / g,
             RecoveryStrategy::OuterAll => 0.0,
-            RecoveryStrategy::Hybrid => (1.0 - self.psi()) * p / g,
+            RecoveryStrategy::Hybrid => (1.0 - self.psi()) / g,
         }
     }
 
     /// Read load on each disk *outside* the failed disk's group, as a
     /// fraction of disk capacity.
     pub fn remote_read_fraction(&self, s: RecoveryStrategy) -> f64 {
-        let (g, r, p) = (self.g as f64, self.r as f64, self.p as f64);
-        let base = (g - p) / (g * g * r);
+        let (g, r) = (self.g as f64, self.r as f64);
+        let base = (g - 1.0) / (g * g * r);
         match s {
             RecoveryStrategy::Inner => 0.0,
             RecoveryStrategy::Outer => base,
-            RecoveryStrategy::OuterAll => (1.0 + p) * base,
-            RecoveryStrategy::Hybrid => (1.0 + self.psi() * p) * base,
+            RecoveryStrategy::OuterAll => 2.0 * base,
+            RecoveryStrategy::Hybrid => (1.0 + self.psi()) * base,
         }
     }
 
@@ -137,9 +119,9 @@ impl Model {
             .max(self.remote_read_fraction(s))
     }
 
-    /// Hybrid split `ψ = (p·rg − (g−p)) / (p·(rg + g − p))`.
+    /// Hybrid split `ψ = (rg − g + 1)/(rg + g − 1)`.
     pub fn psi(&self) -> f64 {
-        let (num, den) = hybrid_remote_fraction(self.r, self.g, self.p);
+        let (num, den) = hybrid_remote_fraction(self.r, self.g);
         num as f64 / den as f64
     }
 
@@ -250,41 +232,5 @@ mod tests {
     #[should_panic(expected = "lambda=1")]
     fn invalid_parameters_rejected() {
         let _ = Model::from_parameters(8, 3, 3);
-    }
-
-    #[test]
-    fn dual_parity_model_tracks_the_planner() {
-        let cfg = OiRaidConfig::new(bibd::fano(), 5, 1)
-            .unwrap()
-            .with_inner_parities(2)
-            .unwrap();
-        let a = OiRaid::new(cfg).unwrap();
-        let m = Model::of(&a);
-        assert_eq!(m.fault_tolerance(), 5);
-        assert_eq!(m.update_writes(), 6);
-        assert!((m.efficiency() - a.efficiency()).abs() < 1e-12);
-        let t = a.chunks_per_disk() as f64;
-        // Outer strategy: busiest group survivor and mean remote load match
-        // the closed forms (one-chunk tolerance for the non-uniform duty).
-        let plan = a
-            .recovery_plan_with_strategy(0, SparePolicy::Distributed, RecoveryStrategy::Outer)
-            .unwrap();
-        let load = plan.read_load(a.disks());
-        let group_max = (1..5).map(|d| load[d]).max().unwrap() as f64 / t;
-        assert!(
-            (group_max - m.group_survivor_read_fraction(RecoveryStrategy::Outer)).abs()
-                <= 1.0 / t + 1e-9,
-            "group {} vs model {}",
-            group_max,
-            m.group_survivor_read_fraction(RecoveryStrategy::Outer)
-        );
-        let remote_sum: u64 = (5..a.disks()).map(|d| load[d]).sum();
-        let remote_frac = remote_sum as f64 / (a.disks() - 5) as f64 / t;
-        assert!(
-            (remote_frac - m.remote_read_fraction(RecoveryStrategy::Outer)).abs() < 1e-9,
-            "remote {} vs model {}",
-            remote_frac,
-            m.remote_read_fraction(RecoveryStrategy::Outer)
-        );
     }
 }

@@ -155,12 +155,10 @@ impl OiRaid {
         }
     }
 
-    /// The set of chunks written when the data chunk at `addr` is updated:
-    /// the chunk itself, the `p_in` inner parities of its row, its outer
-    /// parity, and the `p_in` inner parities of the outer parity's row —
-    /// `1 + (2·p_in + 1)` writes, the optimum for a `(2·p_in + 1)`-failure-
-    /// tolerant code (claim C6 / experiment E4; `p_in = 1` gives the
-    /// paper's 4 writes).
+    /// The set of chunks written when the data chunk at `addr` is updated,
+    /// in this order: the chunk itself, its row's inner parity, its outer
+    /// parity, and the outer parity's row parity — 4 writes, the optimum for
+    /// a 3-failure-tolerant code (claim C6 / experiment E4).
     ///
     /// # Errors
     ///
@@ -184,11 +182,12 @@ impl OiRaid {
             pos: self.geo.outer_parity_pos(stripe),
         });
         let outer_group = self.geo.group_of(outer.disk);
-        let mut set = vec![addr];
-        set.extend(self.geo.inner_parities_of_row(my_group, addr.offset));
-        set.push(outer);
-        set.extend(self.geo.inner_parities_of_row(outer_group, outer.offset));
-        Ok(set)
+        Ok(vec![
+            addr,
+            self.geo.inner_parity_of_row(my_group, addr.offset),
+            outer,
+            self.geo.inner_parity_of_row(outer_group, outer.offset),
+        ])
     }
 
     /// Builds a single-failure recovery plan with an explicit strategy
@@ -248,11 +247,11 @@ impl Layout for OiRaid {
     }
 
     fn fault_tolerance(&self) -> usize {
-        // Any pattern of 2·p_in + 1 failures leaves at most one group with
-        // more than p_in losses; that group repairs through the outer layer
-        // while every other group repairs locally (checked by the
-        // `multifail` fixpoint tests, including the dual-parity variant).
-        2 * self.geo.p_in + 1
+        // Any pattern of 3 failures leaves at most one group with more than
+        // one loss; that group repairs through the outer layer while every
+        // other group repairs locally (checked by the `multifail` fixpoint
+        // tests).
+        3
     }
 
     fn chunk_role(&self, addr: ChunkAddr) -> Role {

@@ -37,7 +37,6 @@ pub struct OiRaidConfig {
     cycles: usize,
     skew: SkewMode,
     multipliers: Vec<usize>,
-    inner_parities: usize,
 }
 
 impl OiRaidConfig {
@@ -100,39 +99,7 @@ impl OiRaidConfig {
             cycles,
             skew,
             multipliers,
-            inner_parities: 1,
         })
-    }
-
-    /// Generalizes the inner layer to `p` parity chunks per row (1 = RAID5
-    /// as in the paper; 2 = RAID6-style dual parity). The array then
-    /// tolerates `2p + 1` arbitrary failures at `1 + (2p + 1)` writes per
-    /// update — still update-optimal. This is the natural extension the
-    /// paper's "as an example, we deploy RAID5 in both layers" leaves open.
-    ///
-    /// # Errors
-    ///
-    /// [`LayoutError::InvalidGeometry`] unless `1 <= p <= 2` and
-    /// `p < group_size`.
-    pub fn with_inner_parities(mut self, p: usize) -> Result<Self, LayoutError> {
-        if p == 0 || p > 2 {
-            return Err(LayoutError::InvalidGeometry(format!(
-                "inner layer supports 1 (RAID5) or 2 (RAID6) parities, got {p}"
-            )));
-        }
-        if p >= self.group_size {
-            return Err(LayoutError::InvalidGeometry(format!(
-                "inner parities {p} must be smaller than group size {}",
-                self.group_size
-            )));
-        }
-        self.inner_parities = p;
-        Ok(self)
-    }
-
-    /// Number of inner-parity chunks per row (1 = RAID5, 2 = RAID6).
-    pub fn inner_parities(&self) -> usize {
-        self.inner_parities
     }
 
     /// The paper's running example: Fano-plane `(7, 3, 1)` outer layer with
@@ -256,23 +223,6 @@ mod tests {
         // ...but the naive skew accepts it.
         let cfg = OiRaidConfig::with_skew(d, 4, 1, SkewMode::Naive).unwrap();
         assert_eq!(cfg.multipliers(), &[0, 0, 0]);
-    }
-
-    #[test]
-    fn inner_parity_generalization_validates() {
-        let base = OiRaidConfig::reference();
-        assert_eq!(base.inner_parities(), 1);
-        let dual = base.clone().with_inner_parities(2).unwrap();
-        assert_eq!(dual.inner_parities(), 2);
-        assert!(OiRaidConfig::reference().with_inner_parities(0).is_err());
-        assert!(OiRaidConfig::reference().with_inner_parities(3).is_err());
-        // p must stay below g.
-        let tight = OiRaidConfig::new(bibd::fano(), 2, 1);
-        // g=2 < k=3 has no rotational multipliers, so build naive.
-        let tight = tight
-            .or_else(|_| OiRaidConfig::with_skew(bibd::fano(), 2, 1, SkewMode::Naive))
-            .unwrap();
-        assert!(tight.with_inner_parities(2).is_err());
     }
 
     #[test]

@@ -47,8 +47,8 @@ impl OiRaid {
     /// Plans the read of logical data chunk `idx` under the failure pattern
     /// `failed`: direct if its disk is up, else the store's own plan of it
     /// (the backward planner every degraded foreground read takes), which
-    /// decodes through the chunk's inner row when that has at most `p_in`
-    /// misses, else through its outer stripe.
+    /// decodes through the chunk's inner row when that misses only the
+    /// chunk, else through its outer stripe.
     ///
     /// Reads served this way touch only healthy chunks of one relation; a
     /// plan through more than one (both levels broken around the chunk) is
@@ -74,18 +74,10 @@ impl OiRaid {
             return Ok(ReadPlan::Direct(addr));
         }
         let (plan, via) = multifail::plan_closure(self, &[addr], |a| !failed.contains(&a.disk));
-        // A row decoding several misses plans them as several items, the
-        // reads on the first.
-        let reads = plan
-            .items()
-            .iter()
-            .flat_map(|it| it.reads.clone())
-            .collect();
-        match via.first() {
-            Some(Region::Row(..)) if via.iter().all(|r| *r == via[0]) => {
-                Ok(ReadPlan::InnerDecode { reads })
-            }
-            Some(Region::Stripe(..)) if via.len() == 1 => Ok(ReadPlan::OuterDecode { reads }),
+        let reads = || plan.items()[0].reads.clone();
+        match via[..] {
+            [Region::Row(..)] => Ok(ReadPlan::InnerDecode { reads: reads() }),
+            [Region::Stripe(..)] => Ok(ReadPlan::OuterDecode { reads: reads() }),
             _ => Err(LayoutError::DataLoss {
                 failed: failed.to_vec(),
             }),
@@ -412,25 +404,5 @@ mod tests {
             a.read_plan(0, &[99]),
             Err(LayoutError::DiskOutOfRange { .. })
         ));
-    }
-
-    #[test]
-    fn dual_parity_inner_decode_tolerates_two_in_group() {
-        let cfg = OiRaidConfig::new(bibd::fano(), 5, 1)
-            .unwrap()
-            .with_inner_parities(2)
-            .unwrap();
-        let a = OiRaid::new(cfg).unwrap();
-        let idx = 0;
-        let addr = a.locate_data(idx);
-        let grp = a.group_of(addr.disk);
-        // Fail the data disk plus one more in the same group: still inner.
-        let other = (0..a.disks())
-            .find(|&d| a.group_of(d) == grp && d != addr.disk)
-            .unwrap();
-        match a.read_plan(idx, &[addr.disk, other]).unwrap() {
-            ReadPlan::InnerDecode { reads } => assert_eq!(reads.len(), 3), // g − 2
-            other => panic!("expected inner decode, got {other:?}"),
-        }
     }
 }

@@ -39,13 +39,11 @@ pub(crate) struct Geometry {
     /// Layout cycles (kept for diagnostics; derived sizes are precomputed).
     #[allow(dead_code)]
     pub c: usize,
-    /// Inner-parity chunks per row (1 = RAID5 inner, 2 = RAID6 inner).
-    pub p_in: usize,
     /// Chunks per disk: `g·r·c`.
     pub chunks_per_disk: usize,
-    /// Outer stripes per block: `c·g·(g−p_in)`.
+    /// Outer stripes per block: `c·g·(g−1)`.
     pub stripes_per_block: usize,
-    /// Payload chunks per (disk, partition): `c·(g−p_in)`.
+    /// Payload chunks per (disk, partition): `c·(g−1)`.
     pub depth: usize,
     multipliers: Vec<usize>,
     design: Bibd,
@@ -69,7 +67,6 @@ impl Geometry {
         let (v, b, r, k) = (design.v(), design.b(), design.r(), design.k());
         let g = cfg.group_size();
         let c = cfg.cycles();
-        let p_in = cfg.inner_parities();
         Self {
             v,
             b,
@@ -77,10 +74,9 @@ impl Geometry {
             k,
             g,
             c,
-            p_in,
             chunks_per_disk: g * r * c,
-            stripes_per_block: c * g * (g - p_in),
-            depth: c * (g - p_in),
+            stripes_per_block: c * g * (g - 1),
+            depth: c * (g - 1),
             multipliers: cfg.multipliers().to_vec(),
             design,
         }
@@ -113,10 +109,10 @@ impl Geometry {
         &self.design
     }
 
-    /// Whether member `j` holds one of the row's `p_in` parity chunks
-    /// (parities rotate: row `t` puts parity `i` on member `(t + i) mod g`).
+    /// Whether member `j` holds the row's parity chunk (parity rotates: row
+    /// `t` puts it on member `t mod g`).
     fn member_is_parity(&self, j: usize, row: usize) -> bool {
-        (j + self.g - row % self.g) % self.g < self.p_in
+        j == row % self.g
     }
 
     /// Whether `(disk, offset)` is an inner-parity chunk.
@@ -124,17 +120,14 @@ impl Geometry {
         self.member_is_parity(self.member_of(addr.disk), addr.offset)
     }
 
-    /// Addresses of the `p_in` inner-parity chunks of row `row` in `group`
-    /// (the row index *is* the offset). Index `i` of the result is parity
-    /// role `i` (P, then Q for the RAID6 inner layer).
-    pub fn inner_parities_of_row(&self, group: usize, row: usize) -> Vec<ChunkAddr> {
-        (0..self.p_in)
-            .map(|i| ChunkAddr::new(self.disk_id(group, (row + i) % self.g), row))
-            .collect()
+    /// Address of the inner-parity chunk of row `row` in `group` (the row
+    /// index *is* the offset).
+    pub fn inner_parity_of_row(&self, group: usize, row: usize) -> ChunkAddr {
+        ChunkAddr::new(self.disk_id(group, row % self.g), row)
     }
 
-    /// The `g − p_in` payload chunks of row `row` in `group` (everything in
-    /// the row except its inner parities), ascending member order.
+    /// The `g − 1` payload chunks of row `row` in `group` (everything in the
+    /// row except its inner parity), ascending member order.
     pub fn row_payload(&self, group: usize, row: usize) -> Vec<ChunkAddr> {
         (0..self.g)
             .filter(|&j| !self.member_is_parity(j, row))
@@ -153,20 +146,9 @@ impl Geometry {
     /// (payload offsets are the rows where `j` is not a parity member, in
     /// order).
     pub fn payload_offset(&self, j: usize, q: usize) -> usize {
-        let per_band = self.g - self.p_in;
-        let row_band = q / per_band;
-        let x = q % per_band;
-        // x-th row-within-band where member j holds payload.
-        let mut seen = 0;
-        for w in 0..self.g {
-            if !self.member_is_parity(j, w) {
-                if seen == x {
-                    return row_band * self.g + w;
-                }
-                seen += 1;
-            }
-        }
-        unreachable!("each band has g - p_in payload rows per member")
+        let x = q % (self.g - 1);
+        // The x-th row of the band where member j holds payload skips row j.
+        (q / (self.g - 1)) * self.g + x + usize::from(x >= j)
     }
 
     /// Inverse of [`Geometry::payload_offset`]: the payload index of offset
@@ -181,11 +163,7 @@ impl Geometry {
             !self.member_is_parity(j, within),
             "offset {o} is inner parity on member {j}"
         );
-        let per_band = self.g - self.p_in;
-        let x = (0..within)
-            .filter(|&w| !self.member_is_parity(j, w))
-            .count();
-        (o / self.g) * per_band + x
+        (o / self.g) * (self.g - 1) + within - usize::from(within > j)
     }
 
     /// Skew phase for (block, position).
@@ -465,50 +443,12 @@ mod tests {
     #[test]
     fn row_helpers() {
         let g = reference();
-        let parities = g.inner_parities_of_row(2, 4);
-        assert_eq!(parities, vec![ChunkAddr::new(2 * 3 + 1, 4)]); // 4 mod 3 = 1
-        assert!(g.is_inner_parity(parities[0]));
+        let parity = g.inner_parity_of_row(2, 4);
+        assert_eq!(parity, ChunkAddr::new(2 * 3 + 1, 4)); // 4 mod 3 = 1
+        assert!(g.is_inner_parity(parity));
         let payload = g.row_payload(2, 4);
         assert_eq!(payload.len(), 2);
         assert!(payload.iter().all(|a| !g.is_inner_parity(*a)));
         assert_eq!(g.row_chunks(2, 4).len(), 3);
-    }
-
-    #[test]
-    fn dual_parity_geometry_roundtrip() {
-        let cfg = OiRaidConfig::new(bibd::fano(), 5, 2)
-            .unwrap()
-            .with_inner_parities(2)
-            .unwrap();
-        let g = geo(cfg);
-        assert_eq!(g.p_in, 2);
-        assert_eq!(g.stripes_per_block, 2 * 5 * 3);
-        // Payload bijection still holds.
-        for j in 0..g.g {
-            for q in 0..g.depth * g.r {
-                let o = g.payload_offset(j, q);
-                assert!(!g.member_is_parity(j, o % g.g), "j={j} q={q}");
-                assert_eq!(g.payload_index(j, o), q, "j={j} q={q}");
-            }
-        }
-        for block in 0..g.b {
-            for s in 0..g.stripes_per_block {
-                for pos in 0..g.k {
-                    let pp = PayloadPos {
-                        block,
-                        stripe: s,
-                        pos,
-                    };
-                    let addr = g.stripe_chunk(pp);
-                    assert!(!g.is_inner_parity(addr));
-                    assert_eq!(g.payload_pos(addr), pp);
-                }
-            }
-        }
-        // Each row has exactly 2 parity + 3 payload chunks.
-        for row in 0..g.chunks_per_disk {
-            assert_eq!(g.inner_parities_of_row(0, row).len(), 2);
-            assert_eq!(g.row_payload(0, row).len(), 3);
-        }
     }
 }

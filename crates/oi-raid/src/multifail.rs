@@ -1,8 +1,9 @@
 //! Multi-failure analysis and planning, two ways over one rule.
 //!
 //! Both layers are RAID5, so a stripe (inner row or outer stripe) is
-//! decodable exactly when at most one of its chunks is missing (`p_in` for a
-//! RAID6 inner row). [`run_fixpoint`] plans *forward* over the whole array:
+//! decodable exactly when at most one of its chunks is missing, and the
+//! missing chunk is the XOR of the others. [`run_fixpoint`] plans *forward*
+//! over the whole array:
 //! starting from every missing chunk, it repeatedly repairs every stripe
 //! within its tolerance until nothing changes. If all chunks come back, the
 //! failure pattern is survivable — this is how the "tolerates at least
@@ -86,41 +87,36 @@ pub(crate) fn run_fixpoint(
     let mut progressed = true;
     while left > 0 && progressed {
         progressed = false;
-        // Outer stripes cover payload chunks and decode one miss; inner
-        // rows cover everything (payload + inner parity) and decode up to
-        // p_in. When several chunks of a row come back together, the first
-        // plan item carries the shared reads.
-        let stripes = geo.all_stripes().map(|(b, s)| (geo.stripe_chunks(b, s), 1));
-        let rows = (0..geo.v).flat_map(|grp| (0..t).map(move |row| (grp, row)));
-        let rows = rows.map(|(grp, row)| (geo.row_chunks(grp, row), geo.p_in));
-        for (chunks, tolerance) in stripes.chain(rows) {
-            let miss: Vec<ChunkAddr> = chunks.iter().copied().filter(|a| !present[at(a)]).collect();
-            if miss.is_empty() || miss.len() > tolerance {
+        // Outer stripes cover payload chunks, inner rows everything
+        // (payload + inner parity); each decodes a sole miss.
+        let stripes = geo.all_stripes().map(|(b, s)| geo.stripe_chunks(b, s));
+        let rows = (0..geo.v).flat_map(|grp| (0..t).map(move |row| geo.row_chunks(grp, row)));
+        for chunks in stripes.chain(rows) {
+            let mut miss = chunks.iter().filter(|a| !present[at(a)]);
+            let (Some(&lost), None) = (miss.next(), miss.next()) else {
                 continue;
-            }
+            };
             progressed = true;
-            for (i, &lost) in miss.iter().enumerate() {
-                present[at(&lost)] = true;
-                left -= 1;
-                let Some(items) = plan.as_deref_mut() else {
-                    continue;
-                };
-                let (mut reads, mut depends) = (Vec::new(), Vec::new());
-                for &src in chunks.iter().filter(|a| i == 0 && !miss.contains(a)) {
-                    match missing(src) {
-                        true => depends.push(repaired_item[&src]),
-                        false => reads.push(src),
-                    }
+            present[at(&lost)] = true;
+            left -= 1;
+            let Some(items) = plan.as_deref_mut() else {
+                continue;
+            };
+            let (mut reads, mut depends) = (Vec::new(), Vec::new());
+            for &src in chunks.iter().filter(|a| **a != lost) {
+                match missing(src) {
+                    true => depends.push(repaired_item[&src]),
+                    false => reads.push(src),
                 }
-                repaired_item.insert(lost, items.len());
-                let write = WriteTarget::InPlace;
-                items.push(ChunkRecovery {
-                    lost,
-                    reads,
-                    depends,
-                    write,
-                });
             }
+            repaired_item.insert(lost, items.len());
+            let write = WriteTarget::InPlace;
+            items.push(ChunkRecovery {
+                lost,
+                reads,
+                depends,
+                write,
+            });
         }
     }
     let lost = (0..present.len()).filter(|&i| !present[i]);
@@ -131,13 +127,12 @@ pub(crate) fn run_fixpoint(
 
 /// Plans `targets` backward over the chunks `available` vouches for: their
 /// closure, where [`run_fixpoint`] plans the whole array. A target decodes
-/// through its inner row if that has at most `p_in` misses, else its outer
+/// through its inner row if it is the sole miss there, else its outer
 /// stripe if it is the sole miss there, else the first of the two whose
-/// other misses are plannable, recursively (the row first: a RAID6 row
-/// decodes two misses of a group). Planned chunks are reused; one on the
-/// search path is not planned again, which ends the recursion. Items write
-/// in place and depend backwards, a row's reads on its first item and its
-/// other misses read-less after it, as the rebuild's `combine` reads them.
+/// other misses are plannable, recursively (the row first). Planned chunks
+/// are reused; one on the search path is not planned again, which ends the
+/// recursion. Items write in place and depend backwards, and each decodes
+/// one chunk as the XOR of its reads and its dependencies' outputs.
 /// Returns the plan and the relation each item decodes through; a target
 /// no relation chain reaches has no item.
 pub(crate) fn plan_closure(
@@ -189,7 +184,7 @@ struct Search<'a, F> {
     /// Chunks whose relations' misses are being planned, outermost first.
     path: Vec<ChunkAddr>,
     /// Used relation chunk lists: one allocation per level of recursion.
-    spare: Vec<Vec<(ChunkAddr, Source)>>,
+    spare: Vec<Vec<ChunkAddr>>,
 }
 
 impl<F: Fn(ChunkAddr) -> bool> Search<'_, F> {
@@ -227,24 +222,20 @@ impl<F: Fn(ChunkAddr) -> bool> Search<'_, F> {
         let geo = self.geo;
         let mut chunks = self.spare.pop().unwrap_or_default();
         chunks.clear();
-        let miss = |a| (a, Source::Miss);
         match region {
             Region::Row(group, row) => {
-                chunks.extend((0..geo.g).map(|j| miss(ChunkAddr::new(geo.disk_id(group, j), row))))
+                chunks.extend((0..geo.g).map(|j| ChunkAddr::new(geo.disk_id(group, j), row)))
             }
-            Region::Stripe(block, stripe) => chunks.extend(
-                (0..geo.k).map(|pos| miss(geo.stripe_chunk(PayloadPos { block, stripe, pos }))),
-            ),
+            Region::Stripe(block, stripe) => chunks
+                .extend((0..geo.k).map(|pos| geo.stripe_chunk(PayloadPos { block, stripe, pos }))),
         }
         let mark = self.items.len();
         if recurse {
-            for &(m, _) in chunks.iter().filter(|(m, _)| *m != t) {
+            for &m in chunks.iter().filter(|m| **m != t) {
                 self.plan(m);
             }
         }
-        // A row planned on the way may have co-decoded `t` already.
-        let planned = recurse && self.source(t) != Source::Miss;
-        let decoded = planned || self.emit(t, region, &mut chunks);
+        let decoded = self.emit(t, region, &chunks);
         if !decoded {
             self.items.truncate(mark);
             self.via.truncate(mark);
@@ -253,40 +244,25 @@ impl<F: Fn(ChunkAddr) -> bool> Search<'_, F> {
         decoded
     }
 
-    /// Plans the misses of `chunks`, `t` among them, if `region` decodes them
-    /// all. Each chunk is asked once: what is counted is what is planned.
-    fn emit(&mut self, t: ChunkAddr, region: Region, chunks: &mut [(ChunkAddr, Source)]) -> bool {
-        // `t` stays the miss it was listed as.
-        for (a, source) in chunks.iter_mut().filter(|(a, _)| *a != t) {
-            *source = self.source(*a);
-        }
-        let misses = chunks.iter().filter(|(_, s)| *s == Source::Miss).count();
-        let tolerance = match region {
-            Region::Row(..) => self.geo.p_in,
-            Region::Stripe(..) => 1,
-        };
-        if misses > tolerance {
-            return false;
-        }
+    /// Plans `t` through `region` if every other chunk of `chunks` is read
+    /// or already planned.
+    fn emit(&mut self, t: ChunkAddr, region: Region, chunks: &[ChunkAddr]) -> bool {
         let (mut reads, mut depends) = (Vec::new(), Vec::new());
-        for &(a, source) in chunks.iter() {
-            match source {
+        for &a in chunks.iter().filter(|a| **a != t) {
+            match self.source(a) {
                 Source::Read => reads.push(a),
                 Source::Item(item) => depends.push(item),
-                Source::Miss => {}
+                Source::Miss => return false,
             }
         }
-        for &(lost, _) in chunks.iter().filter(|(_, s)| *s == Source::Miss) {
-            let (reads, depends) = (std::mem::take(&mut reads), std::mem::take(&mut depends));
-            let write = WriteTarget::InPlace;
-            self.items.push(ChunkRecovery {
-                lost,
-                reads,
-                depends,
-                write,
-            });
-            self.via.push(region);
-        }
+        let write = WriteTarget::InPlace;
+        self.items.push(ChunkRecovery {
+            lost: t,
+            reads,
+            depends,
+            write,
+        });
+        self.via.push(region);
         true
     }
 }
@@ -405,70 +381,6 @@ mod tests {
         ));
     }
 
-    fn dual_parity_array() -> OiRaid {
-        // Fano outer, groups of 5, RAID6 inner: tolerance 2·2 + 1 = 5.
-        let cfg = OiRaidConfig::new(bibd::fano(), 5, 1)
-            .unwrap()
-            .with_inner_parities(2)
-            .unwrap();
-        OiRaid::new(cfg).unwrap()
-    }
-
-    /// Deterministic 5-failure patterns of [`dual_parity_array`]:
-    /// adversarial shapes (whole group = 5 disks, 3 + 2 across
-    /// block-sharing groups), then a pseudo-random sample.
-    fn dual_parity_samples(n: usize) -> Vec<Vec<usize>> {
-        let mut patterns: Vec<Vec<usize>> = vec![
-            vec![0, 1, 2, 3, 4],      // whole group
-            vec![0, 1, 2, 5, 6],      // 3 + 2 in groups sharing a block
-            vec![0, 1, 5, 6, 10],     // 2+2+1
-            vec![0, 7, 14, 21, 28],   // spread
-            vec![30, 31, 32, 33, 34], // last group
-            vec![0, 1, 2, 3, 34],     // 4 + 1
-        ];
-        let mut s = 0xD00Du64;
-        for _ in 0..40 {
-            let mut p = Vec::new();
-            while p.len() < 5 {
-                s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
-                let d = (s >> 33) as usize % n;
-                if !p.contains(&d) {
-                    p.push(d);
-                }
-            }
-            patterns.push(p);
-        }
-        patterns
-    }
-
-    #[test]
-    fn dual_parity_tolerates_five_failures_sampled() {
-        let a = dual_parity_array();
-        assert_eq!(a.fault_tolerance(), 5);
-        for p in &dual_parity_samples(a.disks()) {
-            assert!(a.survives(p), "{p:?}");
-            assert!(
-                a.recovery_plan(p, SparePolicy::Distributed).is_ok(),
-                "{p:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn dual_parity_six_failures_can_lose_data() {
-        let a = dual_parity_array();
-        // 3 + 3 in two groups sharing a block, with member sets aligned to
-        // the skew so a shared outer stripe loses both its chunks and the
-        // cross-layer cascade cannot untangle it (witness found by search:
-        // members {0, 3, 4} of groups 0 and 1). Many other 3 + 3 patterns
-        // *do* survive through the cascade — tolerance is exactly 5.
-        assert!(!a.survives(&[0, 3, 4, 5, 8, 9]));
-        assert!(
-            a.survives(&[0, 1, 2, 5, 6, 7]),
-            "most 3+3 patterns cascade back"
-        );
-    }
-
     #[test]
     fn triple_failures_survive_on_larger_config() {
         let design = bibd::find_design(13, 4).unwrap();
@@ -535,7 +447,6 @@ mod tests {
             buf
         };
         let pool = crate::bufpool::BufPool::new(16);
-        let decoded = std::sync::Mutex::default();
         let mut outputs: Vec<Vec<u8>> = Vec::new();
         for (i, (it, region)) in items.iter().zip(&via).enumerate() {
             let relation = match *region {
@@ -543,7 +454,7 @@ mod tests {
                 Region::Stripe(block, stripe) => geo.stripe_chunks(block, stripe),
             };
             proptest::prop_assert!(relation.contains(&it.lost), "{} via {:?}", it.lost, region);
-            let mut inputs = crate::rebuild::Inputs::new();
+            let mut inputs = Vec::new();
             for &a in &it.reads {
                 proptest::prop_assert!(
                     available(a) && relation.contains(&a),
@@ -551,15 +462,14 @@ mod tests {
                     it.lost,
                     a
                 );
-                inputs.push((a, stored(a)));
+                inputs.push(stored(a));
             }
             for &d in &it.depends {
                 proptest::prop_assert!(d < i, "item {} depends on {}", i, d);
                 proptest::prop_assert!(relation.contains(&items[d].lost));
-                inputs.push((items[d].lost, outputs[d].clone()));
+                inputs.push(outputs[d].clone());
             }
-            let code = store.inner_code();
-            let value = crate::rebuild::combine(geo, code, it.lost, &mut inputs, &decoded, &pool);
+            let value = crate::rebuild::combine(&mut inputs, &pool);
             proptest::prop_assert_eq!(&value, &stored(it.lost), "{}", it.lost);
             outputs.push(value);
         }
@@ -570,10 +480,9 @@ mod tests {
         #![proptest_config(proptest::ProptestConfig::with_cases(6))]
 
         // The backward planner is complete: over every 3-disk pattern of
-        // the reference array and the dual-parity samples, each with up to
-        // six more chunks missing at random, it plans a chunk exactly when
-        // the whole-array fixpoint recovers it, and what it plans decodes
-        // to the stored bytes.
+        // the reference array, each with up to six more chunks missing at
+        // random, it plans a chunk exactly when the whole-array fixpoint
+        // recovers it, and what it plans decodes to the stored bytes.
         #[test]
         fn the_backward_planner_reaches_what_the_fixpoint_reaches(seed in proptest::any::<u64>()) {
             let mut x = seed | 1;
@@ -583,24 +492,20 @@ mod tests {
                 x ^= x << 17;
                 x as usize
             };
-            for store in [filled(OiRaidConfig::reference()), filled(dual_parity_array().config().clone())] {
-                let (n, t) = (store.array().disks(), store.array().chunks_per_disk());
-                let mut patterns = dual_parity_samples(n);
-                if n == 21 {
-                    patterns = (0..n)
-                        .flat_map(|a| (a + 1..n).flat_map(move |b| (b + 1..n).map(move |c| vec![a, b, c])))
-                        .collect();
-                }
-                let mut deep = 0;
-                for failed in patterns {
-                    let extra: Vec<ChunkAddr> = (0..next() % 7)
-                        .map(|_| ChunkAddr::new(next() % n, next() % t))
-                        .collect();
-                    let missing = |a: ChunkAddr| failed.contains(&a.disk) || extra.contains(&a);
-                    deep += planner_matches_fixpoint(&store, &missing)?;
-                }
-                proptest::prop_assert!(deep > 0, "no chunk of {} disks needed a second relation", n);
+            let store = filled(OiRaidConfig::reference());
+            let (n, t) = (store.array().disks(), store.array().chunks_per_disk());
+            let patterns: Vec<Vec<usize>> = (0..n)
+                .flat_map(|a| (a + 1..n).flat_map(move |b| (b + 1..n).map(move |c| vec![a, b, c])))
+                .collect();
+            let mut deep = 0;
+            for failed in patterns {
+                let extra: Vec<ChunkAddr> = (0..next() % 7)
+                    .map(|_| ChunkAddr::new(next() % n, next() % t))
+                    .collect();
+                let missing = |a: ChunkAddr| failed.contains(&a.disk) || extra.contains(&a);
+                deep += planner_matches_fixpoint(&store, &missing)?;
             }
+            proptest::prop_assert!(deep > 0, "no chunk of {} disks needed a second relation", n);
         }
     }
 }

@@ -69,13 +69,11 @@ use blockdev::{
     crash_point, write_chunk_retrying, BlockDevice, CounterSnapshot, DeviceError, RetryCounters,
     RetryReader, RetryStats,
 };
-use ecc::ErasureCode;
 use layout::{ChunkAddr, Layout, RecoveryPlan, SparePolicy};
 use telemetry::HistogramSnapshot;
 
 use crate::bufpool::BufPool;
 use crate::checkpoint::RebuildCheckpoint;
-use crate::geometry::Geometry;
 use crate::observe::{RebuildObserver, StageSummary};
 use crate::online::Region;
 use crate::recovery::single_failure_plan;
@@ -370,140 +368,24 @@ impl fmt::Display for RebuildReport {
     }
 }
 
-/// The sources gathered for one plan item — scheduled reads *and* outputs
-/// of dependency items — by address. An item has a handful, so a scan
-/// beats hashing, and one list serves a whole batch without reallocating.
-pub(crate) type Inputs = Vec<(ChunkAddr, Vec<u8>)>;
-
-/// Moves `addr`'s bytes out of `inputs`.
-fn take_input(inputs: &mut Inputs, addr: ChunkAddr) -> Option<Vec<u8>> {
-    let at = inputs.iter().position(|(a, _)| *a == addr)?;
-    Some(inputs.swap_remove(at).1)
-}
-
-/// Reconstructs one lost chunk from gathered inputs.
+/// Reconstructs one lost chunk from the sources gathered for its plan item
+/// — scheduled reads *and* outputs of dependency items, in any order.
 ///
-/// Entries of `inputs` may be consumed (moved out), the caller recycles
-/// whatever remains. `decoded` caches whole-row decodes so that co-decoded
-/// siblings (multi-failure items with no sources of their own) can pick up
-/// their value — a sibling directly follows its provider in the plan, so
-/// the cache holds a few entries at most; it is locked on those two paths
-/// only, so concurrent stripe XORs never meet there. Pure in its inputs —
-/// this is what makes serial and DAG execution bit-identical.
-pub(crate) fn combine(
-    geo: &Geometry,
-    code: &dyn ErasureCode,
-    lost: ChunkAddr,
-    inputs: &mut Inputs,
-    decoded: &Mutex<Inputs>,
-    pool: &BufPool,
-) -> Vec<u8> {
-    if inputs.is_empty() {
-        // Sibling of an earlier whole-row decode (multi-failure plans emit
-        // one item carrying the row's shared reads, then read-less items
-        // for the other chunks co-decoded from them).
-        return take_input(&mut lock(decoded), lost).expect("sibling item follows its row decode");
+/// Every relation is one XOR parity, so every item's value is the XOR of
+/// its inputs: a row or stripe decode XORs the relation's other chunks, and
+/// a remote row-parity recompute reads the outer stripes of the row's
+/// payloads, which XOR to the payloads and so to their parity. The first
+/// input's buffer is the accumulator (nothing is zero-filled or
+/// allocated); the rest go back to `pool`, leaving `inputs` empty. Pure in
+/// its inputs — this is what makes serial and DAG execution bit-identical.
+pub(crate) fn combine(inputs: &mut Vec<Vec<u8>>, pool: &BufPool) -> Vec<u8> {
+    let mut sources = inputs.drain(..);
+    let mut acc = sources.next().expect("a plan item has sources");
+    for bytes in sources {
+        xor_acc(&mut acc, &bytes);
+        pool.put(bytes);
     }
-    let grp = geo.group_of(lost.disk);
-    let row = lost.offset;
-    if inputs
-        .iter()
-        .all(|(a, _)| geo.group_of(a.disk) == grp && a.offset == row)
-    {
-        if geo.p_in == 1 {
-            // One XOR erasure: the lost unit is the XOR of the row's g − 1
-            // others, whatever its role. The first source's buffer is the
-            // accumulator — nothing is zero-filled or allocated, and the
-            // row costs one XOR pass fewer; the rest stay with the caller,
-            // like a stripe's.
-            debug_assert_eq!(inputs.len(), geo.g - 1, "a full XOR row but one");
-            let (_, mut acc) = inputs.swap_remove(0);
-            for (_, bytes) in inputs.iter() {
-                xor_acc(&mut acc, bytes);
-            }
-            return acc;
-        }
-        // Inner-row decode (handles >1 erasure when p_in = 2).
-        let ordered: Vec<ChunkAddr> = geo
-            .row_payload(grp, row)
-            .into_iter()
-            .chain(geo.inner_parities_of_row(grp, row))
-            .collect();
-        let mut units: Vec<Option<Vec<u8>>> =
-            ordered.iter().map(|a| take_input(inputs, *a)).collect();
-        let erased: Vec<bool> = units.iter().map(Option::is_none).collect();
-        code.reconstruct(&mut units).expect("within row tolerance");
-        // Keep what a co-decoded sibling will ask for — the other erased
-        // units — and recycle the sources at once: a single-erasure row
-        // never touches the cache.
-        let mut value = None;
-        for ((a, unit), erased) in ordered.iter().zip(units).zip(erased) {
-            let unit = unit.expect("reconstructed");
-            if *a == lost {
-                value = Some(unit);
-            } else if erased {
-                lock(decoded).push((*a, unit));
-            } else {
-                pool.put(unit);
-            }
-        }
-        return value.expect("lost chunk is in its row");
-    }
-    let mut stripe_xor = |payload: ChunkAddr| -> Vec<u8> {
-        let p = geo.payload_pos(payload);
-        let mut sources = geo
-            .stripe_chunks(p.block, p.stripe)
-            .into_iter()
-            .filter(|a| *a != payload);
-        // The first source's buffer *is* the accumulator (every source
-        // belongs to one stripe only): nothing is zero-filled and the
-        // stripe costs one XOR pass fewer.
-        let Some(first) = sources.next() else {
-            return pool.take();
-        };
-        let mut acc = take_input(inputs, first).expect("stripe source gathered");
-        for a in sources {
-            let (_, bytes) = inputs
-                .iter()
-                .find(|(x, _)| *x == a)
-                .expect("stripe source gathered");
-            xor_acc(&mut acc, bytes);
-        }
-        acc
-    };
-    if !geo.is_inner_parity(lost) {
-        // Outer-stripe XOR: the k − 1 other chunks of the lost payload's
-        // stripe (sourced from reads and/or dependency outputs).
-        return stripe_xor(lost);
-    }
-    // Remote inner-parity recompute (Outer-All / hybrid strategies): first
-    // recover each payload of the row from its *outer* stripe, then
-    // re-encode the row and keep the lost parity's role.
-    let payloads: Vec<Vec<u8>> = geo
-        .row_payload(grp, row)
-        .into_iter()
-        .map(&mut stripe_xor)
-        .collect();
-    let parities = code.encode(&payloads).expect("row encodes");
-    let role = geo
-        .inner_parities_of_row(grp, row)
-        .iter()
-        .position(|a| *a == lost)
-        .expect("lost parity is in its row");
-    parities[role].clone()
-}
-
-/// Item `idx`'s backward edges, identical for both executors: the plan's
-/// `depends`, then the sibling link, marked `true` because a sibling reads
-/// the decode cache instead of folding the provider's output into its
-/// inputs.
-fn depends_of<'a>(
-    geo: &'a Geometry,
-    items: &'a [layout::ChunkRecovery],
-    idx: usize,
-) -> impl Iterator<Item = (usize, bool)> + 'a {
-    let planned = items[idx].depends.iter().map(|&d| (d, false));
-    planned.chain(sibling_provider(geo, items, idx).map(|p| (p, true)))
+    acc
 }
 
 /// Bytes of reconstruction one batch op carries: what a round hands a
@@ -556,31 +438,6 @@ fn batch_reads(items: &[layout::ChunkRecovery]) -> Vec<(usize, ChunkAddr)> {
 /// next offset. A run is one [`BlockDevice::read_chunks`] call.
 fn continues_run(x: &(usize, ChunkAddr), y: &(usize, ChunkAddr)) -> bool {
     x.1.disk == y.1.disk && x.1.offset + 1 == y.1.offset
-}
-
-/// The sibling linkage rule shared by [`depends_of`] and the dirty
-/// footprints: a read-less, dependency-less plan item is a
-/// co-decoded *sibling* whose value comes from the nearest **earlier**
-/// same-inner-row item that has sources of its own (multi-failure plans
-/// emit one item carrying a row's shared reads, then read-less items for
-/// the other chunks co-decoded from them). `None` when `idx` is not a
-/// sibling.
-fn sibling_provider(geo: &Geometry, items: &[layout::ChunkRecovery], idx: usize) -> Option<usize> {
-    if !items[idx].reads.is_empty() || !items[idx].depends.is_empty() {
-        return None;
-    }
-    let lost = items[idx].lost;
-    let (grp, row) = (geo.group_of(lost.disk), lost.offset);
-    let provider = (0..idx)
-        .rev()
-        .find(|&j| {
-            let l = items[j].lost;
-            geo.group_of(l.disk) == grp
-                && l.offset == row
-                && !(items[j].reads.is_empty() && items[j].depends.is_empty())
-        })
-        .expect("sibling item has a row-decode provider");
-    Some(provider)
 }
 
 /// One coalesced read run: `(slot, source address)` pairs with
@@ -1410,11 +1267,10 @@ impl<B: BlockDevice> OiRaidStore<B> {
     /// its reconstruction (transitively) reads. A writeback is discarded
     /// when a foreground write dirtied any of these since the round began.
     fn plan_regions(&self, plan: &RecoveryPlan) -> Footprints {
-        let geo = self.array().geometry();
         let items = plan.items();
         let mut regions: Vec<Region> = Vec::with_capacity(4 * items.len());
         let mut start = Vec::with_capacity(items.len() + 1);
-        for (idx, it) in items.iter().enumerate() {
+        for it in items {
             let from = regions.len();
             start.push(from);
             // An item's own footprint is a handful of relations: a scan of
@@ -1429,10 +1285,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
                     add(&mut regions, r);
                 }
             }
-            // Co-decoded sibling: its value comes from an earlier same-row
-            // decode, so it inherits that provider's footprint (the same
-            // linkage rule the executors use).
-            for &d in it.depends.iter().chain(&sibling_provider(geo, items, idx)) {
+            for &d in &it.depends {
                 for i in start[d]..start[d + 1] {
                     let inherited = regions[i];
                     add(&mut regions, inherited);
@@ -1547,8 +1400,8 @@ impl<B: BlockDevice> OiRaidStore<B> {
     /// source runs back to back ([`batch_reads`]; no run crosses the
     /// batch's edge), combines the items in plan order and lands them
     /// through [`Self::writeback_chunks`]. Cross-batch dependencies (the
-    /// plan's `depends` and sibling links, which only point backwards) are
-    /// the graph's only edges; in-batch ones are satisfied by order.
+    /// plan's `depends`, which only point backwards) are the graph's only
+    /// edges; in-batch ones are satisfied by order.
     ///
     /// [`RebuildMode::Dag`] hands the graph to the [`sched`] pool, which
     /// takes ready batches in plan order and runs a batch another one
@@ -1571,8 +1424,6 @@ impl<B: BlockDevice> OiRaidStore<B> {
         tick: Option<&CheckpointTick>,
     ) -> RoundOutput {
         let began = Instant::now();
-        let geo = self.array().geometry();
-        let code = self.inner_code();
         let chunk_size = self.chunk_size();
         let items = plan.items();
         let n = items.len();
@@ -1594,7 +1445,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
         for b in 0..n.div_ceil(per) {
             graph.add_node((), None);
             let mut after: Vec<usize> = Vec::new();
-            for (d, _) in of_batch(b).flat_map(|idx| depends_of(geo, items, idx)) {
+            for &d in of_batch(b).flat_map(|idx| &items[idx].depends) {
                 if d / per != b && !after.contains(&(d / per)) {
                     after.push(d / per);
                     graph.add_edge(d / per, b);
@@ -1610,7 +1461,6 @@ impl<B: BlockDevice> OiRaidStore<B> {
         let done: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
         let outputs: Vec<Mutex<(Option<Vec<u8>>, usize)>> =
             uses.iter().map(|&u| Mutex::new((None, u))).collect();
-        let decoded: Mutex<Inputs> = Mutex::default();
         let unreadable: Mutex<Vec<(ChunkAddr, DeviceError)>> = Mutex::new(Vec::new());
         let readers: Vec<RetryReader<'_, B>> = self
             .devices()
@@ -1666,30 +1516,29 @@ impl<B: BlockDevice> OiRaidStore<B> {
                 lock(&unreadable).append(&mut failed);
             }
 
-            let mut inputs: Inputs = Vec::new();
+            let mut inputs: Vec<Vec<u8>> = Vec::new();
             let mut values: Vec<(usize, Vec<u8>)> = Vec::with_capacity(span.len());
             let mut combined: Vec<Duration> = Vec::with_capacity(span.len());
             let mut next = 0;
             for idx in span {
-                let mut ready =
-                    depends_of(geo, items, idx).all(|(d, _)| done[d].load(Ordering::Acquire));
-                for &addr in &items[idx].reads {
+                let depends = &items[idx].depends;
+                let mut ready = depends.iter().all(|&d| done[d].load(Ordering::Acquire));
+                for _ in &items[idx].reads {
                     let bytes = std::mem::take(&mut slots[next]);
                     next += 1;
                     if bytes.is_empty() {
                         ready = false;
                     } else {
-                        inputs.push((addr, bytes));
+                        inputs.push(bytes);
                     }
                 }
                 if !ready {
-                    inputs.drain(..).for_each(|(_, bytes)| pool.put(bytes));
+                    inputs.drain(..).for_each(|bytes| pool.put(bytes));
                     continue;
                 }
-                // Fold dependency outputs in, keyed by the dep's lost
-                // address; the last consumer (use count under the slot
-                // lock) moves instead of cloning.
-                for (d, _) in depends_of(geo, items, idx).filter(|(_, sibling)| !sibling) {
+                // Fold dependency outputs in; the last consumer (use count
+                // under the slot lock) moves instead of cloning.
+                for &d in depends {
                     let mut slot = lock(&outputs[d]);
                     slot.1 -= 1;
                     let out = if slot.1 == 0 {
@@ -1697,11 +1546,10 @@ impl<B: BlockDevice> OiRaidStore<B> {
                     } else {
                         slot.0.clone()
                     };
-                    inputs.push((items[d].lost, out.expect("dependency completed")));
+                    inputs.push(out.expect("dependency completed"));
                 }
                 let began = Instant::now();
-                let value = combine(geo, code, items[idx].lost, &mut inputs, &decoded, pool);
-                inputs.drain(..).for_each(|(_, bytes)| pool.put(bytes));
+                let value = combine(&mut inputs, pool);
                 combined.push(began.elapsed());
                 if uses[idx] > 0 {
                     lock(&outputs[idx]).0 = Some(value.clone());
@@ -1797,51 +1645,109 @@ mod tests {
         out
     }
 
-    /// The single-XOR-erasure shortcut of [`combine`] against the row code
-    /// it stands in for: random rows of random widths, every unit lost in
-    /// turn (payload and parity alike), bit-identical to
-    /// `XorParity::reconstruct` — and the sources it did not consume are
-    /// still the caller's.
+    /// [`combine`] against the row code it stands in for: random rows of
+    /// random widths, every unit lost in turn (payload and parity alike),
+    /// bit-identical to `XorParity::reconstruct` — and every source is
+    /// consumed.
     #[test]
     fn a_single_xor_erasure_combines_to_what_the_row_code_reconstructs() {
+        use ecc::ErasureCode;
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(0x28);
         for (g, chunk) in [(3usize, 64usize), (5, 48), (7, 4096)] {
-            let array = crate::OiRaid::new(OiRaidConfig::new(bibd::fano(), g, 1).unwrap()).unwrap();
-            let (geo, pool) = (array.geometry(), BufPool::new(chunk));
+            let pool = BufPool::new(chunk);
             let code = ecc::XorParity::new(g - 1).unwrap();
             for _ in 0..20 {
-                let grp = rng.gen_range(0..geo.v);
-                let row = rng.gen_range(0..geo.chunks_per_disk);
                 let payload: Vec<Vec<u8>> = (1..g)
                     .map(|_| (0..chunk).map(|_| rng.gen::<u32>() as u8).collect())
                     .collect();
                 let parity = code.encode(&payload).unwrap();
-                let ordered: Vec<ChunkAddr> = geo
-                    .row_payload(grp, row)
-                    .into_iter()
-                    .chain(geo.inner_parities_of_row(grp, row))
-                    .collect();
                 let units: Vec<Vec<u8>> = payload.into_iter().chain(parity).collect();
                 for lost in 0..g {
                     let mut want: Vec<Option<Vec<u8>>> = units.iter().cloned().map(Some).collect();
                     want[lost] = None;
                     code.reconstruct(&mut want).unwrap();
-                    let mut inputs: Inputs = (0..g)
+                    let mut inputs: Vec<Vec<u8>> = (0..g)
                         .filter(|&u| u != lost)
-                        .map(|u| (ordered[u], units[u].clone()))
+                        .map(|u| units[u].clone())
                         .collect();
                     // Gather order is not unit order.
                     inputs.rotate_left(rng.gen_range(0..g - 1));
-                    let decoded = Mutex::default();
-                    let got = combine(geo, &code, ordered[lost], &mut inputs, &decoded, &pool);
+                    let got = combine(&mut inputs, &pool);
                     assert_eq!(Some(&got), want[lost].as_ref(), "g {g}, unit {lost}");
                     assert_eq!(got, units[lost]);
-                    assert_eq!(inputs.len(), g - 2, "one source became the value");
-                    assert!(lock(&decoded).is_empty(), "nothing parked for siblings");
+                    assert!(inputs.is_empty(), "every source consumed");
                 }
             }
         }
+    }
+
+    /// Every decode is the XOR of its inputs: over every 1-, 2- and 3-disk
+    /// pattern of a filled Fano × 3 store, each item of the single-failure
+    /// plans (all four strategies), of the whole-array
+    /// `chunk_recovery_plan` and of the backward plan of each failed disk's
+    /// data has reads or depends, and the XOR of the stored bytes of its
+    /// reads and of its depends' lost chunks is its lost chunk's stored
+    /// bytes. Some 2-disk plan depends across a 4 KiB rebuild batch edge.
+    #[test]
+    fn every_decode_is_the_xor_of_its_inputs() {
+        let store = filled(16);
+        let array = store.array();
+        let (n, t) = (array.disks(), array.chunks_per_disk());
+        let stored: Vec<Vec<u8>> = (0..n * t)
+            .map(|i| {
+                let mut buf = vec![0u8; 16];
+                store.devices()[i / t].read_chunk(i % t, &mut buf).unwrap();
+                buf
+            })
+            .collect();
+        let at = |a: ChunkAddr| &stored[a.disk * t + a.offset];
+        let mut crossed = false;
+        let mut check = |items: &[layout::ChunkRecovery], failed: &[usize]| {
+            let per = batch_items(4096, items.len(), 2);
+            for (idx, it) in items.iter().enumerate() {
+                assert!(
+                    !it.reads.is_empty() || !it.depends.is_empty(),
+                    "{failed:?}: {} has no inputs",
+                    it.lost
+                );
+                let mut acc = vec![0u8; 16];
+                it.reads.iter().for_each(|&a| xor_acc(&mut acc, at(a)));
+                it.depends
+                    .iter()
+                    .for_each(|&d| xor_acc(&mut acc, at(items[d].lost)));
+                assert_eq!(&acc, at(it.lost), "{failed:?}: {}", it.lost);
+                crossed |= failed.len() == 2 && it.depends.iter().any(|&d| d / per < idx / per);
+            }
+        };
+        let patterns = (0..n).flat_map(|a| {
+            let pairs = (a + 1..n).flat_map(move |b| {
+                let triples = (b + 1..n).map(move |c| vec![a, b, c]);
+                std::iter::once(vec![a, b]).chain(triples)
+            });
+            std::iter::once(vec![a]).chain(pairs)
+        });
+        for failed in patterns {
+            if let [d] = failed[..] {
+                for s in RecoveryStrategy::ALL {
+                    let plan = array.recovery_plan_with_strategy(d, SparePolicy::Distributed, s);
+                    check(plan.unwrap().items(), &failed);
+                }
+            }
+            let down = |a: ChunkAddr| failed.contains(&a.disk);
+            check(array.chunk_recovery_plan(down).unwrap().items(), &failed);
+            for &d in &failed {
+                let data: Vec<ChunkAddr> = (0..t)
+                    .map(|o| ChunkAddr::new(d, o))
+                    .filter(|&a| array.data_index(a).is_some())
+                    .collect();
+                let (plan, _) = crate::multifail::plan_closure(array, &data, |a| !down(a));
+                let planned = |a: &ChunkAddr| plan.items().iter().any(|it| it.lost == *a);
+                assert!(data.iter().all(planned), "{failed:?}: disk {d} unplanned");
+                check(plan.items(), &failed);
+            }
+        }
+        assert!(crossed, "no 2-disk plan depends across a batch edge");
     }
 
     #[test]
@@ -2026,35 +1932,6 @@ mod tests {
             }
             store.rebuild(mode, RecoveryStrategy::Hybrid).unwrap();
             for d in [6, 7, 8] {
-                assert_eq!(
-                    disk_image(&store, d),
-                    disk_image(&reference, d),
-                    "{mode} disk {d}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn dual_parity_double_failure_in_group() {
-        let cfg = OiRaidConfig::new(bibd::fano(), 5, 1)
-            .unwrap()
-            .with_inner_parities(2)
-            .unwrap();
-        for mode in [RebuildMode::Serial, RebuildMode::Dag] {
-            let store = OiRaidStore::new(cfg.clone(), 8).unwrap();
-            for idx in 0..store.data_chunks() {
-                let chunk: Vec<u8> = (0..8).map(|j| (idx * 61 + j * 19 + 7) as u8).collect();
-                store.write_data(idx, &chunk).unwrap();
-            }
-            let reference = store.clone();
-            // Two failures inside one group: exercises the RAID6 row decode.
-            for d in [5, 6] {
-                store.fail_disk(d).unwrap();
-            }
-            store.rebuild(mode, RecoveryStrategy::Hybrid).unwrap();
-            assert!(store.check_parity().is_empty(), "{mode}");
-            for d in [5, 6] {
                 assert_eq!(
                     disk_image(&store, d),
                     disk_image(&reference, d),

@@ -61,14 +61,10 @@ impl RecoveryStrategy {
 }
 
 /// The fraction numerator/denominator of inner-parity rows that
-/// [`RecoveryStrategy::Hybrid`] sends to the remote (outer) method,
-/// generalized over the inner parity count `p`:
-/// `ψ = (p·r·g − (g−p)) / (p·(r·g + g − p))`, clamped at 0.
-/// For `p = 1` this is the paper-case `(rg − g + 1)/(rg + g − 1)`.
-pub(crate) fn hybrid_remote_fraction(r: usize, g: usize, p: usize) -> (usize, usize) {
-    let num = (p * r * g).saturating_sub(g - p);
-    let den = p * (r * g + g - p);
-    (num, den)
+/// [`RecoveryStrategy::Hybrid`] sends to the remote (outer) method:
+/// `ψ = (rg − g + 1)/(rg + g − 1)`, clamped at 0.
+pub(crate) fn hybrid_remote_fraction(r: usize, g: usize) -> (usize, usize) {
+    ((r * g).saturating_sub(g - 1), r * g + g - 1)
 }
 
 /// Builds the plan for a single failed disk under `strategy`.
@@ -87,7 +83,7 @@ pub(crate) fn single_failure_plan(
         });
     }
     let grp = geo.group_of(failed_disk);
-    let (num, den) = hybrid_remote_fraction(geo.r, geo.g, geo.p_in);
+    let (num, den) = hybrid_remote_fraction(geo.r, geo.g);
     let mut parity_rows_seen = 0usize;
     let mut items = Vec::with_capacity(geo.chunks_per_disk);
     for o in 0..geo.chunks_per_disk {
@@ -232,10 +228,8 @@ mod tests {
 
     #[test]
     fn hybrid_fraction_formula() {
-        assert_eq!(hybrid_remote_fraction(3, 3, 1), (7, 11));
-        assert_eq!(hybrid_remote_fraction(1, 2, 1), (1, 3));
-        // Dual parity: ψ = (2rg − (g−2)) / (2(rg + g − 2)).
-        assert_eq!(hybrid_remote_fraction(3, 5, 2), (27, 36));
+        assert_eq!(hybrid_remote_fraction(3, 3), (7, 11));
+        assert_eq!(hybrid_remote_fraction(1, 2), (1, 3));
     }
 
     #[test]

@@ -74,8 +74,8 @@ fn main() {
          - OI-RAID makes the *whole-disk rebuild* parallel (every survivor\n\
            helps) and its tolerance is a property of the 21-disk array —\n\
            including the loss of an entire enclosure-like group.\n\
-         The two compose: nothing stops an OI-RAID outer layout from using\n\
-         locality-aware codes inside each group (see `with_inner_parities`)."
+         The two compose: an OI-RAID outer layout could use a locality-aware\n\
+         code inside each group; this crate keeps the paper's RAID5 rows."
     );
 
     // Degraded-read cost comparison under one failed disk.

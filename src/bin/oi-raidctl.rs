@@ -7,7 +7,7 @@
 //! oi-raidctl plan <v> <k> <g> --fail A,B [opts]  recovery plan & per-disk loads
 //! oi-raidctl simulate <v> <k> <g> --fail A [opts] simulated rebuild time
 //!
-//! options: --cycles C (default 1)  --inner-parities P (1|2, default 1)
+//! options: --cycles C (default 1)
 //!          --strategy inner|outer|outer-all|hybrid (default outer)
 //!          --capacity-gb N (default 1000)  --naive-skew
 //! ```
@@ -20,7 +20,6 @@ use oi_raid::{analysis::Model, OiRaid, OiRaidConfig, RecoveryStrategy, SkewMode}
 
 struct Opts {
     cycles: usize,
-    inner_parities: usize,
     strategy: RecoveryStrategy,
     capacity_gb: u64,
     naive_skew: bool,
@@ -30,7 +29,6 @@ struct Opts {
 fn parse_opts(args: &[String]) -> Result<Opts, String> {
     let mut o = Opts {
         cycles: 1,
-        inner_parities: 1,
         strategy: RecoveryStrategy::Outer,
         capacity_gb: 1000,
         naive_skew: false,
@@ -41,9 +39,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         match a.as_str() {
             "--cycles" => {
                 o.cycles = next_num(&mut it, a)?;
-            }
-            "--inner-parities" => {
-                o.inner_parities = next_num(&mut it, a)?;
             }
             "--capacity-gb" => {
                 o.capacity_gb = next_num(&mut it, a)? as u64;
@@ -89,9 +84,7 @@ fn build(v: usize, k: usize, g: usize, o: &Opts) -> Result<OiRaid, String> {
     } else {
         SkewMode::Rotational
     };
-    let cfg = OiRaidConfig::with_skew(design, g, o.cycles, skew)
-        .and_then(|c| c.with_inner_parities(o.inner_parities))
-        .map_err(|e| e.to_string())?;
+    let cfg = OiRaidConfig::with_skew(design, g, o.cycles, skew).map_err(|e| e.to_string())?;
     OiRaid::new(cfg).map_err(|e| e.to_string())
 }
 
@@ -125,14 +118,12 @@ fn cmd_info(array: &OiRaid, o: &Opts) {
             .update_set(array.locate_data(0))
             .map_or(0, |s| s.len())
     );
-    if array.config().inner_parities() == 1 {
-        println!(
-            "rebuild model: bottleneck {:.3} of a disk ({}), {:.1}x vs flat RAID5",
-            m.bottleneck_read_fraction(o.strategy),
-            o.strategy.label(),
-            m.read_speedup_vs_raid5(o.strategy)
-        );
-    }
+    println!(
+        "rebuild model: bottleneck {:.3} of a disk ({}), {:.1}x vs flat RAID5",
+        m.bottleneck_read_fraction(o.strategy),
+        o.strategy.label(),
+        m.read_speedup_vs_raid5(o.strategy)
+    );
 }
 
 fn cmd_layout(array: &OiRaid) {
@@ -243,7 +234,7 @@ fn run() -> Result<(), String> {
     if cmd == "--help" || cmd == "help" {
         println!(
             "oi-raidctl designs [max_v]\n\
-             oi-raidctl info <v> <k> <g> [--cycles C] [--inner-parities P] [--naive-skew]\n\
+             oi-raidctl info <v> <k> <g> [--cycles C] [--naive-skew]\n\
              oi-raidctl layout <v> <k> <g> [opts]\n\
              oi-raidctl plan <v> <k> <g> --fail A,B [--strategy S] [opts]\n\
              oi-raidctl simulate <v> <k> <g> --fail A [--capacity-gb N] [opts]"

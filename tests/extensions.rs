@@ -1,44 +1,9 @@
 //! Integration tests for the implemented extensions (`DESIGN.md` §6):
-//! the RAID6 inner layer, degraded-read planning, the URE reliability
-//! model, and the searched difference families — exercised together
-//! across crates.
+//! degraded-read planning, the URE reliability model, and the searched
+//! difference families — exercised together across crates.
 
 use oi_raid_repro::prelude::*;
 use reliability::ure::{array_mttdl_with_ure, exposure_profile, p_ure};
-
-fn dual_parity_array() -> OiRaid {
-    let cfg = OiRaidConfig::new(fano(), 5, 1)
-        .expect("config")
-        .with_inner_parities(2)
-        .expect("dual parity");
-    OiRaid::new(cfg).expect("array")
-}
-
-#[test]
-fn dual_parity_store_full_lifecycle_with_degraded_reads() {
-    let cfg = OiRaidConfig::new(fano(), 5, 1)
-        .unwrap()
-        .with_inner_parities(2)
-        .unwrap();
-    let store = OiRaidStore::new(cfg, 32).unwrap();
-    let mut expect = Vec::new();
-    for i in 0..store.data_chunks() {
-        let data: Vec<u8> = (0..32).map(|j| ((i * 73 + j * 29) % 251) as u8).collect();
-        store.write_data(i, &data).unwrap();
-        expect.push(data);
-    }
-    // Five failures: one whole group — still everything readable.
-    for d in [10, 11, 12, 13, 14] {
-        store.fail_disk(d).unwrap();
-    }
-    for (i, e) in expect.iter().enumerate().step_by(5) {
-        assert_eq!(&store.read_data(i).unwrap(), e, "chunk {i}");
-    }
-    store
-        .rebuild(RebuildMode::Dag, RecoveryStrategy::Hybrid)
-        .unwrap();
-    assert!(store.check_parity().is_empty());
-}
 
 #[test]
 fn read_plans_agree_with_store_behaviour() {
@@ -68,22 +33,9 @@ fn read_plans_agree_with_store_behaviour() {
 }
 
 #[test]
-fn dual_parity_survival_dominates_single_parity() {
-    let single = OiRaid::new(OiRaidConfig::new(fano(), 5, 1).unwrap()).unwrap();
-    let dual = dual_parity_array();
-    for f in 3..=6usize {
-        let qs = survivable_fraction(&single, f, 2_000, 0xEE + f as u64);
-        let qd = survivable_fraction(&dual, f, 2_000, 0xEE + f as u64);
-        assert!(qd >= qs, "f={f}: dual {qd} < single {qs}");
-    }
-    assert_eq!(survivable_fraction(&dual, 5, 1_500, 1), 1.0);
-}
-
-#[test]
 fn ure_model_ranks_layers_correctly() {
     // Under aggressive BER, OI-RAID (slack 2 during single-disk rebuild)
-    // must dwarf RAID5, and the dual-parity variant must not be worse at
-    // its own tolerance boundary than the single-parity one at f=3.
+    // must dwarf RAID5.
     let array = OiRaid::new(OiRaidConfig::reference()).unwrap();
     let raid5 = FlatRaid5::new(21, array.chunks_per_disk()).unwrap();
     let ber = 1e-14;

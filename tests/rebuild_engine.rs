@@ -101,8 +101,7 @@ fn strategy_from(pick: u32) -> RecoveryStrategy {
 
 /// One to three failed disks of a Fano x 3 array; the odd shapes put two
 /// of them in one group, so the plan's outer-layer items feed inner-row
-/// items through `depends` (and, under dual inner parity, a row decode
-/// hands its second chunk to a read-less sibling item).
+/// items through `depends`.
 fn grouped_failures(shape: u32, seed: u64) -> Vec<usize> {
     let group = (seed % 7) as usize * 3;
     let elsewhere = (group + 3 + (seed / 7 % 18) as usize) % 21;
@@ -158,8 +157,8 @@ proptest! {
     }
 
     // Plans of 18 to 216 items that span several batches (up to sixteen
-    // items each, fewer on a wide pool), with `depends` and sibling links
-    // crossing batch boundaries: the serial walk and the DAG pool run the
+    // items each, fewer on a wide pool), with `depends` crossing batch
+    // boundaries: the serial walk and the DAG pool run the
     // same batches and must agree bit for bit and read for read.
     #[test]
     fn batched_rebuilds_are_bit_identical_across_batch_boundaries(
@@ -168,14 +167,10 @@ proptest! {
         cycles in 0usize..2,
         chunk in 0usize..3,
         workers in 0usize..3,
-        dual in any::<bool>(),
         spick in any::<u32>(),
     ) {
         let (cycles, chunk, workers) = ([2, 8][cycles], [64, 512, 4096][chunk], [1, 2, 7][workers]);
-        let mut cfg = OiRaidConfig::new(fano(), 3, cycles).unwrap();
-        if dual {
-            cfg = cfg.with_inner_parities(2).unwrap();
-        }
+        let cfg = OiRaidConfig::new(fano(), 3, cycles).unwrap();
         let mut serial = OiRaidStore::new(cfg, chunk).unwrap();
         fill(&mut serial, seed);
         let dag = serial.clone();
