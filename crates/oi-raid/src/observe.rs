@@ -25,8 +25,8 @@ use telemetry::{Counter, Histogram, HistogramSnapshot, Progress, Registry};
 /// rebuild.
 #[derive(Debug, Clone, Default)]
 pub struct StageTimings {
-    /// Planning time: the initial recovery plan, each round's dirty-epoch
-    /// reset and footprint computation, and each re-plan.
+    /// Planning time: the initial recovery plan, each round's lock sets
+    /// and each re-plan.
     pub plan: Arc<Histogram>,
     /// Time to open the rebuild window and heal the target devices.
     pub heal: Arc<Histogram>,
@@ -40,10 +40,10 @@ pub struct StageTimings {
     /// Reconstruction compute time per plan item.
     pub combine: Arc<Histogram>,
     /// Write-back time per rebuilt chunk: its share of the batch it landed
-    /// in (locks, dirty check, device writes, validity marks).
+    /// in (device writes and validity marks, under the batch's locks).
     pub writeback: Arc<Histogram>,
-    /// One round's dirty-epoch reset and footprint computation — the part
-    /// of `plan` that every round repeats.
+    /// One round's lock sets, the relations each item's batch locks — the
+    /// part of `plan` that every round repeats.
     pub regions: Arc<Histogram>,
     /// One round's lowering — batches, the op graph (one op per batch) and
     /// the state the ops share — the part of `execute` before the first op

@@ -1,6 +1,5 @@
 //! Online-rebuild coordination: chunk availability during a rebuild and
-//! the dirty-region tracker that keeps foreground writes from being
-//! clobbered by stale reconstructed data.
+//! the region locks every operation on a parity relation holds.
 //!
 //! While a rebuild is in flight the target disks are physically healed
 //! (writable) but their contents are garbage until the rebuilder writes
@@ -8,13 +7,13 @@
 //! state and which of their chunks have already been restored, so every
 //! read path can treat not-yet-rebuilt chunks as missing.
 //!
-//! Foreground writes that land while the window is open mark the parity
-//! *relations* they touch — an outer stripe or an inner row — dirty. A
-//! rebuild round reads source chunks without region locks, so a
-//! concurrent write can hand it a torn view (new data, old parity, or any
-//! mix); reconstructions derived from a dirtied relation are discarded at
-//! writeback instead of overwriting the foreground data, and the next
-//! round recomputes them from the updated parity.
+//! Foreground writes, scrub repairs and rebuild batches all follow one
+//! rule: hold the stripe locks of the parity *relations* — an outer stripe
+//! or an inner row — an operation reads through or changes
+//! ([`OnlineState::lock_regions`]). A writer locks every relation holding
+//! a chunk it modifies, so a rebuild batch that holds the relation it
+//! decodes through reads that relation untorn and lands its chunk before
+//! any write of it can begin.
 
 use std::collections::{BTreeSet, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -33,10 +32,9 @@ use layout::ChunkAddr;
 /// region-scoped as a whole, not per member.
 const LOCK_STRIPES: usize = 4096;
 
-/// One parity relation of the two-layer code, used as the granularity of
-/// dirty tracking: a foreground write invalidates reconstructions that
-/// read any chunk of a relation it modified.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// One parity relation of the two-layer code: the granularity of the
+/// region locks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Region {
     /// An outer stripe: `(block, stripe)`.
     Stripe(usize, usize),
@@ -44,7 +42,7 @@ pub(crate) enum Region {
     Row(usize, usize),
 }
 
-/// Availability + dirty state for one in-flight rebuild.
+/// Availability state for one in-flight rebuild.
 #[derive(Debug, Default)]
 pub(crate) struct RebuildWindow {
     /// Disks whose devices are healed but whose contents are only valid
@@ -52,9 +50,6 @@ pub(crate) struct RebuildWindow {
     pub disks: BTreeSet<usize>,
     /// Chunks on `disks` that have been written back and are trustworthy.
     pub valid: HashSet<ChunkAddr>,
-    /// Relations modified by foreground writes since the last round
-    /// started.
-    pub dirty: HashSet<Region>,
 }
 
 /// Guards held for the duration of one region-scoped read-modify-write:
@@ -70,7 +65,7 @@ pub(crate) struct RegionGuards<'a> {
 pub(crate) struct OnlineState {
     /// The update locks, one tier: every operation that reads or changes
     /// chunks under a relation (a foreground read or RMW, a rebuild
-    /// writeback, a scrub repair) holds the stripe mutexes its relations
+    /// batch, a scrub repair) holds the stripe mutexes its relations
     /// hash to. Two operations whose relation sets intersect always share
     /// at least one stripe mutex, so each relation is updated atomically
     /// without serializing writers that touch disjoint relations.
@@ -300,49 +295,11 @@ impl OnlineState {
             self.advance_epoch(true);
         }
     }
-
-    /// Marks relations a write or a repair changed. Call after the last
-    /// member write and before the region locks drop. A no-op without an
-    /// open window.
-    pub fn mark_dirty(&self, regions: impl IntoIterator<Item = Region>) {
-        if !self.maybe_open() {
-            return;
-        }
-        if let Some(w) = self.window().as_mut() {
-            w.dirty.extend(regions);
-        }
-    }
-
-    /// Clears the dirty set at the start of a rebuild round. No lock is
-    /// needed: a write marks its relations after its last member write, so
-    /// one whose mark precedes the clear is wholly visible to the round's
-    /// reads, and one whose mark follows it is caught at writeback.
-    pub fn clear_dirty(&self) {
-        if let Some(w) = self.window().as_mut() {
-            w.dirty.clear();
-        }
-    }
-
-    /// Per footprint, whether any of its relations was dirtied since the
-    /// round began — every answer from one trip through the window mutex,
-    /// so a batch of writebacks asks once.
-    pub fn dirty_among<'a>(&self, footprints: impl Iterator<Item = &'a [Region]>) -> Vec<bool> {
-        let window = self.maybe_open().then(|| self.window());
-        let dirty = window.as_ref().and_then(|w| w.as_ref()).map(|w| &w.dirty);
-        let dirty = dirty.filter(|d| !d.is_empty());
-        footprints
-            .map(|regions| dirty.is_some_and(|d| regions.iter().any(|r| d.contains(r))))
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn any_dirty(s: &OnlineState, regions: &[Region]) -> bool {
-        s.dirty_among(std::iter::once(regions))[0]
-    }
 
     #[test]
     fn window_lifecycle_gates_availability() {
@@ -363,13 +320,12 @@ mod tests {
     #[test]
     fn per_chunk_queries_take_the_window_mutex_only_while_a_window_is_open() {
         let s = OnlineState::default();
-        let (a, r) = (ChunkAddr::new(4, 2), [Region::Row(1, 2)]);
+        let a = ChunkAddr::new(4, 2);
         let per_chunk = |s: &OnlineState| {
             s.mark_valid(a);
-            s.mark_dirty(r);
-            (s.chunk_invalid(a), any_dirty(s, &r))
+            s.chunk_invalid(a)
         };
-        assert_eq!(per_chunk(&s), (false, false));
+        assert!(!per_chunk(&s));
         assert_eq!(s.window_locks(), 0, "closed: the flag answers");
         s.begin([4]);
         // The epoch is odd by the time `begin` returns, i.e. before any
@@ -377,15 +333,15 @@ mod tests {
         assert_eq!(s.epoch(), 1);
         let opened = s.window_locks();
         assert!(s.chunk_invalid(a));
-        assert_eq!(per_chunk(&s), (false, true));
-        assert_eq!(s.window_locks(), opened + 5, "open: every query asks");
+        assert!(!per_chunk(&s));
+        assert_eq!(s.window_locks(), opened + 3, "open: every query asks");
         // Every edge moves the epoch, so a reader that straddles one knows.
         s.escalate(5);
         assert_eq!(s.epoch(), 3);
         s.end();
         assert_eq!(s.epoch(), 4);
         let closed = s.window_locks();
-        assert_eq!(per_chunk(&s), (false, false));
+        assert!(!per_chunk(&s));
         assert_eq!(s.window_locks(), closed);
     }
 
@@ -403,22 +359,6 @@ mod tests {
         // Re-escalating the same disk wipes its progress.
         s.escalate(1);
         assert!(s.chunk_invalid(ChunkAddr::new(1, 0)));
-    }
-
-    #[test]
-    fn dirty_marks_only_inside_a_window() {
-        let s = OnlineState::default();
-        s.mark_dirty([Region::Row(0, 3)]);
-        s.begin([0]);
-        assert!(
-            !any_dirty(&s, &[Region::Row(0, 3)]),
-            "pre-window marks dropped"
-        );
-        s.mark_dirty([Region::Row(0, 3), Region::Stripe(2, 5)]);
-        assert!(any_dirty(&s, &[Region::Stripe(2, 5)]));
-        assert!(!any_dirty(&s, &[Region::Stripe(2, 4)]));
-        s.clear_dirty();
-        assert!(!any_dirty(&s, &[Region::Row(0, 3)]));
     }
 
     /// A second region whose stripe differs from `a`'s (the hash may

@@ -7,13 +7,14 @@
 //!
 //! The engine runs in rounds, and a round has one contract and one body on
 //! every executor (`OiRaidStore::execute_round`): the plan is cut into
-//! byte-sized batches of consecutive items, each batch is read, decoded
-//! *and written back*, and the driver gets a `RoundOutput` to keep books
-//! on. Every reconstructed chunk becomes live in exactly one place,
-//! `OiRaidStore::writeback_chunks` — region locks, dirty check, writes,
-//! validity marks, then per chunk crash point and checkpoint tick — called
-//! once per batch by the batch op, which the serial walk and the DAG's
-//! pool run alike.
+//! byte-sized batches of items, each batch is read, decoded
+//! *and written back* under the region locks of the relations its items
+//! decode through — the rule every foreground decode, write and scrub
+//! repair follows — and the driver gets a `RoundOutput` to keep books on.
+//! Every reconstructed chunk becomes live in exactly one place,
+//! `OiRaidStore::writeback_chunks` — writes and validity marks under the
+//! batch's locks, then per chunk crash point and checkpoint tick outside
+//! them — called once per batch by the batch op.
 //!
 //! Every read goes through a
 //! [`RetryReader`](blockdev::RetryReader): transient faults are retried
@@ -47,19 +48,18 @@
 //! While a rebuild is in flight the store stays **online**: the engine opens
 //! a rebuild window (see `crate::online`) before healing the target devices,
 //! so foreground reads treat not-yet-rebuilt chunks as missing and
-//! foreground writes land degraded, marking the parity relations they touch
-//! dirty. Each round clears the dirty set as it starts; a
-//! reconstruction whose (transitive) inputs intersect a dirtied relation is
-//! discarded at writeback — the next round recomputes it from the updated
-//! parity, so stale reconstructions never clobber foreground writes.
-//! Rebuild read batches are paced by the store's
+//! foreground writes land degraded. A writer locks every relation holding a
+//! chunk it modifies, so a batch reads the relations it holds untorn, and a
+//! write of one waits for the batch to land (at most one batch) and then
+//! updates the rebuilt chunk: a stale reconstruction never clobbers a
+//! foreground write. Rebuild read batches are paced by the store's
 //! [`QosConfig`](crate::QosConfig) token bucket whenever foreground traffic
 //! is active.
 
 use std::collections::BTreeSet;
 use std::fmt;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -75,7 +75,7 @@ use telemetry::HistogramSnapshot;
 use crate::bufpool::BufPool;
 use crate::checkpoint::RebuildCheckpoint;
 use crate::observe::{RebuildObserver, StageSummary};
-use crate::online::Region;
+use crate::online::{Region, RegionGuards};
 use crate::recovery::single_failure_plan;
 use crate::store::{CheckpointPolicy, OiRaidStore, StoreError, RETRY};
 use crate::RecoveryStrategy;
@@ -86,11 +86,10 @@ pub enum RebuildMode {
     /// One batch of items at a time on the calling thread, reads issued
     /// inline in plan order.
     Serial,
-    /// The same batches lowered into an explicit op DAG (one
-    /// read-combine-writeback op per batch, edges only where a batch needs
-    /// an earlier one's output, atomic indegrees) executed by a worker pool
-    /// in plan order, downstream-first — no round barrier between batches;
-    /// see [`crates/sched`](sched).
+    /// The same batches as ops of a [`crates/sched`](sched) graph (one
+    /// read-combine-writeback op per batch; a batch holds whole dependency
+    /// trees, so no op waits for another) executed by a worker pool in
+    /// order — no round barrier between batches.
     Dag,
 }
 
@@ -392,9 +391,11 @@ pub(crate) fn combine(inputs: &mut Vec<Vec<u8>>, pool: &BufPool) -> Vec<u8> {
 /// worker is sized so the scheduler's per-op cost is paid per 64 KiB, not
 /// per chunk.
 const BATCH_BYTES: usize = 64 << 10;
-/// Most items in a batch whatever the chunk size: the union of 16
-/// footprints stays well under the 96 lock stripes a full write group
-/// already holds, and a checkpoint interval of a few chunks stays
+/// Most items in a batch whatever the chunk size, but for the rest of a
+/// dependency tree it started ([`lower`]): a batch of row or stripe
+/// decodes locks one relation per item, at most 16 stripes, the union of
+/// 16 remote row recomputes' relations stays under the 96 a full write
+/// group already holds, and a checkpoint interval of a few chunks stays
 /// meaningful.
 const BATCH_ITEMS: usize = 16;
 /// Fewest batches a worker should get: a plan of a few dozen items still
@@ -417,15 +418,47 @@ fn batch_items(chunk_size: usize, items: usize, workers: usize) -> usize {
         .max(1)
 }
 
+/// One round's batches: runs of `per` plan items that cut no dependency
+/// tree. The plan's `depends` point backwards and a lost chunk feeds at
+/// most the one other relation it is in, so they link the items into
+/// trees; each tree is placed whole, in plan order, where its last item
+/// falls, and a batch closes once it holds `per` items and the next item
+/// starts a tree. So every dependency is a value in hand: no batch waits
+/// for another, and none reads back a chunk an earlier one landed, which a
+/// source disk that faults every read could never serve. Returns the
+/// items in batch order and the bounds of the batches in it: batch `b` is
+/// `order[bounds[b]..bounds[b + 1]]`.
+fn lower(items: &[layout::ChunkRecovery], per: usize) -> (Vec<usize>, Vec<usize>) {
+    // Each item's tree, named by its last item: walking the plan backwards
+    // meets every dependent before its dependencies.
+    let mut tree: Vec<usize> = (0..items.len()).collect();
+    for (idx, it) in items.iter().enumerate().rev() {
+        it.depends.iter().for_each(|&d| tree[d] = tree[idx]);
+    }
+    let mut order: Vec<usize> = (0..items.len()).collect();
+    order.sort_by_key(|&idx| tree[idx]);
+    let mut bounds = Vec::new();
+    for (at, &idx) in order.iter().enumerate() {
+        let starts_tree = at == 0 || tree[order[at - 1]] != tree[idx];
+        if bounds.last().is_none_or(|&s| at - s >= per && starts_tree) {
+            bounds.push(at);
+        }
+    }
+    bounds.push(order.len());
+    (order, bounds)
+}
+
 /// The source reads of one batch's plan `items`, in the order its op
 /// issues them: `(slot, address)`, where slot `s` is the batch's `s`-th
 /// read counting item by item in plan order, sorted by disk (stably, so
 /// plan order holds within a disk). Each [`continues_run`] chunk of it is
 /// one device run; runs end at the batch's edge, so no read feeds another
 /// batch.
-fn batch_reads(items: &[layout::ChunkRecovery]) -> Vec<(usize, ChunkAddr)> {
+fn batch_reads<'a>(
+    items: impl IntoIterator<Item = &'a layout::ChunkRecovery>,
+) -> Vec<(usize, ChunkAddr)> {
     let mut reads: Vec<(usize, ChunkAddr)> = items
-        .iter()
+        .into_iter()
         .flat_map(|it| &it.reads)
         .copied()
         .enumerate()
@@ -511,9 +544,6 @@ pub(crate) fn read_run_healing<B: BlockDevice>(
 struct RoundOutput {
     /// Chunks written back and marked valid, in completion order.
     written: Vec<ChunkAddr>,
-    /// Writebacks discarded because a foreground write dirtied an input
-    /// relation since the round began.
-    dirty_skips: u32,
     /// Source chunks that stayed unreadable after their retry budget.
     unreadable: Vec<(ChunkAddr, DeviceError)>,
     /// Disks that reported [`DeviceError::Failed`] while serving reads or
@@ -553,9 +583,9 @@ impl CheckpointTick {
     }
 }
 
-/// The conservative dirty-dependency footprint of every item of a plan
-/// (see [`OiRaidStore::plan_regions`]), stored flat: two allocations per
-/// plan, not one per item.
+/// The relations every item of a plan locks (see
+/// [`OiRaidStore::plan_regions`]), stored flat: two allocations per plan,
+/// not one per item.
 struct Footprints {
     regions: Vec<Region>,
     /// Item `idx`'s relations are `regions[start[idx]..start[idx + 1]]`.
@@ -665,13 +695,10 @@ impl ChunkBits {
 struct Writeback<'a> {
     /// The round's chunk buffers: read targets, accumulators, outputs.
     pool: BufPool,
-    plan: &'a RecoveryPlan,
-    regions: &'a Footprints,
     obs: &'a RebuildObserver,
     tick: Option<&'a CheckpointTick>,
     write_stats: RetryStats,
     written: Mutex<Vec<ChunkAddr>>,
-    dirty_skips: AtomicU32,
     /// Disks that take no (further) I/O this round.
     dead: Mutex<BTreeSet<usize>>,
 }
@@ -693,7 +720,6 @@ impl Writeback<'_> {
             #[cfg(test)]
             peak_buffers: self.pool.peak(),
             written: self.written.into_inner().unwrap_or_else(|p| p.into_inner()),
-            dirty_skips: self.dirty_skips.into_inner(),
             unreadable,
             dead_disks: self.dead.into_inner().unwrap_or_else(|p| p.into_inner()),
             retry: read_retry.merged(&self.write_stats.snapshot()),
@@ -1003,12 +1029,6 @@ impl<B: BlockDevice> OiRaidStore<B> {
             };
             let _round_guard = (round_trace != 0).then(|| telemetry::enter_trace(round_trace));
             let began = Instant::now();
-            // New dirty epoch, with no lock: a write marks its relations
-            // dirty after its last member write and before it drops its
-            // region locks, so one whose mark comes before this clear is
-            // wholly visible to every read this round issues, and one whose
-            // mark comes after is caught at writeback.
-            self.online().clear_dirty();
             let regions = self.plan_regions(&plan);
             obs.stages.plan.record_duration(began.elapsed());
             obs.stages.regions.record_duration(began.elapsed());
@@ -1025,7 +1045,6 @@ impl<B: BlockDevice> OiRaidStore<B> {
             retry = retry.merged(&out.retry);
             sched_stats.absorb(&out.sched);
             let died = out.dead_disks;
-            let dirty_skips = out.dirty_skips;
             let mut progressed = false;
             // The round wrote each chunk back itself, under its batch's
             // region locks, the moment the batch was combined; only the heal
@@ -1108,21 +1127,8 @@ impl<B: BlockDevice> OiRaidStore<B> {
             if missing.is_empty() {
                 break;
             }
-            // Dirty-skipped writebacks are deferred work, not a stall: the
-            // next round recomputes them from the updated parity. Only
-            // rounds that neither progressed nor deferred count toward the
-            // stall abort (round_cap still bounds a pathological writer).
-            if dirty_skips > 0 {
-                telemetry::flight_event(
-                    telemetry::EventKind::DirtySkip,
-                    u64::from(dirty_skips),
-                    u64::from(rounds),
-                );
-            }
             stall = if progressed {
                 0
-            } else if dirty_skips > 0 {
-                stall
             } else {
                 telemetry::flight_event(
                     telemetry::EventKind::Stall,
@@ -1262,33 +1268,42 @@ impl<B: BlockDevice> OiRaidStore<B> {
         }
     }
 
-    /// The conservative dirty-dependency footprint of every plan item: the
-    /// parity relations of the lost chunk itself plus those of every chunk
-    /// its reconstruction (transitively) reads. A writeback is discarded
-    /// when a foreground write dirtied any of these since the round began.
+    /// The relations each plan item's batch locks: the relation its lost
+    /// chunk decodes through, which holds every read and every
+    /// dependency's lost chunk — else, for the remote row-parity recompute
+    /// (it reads other stripes), every relation of the lost chunk and of
+    /// those inputs. A chunk's row and stripe share no other chunk, so the
+    /// first input names the relation: the lost chunk's row if it is in it,
+    /// else its stripe, and an inner parity has none. A writer locks every
+    /// relation holding a chunk it modifies, so these keep still all that
+    /// the item reads and lands.
     fn plan_regions(&self, plan: &RecoveryPlan) -> Footprints {
         let items = plan.items();
-        let mut regions: Vec<Region> = Vec::with_capacity(4 * items.len());
+        let mut regions: Vec<Region> = Vec::with_capacity(items.len());
         let mut start = Vec::with_capacity(items.len() + 1);
         for it in items {
             let from = regions.len();
             start.push(from);
-            // An item's own footprint is a handful of relations: a scan of
-            // what it has so far dedupes them.
-            let add = |regions: &mut Vec<Region>, r: Region| {
+            let inputs = || {
+                let depends = it.depends.iter().map(|&d| items[d].lost);
+                it.reads.iter().copied().chain(depends)
+            };
+            let mut relations = self.regions_for(it.lost);
+            let row = relations.next();
+            let in_row = inputs()
+                .next()
+                .is_some_and(|a| self.regions_for(a).next() == row);
+            if let Some(r) = if in_row { row } else { relations.next() } {
+                debug_assert!(inputs().all(|a| self.regions_for(a).any(|x| x == r)));
+                regions.push(r);
+                continue;
+            }
+            for r in std::iter::once(it.lost)
+                .chain(inputs())
+                .flat_map(|a| self.regions_for(a))
+            {
                 if !regions[from..].contains(&r) {
                     regions.push(r);
-                }
-            };
-            for &a in std::iter::once(&it.lost).chain(&it.reads) {
-                for r in self.regions_for(a) {
-                    add(&mut regions, r);
-                }
-            }
-            for &d in &it.depends {
-                for i in start[d]..start[d + 1] {
-                    let inherited = regions[i];
-                    add(&mut regions, inherited);
                 }
             }
         }
@@ -1301,74 +1316,53 @@ impl<B: BlockDevice> OiRaidStore<B> {
     /// mid-round, and the rebuild escalates them.
     fn begin_writeback<'a>(
         &self,
-        plan: &'a RecoveryPlan,
-        regions: &'a Footprints,
         obs: &'a RebuildObserver,
         tick: Option<&'a CheckpointTick>,
     ) -> Writeback<'a> {
         Writeback {
             pool: BufPool::new(self.chunk_size()),
-            plan,
-            regions,
             obs,
             tick,
             write_stats: RetryStats::default(),
             written: Mutex::new(Vec::new()),
-            dirty_skips: AtomicU32::new(0),
             dead: Mutex::new(self.failed_disks().into_iter().collect()),
         }
     }
 
     /// The one place a reconstructed chunk becomes live — every executor
     /// (serial walk, DAG batch op) lands plan items here, a batch at a
-    /// time, as `(item index, value)`.
+    /// time, as `(lost chunk, value)`, still holding `guard`: the region
+    /// locks the batch took before its first read.
     ///
-    /// The dirty check, the writes, and the validity marks form one atom
-    /// under the union of the items' region locks: no foreground write can
-    /// slip between "inputs were clean" and "chunk is live" and then be
-    /// clobbered, yet writes to unrelated relations proceed freely. The
-    /// window's own lock is taken twice for the whole batch (one dirty
-    /// check that answers per item, one pass of validity marks), the round's
-    /// dead set is consulted once. A dirty item is dropped and counted
-    /// while its clean batch-mates land. Each landed chunk then — outside
-    /// the locks, in order — records the stage, passes the crash point and
+    /// The writes and the validity marks run under those locks, so no write
+    /// of a landing chunk is under way; the window's lock is taken once for
+    /// the batch. Then `guard` drops, and each landed chunk — outside the
+    /// locks, in order — records the stage, passes the crash point and
     /// ticks the checkpoint cadence, so the recorded position advances
     /// mid-round, chunk by chunk, on every executor.
-    fn writeback_chunks(&self, wb: &Writeback<'_>, chunks: &[(usize, &[u8])]) {
+    fn writeback_chunks(
+        &self,
+        wb: &Writeback<'_>,
+        chunks: &[(ChunkAddr, &[u8])],
+        guard: RegionGuards<'_>,
+    ) {
         let began = Instant::now();
-        let items = wb.plan.items();
         let mut dead = lock(&wb.dead).clone();
-        let live: Vec<(ChunkAddr, &[Region], &[u8])> = chunks
-            .iter()
-            .map(|&(idx, value)| (items[idx].lost, wb.regions.of(idx), value))
-            .filter(|(addr, ..)| !dead.contains(&addr.disk))
-            .collect();
-        if live.is_empty() {
-            return;
-        }
-        let union: Vec<Region> = live.iter().flat_map(|l| l.1).copied().collect();
-        let guard = self.online().lock_regions(&union);
-        let dirty = self.online().dirty_among(live.iter().map(|l| l.1));
-        let mut landed: Vec<ChunkAddr> = Vec::with_capacity(live.len());
+        let mut landed: Vec<ChunkAddr> = Vec::with_capacity(chunks.len());
         let mut died = false;
-        for (&(addr, _, value), dirty) in live.iter().zip(dirty) {
-            if dirty {
-                // A foreground write touched a relation this value was
-                // derived from: the reconstruction may be stale or torn.
-                // Drop it; the next round recomputes it from the updated
-                // parity.
-                wb.dirty_skips.fetch_add(1, Ordering::Relaxed);
-            } else if !dead.contains(&addr.disk) {
-                let dev = &self.devices()[addr.disk];
-                match write_chunk_retrying(dev, &RETRY, &wb.write_stats, addr.offset, value) {
-                    Ok(()) => landed.push(addr),
-                    // Write retry budget exhausted: the chunk stays
-                    // un-rebuilt, the next round retries.
-                    Err(e) if e.is_transient() => {}
-                    // The disk died (or broke permanently) under write:
-                    // escalate it, and spare it the rest of the batch.
-                    Err(_) => died |= dead.insert(addr.disk),
-                }
+        for &(addr, value) in chunks {
+            if dead.contains(&addr.disk) {
+                continue;
+            }
+            let dev = &self.devices()[addr.disk];
+            match write_chunk_retrying(dev, &RETRY, &wb.write_stats, addr.offset, value) {
+                Ok(()) => landed.push(addr),
+                // Write retry budget exhausted: the chunk stays un-rebuilt,
+                // the next round retries.
+                Err(e) if e.is_transient() => {}
+                // The disk died (or broke permanently) under write: escalate
+                // it, and spare it the rest of the batch.
+                Err(_) => died |= dead.insert(addr.disk),
             }
         }
         self.online().mark_valid_all(landed.iter().copied());
@@ -1393,28 +1387,27 @@ impl<B: BlockDevice> OiRaidStore<B> {
         }
     }
 
-    /// One round on either executor: the plan lowered into *batches* of
-    /// consecutive items ([`batch_items`] each), one op per batch and
-    /// nothing else. A batch op runs start to finish on one worker: it pays
-    /// the QoS token bucket once for all its reads, serves its items'
+    /// One round on either executor: the plan lowered into *batches*
+    /// ([`lower`]), one op per batch and nothing else. A batch op runs start
+    /// to finish on one worker: it pays the QoS token bucket once for all
+    /// its reads, takes one `lock_regions` over its items' relations
+    /// (`regions`, [`Self::plan_regions`] of `plan`), serves its items'
     /// source runs back to back ([`batch_reads`]; no run crosses the
-    /// batch's edge), combines the items in plan order and lands them
-    /// through [`Self::writeback_chunks`]. Cross-batch dependencies (the
-    /// plan's `depends`, which only point backwards) are the graph's only
-    /// edges; in-batch ones are satisfied by order.
+    /// batch's edge), combines the items in batch order and lands them
+    /// through [`Self::writeback_chunks`], which drops the locks. A batch
+    /// holds whole dependency trees, so the graph has no edges.
     ///
     /// [`RebuildMode::Dag`] hands the graph to the [`sched`] pool, which
-    /// takes ready batches in plan order and runs a batch another one
-    /// unblocked on the worker that unblocked it. [`RebuildMode::Serial`]
+    /// takes the batches in order. [`RebuildMode::Serial`]
     /// (the oracle) walks the same ops in order on the calling thread, so
     /// both issue the same device reads by construction. Either way the
     /// buffers alive at any moment are a batch per worker, not the plan's.
     ///
     /// Rounds never fail — faults land in the [`RoundOutput`]: an
     /// unreadable source costs exactly the items that needed it, an item
-    /// whose dependency never completed is skipped in turn (both inside
-    /// their batch, whose other items land), and a dead disk stops only its
-    /// own remaining reads. `regions` is [`Self::plan_regions`] of `plan`.
+    /// whose dependency was not combined is skipped in turn (both inside
+    /// their batch, whose other items land), and a dead disk stops only its own
+    /// remaining reads.
     fn execute_round(
         &self,
         mode: RebuildMode,
@@ -1428,39 +1421,18 @@ impl<B: BlockDevice> OiRaidStore<B> {
         let items = plan.items();
         let n = items.len();
         let mut read_from = vec![false; self.array().disks()];
-        // How many later items fold each item's output into their inputs.
-        let mut uses = vec![0usize; n];
         for it in items {
             it.reads.iter().for_each(|a| read_from[a.disk] = true);
-            it.depends.iter().for_each(|&d| uses[d] += 1);
         }
         let sources = read_from.iter().filter(|&&r| r).count();
         let workers = self.dag_workers().unwrap_or((2 * sources).max(1));
-        let per = batch_items(chunk_size, n, workers);
-        let of_batch = |b: usize| b * per..n.min((b + 1) * per);
-
-        // Op `b` is batch `b`, so op ids are a topological order, which is
-        // all the serial walk needs.
+        let (order, bounds) = lower(items, batch_items(chunk_size, n, workers));
+        // Op `b` is batch `b`; no batch needs another's output.
         let mut graph: sched::OpGraph<()> = sched::OpGraph::new();
-        for b in 0..n.div_ceil(per) {
+        for _ in bounds.windows(2) {
             graph.add_node((), None);
-            let mut after: Vec<usize> = Vec::new();
-            for &d in of_batch(b).flat_map(|idx| &items[idx].depends) {
-                if d / per != b && !after.contains(&(d / per)) {
-                    after.push(d / per);
-                    graph.add_edge(d / per, b);
-                }
-            }
         }
 
-        // What the batch ops hand each other: which items are done, and the
-        // output of each item a later one depends on, with its remaining
-        // consumers. An item missing a source or a dependency is skipped
-        // inside its batch, which matches what the rebuild loop expects of any
-        // item that does not finish the round: it re-plans it.
-        let done: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
-        let outputs: Vec<Mutex<(Option<Vec<u8>>, usize)>> =
-            uses.iter().map(|&u| Mutex::new((None, u))).collect();
         let unreadable: Mutex<Vec<(ChunkAddr, DeviceError)>> = Mutex::new(Vec::new());
         let readers: Vec<RetryReader<'_, B>> = self
             .devices()
@@ -1469,7 +1441,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
             .collect();
         // One run-staging buffer per worker (the serial walk is worker 0).
         let staging: Vec<Mutex<Vec<u8>>> = (0..workers.max(1)).map(|_| Mutex::default()).collect();
-        let wb = self.begin_writeback(plan, regions, obs, tick);
+        let wb = self.begin_writeback(obs, tick);
         let pool = &wb.pool;
 
         let batch = |w: usize, b: usize| {
@@ -1477,9 +1449,9 @@ impl<B: BlockDevice> OiRaidStore<B> {
             // serial walk) stands for its device calls: they record no trace
             // leaves, and a retry among them still links to the node.
             let _leafless = telemetry::without_leaves();
-            let span = of_batch(b);
+            let members = &order[bounds[b]..bounds[b + 1]];
             let began = Instant::now();
-            let reads = batch_reads(&items[span.clone()]);
+            let reads = batch_reads(members.iter().map(|&idx| &items[idx]));
             obs.stages.coalesce.record_duration(began.elapsed());
             // Slot `s` receives the batch's `s`-th read; one left empty
             // (unreadable, or its disk dead) costs its item.
@@ -1489,6 +1461,12 @@ impl<B: BlockDevice> OiRaidStore<B> {
             let mut dead = lock(&wb.dead).clone();
             let live = reads.iter().filter(|r| !dead.contains(&r.1.disk)).count();
             self.qos().throttle_rebuild(live);
+            let locked: Vec<Region> = members
+                .iter()
+                .flat_map(|&i| regions.of(i))
+                .copied()
+                .collect();
+            let guard = self.online().lock_regions(&locked);
             let began = Instant::now();
             for run in reads.chunk_by(continues_run) {
                 let disk = run[0].1.disk;
@@ -1511,51 +1489,44 @@ impl<B: BlockDevice> OiRaidStore<B> {
                 }
             }
             obs.stages.read.record_duration(began.elapsed());
-            obs.progress.add_bytes_read((delivered * chunk_size) as u64);
-            if !failed.is_empty() {
-                lock(&unreadable).append(&mut failed);
-            }
 
             let mut inputs: Vec<Vec<u8>> = Vec::new();
-            let mut values: Vec<(usize, Vec<u8>)> = Vec::with_capacity(span.len());
-            let mut combined: Vec<Duration> = Vec::with_capacity(span.len());
+            let mut values: Vec<(ChunkAddr, Vec<u8>)> = Vec::with_capacity(members.len());
+            let mut combined: Vec<Duration> = Vec::with_capacity(members.len());
             let mut next = 0;
-            for idx in span {
-                let depends = &items[idx].depends;
-                let mut ready = depends.iter().all(|&d| done[d].load(Ordering::Acquire));
+            for &idx in members {
+                // An empty input is a missing one: the item waits a round
+                // (the pool takes back only chunk-sized buffers).
+                let mut ready = true;
                 for _ in &items[idx].reads {
                     let bytes = std::mem::take(&mut slots[next]);
                     next += 1;
-                    if bytes.is_empty() {
-                        ready = false;
-                    } else {
-                        inputs.push(bytes);
-                    }
+                    ready &= !bytes.is_empty();
+                    inputs.push(bytes);
+                }
+                for &d in &items[idx].depends {
+                    // In hand: combined earlier in this batch, if at all.
+                    let value = values.iter().find(|(a, _)| *a == items[d].lost);
+                    let bytes = value.map_or(Vec::new(), |(_, v)| {
+                        let mut copy = pool.take_dirty();
+                        copy.copy_from_slice(v);
+                        copy
+                    });
+                    ready &= !bytes.is_empty();
+                    inputs.push(bytes);
                 }
                 if !ready {
                     inputs.drain(..).for_each(|bytes| pool.put(bytes));
                     continue;
                 }
-                // Fold dependency outputs in; the last consumer (use count
-                // under the slot lock) moves instead of cloning.
-                for &d in depends {
-                    let mut slot = lock(&outputs[d]);
-                    slot.1 -= 1;
-                    let out = if slot.1 == 0 {
-                        slot.0.take()
-                    } else {
-                        slot.0.clone()
-                    };
-                    inputs.push(out.expect("dependency completed"));
-                }
                 let began = Instant::now();
                 let value = combine(&mut inputs, pool);
                 combined.push(began.elapsed());
-                if uses[idx] > 0 {
-                    lock(&outputs[idx]).0 = Some(value.clone());
-                }
-                done[idx].store(true, Ordering::Release);
-                values.push((idx, value));
+                values.push((items[idx].lost, value));
+            }
+            obs.progress.add_bytes_read((delivered * chunk_size) as u64);
+            if !failed.is_empty() {
+                lock(&unreadable).append(&mut failed);
             }
             // Recorded back to back: the histogram's cache line crosses to
             // this core once per batch, not once per chunk.
@@ -1563,8 +1534,9 @@ impl<B: BlockDevice> OiRaidStore<B> {
                 obs.stages.combine.record_duration(took);
                 obs.progress.chunk_combined();
             }
-            let landing: Vec<(usize, &[u8])> = values.iter().map(|(i, v)| (*i, &v[..])).collect();
-            self.writeback_chunks(&wb, &landing);
+            let landing: Vec<(ChunkAddr, &[u8])> =
+                values.iter().map(|(a, v)| (*a, &v[..])).collect();
+            self.writeback_chunks(&wb, &landing, guard);
             values.into_iter().for_each(|(_, value)| pool.put(value));
         };
         obs.stages.lower.record_duration(began.elapsed());
@@ -1587,10 +1559,11 @@ impl<B: BlockDevice> OiRaidStore<B> {
         };
         let unreadable = unreadable.into_inner().unwrap_or_else(|p| p.into_inner());
         debug_assert!(
-            done.iter().all(|d| d.load(Ordering::Acquire))
+            lock(&wb.written).len() == n
                 || !unreadable.is_empty()
-                || !lock(&wb.dead).is_empty(),
-            "a fault-free round completes every item"
+                || !lock(&wb.dead).is_empty()
+                || wb.write_stats.snapshot().exhausted > 0,
+            "a fault-free round lands every item"
         );
         wb.into_output(unreadable, &readers, workers, worker_busy, stats)
     }
@@ -2119,7 +2092,7 @@ mod tests {
         store.fail_disk(target).unwrap();
         store.online().begin([target]);
         store.devices()[target].heal().unwrap();
-        let wb = store.begin_writeback(&plan, &regions, &obs, Some(&tick));
+        let wb = store.begin_writeback(&obs, Some(&tick));
         let n = plan.items().len();
         let valid_now = || -> BTreeSet<ChunkAddr> {
             let (_, valid) = store.online().valid_snapshot().expect("window open");
@@ -2139,10 +2112,13 @@ mod tests {
             let workers: Vec<_> = (0..THREADS)
                 .map(|t| {
                     let (store, wb, start) = (&store, &wb, &start);
+                    let (plan, regions) = (&plan, &regions);
                     s.spawn(move || {
                         start.wait();
                         for idx in (0..PASSES).flat_map(|_| (t..n).step_by(THREADS)) {
-                            store.writeback_chunks(wb, &[(idx, &[idx as u8; 16])]);
+                            let guard = store.online().lock_regions(regions.of(idx));
+                            let lost = plan.items()[idx].lost;
+                            store.writeback_chunks(wb, &[(lost, &[idx as u8; 16])], guard);
                         }
                     })
                 })
@@ -2220,9 +2196,11 @@ mod tests {
         }
     }
 
-    /// A batch's writeback holds the union of its items' footprints: on the
-    /// serving geometry (4 KiB chunks, sixteen items a batch) that stays
-    /// under the 96 lock stripes one full foreground write group may hold.
+    /// A batch holds the union of its items' relations: on the serving
+    /// geometry (4 KiB chunks, sixteen items a batch) that stays under the
+    /// 96 lock stripes one full foreground write group may hold, and a row
+    /// or stripe decode locks one relation, so an Inner or Outer batch holds
+    /// sixteen stripes at most.
     #[test]
     fn a_batch_locks_no_more_stripes_than_a_write_group() {
         let cfg = OiRaidConfig::new(bibd::fano(), 3, 256).unwrap();
@@ -2241,6 +2219,13 @@ mod tests {
                     .collect();
                 let held = crate::online::stripe_order(&union).len();
                 assert!(held <= 96, "{strategy:?} batch at {lo}: {held} stripes");
+                if matches!(strategy, RecoveryStrategy::Inner | RecoveryStrategy::Outer) {
+                    let ones = (lo..n.min(lo + per)).all(|idx| regions.of(idx).len() == 1);
+                    assert!(
+                        ones && held <= BATCH_ITEMS,
+                        "{strategy:?} batch at {lo}: {held}"
+                    );
+                }
             }
         }
     }
@@ -2356,11 +2341,11 @@ mod tests {
         }
     }
 
-    /// A filled 21-disk store whose single-disk Outer plan (72 items of
-    /// 64 B) runs in sixteen-item batches on a one-worker pool, over
-    /// devices made by `wrap`.
-    fn batch_fixture<B: BlockDevice>(wrap: impl Fn(MemDevice) -> B) -> OiRaidStore<B> {
-        let cfg = OiRaidConfig::new(bibd::fano(), 3, 8).unwrap();
+    /// A filled 21-disk store of `9c` chunks a disk — at `c` = 8 its
+    /// single-disk Outer plan (72 items of 64 B) runs in sixteen-item
+    /// batches on its one-worker pool — over devices made by `wrap`.
+    fn batch_fixture<B: BlockDevice>(c: usize, wrap: impl Fn(MemDevice) -> B) -> OiRaidStore<B> {
+        let cfg = OiRaidConfig::new(bibd::fano(), 3, c).unwrap();
         let devices: Vec<B> = (0..cfg.disks())
             .map(|_| wrap(MemDevice::new(64, cfg.chunks_per_disk())))
             .collect();
@@ -2411,7 +2396,9 @@ mod tests {
     #[test]
     fn a_source_that_stays_unreadable_costs_its_items_not_their_batch() {
         for mode in [RebuildMode::Serial, RebuildMode::Dag] {
-            let store = batch_fixture(|mem| FaultInjectingDevice::new(mem, FaultConfig::default()));
+            let store = batch_fixture(8, |mem| {
+                FaultInjectingDevice::new(mem, FaultConfig::default())
+            });
             let plan = batch_plan(&store);
             // One latent sector among the sources of the first batch.
             let source = plan.items()[5].reads[0];
@@ -2457,48 +2444,21 @@ mod tests {
         }
     }
 
+    /// A write paused after its data member and before its parity members,
+    /// holding its region locks, while a round runs on another thread. The
+    /// first item decodes through a relation the write holds, so its batch
+    /// reads none of its sources (they would be torn: new data, old parity)
+    /// until the write lets go. Then the item lands from the relation as the
+    /// write left it, and the rebuilt disk agrees with every parity.
     #[test]
-    fn a_dirtied_relation_skips_its_items_and_the_rest_of_the_batch_lands() {
-        for mode in [RebuildMode::Serial, RebuildMode::Dag] {
-            let store = batch_fixture(|mem| mem);
-            let plan = batch_plan(&store);
-            let regions = store.plan_regions(&plan);
-            // A relation of one item of the second batch, dirtied after the
-            // round's epoch began.
-            let relation = regions.of(BATCH_ITEMS + 3)[0];
-            let holds = |idx: usize| regions.of(idx).contains(&relation);
-            let (out, valid) = batch_round(&store, &plan, mode, |store| {
-                store.online().mark_dirty([relation]);
-            });
-            let n = plan.items().len();
-            let skipped = (0..n).filter(|&idx| holds(idx)).count();
-            assert!((1..BATCH_ITEMS).contains(&skipped), "{mode}: {skipped}");
-            assert_eq!(out.dirty_skips as usize, skipped, "{mode}");
-            let expected: BTreeSet<ChunkAddr> = (0..n)
-                .filter(|&idx| !holds(idx))
-                .map(|idx| plan.items()[idx].lost)
-                .collect();
-            let written: BTreeSet<ChunkAddr> = out.written.iter().copied().collect();
-            assert_eq!(written, expected, "{mode}");
-            assert_eq!(valid, expected, "{mode}");
-        }
-    }
-
-    /// A write paused after its data member and before its parity members
-    /// (holding its region locks) while a round clears the dirty set and
-    /// reads that relation — torn: new data, old parity. The round's read
-    /// releases the write, which marks the relation dirty before the
-    /// batch's writeback can take its locks, so the item is skipped, not
-    /// landed from the torn read; a rebuild then converges exactly.
-    #[test]
-    fn a_write_straddling_a_rounds_dirty_reset_is_skipped_not_clobbered() {
+    fn a_write_holding_a_relation_delays_the_batch_that_decodes_through_it() {
         use crate::store::tests::HookedDevice;
         use std::sync::mpsc;
         let wait = Duration::from_secs(10);
-        let store = batch_fixture(HookedDevice::new);
+        let store = batch_fixture(8, HookedDevice::new);
         let plan = batch_plan(&store);
         let regions = store.plan_regions(&plan);
-        // A data source of the first item: read before any writeback.
+        // A data source of the first item: read by the first batch.
         let (addr, idx) = plan.items()[0]
             .reads
             .iter()
@@ -2513,9 +2473,7 @@ mod tests {
         let (release, on_release) = mpsc::channel::<()>();
         let pause = move || {
             paused.send(()).unwrap();
-            on_release
-                .recv_timeout(wait)
-                .expect("the round read the source");
+            on_release.recv_timeout(wait).expect("released");
         };
         let dev = &store.devices()[addr.disk];
         *dev.write_hook.lock().unwrap() = Some((addr.offset, 0, Box::new(pause)));
@@ -2524,37 +2482,133 @@ mod tests {
             on_pause
                 .recv_timeout(wait)
                 .expect("the write reached its data member");
-            let read = move || release.send(()).unwrap();
+            let (read, on_read) = mpsc::channel();
+            let read = move || {
+                let _ = read.send(());
+            };
             *dev.hook.lock().unwrap() = Some((addr.offset, 0, Box::new(read)));
-            // The round as `rebuild_inner` runs it.
             store.online().begin([BATCH_TARGET]);
             store.devices()[BATCH_TARGET].heal().unwrap();
-            store.online().clear_dirty();
-            let obs = crate::RebuildObserver::default();
-            let out = store.execute_round(RebuildMode::Serial, &plan, &regions, &obs, None);
+            let round = scope.spawn(|| {
+                let obs = crate::RebuildObserver::default();
+                store.execute_round(RebuildMode::Serial, &plan, &regions, &obs, None)
+            });
+            let early = on_read.recv_timeout(Duration::from_millis(250));
+            assert!(early.is_err(), "the batch read a relation a write holds");
+            release.send(()).unwrap();
             writer.join().unwrap().unwrap();
-            out
+            on_read
+                .recv_timeout(wait)
+                .expect("the batch read the source");
+            round.join().unwrap()
         });
-        assert!(out.dirty_skips >= 1, "{} dirty skips", out.dirty_skips);
-        assert!(!out.written.contains(&plan.items()[0].lost));
+        assert!(out.written.contains(&plan.items()[0].lost));
+        assert_eq!(out.written.len(), plan.items().len());
         for (i, want) in expect.iter().enumerate() {
             assert_eq!(store.read_data(i).unwrap(), *want, "in the window, idx {i}");
         }
         store.online().end();
-        store.fail_disk(BATCH_TARGET).unwrap();
-        store
-            .rebuild(RebuildMode::Serial, RecoveryStrategy::Hybrid)
-            .unwrap();
+        assert!(store.check_parity().is_empty());
+        for (i, want) in expect.iter().enumerate() {
+            assert_eq!(store.read_data(i).unwrap(), *want, "idx {i}");
+        }
+    }
+
+    /// Batches cut no dependency tree and lose or repeat no item, whatever
+    /// their size: every two-disk pattern's plan (an in-group pair's row
+    /// decodes depend on stripe decodes), at one, two and sixteen items a
+    /// batch, has every dependency earlier in its dependent's batch, and
+    /// some of them cross a plain cut every `per` items.
+    #[test]
+    fn a_dependency_tree_lands_in_one_batch() {
+        let store = batch_fixture(8, |mem| mem);
+        let disks = store.array().disks();
+        let mut crossings = 0;
+        for failed in (0..disks).flat_map(|a| (a + 1..disks).map(move |b| [a, b])) {
+            let plan = Layout::recovery_plan(store.array(), &failed, SparePolicy::Distributed);
+            let items = plan.unwrap().items().to_vec();
+            for per in [1, 2, BATCH_ITEMS] {
+                let (order, bounds) = lower(&items, per);
+                let once: BTreeSet<usize> = order.iter().copied().collect();
+                assert!(once.len() == items.len() && order.len() == items.len());
+                // Each item's (batch, place in the batch order).
+                let mut at = vec![(0, 0); items.len()];
+                for (b, w) in bounds.windows(2).enumerate() {
+                    (w[0]..w[1]).for_each(|i| at[order[i]] = (b, i));
+                }
+                for (idx, it) in items.iter().enumerate() {
+                    for &d in &it.depends {
+                        assert!(
+                            at[d].0 == at[idx].0 && at[d].1 < at[idx].1,
+                            "{failed:?} {per}"
+                        );
+                        crossings += usize::from(d / per != idx / per);
+                    }
+                }
+            }
+        }
+        assert!(crossings > 0, "some dependency crosses a plain cut");
+    }
+
+    /// A foreground write to a data chunk a two-disk rebuild landed and a
+    /// row decode used, run from the checkpoint flush after their batch —
+    /// outside every batch's locks, between two batches: one round rebuilds
+    /// everything, and every chunk and parity reads as written.
+    #[test]
+    fn a_write_after_a_dependency_lands_leaves_its_dependent_consistent() {
+        use crate::store::tests::HookedDevice;
+        let cfg = OiRaidConfig::new(bibd::fano(), 3, 8).unwrap();
+        let dir = std::env::temp_dir().join(format!("oi-dep-landed-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let devices = (0..cfg.disks())
+            .map(|_| HookedDevice::new(MemDevice::new(64, cfg.chunks_per_disk())))
+            .collect();
+        let policy = blockdev::FlushPolicy::PerWave;
+        let store = OiRaidStore::create_durable_on(cfg, 64, devices, &dir, policy).unwrap();
+        let store = std::sync::Arc::new(store);
+        let mut expect: Vec<Vec<u8>> = (0..store.data_chunks())
+            .map(|idx| (0..64).map(|j| (idx * 131 + j * 17 + 3) as u8).collect())
+            .collect();
+        for (idx, chunk) in expect.iter().enumerate() {
+            store.write_data(idx, chunk).unwrap();
+        }
+        store.set_dag_workers(Some(1));
+        let path = dir.join("rebuild.ckpt");
+        store.set_checkpoint_policy(Some(CheckpointPolicy { path, interval: 1 }));
+        // Disks 3 and 4 share a group, so row decodes depend on stripe ones.
+        let failed = [3, 4];
+        let plan = Layout::recovery_plan(store.array(), &failed, SparePolicy::Distributed).unwrap();
+        let items = plan.items();
+        let (order, bounds) = lower(items, batch_items(64, items.len(), 1));
+        let data = |d: usize| store.array().data_index(items[d].lost);
+        let mut deps = items.iter().flat_map(|it| it.depends.iter().copied());
+        let dep = deps.find(|&d| data(d).is_some()).unwrap();
+        let at = order.iter().position(|&i| i == dep).unwrap();
+        // Each landed chunk saves a checkpoint, which flushes every target
+        // disk once: the flush after the dependency's batch runs the write.
+        let after = bounds.iter().find(|&&b| b > at).unwrap() - 1;
+        let idx = data(dep).unwrap();
+        expect[idx] = vec![0x5A; 64];
+        let (weak, bytes) = (std::sync::Arc::downgrade(&store), expect[idx].clone());
+        let write = move || weak.upgrade().unwrap().write_data(idx, &bytes).unwrap();
+        *store.devices()[3].flush_hook.lock().unwrap() = Some((0, after, Box::new(write)));
+        failed.iter().for_each(|&d| store.fail_disk(d).unwrap());
+        let report = store.rebuild(RebuildMode::Serial, RecoveryStrategy::Hybrid);
+        let report = report.unwrap();
+        assert_eq!(report.outcome, RebuildOutcome::Complete, "{report}");
+        assert_eq!(report.rounds, 1, "{report}");
+        assert!(store.devices()[3].flush_hook.lock().unwrap().is_none());
         for (i, want) in expect.iter().enumerate() {
             assert_eq!(store.read_data(i).unwrap(), *want, "idx {i}");
         }
         assert!(store.check_parity().is_empty());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn a_target_dying_mid_batch_lands_what_it_wrote_and_no_more() {
         for mode in [RebuildMode::Serial, RebuildMode::Dag] {
-            let store = batch_fixture(|inner| DiesOnWrite {
+            let store = batch_fixture(8, |inner| DiesOnWrite {
                 inner,
                 left: i64::MAX.into(),
             });
@@ -2647,10 +2701,10 @@ mod tests {
     /// Device runs of a plan cut into batches of `per` items: what the
     /// batch ops issue.
     fn batch_runs(plan: &RecoveryPlan, per: usize) -> usize {
-        plan.items()
-            .chunks(per)
-            .map(|batch| batch_reads(batch).chunk_by(continues_run).count())
-            .sum()
+        let (order, bounds) = lower(plan.items(), per);
+        let batches = bounds.windows(2).map(|w| &order[w[0]..w[1]]);
+        let reads = batches.map(|b| batch_reads(b.iter().map(|&idx| &plan.items()[idx])));
+        reads.map(|r| r.chunk_by(continues_run).count()).sum()
     }
 
     /// Device runs of the same plan coalesced over whole per-disk queues,
@@ -2672,7 +2726,7 @@ mod tests {
         for strategy in RecoveryStrategy::ALL {
             let log = std::sync::Arc::new(Mutex::new(Vec::new()));
             let disks = std::cell::Cell::new(0);
-            let store = batch_fixture(|inner| {
+            let store = batch_fixture(8, |inner| {
                 let disk = disks.replace(disks.get() + 1);
                 let log = std::sync::Arc::clone(&log);
                 LogsReads { inner, disk, log }
@@ -2731,7 +2785,7 @@ mod tests {
             (&[BATCH_TARGET, 11], RecoveryStrategy::Hybrid),
         ];
         for (failed, strategy) in patterns {
-            let reference = batch_fixture(|mem| mem);
+            let reference = batch_fixture(8, |mem| mem);
             reference.set_dag_workers(Some(2));
             let plan = match failed {
                 [d] => {
@@ -2770,7 +2824,7 @@ mod tests {
                 "{failed:?} {strategy:?}: per-disk reads"
             );
             let sources = device_reads[0].iter().filter(|&&r| r > 0).count();
-            let edges = plan.items().len().div_ceil(per) - 1;
+            let edges = lower(plan.items(), per).1.len() - 2;
             println!(
                 "{failed:?} {strategy:?}: {reads} source chunks, {whole} runs over whole queues, \
                  {split} cut at {edges} batch edges (+{})",
@@ -2795,16 +2849,25 @@ mod tests {
         assert!(obs.progress.snapshot().finished);
     }
 
+    /// Under the Inner strategy, rebuilding disk 4 reads its row siblings on
+    /// disks 3 and 5. Disk 3 faults on *every* read (1000‰ transient):
+    /// retry cannot save it, so the engine must re-route every scheduled
+    /// disk-3 read through alternate read sets — and still finish
+    /// bit-identical. The re-plan repairs disk 3's chunks in place and
+    /// decodes disk 4's through them, so it must never read one back: on
+    /// the reference array its batches hold one item, with 144 chunks a
+    /// disk and one worker sixteen.
     #[test]
     fn fully_transient_disk_is_rerouted_around() {
-        // Under the Inner strategy, rebuilding disk 4 reads its row
-        // siblings on disks 3 and 5. Disk 3 faults on *every* read (1000‰
-        // transient): retry cannot save it, so the engine must re-route
-        // every scheduled disk-3 read through alternate read sets — and
-        // still finish bit-identical.
-        for mode in [RebuildMode::Serial, RebuildMode::Dag] {
-            let reference = filled(8);
-            let store = filled_faulty(8);
+        let faulty = |mem| FaultInjectingDevice::new(mem, FaultConfig::default());
+        for (sixteen, mode) in [false, true]
+            .map(|s| [RebuildMode::Serial, RebuildMode::Dag].map(|m| (s, m)))
+            .concat()
+        {
+            let (reference, store) = match sixteen {
+                false => (filled(8), filled_faulty(8)),
+                true => (batch_fixture(16, |mem| mem), batch_fixture(16, faulty)),
+            };
             store.devices()[3].set_config(FaultConfig {
                 seed: 99,
                 transient_read_per_mille: 1000,

@@ -475,7 +475,7 @@ pub struct OiRaidStore<B: BlockDevice = MemDevice> {
     /// One device per disk; failed disks are failed *devices*.
     devices: Vec<B>,
     telem: StoreTelemetry,
-    /// Rebuild-window availability + dirty tracking for online rebuilds.
+    /// Rebuild-window availability and the region locks.
     online: OnlineState,
     /// Foreground/rebuild bandwidth arbitration.
     qos: QosState,
@@ -892,7 +892,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
 
     /// The parity relations `addr` participates in (its inner row, plus
     /// its outer stripe for payload chunks) — the granularity of the
-    /// online dirty tracker.
+    /// region locks.
     pub(crate) fn regions_for(&self, addr: ChunkAddr) -> impl Iterator<Item = Region> + '_ {
         multifail::relations_of(self.array.geometry(), addr)
     }
@@ -1767,9 +1767,8 @@ impl<B: BlockDevice> OiRaidStore<B> {
     /// rebuild: the scrub's latent sectors and [`Self::redo`]'s unreadable
     /// chunks. `MAX_WRITE_GROUP` at a time, under one [`Self::on_ladder`]
     /// over the group's own relations: its values come off the ladder
-    /// ([`Self::current_values`]), `patch` changes each, each is written in
-    /// place, and the relations the group changed are marked dirty, as a
-    /// write does. A group the ladder cannot answer is retried one chunk at
+    /// ([`Self::current_values`]), `patch` changes each and each is written
+    /// in place. A group the ladder cannot answer is retried one chunk at
     /// a time, so only a chunk that does not decode fails
     /// ([`StoreError::DataLoss`]). One result per target.
     fn rewrite_lost(
@@ -1781,7 +1780,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
         for group in targets.chunks(MAX_WRITE_GROUP) {
             let regions: Vec<Region> = group.iter().flat_map(|a| self.regions_for(*a)).collect();
             let whole = vec![0..self.chunk_size; group.len()];
-            let rewritten = self.on_ladder(group, regions.clone(), Vec::new(), |held| {
+            let rewritten = self.on_ladder(group, regions, Vec::new(), |held| {
                 let Some(values) = self.current_values(group, &whole, held)? else {
                     return Ok(None);
                 };
@@ -1791,9 +1790,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
                     self.pool.put(value);
                     wrote
                 });
-                let written: Vec<_> = written.collect();
-                self.online.mark_dirty(regions.iter().copied());
-                Ok(Some(written))
+                Ok(Some(written.collect::<Vec<_>>()))
             });
             match rewritten {
                 Ok(written) => results.extend(written),
@@ -2386,8 +2383,8 @@ impl<B: BlockDevice> OiRaidStore<B> {
             items.push((targets, degraded));
         }
         let addrs: Vec<ChunkAddr> = items.iter().map(|(targets, _)| targets[0]).collect();
-        self.on_ladder(&addrs, regions.clone(), Vec::new(), |held| {
-            self.apply_write_group(group, &items, &addrs, &regions, held)
+        self.on_ladder(&addrs, regions, Vec::new(), |held| {
+            self.apply_write_group(group, &items, &addrs, held)
         })?;
         let took = began.elapsed();
         for (_, degraded) in &items {
@@ -2412,8 +2409,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
     /// *before* any device is touched, so an `Ok(None)` (an old value's
     /// plan needs relations `held` lacks) has changed nothing; then the
     /// whole set commits through [`Self::commit_members`] — journaled as one
-    /// intent record when a journal is attached — and marks the relations
-    /// it modified, `regions`, dirty.
+    /// intent record when a journal is attached.
     ///
     /// Each member moves only its range ([`Self::logged_range`]): a data
     /// member the hull of its patches, a parity member the union of the
@@ -2426,7 +2422,6 @@ impl<B: BlockDevice> OiRaidStore<B> {
         group: &[ChunkPatches<'_>],
         items: &[(Vec<ChunkAddr>, bool)],
         addrs: &[ChunkAddr],
-        regions: &[Region],
         held: &mut Held,
     ) -> Result<Option<()>, StoreError> {
         held.whole = self.logs_whole();
@@ -2481,9 +2476,6 @@ impl<B: BlockDevice> OiRaidStore<B> {
             && (held.whole || !self.logs_whole());
         if resolved {
             self.commit_members(&news)?;
-            // Tell an in-flight rebuild that these relations changed under
-            // it: reconstructions read from them this round are stale.
-            self.online.mark_dirty(regions.to_vec());
         }
         for m in news {
             self.pool.put(m.bytes);
@@ -2556,8 +2548,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
     ///
     /// Failed disks are skipped (they are [`OiRaidStore::rebuild`]'s job)
     /// but their chunks are excluded from repair read sets, so scrubbing a
-    /// degraded array is safe. Every repair marks the relations it changed
-    /// dirty, as a write does.
+    /// degraded array is safe.
     pub fn scrub(&self) -> ScrubReport {
         let start = Instant::now();
         let failed = self.failed_disks();
@@ -2627,8 +2618,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
     /// surfaces as a plain parity violation the next sweep closes.
     /// Runs under the region locks of the row and of the outer stripe of
     /// each payload chunk in it — every relation it reads or repairs — so
-    /// repairs cannot interleave with foreground parity patches. Each
-    /// repair marks the relations of the chunk it rewrote dirty.
+    /// repairs cannot interleave with foreground parity patches.
     fn scrub_row(
         &self,
         geo: &Geometry,
@@ -2648,11 +2638,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
             .into_iter()
             .filter(|a| bad_stripes.iter().any(|s| s.contains(a)))
             .collect();
-        let fix = |(a, want): (ChunkAddr, Vec<u8>)| {
-            self.write_chunk(a, &want).ok()?;
-            self.online.mark_dirty(self.regions_for(a));
-            Some(a)
-        };
+        let fix = |(a, want): (ChunkAddr, Vec<u8>)| self.write_chunk(a, &want).ok().map(|()| a);
         match suspects.as_slice() {
             [bad_payload] => {
                 // Repair from the outer stripe (XOR of the others), then
@@ -4083,6 +4069,9 @@ pub(crate) mod tests {
         pub(crate) hook: Mutex<Option<Hook>>,
         /// Runs after a write.
         pub(crate) write_hook: Mutex<Option<Hook>>,
+        /// Runs after a flush; a flush has no chunk, so its hook waits on
+        /// chunk 0 and counts every flush.
+        pub(crate) flush_hook: Mutex<Option<Hook>>,
     }
 
     impl<D> HookedDevice<D> {
@@ -4091,6 +4080,7 @@ pub(crate) mod tests {
                 inner,
                 hook: Mutex::default(),
                 write_hook: Mutex::default(),
+                flush_hook: Mutex::default(),
             }
         }
     }
@@ -4148,6 +4138,11 @@ pub(crate) mod tests {
             let written = self.inner.write_range(chunk, range, buf);
             fire(&self.write_hook, chunk);
             written
+        }
+        fn flush(&self) -> Result<(), DeviceError> {
+            let flushed = self.inner.flush();
+            fire(&self.flush_hook, 0);
+            flushed
         }
         fn fail(&self) {
             self.inner.fail()

@@ -12,7 +12,7 @@
 //!   parent links through a snapshot.
 //! * **Flight recorder** ([`flight`]): a black box of rare-but-telling
 //!   incidents (retries, reroutes, escalations, throttle waits,
-//!   dirty-window skips, …), kept regardless of sampling so the last
+//!   stalls, …), kept regardless of sampling so the last
 //!   few thousand incidents before an abort or panic are always
 //!   available. [`EventRing::dump`] renders them; an abort handler and
 //!   [`flight_dump_on_panic`] call it automatically.
@@ -92,8 +92,8 @@ pub enum EventKind {
     Reroute = 34,
     /// A disk was escalated to failed mid-rebuild (`a` = disk).
     Escalation = 35,
-    /// A dirty-window chunk was skipped and re-queued (`a` = count).
-    DirtySkip = 36,
+    // 36 is retired (a rebuild writeback skipped for a concurrent write):
+    // codes are stable, so it is not reused.
     /// Rebuild QoS throttling slept (`a` = chunks, `b` = wait ns).
     ThrottleWait = 37,
     /// A tenant hit its rate cap and slept (`a` = tenant, `b` = wait ns).
@@ -139,7 +139,6 @@ impl EventKind {
             Self::RetryExhausted => "retry_exhausted",
             Self::Reroute => "reroute",
             Self::Escalation => "escalation",
-            Self::DirtySkip => "dirty_skip",
             Self::ThrottleWait => "throttle_wait",
             Self::TenantCapWait => "tenant_cap_wait",
             Self::DegradedTransition => "degraded_transition",
@@ -172,7 +171,6 @@ impl EventKind {
             33 => Self::RetryExhausted,
             34 => Self::Reroute,
             35 => Self::Escalation,
-            36 => Self::DirtySkip,
             37 => Self::ThrottleWait,
             38 => Self::TenantCapWait,
             39 => Self::DegradedTransition,
@@ -600,11 +598,11 @@ mod tests {
     #[test]
     fn flight_event_attaches_ambient_trace() {
         let _g = crate::enter_trace(77);
-        flight_event(EventKind::DirtySkip, 1, 0);
+        flight_event(EventKind::Stall, 1, 0);
         let found = flight()
             .snapshot()
             .iter()
-            .any(|e| e.kind == EventKind::DirtySkip && e.trace == 77);
+            .any(|e| e.kind == EventKind::Stall && e.trace == 77);
         assert!(found, "flight event carries the ambient trace id");
     }
 

@@ -13,15 +13,16 @@
 //!
 //! Every phase is read off the [`RebuildReport`] (medians over the
 //! rebuilds after three warm-up ones): `plan`, `heal` and `execute` are the
-//! report's three sequential phases, `regions` (the round's dirty-epoch
-//! reset and footprints, inside `plan`) and `lower` (plan to batches and
-//! op graph, inside `execute`) their sub-phases; `run` is what is left of
+//! report's three sequential phases, `regions` (the round's lock sets, the
+//! relations each item's batch locks, inside `plan`) and `lower` (plan to
+//! batches and op graph, inside `execute`) their sub-phases; `run` is what is left of
 //! `execute` (the scheduler run and closing the round) and `books` what is
 //! left of the report's wall time (the rebuild loop's bookkeeping). `ops/chunk`
 //! is scheduler ops per rebuilt chunk: one op per batch, which reads,
 //! combines and lands its chunks, so 1/16 at 4 KiB and 1 at 64 KiB. Of the
-//! stage medians, `read` is one batch op's reads (all its source runs) and
-//! `combine` / `writeback` are per chunk. Only the MiB/s column is timed
+//! stage medians, `read` is one batch op's reads (all its source runs,
+//! under the batch's region locks) and `combine` / `writeback` are per
+//! chunk. Only the MiB/s column is timed
 //! here, around the whole `rebuild()` call. Prints numbers; asserts
 //! nothing about time.
 
