@@ -168,7 +168,6 @@ struct TaskState {
     spec: TaskSpec,
     unmet_deps: usize,
     dependents: Vec<usize>,
-    ready_at: Option<SimTime>,
     start: Option<SimTime>,
     finish: Option<SimTime>,
 }
@@ -201,20 +200,6 @@ impl Simulation {
         DiskId(self.disks.len() - 1)
     }
 
-    /// Number of disks.
-    pub fn disk_count(&self) -> usize {
-        self.disks.len()
-    }
-
-    /// The spec of `disk`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `disk` does not belong to this simulation.
-    pub fn disk_spec(&self, disk: DiskId) -> &DiskSpec {
-        &self.disks[disk.0]
-    }
-
     /// Registers a task, returning its id.
     ///
     /// # Panics
@@ -240,16 +225,10 @@ impl Simulation {
             spec,
             unmet_deps: unmet,
             dependents: Vec::new(),
-            ready_at: None,
             start: None,
             finish: None,
         });
         TaskId(id)
-    }
-
-    /// Number of registered tasks.
-    pub fn task_count(&self) -> usize {
-        self.tasks.len()
     }
 
     /// Runs the simulation to completion and returns the results.
@@ -285,7 +264,6 @@ impl Simulation {
             now = t;
             match event {
                 Event::Release(task) => {
-                    self.tasks[task].ready_at = Some(now);
                     let d = self.tasks[task].spec.disk.0;
                     ready[d].push(Reverse((self.tasks[task].spec.priority, ready_seq, task)));
                     ready_seq += 1;
@@ -422,13 +400,6 @@ impl RunResult {
         self.tasks.get(task.0).and_then(|t| t.start)
     }
 
-    /// Time `task` spent waiting in its disk queue (start − ready), if it
-    /// ran. Separates contention from service time in degraded-mode studies.
-    pub fn queue_delay(&self, task: TaskId) -> Option<SimTime> {
-        let t = self.tasks.get(task.0)?;
-        Some(t.start? - t.ready_at?)
-    }
-
     /// Latency of `task` (finish − release), if it ran.
     pub fn latency(&self, task: TaskId) -> Option<SimTime> {
         let t = self.tasks.get(task.0)?;
@@ -442,15 +413,6 @@ impl RunResult {
             .filter(|t| t.spec.tag == tag)
             .filter_map(|t| Some(t.finish? - t.spec.release))
             .collect()
-    }
-
-    /// The maximum per-disk busy time — the rebuild bottleneck measure.
-    pub fn max_disk_busy(&self) -> SimTime {
-        self.disk_stats
-            .iter()
-            .map(|s| s.busy)
-            .max()
-            .unwrap_or(SimTime::ZERO)
     }
 }
 

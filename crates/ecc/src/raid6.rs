@@ -42,13 +42,6 @@ impl Raid6 {
     fn weight(i: usize) -> u8 {
         Gf256::get().pow(2, i as u64)
     }
-
-    /// The Q-parity generator coefficient of data unit `i` (`2^i` in
-    /// GF(2^8)). Exposed so incremental update paths (`Q ^= 2^i · Δ`) stay
-    /// consistent with [`Raid6::encode`].
-    pub fn generator_weight(i: usize) -> u8 {
-        Self::weight(i)
-    }
 }
 
 impl ErasureCode for Raid6 {

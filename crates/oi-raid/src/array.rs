@@ -1,11 +1,11 @@
 //! The [`OiRaid`] array type: geometry queries, logical data addressing,
 //! the update path, and the [`Layout`] implementation.
 
-use layout::{ChunkAddr, Layout, LayoutError, RecoveryPlan, Role, SparePolicy};
+use layout::{assign_writes, ChunkAddr, Layout, LayoutError, RecoveryPlan, Role, SparePolicy};
 
 use crate::config::OiRaidConfig;
 use crate::geometry::{Geometry, PayloadPos};
-use crate::multifail;
+use crate::multifail::{self, First};
 use crate::recovery::{self, RecoveryStrategy};
 
 /// Full classification of one physical chunk.
@@ -204,13 +204,44 @@ impl OiRaid {
         policy: SparePolicy,
         strategy: RecoveryStrategy,
     ) -> Result<RecoveryPlan, LayoutError> {
-        recovery::single_failure_plan(self, failed_disk, policy, strategy)
+        self.disks_plan(&[failed_disk], policy, strategy)
+    }
+
+    /// The plan of whole failed disks under `strategy`, offset by offset
+    /// (the disks interleaved at each), writes assigned by `policy`.
+    fn disks_plan(
+        &self,
+        failed: &[usize],
+        policy: SparePolicy,
+        strategy: RecoveryStrategy,
+    ) -> Result<RecoveryPlan, LayoutError> {
+        let n = self.geo.disks();
+        let mut sorted = failed.to_vec();
+        sorted.sort_unstable();
+        if let Some(w) = sorted.windows(2).find(|w| w[0] == w[1]) {
+            return Err(LayoutError::DuplicateFailure { disk: w[0] });
+        }
+        if let Some(&disk) = sorted.last().filter(|&&d| d >= n) {
+            return Err(LayoutError::DiskOutOfRange { disk, disks: n });
+        }
+        let offsets = 0..self.geo.chunks_per_disk;
+        let targets: Vec<ChunkAddr> = offsets
+            .flat_map(|o| sorted.iter().map(move |&d| ChunkAddr::new(d, o)))
+            .collect();
+        let available = |a: ChunkAddr| !sorted.contains(&a.disk);
+        let (mut items, _) = recovery::plan_recovery(self, &targets, available, strategy);
+        if items.len() < targets.len() {
+            return Err(LayoutError::DataLoss { failed: sorted });
+        }
+        assign_writes(policy, n, &sorted, &mut items);
+        Ok(RecoveryPlan::new(n, sorted, items))
     }
 
     /// The alternate-plan API: a chunk-granular repair plan for the chunks
     /// `missing` names (latent sectors, a disk that died mid-rebuild, the
-    /// unrebuilt rest of a resumed rebuild), cross-layer cascades included.
-    /// Every other chunk is assumed readable; every item writes
+    /// unrebuilt rest of a resumed rebuild), cross-layer cascades included,
+    /// planned as [`RecoveryStrategy::Outer`] plans them. Every other chunk
+    /// is assumed readable; every item writes
     /// [`layout::WriteTarget::InPlace`], remapping a latent sector.
     ///
     /// # Errors
@@ -221,12 +252,17 @@ impl OiRaid {
         &self,
         missing: impl Fn(ChunkAddr) -> bool,
     ) -> Result<RecoveryPlan, LayoutError> {
-        let mut items = Vec::new();
-        let lost = multifail::run_fixpoint(self, missing, Some(&mut items));
-        if !lost.is_empty() {
-            return Err(LayoutError::DataLoss { failed: lost });
+        let (n, t) = (self.geo.disks(), self.geo.chunks_per_disk);
+        let chunks = (0..t).flat_map(|o| (0..n).map(move |d| ChunkAddr::new(d, o)));
+        let targets: Vec<ChunkAddr> = chunks.filter(|&a| missing(a)).collect();
+        let (items, _) = multifail::plan_closure(self, &targets, |a| !missing(a), First::Stripe);
+        if items.len() < targets.len() {
+            let lost = multifail::run_fixpoint(self, missing);
+            let mut failed: Vec<usize> = lost.iter().map(|a| a.disk).collect();
+            failed.dedup();
+            return Err(LayoutError::DataLoss { failed });
         }
-        Ok(RecoveryPlan::new(self.geo.disks(), Vec::new(), items))
+        Ok(RecoveryPlan::new(n, Vec::new(), items))
     }
 }
 
@@ -263,7 +299,8 @@ impl Layout for OiRaid {
     }
 
     fn survives(&self, failed: &[usize]) -> bool {
-        multifail::survives(self, failed)
+        let in_range = failed.iter().all(|&d| d < self.disks());
+        in_range && multifail::run_fixpoint(self, |a| failed.contains(&a.disk)).is_empty()
     }
 
     fn recovery_plan(
@@ -271,10 +308,7 @@ impl Layout for OiRaid {
         failed: &[usize],
         policy: SparePolicy,
     ) -> Result<RecoveryPlan, LayoutError> {
-        match failed {
-            [d] => recovery::single_failure_plan(self, *d, policy, RecoveryStrategy::Outer),
-            _ => multifail::multi_failure_plan(self, failed, policy),
-        }
+        self.disks_plan(failed, policy, RecoveryStrategy::Outer)
     }
 }
 

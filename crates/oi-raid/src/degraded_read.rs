@@ -10,7 +10,7 @@ use disksim::{DiskSpec, SimTime, Simulation, Summary, TaskSpec, Workload};
 use layout::{ChunkAddr, LayoutError, RecoveryPlan, WriteTarget};
 
 use crate::array::OiRaid;
-use crate::multifail;
+use crate::multifail::{self, First};
 use crate::online::Region;
 use crate::OiRaidConfig;
 
@@ -73,8 +73,10 @@ impl OiRaid {
         if !failed.contains(&addr.disk) {
             return Ok(ReadPlan::Direct(addr));
         }
-        let (plan, via) = multifail::plan_closure(self, &[addr], |a| !failed.contains(&a.disk));
-        let reads = || plan.items()[0].reads.clone();
+        let available = |a: ChunkAddr| !failed.contains(&a.disk);
+        let first = First::cheaper(self.geometry());
+        let (plan, via) = multifail::plan_closure(self, &[addr], available, first);
+        let reads = || plan[0].reads.clone();
         match via[..] {
             [Region::Row(..)] => Ok(ReadPlan::InnerDecode { reads: reads() }),
             [Region::Stripe(..)] => Ok(ReadPlan::OuterDecode { reads: reads() }),

@@ -1,80 +1,23 @@
-//! Multi-failure analysis and planning, two ways over one rule.
-//!
-//! Both layers are RAID5, so a stripe (inner row or outer stripe) is
-//! decodable exactly when at most one of its chunks is missing, and the
-//! missing chunk is the XOR of the others. [`run_fixpoint`] plans *forward*
-//! over the whole array:
-//! starting from every missing chunk, it repeatedly repairs every stripe
-//! within its tolerance until nothing changes. If all chunks come back, the
-//! failure pattern is survivable — this is how the "tolerates at least
-//! three disk failures" claim (C4) is *checked* rather than assumed, and how
-//! whole-array recovery plans (rebuild, scrub, experiment E9) are produced,
-//! including cascades where an outer repair feeds an inner repair.
-//! [`plan_closure`] plans *backward* from a few target chunks and touches
-//! only their closure: every foreground value the store cannot read comes
-//! off it.
+//! Multi-failure analysis and the store's one recovery planner, over one
+//! rule: both layers are RAID5, so a relation (inner row or outer stripe)
+//! decodes exactly when at most one of its chunks is missing, as the XOR of
+//! the others. [`run_fixpoint`] applies it *forward* over the whole array:
+//! a pattern is survivable when every chunk comes back, which is how claim
+//! C4 is *checked* rather than assumed. [`plan_closure`] applies it
+//! *backward* from the chunks a caller wants: every recovery the store
+//! runs — each foreground decode, each rebuild round — is planned there.
 
-use std::collections::HashMap;
-
-use layout::{
-    assign_writes, ChunkAddr, ChunkRecovery, LayoutError, RecoveryPlan, SparePolicy, WriteTarget,
-};
+use layout::{ChunkAddr, ChunkRecovery, WriteTarget};
 
 use crate::array::OiRaid;
 use crate::geometry::{Geometry, PayloadPos};
 use crate::online::Region;
 
-/// Whether the failure pattern is survivable (duplicate or out-of-range
-/// entries are never survivable-relevant: out-of-range returns `false`).
-pub(crate) fn survives(array: &OiRaid, failed: &[usize]) -> bool {
-    let geo = array.geometry();
-    let n = geo.disks();
-    if failed.iter().any(|&d| d >= n) {
-        return false;
-    }
-    run_fixpoint(array, |a| failed.contains(&a.disk), None).is_empty()
-}
-
-/// Builds a recovery plan for an arbitrary survivable failure pattern.
-pub(crate) fn multi_failure_plan(
-    array: &OiRaid,
-    failed: &[usize],
-    policy: SparePolicy,
-) -> Result<RecoveryPlan, LayoutError> {
-    let geo = array.geometry();
-    let n = geo.disks();
-    let mut sorted = failed.to_vec();
-    sorted.sort_unstable();
-    for w in sorted.windows(2) {
-        if w[0] == w[1] {
-            return Err(LayoutError::DuplicateFailure { disk: w[0] });
-        }
-    }
-    if let Some(&d) = sorted.last() {
-        if d >= n {
-            return Err(LayoutError::DiskOutOfRange { disk: d, disks: n });
-        }
-    }
-    let mut items = Vec::new();
-    if !run_fixpoint(array, |a| sorted.contains(&a.disk), Some(&mut items)).is_empty() {
-        return Err(LayoutError::DataLoss { failed: sorted });
-    }
-    assign_writes(policy, n, &sorted, &mut items);
-    Ok(RecoveryPlan::new(n, sorted, items))
-}
-
 /// Runs the decode fixpoint over every chunk `missing` names: whole failed
-/// disks, latent sector errors on otherwise-healthy disks, the unrebuilt
-/// rest of a resumed rebuild. With `plan` set, records one in-place
-/// [`ChunkRecovery`] per repaired chunk (reads reference originally-present
-/// chunks; previously repaired inputs become `depends`). Returns the disks
-/// that still hold unrecovered chunks, ascending — empty when every chunk
+/// disks, latent sector errors on otherwise-healthy disks. Returns the
+/// chunks that stay unrecovered, disk by disk — empty when every chunk
 /// came back.
-pub(crate) fn run_fixpoint(
-    array: &OiRaid,
-    missing: impl Fn(ChunkAddr) -> bool,
-    mut plan: Option<&mut Vec<ChunkRecovery>>,
-) -> Vec<usize> {
+pub(crate) fn run_fixpoint(array: &OiRaid, missing: impl Fn(ChunkAddr) -> bool) -> Vec<ChunkAddr> {
     let geo = array.geometry();
     let t = geo.chunks_per_disk;
     let at = |a: &ChunkAddr| a.disk * t + a.offset;
@@ -82,8 +25,6 @@ pub(crate) fn run_fixpoint(
         .map(|i| !missing(ChunkAddr::new(i / t, i % t)))
         .collect();
     let mut left = present.iter().filter(|p| !**p).count();
-    // Map repaired chunk -> plan item index, for dependency wiring.
-    let mut repaired_item: HashMap<ChunkAddr, usize> = HashMap::new();
     let mut progressed = true;
     while left > 0 && progressed {
         progressed = false;
@@ -99,88 +40,91 @@ pub(crate) fn run_fixpoint(
             progressed = true;
             present[at(&lost)] = true;
             left -= 1;
-            let Some(items) = plan.as_deref_mut() else {
-                continue;
-            };
-            let (mut reads, mut depends) = (Vec::new(), Vec::new());
-            for &src in chunks.iter().filter(|a| **a != lost) {
-                match missing(src) {
-                    true => depends.push(repaired_item[&src]),
-                    false => reads.push(src),
-                }
-            }
-            repaired_item.insert(lost, items.len());
-            let write = WriteTarget::InPlace;
-            items.push(ChunkRecovery {
-                lost,
-                reads,
-                depends,
-                write,
-            });
         }
     }
     let lost = (0..present.len()).filter(|&i| !present[i]);
-    let mut lost: Vec<usize> = lost.map(|i| i / t).collect();
-    lost.dedup();
-    lost
+    lost.map(|i| ChunkAddr::new(i / t, i % t)).collect()
+}
+
+/// Which relation of a payload chunk the backward search tries first: its
+/// inner row (`g − 1` reads, in its group) or its outer stripe (`k − 1`,
+/// spread over other groups). An inner parity has only its row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum First {
+    Row,
+    Stripe,
+}
+
+impl First {
+    /// The foreground's order: the relation with fewer reads, the row on a
+    /// tie.
+    pub(crate) fn cheaper(geo: &Geometry) -> Self {
+        if geo.k < geo.g {
+            First::Stripe
+        } else {
+            First::Row
+        }
+    }
 }
 
 /// Plans `targets` backward over the chunks `available` vouches for: their
-/// closure, where [`run_fixpoint`] plans the whole array. A target decodes
-/// through its inner row if it is the sole miss there, else its outer
-/// stripe if it is the sole miss there, else the first of the two whose
-/// other misses are plannable, recursively (the row first). Planned chunks
-/// are reused; one on the search path is not planned again, which ends the
-/// recursion. Items write in place and depend backwards, and each decodes
-/// one chunk as the XOR of its reads and its dependencies' outputs.
-/// Returns the plan and the relation each item decodes through; a target
-/// no relation chain reaches has no item.
+/// closure, where [`run_fixpoint`] sweeps the whole array. A target decodes
+/// through one relation if it is the sole miss there, trying its two in
+/// `first`'s order, else through the first of them whose other misses are
+/// plannable, recursively. Planned chunks are reused; one on the search
+/// path is not planned again, which ends the recursion. Items write in
+/// place and depend backwards, and each decodes one chunk as the XOR of
+/// its reads and its dependencies' outputs. Returns the items and the
+/// relation each decodes through; a target no relation chain reaches has
+/// no item.
 pub(crate) fn plan_closure(
     array: &OiRaid,
     targets: &[ChunkAddr],
     available: impl Fn(ChunkAddr) -> bool,
-) -> (RecoveryPlan, Vec<Region>) {
+    first: First,
+) -> (Vec<ChunkRecovery>, Vec<Region>) {
     let geo = array.geometry();
+    let index = match targets.len() >= SCAN {
+        true => vec![Vec::new(); geo.disks()],
+        false => Vec::new(),
+    };
     let mut search = Search {
         geo,
         available,
+        first,
         items: Vec::with_capacity(targets.len()),
         via: Vec::with_capacity(targets.len()),
+        index,
         path: Vec::new(),
         spare: Vec::new(),
     };
     for &t in targets {
         search.plan(t);
     }
-    let plan = RecoveryPlan::new(geo.disks(), Vec::new(), search.items);
-    (plan, search.via)
+    (search.items, search.via)
 }
 
-/// The parity relations of `addr`: its inner row, then for payload its outer
-/// stripe, worked out only if the iterator gets that far.
-pub(crate) fn relations_of(geo: &Geometry, addr: ChunkAddr) -> impl Iterator<Item = Region> + '_ {
-    let row = Region::Row(geo.group_of(addr.disk), addr.offset);
-    let stripe = std::iter::once_with(move || {
-        let p = (!geo.is_inner_parity(addr)).then(|| geo.payload_pos(addr))?;
-        Some(Region::Stripe(p.block, p.stripe))
-    });
-    std::iter::once(row).chain(stripe.flatten())
+/// The outer stripe of `addr`, if it is payload.
+pub(crate) fn stripe_of(geo: &Geometry, addr: ChunkAddr) -> Option<Region> {
+    let p = (!geo.is_inner_parity(addr)).then(|| geo.payload_pos(addr))?;
+    Some(Region::Stripe(p.block, p.stripe))
 }
 
-/// Where a chunk's value comes from, as far as a search has got.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Source {
-    Read,
-    Item(usize),
-    Miss,
-}
+/// Targets from which a search indexes its items by address, not scans
+/// them: a foreground plan is a few items, a rebuild round's thousands.
+const SCAN: usize = 64;
 
 /// One [`plan_closure`] search in progress.
 struct Search<'a, F> {
     geo: &'a Geometry,
     available: F,
+    first: First,
     items: Vec<ChunkRecovery>,
     via: Vec<Region>,
+    /// Each planned chunk's item, by disk and offset (`u32::MAX` for none;
+    /// a disk with none planned has no entries): empty for a plan short
+    /// enough to scan.
+    index: Vec<Vec<u32>>,
     /// Chunks whose relations' misses are being planned, outermost first.
     path: Vec<ChunkAddr>,
     /// Used relation chunk lists: one allocation per level of recursion.
@@ -188,32 +132,50 @@ struct Search<'a, F> {
 }
 
 impl<F: Fn(ChunkAddr) -> bool> Search<'_, F> {
-    fn source(&self, a: ChunkAddr) -> Source {
-        if (self.available)(a) {
-            return Source::Read;
-        }
-        match self.items.iter().position(|it| it.lost == a) {
-            Some(item) => Source::Item(item),
-            None => Source::Miss,
+    /// The item that plans `a`, if one does.
+    fn item_of(&self, a: ChunkAddr) -> Option<usize> {
+        match self.index.get(a.disk) {
+            None => self.items.iter().position(|it| it.lost == a),
+            Some(disk) => disk
+                .get(a.offset)
+                .filter(|&&i| i != u32::MAX)
+                .map(|&i| i as usize),
         }
     }
 
     /// Plans `t` unless its value is known; whether it is now.
     fn plan(&mut self, t: ChunkAddr) -> bool {
-        if self.source(t) != Source::Miss {
+        if (self.available)(t) || self.item_of(t).is_some() {
             return true;
         }
         if self.path.contains(&t) {
             return false;
         }
-        let geo = self.geo;
-        if relations_of(geo, t).any(|r| self.decode(t, r, false)) {
+        if self.decode_any(t, false) {
             return true;
         }
         self.path.push(t);
-        let ok = relations_of(geo, t).any(|r| self.decode(t, r, true));
+        let ok = self.decode_any(t, true);
         self.path.pop();
         ok
+    }
+
+    /// Plans `t` through the first of its relations, in the search's order,
+    /// that [`Self::decode`]s it.
+    fn decode_any(&mut self, t: ChunkAddr, recurse: bool) -> bool {
+        let geo = self.geo;
+        let row = || Region::Row(geo.group_of(t.disk), t.offset);
+        let stripe = || stripe_of(geo, t);
+        match self.first {
+            First::Row => {
+                self.decode(t, row(), recurse)
+                    || stripe().is_some_and(|s| self.decode(t, s, recurse))
+            }
+            First::Stripe => {
+                stripe().is_some_and(|s| self.decode(t, s, recurse))
+                    || self.decode(t, row(), recurse)
+            }
+        }
     }
 
     /// Plans `t` through `region` as it stands, or — with `recurse` — once
@@ -237,6 +199,11 @@ impl<F: Fn(ChunkAddr) -> bool> Search<'_, F> {
         }
         let decoded = self.emit(t, region, &chunks);
         if !decoded {
+            for it in &self.items[mark..] {
+                if let Some(disk) = self.index.get_mut(it.lost.disk) {
+                    disk[it.lost.offset] = u32::MAX;
+                }
+            }
             self.items.truncate(mark);
             self.via.truncate(mark);
         }
@@ -249,11 +216,19 @@ impl<F: Fn(ChunkAddr) -> bool> Search<'_, F> {
     fn emit(&mut self, t: ChunkAddr, region: Region, chunks: &[ChunkAddr]) -> bool {
         let (mut reads, mut depends) = (Vec::new(), Vec::new());
         for &a in chunks.iter().filter(|a| **a != t) {
-            match self.source(a) {
-                Source::Read => reads.push(a),
-                Source::Item(item) => depends.push(item),
-                Source::Miss => return false,
+            if (self.available)(a) {
+                reads.push(a);
+            } else if let Some(item) = self.item_of(a) {
+                depends.push(item);
+            } else {
+                return false;
             }
+        }
+        if let Some(disk) = self.index.get_mut(t.disk) {
+            if disk.is_empty() {
+                disk.resize(self.geo.chunks_per_disk, u32::MAX);
+            }
+            disk[t.offset] = self.items.len() as u32;
         }
         let write = WriteTarget::InPlace;
         self.items.push(ChunkRecovery {
@@ -271,7 +246,7 @@ impl<F: Fn(ChunkAddr) -> bool> Search<'_, F> {
 mod tests {
     use super::*;
     use crate::config::OiRaidConfig;
-    use layout::Layout;
+    use layout::{Layout, LayoutError, SparePolicy};
 
     fn reference() -> OiRaid {
         OiRaid::new(OiRaidConfig::reference()).unwrap()
@@ -409,12 +384,12 @@ mod tests {
     }
 
     /// [`plan_closure`] against [`run_fixpoint`] over one missing set of
-    /// `store`'s array. Each missing chunk, planned on its own, is planned
-    /// exactly when the fixpoint recovers it. One plan of them all reads
-    /// only available chunks, depends backwards, reads inside the relation
-    /// each item decodes through, and walks through `combine` to the stored
-    /// bytes of every chunk it plans. Returns how many chunks needed more
-    /// than one relation.
+    /// `store`'s array, in either relation order. Each missing chunk,
+    /// planned on its own, is planned exactly when the fixpoint recovers
+    /// it. One plan of them all reads only available chunks, depends
+    /// backwards, reads inside the relation each item decodes through, and
+    /// walks through `combine` to the stored bytes of every chunk it plans.
+    /// Returns how many chunks needed more than one relation.
     fn planner_matches_fixpoint(
         store: &crate::OiRaidStore,
         missing: &dyn Fn(ChunkAddr) -> bool,
@@ -422,56 +397,60 @@ mod tests {
         use blockdev::BlockDevice;
         let (array, geo) = (store.array(), store.array().geometry());
         let available = |a: ChunkAddr| !missing(a);
-        let mut fixed = Vec::new();
-        run_fixpoint(array, missing, Some(&mut fixed));
-        let recovered: Vec<ChunkAddr> = fixed.iter().map(|it| it.lost).collect();
+        let unrecovered = run_fixpoint(array, missing);
         let targets: Vec<ChunkAddr> = (0..geo.disks())
             .flat_map(|d| (0..geo.chunks_per_disk).map(move |o| ChunkAddr::new(d, o)))
             .filter(|a| missing(*a))
             .collect();
+        let recovered: Vec<ChunkAddr> = targets
+            .iter()
+            .copied()
+            .filter(|a| unrecovered.binary_search(a).is_err())
+            .collect();
         let mut deep = 0;
-        for &t in &targets {
-            let (plan, via) = plan_closure(array, &[t], available);
-            let planned = plan.items().iter().any(|it| it.lost == t);
-            proptest::prop_assert_eq!(planned, recovered.contains(&t), "{}", t);
-            deep += usize::from(via.iter().any(|r| *r != via[0]));
-        }
-        let (plan, via) = plan_closure(array, &targets, available);
-        let items = plan.items();
-        proptest::prop_assert_eq!(items.len(), recovered.len());
-        let stored = |a: ChunkAddr| {
-            let mut buf = vec![0u8; 16];
-            store.devices()[a.disk]
-                .read_chunk(a.offset, &mut buf)
-                .unwrap();
-            buf
-        };
-        let pool = crate::bufpool::BufPool::new(16);
-        let mut outputs: Vec<Vec<u8>> = Vec::new();
-        for (i, (it, region)) in items.iter().zip(&via).enumerate() {
-            let relation = match *region {
-                Region::Row(group, row) => geo.row_chunks(group, row),
-                Region::Stripe(block, stripe) => geo.stripe_chunks(block, stripe),
+        for first in [First::Row, First::Stripe] {
+            for &t in &targets {
+                let (plan, via) = plan_closure(array, &[t], available, first);
+                let planned = plan.iter().any(|it| it.lost == t);
+                proptest::prop_assert_eq!(planned, recovered.contains(&t), "{}", t);
+                deep += usize::from(via.iter().any(|r| *r != via[0]));
+            }
+            let (items, via) = plan_closure(array, &targets, available, first);
+            proptest::prop_assert_eq!(items.len(), recovered.len());
+            let stored = |a: ChunkAddr| {
+                let mut buf = vec![0u8; 16];
+                store.devices()[a.disk]
+                    .read_chunk(a.offset, &mut buf)
+                    .unwrap();
+                buf
             };
-            proptest::prop_assert!(relation.contains(&it.lost), "{} via {:?}", it.lost, region);
-            let mut inputs = Vec::new();
-            for &a in &it.reads {
-                proptest::prop_assert!(
-                    available(a) && relation.contains(&a),
-                    "{} reads {}",
-                    it.lost,
-                    a
-                );
-                inputs.push(stored(a));
+            let pool = crate::bufpool::BufPool::new(16);
+            let mut outputs: Vec<Vec<u8>> = Vec::new();
+            for (i, (it, region)) in items.iter().zip(&via).enumerate() {
+                let relation = match *region {
+                    Region::Row(group, row) => geo.row_chunks(group, row),
+                    Region::Stripe(block, stripe) => geo.stripe_chunks(block, stripe),
+                };
+                proptest::prop_assert!(relation.contains(&it.lost), "{} via {:?}", it.lost, region);
+                let mut inputs = Vec::new();
+                for &a in &it.reads {
+                    proptest::prop_assert!(
+                        available(a) && relation.contains(&a),
+                        "{} reads {}",
+                        it.lost,
+                        a
+                    );
+                    inputs.push(stored(a));
+                }
+                for &d in &it.depends {
+                    proptest::prop_assert!(d < i, "item {} depends on {}", i, d);
+                    proptest::prop_assert!(relation.contains(&items[d].lost));
+                    inputs.push(outputs[d].clone());
+                }
+                let value = crate::rebuild::combine(&mut inputs, &pool);
+                proptest::prop_assert_eq!(&value, &stored(it.lost), "{}", it.lost);
+                outputs.push(value);
             }
-            for &d in &it.depends {
-                proptest::prop_assert!(d < i, "item {} depends on {}", i, d);
-                proptest::prop_assert!(relation.contains(&items[d].lost));
-                inputs.push(outputs[d].clone());
-            }
-            let value = crate::rebuild::combine(&mut inputs, &pool);
-            proptest::prop_assert_eq!(&value, &stored(it.lost), "{}", it.lost);
-            outputs.push(value);
         }
         Ok(deep)
     }

@@ -5,8 +5,8 @@
 //! (`plan`/`heal`/`execute`, one sample per occurrence — their sums cover
 //! the rebuild's wall time), for the pipeline stages inside `execute` (per
 //! batch op `read` and `coalesce`, per chunk `combine` and `writeback`) and
-//! for the two per-round sub-phases that are serial work (`regions`,
-//! `lower`), the self-healing counters, and a [`Progress`] handle another thread can poll while
+//! for the per-round sub-phase that is serial work (`lower`), the
+//! self-healing counters, and a [`Progress`] handle another thread can poll while
 //! [`OiRaidStore::rebuild_observed`](crate::OiRaidStore::rebuild_observed)
 //! runs. The rebuild's causal structure (rounds, scheduled ops, device
 //! I/O) is in the global trace-event ring — see [`telemetry::traces`].
@@ -25,8 +25,8 @@ use telemetry::{Counter, Histogram, HistogramSnapshot, Progress, Registry};
 /// rebuild.
 #[derive(Debug, Clone, Default)]
 pub struct StageTimings {
-    /// Planning time: the initial recovery plan, each round's lock sets
-    /// and each re-plan.
+    /// Planning time: the initial recovery plan and each re-plan, lock sets
+    /// included.
     pub plan: Arc<Histogram>,
     /// Time to open the rebuild window and heal the target devices.
     pub heal: Arc<Histogram>,
@@ -42,9 +42,6 @@ pub struct StageTimings {
     /// Write-back time per rebuilt chunk: its share of the batch it landed
     /// in (device writes and validity marks, under the batch's locks).
     pub writeback: Arc<Histogram>,
-    /// One round's lock sets, the relations each item's batch locks — the
-    /// part of `plan` that every round repeats.
-    pub regions: Arc<Histogram>,
     /// One round's lowering — batches, the op graph (one op per batch) and
     /// the state the ops share — the part of `execute` before the first op
     /// runs.
@@ -56,7 +53,7 @@ pub struct StageTimings {
 
 impl StageTimings {
     /// Every stage histogram by name, in [`StageTimings::summaries`] order.
-    fn named(&self) -> [(&'static str, &Arc<Histogram>); 9] {
+    fn named(&self) -> [(&'static str, &Arc<Histogram>); 8] {
         [
             ("plan", &self.plan),
             ("heal", &self.heal),
@@ -65,13 +62,12 @@ impl StageTimings {
             ("coalesce", &self.coalesce),
             ("combine", &self.combine),
             ("writeback", &self.writeback),
-            ("regions", &self.regions),
             ("lower", &self.lower),
         ]
     }
 
     /// Snapshot of every stage: the three phases, the pipeline stages in
-    /// pipeline order, then the two per-round sub-phases.
+    /// pipeline order, then the per-round sub-phase.
     pub fn summaries(&self) -> Vec<StageSummary> {
         self.named()
             .into_iter()
@@ -111,7 +107,7 @@ pub struct HealCounters {
 #[derive(Debug, Clone)]
 pub struct StageSummary {
     /// Stage name (`plan`, `heal`, `execute`, `read`, `coalesce`,
-    /// `combine`, `writeback`, `regions`, `lower`).
+    /// `combine`, `writeback`, `lower`).
     pub stage: &'static str,
     /// The stage's service-time distribution, in nanoseconds.
     pub latency: HistogramSnapshot,
@@ -223,7 +219,6 @@ mod tests {
                 "coalesce",
                 "combine",
                 "writeback",
-                "regions",
                 "lower"
             ]
         );
@@ -240,8 +235,8 @@ mod tests {
         obs.export_metrics(&reg);
         assert_eq!(
             reg.len(),
-            21,
-            "9 stages + queue depth + 6 heal counters + 2 ring-drop \
+            20,
+            "8 stages + queue depth + 6 heal counters + 2 ring-drop \
              counters + 3 scheduler series"
         );
         // Live: recording after registration shows up in the export.

@@ -22,9 +22,10 @@
 //! reads so one bad sector costs one chunk, not the batch. A chunk that
 //! stays unreadable after its retry budget (a latent sector error) is
 //! *re-routed*: the next round re-derives it — and everything that needed
-//! it — through an alternate read set via the chunk-granular planner
-//! ([`crate::OiRaid::chunk_recovery_plan`]), then rewrites the bad sector
-//! in place (repairing it). If a surviving disk dies outright mid-rebuild,
+//! it — through an alternate read set, then rewrites the bad sector in
+//! place (repairing it). Every round is one plan of every chunk still
+//! missing ([`crate::recovery::plan_recovery`]), with each item's lock set.
+//! If a surviving disk dies outright mid-rebuild,
 //! the engine *escalates*: the dead disk joins the rebuild targets, the
 //! failure set is re-planned, and already-rebuilt chunks are not re-read.
 //! Escalations are capped at the array's fault tolerance; patterns that
@@ -69,14 +70,14 @@ use blockdev::{
     crash_point, write_chunk_retrying, BlockDevice, CounterSnapshot, DeviceError, RetryCounters,
     RetryReader, RetryStats,
 };
-use layout::{ChunkAddr, Layout, RecoveryPlan, SparePolicy};
+use layout::{ChunkAddr, Layout, RecoveryPlan};
 use telemetry::HistogramSnapshot;
 
 use crate::bufpool::BufPool;
 use crate::checkpoint::RebuildCheckpoint;
 use crate::observe::{RebuildObserver, StageSummary};
 use crate::online::{Region, RegionGuards};
-use crate::recovery::single_failure_plan;
+use crate::recovery::{plan_recovery, LockSets};
 use crate::store::{CheckpointPolicy, OiRaidStore, StoreError, RETRY};
 use crate::RecoveryStrategy;
 
@@ -189,8 +190,7 @@ pub struct RebuildReport {
     /// cover [`RebuildReport::wall`]), then of the pipeline stages in
     /// pipeline order (`read` and `coalesce` one sample per batch op,
     /// `combine` and `writeback` one per chunk), then of the per-round
-    /// sub-phases `regions` (inside `plan`) and `lower` (inside
-    /// `execute`).
+    /// sub-phase `lower` (inside `execute`).
     pub stages: Vec<StageSummary>,
     /// Busy time per DAG pool worker, in worker order, summed over every
     /// round: time inside batch ops (read, combine, writeback) — compare against
@@ -583,21 +583,6 @@ impl CheckpointTick {
     }
 }
 
-/// The relations every item of a plan locks (see
-/// [`OiRaidStore::plan_regions`]), stored flat: two allocations per plan,
-/// not one per item.
-struct Footprints {
-    regions: Vec<Region>,
-    /// Item `idx`'s relations are `regions[start[idx]..start[idx + 1]]`.
-    start: Vec<usize>,
-}
-
-impl Footprints {
-    fn of(&self, idx: usize) -> &[Region] {
-        &self.regions[self.start[idx]..self.start[idx + 1]]
-    }
-}
-
 /// A set of chunk addresses kept as one bitmap per disk, indexed by
 /// offset: the rebuild loop's books. Testing, inserting and voiding a whole
 /// disk are word operations, and so is the difference the loop re-plans
@@ -673,6 +658,20 @@ impl ChunkBits {
         self.words.iter().all(|&w| w == 0)
     }
 
+    /// The members, offset by offset, the disks interleaved at each: the
+    /// order a round plans them in, so a row's chunks and decodes come out
+    /// together.
+    fn by_offset(&self) -> Vec<ChunkAddr> {
+        let mut members = Vec::with_capacity(self.len());
+        for (at, &word) in self.words.iter().enumerate().filter(|(_, w)| **w != 0) {
+            let (disk, base) = (at / self.stride, at % self.stride * 64);
+            let bits = (0..64).filter(|b| word >> b & 1 != 0);
+            members.extend(bits.map(|b| ChunkAddr::new(disk, base + b)));
+        }
+        members.sort_unstable_by_key(|a| (a.offset, a.disk));
+        members
+    }
+
     /// `self` without the members of `other`.
     fn minus(&self, other: &Self) -> Self {
         let words = self.words.iter().zip(&other.words);
@@ -742,10 +741,11 @@ impl<B: BlockDevice> OiRaidStore<B> {
     /// reports per-device instrumentation plus a structured
     /// [`RebuildOutcome`].
     ///
-    /// Single failures use the strategy-specific planner (`strategy` picks
-    /// local-row / outer-stripe / declustered / hybrid reads); larger
-    /// patterns use the multi-failure cascade planner. Serial and DAG
-    /// modes produce bit-identical disks, with or without faults.
+    /// Every round plans every chunk still missing through one planner, in
+    /// `strategy`'s order (local rows first for `Inner`, outer stripes
+    /// first otherwise, with `OuterAll` / `Hybrid` recomputing parity rows
+    /// remotely), whatever the failure pattern. Serial and DAG modes
+    /// produce bit-identical disks, with or without faults.
     ///
     /// Fault handling (see the module docs): transient faults are retried
     /// within the store's fixed retry budget, unreadable sectors are
@@ -927,24 +927,8 @@ impl<B: BlockDevice> OiRaidStore<B> {
                 rebuilt.insert(a);
             }
         }
-        let began = Instant::now();
-        let planned = if resume.is_some() {
-            // Resume: only what the checkpoint does not cover needs
-            // recovery — chunk-granular, same planner reroutes use.
-            let missing = lost.minus(&rebuilt);
-            self.array().chunk_recovery_plan(|a| missing.contains(a))
-        } else if initially_failed.len() == 1 {
-            single_failure_plan(
-                self.array(),
-                initially_failed[0],
-                SparePolicy::Distributed,
-                strategy,
-            )
-        } else {
-            Layout::recovery_plan(self.array(), &initially_failed, SparePolicy::Distributed)
-        };
-        obs.stages.plan.record_duration(began.elapsed());
-        let mut plan = planned.map_err(|_| StoreError::DataLoss)?;
+        let planned = self.plan_round(&lost.minus(&rebuilt), strategy, obs);
+        let (mut plan, mut locks) = planned.ok_or(StoreError::DataLoss)?;
         match &resume {
             Some(_) => {
                 obs.progress
@@ -1029,11 +1013,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
             };
             let _round_guard = (round_trace != 0).then(|| telemetry::enter_trace(round_trace));
             let began = Instant::now();
-            let regions = self.plan_regions(&plan);
-            obs.stages.plan.record_duration(began.elapsed());
-            obs.stages.regions.record_duration(began.elapsed());
-            let began = Instant::now();
-            let out = self.execute_round(mode, &plan, &regions, obs, tick.as_ref());
+            let out = self.execute_round(mode, &plan, &locks, obs, tick.as_ref());
             obs.stages.execute.record_duration(began.elapsed());
             // `wall` spans every round, so busy time must too (per worker
             // slot; the pool is as wide as its widest round).
@@ -1146,14 +1126,11 @@ impl<B: BlockDevice> OiRaidStore<B> {
                 // so a crash anywhere in the next round resumes from here.
                 self.save_checkpoint_now(t);
             }
-            let began = Instant::now();
-            let replanned = self.array().chunk_recovery_plan(|a| missing.contains(a));
-            obs.stages.plan.record_duration(began.elapsed());
-            let Ok(replanned) = replanned else {
+            let Some(replanned) = self.plan_round(&missing, strategy, obs) else {
                 aborted = Some(target_disks.clone());
                 break;
             };
-            plan = replanned;
+            (plan, locks) = replanned;
         }
         let wall = start.elapsed();
         obs.heal.retries.inc_by(retry.retries);
@@ -1268,47 +1245,23 @@ impl<B: BlockDevice> OiRaidStore<B> {
         }
     }
 
-    /// The relations each plan item's batch locks: the relation its lost
-    /// chunk decodes through, which holds every read and every
-    /// dependency's lost chunk — else, for the remote row-parity recompute
-    /// (it reads other stripes), every relation of the lost chunk and of
-    /// those inputs. A chunk's row and stripe share no other chunk, so the
-    /// first input names the relation: the lost chunk's row if it is in it,
-    /// else its stripe, and an inner parity has none. A writer locks every
-    /// relation holding a chunk it modifies, so these keep still all that
-    /// the item reads and lands.
-    fn plan_regions(&self, plan: &RecoveryPlan) -> Footprints {
-        let items = plan.items();
-        let mut regions: Vec<Region> = Vec::with_capacity(items.len());
-        let mut start = Vec::with_capacity(items.len() + 1);
-        for it in items {
-            let from = regions.len();
-            start.push(from);
-            let inputs = || {
-                let depends = it.depends.iter().map(|&d| items[d].lost);
-                it.reads.iter().copied().chain(depends)
-            };
-            let mut relations = self.regions_for(it.lost);
-            let row = relations.next();
-            let in_row = inputs()
-                .next()
-                .is_some_and(|a| self.regions_for(a).next() == row);
-            if let Some(r) = if in_row { row } else { relations.next() } {
-                debug_assert!(inputs().all(|a| self.regions_for(a).any(|x| x == r)));
-                regions.push(r);
-                continue;
-            }
-            for r in std::iter::once(it.lost)
-                .chain(inputs())
-                .flat_map(|a| self.regions_for(a))
-            {
-                if !regions[from..].contains(&r) {
-                    regions.push(r);
-                }
-            }
-        }
-        start.push(regions.len());
-        Footprints { regions, start }
+    /// One round's plan of every chunk in `missing` (see
+    /// [`plan_recovery`]), in [`ChunkBits::by_offset`] order, with the
+    /// relations each item's batch locks, timed as the `plan` stage;
+    /// `None` when some chunk is out of every relation chain's reach.
+    fn plan_round(
+        &self,
+        missing: &ChunkBits,
+        strategy: RecoveryStrategy,
+        obs: &RebuildObserver,
+    ) -> Option<(RecoveryPlan, LockSets)> {
+        let began = Instant::now();
+        let targets = missing.by_offset();
+        let available = |a| !missing.contains(a);
+        let (items, locks) = plan_recovery(self.array(), &targets, available, strategy);
+        let plan = RecoveryPlan::new(self.array().disks(), Vec::new(), items);
+        obs.stages.plan.record_duration(began.elapsed());
+        (plan.items().len() == targets.len()).then_some((plan, locks))
     }
 
     /// Opens one round's writeback books. Disks already failed when the
@@ -1390,8 +1343,8 @@ impl<B: BlockDevice> OiRaidStore<B> {
     /// One round on either executor: the plan lowered into *batches*
     /// ([`lower`]), one op per batch and nothing else. A batch op runs start
     /// to finish on one worker: it pays the QoS token bucket once for all
-    /// its reads, takes one `lock_regions` over its items' relations
-    /// (`regions`, [`Self::plan_regions`] of `plan`), serves its items'
+    /// its reads, takes one `lock_regions` over its items' lock sets
+    /// (`regions`, from [`Self::plan_round`]), serves its items'
     /// source runs back to back ([`batch_reads`]; no run crosses the
     /// batch's edge), combines the items in batch order and lands them
     /// through [`Self::writeback_chunks`], which drops the locks. A batch
@@ -1412,7 +1365,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
         &self,
         mode: RebuildMode,
         plan: &RecoveryPlan,
-        regions: &Footprints,
+        regions: &LockSets,
         obs: &RebuildObserver,
         tick: Option<&CheckpointTick>,
     ) -> RoundOutput {
@@ -1572,6 +1525,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::multifail::First;
     use crate::{OiRaidConfig, OiRaidStore};
     use blockdev::{FaultConfig, FaultInjectingDevice, MemDevice};
 
@@ -1703,8 +1657,7 @@ mod tests {
         for failed in patterns {
             if let [d] = failed[..] {
                 for s in RecoveryStrategy::ALL {
-                    let plan = array.recovery_plan_with_strategy(d, SparePolicy::Distributed, s);
-                    check(plan.unwrap().items(), &failed);
+                    check(round_plan(&store, &[d], s).0.items(), &failed);
                 }
             }
             let down = |a: ChunkAddr| failed.contains(&a.disk);
@@ -1714,10 +1667,13 @@ mod tests {
                     .map(|o| ChunkAddr::new(d, o))
                     .filter(|&a| array.data_index(a).is_some())
                     .collect();
-                let (plan, _) = crate::multifail::plan_closure(array, &data, |a| !down(a));
-                let planned = |a: &ChunkAddr| plan.items().iter().any(|it| it.lost == *a);
-                assert!(data.iter().all(planned), "{failed:?}: disk {d} unplanned");
-                check(plan.items(), &failed);
+                for first in [First::Row, First::Stripe] {
+                    let (plan, _) =
+                        crate::multifail::plan_closure(array, &data, |a| !down(a), first);
+                    let planned = |a: &ChunkAddr| plan.iter().any(|it| it.lost == *a);
+                    assert!(data.iter().all(planned), "{failed:?}: disk {d} unplanned");
+                    check(&plan, &failed);
+                }
             }
         }
         assert!(crossed, "no 2-disk plan depends across a batch edge");
@@ -1762,8 +1718,7 @@ mod tests {
             // The scheduler actually ran: one executed op per batch.
             assert!(rd.workers > 0);
             assert_eq!(rs.workers, 0);
-            let plan = single_failure_plan(dag.array(), 7, SparePolicy::Distributed, strategy);
-            let plan = plan.unwrap();
+            let (plan, _) = round_plan(&dag, &[7], strategy);
             let per = batch_items(16, plan.items().len(), rd.workers);
             let batches = plan.items().len().div_ceil(per);
             assert_eq!(rd.sched.executed, batches as u64);
@@ -1790,13 +1745,7 @@ mod tests {
                 .unwrap();
         }
         let image = disk_image(&store, TARGET);
-        let plan = single_failure_plan(
-            store.array(),
-            TARGET,
-            SparePolicy::Distributed,
-            RecoveryStrategy::Outer,
-        )
-        .unwrap();
+        let (plan, _) = round_plan(&store, &[TARGET], RecoveryStrategy::Outer);
         assert_eq!(plan.items().len(), 2304);
         let batches = plan.items().len().div_ceil(batch_items(4 << 10, 2304, 2));
         assert_eq!(batches, 144);
@@ -2074,14 +2023,7 @@ mod tests {
         const PASSES: usize = 20;
         let store = filled(16);
         let target = 4usize;
-        let plan = single_failure_plan(
-            store.array(),
-            target,
-            SparePolicy::Distributed,
-            RecoveryStrategy::Hybrid,
-        )
-        .unwrap();
-        let regions = store.plan_regions(&plan);
+        let (plan, regions) = round_plan(&store, &[target], RecoveryStrategy::Hybrid);
         let path = std::env::temp_dir().join(format!("oi-tick-{}.ckpt", std::process::id()));
         RebuildCheckpoint::remove(&path);
         let tick = CheckpointTick::new(CheckpointPolicy {
@@ -2164,17 +2106,10 @@ mod tests {
             for mode in [RebuildMode::Serial, RebuildMode::Dag] {
                 let store = reference.clone();
                 store.set_dag_workers(Some(WORKERS));
-                let plan = single_failure_plan(
-                    store.array(),
-                    target,
-                    SparePolicy::Distributed,
-                    RecoveryStrategy::Outer,
-                )
-                .unwrap();
+                let (plan, regions) = round_plan(&store, &[target], RecoveryStrategy::Outer);
                 let lost = plan.items().len();
                 let bound = WORKERS * (3 * BATCH_BYTES + (128 << 10)) / chunk;
                 assert!(lost > 2 * bound, "the plan dwarfs the bound: {lost} items");
-                let regions = store.plan_regions(&plan);
                 let obs = crate::RebuildObserver::default();
                 store.fail_disk(target).unwrap();
                 store.online().begin([target]);
@@ -2196,6 +2131,73 @@ mod tests {
         }
     }
 
+    /// Each item's lock set holds its lost chunk, every read and every
+    /// dependency's lost chunk, so a writer of any of them waits for the
+    /// batch; a row or stripe decode locks exactly one relation, and only
+    /// a remote row recompute more. Over every plan shape a rebuild runs:
+    /// one disk, two disks of one group, three disks, a resume (every
+    /// other chunk of the disk checkpointed) and a re-plan after a latent
+    /// source on a row sibling, under every strategy.
+    #[test]
+    fn every_lock_set_holds_what_its_item_reads_and_lands() {
+        let store = batch_fixture(8, |mem| mem);
+        let (disks, chunks) = (store.array().disks(), store.array().chunks_per_disk());
+        let geo = store.array().geometry();
+        let missing = |failed: &[usize], keep: &dyn Fn(ChunkAddr) -> bool| {
+            let mut bits = ChunkBits::new(disks, chunks);
+            let lost = failed
+                .iter()
+                .flat_map(|&d| (0..chunks).map(move |o| ChunkAddr::new(d, o)));
+            lost.filter(|&a| keep(a)).for_each(|a| {
+                bits.insert(a);
+            });
+            bits
+        };
+        let every = |_: ChunkAddr| true;
+        let mut replan = missing(&[BATCH_TARGET], &|a| a.offset % 3 != 0);
+        replan.insert(ChunkAddr::new(BATCH_TARGET + 1, 1));
+        let shapes = [
+            ("one disk", missing(&[BATCH_TARGET], &every)),
+            ("two disks of a group", missing(&[3, BATCH_TARGET], &every)),
+            ("three disks", missing(&[0, BATCH_TARGET, 9], &every)),
+            ("a resume", missing(&[BATCH_TARGET], &|a| a.offset % 2 == 1)),
+            ("a re-plan", replan),
+        ];
+        let mut remote = 0;
+        for (shape, missing) in &shapes {
+            for strategy in RecoveryStrategy::ALL {
+                let obs = crate::RebuildObserver::default();
+                let planned = store.plan_round(missing, strategy, &obs);
+                let (plan, locks) = planned.expect(shape);
+                assert_eq!(plan.items().len(), missing.len(), "{shape} {strategy:?}");
+                for (idx, it) in plan.items().iter().enumerate() {
+                    let held: Vec<ChunkAddr> = locks
+                        .of(idx)
+                        .iter()
+                        .flat_map(|&r| match r {
+                            Region::Row(group, row) => geo.row_chunks(group, row),
+                            Region::Stripe(block, stripe) => geo.stripe_chunks(block, stripe),
+                        })
+                        .collect();
+                    let depends = it.depends.iter().map(|&d| plan.items()[d].lost);
+                    for a in [it.lost].into_iter().chain(it.reads.clone()).chain(depends) {
+                        assert!(
+                            held.contains(&a),
+                            "{shape} {strategy:?}: {} leaves {a} unlocked",
+                            it.lost
+                        );
+                    }
+                    let one = locks.of(idx).len() == 1;
+                    if matches!(strategy, RecoveryStrategy::Inner | RecoveryStrategy::Outer) {
+                        assert!(one, "{shape} {strategy:?}: {}", it.lost);
+                    }
+                    remote += usize::from(!one);
+                }
+            }
+        }
+        assert!(remote > 0, "no remote row recompute was planned");
+    }
+
     /// A batch holds the union of its items' relations: on the serving
     /// geometry (4 KiB chunks, sixteen items a batch) that stays under the
     /// 96 lock stripes one full foreground write group may hold, and a row
@@ -2206,9 +2208,7 @@ mod tests {
         let cfg = OiRaidConfig::new(bibd::fano(), 3, 256).unwrap();
         let store = OiRaidStore::new(cfg, 1).unwrap();
         for strategy in RecoveryStrategy::ALL {
-            let plan = single_failure_plan(store.array(), 4, SparePolicy::Distributed, strategy);
-            let plan = plan.unwrap();
-            let regions = store.plan_regions(&plan);
+            let (plan, regions) = round_plan(&store, &[4], strategy);
             let n = plan.items().len();
             let per = batch_items(4096, n, 2);
             assert_eq!(per, BATCH_ITEMS);
@@ -2360,16 +2360,25 @@ mod tests {
 
     const BATCH_TARGET: usize = 4;
 
-    fn batch_plan<B: BlockDevice>(store: &OiRaidStore<B>) -> RecoveryPlan {
-        let plan = single_failure_plan(
-            store.array(),
-            BATCH_TARGET,
-            SparePolicy::Distributed,
-            RecoveryStrategy::Outer,
-        )
-        .unwrap();
-        assert_eq!(batch_items(64, plan.items().len(), 1), BATCH_ITEMS);
-        plan
+    /// The plan and lock sets of a rebuild's first round of `failed` under
+    /// `strategy`.
+    fn round_plan<B: BlockDevice>(
+        store: &OiRaidStore<B>,
+        failed: &[usize],
+        strategy: RecoveryStrategy,
+    ) -> (RecoveryPlan, LockSets) {
+        let chunks = store.array().chunks_per_disk();
+        let mut missing = ChunkBits::new(store.array().disks(), chunks);
+        failed.iter().for_each(|&d| missing.fill_disk(d, chunks));
+        let obs = crate::RebuildObserver::default();
+        let planned = store.plan_round(&missing, strategy, &obs);
+        planned.expect("a survivable pattern")
+    }
+
+    fn batch_plan<B: BlockDevice>(store: &OiRaidStore<B>) -> (RecoveryPlan, LockSets) {
+        let planned = round_plan(store, &[BATCH_TARGET], RecoveryStrategy::Outer);
+        assert_eq!(batch_items(64, planned.0.items().len(), 1), BATCH_ITEMS);
+        planned
     }
 
     /// Fails [`BATCH_TARGET`], opens the window, lets `arm` stage a fault,
@@ -2377,17 +2386,16 @@ mod tests {
     /// valid set as the round left it.
     fn batch_round<B: BlockDevice>(
         store: &OiRaidStore<B>,
-        plan: &RecoveryPlan,
+        (plan, regions): &(RecoveryPlan, LockSets),
         mode: RebuildMode,
         arm: impl FnOnce(&OiRaidStore<B>),
     ) -> (RoundOutput, BTreeSet<ChunkAddr>) {
-        let regions = store.plan_regions(plan);
         let obs = crate::RebuildObserver::default();
         store.fail_disk(BATCH_TARGET).unwrap();
         store.online().begin([BATCH_TARGET]);
         store.devices()[BATCH_TARGET].heal().unwrap();
         arm(store);
-        let out = store.execute_round(mode, plan, &regions, &obs, None);
+        let out = store.execute_round(mode, plan, regions, &obs, None);
         let (_, valid) = store.online().valid_snapshot().expect("window open");
         store.online().end();
         (out, valid.into_iter().collect())
@@ -2399,7 +2407,8 @@ mod tests {
             let store = batch_fixture(8, |mem| {
                 FaultInjectingDevice::new(mem, FaultConfig::default())
             });
-            let plan = batch_plan(&store);
+            let planned = batch_plan(&store);
+            let plan = &planned.0;
             // One latent sector among the sources of the first batch.
             let source = plan.items()[5].reads[0];
             let seed = (1..)
@@ -2415,7 +2424,7 @@ mod tests {
                     bad(&source) && hit.into_iter().filter(|a| bad(a)).count() == 1
                 })
                 .unwrap();
-            let (out, valid) = batch_round(&store, &plan, mode, |_| {});
+            let (out, valid) = batch_round(&store, &planned, mode, |_| {});
             let needed: Vec<ChunkAddr> = plan
                 .items()
                 .iter()
@@ -2456,8 +2465,7 @@ mod tests {
         use std::sync::mpsc;
         let wait = Duration::from_secs(10);
         let store = batch_fixture(8, HookedDevice::new);
-        let plan = batch_plan(&store);
-        let regions = store.plan_regions(&plan);
+        let (plan, regions) = batch_plan(&store);
         // A data source of the first item: read by the first batch.
         let (addr, idx) = plan.items()[0]
             .reads
@@ -2525,10 +2533,10 @@ mod tests {
         let disks = store.array().disks();
         let mut crossings = 0;
         for failed in (0..disks).flat_map(|a| (a + 1..disks).map(move |b| [a, b])) {
-            let plan = Layout::recovery_plan(store.array(), &failed, SparePolicy::Distributed);
-            let items = plan.unwrap().items().to_vec();
+            let (plan, _) = round_plan(&store, &failed, RecoveryStrategy::Outer);
+            let items = plan.items();
             for per in [1, 2, BATCH_ITEMS] {
-                let (order, bounds) = lower(&items, per);
+                let (order, bounds) = lower(items, per);
                 let once: BTreeSet<usize> = order.iter().copied().collect();
                 assert!(once.len() == items.len() && order.len() == items.len());
                 // Each item's (batch, place in the batch order).
@@ -2577,7 +2585,7 @@ mod tests {
         store.set_checkpoint_policy(Some(CheckpointPolicy { path, interval: 1 }));
         // Disks 3 and 4 share a group, so row decodes depend on stripe ones.
         let failed = [3, 4];
-        let plan = Layout::recovery_plan(store.array(), &failed, SparePolicy::Distributed).unwrap();
+        let (plan, _) = round_plan(&store, &failed, RecoveryStrategy::Hybrid);
         let items = plan.items();
         let (order, bounds) = lower(items, batch_items(64, items.len(), 1));
         let data = |d: usize| store.array().data_index(items[d].lost);
@@ -2612,8 +2620,9 @@ mod tests {
                 inner,
                 left: i64::MAX.into(),
             });
-            let plan = batch_plan(&store);
-            let (out, valid) = batch_round(&store, &plan, mode, |store| {
+            let planned = batch_plan(&store);
+            let plan = &planned.0;
+            let (out, valid) = batch_round(&store, &planned, mode, |store| {
                 store.devices()[BATCH_TARGET].arm(4)
             });
             let first: Vec<ChunkAddr> = plan.items()[..4].iter().map(|it| it.lost).collect();
@@ -2732,15 +2741,10 @@ mod tests {
                 LogsReads { inner, disk, log }
             });
             store.set_dag_workers(Some(2));
-            let plan = single_failure_plan(
-                store.array(),
-                BATCH_TARGET,
-                SparePolicy::Distributed,
-                strategy,
-            );
-            let plan = plan.unwrap();
+            let planned = round_plan(&store, &[BATCH_TARGET], strategy);
+            let plan = &planned.0;
             lock(&log).clear();
-            let (out, _) = batch_round(&store, &plan, RebuildMode::Serial, |_| {});
+            let (out, _) = batch_round(&store, &planned, RebuildMode::Serial, |_| {});
             assert_eq!(out.written.len(), plan.items().len(), "{strategy:?}");
             let per = batch_items(64, plan.items().len(), 2);
             let log = lock(&log);
@@ -2787,13 +2791,7 @@ mod tests {
         for (failed, strategy) in patterns {
             let reference = batch_fixture(8, |mem| mem);
             reference.set_dag_workers(Some(2));
-            let plan = match failed {
-                [d] => {
-                    single_failure_plan(reference.array(), *d, SparePolicy::Distributed, strategy)
-                }
-                _ => Layout::recovery_plan(reference.array(), failed, SparePolicy::Distributed),
-            };
-            let plan = plan.unwrap();
+            let (plan, _) = round_plan(&reference, failed, strategy);
             let reads = plan.total_reads() as usize;
             let per = batch_items(64, plan.items().len(), 2);
             let (split, whole) = (batch_runs(&plan, per), queue_runs(&plan));

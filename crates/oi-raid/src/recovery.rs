@@ -1,7 +1,8 @@
-//! Single-disk-failure recovery planning: the experiment-critical path.
+//! Recovery strategies: how a rebuild sources its reads, the
+//! experiment-critical choice.
 //!
-//! When one disk fails, OI-RAID can source reconstruction reads three ways,
-//! and the choice decides the rebuild bottleneck:
+//! When one disk fails, OI-RAID can source reconstruction reads several
+//! ways, and the choice decides the rebuild bottleneck:
 //!
 //! * [`RecoveryStrategy::Inner`] — rebuild every lost chunk from its inner
 //!   row. Minimal total I/O (`(g−1)` reads per chunk), but only the `g−1`
@@ -17,15 +18,21 @@
 //!   local and remote methods in the closed-form proportion
 //!   `ψ = (rg − (g−1)) / (rg + (g−1))` that equalises group-survivor and
 //!   remote-disk load — the bottleneck-optimal mix (ablation A2).
+//!
+//! [`plan_recovery`] plans any failure pattern, a resume and every
+//! re-plan alike: the backward closure search, row first under `Inner` and
+//! stripe first otherwise, then a pass that sends the ψ-picked row
+//! recomputes remote.
 
-use layout::ChunkRecovery;
-use layout::{ChunkAddr, LayoutError, RecoveryPlan, SparePolicy, WriteTarget};
+use layout::{ChunkAddr, ChunkRecovery};
 
 use crate::array::OiRaid;
+use crate::multifail::{plan_closure, First};
+use crate::online::Region;
 
-/// How a single-disk rebuild sources its reads: `Inner` is local and slow,
-/// `Outer` is the paper's declustered default, `OuterAll` moves even
-/// parity-row repairs off the group, and `Hybrid` mixes the last two in the
+/// How a rebuild sources its reads: `Inner` is local and slow, `Outer` is
+/// the paper's declustered default, `OuterAll` moves even parity-row
+/// repairs off the group, and `Hybrid` mixes the last two in the
 /// closed-form bottleneck-optimal proportion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecoveryStrategy {
@@ -67,89 +74,82 @@ pub(crate) fn hybrid_remote_fraction(r: usize, g: usize) -> (usize, usize) {
     ((r * g).saturating_sub(g - 1), r * g + g - 1)
 }
 
-/// Builds the plan for a single failed disk under `strategy`.
-pub(crate) fn single_failure_plan(
-    array: &OiRaid,
-    failed_disk: usize,
-    policy: SparePolicy,
-    strategy: RecoveryStrategy,
-) -> Result<RecoveryPlan, LayoutError> {
-    let geo = array.geometry();
-    let n = geo.disks();
-    if failed_disk >= n {
-        return Err(LayoutError::DiskOutOfRange {
-            disk: failed_disk,
-            disks: n,
-        });
+/// The relations every item of a plan locks, stored flat: two allocations
+/// per plan, not one per item.
+pub(crate) struct LockSets {
+    regions: Vec<Region>,
+    /// Item `idx`'s relations are `regions[start[idx]..start[idx + 1]]`.
+    start: Vec<usize>,
+}
+
+impl LockSets {
+    pub(crate) fn of(&self, idx: usize) -> &[Region] {
+        &self.regions[self.start[idx]..self.start[idx + 1]]
     }
-    let grp = geo.group_of(failed_disk);
+}
+
+/// Plans the recovery of `targets` (distinct chunks `available` does not
+/// vouch for) under `strategy`; a target no relation chain reaches has no
+/// item. Each item locks the relation it decodes through, which holds its
+/// lost chunk, every read and every dependency's lost chunk. A remote
+/// row-parity recompute reads, for each payload chunk of the row, the
+/// other `k − 1` chunks of its outer stripe, which XOR to the payload and
+/// so to the parity: it locks the row and those stripes. A writer locks
+/// every relation holding a chunk it modifies, so these keep still all
+/// that an item reads and lands.
+pub(crate) fn plan_recovery(
+    array: &OiRaid,
+    targets: &[ChunkAddr],
+    available: impl Fn(ChunkAddr) -> bool,
+    strategy: RecoveryStrategy,
+) -> (Vec<ChunkRecovery>, LockSets) {
+    let geo = array.geometry();
+    let first = match strategy {
+        RecoveryStrategy::Inner => First::Row,
+        _ => First::Stripe,
+    };
+    let (mut items, via) = plan_closure(array, targets, &available, first);
+    let mut locks = LockSets {
+        regions: Vec::with_capacity(via.len()),
+        start: Vec::with_capacity(via.len() + 1),
+    };
     let (num, den) = hybrid_remote_fraction(geo.r, geo.g);
-    let mut parity_rows_seen = 0usize;
-    let mut items = Vec::with_capacity(geo.chunks_per_disk);
-    for o in 0..geo.chunks_per_disk {
-        let lost = ChunkAddr::new(failed_disk, o);
-        let reads = if geo.is_inner_parity(lost) {
-            // Inner-parity chunk: rebuild from its row, locally or remotely.
-            let remote = match strategy {
-                RecoveryStrategy::Inner | RecoveryStrategy::Outer => false,
-                RecoveryStrategy::OuterAll => true,
-                RecoveryStrategy::Hybrid => {
-                    // Spread the ψ fraction evenly over the parity rows
-                    // (rounded accumulation, so the total is round(ψ·rows)).
-                    let h = parity_rows_seen;
-                    ((h + 1) * num + den / 2) / den != (h * num + den / 2) / den
-                }
-            };
-            parity_rows_seen += 1;
-            if remote {
-                remote_row_reads(array, grp, o)
-            } else {
-                geo.row_payload(grp, o)
-            }
-        } else {
-            // Payload chunk (data or outer parity).
-            match strategy {
-                RecoveryStrategy::Inner => geo
-                    .row_chunks(grp, o)
-                    .into_iter()
-                    .filter(|a| *a != lost)
-                    .collect(),
-                _ => outer_stripe_reads(array, lost),
+    let mut rows = 0usize;
+    for (it, region) in items.iter_mut().zip(via) {
+        locks.start.push(locks.regions.len());
+        locks.regions.push(region);
+        // A row recompute that reads every payload of its row may go
+        // remote: `OuterAll` sends every one, `Hybrid` spreads the ψ
+        // fraction evenly (rounded accumulation, so the total is
+        // round(ψ · rows)).
+        if !geo.is_inner_parity(it.lost) || !it.depends.is_empty() {
+            continue;
+        }
+        rows += 1;
+        let remote = match strategy {
+            RecoveryStrategy::Inner | RecoveryStrategy::Outer => false,
+            RecoveryStrategy::OuterAll => true,
+            RecoveryStrategy::Hybrid => {
+                (rows * num + den / 2) / den != ((rows - 1) * num + den / 2) / den
             }
         };
-        items.push(ChunkRecovery {
-            lost,
-            reads,
-            depends: Vec::new(),
-            write: WriteTarget::Spare(0),
-        });
+        if !remote {
+            continue;
+        }
+        let (mut reads, mut stripes) = (Vec::new(), Vec::new());
+        for &payload in &it.reads {
+            let p = geo.payload_pos(payload);
+            stripes.push(Region::Stripe(p.block, p.stripe));
+            let mates = geo.stripe_chunks(p.block, p.stripe).into_iter();
+            reads.extend(mates.filter(|&a| a != payload));
+        }
+        if reads.iter().all(|&a| available(a)) {
+            it.reads = reads;
+            locks.regions.extend(stripes);
+        }
     }
-    let failed = vec![failed_disk];
-    layout::assign_writes(policy, n, &failed, &mut items);
-    Ok(RecoveryPlan::new(n, failed, items))
-}
-
-/// The `k − 1` surviving chunks of the outer stripe containing payload
-/// chunk `lost` — all in other groups.
-fn outer_stripe_reads(array: &OiRaid, lost: ChunkAddr) -> Vec<ChunkAddr> {
-    let geo = array.geometry();
-    let p = geo.payload_pos(lost);
-    geo.stripe_chunks(p.block, p.stripe)
-        .into_iter()
-        .filter(|a| *a != lost)
-        .collect()
-}
-
-/// Remote reconstruction of an inner-parity row: for each surviving payload
-/// chunk of the row, read the `k − 1` other chunks of *its* outer stripe
-/// (none of which are in this group). `(g − 1)(k − 1)` remote reads total.
-fn remote_row_reads(array: &OiRaid, grp: usize, row: usize) -> Vec<ChunkAddr> {
-    let geo = array.geometry();
-    let mut reads = Vec::with_capacity((geo.g - 1) * (geo.k - 1));
-    for payload in geo.row_payload(grp, row) {
-        reads.extend(outer_stripe_reads(array, payload));
-    }
-    reads
+    locks.start.push(locks.regions.len());
+    (items, locks)
 }
 
 #[cfg(test)]
@@ -158,7 +158,7 @@ mod tests {
 
     use super::*;
     use crate::config::OiRaidConfig;
-    use layout::Layout;
+    use layout::{Layout, LayoutError, RecoveryPlan, SparePolicy, WriteTarget};
 
     fn reference() -> OiRaid {
         OiRaid::new(OiRaidConfig::reference()).unwrap()

@@ -35,14 +35,14 @@ use blockdev::{
     crash_point, write_range_retrying, BlockDevice, DeviceError, FileDevice, FlushPolicy, Journal,
     MemDevice, RedoMember, RetryPolicy, RetryReader, RetryStats,
 };
-use layout::{ChunkAddr, ChunkRecovery, Layout, LayoutError, RecoveryPlan};
+use layout::{ChunkAddr, ChunkRecovery, Layout, LayoutError};
 use telemetry::{Histogram, Registry, Sharded};
 
 use crate::array::OiRaid;
 use crate::bufpool::BufPool;
 use crate::config::OiRaidConfig;
 use crate::geometry::{Geometry, PayloadPos};
-use crate::multifail;
+use crate::multifail::{self, First};
 use crate::online::{OnlineState, Region};
 use crate::qos::{QosConfig, QosCounters, QosState};
 use crate::rebuild::{combine, read_run_healing, run_chunks};
@@ -426,7 +426,7 @@ type ParityDelta = (Vec<u8>, Range<usize>);
 /// ([`OiRaidStore::logs_whole`], fixed when the attempt starts).
 struct Held {
     regions: Vec<Region>,
-    plan: Option<(u64, RecoveryPlan)>,
+    plan: Option<(u64, Vec<ChunkRecovery>)>,
     decoded: Vec<ChunkAddr>,
     whole: bool,
 }
@@ -893,8 +893,10 @@ impl<B: BlockDevice> OiRaidStore<B> {
     /// The parity relations `addr` participates in (its inner row, plus
     /// its outer stripe for payload chunks) — the granularity of the
     /// region locks.
-    pub(crate) fn regions_for(&self, addr: ChunkAddr) -> impl Iterator<Item = Region> + '_ {
-        multifail::relations_of(self.array.geometry(), addr)
+    pub(crate) fn regions_for(&self, addr: ChunkAddr) -> impl Iterator<Item = Region> {
+        let geo = self.array.geometry();
+        let row = Region::Row(geo.group_of(addr.disk), addr.offset);
+        std::iter::once(row).chain(multifail::stripe_of(geo, addr))
     }
 
     /// Rung 1 of the value ladder (see [`Self::current_values`]): reads
@@ -1433,7 +1435,8 @@ impl<B: BlockDevice> OiRaidStore<B> {
     ) -> Result<T, StoreError> {
         let epoch = self.online.epoch();
         let available = |a: ChunkAddr| self.chunk_available(a) && !decoded.contains(&a);
-        let (plan, via) = multifail::plan_closure(&self.array, targets, available);
+        let first = First::cheaper(self.array.geometry());
+        let (plan, via) = multifail::plan_closure(&self.array, targets, available, first);
         let mut held = Held {
             regions,
             plan: Some((epoch, plan)),
@@ -1493,8 +1496,8 @@ impl<B: BlockDevice> OiRaidStore<B> {
         let targets: Vec<ChunkAddr> = misses.map(|(a, _)| *a).collect();
         held.decoded.extend_from_slice(&targets);
         // Each miss's item in `plan`, or `None` if one has none.
-        let items_of = |plan: &RecoveryPlan| -> Option<Vec<usize>> {
-            let item_of = |t: &ChunkAddr| plan.items().iter().position(|it| it.lost == *t);
+        let items_of = |plan: &[ChunkRecovery]| -> Option<Vec<usize>> {
+            let item_of = |t: &ChunkAddr| plan.iter().position(|it| it.lost == *t);
             targets.iter().map(item_of).collect()
         };
         let mut reuse = held
@@ -1509,7 +1512,9 @@ impl<B: BlockDevice> OiRaidStore<B> {
                     let epoch = self.online.epoch();
                     let out = |a: &ChunkAddr| targets.contains(a) || unreadable.contains(a);
                     let available = |a: ChunkAddr| self.chunk_available(a) && !out(&a);
-                    let (plan, via) = multifail::plan_closure(&self.array, &targets, available);
+                    let first = First::cheaper(self.array.geometry());
+                    let (plan, via) =
+                        multifail::plan_closure(&self.array, &targets, available, first);
                     let Some(at) = items_of(&plan) else {
                         if self.online.epoch() == epoch {
                             return Err(StoreError::DataLoss);
@@ -1525,7 +1530,7 @@ impl<B: BlockDevice> OiRaidStore<B> {
                     (epoch, at, plan)
                 }
             };
-            let Some(mut outputs) = self.walk_plan(plan.items(), &mut unreadable) else {
+            let Some(mut outputs) = self.walk_plan(&plan, &mut unreadable) else {
                 continue;
             };
             if self.online.epoch() == epoch {
@@ -3381,6 +3386,32 @@ pub(crate) mod tests {
             store.read_data_batch(&idxs).unwrap(),
             vec![payload; idxs.len()]
         );
+    }
+
+    /// A degraded read decodes through the relation with fewer reads: at
+    /// g = 5, k = 3 a lost data chunk's outer stripe costs k - 1 = 2
+    /// source reads, where its inner row costs g - 1 = 4.
+    #[test]
+    fn a_degraded_read_takes_the_relation_with_fewer_reads() {
+        let cfg = OiRaidConfig::new(bibd::fano(), 5, 1).unwrap();
+        let store = OiRaidStore::new(cfg, 64).unwrap();
+        for idx in 0..store.data_chunks() {
+            store.write_data(idx, &[(idx % 251) as u8 + 1; 64]).unwrap();
+        }
+        let reads = || -> u64 { store.devices().iter().map(|d| d.counters().reads).sum() };
+        for idx in [0, store.data_chunks() / 2, store.data_chunks() - 1] {
+            let disk = store.locate(idx).disk;
+            store.fail_disk(disk).unwrap();
+            let before = reads();
+            assert_eq!(
+                store.read_data(idx).unwrap(),
+                vec![(idx % 251) as u8 + 1; 64]
+            );
+            assert_eq!(reads() - before, 2, "idx {idx}");
+            store
+                .rebuild(RebuildMode::Serial, RecoveryStrategy::Outer)
+                .unwrap();
+        }
     }
 
     /// Disks to fail together: every single disk, then pairs and triples

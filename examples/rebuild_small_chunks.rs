@@ -13,9 +13,9 @@
 //!
 //! Every phase is read off the [`RebuildReport`] (medians over the
 //! rebuilds after three warm-up ones): `plan`, `heal` and `execute` are the
-//! report's three sequential phases, `regions` (the round's lock sets, the
-//! relations each item's batch locks, inside `plan`) and `lower` (plan to
-//! batches and op graph, inside `execute`) their sub-phases; `run` is what is left of
+//! report's three sequential phases (`plan` includes the round's lock
+//! sets, which the planner returns with the plan), `lower` (plan to
+//! batches and op graph, inside `execute`) a sub-phase; `run` is what is left of
 //! `execute` (the scheduler run and closing the round) and `books` what is
 //! left of the report's wall time (the rebuild loop's bookkeeping). `ops/chunk`
 //! is scheduler ops per rebuilt chunk: one op per batch, which reads,
@@ -77,18 +77,17 @@ fn row(chunk: usize, cycles: usize, rebuilds: usize, workers: usize) {
     let chunks = |r: &RebuildReport| r.chunks_rebuilt as f64;
     let wall_us = |r: &RebuildReport| r.wall.as_secs_f64() * 1e6;
     println!(
-        "{:>6} B x {:>4} chunks  {:>7.0} MiB/s | plan {:>6.0}  regions {:>6.0}  heal {:>6.0}  \
+        "{:>6} B x {:>4} chunks  {:>7.0} MiB/s | plan {:>6.0}  heal {:>6.0}  \
          lower {:>6.0}  run {:>7.0}  books {:>6.0} us | {:.2} ops/chunk  {:>5.2} worker-us/chunk  \
          util {:.2}  read per batch {:.2} us, combine/writeback per chunk {:.2}/{:.2} us (p50)",
         chunk,
         med(&chunks),
         median(mib_per_s),
-        med(&|r| stage_us(r, "plan") - stage_us(r, "regions")),
-        med(&|r| stage_us(r, "regions")),
+        med(&|r| stage_us(r, "plan")),
         med(&|r| stage_us(r, "heal")),
         med(&|r| stage_us(r, "lower")),
         med(&|r| stage_us(r, "execute") - stage_us(r, "lower")),
-        med(&|r| wall_us(r) - stage_us(r, "execute") - stage_us(r, "regions")),
+        med(&|r| wall_us(r) - stage_us(r, "execute")),
         med(&|r| r.sched.executed as f64 / chunks(r)),
         med(&|r| {
             let busy: f64 = r.worker_busy.iter().map(|b| b.as_secs_f64() * 1e6).sum();
